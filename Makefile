@@ -1,7 +1,7 @@
 # Local invocations matching the CI jobs in .github/workflows/ci.yml —
 # `make lint test` before pushing reproduces what CI will run.
 
-.PHONY: all build test lint fmt doc bench bench-run scale scale-sharded sim scenarios tcp-demo tcp-demo-flap clean
+.PHONY: all build test lint fmt doc bench bench-run perf scale scale-sharded sim scenarios tcp-demo tcp-demo-flap clean
 
 all: lint build test doc
 
@@ -28,6 +28,13 @@ bench:
 
 bench-run:
 	cargo bench --workspace
+
+# The end-to-end benchmark, exactly as BENCHMARK.json declares it: every
+# workload in a fresh process, results in target/perf/run-<rev>-seed<S>.json
+# (≈ 2 min; `make perf PERF_ARGS=--trace` adds the per-layer runs). See
+# crates/bench/perf/README.md.
+perf:
+	cargo run --release --offline --quiet --manifest-path crates/bench/perf/Cargo.toml -- all $(PERF_ARGS)
 
 # The 10k-volunteer reactor demonstration: one master, a fixed thread pool,
 # results seq-checked. CI runs the same example at 1k (its default).

@@ -161,7 +161,7 @@ pub struct TransportConfig {
     /// .with_channel(ChannelConfig::wan())` simulates wide-area links.
     pub channel: ChannelConfig,
     /// Liveness and socket options for volunteers connecting over real TCP
-    /// ([`TcpAcceptor`](crate::transport::tcp::TcpAcceptor)). Example:
+    /// (`transport::tcp::TcpAcceptor`, Linux only). Example:
     /// `TcpConfig::local_test()` tightens the crash-detection windows for
     /// localhost demos.
     pub tcp: TcpConfig,

@@ -1,14 +1,16 @@
-//! Raw-syscall shim for the Linux readiness facilities the TCP poller
-//! needs: `epoll` and the TCP keepalive socket options.
+//! Raw-syscall shim for the Linux readiness facilities the TCP poller and
+//! acceptor need: `epoll` and the TCP keepalive socket options.
 //!
 //! The build environment has no registry access, so — same pattern as the
 //! `vendor/` stand-ins from PR 1 — this declares the handful of C symbols
 //! directly instead of pulling in `libc`/`mio`. Everything here is a thin
 //! `io::Result` wrapper over one syscall; all policy (interest tracking,
-//! fairness, teardown) lives in [`super::tcp::poller`].
+//! fairness, teardown, handshake deadlines) lives in [`super::tcp::poller`]
+//! and [`super::tcp::acceptor`].
 //!
-//! Only compiled on Linux; on other targets `transport::tcp` falls back to
-//! the legacy two-threads-per-connection pump backend.
+//! Only compiled on Linux; on other targets `transport::tcp` links fall back
+//! to the legacy two-threads-per-connection pump backend and the master-side
+//! acceptor is not built.
 #![cfg(target_os = "linux")]
 #![allow(unsafe_code)]
 
@@ -110,12 +112,14 @@ impl Epoll {
     }
 
     /// Block until readiness events arrive or `timeout` elapses; returns
-    /// how many entries of `events` were filled. `None` blocks forever.
-    /// `EINTR` is retried internally.
+    /// how many entries of `events` were filled. `None` blocks forever, a
+    /// zero timeout only polls. `EINTR` is retried internally.
     pub fn wait(&self, events: &mut [EpollEvent], timeout: Option<Duration>) -> io::Result<usize> {
         let timeout_ms = match timeout {
             None => -1,
-            // Round up so a positive timeout never busy-spins as 0ms.
+            // A zero timeout is a pure poll; a positive one rounds up so it
+            // never busy-spins as 0ms.
+            Some(d) if d.is_zero() => 0,
             Some(d) => i32::try_from(d.as_millis().max(1)).unwrap_or(i32::MAX),
         };
         loop {

@@ -25,7 +25,9 @@
 //! [`Transport`] contract table. The legacy two-threads-per-connection
 //! backend is kept behind the deprecated
 //! [`TcpConfig::pump_threads_backend`] flag for A/B benchmarking and for
-//! non-Linux targets, with the same bounded-queue semantics.
+//! volunteers on non-Linux targets, with the same bounded-queue semantics.
+//! The master side (the `acceptor` module) is Linux-only: off Linux this
+//! module builds the dialing half alone.
 //!
 //! # Wire format
 //!
@@ -33,26 +35,9 @@
 //! is what [`Message::encode`] produces (`tag: u8`, `len: u32` big-endian,
 //! payload), with tag `0` reserved as a transport-level close marker so a
 //! clean [`close`](Transport::close) is distinguishable from a crash.
-//! A connection starts with a tiny hello carrying a *mode* byte:
-//!
-//! ```text
-//! volunteer -> master:  b"PNDO" version:u8 mode:u8
-//!                       [token:u64be recvd:u64be   (mode = RESUME only)]
-//!                       name_len:u16be name bytes
-//! master    -> volunteer: b"PNDO" version:u8 status:u8 token:u64be recvd:u64be
-//! ```
-//!
-//! Mode `0` (*plain*) is the sessionless connection every test and simple
-//! client uses: the reply's token is zero and nothing is buffered for
-//! redelivery. Mode `1` (*new session*) asks the master to issue a session
-//! token and wrap the link in a [`session::SessionTransport`] so a transient
-//! disconnect parks the volunteer instead of crashing it. Mode `2`
-//! (*resume*) presents a previously-issued token plus the count of data
-//! frames the volunteer has received; the master answers with status `1`
-//! and its own received count, and both sides redeliver exactly the frames
-//! the other never saw (see the [`session`] module). An unknown or expired
-//! token downgrades the resume to a fresh session (status `0`, new token) —
-//! the volunteer rejoins as a new device rather than being rejected.
+//! Before the first frame a connection handshakes (`PNDO` magic, version,
+//! hello mode, volunteer name — see [`handshake`]); the master runs every
+//! handshake on one readiness-driven state machine (see `acceptor`).
 //!
 //! # Which layer detects which failure class
 //!
@@ -80,51 +65,42 @@
 //! the simulated channels, and crash re-lend and shard hopping work
 //! unchanged over sockets.
 
+// Off Linux the master-side halves (hello parser, `SessionTransport`
+// constructors) have no caller.
+#![cfg_attr(not(target_os = "linux"), allow(dead_code))]
+
+#[cfg(target_os = "linux")]
+pub mod acceptor;
+pub mod handshake;
 #[cfg(target_os = "linux")]
 pub(crate) mod poller;
 pub mod session;
 
 #[cfg(target_os = "linux")]
+pub use acceptor::{SessionEvent, TcpAcceptor, TcpServerHandle};
+pub use handshake::TCP_PROTOCOL_VERSION;
+pub(crate) use handshake::{dial, HelloMode};
+
+#[cfg(target_os = "linux")]
 use super::sys;
 use super::{Transport, TransportError, TransportErrorKind};
-use crate::master::Pando;
 use crate::protocol::Message;
-use crate::transport::tcp::session::SessionTransport;
 use bytes::{Bytes, BytesMut};
 use pando_netsim::channel::{RecvError, SendError, Waker};
 use pando_netsim::codec::{encode_frame, FRAME_HEADER_LEN, MAX_FRAME_LEN};
 use pando_netsim::heartbeat::FailureDetector;
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
+use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Magic bytes opening both handshake directions.
-const MAGIC: [u8; 4] = *b"PNDO";
-/// Version byte of the TCP wire protocol; bumped on incompatible change.
-/// v2 added the hello mode byte and the 22-byte session reply.
-pub const TCP_PROTOCOL_VERSION: u8 = 2;
 /// Frame tag reserved for the transport-level close marker (the protocol's
 /// message tags start at 1).
 const TAG_CLOSE: u8 = 0;
-/// Longest volunteer name accepted in the hello.
-const MAX_NAME_LEN: usize = 256;
-/// Read/write deadline applied only during the handshake so a stalled or
-/// hostile client cannot wedge the accept loop.
-const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
-/// Hello mode byte: sessionless connection (no token, no redelivery).
-const HELLO_PLAIN: u8 = 0;
-/// Hello mode byte: request a fresh resumable session.
-const HELLO_NEW: u8 = 1;
-/// Hello mode byte: resume a parked session (token + received count follow).
-const HELLO_RESUME: u8 = 2;
-/// Byte length of the v2 server reply: magic, version, status, token,
-/// received count.
-const REPLY_LEN: usize = 4 + 1 + 1 + 8 + 8;
 
 /// Knobs of a TCP link. Liveness settings mirror
 /// [`ChannelConfig`](pando_netsim::channel::ChannelConfig): heartbeats are
@@ -164,8 +140,9 @@ pub struct TcpConfig {
     pub reconnect_grace: Duration,
     /// Use the legacy two-OS-threads-per-connection pump backend instead of
     /// the shared epoll poller. Kept for A/B benchmarking
-    /// (`benches/tcp.rs`) and as the fallback on non-Linux targets, where
-    /// it is used regardless of this flag.
+    /// (`benches/tcp.rs`) and as the volunteer-side fallback on non-Linux
+    /// targets, where it is used regardless of this flag (the master side
+    /// does not build there).
     #[deprecated(note = "the epoll poller backend is the default; pump threads remain only for \
                 A/B benchmarks and non-Linux fallback")]
     pub pump_threads_backend: bool,
@@ -200,7 +177,8 @@ impl TcpConfig {
     }
 
     /// Whether connections with this config run on the legacy pump-thread
-    /// backend (explicitly requested, or forced on non-Linux targets).
+    /// backend (explicitly requested, or forced on non-Linux targets, where
+    /// only volunteers build).
     fn use_pump_backend(&self) -> bool {
         #[allow(deprecated)]
         let requested = self.pump_threads_backend;
@@ -408,7 +386,7 @@ impl Shared {
 /// One live TCP connection speaking the Pando frame protocol.
 ///
 /// Created by [`TcpTransport::connect`] on the volunteer side or handed out
-/// by a [`TcpAcceptor`] on the master side. Dropping the transport closes it
+/// by a `TcpAcceptor` on the master side. Dropping the transport closes it
 /// cleanly unless [`crash`](Transport::crash) was called first.
 ///
 /// Clones share the underlying connection; a clone is a cheap handle for
@@ -533,7 +511,10 @@ impl TcpTransport {
     }
 
     /// Starts the legacy reader/writer pump threads (one pair per link).
+    /// They block in `read`/`write_all`, and the acceptor hands its sockets
+    /// over non-blocking: the mirror image of `poller::register`.
     fn spawn_pumps(shared: &Arc<Shared>, peer: &str) {
+        shared.stream.set_nonblocking(false).expect("set TCP socket blocking");
         let reader_shared = shared.clone();
         thread::Builder::new()
             .name(format!("tcp-read-{peer}"))
@@ -916,444 +897,4 @@ pub fn transport_thread_census() -> Option<usize> {
         }
     }
     Some(count)
-}
-
-/// What a connecting client asks for in its hello.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum HelloMode {
-    /// Sessionless connection: no token, no redelivery (the v1 behaviour).
-    Plain,
-    /// Issue a fresh session token.
-    New,
-    /// Resume a parked session: present the token and how many data frames
-    /// this side has received on the session so far.
-    Resume {
-        /// The master-issued session token from the original hello.
-        token: u64,
-        /// Data frames this client has received on the session.
-        recvd: u64,
-    },
-}
-
-/// A completed client dial: the handshaken socket plus the master's reply.
-pub(crate) struct DialOutcome {
-    pub(crate) stream: TcpStream,
-    /// The master resumed the presented session (status byte `1`).
-    pub(crate) resumed: bool,
-    /// The session token in force from here on (zero for plain mode).
-    pub(crate) token: u64,
-    /// Data frames the master has received on the session.
-    pub(crate) peer_recvd: u64,
-}
-
-/// Client side of the v2 handshake: connects, writes the hello for `mode`
-/// and parses the 22-byte reply. Shared by [`TcpTransport::connect`] (plain
-/// mode) and the reconnecting session transport (new/resume modes).
-pub(crate) fn dial(
-    addr: impl ToSocketAddrs,
-    name: &str,
-    config: &TcpConfig,
-    mode: HelloMode,
-) -> Result<DialOutcome, TransportError> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(config.nodelay)?;
-    stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
-    stream.set_write_timeout(Some(HANDSHAKE_TIMEOUT))?;
-
-    let name_bytes = name.as_bytes();
-    if name_bytes.is_empty() || name_bytes.len() > MAX_NAME_LEN {
-        return Err(TransportError::new(
-            TransportErrorKind::Protocol,
-            format!("volunteer name must be 1..={MAX_NAME_LEN} bytes"),
-        ));
-    }
-    let mut hello = Vec::with_capacity(MAGIC.len() + 2 + 16 + 2 + name_bytes.len());
-    hello.extend_from_slice(&MAGIC);
-    hello.push(TCP_PROTOCOL_VERSION);
-    match mode {
-        HelloMode::Plain => hello.push(HELLO_PLAIN),
-        HelloMode::New => hello.push(HELLO_NEW),
-        HelloMode::Resume { token, recvd } => {
-            hello.push(HELLO_RESUME);
-            hello.extend_from_slice(&token.to_be_bytes());
-            hello.extend_from_slice(&recvd.to_be_bytes());
-        }
-    }
-    hello.extend_from_slice(&(name_bytes.len() as u16).to_be_bytes());
-    hello.extend_from_slice(name_bytes);
-    let mut stream_ref = &stream;
-    stream_ref.write_all(&hello)?;
-
-    let mut reply = [0u8; REPLY_LEN];
-    stream_ref.read_exact(&mut reply)?;
-    if reply[..4] != MAGIC {
-        return Err(TransportError::new(
-            TransportErrorKind::Protocol,
-            "master answered with wrong magic (not a pando master?)",
-        ));
-    }
-    if reply[4] != TCP_PROTOCOL_VERSION {
-        return Err(TransportError::new(
-            TransportErrorKind::Protocol,
-            format!(
-                "protocol version mismatch: master speaks v{}, this build speaks v{}",
-                reply[4], TCP_PROTOCOL_VERSION
-            ),
-        ));
-    }
-    let resumed = match reply[5] {
-        0 => false,
-        1 => true,
-        other => {
-            return Err(TransportError::new(
-                TransportErrorKind::Protocol,
-                format!("unknown handshake status byte {other}"),
-            ))
-        }
-    };
-    let token = u64::from_be_bytes(reply[6..14].try_into().expect("8-byte slice"));
-    let peer_recvd = u64::from_be_bytes(reply[14..22].try_into().expect("8-byte slice"));
-
-    stream.set_read_timeout(None)?;
-    stream.set_write_timeout(None)?;
-    Ok(DialOutcome { stream, resumed, token, peer_recvd })
-}
-
-/// The parsed client half of the v2 handshake.
-struct ClientHello {
-    mode: HelloMode,
-    name: String,
-}
-
-/// Reads and validates the client hello. The caller owns the handshake
-/// timeouts and the reply.
-fn read_client_hello(stream: &TcpStream) -> Result<ClientHello, TransportError> {
-    let mut stream_ref = stream;
-    let mut head = [0u8; 6];
-    stream_ref.read_exact(&mut head)?;
-    if head[..4] != MAGIC {
-        return Err(TransportError::new(TransportErrorKind::Protocol, "client sent wrong magic"));
-    }
-    if head[4] != TCP_PROTOCOL_VERSION {
-        return Err(TransportError::new(
-            TransportErrorKind::Protocol,
-            format!(
-                "protocol version mismatch: client speaks v{}, this build speaks v{}",
-                head[4], TCP_PROTOCOL_VERSION
-            ),
-        ));
-    }
-    let mode = match head[5] {
-        HELLO_PLAIN => HelloMode::Plain,
-        HELLO_NEW => HelloMode::New,
-        HELLO_RESUME => {
-            let mut body = [0u8; 16];
-            stream_ref.read_exact(&mut body)?;
-            HelloMode::Resume {
-                token: u64::from_be_bytes(body[..8].try_into().expect("8-byte slice")),
-                recvd: u64::from_be_bytes(body[8..].try_into().expect("8-byte slice")),
-            }
-        }
-        other => {
-            return Err(TransportError::new(
-                TransportErrorKind::Protocol,
-                format!("unknown hello mode byte {other}"),
-            ))
-        }
-    };
-    let mut len = [0u8; 2];
-    stream_ref.read_exact(&mut len)?;
-    let name_len = u16::from_be_bytes(len) as usize;
-    if name_len == 0 || name_len > MAX_NAME_LEN {
-        return Err(TransportError::new(
-            TransportErrorKind::Protocol,
-            format!("volunteer name length {name_len} outside 1..={MAX_NAME_LEN}"),
-        ));
-    }
-    let mut name = vec![0u8; name_len];
-    stream_ref.read_exact(&mut name)?;
-    let name = String::from_utf8(name).map_err(|_| {
-        TransportError::new(TransportErrorKind::Protocol, "volunteer name is not UTF-8")
-    })?;
-    Ok(ClientHello { mode, name })
-}
-
-/// Writes the 22-byte server reply.
-fn write_server_reply(
-    stream: &TcpStream,
-    resumed: bool,
-    token: u64,
-    recvd: u64,
-) -> Result<(), TransportError> {
-    let mut reply = [0u8; REPLY_LEN];
-    reply[..4].copy_from_slice(&MAGIC);
-    reply[4] = TCP_PROTOCOL_VERSION;
-    reply[5] = u8::from(resumed);
-    reply[6..14].copy_from_slice(&token.to_be_bytes());
-    reply[14..22].copy_from_slice(&recvd.to_be_bytes());
-    let mut stream_ref = stream;
-    stream_ref.write_all(&reply)?;
-    Ok(())
-}
-
-/// One handshaken inbound connection, classified by its hello mode.
-pub enum SessionEvent {
-    /// A sessionless (mode `PLAIN`) volunteer: the raw link, exactly as v1
-    /// handed it out. A dropped socket is a crash.
-    Plain {
-        /// The volunteer's self-declared name.
-        name: String,
-        /// The live link.
-        transport: TcpTransport,
-    },
-    /// A new resumable session was issued (mode `NEW`, or a resume whose
-    /// token had expired). Register the transport as a fresh volunteer; it
-    /// survives transient disconnects within
-    /// [`TcpConfig::reconnect_grace`].
-    Joined {
-        /// The volunteer's self-declared name.
-        name: String,
-        /// The session-wrapped link.
-        transport: Arc<SessionTransport>,
-    },
-    /// A parked session was resumed (mode `RESUME` with a live token): the
-    /// existing [`SessionTransport`] swallowed the new socket and replayed
-    /// unacked frames. There is nothing to register — the volunteer never
-    /// left the master's books.
-    Resumed {
-        /// The volunteer's self-declared name.
-        name: String,
-    },
-}
-
-/// Listening socket that accepts volunteer connections and performs the
-/// handshake.
-pub struct TcpAcceptor {
-    listener: TcpListener,
-    config: TcpConfig,
-    /// Parked and live resumable sessions by token. Weak: a session the
-    /// master dropped (driver finished, crash re-lend fired) cannot be
-    /// resumed — the returning client is downgraded to a fresh join.
-    sessions: Mutex<HashMap<u64, Weak<SessionTransport>>>,
-    next_token: AtomicU64,
-}
-
-impl TcpAcceptor {
-    /// Binds a listener on `addr` (use port 0 for an OS-assigned port).
-    ///
-    /// # Errors
-    ///
-    /// [`TransportErrorKind::Io`] if the address cannot be bound.
-    pub fn bind(addr: impl ToSocketAddrs, config: TcpConfig) -> Result<Self, TransportError> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        Ok(Self {
-            listener,
-            config,
-            sessions: Mutex::new(HashMap::new()),
-            next_token: AtomicU64::new(1),
-        })
-    }
-
-    /// The bound address, including the resolved port.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the socket has no local address (never on a bound socket).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.listener.local_addr().expect("bound listener has a local address")
-    }
-
-    /// Accepts one pending *plain-mode* connection, if any, and runs the
-    /// handshake. Returns `Ok(None)` when no connection is waiting. A
-    /// session-mode client (hello mode `NEW`/`RESUME`) is rejected through
-    /// this API — use [`TcpAcceptor::accept_session`] (or
-    /// [`TcpAcceptor::serve`], which routes all three modes) when resumable
-    /// volunteers are expected.
-    ///
-    /// # Errors
-    ///
-    /// Handshake failures ([`TransportErrorKind::Protocol`]) and accept
-    /// errors ([`TransportErrorKind::Io`]); both leave the acceptor usable.
-    pub fn accept(&self) -> Result<Option<(String, TcpTransport)>, TransportError> {
-        match self.accept_session()? {
-            None => Ok(None),
-            Some(SessionEvent::Plain { name, transport }) => Ok(Some((name, transport))),
-            Some(SessionEvent::Joined { name, .. }) | Some(SessionEvent::Resumed { name }) => {
-                Err(TransportError::new(
-                    TransportErrorKind::Protocol,
-                    format!("session-mode client {name} on the plain accept API"),
-                ))
-            }
-        }
-    }
-
-    /// Accepts one pending connection, if any, runs the handshake and
-    /// classifies it by hello mode: a plain link, a freshly-issued session,
-    /// or a resume absorbed by an existing parked [`SessionTransport`].
-    /// Returns `Ok(None)` when no connection is waiting.
-    ///
-    /// # Errors
-    ///
-    /// Handshake failures ([`TransportErrorKind::Protocol`]) and accept
-    /// errors ([`TransportErrorKind::Io`]); both leave the acceptor usable.
-    pub fn accept_session(&self) -> Result<Option<SessionEvent>, TransportError> {
-        match self.listener.accept() {
-            Ok((stream, _addr)) => self.handshake(stream).map(Some),
-            Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
-            Err(err) => Err(err.into()),
-        }
-    }
-
-    /// Master side of the v2 handshake: reads the hello, answers it, and
-    /// builds the matching transport. On a resume the reply is written
-    /// *before* the socket joins the poller, so the replayed frames are the
-    /// first bytes the client sees after the reply.
-    fn handshake(&self, stream: TcpStream) -> Result<SessionEvent, TransportError> {
-        stream.set_nodelay(self.config.nodelay)?;
-        stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
-        stream.set_write_timeout(Some(HANDSHAKE_TIMEOUT))?;
-        let hello = read_client_hello(&stream)?;
-        match hello.mode {
-            HelloMode::Plain => {
-                write_server_reply(&stream, false, 0, 0)?;
-                stream.set_read_timeout(None)?;
-                stream.set_write_timeout(None)?;
-                let transport =
-                    TcpTransport::from_stream(stream, hello.name.clone(), self.config.clone());
-                Ok(SessionEvent::Plain { name: hello.name, transport })
-            }
-            HelloMode::New => self.start_session(stream, hello.name),
-            HelloMode::Resume { token, recvd } => {
-                let existing = self.sessions.lock().get(&token).and_then(Weak::upgrade);
-                match existing.filter(|s| s.resumable() && s.volunteer_name() == hello.name) {
-                    Some(session) => {
-                        write_server_reply(&stream, true, token, session.recvd())?;
-                        stream.set_read_timeout(None)?;
-                        stream.set_write_timeout(None)?;
-                        let transport = TcpTransport::from_stream(
-                            stream,
-                            hello.name.clone(),
-                            self.config.clone(),
-                        );
-                        session.reattach(transport, recvd);
-                        Ok(SessionEvent::Resumed { name: hello.name })
-                    }
-                    // Unknown, expired or mismatched token: the volunteer
-                    // rejoins as a new device instead of being turned away
-                    // (its stale results will be dropped as late duplicates).
-                    None => self.start_session(stream, hello.name),
-                }
-            }
-        }
-    }
-
-    /// Issues a fresh token, answers the hello and registers the new
-    /// session in the table.
-    fn start_session(
-        &self,
-        stream: TcpStream,
-        name: String,
-    ) -> Result<SessionEvent, TransportError> {
-        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-        write_server_reply(&stream, false, token, 0)?;
-        stream.set_read_timeout(None)?;
-        stream.set_write_timeout(None)?;
-        let transport = TcpTransport::from_stream(stream, name.clone(), self.config.clone());
-        let session = SessionTransport::new(token, name.clone(), transport, self.config.clone());
-        let mut sessions = self.sessions.lock();
-        sessions.retain(|_, weak| weak.strong_count() > 0);
-        sessions.insert(token, Arc::downgrade(&session));
-        Ok(SessionEvent::Joined { name, transport: session })
-    }
-
-    /// Spawns an accept loop that registers every handshaken volunteer with
-    /// `pando` under its self-declared name — plain links as-is, session
-    /// links behind their [`SessionTransport`], resumes absorbed silently.
-    /// Handshake failures are counted and skipped — one bad client must not
-    /// take the fleet down.
-    pub fn serve(self, pando: &Pando) -> TcpServerHandle {
-        let stop = Arc::new(AtomicBool::new(false));
-        let accepted = Arc::new(AtomicUsize::new(0));
-        let resumed = Arc::new(AtomicUsize::new(0));
-        let stop_flag = stop.clone();
-        let accepted_counter = accepted.clone();
-        let resumed_counter = resumed.clone();
-        let pando = pando.clone();
-        let handle = thread::Builder::new()
-            .name("tcp-accept".into())
-            .spawn(move || {
-                while !stop_flag.load(Ordering::SeqCst) {
-                    match self.accept_session() {
-                        Ok(Some(SessionEvent::Plain { name, transport })) => {
-                            pando.add_volunteer_transport(name, Arc::new(transport));
-                            accepted_counter.fetch_add(1, Ordering::SeqCst);
-                        }
-                        Ok(Some(SessionEvent::Joined { name, transport })) => {
-                            pando.add_volunteer_transport(name, transport);
-                            accepted_counter.fetch_add(1, Ordering::SeqCst);
-                        }
-                        Ok(Some(SessionEvent::Resumed { .. })) => {
-                            resumed_counter.fetch_add(1, Ordering::SeqCst);
-                        }
-                        Ok(None) => thread::sleep(Duration::from_millis(5)),
-                        Err(_) => {
-                            // Rejected handshake or transient accept error;
-                            // keep listening.
-                            thread::sleep(Duration::from_millis(5));
-                        }
-                    }
-                }
-            })
-            .expect("spawn tcp accept thread");
-        TcpServerHandle { stop, accepted, resumed, handle }
-    }
-}
-
-/// Handle to a running [`TcpAcceptor::serve`] loop.
-pub struct TcpServerHandle {
-    stop: Arc<AtomicBool>,
-    accepted: Arc<AtomicUsize>,
-    resumed: Arc<AtomicUsize>,
-    handle: thread::JoinHandle<()>,
-}
-
-impl TcpServerHandle {
-    /// Asks the accept loop to stop after its current iteration.
-    pub fn stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-    }
-
-    /// How many volunteers have handshaken so far. Live — callers can gate
-    /// the start of a run on a minimum fleet size. Resumes of parked
-    /// sessions are *not* counted here (the volunteer never left); see
-    /// [`TcpServerHandle::resumed`].
-    pub fn accepted(&self) -> usize {
-        self.accepted.load(Ordering::SeqCst)
-    }
-
-    /// How many parked sessions have been resumed by returning volunteers.
-    pub fn resumed(&self) -> usize {
-        self.resumed.load(Ordering::SeqCst)
-    }
-
-    /// Blocks until at least `count` volunteers have handshaken or `timeout`
-    /// elapses; returns whether the quorum was reached.
-    pub fn wait_for_volunteers(&self, count: usize, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        while self.accepted() < count {
-            if Instant::now() >= deadline {
-                return false;
-            }
-            thread::sleep(Duration::from_millis(5));
-        }
-        true
-    }
-
-    /// Stops the loop and returns how many volunteers were accepted.
-    pub fn join(self) -> usize {
-        self.stop();
-        let _ = self.handle.join();
-        self.accepted.load(Ordering::SeqCst)
-    }
 }

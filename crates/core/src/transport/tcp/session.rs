@@ -321,16 +321,14 @@ fn pump_recv(core: &SessionCore, active: &TcpTransport) -> Result<Message, RecvE
     }
 }
 
-/// Replays one buffered frame on a fresh socket, riding out transient
-/// would-blocks. An `Err` means the new socket died already.
-fn replay_frame(active: &TcpTransport, message: &Message) -> Result<(), SendError> {
-    loop {
-        match active.send(message.clone()) {
-            Ok(()) => return Ok(()),
-            Err(SendError::WouldBlock) => thread::sleep(Duration::from_millis(1)),
-            Err(err) => return Err(err),
-        }
-    }
+/// Replays the unacked frames the peer reports missing, in order, on a
+/// fresh socket. Never waits: the redelivery buffer and the socket's write
+/// queue share one byte bound, so the replay normally queues whole; an
+/// `Err` means the socket already died or refused a frame, and the caller
+/// abandons this socket with the buffer intact — the next resume replays
+/// from whatever the peer received by then.
+fn replay(core: &SessionCore, active: &TcpTransport, peer_recvd: u64) -> Result<(), SendError> {
+    core.replay_after(peer_recvd).into_iter().try_for_each(|message| active.send(message))
 }
 
 /// The master-side session wrapper: a [`Transport`] whose failure verdict
@@ -410,8 +408,11 @@ impl SessionTransport {
     /// Absorbs a resumed connection: tears down whatever socket the session
     /// last held, trims the redelivery buffer by the client's received
     /// count, replays the remainder in order on the fresh socket and goes
-    /// live again. Called by the acceptor after it wrote the resume reply
-    /// (so the replay follows the reply on the wire).
+    /// live again — or, when the replay cannot be queued whole, parks again
+    /// without waiting (this runs on the acceptor's thread, under the lock
+    /// the reactor polls the volunteer through). Called by the acceptor
+    /// after it wrote the resume reply (so the replay follows the reply on
+    /// the wire).
     pub(crate) fn reattach(&self, transport: TcpTransport, client_recvd: u64) {
         let mut link = self.link.lock();
         match &*link {
@@ -425,15 +426,12 @@ impl SessionTransport {
             Link::Up(old) => old.crash(),
             Link::Down { .. } => {}
         }
-        for message in self.core.replay_after(client_recvd) {
-            if replay_frame(&transport, &message).is_err() {
-                // The fresh socket died before the replay finished: park
-                // again and wait for the next resume (the buffer still
-                // holds everything unacked).
-                transport.crash();
-                *link = Link::Down { since: Instant::now() };
-                return;
-            }
+        if replay(&self.core, &transport, client_recvd).is_err() {
+            // Park again and wait for the next resume: the client sees this
+            // socket die and redials.
+            transport.crash();
+            *link = Link::Down { since: Instant::now() };
+            return;
         }
         transport.set_waker(self.core.forwarder());
         *link = Link::Up(transport);
@@ -774,10 +772,8 @@ fn run_redial(shared: Arc<ReconnectShared>) {
             break;
         }
         if outcome.resumed {
-            let replay = shared.core.replay_after(outcome.peer_recvd);
-            if replay.iter().any(|message| replay_frame(&transport, message).is_err()) {
-                // The fresh socket died during the replay; burn the attempt
-                // and keep dialing.
+            if replay(&shared.core, &transport, outcome.peer_recvd).is_err() {
+                // Burn the attempt and keep dialing.
                 transport.crash();
                 continue;
             }
@@ -958,5 +954,60 @@ impl Transport for ReconnectingTcpTransport {
             *link = Link::Down { since: Instant::now() };
             ReconnectingTcpTransport::ensure_redial(shared);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bytes::Bytes;
+    use std::io::Read;
+    use std::net::{TcpListener, TcpStream};
+
+    /// A connected loopback pair: the raw client end and a transport over
+    /// the accepted end.
+    fn link(listener: &TcpListener, config: &TcpConfig) -> (TcpStream, TcpTransport) {
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        (client, TcpTransport::from_stream(server, "vol".into(), config.clone()))
+    }
+
+    fn task(seq: u64, len: usize) -> Message {
+        Message::Task { seq, payload: Bytes::from(vec![seq as u8; len]) }
+    }
+
+    /// Payload of the frames under replay: three quarters of the tight
+    /// write bound the clogged socket gets.
+    const REPLAYED: usize = 48 * 1024;
+
+    #[test]
+    fn a_replay_that_would_block_parks_the_session_again_with_its_buffer_intact() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let config = TcpConfig::default();
+        let (_first_client, first) = link(&listener, &config);
+        let session = SessionTransport::new(7, "vol".into(), first, config.clone());
+        for seq in 1..=3 {
+            session.send(task(seq, REPLAYED)).unwrap();
+        }
+
+        // A replacement socket whose peer never reads and whose write queue
+        // is more than half full: the replay's first frame is refused.
+        let tight = TcpConfig { write_buffer_max: 64 * 1024, ..config.clone() };
+        let (_deaf_client, clogged) = link(&listener, &tight);
+        while clogged.send(task(0, 32 * 1024)) != Err(SendError::WouldBlock) {}
+        session.reattach(clogged, 0);
+        assert!(session.is_parked(), "no waiting for room: the session parks again");
+        assert_eq!(session.core.state.lock().unacked.len(), 3, "nothing unacked was lost");
+
+        // The next resume finishes the job: all three frames, in order.
+        let (mut client, fresh) = link(&listener, &config);
+        session.reattach(fresh, 1);
+        assert!(!session.is_parked());
+        let mut expected = task(2, REPLAYED).encode().unwrap().to_vec();
+        expected.extend_from_slice(&task(3, REPLAYED).encode().unwrap());
+        let mut replayed = vec![0u8; expected.len()];
+        client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        client.read_exact(&mut replayed).unwrap();
+        assert_eq!(replayed, expected, "frame 1 was reported received, 2 and 3 are replayed");
     }
 }

@@ -1,0 +1,59 @@
+//! A flash crowd on the join path, alone in its test binary so the
+//! process-wide thread census counts only this fleet: 64 volunteers dialing
+//! at the same instant, plain and resumable mixed, all handshaken by the one
+//! `tcp-accept` thread.
+//!
+//! Linux only: the master's acceptor sits on epoll.
+
+#![cfg(target_os = "linux")]
+
+use pando_core::config::PandoConfig;
+use pando_core::master::Pando;
+use pando_core::transport::tcp::session::{ReconnectPolicy, ReconnectingTcpTransport};
+use pando_core::transport::tcp::{transport_thread_census, TcpAcceptor, TcpConfig, TcpTransport};
+use pando_core::transport::Transport;
+use std::sync::{Arc, Barrier};
+use std::time::Duration;
+
+#[test]
+fn sixty_four_volunteers_dialing_at_once_all_join_on_one_acceptor_thread() {
+    const CROWD: usize = 64;
+    let tcp = TcpConfig { failure_timeout: Duration::from_secs(30), ..TcpConfig::default() };
+    let pando = Pando::new(PandoConfig::local_test());
+    let acceptor = TcpAcceptor::bind("127.0.0.1:0", tcp.clone()).unwrap();
+    let addr = acceptor.local_addr();
+    let server = acceptor.serve(&pando);
+
+    let start = Arc::new(Barrier::new(CROWD));
+    let dialers: Vec<_> = (0..CROWD)
+        .map(|i| {
+            let (start, tcp) = (start.clone(), tcp.clone());
+            std::thread::spawn(move || -> Box<dyn Transport> {
+                let name = format!("crowd-{i}");
+                start.wait();
+                if i % 2 == 0 {
+                    Box::new(TcpTransport::connect(addr, &name, tcp).expect("plain join"))
+                } else {
+                    let policy = ReconnectPolicy::local_test();
+                    Box::new(
+                        ReconnectingTcpTransport::connect(addr, &name, tcp, policy)
+                            .expect("session join"),
+                    )
+                }
+            })
+        })
+        .collect();
+    let links: Vec<_> = dialers.into_iter().map(|dialer| dialer.join().unwrap()).collect();
+
+    assert!(server.wait_for_volunteers(CROWD, Duration::from_secs(30)), "the whole crowd joins");
+    assert_eq!(server.accepted(), CROWD);
+    assert_eq!((server.rejected(), server.resumed()), (0, 0));
+    let census = transport_thread_census().expect("/proc thread census available on Linux");
+    assert!(census <= tcp.poller_threads + 1, "{census} transport threads for {CROWD} joins");
+
+    for link in &links {
+        link.close();
+    }
+    assert_eq!(server.join(), CROWD);
+    pando.join_volunteers();
+}

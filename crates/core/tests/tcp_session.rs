@@ -3,6 +3,10 @@
 //! session (replayed frames, no crash re-lend, no duplicate or lost
 //! results), while one that stays away past the grace window is reclassified
 //! as crashed and its values re-lent — the existing crash path, unchanged.
+//!
+//! Linux only: the master's acceptor sits on epoll.
+
+#![cfg(target_os = "linux")]
 
 use bytes::Bytes;
 use pando_core::config::PandoConfig;

@@ -1,13 +1,20 @@
 //! End-to-end coverage of the real-socket TCP transport: handshake accept
 //! and rejection, frame codec round-trips over a live socket pair, oversized
-//! and truncated frames, crash detection feeding re-lend, and a loopback
-//! 32-volunteer fleet driven by one master over localhost TCP.
+//! and truncated frames, hellos that stall or arrive a byte at a time, crash
+//! detection feeding re-lend, and a loopback 32-volunteer fleet driven by one
+//! master over localhost TCP.
+//!
+//! Linux only: the master's acceptor sits on epoll.
+
+#![cfg(target_os = "linux")]
 
 use bytes::Bytes;
 use pando_core::config::PandoConfig;
 use pando_core::master::Pando;
 use pando_core::protocol::Message;
-use pando_core::transport::tcp::{TcpAcceptor, TcpConfig, TcpTransport, TCP_PROTOCOL_VERSION};
+use pando_core::transport::tcp::{
+    SessionEvent, TcpAcceptor, TcpConfig, TcpTransport, TCP_PROTOCOL_VERSION,
+};
 use pando_core::transport::Transport;
 use pando_core::worker::WorkerBuilder;
 use pando_netsim::channel::RecvError;
@@ -154,6 +161,109 @@ fn wrong_magic_and_wrong_version_are_rejected() {
     future.join().unwrap();
 }
 
+#[test]
+fn a_stalled_hello_does_not_delay_the_next_join_and_bad_hellos_are_counted() {
+    let pando = Pando::new(PandoConfig::local_test());
+    let acceptor = TcpAcceptor::bind("127.0.0.1:0", lenient()).unwrap();
+    let addr = acceptor.local_addr();
+    let server = acceptor.serve(&pando);
+
+    // Three bytes of a hello, then silence: at the 5 s handshake deadline
+    // this used to hold up every join behind it.
+    let mut staller = TcpStream::connect(addr).unwrap();
+    staller.write_all(b"PND").unwrap();
+    let started = Instant::now();
+    let legit = TcpTransport::connect(addr, "legit", lenient()).expect("connect");
+    let took = started.elapsed();
+    assert!(took < Duration::from_millis(100), "join behind a stalled hello took {took:?}");
+    assert!(server.wait_for_volunteers(1, Duration::from_secs(10)));
+    assert_eq!(server.rejected(), 0, "a hello in progress is not a rejection");
+
+    // The staller hangs up mid-hello and a stranger speaks HTTP: both are
+    // counted, neither expired (that is the deadline's own counter).
+    drop(staller);
+    let mut stranger = TcpStream::connect(addr).unwrap();
+    stranger.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
+    let _ = stranger.read(&mut [0u8; 16]); // wait for the rejection
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.rejected() < 2 {
+        assert!(Instant::now() < deadline, "rejections never counted: {}", server.rejected());
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(server.expired(), 0);
+    drop(legit);
+    assert_eq!(server.join(), 1);
+    pando.join_volunteers();
+}
+
+#[test]
+fn a_hello_dribbled_one_byte_per_write_handshakes_in_every_mode() {
+    let acceptor = TcpAcceptor::bind("127.0.0.1:0", lenient()).unwrap();
+    let addr = acceptor.local_addr();
+    // (mode byte, name) — the resume presents a token nobody issued, which
+    // downgrades to a fresh session.
+    for (mode, name) in [(0u8, "plain-drip"), (1, "new-drip"), (2, "resume-drip")] {
+        let client = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.set_nodelay(true).unwrap();
+            let mut hello = b"PNDO".to_vec();
+            hello.extend_from_slice(&[TCP_PROTOCOL_VERSION, mode]);
+            if mode == 2 {
+                hello.extend_from_slice(&[0xAB; 16]);
+            }
+            hello.extend_from_slice(&(name.len() as u16).to_be_bytes());
+            hello.extend_from_slice(name.as_bytes());
+            for byte in hello {
+                stream.write_all(&[byte]).unwrap();
+            }
+            let mut reply = [0u8; 22];
+            stream.read_exact(&mut reply).unwrap();
+            reply
+        });
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let event = loop {
+            match acceptor.accept_session().expect("a dribbled hello is a valid hello") {
+                Some(event) => break event,
+                None => {
+                    assert!(Instant::now() < deadline, "hello never completed");
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+        };
+        let reply = client.join().unwrap();
+        assert_eq!(&reply[..4], b"PNDO");
+        assert_eq!(reply[5], 0, "nothing to resume: every mode joins fresh");
+        let token = u64::from_be_bytes(reply[6..14].try_into().unwrap());
+        match event {
+            SessionEvent::Plain { name: got, .. } => {
+                assert_eq!((mode, got.as_str(), token), (0, name, 0));
+            }
+            SessionEvent::Joined { name: got, transport } => {
+                assert_ne!(mode, 0);
+                assert_eq!((got.as_str(), token), (name, transport.token()));
+            }
+            SessionEvent::Resumed { .. } => panic!("no session exists to resume"),
+        }
+    }
+}
+
+#[test]
+fn server_handle_join_wakes_an_idle_acceptor_promptly() {
+    let pando = Pando::new(PandoConfig::local_test());
+    // Best of three: the wake is a byte on a socket, the rest is scheduling.
+    let quickest = (0..3)
+        .map(|_| {
+            let server = TcpAcceptor::bind("127.0.0.1:0", lenient()).unwrap().serve(&pando);
+            std::thread::sleep(Duration::from_millis(20)); // let it block in its wait
+            let started = Instant::now();
+            assert_eq!(server.join(), 0);
+            started.elapsed()
+        })
+        .min()
+        .unwrap();
+    assert!(quickest < Duration::from_millis(20), "join of an idle acceptor took {quickest:?}");
+}
+
 /// Performs a valid client-side handshake (v2, plain mode) on a raw socket
 /// so the test can then inject arbitrary bytes at the frame layer.
 fn raw_handshake(addr: std::net::SocketAddr, name: &str) -> TcpStream {
@@ -257,6 +367,36 @@ fn tcp_volunteer_crash_triggers_re_lend() {
     assert_eq!(stats.results_emitted, 60);
     assert_eq!(stats.substreams_crashed, 1, "the TCP crash reaches the lender as a crash");
     assert!(stats.relends >= 1, "values held by the crashed volunteer are re-lent");
+}
+
+#[test]
+fn a_pump_backend_volunteer_joins_through_serve_and_round_trips_tasks() {
+    // The acceptor handshakes on non-blocking sockets; the legacy pumps
+    // block in `read`/`write_all` and must get the socket back blocking.
+    #[allow(deprecated)]
+    let tcp = TcpConfig { pump_threads_backend: true, ..lenient() };
+    let pando = Pando::new(PandoConfig::local_test().with_batch_size(4).with_tcp(tcp.clone()));
+    let acceptor = TcpAcceptor::bind("127.0.0.1:0", tcp.clone()).unwrap();
+    let addr = acceptor.local_addr();
+    let server = acceptor.serve(&pando);
+
+    let echo = |payload: &Bytes| -> Result<Bytes, StreamError> { Ok(payload.clone()) };
+    let worker = WorkerBuilder::new()
+        .name("pumped")
+        .heartbeats(true)
+        .spawn(TcpTransport::connect(addr, "pumped", tcp).unwrap(), echo);
+    let output = pando
+        .run(count(40).map_values(|v| Bytes::from(v.to_string().into_bytes())))
+        .collect_values()
+        .unwrap();
+    assert_eq!(output.len(), 40);
+    for (i, payload) in output.iter().enumerate() {
+        assert_eq!(payload.as_ref(), (i + 1).to_string().as_bytes());
+    }
+    assert!(!worker.join().crashed);
+    assert_eq!(server.join(), 1);
+    pando.join_volunteers();
+    assert_eq!(pando.lender_stats().unwrap().substreams_crashed, 0, "the pump link never failed");
 }
 
 #[test]

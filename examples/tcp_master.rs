@@ -29,11 +29,18 @@
 //! * `TCP_MIN_RESUMED` — if set, assert at least this many sessions resumed,
 //!   proving the scripted link drops actually exercised the resume path
 //!   rather than finishing before the flap landed.
+//!
+//! Linux only (the acceptor sits on epoll); elsewhere the example builds to
+//! a stub that says so. `tcp_volunteer` runs everywhere.
+
+#![cfg_attr(not(target_os = "linux"), allow(unused))]
 
 use bytes::Bytes;
 use pando_core::config::PandoConfig;
 use pando_core::master::Pando;
-use pando_core::transport::tcp::{TcpAcceptor, TcpConfig};
+#[cfg(target_os = "linux")]
+use pando_core::transport::tcp::TcpAcceptor;
+use pando_core::transport::tcp::TcpConfig;
 use pando_pull_stream::source::{count, SourceExt};
 use std::time::{Duration, Instant};
 
@@ -53,6 +60,13 @@ fn demo_tcp_config() -> TcpConfig {
     }
 }
 
+#[cfg(not(target_os = "linux"))]
+fn main() {
+    eprintln!("tcp_master: the master side of the TCP transport is Linux-only");
+    std::process::exit(2);
+}
+
+#[cfg(target_os = "linux")]
 fn main() {
     let addr = std::env::var("PANDO_TCP_ADDR").unwrap_or_else(|_| "127.0.0.1:0".to_string());
     let tasks = env_u64("TCP_TASKS", 2_000);
@@ -120,7 +134,7 @@ fn main() {
         );
     }
 
-    let resumed = server.resumed();
+    let (resumed, rejected, expired) = (server.resumed(), server.rejected(), server.expired());
     let accepted = server.join();
     pando.join_volunteers();
     let stats = pando.lender_stats().expect("the run started");
@@ -130,7 +144,8 @@ fn main() {
     );
     println!(
         "lender: {} values read, {} results emitted, {} re-lent, {} sub-streams crashed, \
-         {resumed} sessions resumed",
+         {resumed} sessions resumed, {rejected} connections rejected ({expired} at the \
+         handshake deadline)",
         stats.values_read, stats.results_emitted, stats.relends, stats.substreams_crashed
     );
     if let Ok(expected) = std::env::var("TCP_EXPECT_CRASHED") {
