@@ -50,28 +50,38 @@ fn bench_encode_decode(c: &mut Criterion) {
         })
     });
 
+    // The bytes path as the transports run it: `encode` builds the frame in
+    // one pass, and the frame the reader reassembled is handed to
+    // `decode_bytes` whole, so payloads are slices of it.
     let payload = Bytes::from(pixels.clone());
     group.bench_function("bytes_single", |b| {
         b.iter(|| {
             let message = Message::Task { seq: 7, payload: payload.clone() };
             let frame = message.encode().expect("within frame limit");
-            let decoded = Message::decode(&frame).expect("round trip");
+            let decoded = Message::decode_bytes(frame).expect("round trip");
             assert_eq!(decoded.record_count(), 1);
         })
     });
 
     // 16 records in one frame: the batched path the dispatcher actually uses.
-    let records: Vec<Record> =
-        (0..16).map(|seq| Record::new(seq, Bytes::from(vec![seq as u8; 1024]))).collect();
-    group.throughput(Throughput::Bytes(16 * 1024));
-    group.bench_function("bytes_batch_16", |b| {
-        b.iter(|| {
-            let message = Message::TaskBatch(records.clone());
-            let frame = message.encode().expect("within frame limit");
-            let decoded = Message::decode(&frame).expect("round trip");
-            assert_eq!(decoded.record_count(), 16);
-        })
-    });
+    // Then the `perf` benchmark's `tcp_bulk` shape, two 32 KiB records per
+    // frame — what its `protocol.encode_ns_per_record` row times.
+    for (label, count, record_bytes) in
+        [("bytes_batch_16", 16u64, 1024usize), ("bytes_bulk_2x32k", 2, 32 * 1024)]
+    {
+        let records: Vec<Record> = (0..count)
+            .map(|seq| Record::new(seq, Bytes::from(vec![seq as u8; record_bytes])))
+            .collect();
+        group.throughput(Throughput::Bytes(count * record_bytes as u64));
+        group.bench_function(label, |b| {
+            b.iter(|| {
+                let message = Message::TaskBatch(records.clone());
+                let frame = message.encode().expect("within frame limit");
+                let decoded = Message::decode_bytes(frame).expect("round trip");
+                assert_eq!(decoded.record_count(), count);
+            })
+        });
+    }
     group.finish();
 }
 

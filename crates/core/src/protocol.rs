@@ -17,9 +17,9 @@
 //! | `Heartbeat`, `Goodbye` | empty |
 //! | `Ack` | `u64 count` — cumulative data frames received on this session |
 
-use bytes::{Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 use pando_netsim::codec::{
-    decode_frame, decode_record_body, encode_frame, encode_record_body, record_body_len, Record,
+    begin_frame, decode_record_body, peek_frame, put_records, record_body_len, Record,
     FRAME_HEADER_LEN,
 };
 use pando_pull_stream::StreamError;
@@ -77,15 +77,6 @@ const TAG_TASK_BATCH: u8 = 6;
 const TAG_RESULT_BATCH: u8 = 7;
 const TAG_ACK: u8 = 8;
 
-/// Body of a single `(seq, payload)` message: the fixed 8-byte big-endian
-/// sequence header followed by the raw payload.
-fn encode_seq_body(seq: u64, payload: &[u8]) -> Bytes {
-    let mut body = BytesMut::with_capacity(8 + payload.len());
-    body.extend_from_slice(&seq.to_be_bytes());
-    body.extend_from_slice(payload);
-    body.freeze()
-}
-
 /// Splits a single-record body into its sequence header and payload. The
 /// payload is a zero-copy slice of `body`.
 fn decode_seq_body(body: &Bytes) -> Result<(u64, Bytes), StreamError> {
@@ -97,7 +88,8 @@ fn decode_seq_body(body: &Bytes) -> Result<(u64, Bytes), StreamError> {
 }
 
 impl Message {
-    /// Encodes the message as one length-delimited frame.
+    /// Encodes the message as one length-delimited frame in one pass, into
+    /// a buffer sized from [`Message::wire_size`]: a payload is copied once.
     ///
     /// # Errors
     ///
@@ -105,26 +97,31 @@ impl Message {
     /// frame-size limit of [`pando_netsim::codec::MAX_FRAME_LEN`]; an
     /// infallible encode would silently truncate the length field.
     pub fn encode(&self) -> Result<Bytes, StreamError> {
+        let tag = match self {
+            Message::Task { .. } => TAG_TASK,
+            Message::TaskResult { .. } => TAG_RESULT,
+            Message::TaskError { .. } => TAG_ERROR,
+            Message::TaskBatch(_) => TAG_TASK_BATCH,
+            Message::ResultBatch(_) => TAG_RESULT_BATCH,
+            Message::Heartbeat => TAG_HEARTBEAT,
+            Message::Goodbye => TAG_GOODBYE,
+            Message::Ack { .. } => TAG_ACK,
+        };
+        let mut frame = begin_frame(tag, self.wire_size() - FRAME_HEADER_LEN)?;
         match self {
-            Message::Task { seq, payload } => {
-                encode_frame(TAG_TASK, &encode_seq_body(*seq, payload))
+            Message::Task { seq, payload }
+            | Message::TaskResult { seq, payload }
+            | Message::TaskError { seq, message: payload } => {
+                frame.put_u64(*seq);
+                frame.put_slice(payload);
             }
-            Message::TaskResult { seq, payload } => {
-                encode_frame(TAG_RESULT, &encode_seq_body(*seq, payload))
+            Message::TaskBatch(records) | Message::ResultBatch(records) => {
+                put_records(&mut frame, records);
             }
-            Message::TaskError { seq, message } => {
-                encode_frame(TAG_ERROR, &encode_seq_body(*seq, message))
-            }
-            Message::TaskBatch(records) => {
-                encode_frame(TAG_TASK_BATCH, &encode_record_body(records)?)
-            }
-            Message::ResultBatch(records) => {
-                encode_frame(TAG_RESULT_BATCH, &encode_record_body(records)?)
-            }
-            Message::Heartbeat => encode_frame(TAG_HEARTBEAT, b""),
-            Message::Goodbye => encode_frame(TAG_GOODBYE, b""),
-            Message::Ack { count } => encode_frame(TAG_ACK, &count.to_be_bytes()),
+            Message::Ack { count } => frame.put_u64(*count),
+            Message::Heartbeat | Message::Goodbye => {}
         }
+        Ok(frame.freeze())
     }
 
     /// Size in bytes of the encoded message, used for bandwidth modelling.
@@ -209,41 +206,51 @@ impl Message {
         }
     }
 
-    /// Decodes a message from one encoded frame. Record payloads are
-    /// zero-copy slices of the frame buffer.
+    /// [`Message::decode_bytes`] of a copy of `frame`, for callers that do
+    /// not own the frame; same errors.
+    pub fn decode(frame: &[u8]) -> Result<Message, StreamError> {
+        Self::decode_bytes(Bytes::copy_from_slice(frame))
+    }
+
+    /// Decodes a message from exactly one encoded frame without copying it:
+    /// every payload is a slice of `frame`'s allocation.
     ///
     /// # Errors
     ///
-    /// Returns a protocol error on truncated frames, unknown tags or
-    /// malformed bodies.
-    pub fn decode(frame: &[u8]) -> Result<Message, StreamError> {
-        let mut buf = BytesMut::from(frame);
-        let decoded = decode_frame(&mut buf)?
+    /// Returns a protocol error on truncated frames, bytes after the frame,
+    /// unknown tags or malformed bodies.
+    pub fn decode_bytes(frame: Bytes) -> Result<Message, StreamError> {
+        let (tag, total) = peek_frame(&frame)?
+            .filter(|&(_, total)| total <= frame.len())
             .ok_or_else(|| StreamError::protocol("truncated message frame"))?;
-        match decoded.tag {
+        if total < frame.len() {
+            return Err(StreamError::protocol(format!(
+                "{} trailing bytes after the message frame",
+                frame.len() - total
+            )));
+        }
+        let body = frame.slice(FRAME_HEADER_LEN..);
+        match tag {
             TAG_TASK => {
-                let (seq, payload) = decode_seq_body(&decoded.payload)?;
+                let (seq, payload) = decode_seq_body(&body)?;
                 Ok(Message::Task { seq, payload })
             }
             TAG_RESULT => {
-                let (seq, payload) = decode_seq_body(&decoded.payload)?;
+                let (seq, payload) = decode_seq_body(&body)?;
                 Ok(Message::TaskResult { seq, payload })
             }
             TAG_ERROR => {
-                let (seq, message) = decode_seq_body(&decoded.payload)?;
+                let (seq, message) = decode_seq_body(&body)?;
                 Ok(Message::TaskError { seq, message })
             }
-            TAG_TASK_BATCH => Ok(Message::TaskBatch(decode_record_body(&decoded.payload)?)),
-            TAG_RESULT_BATCH => Ok(Message::ResultBatch(decode_record_body(&decoded.payload)?)),
+            TAG_TASK_BATCH => Ok(Message::TaskBatch(decode_record_body(&body)?)),
+            TAG_RESULT_BATCH => Ok(Message::ResultBatch(decode_record_body(&body)?)),
             TAG_HEARTBEAT => Ok(Message::Heartbeat),
             TAG_GOODBYE => Ok(Message::Goodbye),
             TAG_ACK => {
-                let body = &decoded.payload;
-                if body.len() != 8 {
-                    return Err(StreamError::protocol("ack body must be exactly 8 bytes"));
-                }
-                let count = u64::from_be_bytes(body[..8].try_into().expect("checked length above"));
-                Ok(Message::Ack { count })
+                let count = <[u8; 8]>::try_from(&body[..])
+                    .map_err(|_| StreamError::protocol("ack body must be exactly 8 bytes"))?;
+                Ok(Message::Ack { count: u64::from_be_bytes(count) })
             }
             other => Err(StreamError::protocol(format!("unknown message tag {other}"))),
         }
@@ -506,6 +513,7 @@ impl Backoff {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pando_netsim::codec::encode_frame;
 
     fn bytes(data: &[u8]) -> Bytes {
         Bytes::copy_from_slice(data)
@@ -678,11 +686,11 @@ mod tests {
             Record::new(0, bytes(b"first")),
             Record::new(1, bytes(b"second")),
         ]);
-        let Message::TaskBatch(records) = Message::decode(&message.encode().unwrap()).unwrap()
-        else {
+        let frame = message.encode().unwrap();
+        let Message::TaskBatch(records) = Message::decode_bytes(frame.clone()).unwrap() else {
             panic!("expected a task batch");
         };
-        assert!(records[0].payload.shares_allocation_with(&records[1].payload));
+        assert!(records.iter().all(|record| record.payload.shares_allocation_with(&frame)));
     }
 
     #[test]
@@ -699,7 +707,7 @@ mod tests {
         assert!(Message::decode(&[]).is_err());
         assert!(Message::decode(&[1, 2, 3]).is_err());
         // Unknown tag.
-        let frame = encode_frame(42, &encode_seq_body(0, b"x")).unwrap();
+        let frame = encode_frame(42, &[0, 0, 0, 0, 0, 0, 0, 0, b'x']).unwrap();
         assert!(Message::decode(&frame).is_err());
         // Task too short for the fixed seq header.
         let frame = encode_frame(TAG_TASK, b"1234").unwrap();
@@ -710,6 +718,14 @@ mod tests {
         // Ack with a body that is not exactly 8 bytes.
         let frame = encode_frame(TAG_ACK, &[0, 0, 0]).unwrap();
         assert!(Message::decode(&frame).is_err());
+        // A frame cut anywhere, and a frame with anything after it: the
+        // transport hands over exactly one, so neither is silently accepted.
+        let frame = Message::Task { seq: 1, payload: bytes(b"abc") }.encode().unwrap();
+        assert!(
+            (0..frame.len()).all(|cut| Message::decode(&frame[..cut]).unwrap_err().is_protocol())
+        );
+        let err = Message::decode(&[&frame[..], &[0]].concat()).unwrap_err();
+        assert!(err.is_protocol() && err.message().contains("1 trailing byte"), "{err}");
     }
 
     #[test]

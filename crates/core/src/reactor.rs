@@ -1124,8 +1124,13 @@ impl Reactor {
     /// mid-run).
     fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
+        // Each waiter checks the flag under its mutex and then waits on it;
+        // passing through that mutex before notifying means none can be
+        // between its check and its wait when the notification fires.
+        drop(self.inner.ready.lock());
         self.inner.ready_cond.notify_all();
         for slot in &self.inner.shards {
+            drop(slot.demand.lock());
             slot.demand_cond.notify_all();
         }
         for handle in self.threads.lock().drain(..) {

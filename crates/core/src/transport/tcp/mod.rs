@@ -16,7 +16,10 @@
 //! classified as a crash) and partial-write resumption, and every readiness
 //! batch gives each ready connection a bounded slice of work so one
 //! fire-hose peer cannot starve the rest (round-robin fairness via
-//! level-triggered re-reporting).
+//! level-triggered re-reporting). A payload is copied once on the way in —
+//! from the reading thread's scratch chunk into a buffer sized for its whole
+//! frame from the header — and the decoder slices that buffer
+//! ([`Message::decode_bytes`]); the pump backend runs the same read function.
 //!
 //! The outbound queue is **byte-bounded** at [`TcpConfig::write_buffer_max`]:
 //! a send that would overflow the bound fails with [`SendError::WouldBlock`]
@@ -85,9 +88,9 @@ pub(crate) use handshake::{dial, HelloMode};
 use super::sys;
 use super::{Transport, TransportError, TransportErrorKind};
 use crate::protocol::Message;
-use bytes::{Bytes, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
 use pando_netsim::channel::{RecvError, SendError, Waker};
-use pando_netsim::codec::{encode_frame, FRAME_HEADER_LEN, MAX_FRAME_LEN};
+use pando_netsim::codec::{encode_frame, peek_frame};
 use pando_netsim::heartbeat::FailureDetector;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -101,6 +104,10 @@ use std::time::{Duration, Instant};
 /// Frame tag reserved for the transport-level close marker (the protocol's
 /// message tags start at 1).
 const TAG_CLOSE: u8 = 0;
+
+/// Bytes asked of the socket per `read` call, and the size of the scratch
+/// buffer each reading thread owns for it.
+pub(crate) const READ_CHUNK: usize = 16 * 1024;
 
 /// Knobs of a TCP link. Liveness settings mirror
 /// [`ChannelConfig`](pando_netsim::channel::ChannelConfig): heartbeats are
@@ -126,7 +133,8 @@ pub struct TcpConfig {
     /// and the waker fires once the queue drains below the bound again; a
     /// single frame larger than the whole bound is admitted alone (never a
     /// permanent reject). This is what keeps a slow or stalled reader from
-    /// growing master-side memory without bound.
+    /// growing master-side memory without bound. The same bound caps the one
+    /// spent reassembly allocation a link holds on to for its next frame.
     pub write_buffer_max: usize,
     /// Enable kernel `SO_KEEPALIVE` probing, paced from
     /// `heartbeat_interval` (rounded up to the kernel's 1s floor). See the
@@ -211,8 +219,69 @@ pub(crate) struct LinkState {
 pub(crate) struct ReadState {
     /// Bytes received but not yet parsed into complete frames.
     buf: BytesMut,
+    /// The last frame that left with `buf`'s allocation. Once its consumers
+    /// have dropped every payload sliced from it, the allocation comes back
+    /// for the next frame instead of a new one being made.
+    spare: Option<Bytes>,
     /// The read direction hit EOF; never read again.
     eof: bool,
+}
+
+impl ReadState {
+    /// Makes `buf` able to hold `total` bytes, those already in it included
+    /// — a whole frame, sized once from its header — preferring the previous
+    /// frame's allocation to a new one.
+    fn size_for(&mut self, total: usize) {
+        let missing = total.saturating_sub(self.buf.len());
+        if self.buf.capacity() - self.buf.len() >= missing {
+            return;
+        }
+        if let Some(Ok(mut old)) = self.spare.take().map(Bytes::try_into_mut) {
+            if old.capacity() >= total {
+                old.clear();
+                old.extend_from_slice(&self.buf);
+                self.buf = old;
+                return;
+            }
+        }
+        self.buf.reserve(missing);
+    }
+
+    /// Removes the first `total` bytes of `buf` — one complete frame — as a
+    /// [`Bytes`] the decoder can slice. A frame that fills at least half of
+    /// the allocation takes the allocation with it, and whatever arrived
+    /// behind it moves to a fresh buffer; a small frame in a big buffer is
+    /// copied out, so a 50-byte frame never walks off with the 16 KiB block
+    /// under it. An allocation of up to `spare_max` bytes is remembered for
+    /// [`ReadState::size_for`].
+    fn take_frame(&mut self, total: usize, spare_max: usize) -> Bytes {
+        let capacity = self.buf.capacity();
+        if capacity <= 2 * total {
+            let rest = self.buf.split_off(total);
+            let frame = std::mem::replace(&mut self.buf, rest).freeze();
+            if capacity <= spare_max {
+                self.spare = Some(frame.clone());
+            }
+            frame
+        } else {
+            let frame = Bytes::copy_from_slice(&self.buf[..total]);
+            self.buf.advance(total);
+            frame
+        }
+    }
+}
+
+/// What one `read` of the socket did to the link.
+pub(crate) enum ReadOutcome {
+    /// Bytes arrived and every complete frame among them reached the inbox.
+    Progress,
+    /// Nothing to read right now (non-blocking sockets only).
+    WouldBlock,
+    /// The peer closed its sending direction; classified, never read again.
+    Eof,
+    /// The link failed (I/O error or framing violation) and was marked so;
+    /// the caller tears the socket down.
+    Failed,
 }
 
 /// Outbound queue and partial-write cursor, drained by the poller on
@@ -296,44 +365,83 @@ impl Shared {
         self.notify(&state);
     }
 
+    /// One `read` of the socket through `chunk`, then every frame that
+    /// completed goes to the inbox. The one read path of both backends: the
+    /// poller calls it on readable events, the pump reader in a blocking loop.
+    pub(crate) fn read_once(&self, read: &mut ReadState, chunk: &mut [u8]) -> ReadOutcome {
+        loop {
+            return match (&self.stream).read(chunk) {
+                Ok(0) => {
+                    read.eof = true;
+                    self.handle_eof(read);
+                    ReadOutcome::Eof
+                }
+                Ok(n) => {
+                    if read.buf.is_empty() {
+                        // A frame starts here: size the buffer for all of it
+                        // before the copy, so it is allocated exactly once.
+                        if let Ok(Some((_, total))) = peek_frame(&chunk[..n]) {
+                            read.size_for(total.max(n));
+                        }
+                    }
+                    read.buf.extend_from_slice(&chunk[..n]);
+                    if self.drain_frames(read) {
+                        ReadOutcome::Progress
+                    } else {
+                        ReadOutcome::Failed
+                    }
+                }
+                Err(err) if err.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => ReadOutcome::WouldBlock,
+                Err(err) => {
+                    self.fail(err.into());
+                    ReadOutcome::Failed
+                }
+            };
+        }
+    }
+
     /// Drains every complete frame in `read.buf` into the inbox. Returns
     /// `false` when the link failed on a framing violation (the caller
     /// tears the socket down).
     fn drain_frames(&self, read: &mut ReadState) -> bool {
         loop {
-            if read.buf.len() < FRAME_HEADER_LEN {
+            let (tag, total) = match peek_frame(&read.buf) {
+                Ok(Some(header)) => header,
+                Ok(None) => return true,
+                Err(err) => {
+                    self.fail(TransportError::new(
+                        TransportErrorKind::Protocol,
+                        format!("incoming {}", err.message()),
+                    ));
+                    return false;
+                }
+            };
+            if read.buf.len() < total {
+                // The header says how much is coming (and `peek_frame`
+                // bounded it): size the buffer for the frame once instead of
+                // doubling up to it.
+                read.size_for(total);
                 return true;
             }
-            let tag = read.buf[0];
-            let len =
-                u32::from_be_bytes([read.buf[1], read.buf[2], read.buf[3], read.buf[4]]) as usize;
-            if len > MAX_FRAME_LEN {
-                self.fail(TransportError::new(
-                    TransportErrorKind::Protocol,
-                    format!("incoming frame of {len} bytes exceeds the {MAX_FRAME_LEN} limit"),
-                ));
-                return false;
-            }
-            if read.buf.len() < FRAME_HEADER_LEN + len {
-                return true;
-            }
-            let frame = read.buf.split_to(FRAME_HEADER_LEN + len);
-            let mut state = self.state.lock();
-            state.last_heard = Instant::now();
             if tag == TAG_CLOSE {
+                read.buf.advance(total);
+                let mut state = self.state.lock();
+                state.last_heard = Instant::now();
                 state.peer_closed = true;
                 self.notify(&state);
                 // The peer will not send again; keep reading so the socket
                 // drains to EOF.
                 continue;
             }
-            match Message::decode(&frame) {
+            match Message::decode_bytes(read.take_frame(total, self.config.write_buffer_max)) {
                 Ok(message) => {
+                    let mut state = self.state.lock();
+                    state.last_heard = Instant::now();
                     state.inbox.push_back(message);
                     self.notify(&state);
                 }
                 Err(err) => {
-                    drop(state);
                     self.fail(TransportError::new(
                         TransportErrorKind::Protocol,
                         format!("undecodable frame: {err}"),
@@ -491,7 +599,11 @@ impl TcpTransport {
                 bytes_written: 0,
             }),
             write_cv: Condvar::new(),
-            read: Mutex::new(ReadState { buf: BytesMut::with_capacity(16 * 1024), eof: false }),
+            read: Mutex::new(ReadState {
+                buf: BytesMut::with_capacity(READ_CHUNK),
+                spare: None,
+                eof: false,
+            }),
             read_closed: AtomicBool::new(false),
             dead: AtomicBool::new(false),
             #[cfg(target_os = "linux")]
@@ -548,6 +660,13 @@ impl TcpTransport {
             bytes_written: write.bytes_written,
             queued_bytes: write.queued_bytes,
         }
+    }
+
+    /// Why the link failed, if it did: the typed error behind a
+    /// [`RecvError::PeerFailed`] (a protocol violation, an I/O error, a crash
+    /// verdict), which the `Transport` surface flattens.
+    pub fn failure(&self) -> Option<TransportError> {
+        self.shared.state.lock().failed.clone()
     }
 
     /// Whether `SO_KEEPALIVE` is enabled on the socket (`None` where the
@@ -806,28 +925,17 @@ impl Drop for TcpTransport {
     }
 }
 
-/// Legacy reader pump: socket bytes → frames → decoded messages → inbox +
-/// waker. One blocking thread per connection.
+/// Legacy reader pump: one blocking thread per connection around
+/// [`Shared::read_once`].
 fn run_reader(shared: Arc<Shared>) {
-    let mut chunk = [0u8; 16 * 1024];
+    let mut chunk = vec![0u8; READ_CHUNK];
     loop {
         let mut read = shared.read.lock();
-        match (&shared.stream).read(&mut chunk) {
-            Ok(0) => {
-                read.eof = true;
-                shared.handle_eof(&read);
-                return;
-            }
-            Ok(n) => {
-                read.buf.extend_from_slice(&chunk[..n]);
-                if !shared.drain_frames(&mut read) {
-                    let _ = shared.stream.shutdown(Shutdown::Both);
-                    return;
-                }
-            }
-            Err(err) if err.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(err) => {
-                shared.fail(err.into());
+        match shared.read_once(&mut read, &mut chunk) {
+            ReadOutcome::Progress | ReadOutcome::WouldBlock => {}
+            ReadOutcome::Eof => return,
+            ReadOutcome::Failed => {
+                let _ = shared.stream.shutdown(Shutdown::Both);
                 return;
             }
         }
@@ -897,4 +1005,62 @@ pub fn transport_thread_census() -> Option<usize> {
         }
     }
     Some(count)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn read_state(capacity: usize) -> ReadState {
+        ReadState { buf: BytesMut::with_capacity(capacity), spare: None, eof: false }
+    }
+
+    #[test]
+    fn a_small_frame_is_copied_out_and_the_buffer_stays_with_the_link() {
+        let mut read = read_state(READ_CHUNK);
+        read.buf.extend_from_slice(&[7u8; 50]);
+        let block = read.buf.as_ptr();
+        let frame = read.take_frame(50, usize::MAX);
+        assert_eq!(&frame[..], &[7u8; 50]);
+        assert_ne!(frame.as_ptr(), block, "a 50-byte frame must not pin 16 KiB");
+        assert!(read.buf.is_empty() && read.buf.capacity() == READ_CHUNK && read.spare.is_none());
+    }
+
+    #[test]
+    fn a_big_frame_leaves_with_the_buffer_and_the_buffer_comes_back_when_dropped() {
+        let total = 40_000;
+        let mut read = read_state(0);
+        read.size_for(total);
+        read.buf.extend_from_slice(&vec![1u8; total]);
+        read.buf.extend_from_slice(b"next");
+        let block = read.buf.as_ptr();
+        let frame = read.take_frame(total, usize::MAX);
+        assert_eq!((frame.len(), frame.as_ptr()), (total, block), "taken whole, not copied");
+        assert_eq!(&read.buf[..], b"next", "what arrived behind it moved to a fresh buffer");
+
+        // While a consumer still holds a payload, the next frame gets its own
+        // allocation and the bytes already buffered come along.
+        let payload = frame.slice(5..);
+        drop(frame);
+        read.size_for(total);
+        assert_ne!(read.buf.as_ptr(), block);
+        assert_eq!(&read.buf[..], b"next");
+        assert!(read.spare.is_none(), "one try per frame: the clone is not kept around");
+
+        // Once the consumers are done, the allocation serves the next frame.
+        read.buf.extend_from_slice(&vec![2u8; total - 4]);
+        let block = read.buf.as_ptr();
+        drop(payload);
+        let frame = read.take_frame(total, usize::MAX);
+        drop(frame);
+        read.buf.extend_from_slice(b"head");
+        read.size_for(total);
+        assert_eq!(read.buf.as_ptr(), block, "reclaimed, not reallocated");
+        assert_eq!(&read.buf[..], b"head");
+
+        // An allocation over the link's byte bound is never held back.
+        read.buf.extend_from_slice(&vec![3u8; total - 4]);
+        drop(read.take_frame(total, total - 1));
+        assert!(read.spare.is_none());
+    }
 }

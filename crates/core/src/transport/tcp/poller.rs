@@ -32,11 +32,11 @@
 //! [`TcpTransport`]: super::TcpTransport
 
 use super::super::sys;
-use super::{Shared, WriteState};
+use super::{ReadOutcome, Shared, WriteState, READ_CHUNK};
 use crate::transport::{TransportError, TransportErrorKind};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, IoSlice, Write};
 use std::net::Shutdown;
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -225,32 +225,17 @@ fn handle_writable(shared: &Arc<Shared>) {
     }
 }
 
-fn handle_readable(shared: &Arc<Shared>) {
+fn handle_readable(shared: &Arc<Shared>, chunk: &mut [u8]) {
     let mut read = shared.read.lock();
     if read.eof || shared.read_closed.load(Ordering::SeqCst) {
         return;
     }
-    let mut chunk = [0u8; 16 * 1024];
     for _ in 0..MAX_CHUNKS_PER_EVENT {
-        match (&shared.stream).read(&mut chunk) {
-            Ok(0) => {
-                read.eof = true;
-                shared.handle_eof(&read);
-                return;
-            }
-            Ok(n) => {
-                read.buf.extend_from_slice(&chunk[..n]);
-                if !shared.drain_frames(&mut read) {
-                    drop(read);
-                    teardown(shared, true);
-                    return;
-                }
-            }
-            Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
-            Err(err) if err.kind() == io::ErrorKind::WouldBlock => return,
-            Err(err) => {
+        match shared.read_once(&mut read, chunk) {
+            ReadOutcome::Progress => {}
+            ReadOutcome::WouldBlock | ReadOutcome::Eof => return,
+            ReadOutcome::Failed => {
                 drop(read);
-                shared.fail(err.into());
                 teardown(shared, true);
                 return;
             }
@@ -316,6 +301,8 @@ fn sweep(shard: &Shard) {
 
 fn run(shard: Arc<Shard>) {
     let mut events = vec![sys::EpollEvent { events: 0, data: 0 }; 128];
+    // One read scratch buffer for every connection of the shard.
+    let mut chunk = vec![0u8; READ_CHUNK];
     loop {
         let n = shard.epoll.wait(&mut events, Some(WAIT_TIMEOUT)).unwrap_or(0);
         for event in events.iter().take(n) {
@@ -327,7 +314,7 @@ fn run(shard: Arc<Shard>) {
                 handle_writable(&shared);
             }
             if ready & READ_EVENTS != 0 {
-                handle_readable(&shared);
+                handle_readable(&shared, &mut chunk);
             }
             maybe_teardown(&shared);
         }

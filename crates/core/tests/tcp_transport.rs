@@ -1,6 +1,7 @@
 //! End-to-end coverage of the real-socket TCP transport: handshake accept
 //! and rejection, frame codec round-trips over a live socket pair, oversized
-//! and truncated frames, hellos that stall or arrive a byte at a time, crash
+//! and truncated frames, frames of every size sliced every way on both read
+//! backends, hellos that stall or arrive a byte at a time, crash
 //! detection feeding re-lend, and a loopback 32-volunteer fleet driven by one
 //! master over localhost TCP.
 //!
@@ -15,7 +16,7 @@ use pando_core::protocol::Message;
 use pando_core::transport::tcp::{
     SessionEvent, TcpAcceptor, TcpConfig, TcpTransport, TCP_PROTOCOL_VERSION,
 };
-use pando_core::transport::Transport;
+use pando_core::transport::{Transport, TransportErrorKind};
 use pando_core::worker::WorkerBuilder;
 use pando_netsim::channel::RecvError;
 use pando_netsim::codec::{Record, FRAME_HEADER_LEN, MAX_FRAME_LEN};
@@ -283,24 +284,78 @@ fn raw_handshake(addr: std::net::SocketAddr, name: &str) -> TcpStream {
     stream
 }
 
+/// A plain-backend and a pump-backend config: the reassembly path is one
+/// function, and these tests hold both of its callers to it.
+fn both_backends() -> [TcpConfig; 2] {
+    #[allow(deprecated)]
+    [lenient(), TcpConfig { pump_threads_backend: true, ..lenient() }]
+}
+
 #[test]
 fn oversized_incoming_frame_fails_the_link() {
-    let acceptor = TcpAcceptor::bind("127.0.0.1:0", lenient()).unwrap();
-    let addr = acceptor.local_addr();
-    let client = std::thread::spawn(move || {
-        let mut stream = raw_handshake(addr, "hostile");
-        // A header announcing a frame over the wire limit; the link must be
-        // poisoned before any payload is read.
-        let mut header = vec![1u8];
-        header.extend_from_slice(&((MAX_FRAME_LEN + 1) as u32).to_be_bytes());
-        stream.write_all(&header).unwrap();
-        let _ = stream.read(&mut [0u8; 16]); // wait for the shutdown
-    });
-    let (_, master_side) = accept_one(&acceptor);
-    let err = master_side.recv_timeout(Duration::from_secs(10)).unwrap_err();
-    assert_eq!(err, RecvError::PeerFailed, "an oversized frame is a protocol failure");
-    assert!(!master_side.is_peer_alive());
-    client.join().unwrap();
+    for tcp in both_backends() {
+        let acceptor = TcpAcceptor::bind("127.0.0.1:0", tcp).unwrap();
+        let addr = acceptor.local_addr();
+        let client = std::thread::spawn(move || {
+            let mut stream = raw_handshake(addr, "hostile");
+            // A header announcing a frame over the wire limit, and not one
+            // payload byte: the link must be poisoned from the header alone,
+            // before anything is sized from it.
+            let mut header = vec![1u8];
+            header.extend_from_slice(&((MAX_FRAME_LEN + 1) as u32).to_be_bytes());
+            stream.write_all(&header).unwrap();
+            let _ = stream.read(&mut [0u8; 16]); // wait for the shutdown
+        });
+        let (_, master_side) = accept_one(&acceptor);
+        let err = master_side.recv_timeout(Duration::from_secs(10)).unwrap_err();
+        assert_eq!(err, RecvError::PeerFailed, "an oversized frame is a protocol failure");
+        assert!(!master_side.is_peer_alive());
+        let failure = master_side.failure().expect("the link records why it failed");
+        assert_eq!(failure.kind(), TransportErrorKind::Protocol, "{failure}");
+        client.join().unwrap();
+    }
+}
+
+#[test]
+fn mixed_frame_sizes_reassemble_from_any_slicing_on_both_backends() {
+    let small = Bytes::copy_from_slice(&[7u8; 8]);
+    let bulk = Bytes::from((0..32 * 1024).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
+    let huge = Bytes::from((0..1024 * 1024).map(|i| (i % 241) as u8).collect::<Vec<u8>>());
+    let messages = vec![
+        Message::Task { seq: 1, payload: small.clone() },
+        Message::TaskBatch(vec![Record::new(2, bulk.clone()), Record::new(3, bulk.clone())]),
+        Message::Heartbeat,
+        Message::TaskResult { seq: 4, payload: huge.clone() },
+        Message::Task { seq: 5, payload: small.clone() },
+        Message::ResultBatch(vec![Record::new(6, small.clone()), Record::new(7, bulk)]),
+        Message::TaskResult { seq: 8, payload: huge },
+        Message::Ack { count: 9 },
+        Message::Task { seq: 10, payload: small },
+    ];
+    let stream: Vec<u8> =
+        messages.iter().flat_map(|message| message.encode().unwrap().to_vec()).collect();
+    for (backend, tcp) in both_backends().into_iter().enumerate() {
+        let acceptor = TcpAcceptor::bind("127.0.0.1:0", tcp).unwrap();
+        let addr = acceptor.local_addr();
+        for slice in [1, 7, 16 * 1024 + 1] {
+            let bytes = stream.clone();
+            let client = std::thread::spawn(move || {
+                let mut socket = raw_handshake(addr, "slicer");
+                for part in bytes.chunks(slice) {
+                    socket.write_all(part).unwrap();
+                }
+                socket
+            });
+            let (_, master_side) = accept_one(&acceptor);
+            for (i, expected) in messages.iter().enumerate() {
+                let got = recv_one(&master_side);
+                assert!(got == *expected, "backend {backend}, {slice} B slices: frame {i} altered");
+            }
+            assert_eq!(master_side.try_recv().unwrap_err(), RecvError::Empty, "nothing extra");
+            assert!(master_side.failure().is_none());
+            drop(client.join().unwrap());
+        }
+    }
 }
 
 #[test]

@@ -9,7 +9,7 @@
 //! channel round-trip. Decoding a record frame is zero-copy: every record
 //! payload is a [`Bytes`] slice into the frame's single allocation.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use pando_pull_stream::StreamError;
 
 /// Maximum accepted frame length (16 MiB), mirroring the WebRTC message-size
@@ -23,60 +23,54 @@ pub const FRAME_HEADER_LEN: usize = 5;
 /// number plus 4-byte payload length.
 pub const RECORD_HEADER_LEN: usize = 12;
 
-/// Encodes one frame: tag byte, 4-byte big-endian length, payload.
+/// Starts a frame of `body_len` body bytes: one buffer sized for the whole
+/// frame, header written. The caller appends the body and freezes it — a
+/// frame is built in one pass, in the allocation that goes to the socket.
 ///
 /// # Errors
 ///
-/// Returns a protocol error if the payload exceeds [`MAX_FRAME_LEN`]; an
+/// Returns a protocol error if the body exceeds [`MAX_FRAME_LEN`]; an
 /// unchecked `as u32` cast here would silently truncate the length field and
 /// desynchronise the stream.
-pub fn encode_frame(tag: u8, payload: &[u8]) -> Result<Bytes, StreamError> {
-    if payload.len() > MAX_FRAME_LEN {
+pub fn begin_frame(tag: u8, body_len: usize) -> Result<BytesMut, StreamError> {
+    if body_len > MAX_FRAME_LEN {
         return Err(StreamError::protocol(format!(
-            "frame payload of {} bytes exceeds the {MAX_FRAME_LEN} byte limit",
-            payload.len()
+            "frame body of {body_len} bytes exceeds the {MAX_FRAME_LEN} byte limit"
         )));
     }
-    let mut buf = BytesMut::with_capacity(FRAME_HEADER_LEN + payload.len());
+    let mut buf = BytesMut::with_capacity(FRAME_HEADER_LEN + body_len);
     buf.put_u8(tag);
-    buf.put_u32(payload.len() as u32);
+    buf.put_u32(body_len as u32);
+    Ok(buf)
+}
+
+/// Encodes one whole frame — tag byte, 4-byte big-endian length, payload —
+/// failing as [`begin_frame`] does.
+pub fn encode_frame(tag: u8, payload: &[u8]) -> Result<Bytes, StreamError> {
+    let mut buf = begin_frame(tag, payload.len())?;
     buf.put_slice(payload);
     Ok(buf.freeze())
 }
 
-/// A frame decoded by [`decode_frame`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Frame {
-    /// Message-kind tag.
-    pub tag: u8,
-    /// Payload bytes.
-    pub payload: Bytes,
-}
-
-/// Decodes one frame from the front of `buf`, consuming it.
-///
-/// Returns `Ok(None)` if the buffer does not yet contain a complete frame.
+/// Reads the frame header at the front of `buf`: the tag and the length of
+/// the whole frame, header included; `Ok(None)` while the header is
+/// incomplete. The one place an advertised length is checked, so a reader
+/// may size its buffer from the answer.
 ///
 /// # Errors
 ///
 /// Returns an error if the advertised length exceeds [`MAX_FRAME_LEN`].
-pub fn decode_frame(buf: &mut BytesMut) -> Result<Option<Frame>, StreamError> {
-    if buf.len() < FRAME_HEADER_LEN {
+pub fn peek_frame(buf: &[u8]) -> Result<Option<(u8, usize)>, StreamError> {
+    let Some(&[tag, l0, l1, l2, l3]) = buf.first_chunk::<FRAME_HEADER_LEN>() else {
         return Ok(None);
-    }
-    let tag = buf[0];
-    let len = u32::from_be_bytes([buf[1], buf[2], buf[3], buf[4]]) as usize;
+    };
+    let len = u32::from_be_bytes([l0, l1, l2, l3]) as usize;
     if len > MAX_FRAME_LEN {
         return Err(StreamError::protocol(format!(
             "frame of {len} bytes exceeds the {MAX_FRAME_LEN} byte limit"
         )));
     }
-    if buf.len() < FRAME_HEADER_LEN + len {
-        return Ok(None);
-    }
-    buf.advance(FRAME_HEADER_LEN);
-    let payload = buf.split_to(len).freeze();
-    Ok(Some(Frame { tag, payload }))
+    Ok(Some((tag, FRAME_HEADER_LEN + len)))
 }
 
 /// One `(sequence number, payload)` record of a batched frame.
@@ -101,32 +95,19 @@ pub fn record_body_len(records: &[Record]) -> usize {
     4 + records.iter().map(|r| RECORD_HEADER_LEN + r.payload.len()).sum::<usize>()
 }
 
-/// Encodes many records into one frame body: a 4-byte big-endian record
-/// count, then per record an 8-byte big-endian sequence number, a 4-byte
-/// big-endian payload length and the payload bytes.
-///
-/// # Errors
-///
-/// Returns a protocol error if the body would exceed [`MAX_FRAME_LEN`] or a
-/// single record payload exceeds it (its length field would truncate).
-pub fn encode_record_body(records: &[Record]) -> Result<Bytes, StreamError> {
-    let body_len = record_body_len(records);
-    if body_len > MAX_FRAME_LEN {
-        return Err(StreamError::protocol(format!(
-            "record batch of {body_len} bytes exceeds the {MAX_FRAME_LEN} byte frame limit"
-        )));
-    }
-    let mut buf = BytesMut::with_capacity(body_len);
+/// Appends a record batch to a frame begun for [`record_body_len`] bytes
+/// (where the size was checked): a 4-byte big-endian record count, then per
+/// record an 8-byte sequence number, a 4-byte payload length, the payload.
+pub fn put_records(buf: &mut BytesMut, records: &[Record]) {
     buf.put_u32(records.len() as u32);
     for record in records {
         buf.put_u64(record.seq);
         buf.put_u32(record.payload.len() as u32);
         buf.put_slice(&record.payload);
     }
-    Ok(buf.freeze())
 }
 
-/// Decodes a record-batch frame body produced by [`encode_record_body`].
+/// Decodes a record-batch frame body written by [`put_records`].
 ///
 /// Zero-copy: each returned record's payload is a slice sharing `body`'s
 /// allocation.
@@ -234,23 +215,27 @@ pub fn base64_decode(text: &str) -> Result<Vec<u8>, StreamError> {
 mod tests {
     use super::*;
 
+    /// The body of a record-batch frame, built the way `Message::encode` does.
+    fn record_body(records: &[Record]) -> Result<Bytes, StreamError> {
+        let mut frame = begin_frame(6, record_body_len(records))?;
+        put_records(&mut frame, records);
+        Ok(frame.freeze().slice(FRAME_HEADER_LEN..))
+    }
+
     #[test]
     fn frame_round_trip() {
         let frame = encode_frame(7, b"hello world").unwrap();
-        let mut buf = BytesMut::from(&frame[..]);
-        let decoded = decode_frame(&mut buf).unwrap().unwrap();
-        assert_eq!(decoded.tag, 7);
-        assert_eq!(&decoded.payload[..], b"hello world");
-        assert!(buf.is_empty());
+        assert_eq!(peek_frame(&frame).unwrap(), Some((7, frame.len())));
+        assert_eq!(&frame[FRAME_HEADER_LEN..], b"hello world");
     }
 
     #[test]
     fn partial_frames_wait_for_more_data() {
         let frame = encode_frame(1, &[0u8; 100]).unwrap();
-        let mut buf = BytesMut::from(&frame[..50]);
-        assert_eq!(decode_frame(&mut buf).unwrap(), None);
-        buf.extend_from_slice(&frame[50..]);
-        assert!(decode_frame(&mut buf).unwrap().is_some());
+        assert_eq!(peek_frame(&frame[..4]).unwrap(), None, "no length known yet");
+        // From the fifth byte on the reader knows how much to wait for.
+        assert_eq!(peek_frame(&frame[..5]).unwrap(), Some((1, 105)));
+        assert_eq!(peek_frame(&frame[..50]).unwrap(), Some((1, 105)));
     }
 
     #[test]
@@ -258,10 +243,11 @@ mod tests {
         let mut buf = BytesMut::new();
         buf.extend_from_slice(&encode_frame(1, b"a").unwrap());
         buf.extend_from_slice(&encode_frame(2, b"bb").unwrap());
-        let first = decode_frame(&mut buf).unwrap().unwrap();
-        let second = decode_frame(&mut buf).unwrap().unwrap();
-        assert_eq!((first.tag, &first.payload[..]), (1, &b"a"[..]));
-        assert_eq!((second.tag, &second.payload[..]), (2, &b"bb"[..]));
+        let (tag, total) = peek_frame(&buf).unwrap().unwrap();
+        let first = buf.split_to(total);
+        assert_eq!((tag, &first[FRAME_HEADER_LEN..]), (1, &b"a"[..]));
+        assert_eq!(peek_frame(&buf).unwrap(), Some((2, buf.len())));
+        assert_eq!(&buf[FRAME_HEADER_LEN..], b"bb");
     }
 
     #[test]
@@ -269,14 +255,15 @@ mod tests {
         let mut buf = BytesMut::new();
         buf.put_u8(0);
         buf.put_u32(u32::MAX);
-        buf.extend_from_slice(&[0u8; 16]);
-        assert!(decode_frame(&mut buf).is_err());
+        assert!(peek_frame(&buf).is_err(), "refused from the header alone");
+        let mut buf = BytesMut::new();
+        buf.put_u8(0);
+        buf.put_u32(MAX_FRAME_LEN as u32);
+        assert!(peek_frame(&buf).unwrap().is_some(), "the limit itself is allowed");
     }
 
     #[test]
     fn oversized_payload_is_rejected_on_encode() {
-        // Before the fix, a payload longer than u32::MAX (or MAX_FRAME_LEN)
-        // silently truncated the length field; now encoding is fallible.
         let payload = vec![0u8; MAX_FRAME_LEN + 1];
         let err = encode_frame(1, &payload).unwrap_err();
         assert!(err.is_protocol());
@@ -286,9 +273,7 @@ mod tests {
     #[test]
     fn empty_payload_is_fine() {
         let frame = encode_frame(9, b"").unwrap();
-        let mut buf = BytesMut::from(&frame[..]);
-        let decoded = decode_frame(&mut buf).unwrap().unwrap();
-        assert_eq!(decoded.payload.len(), 0);
+        assert_eq!(peek_frame(&frame).unwrap(), Some((9, FRAME_HEADER_LEN)));
     }
 
     #[test]
@@ -298,7 +283,7 @@ mod tests {
             Record::new(9, Bytes::new()),
             Record::new(u64::MAX, Bytes::from(vec![0u8, b'\n', 255, 0])),
         ];
-        let body = encode_record_body(&records).unwrap();
+        let body = record_body(&records).unwrap();
         assert_eq!(body.len(), record_body_len(&records));
         let decoded = decode_record_body(&body).unwrap();
         assert_eq!(decoded, records);
@@ -312,7 +297,7 @@ mod tests {
 
     #[test]
     fn empty_record_batch_round_trips() {
-        let body = encode_record_body(&[]).unwrap();
+        let body = record_body(&[]).unwrap();
         assert_eq!(decode_record_body(&body).unwrap(), Vec::<Record>::new());
     }
 
@@ -332,8 +317,7 @@ mod tests {
         buf.put_slice(b"short");
         assert!(decode_record_body(&buf.freeze()).is_err());
         // Trailing garbage after the advertised records.
-        let mut body =
-            encode_record_body(&[Record::new(1, Bytes::from(b"x".to_vec()))]).unwrap().to_vec();
+        let mut body = record_body(&[Record::new(1, Bytes::from(b"x".to_vec()))]).unwrap().to_vec();
         body.push(0);
         assert!(decode_record_body(&Bytes::from(body)).is_err());
     }
@@ -341,7 +325,7 @@ mod tests {
     #[test]
     fn oversized_record_batch_is_rejected() {
         let records = vec![Record::new(0, Bytes::from(vec![0u8; MAX_FRAME_LEN - 8])); 2];
-        assert!(encode_record_body(&records).is_err());
+        assert!(record_body(&records).is_err());
     }
 
     #[test]
