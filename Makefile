@@ -1,7 +1,7 @@
 # Local invocations matching the CI jobs in .github/workflows/ci.yml —
 # `make lint test` before pushing reproduces what CI will run.
 
-.PHONY: all build test lint fmt doc bench bench-run perf scale scale-sharded sim scenarios tcp-demo tcp-demo-flap clean
+.PHONY: all build test lint fmt doc bench bench-run perf perf-pairs scale scale-sharded sim scenarios tcp-demo tcp-demo-flap clean
 
 all: lint build test doc
 
@@ -35,6 +35,17 @@ bench-run:
 # crates/bench/perf/README.md.
 perf:
 	cargo run --release --offline --quiet --manifest-path crates/bench/perf/Cargo.toml -- all $(PERF_ARGS)
+
+# The comparison a performance claim rests on: the harness built at BASE and
+# from this checkout, one workload in alternating pairs (fresh process each,
+# pair i on seed i, first side flipping), then medians, quartiles and pair
+# wins per end-to-end metric. `make perf-pairs BASE=HEAD~1 WORKLOAD=tcp_bulk`.
+BASE ?= HEAD
+WORKLOAD ?= tcp_small
+PAIRS ?= 10
+SECONDS ?= 20
+perf-pairs:
+	sh scripts/perf-pairs.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SECONDS)
 
 # The 10k-volunteer reactor demonstration: one master, a fixed thread pool,
 # results seq-checked. CI runs the same example at 1k (its default).

@@ -56,6 +56,16 @@ struct ShardCounters {
     in_flight: u64,
 }
 
+/// The counter of `device` in `map`. These run several times per task on the
+/// reactor thread, so the key is looked up by `&str` and allocated only the
+/// first time a device is seen.
+fn counter<'a, V: Default>(map: &'a mut BTreeMap<String, V>, device: &str) -> &'a mut V {
+    if !map.contains_key(device) {
+        map.insert(device.to_string(), V::default());
+    }
+    map.get_mut(device).expect("present: inserted above if it was not")
+}
+
 impl ThroughputMeter {
     /// Creates a meter whose window starts now.
     pub fn new() -> Self {
@@ -77,8 +87,8 @@ impl ThroughputMeter {
     /// Records that `device` completed one task worth `units` table units.
     pub fn record(&self, device: &str, units: f64) {
         let mut state = self.inner.lock();
-        *state.counts.entry(device.to_string()).or_insert(0) += 1;
-        *state.units.entry(device.to_string()).or_insert(0.0) += units;
+        *counter(&mut state.counts, device) += 1;
+        *counter(&mut state.units, device) += units;
     }
 
     /// Records that one wire frame of `bytes` payload bytes travelled on the
@@ -87,8 +97,8 @@ impl ThroughputMeter {
     /// frames-per-task ratio below one.
     pub fn record_wire(&self, device: &str, bytes: u64) {
         let mut state = self.inner.lock();
-        *state.bytes.entry(device.to_string()).or_insert(0) += bytes;
-        *state.frames.entry(device.to_string()).or_insert(0) += 1;
+        *counter(&mut state.bytes, device) += bytes;
+        *counter(&mut state.frames, device) += 1;
     }
 
     /// Records the fate of one heartbeat slot on the channel of `device`: a
@@ -97,7 +107,7 @@ impl ThroughputMeter {
     pub fn record_heartbeat(&self, device: &str, suppressed: bool) {
         let mut state = self.inner.lock();
         let map = if suppressed { &mut state.heartbeats_suppressed } else { &mut state.heartbeats };
-        *map.entry(device.to_string()).or_insert(0) += 1;
+        *counter(map, device) += 1;
     }
 
     /// Records that `n` values were borrowed from lender shard `shard` and

@@ -191,19 +191,22 @@ impl Message {
     /// shared receive rule of both volunteer backends: the caller decides
     /// (through `accept`) what a late or duplicate result means.
     pub fn demux_results(self, mut accept: impl FnMut(u64, Bytes)) -> bool {
-        match self {
-            Message::TaskResult { seq, payload } => {
-                accept(seq, payload);
-                true
-            }
-            Message::ResultBatch(records) => {
-                for record in records {
-                    accept(record.seq, record.payload);
-                }
-                true
-            }
-            _ => false,
-        }
+        let is_result = matches!(self, Message::TaskResult { .. } | Message::ResultBatch(_));
+        self.into_results().for_each(|(seq, payload)| accept(seq, payload));
+        is_result
+    }
+
+    /// The `(seq, payload)` records of a result frame in frame order, by
+    /// value and without collecting them; empty for any non-result message.
+    /// The shape [`SubStreamSink::push_batch`](pando_pull_stream::lender::SubStreamSink::push_batch)
+    /// takes a frame in.
+    pub fn into_results(self) -> impl Iterator<Item = (u64, Bytes)> {
+        let (single, batch) = match self {
+            Message::TaskResult { seq, payload } => (Some((seq, payload)), Vec::new()),
+            Message::ResultBatch(records) => (None, records),
+            _ => (None, Vec::new()),
+        };
+        single.into_iter().chain(batch.into_iter().map(|record| (record.seq, record.payload)))
     }
 
     /// [`Message::decode_bytes`] of a copy of `frame`, for callers that do
@@ -599,6 +602,22 @@ mod tests {
         );
         assert!(!Message::Heartbeat.demux_results(|_, _| panic!("no records")));
         assert!(!Message::Task { seq: 0, payload: bytes(b"") }.demux_results(|_, _| ()));
+    }
+
+    #[test]
+    fn into_results_yields_result_records_only() {
+        let single = Message::TaskResult { seq: 4, payload: bytes(b"r") };
+        assert_eq!(single.into_results().collect::<Vec<_>>(), vec![(4, bytes(b"r"))]);
+        let batch =
+            Message::ResultBatch(vec![Record::new(5, bytes(b"s")), Record::new(6, bytes(b"t"))]);
+        assert_eq!(
+            batch.into_results().collect::<Vec<_>>(),
+            vec![(5, bytes(b"s")), (6, bytes(b"t"))],
+            "records arrive in frame order"
+        );
+        assert_eq!(Message::Heartbeat.into_results().count(), 0);
+        let tasks = Message::TaskBatch(vec![Record::new(0, bytes(b"x"))]);
+        assert_eq!(tasks.into_results().count(), 0, "a task frame carries no results");
     }
 
     #[test]

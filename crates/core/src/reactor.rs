@@ -361,6 +361,16 @@ impl Inner {
         }
         self.timers.lock().push(Reverse(Timer { at, task: TimerTask::Backstop(shard) }));
         // A sleeping pool thread may need to shorten its wait.
+        self.wake_sleeper();
+    }
+
+    /// Wakes one sleeping pool thread after a change it did not see under
+    /// the `ready` mutex: a kick flag, a new earliest timer. A pool thread
+    /// reads those with `ready` held and then waits on it, so passing
+    /// through that mutex before notifying means none can be between its
+    /// check and its wait when the notification fires.
+    fn wake_sleeper(&self) {
+        drop(self.ready.lock());
         self.ready_cond.notify_one();
     }
 
@@ -375,10 +385,8 @@ impl Inner {
         let slot = &self.shards[shard];
         slot.kick_epoch.fetch_add(1, Ordering::SeqCst);
         slot.pending_kick.store(true, Ordering::SeqCst);
-        // Lock-fence against a pool thread that just checked the flag and is
-        // about to sleep, then wake one sleeper to run the kick.
-        drop(self.ready.lock());
-        self.ready_cond.notify_one();
+        // One sleeper, if any, runs the kick.
+        self.wake_sleeper();
     }
 
     /// True if any shard has a kick requested but not yet executed.
@@ -576,20 +584,21 @@ impl Driver {
                 | Ok(message @ Message::ResultBatch(_)) => {
                     progressed = true;
                     self.meter.record_wire(&self.name, message.wire_size() as u64);
-                    let mut accepted = 0u64;
-                    message.demux_results(|seq, payload| {
-                        // A late result for a value this sub-stream no longer
-                        // borrows is dropped (conservative property): no
-                        // window slot is released for it.
-                        if io.sink.push(seq, payload).is_ok() {
-                            self.meter.record(&self.name, 1.0);
-                            io.credits += 1;
-                            accepted += 1;
-                        }
-                    });
+                    // The frame enters the lender at once: one lock, one
+                    // wake-up of the ordered output at most. A late result
+                    // for a value this sub-stream no longer borrows is
+                    // dropped (conservative property): no window slot is
+                    // released for it.
+                    let accepted = io.sink.push_batch(message.into_results());
                     if accepted > 0 {
-                        self.meter
-                            .record_shard_results(self.shard.load(Ordering::Relaxed), accepted);
+                        for _ in 0..accepted {
+                            self.meter.record(&self.name, 1.0);
+                        }
+                        io.credits += accepted;
+                        self.meter.record_shard_results(
+                            self.shard.load(Ordering::Relaxed),
+                            accepted as u64,
+                        );
                     }
                 }
                 Ok(Message::TaskError { seq, message }) => {
@@ -1230,7 +1239,7 @@ fn poll_driver(inner: &Inner, driver: Arc<Driver>) {
                         task: TimerTask::Driver(Arc::downgrade(&driver)),
                     }));
                     // A sleeping sibling may need to shorten its wait.
-                    inner.ready_cond.notify_one();
+                    inner.wake_sleeper();
                 }
             }
             let shard = driver.shard.load(Ordering::Relaxed);

@@ -2,7 +2,9 @@
 //! on it (ROADMAP aim 1): how many bytes the libraries allocate to move a
 //! `tcp_bulk`-shaped frame (two 32 KiB records) through encode, decode and a
 //! loopback `TcpTransport` pair, and how large a block a hostile length field
-//! can make them allocate.
+//! can make them allocate — and that the throughput meter, called several
+//! times per task on the reactor thread, allocates nothing for a device it
+//! has already seen.
 //!
 //! Alone in its binary, as one `#[test]`: the counting `#[global_allocator]`
 //! sees every thread of the process, so nothing else may run beside it.
@@ -10,12 +12,15 @@
 #![cfg(target_os = "linux")]
 
 use bytes::Bytes;
+use pando_core::metrics::ThroughputMeter;
 use pando_core::protocol::Message;
 use pando_core::transport::tcp::{TcpAcceptor, TcpConfig, TcpTransport, TCP_PROTOCOL_VERSION};
 use pando_core::transport::{Transport, TransportErrorKind};
 use pando_netsim::channel::{RecvError, SendError};
 use pando_netsim::codec::{Record, MAX_FRAME_LEN};
+use pando_pull_stream::sync::Semaphore;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,16 +32,26 @@ use std::time::{Duration, Instant};
 static BYTES: AtomicU64 = AtomicU64::new(0);
 static LARGEST: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Bytes the current thread alone has requested, ever: what an exact
+    /// "allocates nothing" check reads, since the test harness's own thread
+    /// allocates beside the test whenever it likes. Constant-initialised and
+    /// without a destructor, so touching it from the allocator neither
+    /// allocates nor can find it torn down.
+    static OWN_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
 struct Counting;
 
 fn note(size: usize) {
     BYTES.fetch_add(size as u64, Ordering::Relaxed);
     LARGEST.fetch_max(size as u64, Ordering::Relaxed);
+    OWN_BYTES.with(|own| own.set(own.get() + size as u64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counting touches only atomics and
-// never allocates.
+// upholds the `GlobalAlloc` contract; the counting touches only atomics and a
+// plain thread-local cell, and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
@@ -120,10 +135,35 @@ fn the_byte_path_stays_within_its_allocation_budget() {
     assert!(largest < RECORD_BYTES as u64 / 8, "decode_bytes allocated a {largest} B block");
     drop(decoded);
 
+    // The meter: per-device counters are looked up by `&str`; only the first
+    // sight of a device allocates its keys. (A block has at least one byte,
+    // so zero bytes requested is zero blocks.)
+    let meter = ThroughputMeter::new();
+    meter.record("budget", 1.0);
+    meter.record_wire("budget", wire);
+    meter.record_heartbeat("budget", false);
+    meter.record_heartbeat("budget", true);
+    let before = OWN_BYTES.get();
+    for _ in 0..1_000 {
+        meter.record("budget", 1.0);
+        meter.record_wire("budget", wire);
+        meter.record_heartbeat("budget", false);
+        meter.record_heartbeat("budget", true);
+    }
+    let bytes = OWN_BYTES.get() - before;
+    assert_eq!(bytes, 0, "the meter allocated {bytes} B for a device it had already seen");
+    assert_eq!(meter.report().rows[0].tasks, 1_001);
+
     // A thousand frames over a real loopback link, both ends in this
     // process: the sender's encode, its write queue, the receiver's
     // reassembly buffer and decode all count. Measured 2.0x; the pipeline
     // this budget replaced measured 8.9x (4.0x of it in encode alone).
+    // The producer is paced by the consumer through a two-frame credit
+    // window — how the stack uses a link (`batch_size` credits per
+    // volunteer). A free-running producer measures something else: once it
+    // outruns the consumer, frames pile up in the receive buffer, the
+    // buffer's spare allocation is never free to reuse, and the same code
+    // reads 3.4-4.2x.
     let acceptor = TcpAcceptor::bind("127.0.0.1:0", lenient()).expect("bind");
     let addr = acceptor.local_addr();
     let dialer = std::thread::spawn(move || {
@@ -133,8 +173,11 @@ fn the_byte_path_stays_within_its_allocation_budget() {
     let sender = dialer.join().expect("dialer finishes");
     reset();
     let outbound = message.clone();
+    let window = Semaphore::new(2);
+    let credits = window.clone();
     let producer = std::thread::spawn(move || {
         for _ in 0..FRAMES {
+            assert!(credits.acquire(), "the consumer closed the window");
             loop {
                 match sender.send(outbound.clone()) {
                     Ok(()) => break,
@@ -148,6 +191,7 @@ fn the_byte_path_stays_within_its_allocation_budget() {
     for n in 0..FRAMES {
         let got = receiver.recv_timeout(Duration::from_secs(30)).expect("frame arrives");
         assert!(got == message, "frame {n} arrived altered");
+        window.release();
     }
     let sender = producer.join().expect("producer finishes");
     let (bytes, _) = counted();

@@ -30,7 +30,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A value lent to a sub-stream, tagged with its position in the input stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -126,15 +126,36 @@ struct State<T, R> {
 }
 
 /// Change callback registered with [`StreamLender::add_waker`]: invoked on
-/// every lender state change (a result arrived, a value became lendable, a
-/// sub-stream ended, the stream terminated).
+/// every lender state change: results arrived (once per
+/// [`SubStreamSink::push_batch`]), a value became lendable or was emitted, a
+/// sub-stream ended, the stream terminated.
 pub type LenderWaker = Arc<dyn Fn() + Send + Sync>;
+
+/// What the tests of the wake-up rules observe.
+#[cfg(test)]
+#[derive(Default)]
+struct Probe {
+    /// How often `output_ready` was signalled.
+    output_signals: std::sync::atomic::AtomicUsize,
+    /// How many waits on either condvar were begun. Bumped with the state
+    /// lock held: a test that sees it move and then takes the lock knows the
+    /// sleeper is inside its wait.
+    sleeps: std::sync::atomic::AtomicUsize,
+}
 
 struct Shared<T, R> {
     state: Mutex<State<T, R>>,
-    /// Notified whenever work may have become available, a result arrived, or
-    /// the stream terminated.
+    /// Where blocked *askers* sleep (a sub-stream in [`Shared::ask`], the
+    /// input pump in `prefetch_one`): notified whenever work may have become
+    /// available, the input was checked back in, or the stream terminated.
     changed: Condvar,
+    /// Where the ordered *output* sleeps: signalled only by an event after
+    /// which [`Shared::poll_output`] can answer — the result for `emit_next`
+    /// was stored, the input reported `Done`/`Err`, the output closed or the
+    /// lender shut down. Lends and out-of-order results do not touch it.
+    output_ready: Condvar,
+    #[cfg(test)]
+    probe: Probe,
     /// External change callbacks, for event-driven consumers that cannot park
     /// on the condvar (a reactor multiplexing thousands of sub-streams).
     wakers: Mutex<Vec<LenderWaker>>,
@@ -145,11 +166,50 @@ where
     T: Clone + Send + 'static,
     R: Send + 'static,
 {
+    /// A state change askers and event-driven consumers may care about.
     fn notify(&self) {
         self.changed.notify_all();
+        self.fire_wakers();
+    }
+
+    fn fire_wakers(&self) {
         let wakers = self.wakers.lock();
         for waker in wakers.iter() {
             waker();
+        }
+    }
+
+    /// Wakes the ordered output: [`Shared::poll_output`] can answer now. All
+    /// sleepers are woken — several [`LenderOutput`] handles may wait, and
+    /// each re-polls under the lock.
+    fn signal_output(&self) {
+        #[cfg(test)]
+        self.probe.output_signals.fetch_add(1, Ordering::SeqCst);
+        self.output_ready.notify_all();
+    }
+
+    /// An asker's sleep: until `changed` is notified.
+    fn wait_changed(&self, state: &mut MutexGuard<'_, State<T, R>>) {
+        #[cfg(test)]
+        self.probe.sleeps.fetch_add(1, Ordering::SeqCst);
+        self.changed.wait(state);
+    }
+
+    /// The output's sleep: until `output_ready` is signalled or `deadline`
+    /// passes; `true` if it passed.
+    fn wait_output(
+        &self,
+        state: &mut MutexGuard<'_, State<T, R>>,
+        deadline: Option<Instant>,
+    ) -> bool {
+        #[cfg(test)]
+        self.probe.sleeps.fetch_add(1, Ordering::SeqCst);
+        match deadline {
+            Some(deadline) => self.output_ready.wait_until(state, deadline).timed_out(),
+            None => {
+                self.output_ready.wait(state);
+                false
+            }
         }
     }
 
@@ -189,7 +249,7 @@ where
                     continue;
                 }
                 // Another sub-stream is reading the input: wait for it.
-                self.changed.wait(&mut state);
+                self.wait_changed(&mut state);
                 continue;
             }
             // 3. Input exhausted: wait on others (a crash may still re-lend a
@@ -197,7 +257,7 @@ where
             if state.in_flight.is_empty() && state.failed.is_empty() {
                 return Answer::Done;
             }
-            self.changed.wait(&mut state);
+            self.wait_changed(&mut state);
         }
     }
 
@@ -303,21 +363,15 @@ where
         let answer = MutexGuard::unlocked(state, || ask(&mut input));
         state.input = Some(input);
         state.input_checked_out = false;
-        let answer = match answer {
-            Some(answer) => answer,
-            None => {
-                // The input would have to wait: report nothing available, but
-                // wake sub-streams that may have been waiting on the
-                // checked-out input so they re-try it themselves. Only the
-                // condvar fires — not the external wakers: no value became
-                // available, and a waker fire here would re-kick the very
-                // dispatcher whose failed ask we are reporting (a
-                // kick/ask/kick busy loop).
-                self.changed.notify_all();
-                return None;
-            }
-        };
-        Some(match answer {
+        // The input is back: wake askers that waited for it so they re-try
+        // it themselves (or see what this pull booked below — a termination,
+        // a value recovered into the re-lend pool). Only the condvar fires —
+        // not the external wakers: if the input would have had to wait no
+        // value became available, and a waker fire here would re-kick the
+        // very dispatcher whose failed ask we are reporting (a kick/ask/kick
+        // busy loop).
+        self.changed.notify_all();
+        Some(match answer? {
             Answer::Value(value) => {
                 let seq = state.next_seq;
                 state.next_seq += 1;
@@ -341,33 +395,107 @@ where
                 }
             }
             Answer::Done => {
-                state.input_done = true;
+                self.end_input(state, None);
                 None
             }
             Answer::Err(err) => {
-                state.input_done = true;
-                state.input_error = Some(err);
+                self.end_input(state, Some(err));
                 None
             }
         })
     }
 
-    fn push_result(&self, id: SubStreamId, seq: u64, result: R) -> Result<(), StreamError> {
-        let mut state = self.state.lock();
-        let borrowed = state
-            .borrowed_by
-            .get_mut(&id)
-            .ok_or_else(|| StreamError::protocol("sub-stream already ended"))?;
-        if !borrowed.remove(&seq) {
-            return Err(StreamError::protocol(format!(
-                "result for value {seq} that was not borrowed by {id}"
-            )));
-        }
-        state.in_flight.remove(&seq);
-        state.results.insert(seq, result);
+    /// Books the end of the input. The output may be drained now: wake it.
+    fn end_input(&self, state: &mut State<T, R>, error: Option<StreamError>) {
+        state.input_done = true;
+        state.input_error = error;
+        self.signal_output();
+    }
+
+    /// Reads one value from the input, which the caller found checked in,
+    /// and stages it in the re-lend pool; `false` if the input ended instead.
+    fn prefetch_locked(&self, mut state: MutexGuard<'_, State<T, R>>) -> bool {
+        let mut input = state.input.take().expect("input present when not checked out");
+        state.input_checked_out = true;
+        let answer = MutexGuard::unlocked(&mut state, || input.pull(Request::Ask));
+        state.input = Some(input);
+        state.input_checked_out = false;
+        let produced = match answer {
+            Answer::Value(value) => {
+                let seq = state.next_seq;
+                state.next_seq += 1;
+                state.stats.values_read += 1;
+                // Staged, not lent: the value waits in the re-lend pool until
+                // a sub-stream asks, so `lends` is counted at hand-out time.
+                state.failed.push_back(Lend::new(seq, value));
+                true
+            }
+            Answer::Done => {
+                self.end_input(&mut state, None);
+                false
+            }
+            Answer::Err(err) => {
+                self.end_input(&mut state, Some(err));
+                false
+            }
+        };
         drop(state);
         self.notify();
-        Ok(())
+        produced
+    }
+
+    /// Returns a frame's worth of results to the lender under one lock
+    /// acquisition. The conservative rule is applied per record: a result
+    /// for a value `id` no longer borrows (it was re-lent after a crash
+    /// verdict, or answered twice) is skipped, the rest are stored. Returns
+    /// how many were stored and why the first skipped one was refused.
+    ///
+    /// Askers and wakers hear about it once, the ordered output only if the
+    /// result it is waiting for — `emit_next` — was among them. `records` is
+    /// iterated with the lock held: it must not block or call back in.
+    fn push_results(
+        &self,
+        id: SubStreamId,
+        records: impl IntoIterator<Item = (u64, R)>,
+    ) -> (usize, Option<StreamError>) {
+        let mut guard = self.state.lock();
+        let state = &mut *guard;
+        let mut accepted = 0;
+        let mut refused = None;
+        let mut output_can_answer = false;
+        for (seq, result) in records {
+            let Some(borrowed) = state.borrowed_by.get_mut(&id) else {
+                refused.get_or_insert_with(|| StreamError::protocol("sub-stream already ended"));
+                break;
+            };
+            if !borrowed.remove(&seq) {
+                refused.get_or_insert_with(|| {
+                    StreamError::protocol(format!(
+                        "result for value {seq} that was not borrowed by {id}"
+                    ))
+                });
+                continue;
+            }
+            state.in_flight.remove(&seq);
+            state.results.insert(seq, result);
+            output_can_answer |= seq == state.emit_next;
+            accepted += 1;
+        }
+        drop(guard);
+        if output_can_answer {
+            self.signal_output();
+        }
+        if accepted > 0 {
+            self.notify();
+        }
+        (accepted, refused)
+    }
+
+    fn push_result(&self, id: SubStreamId, seq: u64, result: R) -> Result<(), StreamError> {
+        match self.push_results(id, [(seq, result)]) {
+            (_, Some(refusal)) => Err(refusal),
+            _ => Ok(()),
+        }
     }
 
     /// Ends a sub-stream; returns `false` if it had already ended.
@@ -472,6 +600,9 @@ where
                     stats: LenderStats::default(),
                 }),
                 changed: Condvar::new(),
+                output_ready: Condvar::new(),
+                #[cfg(test)]
+                probe: Probe::default(),
                 wakers: Mutex::new(Vec::new()),
             }),
         }
@@ -528,36 +659,9 @@ where
                 break;
             }
             // Another thread holds the input; wait for it to come back.
-            shared.changed.wait(&mut state);
+            shared.wait_changed(&mut state);
         }
-        let mut input = state.input.take().expect("input present when not checked out");
-        state.input_checked_out = true;
-        let answer = MutexGuard::unlocked(&mut state, || input.pull(Request::Ask));
-        state.input = Some(input);
-        state.input_checked_out = false;
-        let produced = match answer {
-            Answer::Value(value) => {
-                let seq = state.next_seq;
-                state.next_seq += 1;
-                state.stats.values_read += 1;
-                // Staged, not lent: the value waits in the re-lend pool until
-                // a sub-stream asks, so `lends` is counted at hand-out time.
-                state.failed.push_back(Lend::new(seq, value));
-                true
-            }
-            Answer::Done => {
-                state.input_done = true;
-                false
-            }
-            Answer::Err(err) => {
-                state.input_done = true;
-                state.input_error = Some(err);
-                false
-            }
-        };
-        drop(state);
-        shared.notify();
-        produced
+        shared.prefetch_locked(state)
     }
 
     /// Like [`StreamLender::prefetch_one`] but never waits for the input:
@@ -566,37 +670,11 @@ where
     /// pull returns. Intended for termination broadcasts, where the input
     /// is known to answer instantly once the end has been recorded.
     pub fn try_prefetch_one(&self) -> bool {
-        let shared = &self.shared;
-        let mut state = shared.state.lock();
+        let state = self.shared.state.lock();
         if state.output_closed || state.input_done || state.input_checked_out {
             return false;
         }
-        let mut input = state.input.take().expect("input present when not checked out");
-        state.input_checked_out = true;
-        let answer = MutexGuard::unlocked(&mut state, || input.pull(Request::Ask));
-        state.input = Some(input);
-        state.input_checked_out = false;
-        let produced = match answer {
-            Answer::Value(value) => {
-                let seq = state.next_seq;
-                state.next_seq += 1;
-                state.stats.values_read += 1;
-                state.failed.push_back(Lend::new(seq, value));
-                true
-            }
-            Answer::Done => {
-                state.input_done = true;
-                false
-            }
-            Answer::Err(err) => {
-                state.input_done = true;
-                state.input_error = Some(err);
-                false
-            }
-        };
-        drop(state);
-        shared.notify();
-        produced
+        self.shared.prefetch_locked(state)
     }
 
     /// Creates a new sub-stream. Sub-streams may be created at any time, even
@@ -651,6 +729,7 @@ where
         let mut state = self.shared.state.lock();
         state.output_closed = true;
         drop(state);
+        self.shared.signal_output();
         self.shared.notify();
     }
 }
@@ -935,6 +1014,19 @@ where
         self.guard.shared.push_result(self.guard.id, seq, result)
     }
 
+    /// Returns the `(seq, result)` records of one frame to the lender at
+    /// once — one lock acquisition and at most one wake-up of the ordered
+    /// output, however many records the frame carries — and reports how
+    /// many were accepted. [`SubStreamSink::push`] is the one-record case.
+    ///
+    /// A late record (see [`SubStreamSink::push`]) is skipped, not an error
+    /// for the frame: the records around it are accepted. `records` is
+    /// consumed with the lender locked, so it must be a plain in-memory
+    /// iterator.
+    pub fn push_batch(&self, records: impl IntoIterator<Item = (u64, R)>) -> usize {
+        self.guard.shared.push_results(self.guard.id, records).0
+    }
+
     /// Ends the sub-stream explicitly: gracefully when `clean`, with crash
     /// semantics (borrowed values re-lent) otherwise. Idempotent with the
     /// guard's drop-based end-of-life.
@@ -997,15 +1089,15 @@ where
     /// Returns `None` on timeout; the stream is left untouched, so the caller
     /// may retry. Useful for monitors that interleave other work.
     pub fn next_timeout(&mut self, timeout: Duration) -> Option<Answer<R>> {
-        let deadline = std::time::Instant::now() + timeout;
+        let deadline = Instant::now() + timeout;
         let mut state = self.shared.state.lock();
         loop {
             if let Some(answer) = Shared::poll_output(&mut state) {
                 drop(state);
-                self.shared.notify();
+                self.shared.fire_wakers();
                 return Some(answer);
             }
-            if self.shared.changed.wait_until(&mut state, deadline).timed_out() {
+            if self.shared.wait_output(&mut state, Some(deadline)) {
                 return Shared::poll_output(&mut state);
             }
         }
@@ -1030,6 +1122,7 @@ where
                 state.input = Some(input);
             }
             drop(state);
+            self.shared.signal_output();
             self.shared.notify();
             return match request {
                 Request::Fail(err) => Answer::Err(err),
@@ -1038,12 +1131,39 @@ where
         }
         loop {
             if let Some(answer) = Shared::poll_output(&mut state) {
+                // An emit changes nothing an asker waits for (`results`,
+                // `emit_next`), so `changed` stays quiet; event-driven
+                // consumers hear of it as they always did.
                 drop(state);
-                self.shared.notify();
+                self.shared.fire_wakers();
                 return answer;
             }
-            self.shared.changed.wait(&mut state);
+            self.shared.wait_output(&mut state, None);
         }
+    }
+}
+
+/// What the wake-up tests of this module and of [`crate::shard`] read.
+#[cfg(test)]
+impl<T, R> StreamLender<T, R> {
+    /// Waits begun inside this lender so far.
+    pub(crate) fn sleeps(&self) -> usize {
+        self.shared.probe.sleeps.load(Ordering::SeqCst)
+    }
+
+    /// How often the ordered output was signalled so far.
+    pub(crate) fn output_signals(&self) -> usize {
+        self.shared.probe.output_signals.load(Ordering::SeqCst)
+    }
+
+    /// Returns once a thread has begun a wait since `sleeps_before` was read
+    /// and is inside it: the probe moves with the state lock held, so taking
+    /// that lock after seeing it move finds the sleeper parked.
+    pub(crate) fn await_sleeper(&self, sleeps_before: usize) {
+        while self.sleeps() <= sleeps_before {
+            std::thread::yield_now();
+        }
+        drop(self.shared.state.lock());
     }
 }
 
@@ -1551,5 +1671,260 @@ mod tests {
         worker.join().unwrap();
         assert_eq!(output, (1..=30u64).map(|x| x * x).collect::<Vec<_>>());
         assert!(lender.stats().relends > 0);
+    }
+
+    // --- The wake discipline: who is woken, by what, how often -------------
+
+    const WATCHDOG: Duration = Duration::from_secs(30);
+
+    /// The two ways a consumer sleeps on the ordered output.
+    #[derive(Clone, Copy, Debug)]
+    enum Blocking {
+        Pull,
+        NextTimeout,
+    }
+
+    const BOTH: [Blocking; 2] = [Blocking::Pull, Blocking::NextTimeout];
+
+    /// A thread parked inside a blocking call on the lender, and the answer
+    /// it will come back with.
+    struct Parked<A> {
+        answer: std::sync::mpsc::Receiver<A>,
+        thread: thread::JoinHandle<()>,
+    }
+
+    impl<A: Send + 'static> Parked<A> {
+        /// Runs `call` on a thread of its own and returns once it sleeps
+        /// inside `lender`.
+        fn inside(
+            lender: &StreamLender<u64, u64>,
+            call: impl FnOnce() -> A + Send + 'static,
+        ) -> Self {
+            let sleeps_before = lender.sleeps();
+            let (tx, answer) = std::sync::mpsc::channel();
+            let thread = thread::spawn(move || {
+                let _ = tx.send(call());
+            });
+            lender.await_sleeper(sleeps_before);
+            Self { answer, thread }
+        }
+
+        fn is_asleep(&self) -> bool {
+            matches!(self.answer.try_recv(), Err(std::sync::mpsc::TryRecvError::Empty))
+        }
+
+        /// The answer the sleeper was woken with; panics if nothing wakes it.
+        fn woken(self) -> A {
+            let answer = self.answer.recv_timeout(WATCHDOG).expect("the sleeper was never woken");
+            self.thread.join().unwrap();
+            answer
+        }
+    }
+
+    /// A consumer asleep on the ordered output of `lender`.
+    fn parked_output(lender: &StreamLender<u64, u64>, how: Blocking) -> Parked<Answer<u64>> {
+        let mut output = lender.output();
+        Parked::inside(lender, move || match how {
+            Blocking::Pull => output.pull(Request::Ask),
+            Blocking::NextTimeout => {
+                output.next_timeout(2 * WATCHDOG).expect("woken, not timed out")
+            }
+        })
+    }
+
+    /// What an asker comes back with: its answer, and itself.
+    type Asked = (Answer<Lend<u64>>, SubStream<u64, u64>);
+
+    /// A sub-stream asleep in `ask`.
+    fn parked_asker(
+        lender: &StreamLender<u64, u64>,
+        mut sub: SubStream<u64, u64>,
+    ) -> Parked<Asked> {
+        Parked::inside(lender, move || (sub.ask(), sub))
+    }
+
+    #[test]
+    fn parked_output_is_woken_by_the_in_order_result_not_by_later_ones() {
+        for how in BOTH {
+            let lender: StreamLender<u64, u64> = StreamLender::new(count(3));
+            let mut sub = lender.lend();
+            let tasks: Vec<_> = (0..3).map(|_| sub.next_task().unwrap()).collect();
+            let consumer = parked_output(&lender, how);
+            let signals = lender.output_signals();
+            sub.push_result(tasks[2].seq, 30).unwrap();
+            sub.push_result(tasks[1].seq, 20).unwrap();
+            assert_eq!(lender.output_signals(), signals, "{how:?}: out-of-order results are quiet");
+            assert!(consumer.is_asleep(), "{how:?}: nothing to emit yet");
+            sub.push_result(tasks[0].seq, 10).unwrap();
+            assert_eq!(lender.output_signals(), signals + 1);
+            assert_eq!(consumer.woken(), Answer::Value(10), "{how:?}");
+            assert!(sub.next_task().is_none(), "the input is exhausted");
+            sub.complete();
+            assert_eq!(lender.output().collect_values().unwrap(), vec![20, 30]);
+        }
+    }
+
+    #[test]
+    fn parked_output_is_woken_by_input_done_with_everything_emitted() {
+        for how in BOTH {
+            let lender: StreamLender<u64, u64> = StreamLender::new(count(1));
+            let mut sub = lender.lend();
+            let task = sub.next_task().unwrap();
+            sub.push_result(task.seq, 7).unwrap();
+            assert_eq!(lender.output().pull(Request::Ask), Answer::Value(7));
+            // Everything read was emitted, but the lazy input has not said
+            // it is exhausted: the output must wait for that.
+            let consumer = parked_output(&lender, how);
+            assert!(sub.next_task().is_none(), "the ask that finds the input exhausted");
+            assert_eq!(consumer.woken(), Answer::Done, "{how:?}");
+            sub.complete();
+        }
+    }
+
+    #[test]
+    fn parked_output_is_woken_by_an_input_error() {
+        for how in BOTH {
+            let lender: StreamLender<u64, u64> =
+                StreamLender::new(failing(StreamError::new("bad input")));
+            let consumer = parked_output(&lender, how);
+            let mut sub = lender.lend();
+            assert!(sub.next_task().is_none());
+            match consumer.woken() {
+                Answer::Err(err) => assert_eq!(err.message(), "bad input", "{how:?}"),
+                other => panic!("{how:?}: expected the input error, got {other:?}"),
+            }
+            sub.complete();
+        }
+    }
+
+    #[test]
+    fn parked_output_is_woken_by_shutdown() {
+        for how in BOTH {
+            let lender: StreamLender<u64, u64> = StreamLender::new(count(5));
+            let consumer = parked_output(&lender, how);
+            lender.shutdown();
+            assert_eq!(consumer.woken(), Answer::Done, "{how:?}");
+        }
+    }
+
+    #[test]
+    fn parked_output_is_woken_when_another_handle_aborts_the_output() {
+        for how in BOTH {
+            let lender: StreamLender<u64, u64> = StreamLender::new(count(5));
+            let consumer = parked_output(&lender, how);
+            assert_eq!(lender.output().pull(Request::Abort), Answer::Done);
+            assert_eq!(consumer.woken(), Answer::Done, "{how:?}");
+        }
+    }
+
+    #[test]
+    fn every_parked_output_handle_is_woken_to_re_poll() {
+        let lender: StreamLender<u64, u64> = StreamLender::new(count(2));
+        let mut sub = lender.lend();
+        let (a, b) = (sub.next_task().unwrap(), sub.next_task().unwrap());
+        let handles =
+            [parked_output(&lender, Blocking::Pull), parked_output(&lender, Blocking::NextTimeout)];
+        sub.push_result(b.seq, 2).unwrap();
+        // One signal for two answers: the handle that loses the race for the
+        // first finds the second through the winner's emit, so both must
+        // have been woken.
+        sub.push_result(a.seq, 1).unwrap();
+        let mut got = handles.map(|handle| handle.woken().into_value());
+        got.sort();
+        assert_eq!(got, [Some(1), Some(2)]);
+        sub.complete();
+    }
+
+    #[test]
+    fn parked_asker_is_woken_when_the_input_is_checked_back_in() {
+        // An input that holds its caller until the test lets it answer.
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (gate, gate_rx) = std::sync::mpsc::channel::<Answer<u64>>();
+        let input = move |request: Request| -> Answer<u64> {
+            if request.is_termination() {
+                return Answer::Done;
+            }
+            entered_tx.send(()).unwrap();
+            gate_rx.recv().unwrap_or(Answer::Done)
+        };
+        let lender: StreamLender<u64, u64> = StreamLender::new(input);
+        let (mut holder, waiter) = (lender.lend(), lender.lend());
+        let holding = thread::spawn(move || (holder.ask(), holder));
+        entered.recv_timeout(WATCHDOG).expect("the holder reached the input");
+        // The input is checked out: the second asker sleeps until it is back.
+        let waiting = parked_asker(&lender, waiter);
+        // It comes back exhausted. The holder books that and leaves with
+        // `Done`; no value was lent and no result stored, so the check-in
+        // itself is the only event that can wake the waiter.
+        gate.send(Answer::Done).unwrap();
+        let (answer, holder) = holding.join().unwrap();
+        assert_eq!(answer, Answer::Done);
+        let (answer, waiter) = waiting.woken();
+        assert_eq!(answer, Answer::Done);
+        holder.complete();
+        waiter.complete();
+    }
+
+    #[test]
+    fn parked_asker_is_woken_by_a_re_lend() {
+        let lender: StreamLender<u64, u64> = StreamLender::new(count(1));
+        let mut doomed = lender.lend();
+        let task = doomed.next_task().unwrap();
+        // The input is exhausted and its only value is in flight elsewhere:
+        // the asker waits for a crash to make it lendable again.
+        let waiting = parked_asker(&lender, lender.lend());
+        drop(doomed);
+        let (answer, mut rescuer) = waiting.woken();
+        assert_eq!(answer, Answer::Value(task.clone()));
+        rescuer.push_result(task.seq, 9).unwrap();
+        rescuer.complete();
+        assert_eq!(lender.output().collect_values().unwrap(), vec![9]);
+    }
+
+    #[test]
+    fn parked_asker_is_woken_by_termination() {
+        let lender: StreamLender<u64, u64> = StreamLender::new(count(1));
+        let mut worker = lender.lend();
+        let task = worker.next_task().unwrap();
+        let waiting = parked_asker(&lender, lender.lend());
+        // The last outstanding result: nothing can ever be lent again.
+        worker.push_result(task.seq, 9).unwrap();
+        let (answer, idle) = waiting.woken();
+        assert_eq!(answer, Answer::Done);
+        idle.complete();
+        worker.complete();
+    }
+
+    #[test]
+    fn push_batch_skips_a_late_record_and_signals_the_output_once() {
+        use std::sync::atomic::AtomicUsize;
+        let lender: StreamLender<u64, u64> = StreamLender::new(count(4));
+        let (mut source, sink) = lender.lend().into_duplex();
+        let tasks: Vec<_> = std::iter::from_fn(|| source.try_pull()).collect();
+        assert_eq!(tasks.len(), 4);
+        let wakeups = Arc::new(AtomicUsize::new(0));
+        let counter = wakeups.clone();
+        lender.add_waker(Arc::new(move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+        }));
+        let signals = lender.output_signals();
+        // A frame without the result the output waits for is quiet there.
+        assert_eq!(sink.push_batch([(3, 40)]), 1);
+        assert_eq!(lender.output_signals(), signals);
+        assert_eq!(wakeups.load(Ordering::SeqCst), 1, "wakers hear of a frame once");
+        // Seq 9 was never borrowed (a late result, to the lender): it is
+        // skipped, the records around it are stored, and the output — which
+        // can now emit — is signalled once for the whole frame.
+        assert_eq!(sink.push_batch([(0, 10), (9, 99), (1, 20), (2, 30)]), 3);
+        assert_eq!(lender.output_signals(), signals + 1);
+        assert_eq!(wakeups.load(Ordering::SeqCst), 2);
+        // A frame of late results only changes nothing and wakes nobody.
+        assert_eq!(sink.push_batch([(0, 11), (3, 41)]), 0);
+        assert_eq!(lender.output_signals(), signals + 1);
+        assert_eq!(wakeups.load(Ordering::SeqCst), 2);
+        assert!(sink.push(0, 11).is_err(), "the one-record case reports the refusal");
+        sink.finish(true);
+        drop(source);
+        assert_eq!(lender.output().collect_values().unwrap(), vec![10, 20, 30, 40]);
     }
 }

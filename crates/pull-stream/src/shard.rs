@@ -1016,4 +1016,104 @@ mod tests {
         });
         assert!(caught.is_err());
     }
+
+    // --- The merged output sleeps on one shard's output at a time ----------
+
+    const WATCHDOG: Duration = Duration::from_secs(30);
+
+    /// A sub-stream and the tasks it has borrowed.
+    type Held = (SubStream<u64, u64>, Vec<crate::lender::Lend<u64>>);
+
+    /// Two shards, chunks of two, one sub-stream each holding its chunk:
+    /// shard 0 owns global seqs 0-1, shard 1 owns 2-3.
+    fn two_shards_holding_a_chunk_each() -> (ShardedLender<u64, u64>, Held, Held) {
+        let sharded: ShardedLender<u64, u64> = ShardedLender::new(count(4), 2, 2);
+        let hold = |shard| {
+            let mut sub = sharded.lend_on(shard);
+            let tasks = vec![sub.next_task().unwrap(), sub.next_task().unwrap()];
+            (sub, tasks)
+        };
+        let (first, second) = (hold(0), hold(1));
+        assert_eq!(sharded.claim_log(), vec![0, 1]);
+        (sharded, first, second)
+    }
+
+    /// Drains the merged output on a thread of its own — by `pull`, or by
+    /// `next_timeout` when `timed` — and returns once that thread sleeps on
+    /// the output of `asleep_on`. The drained values arrive on the channel;
+    /// a consumer that panicked hangs it up.
+    fn parked_merge(
+        sharded: &ShardedLender<u64, u64>,
+        asleep_on: usize,
+        timed: bool,
+    ) -> std::sync::mpsc::Receiver<Vec<u64>> {
+        let sleeps_before = sharded.lenders[asleep_on].sleeps();
+        let mut output = sharded.output();
+        let (drained_tx, drained) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            let mut values = Vec::new();
+            loop {
+                let answer = if timed {
+                    output.next_timeout(2 * WATCHDOG).expect("woken, not timed out")
+                } else {
+                    output.pull(Request::Ask)
+                };
+                match answer {
+                    Answer::Value(value) => values.push(value),
+                    Answer::Done => break,
+                    Answer::Err(err) => panic!("merged output failed: {err}"),
+                }
+            }
+            let _ = drained_tx.send(values);
+        });
+        sharded.lenders[asleep_on].await_sleeper(sleeps_before);
+        drained
+    }
+
+    /// What the parked consumer drained; panics if it is never woken.
+    fn drained(consumer: std::sync::mpsc::Receiver<Vec<u64>>) -> Vec<u64> {
+        consumer.recv_timeout(WATCHDOG).expect("the merged output was never woken")
+    }
+
+    #[test]
+    fn merge_asleep_before_a_chunk_boundary_crosses_it_on_the_in_order_result() {
+        for timed in [false, true] {
+            let (sharded, (mut sub0, held0), (mut sub1, held1)) = two_shards_holding_a_chunk_each();
+            let consumer = parked_merge(&sharded, 0, timed);
+            // Shard 1 finishes its whole chunk and shard 0 its second value:
+            // nothing the merge can emit, and nobody sleeps on shard 1.
+            sub1.push_result(held1[0].seq, 30).unwrap();
+            sub1.push_result(held1[1].seq, 40).unwrap();
+            sub0.push_result(held0[1].seq, 20).unwrap();
+            assert!(consumer.try_recv().is_err(), "nothing to emit yet");
+            // The result it waits for wakes it; it then crosses into shard
+            // 1's chunk and finds those results without another wake-up.
+            sub0.push_result(held0[0].seq, 10).unwrap();
+            assert!(sub0.next_task().is_none(), "the ask that finds the input exhausted");
+            assert_eq!(drained(consumer), vec![10, 20, 30, 40], "timed: {timed}");
+            sub0.complete();
+            sub1.complete();
+        }
+    }
+
+    #[test]
+    fn merge_asleep_after_a_chunk_boundary_is_woken_by_the_next_shard() {
+        for timed in [false, true] {
+            let (sharded, (mut sub0, held0), (mut sub1, held1)) = two_shards_holding_a_chunk_each();
+            sub0.push_result(held0[0].seq, 10).unwrap();
+            sub0.push_result(held0[1].seq, 20).unwrap();
+            // The merge emits shard 0's chunk, crosses the boundary and
+            // sleeps on shard 1's output.
+            let consumer = parked_merge(&sharded, 1, timed);
+            let signals = sharded.lenders[1].output_signals();
+            sub1.push_result(held1[1].seq, 40).unwrap();
+            assert_eq!(sharded.lenders[1].output_signals(), signals, "out of order: quiet");
+            sub1.push_result(held1[0].seq, 30).unwrap();
+            assert_eq!(sharded.lenders[1].output_signals(), signals + 1);
+            assert!(sub1.next_task().is_none(), "the ask that finds the input exhausted");
+            assert_eq!(drained(consumer), vec![10, 20, 30, 40], "timed: {timed}");
+            sub0.complete();
+            sub1.complete();
+        }
+    }
 }
