@@ -1,7 +1,7 @@
 # Local invocations matching the CI jobs in .github/workflows/ci.yml —
 # `make lint test` before pushing reproduces what CI will run.
 
-.PHONY: all build test lint fmt doc bench bench-run perf perf-pairs scale scale-sharded sim scenarios tcp-demo tcp-demo-flap clean
+.PHONY: all build test lint fmt doc bench bench-run perf perf-pairs profile sim-counters scale scale-sharded sim scenarios tcp-demo tcp-demo-flap clean
 
 all: lint build test doc
 
@@ -46,6 +46,19 @@ PAIRS ?= 10
 SECONDS ?= 20
 perf-pairs:
 	sh scripts/perf-pairs.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SECONDS)
+
+# Where the CPU time of one workload goes: an untraced benchmark run under a
+# preloaded SIGPROF sampler (scripts/prof/, system `cc`, `nm` and `python3`
+# only), printed as per-thread flat / total / caller tables.
+# `make profile WORKLOAD=sim_churn SECONDS=20`.
+profile:
+	sh scripts/prof/profile.sh $(WORKLOAD) $(SECONDS)
+
+# The deterministic counters of a traced two-second `sim_churn` run against
+# scripts/sim_churn.expect: exact for the counts that repeat, an upper bound
+# for allocations per task. Same step CI runs; "behaviour-preserving", checked.
+sim-counters:
+	sh scripts/sim-counters.sh
 
 # The 10k-volunteer reactor demonstration: one master, a fixed thread pool,
 # results seq-checked. CI runs the same example at 1k (its default).

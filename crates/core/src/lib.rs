@@ -23,7 +23,8 @@
 //! * [`monitor`] — the synchronous-parallel-search feedback loop used by the
 //!   crypto-currency mining application (paper §4.2);
 //! * [`metrics`] — per-device throughput accounting over a measurement
-//!   window, as used for Table 2;
+//!   window, as used for Table 2: lock-free cells fed through handles the
+//!   drivers hold;
 //! * [`sim`] — the deterministic simulators: the analytic model replaying
 //!   the LAN / VPN / WAN experiments, and the virtual-clock *fleet
 //!   simulator* that single-steps the real reactor for tick-for-tick

@@ -21,7 +21,7 @@
 //! [`TaskCodec`] on top for applications with native task/result types.
 
 use crate::config::{PandoConfig, VolunteerBackend};
-use crate::metrics::ThroughputMeter;
+use crate::metrics::{DeviceMeter, ShardMeter, ThroughputMeter};
 use crate::protocol::Message;
 use crate::reactor::{DriverHandle, Reactor, ReactorStats};
 use crate::transport::Transport;
@@ -234,8 +234,7 @@ impl Pando {
         let state = self.state.lock();
         if let Some(lender) = state.lender.as_ref() {
             for shard in 0..lender.shard_count() {
-                self.meter.observe_shard(
-                    shard,
+                self.meter.shard(shard).observe(
                     lender.shard_depth(shard) as u64,
                     lender.shard_in_flight(shard) as u64,
                 );
@@ -436,22 +435,22 @@ fn wire_volunteer(
     let window = Semaphore::new(config.batching.batch_size);
     let tasks_per_frame = config.effective_tasks_per_frame();
 
+    // Both pumps feed the volunteer's and the shard's meter cell.
+    let cells = (meter.device(name), meter.shard(shard));
     let dispatcher = {
         let endpoint = endpoint.clone();
         let window = window.clone();
-        let meter = meter.clone();
-        let name = name.to_string();
+        let cells = cells.clone();
         std::thread::Builder::new()
             .name(format!("pando-dispatch-{name}"))
-            .spawn(move || run_dispatcher(source, endpoint, window, tasks_per_frame, meter, name))
+            .spawn(move || run_dispatcher(source, endpoint, window, tasks_per_frame, cells))
             .expect("spawn volunteer dispatcher thread")
     };
     let receiver = {
         let name = name.to_string();
-        let meter = meter.clone();
         std::thread::Builder::new()
             .name(format!("pando-receive-{name}"))
-            .spawn(move || run_receiver(sink, endpoint, window, meter, name))
+            .spawn(move || run_receiver(sink, endpoint, window, cells, name))
             .expect("spawn volunteer receiver thread")
     };
     VolunteerLink::Threads { dispatcher, receiver }
@@ -465,8 +464,7 @@ fn run_dispatcher(
     endpoint: Arc<dyn Transport>,
     window: Semaphore,
     tasks_per_frame: usize,
-    meter: ThroughputMeter,
-    name: String,
+    (device, shard): (DeviceMeter, ShardMeter),
 ) -> Result<(), StreamError> {
     // A value pulled for a frame that had no byte budget left; it opens the
     // next frame (its window slot is already held).
@@ -525,9 +523,8 @@ fn run_dispatcher(
         loop {
             match endpoint.send_records_with_size(message.clone(), size, count) {
                 Ok(()) => {
-                    meter.record_wire(&name, size as u64);
-                    // The threads backend always runs a single shard.
-                    meter.record_shard_borrows(0, count);
+                    device.record_wire(size as u64);
+                    shard.record_borrows(count);
                     break;
                 }
                 Err(SendError::WouldBlock) => {
@@ -561,7 +558,7 @@ fn run_receiver(
     sink: SubStreamSink<Bytes, Bytes>,
     endpoint: Arc<dyn Transport>,
     window: Semaphore,
-    meter: ThroughputMeter,
+    (device, shard): (DeviceMeter, ShardMeter),
     name: String,
 ) -> Result<(), StreamError> {
     let mut accept = |seq: u64, payload: Bytes| {
@@ -570,16 +567,15 @@ fn run_receiver(
         // authoritative) — and it neither frees a window slot nor counts as
         // a completed task, since no in-flight borrow corresponds to it.
         if sink.push(seq, payload).is_ok() {
-            meter.record(&name, 1.0);
-            // The threads backend always runs a single shard.
-            meter.record_shard_results(0, 1);
+            device.record(1, 1.0);
+            shard.record_results(1);
             window.release();
         }
     };
     loop {
         match endpoint.recv() {
             Ok(message @ Message::TaskResult { .. }) | Ok(message @ Message::ResultBatch(_)) => {
-                meter.record_wire(&name, message.wire_size() as u64);
+                device.record_wire(message.wire_size() as u64);
                 message.demux_results(&mut accept);
             }
             Ok(Message::TaskError { seq, message }) => {

@@ -4,28 +4,50 @@
 //! over a five-minute window and derives the device's average throughput and
 //! its share of the total. [`ThroughputMeter`] collects those counts during a
 //! run; [`ThroughputReport`] renders them.
+//!
+//! The meter sits *beside* the dispatch path, not in it. Its counters live in
+//! cells — one per device name, one per lender shard — and whoever feeds a
+//! cell looks it up once ([`ThroughputMeter::device`],
+//! [`ThroughputMeter::shard`]) and keeps the handle: a record is then a few
+//! relaxed atomic adds on the holder's own cell, with no lock, no lookup and
+//! no allocation. Only the look-ups and [`ThroughputMeter::report`] take the
+//! meter's registry lock.
+//!
+//! ```
+//! use pando_core::metrics::ThroughputMeter;
+//!
+//! let meter = ThroughputMeter::new();
+//! let tablet = meter.device("tablet"); // once, when the device joins
+//! tablet.record_wire(120);             // per frame, lock-free
+//! tablet.record(2, 1.0);               // two results came back in it
+//! let report = meter.report();
+//! assert_eq!((report.rows[0].tasks, report.rows[0].wire_frames), (2, 1));
+//! ```
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Collects per-device completion counts during a run.
+/// Collects per-device completion counts during a run. Clones share the same
+/// cells.
 #[derive(Debug, Clone)]
 pub struct ThroughputMeter {
-    inner: Arc<Mutex<MeterState>>,
+    inner: Arc<MeterInner>,
 }
 
 #[derive(Debug)]
-struct MeterState {
+struct MeterInner {
     started_at: Instant,
-    counts: BTreeMap<String, u64>,
-    units: BTreeMap<String, f64>,
-    bytes: BTreeMap<String, u64>,
-    frames: BTreeMap<String, u64>,
-    heartbeats: BTreeMap<String, u64>,
-    heartbeats_suppressed: BTreeMap<String, u64>,
-    shards: BTreeMap<usize, ShardCounters>,
+    /// The registry of cells. Never taken by a record.
+    cells: Mutex<Cells>,
+}
+
+#[derive(Debug, Default)]
+struct Cells {
+    devices: BTreeMap<String, Arc<DeviceCell>>,
+    shards: BTreeMap<usize, Arc<ShardCell>>,
     scheduler: Option<SchedulerCounters>,
 }
 
@@ -46,146 +68,183 @@ pub struct SchedulerCounters {
     pub kicks_suppressed: u64,
 }
 
-/// Accumulated dispatch counters and last-observed gauges for one lender
-/// shard.
-#[derive(Debug, Default, Clone, Copy)]
-struct ShardCounters {
-    borrows: u64,
-    results: u64,
-    depth: u64,
-    in_flight: u64,
+/// The counters of one device. Statistics only — they publish no other data,
+/// so every access is `Relaxed`.
+#[derive(Debug, Default)]
+struct DeviceCell {
+    tasks: AtomicU64,
+    /// The bits of an `f64` (zero bits are `0.0`).
+    units: AtomicU64,
+    wire_bytes: AtomicU64,
+    wire_frames: AtomicU64,
+    heartbeats_sent: AtomicU64,
+    heartbeats_suppressed: AtomicU64,
 }
 
-/// The counter of `device` in `map`. These run several times per task on the
-/// reactor thread, so the key is looked up by `&str` and allocated only the
-/// first time a device is seen.
-fn counter<'a, V: Default>(map: &'a mut BTreeMap<String, V>, device: &str) -> &'a mut V {
-    if !map.contains_key(device) {
-        map.insert(device.to_string(), V::default());
+/// Accumulated dispatch counters and last-observed gauges of one lender
+/// shard; `Relaxed` like [`DeviceCell`].
+#[derive(Debug, Default)]
+struct ShardCell {
+    borrows: AtomicU64,
+    results: AtomicU64,
+    depth: AtomicU64,
+    in_flight: AtomicU64,
+    /// The gauges were set at least once (an observed shard gets its row even
+    /// while everything reads zero).
+    observed: AtomicBool,
+}
+
+/// A feeder's handle on the counters of one device, from
+/// [`ThroughputMeter::device`]. Handles of one name share one cell, so a
+/// volunteer that re-registers or resumes keeps its row.
+#[derive(Debug, Clone)]
+pub struct DeviceMeter(Arc<DeviceCell>);
+
+impl DeviceMeter {
+    /// Records that the device completed `n` tasks worth `units` table units
+    /// each. The units are added one task at a time, so the sum is the same
+    /// `f64` whether results are recorded singly or a frame at once.
+    pub fn record(&self, n: u64, units: f64) {
+        self.0.tasks.fetch_add(n, Relaxed);
+        let add = |bits| Some((0..n).fold(f64::from_bits(bits), |sum, _| sum + units).to_bits());
+        let _ = self.0.units.fetch_update(Relaxed, Relaxed, add);
     }
-    map.get_mut(device).expect("present: inserted above if it was not")
+
+    /// Records that one wire frame of `bytes` payload bytes travelled on the
+    /// device's channel (either direction). Together with the task count
+    /// this exposes the protocol overhead per task: batching drives the
+    /// frames-per-task ratio below one.
+    pub fn record_wire(&self, bytes: u64) {
+        self.0.wire_bytes.fetch_add(bytes, Relaxed);
+        self.0.wire_frames.fetch_add(1, Relaxed);
+    }
+
+    /// Records the fate of one heartbeat slot on the device's channel: a
+    /// standalone control frame actually sent, or one suppressed because data
+    /// traffic within the heartbeat interval already proved liveness.
+    pub fn record_heartbeat(&self, suppressed: bool) {
+        let cell = &self.0;
+        let slot = if suppressed { &cell.heartbeats_suppressed } else { &cell.heartbeats_sent };
+        slot.fetch_add(1, Relaxed);
+    }
+}
+
+/// A feeder's handle on the counters of one lender shard, from
+/// [`ThroughputMeter::shard`]. Every driver of a shard holds one; they share
+/// the shard's cell.
+#[derive(Debug, Clone)]
+pub struct ShardMeter(Arc<ShardCell>);
+
+impl ShardMeter {
+    /// Records that `n` values were borrowed from the shard and dispatched
+    /// towards a volunteer (including re-lends after crashes).
+    pub fn record_borrows(&self, n: u64) {
+        self.0.borrows.fetch_add(n, Relaxed);
+    }
+
+    /// Records that `n` results returned by volunteers were accepted by the
+    /// shard.
+    pub fn record_results(&self, n: u64) {
+        self.0.results.fetch_add(n, Relaxed);
+    }
+
+    /// Records a point-in-time observation of the shard's queues: `depth`
+    /// values staged or awaiting re-lend and `in_flight` values borrowed but
+    /// not yet answered. Gauges, overwritten on every call.
+    pub fn observe(&self, depth: u64, in_flight: u64) {
+        self.0.depth.store(depth, Relaxed);
+        self.0.in_flight.store(in_flight, Relaxed);
+        self.0.observed.store(true, Relaxed);
+    }
 }
 
 impl ThroughputMeter {
     /// Creates a meter whose window starts now.
     pub fn new() -> Self {
         Self {
-            inner: Arc::new(Mutex::new(MeterState {
+            inner: Arc::new(MeterInner {
                 started_at: Instant::now(),
-                counts: BTreeMap::new(),
-                units: BTreeMap::new(),
-                bytes: BTreeMap::new(),
-                frames: BTreeMap::new(),
-                heartbeats: BTreeMap::new(),
-                heartbeats_suppressed: BTreeMap::new(),
-                shards: BTreeMap::new(),
-                scheduler: None,
-            })),
+                cells: Mutex::new(Cells::default()),
+            }),
         }
     }
 
-    /// Records that `device` completed one task worth `units` table units.
-    pub fn record(&self, device: &str, units: f64) {
-        let mut state = self.inner.lock();
-        *counter(&mut state.counts, device) += 1;
-        *counter(&mut state.units, device) += units;
+    /// The handle on the counters of `device`, creating its cell on first
+    /// sight. Look it up once — where the device joins — and record through
+    /// the handle. A device nothing was recorded on renders no row.
+    pub fn device(&self, device: &str) -> DeviceMeter {
+        DeviceMeter(self.inner.cells.lock().devices.entry(device.to_string()).or_default().clone())
     }
 
-    /// Records that one wire frame of `bytes` payload bytes travelled on the
-    /// channel of `device` (either direction). Together with the task count
-    /// this exposes the protocol overhead per task: batching drives the
-    /// frames-per-task ratio below one.
-    pub fn record_wire(&self, device: &str, bytes: u64) {
-        let mut state = self.inner.lock();
-        *counter(&mut state.bytes, device) += bytes;
-        *counter(&mut state.frames, device) += 1;
-    }
-
-    /// Records the fate of one heartbeat slot on the channel of `device`: a
-    /// standalone control frame actually sent, or one suppressed because data
-    /// traffic within the heartbeat interval already proved liveness.
-    pub fn record_heartbeat(&self, device: &str, suppressed: bool) {
-        let mut state = self.inner.lock();
-        let map = if suppressed { &mut state.heartbeats_suppressed } else { &mut state.heartbeats };
-        *counter(map, device) += 1;
-    }
-
-    /// Records that `n` values were borrowed from lender shard `shard` and
-    /// dispatched towards a volunteer (including re-lends after crashes).
-    pub fn record_shard_borrows(&self, shard: usize, n: u64) {
-        self.inner.lock().shards.entry(shard).or_default().borrows += n;
-    }
-
-    /// Records that `n` results returned by volunteers were accepted by
-    /// lender shard `shard`.
-    pub fn record_shard_results(&self, shard: usize, n: u64) {
-        self.inner.lock().shards.entry(shard).or_default().results += n;
-    }
-
-    /// Records a point-in-time observation of shard `shard`'s queues:
-    /// `depth` values staged or awaiting re-lend and `in_flight` values
-    /// borrowed but not yet answered. Gauges, overwritten on every call.
-    pub fn observe_shard(&self, shard: usize, depth: u64, in_flight: u64) {
-        let mut state = self.inner.lock();
-        let counters = state.shards.entry(shard).or_default();
-        counters.depth = depth;
-        counters.in_flight = in_flight;
+    /// The handle on the counters of lender shard `shard`; like
+    /// [`ThroughputMeter::device`], looked up once by whoever feeds it (and
+    /// again by a driver that hops shards).
+    pub fn shard(&self, shard: usize) -> ShardMeter {
+        ShardMeter(self.inner.cells.lock().shards.entry(shard).or_default().clone())
     }
 
     /// Records a point-in-time observation of the reactor scheduler's
     /// work-conservation counters. A gauge set, overwritten on every call;
     /// deployments on the legacy threads backend never feed it.
     pub fn observe_scheduler(&self, counters: SchedulerCounters) {
-        self.inner.lock().scheduler = Some(counters);
+        self.inner.cells.lock().scheduler = Some(counters);
     }
 
     /// Renders the counts observed so far into a report.
+    ///
+    /// Every counter is exact: a record is never lost or counted twice, and
+    /// once the feeders are quiet the report is the run's totals. A report
+    /// taken *while* they record reads each counter on its own, so one
+    /// record's task may show a moment before its units.
+    ///
+    /// Row order is part of the contract (the `meter` lines of every golden
+    /// trace are these rows): devices that completed a task in name order,
+    /// then — each group in name order, each device once — devices first
+    /// seen through wire traffic, through a sent heartbeat, through a
+    /// suppressed one.
     pub fn report(&self) -> ThroughputReport {
-        let state = self.inner.lock();
-        let elapsed = state.started_at.elapsed();
-        let mut devices: Vec<&String> = state.counts.keys().collect();
-        for device in state
-            .bytes
-            .keys()
-            .chain(state.heartbeats.keys())
-            .chain(state.heartbeats_suppressed.keys())
-        {
-            if !state.counts.contains_key(device) && !devices.contains(&device) {
-                devices.push(device);
+        let cells = self.inner.cells.lock();
+        let elapsed = self.inner.started_at.elapsed();
+        let seconds = elapsed.as_secs_f64().max(1e-9);
+        let mut groups: [Vec<DeviceThroughput>; 4] = Default::default();
+        for (device, cell) in &cells.devices {
+            let units = f64::from_bits(cell.units.load(Relaxed));
+            let row = DeviceThroughput {
+                device: device.clone(),
+                tasks: cell.tasks.load(Relaxed),
+                units,
+                throughput: units / seconds,
+                wire_bytes: cell.wire_bytes.load(Relaxed),
+                wire_frames: cell.wire_frames.load(Relaxed),
+                heartbeats_sent: cell.heartbeats_sent.load(Relaxed),
+                heartbeats_suppressed: cell.heartbeats_suppressed.load(Relaxed),
+            };
+            let seen_through =
+                [row.tasks, row.wire_frames, row.heartbeats_sent, row.heartbeats_suppressed];
+            if let Some(group) = seen_through.iter().position(|&count| count > 0) {
+                groups[group].push(row);
             }
         }
-        let rows = devices
-            .into_iter()
-            .map(|device| {
-                let units = state.units.get(device).copied().unwrap_or(0.0);
-                DeviceThroughput {
-                    device: device.clone(),
-                    tasks: state.counts.get(device).copied().unwrap_or(0),
-                    units,
-                    throughput: units / elapsed.as_secs_f64().max(1e-9),
-                    wire_bytes: state.bytes.get(device).copied().unwrap_or(0),
-                    wire_frames: state.frames.get(device).copied().unwrap_or(0),
-                    heartbeats_sent: state.heartbeats.get(device).copied().unwrap_or(0),
-                    heartbeats_suppressed: state
-                        .heartbeats_suppressed
-                        .get(device)
-                        .copied()
-                        .unwrap_or(0),
-                }
-            })
-            .collect();
-        let shards = state
+        let shards = cells
             .shards
             .iter()
-            .map(|(&shard, counters)| ShardThroughput {
-                shard,
-                borrows: counters.borrows,
-                results: counters.results,
-                depth: counters.depth,
-                in_flight: counters.in_flight,
+            .filter_map(|(&shard, cell)| {
+                let row = ShardThroughput {
+                    shard,
+                    borrows: cell.borrows.load(Relaxed),
+                    results: cell.results.load(Relaxed),
+                    depth: cell.depth.load(Relaxed),
+                    in_flight: cell.in_flight.load(Relaxed),
+                };
+                (row.borrows > 0 || row.results > 0 || cell.observed.load(Relaxed)).then_some(row)
             })
             .collect();
-        ThroughputReport { elapsed, rows, shards, scheduler: state.scheduler }
+        ThroughputReport {
+            elapsed,
+            rows: groups.into_iter().flatten().collect(),
+            shards,
+            scheduler: cells.scheduler,
+        }
     }
 }
 
@@ -330,9 +389,10 @@ mod tests {
     #[test]
     fn counts_accumulate_per_device() {
         let meter = ThroughputMeter::new();
-        meter.record("tablet", 1.0);
-        meter.record("tablet", 1.0);
-        meter.record("phone", 1.0);
+        let (tablet, phone) = (meter.device("tablet"), meter.device("phone"));
+        tablet.record(1, 1.0);
+        tablet.record(1, 1.0);
+        phone.record(1, 1.0);
         let report = meter.report();
         assert_eq!(report.rows.len(), 2);
         let tablet = report.rows.iter().find(|r| r.device == "tablet").unwrap();
@@ -345,8 +405,9 @@ mod tests {
     #[test]
     fn units_scale_throughput() {
         let meter = ThroughputMeter::new();
-        meter.record("miner", 2_000.0);
-        meter.record("miner", 2_000.0);
+        let miner = meter.device("miner");
+        miner.record(1, 2_000.0);
+        miner.record(1, 2_000.0);
         std::thread::sleep(Duration::from_millis(20));
         let report = meter.report();
         assert_eq!(report.rows[0].units, 4_000.0);
@@ -356,13 +417,30 @@ mod tests {
     }
 
     #[test]
+    fn a_frame_of_results_sums_its_units_one_task_at_a_time() {
+        let meter = ThroughputMeter::new();
+        let (singly, at_once) = (meter.device("singly"), meter.device("at-once"));
+        for _ in 0..10 {
+            singly.record(1, 0.1);
+        }
+        at_once.record(10, 0.1);
+        at_once.record(0, 0.1);
+        let report = meter.report();
+        let units = |device: &str| report.rows.iter().find(|r| r.device == device).unwrap().units;
+        assert_eq!(units("singly").to_bits(), units("at-once").to_bits());
+        assert_ne!(units("at-once"), 10.0 * 0.1, "the sum, not the product");
+        assert_eq!(report.rows.iter().map(|r| r.tasks).collect::<Vec<_>>(), [10, 10]);
+    }
+
+    #[test]
     fn wire_counters_accumulate_per_device() {
         let meter = ThroughputMeter::new();
-        meter.record("tablet", 1.0);
-        meter.record_wire("tablet", 120);
-        meter.record_wire("tablet", 60);
+        let tablet = meter.device("tablet");
+        tablet.record(1, 1.0);
+        tablet.record_wire(120);
+        tablet.record_wire(60);
         // A device that only produced traffic so far still gets a row.
-        meter.record_wire("phone", 40);
+        meter.device("phone").record_wire(40);
         let report = meter.report();
         assert_eq!(report.rows.len(), 2);
         let tablet = report.rows.iter().find(|r| r.device == "tablet").unwrap();
@@ -376,11 +454,12 @@ mod tests {
     #[test]
     fn heartbeat_counters_accumulate_per_device() {
         let meter = ThroughputMeter::new();
-        meter.record_heartbeat("tablet", false);
-        meter.record_heartbeat("tablet", true);
-        meter.record_heartbeat("tablet", true);
+        let tablet = meter.device("tablet");
+        tablet.record_heartbeat(false);
+        tablet.record_heartbeat(true);
+        tablet.record_heartbeat(true);
         // A device with only suppressed heartbeats still gets a row.
-        meter.record_heartbeat("phone", true);
+        meter.device("phone").record_heartbeat(true);
         let report = meter.report();
         let tablet = report.rows.iter().find(|r| r.device == "tablet").unwrap();
         assert_eq!((tablet.heartbeats_sent, tablet.heartbeats_suppressed), (1, 2));
@@ -393,19 +472,23 @@ mod tests {
     #[test]
     fn shard_counters_accumulate_and_gauges_overwrite() {
         let meter = ThroughputMeter::new();
-        meter.record_shard_borrows(0, 4);
-        meter.record_shard_borrows(0, 2);
-        meter.record_shard_results(0, 5);
-        meter.record_shard_borrows(2, 1);
-        meter.observe_shard(0, 3, 1);
-        meter.observe_shard(0, 0, 2);
+        let shard0 = meter.shard(0);
+        shard0.record_borrows(4);
+        shard0.record_borrows(2);
+        shard0.record_results(5);
+        meter.shard(2).record_borrows(1);
+        shard0.observe(3, 1);
+        shard0.observe(0, 2);
+        // Looked up by a driver that never dispatched: no row.
+        let _idle = meter.shard(1);
+        // Observed while everything reads zero: a row.
+        meter.shard(3).observe(0, 0);
         let report = meter.report();
-        assert_eq!(report.shards.len(), 2);
-        let shard0 = report.shards.iter().find(|s| s.shard == 0).unwrap();
+        assert_eq!(report.shards.iter().map(|s| s.shard).collect::<Vec<_>>(), [0, 2, 3]);
+        let shard0 = &report.shards[0];
         assert_eq!((shard0.borrows, shard0.results), (6, 5));
         assert_eq!((shard0.depth, shard0.in_flight), (0, 2), "gauges keep the last observation");
-        let shard2 = report.shards.iter().find(|s| s.shard == 2).unwrap();
-        assert_eq!((shard2.borrows, shard2.results), (1, 0));
+        assert_eq!((report.shards[1].borrows, report.shards[1].results), (1, 0));
         // A meter that never saw shard traffic reports no shard rows.
         assert!(ThroughputMeter::new().report().shards.is_empty());
     }
@@ -414,7 +497,111 @@ mod tests {
     fn meter_is_shared_between_clones() {
         let meter = ThroughputMeter::new();
         let clone = meter.clone();
-        clone.record("a", 1.0);
+        clone.device("a").record(1, 1.0);
         assert_eq!(meter.report().rows.len(), 1);
+    }
+
+    #[test]
+    fn handles_of_one_name_share_a_cell_and_an_unused_handle_renders_no_row() {
+        let meter = ThroughputMeter::new();
+        // A volunteer that re-registers (or resumes) under its name keeps
+        // its row.
+        let (first, again) = (meter.device("flappy"), meter.device("flappy"));
+        first.record(2, 1.0);
+        again.record(3, 1.0);
+        again.record_wire(10);
+        // Registered, crashed before its first frame.
+        let _silent = meter.device("silent");
+        let report = meter.report();
+        assert_eq!(report.rows.len(), 1, "{:?}", report.rows);
+        let row = &report.rows[0];
+        assert_eq!(
+            (row.device.as_str(), row.tasks, row.units, row.wire_frames),
+            ("flappy", 5, 5.0, 1)
+        );
+    }
+
+    /// The `meter ...` lines of every golden trace are the report's rows in
+    /// this order.
+    #[test]
+    fn rows_are_ordered_by_what_a_device_was_first_seen_through_then_by_name() {
+        let meter = ThroughputMeter::new();
+        // Fed in an order that is neither the name order nor the row order.
+        meter.device("m-suppressed").record_heartbeat(true);
+        meter.device("b-suppressed").record_heartbeat(true);
+        meter.device("n-heartbeat").record_heartbeat(false);
+        meter.device("c-heartbeat").record_heartbeat(false);
+        meter.device("c-heartbeat").record_heartbeat(true);
+        meter.device("o-wire").record_wire(0);
+        meter.device("d-wire").record_wire(7);
+        meter.device("d-wire").record_heartbeat(false);
+        meter.device("d-wire").record_heartbeat(true);
+        meter.device("z-tasks").record(1, 1.0);
+        meter.device("a-tasks").record_heartbeat(true);
+        meter.device("a-tasks").record_wire(9);
+        meter.device("a-tasks").record(1, 1.0);
+        let rows = meter.report().rows;
+        let order: Vec<&str> = rows.iter().map(|r| r.device.as_str()).collect();
+        assert_eq!(
+            order,
+            [
+                "a-tasks",
+                "z-tasks",
+                "d-wire",
+                "o-wire",
+                "c-heartbeat",
+                "n-heartbeat",
+                "b-suppressed",
+                "m-suppressed"
+            ],
+            "each device once"
+        );
+    }
+
+    #[test]
+    fn racing_records_and_reports_lose_nothing() {
+        use std::sync::atomic::Ordering::SeqCst;
+        const RECORDS: u64 = 100_000;
+        let meter = ThroughputMeter::new();
+        // Four handles on two cells: two feeders per device, and all four on
+        // the one shard.
+        let handles: Vec<_> =
+            ["even", "odd", "even", "odd"].iter().map(|name| meter.device(name)).collect();
+        let start = std::sync::Barrier::new(handles.len() + 1);
+        let recording = AtomicU64::new(handles.len() as u64);
+        std::thread::scope(|scope| {
+            for device in &handles {
+                let shard = meter.shard(0);
+                let (start, recording) = (&start, &recording);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..RECORDS {
+                        device.record(1, 0.5);
+                        device.record_wire(3);
+                        device.record_heartbeat(true);
+                        shard.record_results(1);
+                    }
+                    recording.fetch_sub(1, SeqCst);
+                });
+            }
+            // The reporter races them from the first record to the last:
+            // totals only ever grow and never overshoot.
+            start.wait();
+            let mut seen = 0;
+            while recording.load(SeqCst) > 0 {
+                let report = meter.report();
+                let tasks: u64 = report.rows.iter().map(|r| r.tasks).sum();
+                assert!(seen <= tasks && tasks <= 4 * RECORDS, "{seen} then {tasks}");
+                seen = tasks;
+            }
+        });
+        let report = meter.report();
+        assert_eq!(report.rows.len(), 2);
+        for row in &report.rows {
+            assert_eq!((row.tasks, row.units), (2 * RECORDS, RECORDS as f64), "{}", row.device);
+            assert_eq!((row.wire_bytes, row.wire_frames), (6 * RECORDS, 2 * RECORDS));
+            assert_eq!((row.heartbeats_sent, row.heartbeats_suppressed), (0, 2 * RECORDS));
+        }
+        assert_eq!(report.shards[0].results, 4 * RECORDS);
     }
 }

@@ -84,7 +84,7 @@
 //! ```
 
 use crate::config::PandoConfig;
-use crate::metrics::ThroughputMeter;
+use crate::metrics::{DeviceMeter, ShardMeter, ThroughputMeter};
 use crate::protocol::{BatchPolicy, HeartbeatAction, HeartbeatPacer, Message};
 use crate::transport::Transport;
 use bytes::Bytes;
@@ -512,7 +512,10 @@ fn wake(inner: &Inner, driver: &Arc<Driver>) {
 struct Driver {
     name: String,
     endpoint: Arc<dyn Transport>,
+    /// Where a shard hop looks its new shard's cell up; every record goes
+    /// through a held handle (`device`, [`DriverIo::shard_meter`]).
     meter: ThroughputMeter,
+    device: DeviceMeter,
     tasks_per_frame: usize,
     /// Lender shard this driver currently borrows from. Pinned at
     /// registration (volunteer id hash → shard, with an override for shards
@@ -532,6 +535,8 @@ struct Driver {
 struct DriverIo {
     source: SubStreamSource<Bytes, Bytes>,
     sink: SubStreamSink<Bytes, Bytes>,
+    /// The meter cell of the shard `source` and `sink` belong to.
+    shard_meter: ShardMeter,
     /// Free in-flight window slots (the `batch_size` Limiter of the paper):
     /// one is consumed per dispatched task and released per accepted result.
     credits: usize,
@@ -583,7 +588,7 @@ impl Driver {
                 Ok(message @ Message::TaskResult { .. })
                 | Ok(message @ Message::ResultBatch(_)) => {
                     progressed = true;
-                    self.meter.record_wire(&self.name, message.wire_size() as u64);
+                    self.device.record_wire(message.wire_size() as u64);
                     // The frame enters the lender at once: one lock, one
                     // wake-up of the ordered output at most. A late result
                     // for a value this sub-stream no longer borrows is
@@ -591,14 +596,9 @@ impl Driver {
                     // released for it.
                     let accepted = io.sink.push_batch(message.into_results());
                     if accepted > 0 {
-                        for _ in 0..accepted {
-                            self.meter.record(&self.name, 1.0);
-                        }
+                        self.device.record(accepted as u64, 1.0);
                         io.credits += accepted;
-                        self.meter.record_shard_results(
-                            self.shard.load(Ordering::Relaxed),
-                            accepted as u64,
-                        );
+                        io.shard_meter.record_results(accepted as u64);
                     }
                 }
                 Ok(Message::TaskError { seq, message }) => {
@@ -659,8 +659,8 @@ impl Driver {
                 match self.endpoint.send_records_with_size(message.clone(), size, count) {
                     Ok(()) => {
                         progressed = true;
-                        self.meter.record_wire(&self.name, size as u64);
-                        self.meter.record_shard_borrows(self.shard.load(Ordering::Relaxed), count);
+                        self.device.record_wire(size as u64);
+                        io.shard_meter.record_borrows(count);
                         if let Some(policy) = io.policy.as_mut() {
                             policy.on_frame(count as usize);
                         }
@@ -726,6 +726,7 @@ impl Driver {
                                 let (source, sink) = lender.lend_on(target).into_duplex();
                                 io.source = source;
                                 io.sink = sink;
+                                io.shard_meter = self.meter.shard(target);
                                 self.shard.store(target, Ordering::Relaxed);
                                 inner.stats.shard_hops.fetch_add(1, Ordering::Relaxed);
                                 progressed = true;
@@ -774,11 +775,11 @@ impl Driver {
             HeartbeatAction::NotDue => {}
             HeartbeatAction::Send => {
                 progressed = true;
-                self.meter.record_heartbeat(&self.name, false);
+                self.device.record_heartbeat(false);
                 let _ = self.endpoint.send(Message::Heartbeat);
             }
             HeartbeatAction::Suppressed => {
-                self.meter.record_heartbeat(&self.name, true);
+                self.device.record_heartbeat(true);
             }
         }
 
@@ -1010,6 +1011,7 @@ impl Reactor {
             name: name.to_string(),
             endpoint: endpoint.clone(),
             meter: meter.clone(),
+            device: meter.device(name),
             tasks_per_frame: config.effective_tasks_per_frame(),
             shard: AtomicUsize::new(shard),
             sched: AtomicU8::new(IDLE),
@@ -1018,6 +1020,7 @@ impl Reactor {
             io: Mutex::new(DriverIo {
                 source,
                 sink,
+                shard_meter: meter.shard(shard),
                 credits: config.batching.batch_size,
                 carry: None,
                 pending: None,
@@ -1088,7 +1091,11 @@ impl Reactor {
     /// (in-memory iterators); an input that truly blocks would block the
     /// scheduler itself.
     pub fn pump_starved(&self) -> bool {
-        let Some(lender) = self.inner.lender.lock().clone() else {
+        // Held, not cloned: the scheduler comes through here every turn, and
+        // nothing `prefetch_shard` reaches takes this lock (the input is
+        // pulled, the shard wakers only raise kick flags).
+        let lender = self.inner.lender.lock();
+        let Some(lender) = lender.as_ref() else {
             return false;
         };
         let mut staged = false;

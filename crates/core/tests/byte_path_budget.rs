@@ -135,24 +135,23 @@ fn the_byte_path_stays_within_its_allocation_budget() {
     assert!(largest < RECORD_BYTES as u64 / 8, "decode_bytes allocated a {largest} B block");
     drop(decoded);
 
-    // The meter: per-device counters are looked up by `&str`; only the first
-    // sight of a device allocates its keys. (A block has at least one byte,
-    // so zero bytes requested is zero blocks.)
+    // The meter: a device's cell is looked up (and allocated) once, where
+    // it joins; recording through the handle allocates nothing. (A block has
+    // at least one byte, so zero bytes requested is zero blocks.)
     let meter = ThroughputMeter::new();
-    meter.record("budget", 1.0);
-    meter.record_wire("budget", wire);
-    meter.record_heartbeat("budget", false);
-    meter.record_heartbeat("budget", true);
+    let (device, shard) = (meter.device("budget"), meter.shard(0));
     let before = OWN_BYTES.get();
     for _ in 0..1_000 {
-        meter.record("budget", 1.0);
-        meter.record_wire("budget", wire);
-        meter.record_heartbeat("budget", false);
-        meter.record_heartbeat("budget", true);
+        device.record(2, 1.0);
+        device.record_wire(wire);
+        device.record_heartbeat(false);
+        device.record_heartbeat(true);
+        shard.record_borrows(2);
+        shard.record_results(2);
     }
     let bytes = OWN_BYTES.get() - before;
-    assert_eq!(bytes, 0, "the meter allocated {bytes} B for a device it had already seen");
-    assert_eq!(meter.report().rows[0].tasks, 1_001);
+    assert_eq!(bytes, 0, "the meter allocated {bytes} B recording through held handles");
+    assert_eq!((meter.report().rows[0].tasks, meter.report().shards[0].results), (2_000, 2_000));
 
     // A thousand frames over a real loopback link, both ends in this
     // process: the sender's encode, its write queue, the receiver's

@@ -546,6 +546,38 @@ where
         }
         None
     }
+
+    /// The one emit path of [`LenderOutput`]: polls the ordered output under
+    /// `state`, sleeping between polls until it answers or `timeout` runs out
+    /// (`None`: never). The clock is read only once a sleep is certain — a
+    /// zero timeout, or an answer that is already there, reads none. Every
+    /// answer fires the external wakers, with the lock released.
+    fn next_output(
+        &self,
+        mut state: MutexGuard<'_, State<T, R>>,
+        timeout: Option<Duration>,
+    ) -> Option<Answer<R>> {
+        let mut deadline = None;
+        let mut timed_out = timeout == Some(Duration::ZERO);
+        let answer = loop {
+            let answer = Self::poll_output(&mut state);
+            if answer.is_some() || timed_out {
+                break answer;
+            }
+            if deadline.is_none() {
+                deadline = timeout.map(|timeout| Instant::now() + timeout);
+            }
+            timed_out = self.wait_output(&mut state, deadline);
+        };
+        drop(state);
+        if answer.is_some() {
+            // An emit changes nothing an asker waits for (`results`,
+            // `emit_next`), so `changed` stays quiet; event-driven consumers
+            // hear of it as they always did.
+            self.fire_wakers();
+        }
+        answer
+    }
 }
 
 /// Splits an input stream between concurrent sub-streams and merges the
@@ -1089,18 +1121,7 @@ where
     /// Returns `None` on timeout; the stream is left untouched, so the caller
     /// may retry. Useful for monitors that interleave other work.
     pub fn next_timeout(&mut self, timeout: Duration) -> Option<Answer<R>> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.shared.state.lock();
-        loop {
-            if let Some(answer) = Shared::poll_output(&mut state) {
-                drop(state);
-                self.shared.fire_wakers();
-                return Some(answer);
-            }
-            if self.shared.wait_output(&mut state, Some(deadline)) {
-                return Shared::poll_output(&mut state);
-            }
-        }
+        self.shared.next_output(self.shared.state.lock(), Some(timeout))
     }
 }
 
@@ -1129,17 +1150,7 @@ where
                 _ => Answer::Done,
             };
         }
-        loop {
-            if let Some(answer) = Shared::poll_output(&mut state) {
-                // An emit changes nothing an asker waits for (`results`,
-                // `emit_next`), so `changed` stays quiet; event-driven
-                // consumers hear of it as they always did.
-                drop(state);
-                self.shared.fire_wakers();
-                return answer;
-            }
-            self.shared.wait_output(&mut state, None);
-        }
+        self.shared.next_output(state, None).expect("without a timeout the wait ends in an answer")
     }
 }
 
@@ -1481,15 +1492,20 @@ mod tests {
         sink.finish(true);
     }
 
-    #[test]
-    fn wakers_fire_on_state_changes() {
-        use std::sync::atomic::AtomicUsize;
-        let lender: StreamLender<u64, u64> = StreamLender::new(count(2));
-        let wakeups = Arc::new(AtomicUsize::new(0));
-        let counter = wakeups.clone();
+    /// Wakers a lender has fired, counted.
+    fn counted_wakers(lender: &StreamLender<u64, u64>) -> Arc<std::sync::atomic::AtomicUsize> {
+        let fired = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let counter = fired.clone();
         lender.add_waker(Arc::new(move || {
             counter.fetch_add(1, Ordering::SeqCst);
         }));
+        fired
+    }
+
+    #[test]
+    fn wakers_fire_on_state_changes() {
+        let lender: StreamLender<u64, u64> = StreamLender::new(count(2));
+        let wakeups = counted_wakers(&lender);
         let mut sub = lender.lend();
         let before = wakeups.load(Ordering::SeqCst);
         assert!(before >= 1, "registering a sub-stream is a state change");
@@ -1547,6 +1563,36 @@ mod tests {
         let mut output = lender.output();
         assert!(output.next_timeout(Duration::from_millis(20)).is_none());
         let _keep_alive = lender.lend();
+    }
+
+    #[test]
+    fn zero_timeout_polls_the_output_without_ever_sleeping() {
+        let lender: StreamLender<u64, u64> = StreamLender::new(count(2));
+        let mut output = lender.output();
+        let mut sub = lender.lend();
+        assert_eq!(output.next_timeout(Duration::ZERO), None, "nothing lent yet");
+        let (a, b) = (sub.next_task().unwrap(), sub.next_task().unwrap());
+        sub.push_result(b.seq, 20).unwrap();
+        assert_eq!(output.next_timeout(Duration::ZERO), None, "the in-order result is missing");
+        sub.push_result(a.seq, 10).unwrap();
+        assert_eq!(output.next_timeout(Duration::ZERO), Some(Answer::Value(10)));
+        assert_eq!(output.next_timeout(Duration::ZERO), Some(Answer::Value(20)));
+        assert_eq!(output.next_timeout(Duration::ZERO), None, "the input has not said Done");
+        assert!(sub.next_task().is_none());
+        for _ in 0..2 {
+            assert_eq!(output.next_timeout(Duration::ZERO), Some(Answer::Done));
+        }
+        sub.complete();
+
+        let failed: StreamLender<u64, u64> =
+            StreamLender::new(failing(StreamError::new("bad input")));
+        let mut output = failed.output();
+        assert_eq!(output.next_timeout(Duration::ZERO), None);
+        assert!(failed.lend().next_task().is_none());
+        for _ in 0..2 {
+            assert!(matches!(output.next_timeout(Duration::ZERO), Some(Answer::Err(_))));
+        }
+        assert_eq!((lender.sleeps(), failed.sleeps()), (0, 0), "a zero timeout never waits");
     }
 
     #[test]
@@ -1836,6 +1882,47 @@ mod tests {
     }
 
     #[test]
+    fn every_emit_fires_the_wakers_once_however_the_consumer_came_by_it() {
+        let lender: StreamLender<u64, u64> = StreamLender::new(count(4));
+        let (mut source, sink) = lender.lend().into_duplex();
+        let tasks: Vec<_> = std::iter::from_fn(|| source.try_pull()).collect();
+        let fired = counted_wakers(&lender);
+        let fired_since = |before: usize| fired.load(Ordering::SeqCst) - before;
+        let mut output = lender.output();
+
+        // Already there, by `pull` and by `next_timeout` with and without
+        // time to wait: the emit fires once, a poll that finds nothing never.
+        sink.push_batch(tasks[..3].iter().map(|task| (task.seq, task.seq)));
+        let before = fired.load(Ordering::SeqCst);
+        assert_eq!(output.pull(Request::Ask), Answer::Value(0));
+        assert_eq!(output.next_timeout(WATCHDOG), Some(Answer::Value(1)));
+        assert_eq!(output.next_timeout(Duration::ZERO), Some(Answer::Value(2)));
+        assert_eq!(fired_since(before), 3);
+        assert_eq!(output.next_timeout(Duration::ZERO), None);
+        assert_eq!(fired_since(before), 3);
+
+        // Found by the last poll of a wait that timed out. The frame's
+        // iterator runs with the lender locked, so holding it there until
+        // the sleeper's deadline is behind us makes the sleeper time out
+        // *into* the stored result: it cannot re-take the lock before the
+        // result is in, and no signal reaches it while it still waits.
+        let timeout = Duration::from_millis(50);
+        let consumer = Parked::inside(&lender, move || output.next_timeout(timeout));
+        let parked_at = Instant::now();
+        let before = fired.load(Ordering::SeqCst);
+        let late = std::iter::once_with(|| {
+            while parked_at.elapsed() < 2 * timeout {
+                thread::sleep(timeout);
+            }
+            (tasks[3].seq, 3)
+        });
+        assert_eq!(sink.push_batch(late), 1);
+        assert_eq!(consumer.woken(), Some(Answer::Value(3)));
+        assert_eq!(fired_since(before), 2, "once for the frame, once for the emit");
+        sink.finish(true);
+    }
+
+    #[test]
     fn parked_asker_is_woken_when_the_input_is_checked_back_in() {
         // An input that holds its caller until the test lets it answer.
         let (entered_tx, entered) = std::sync::mpsc::channel();
@@ -1897,16 +1984,11 @@ mod tests {
 
     #[test]
     fn push_batch_skips_a_late_record_and_signals_the_output_once() {
-        use std::sync::atomic::AtomicUsize;
         let lender: StreamLender<u64, u64> = StreamLender::new(count(4));
         let (mut source, sink) = lender.lend().into_duplex();
         let tasks: Vec<_> = std::iter::from_fn(|| source.try_pull()).collect();
         assert_eq!(tasks.len(), 4);
-        let wakeups = Arc::new(AtomicUsize::new(0));
-        let counter = wakeups.clone();
-        lender.add_waker(Arc::new(move || {
-            counter.fetch_add(1, Ordering::SeqCst);
-        }));
+        let wakeups = counted_wakers(&lender);
         let signals = lender.output_signals();
         // A frame without the result the output waits for is quiet there.
         assert_eq!(sink.push_batch([(3, 40)]), 1);

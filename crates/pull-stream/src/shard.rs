@@ -661,11 +661,16 @@ where
     R: Send + 'static,
 {
     /// Resolves the owner of the chunk containing seq `self.emitted`,
-    /// waiting (bounded by `deadline`, if any) until the chunk is claimed or
-    /// the input terminates. `None` means the deadline passed. Owners are
-    /// cached per chunk: the splitter lock is only taken when the emit
-    /// position crosses into a chunk not resolved yet.
-    fn next_chunk(&mut self, deadline: Option<Instant>) -> Option<NextChunk> {
+    /// waiting (for `timeout`, if any) until the chunk is claimed or the
+    /// input terminates. `None` means the time ran out. Owners are cached per
+    /// chunk: the splitter lock is only taken when the emit position crosses
+    /// into a chunk not resolved yet. The clock is read only once a sleep is
+    /// certain, and `deadline` then says when this wait had to end.
+    fn next_chunk(
+        &mut self,
+        timeout: Option<Duration>,
+        deadline: &mut Option<Instant>,
+    ) -> Option<NextChunk> {
         let chunk_index = (self.emitted / self.splitter.chunk) as usize;
         if let Some((cached_index, owner)) = self.cached_owner {
             if cached_index == chunk_index {
@@ -681,8 +686,10 @@ where
             if let Some(term) = &state.term {
                 return Some(NextChunk::Ended(term.clone()));
             }
-            match deadline {
-                Some(at) => {
+            match timeout {
+                Some(Duration::ZERO) => return None,
+                Some(timeout) => {
+                    let at = *deadline.get_or_insert_with(|| Instant::now() + timeout);
                     if self.splitter.assign_cond.wait_until(&mut state, at).timed_out() {
                         return None;
                     }
@@ -705,13 +712,15 @@ where
     /// means the timeout passed and the stream is untouched, like
     /// [`LenderOutput::next_timeout`].
     pub fn next_timeout(&mut self, timeout: Duration) -> Option<Answer<R>> {
-        let deadline = Instant::now() + timeout;
         if let Some(term) = &self.finished {
             return Some(term.answer());
         }
-        match self.next_chunk(Some(deadline))? {
+        let mut deadline = None;
+        match self.next_chunk(Some(timeout), &mut deadline)? {
             NextChunk::Owner(owner) => {
-                let remaining = deadline.saturating_duration_since(Instant::now());
+                // All of `timeout` is left unless the chunk was waited for.
+                let remaining = deadline
+                    .map_or(timeout, |at: Instant| at.saturating_duration_since(Instant::now()));
                 let answer = self.outputs[owner].next_timeout(remaining)?;
                 Some(self.book(answer))
             }
@@ -747,7 +756,7 @@ where
         if let Some(term) = &self.finished {
             return term.answer();
         }
-        match self.next_chunk(None).expect("no deadline: next_chunk cannot time out") {
+        match self.next_chunk(None, &mut None).expect("no timeout: next_chunk waits it out") {
             NextChunk::Owner(owner) => {
                 let answer = self.outputs[owner].pull(Request::Ask);
                 self.book(answer)
@@ -1073,6 +1082,50 @@ mod tests {
     /// What the parked consumer drained; panics if it is never woken.
     fn drained(consumer: std::sync::mpsc::Receiver<Vec<u64>>) -> Vec<u64> {
         consumer.recv_timeout(WATCHDOG).expect("the merged output was never woken")
+    }
+
+    #[test]
+    fn zero_timeout_polls_the_merge_across_a_chunk_boundary_without_ever_sleeping() {
+        let sharded: ShardedLender<u64, u64> = ShardedLender::new(count(4), 2, 2);
+        let mut output = sharded.output();
+        assert_eq!(output.next_timeout(Duration::ZERO), None, "chunk 0 is not claimed yet");
+        let mut sub0 = sharded.lend_on(0);
+        let held0 = [sub0.next_task().unwrap(), sub0.next_task().unwrap()];
+        assert_eq!(output.next_timeout(Duration::ZERO), None, "claimed, nothing stored");
+        sub0.push_result(held0[1].seq, 20).unwrap();
+        assert_eq!(output.next_timeout(Duration::ZERO), None, "the in-order result is missing");
+        sub0.push_result(held0[0].seq, 10).unwrap();
+        assert_eq!(output.next_timeout(Duration::ZERO), Some(Answer::Value(10)));
+        assert_eq!(output.next_timeout(Duration::ZERO), Some(Answer::Value(20)));
+        // Across the boundary: chunk 1 is unclaimed, then claimed by shard 1.
+        assert_eq!(output.next_timeout(Duration::ZERO), None, "chunk 1 is not claimed yet");
+        let mut sub1 = sharded.lend_on(1);
+        let held1 = [sub1.next_task().unwrap(), sub1.next_task().unwrap()];
+        assert_eq!(output.next_timeout(Duration::ZERO), None);
+        sub1.push_result(held1[0].seq, 30).unwrap();
+        sub1.push_result(held1[1].seq, 40).unwrap();
+        assert_eq!(output.next_timeout(Duration::ZERO), Some(Answer::Value(30)));
+        assert_eq!(output.next_timeout(Duration::ZERO), Some(Answer::Value(40)));
+        assert_eq!(output.next_timeout(Duration::ZERO), None, "the input has not said Done");
+        assert!(sub1.next_task().is_none(), "the ask that finds the input exhausted");
+        for _ in 0..2 {
+            assert_eq!(output.next_timeout(Duration::ZERO), Some(Answer::Done));
+        }
+        sub0.complete();
+        sub1.complete();
+
+        let failed: ShardedLender<u64, u64> =
+            ShardedLender::new(failing(StreamError::new("bad input")), 2, 2);
+        let mut output = failed.output();
+        assert_eq!(output.next_timeout(Duration::ZERO), None);
+        assert!(failed.lend_on(1).next_task().is_none());
+        for _ in 0..2 {
+            assert!(matches!(output.next_timeout(Duration::ZERO), Some(Answer::Err(_))));
+        }
+        let sleeps = |lender: &ShardedLender<u64, u64>| -> usize {
+            lender.lenders.iter().map(StreamLender::sleeps).sum()
+        };
+        assert_eq!((sleeps(&sharded), sleeps(&failed)), (0, 0), "a zero timeout never waits");
     }
 
     #[test]
