@@ -1,7 +1,7 @@
 # Local invocations matching the CI jobs in .github/workflows/ci.yml —
 # `make lint test` before pushing reproduces what CI will run.
 
-.PHONY: all build test lint fmt doc bench bench-run perf perf-pairs profile sim-counters scale scale-sharded sim scenarios tcp-demo tcp-demo-flap clean
+.PHONY: all build test lint fmt doc bench bench-run perf perf-pairs profile sim-counters tcp-counters scale scale-sharded sim scenarios tcp-demo tcp-demo-flap clean
 
 all: lint build test doc
 
@@ -59,6 +59,12 @@ profile:
 # for allocations per task. Same step CI runs; "behaviour-preserving", checked.
 sim-counters:
 	sh scripts/sim-counters.sh
+
+# The byte path's counterpart: a traced two-second `tcp_bulk` run must
+# allocate at most 45 000 B per task (a send borrows its payload; a copy per
+# send read 66 000) and fail no task. Same step CI runs.
+tcp-counters:
+	sh scripts/tcp-counters.sh
 
 # The 10k-volunteer reactor demonstration: one master, a fixed thread pool,
 # results seq-checked. CI runs the same example at 1k (its default).

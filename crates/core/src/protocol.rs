@@ -17,9 +17,9 @@
 //! | `Heartbeat`, `Goodbye` | empty |
 //! | `Ack` | `u64 count` — cumulative data frames received on this session |
 
-use bytes::{BufMut, Bytes};
+use bytes::{Bytes, BytesMut};
 use pando_netsim::codec::{
-    begin_frame, decode_record_body, peek_frame, put_records, record_body_len, Record,
+    decode_record_body, frame_header, peek_frame, put_records, record_body_len, FrameSink, Record,
     FRAME_HEADER_LEN,
 };
 use pando_pull_stream::StreamError;
@@ -88,15 +88,15 @@ fn decode_seq_body(body: &Bytes) -> Result<(u64, Bytes), StreamError> {
 }
 
 impl Message {
-    /// Encodes the message as one length-delimited frame in one pass, into
-    /// a buffer sized from [`Message::wire_size`]: a payload is copied once.
-    ///
-    /// # Errors
-    ///
-    /// Returns a protocol error if the payload (or batch body) exceeds the
-    /// frame-size limit of [`pando_netsim::codec::MAX_FRAME_LEN`]; an
-    /// infallible encode would silently truncate the length field.
-    pub fn encode(&self) -> Result<Bytes, StreamError> {
+    /// The one frame writer: lays out in `sink`, in wire order, the frame of
+    /// a [`Message::Ack`] of `ack` (if any), then this message's. Fails, with
+    /// nothing of this frame written, if the payload (or batch body) exceeds
+    /// [`pando_netsim::codec::MAX_FRAME_LEN`]; an infallible encode would
+    /// silently truncate the length field.
+    fn write_to(&self, ack: Option<u64>, sink: &mut FrameSink<'_>) -> Result<(), StreamError> {
+        if let Some(count) = ack {
+            Message::Ack { count }.write_to(None, sink)?;
+        }
         let tag = match self {
             Message::Task { .. } => TAG_TASK,
             Message::TaskResult { .. } => TAG_RESULT,
@@ -107,21 +107,52 @@ impl Message {
             Message::Goodbye => TAG_GOODBYE,
             Message::Ack { .. } => TAG_ACK,
         };
-        let mut frame = begin_frame(tag, self.wire_size() - FRAME_HEADER_LEN)?;
+        sink.put_framing(&frame_header(tag, self.wire_size() - FRAME_HEADER_LEN)?);
         match self {
             Message::Task { seq, payload }
             | Message::TaskResult { seq, payload }
             | Message::TaskError { seq, message: payload } => {
-                frame.put_u64(*seq);
-                frame.put_slice(payload);
+                sink.put_framing(&seq.to_be_bytes());
+                sink.put_payload(payload);
             }
             Message::TaskBatch(records) | Message::ResultBatch(records) => {
-                put_records(&mut frame, records);
+                put_records(sink, records);
             }
-            Message::Ack { count } => frame.put_u64(*count),
+            Message::Ack { count } => sink.put_framing(&count.to_be_bytes()),
             Message::Heartbeat | Message::Goodbye => {}
         }
+        Ok(())
+    }
+
+    /// Encodes the message as one contiguous length-delimited frame in one
+    /// pass, into a buffer sized from [`Message::wire_size`]: a payload is
+    /// copied once. (The socket path sends [`Message::pieces`], these bytes
+    /// without that copy.)
+    ///
+    /// # Errors
+    ///
+    /// Returns a protocol error if the frame exceeds the size limit.
+    pub fn encode(&self) -> Result<Bytes, StreamError> {
+        let mut frame = BytesMut::with_capacity(self.wire_size());
+        self.write_to(None, &mut FrameSink::Whole(&mut frame))?;
         Ok(frame.freeze())
+    }
+
+    /// The frame [`Message::encode`] produces, as pieces that borrow the
+    /// message: framing and short payloads written into one small head
+    /// buffer, each long payload left as the [`Bytes`] it is. With `ack`, the
+    /// frame of a [`Message::Ack`] of that count goes first, in the same head:
+    /// the session layer's acknowledgement riding instead of travelling alone.
+    ///
+    /// # Errors
+    ///
+    /// Returns a protocol error if the frame exceeds the size limit.
+    pub fn pieces(&self, ack: Option<u64>) -> Result<Pieces<'_>, StreamError> {
+        let mut head_len = 0;
+        self.write_to(ack, &mut FrameSink::HeadLen(&mut head_len))?;
+        let mut head = BytesMut::with_capacity(head_len);
+        self.write_to(ack, &mut FrameSink::Head(&mut head)).expect("sized by the pass before");
+        Ok(Pieces { message: self, ack, head: head.freeze() })
     }
 
     /// Size in bytes of the encoded message, used for bandwidth modelling.
@@ -257,6 +288,30 @@ impl Message {
             }
             other => Err(StreamError::protocol(format!("unknown message tag {other}"))),
         }
+    }
+}
+
+/// A frame (behind its riding ack, if any) as [`Message::pieces`] cut it.
+#[derive(Debug)]
+pub struct Pieces<'a> {
+    message: &'a Message,
+    ack: Option<u64>,
+    head: Bytes,
+}
+
+impl Pieces<'_> {
+    /// Bytes the pieces put on the wire, all together.
+    pub fn wire_len(&self) -> usize {
+        let ack = self.ack.map_or(0, |count| Message::Ack { count }.wire_size());
+        ack + self.message.wire_size()
+    }
+
+    /// Hands over the pieces in wire order: slices of the head and the
+    /// message's long payloads, none of them copied.
+    pub fn for_each(&self, mut emit: impl FnMut(Bytes)) {
+        let mut sink = FrameSink::Cut { head: &self.head, start: 0, cursor: 0, emit: &mut emit };
+        self.message.write_to(self.ack, &mut sink).expect("sized when the head was written");
+        sink.flush();
     }
 }
 

@@ -37,7 +37,8 @@
 //! The wire format reuses the existing fallible codec verbatim — every frame
 //! is what [`Message::encode`] produces (`tag: u8`, `len: u32` big-endian,
 //! payload), with tag `0` reserved as a transport-level close marker so a
-//! clean [`close`](Transport::close) is distinguishable from a crash.
+//! clean [`close`](Transport::close) is distinguishable from a crash (sent
+//! as [`Message::pieces`]: `writev` gathers the payloads where they lie).
 //! Before the first frame a connection handshakes (`PNDO` magic, version,
 //! hello mode, volunteer name — see [`handshake`]); the master runs every
 //! handshake on one readiness-driven state machine (see `acceptor`).
@@ -87,7 +88,7 @@ pub(crate) use handshake::{dial, HelloMode};
 #[cfg(target_os = "linux")]
 use super::sys;
 use super::{Transport, TransportError, TransportErrorKind};
-use crate::protocol::Message;
+use crate::protocol::{Message, Pieces};
 use bytes::{Buf, Bytes, BytesMut};
 use pando_netsim::channel::{RecvError, SendError, Waker};
 use pando_netsim::codec::{encode_frame, peek_frame};
@@ -284,16 +285,25 @@ pub(crate) enum ReadOutcome {
     Failed,
 }
 
+/// One entry of the outbound queue: bytes that go to the socket as they are.
+pub(crate) struct Piece {
+    bytes: Bytes,
+    /// The last piece of its frame: writing it out completes the frame.
+    ends_frame: bool,
+}
+
 /// Outbound queue and partial-write cursor, drained by the poller on
 /// writable events (or by the pump writer thread).
 pub(crate) struct WriteState {
-    /// Fully-encoded frames awaiting the socket, FIFO. The close marker is
-    /// queued as a regular frame so ordering falls out naturally.
-    queue: VecDeque<Bytes>,
+    /// The pieces of encoded frames awaiting the socket, FIFO (see
+    /// [`Message::pieces`]). The close marker is queued as a regular frame
+    /// so ordering falls out naturally.
+    queue: VecDeque<Piece>,
     /// Bytes of `queue[0]` already written (partial-write resumption;
     /// poller backend only — the pump writer blocks in `write_all`).
     offset: usize,
-    /// Unwritten bytes across the whole queue; the admission bound.
+    /// Unwritten bytes across the whole queue; the admission bound, applied
+    /// per frame.
     queued_bytes: usize,
     /// The close marker has been queued: no further frames are accepted,
     /// and once the queue drains the write half is shut down.
@@ -355,6 +365,16 @@ impl Shared {
         }
     }
 
+    /// [`Shared::notify`] for a caller that has let go of `state` (frames
+    /// delivered, a sender given room): the woken `try_recv` finds it free.
+    pub(crate) fn wake(&self) {
+        self.recv_cv.notify_all();
+        let waker = self.state.lock().waker.clone();
+        if let Some(waker) = waker {
+            waker();
+        }
+    }
+
     fn fail(&self, error: TransportError) {
         self.read_closed.store(true, Ordering::SeqCst);
         self.dead.store(true, Ordering::SeqCst);
@@ -366,8 +386,9 @@ impl Shared {
     }
 
     /// One `read` of the socket through `chunk`, then every frame that
-    /// completed goes to the inbox. The one read path of both backends: the
-    /// poller calls it on readable events, the pump reader in a blocking loop.
+    /// completed goes to the inbox and the consumer is woken once for all of
+    /// them. The one read path of both backends: the poller calls it on
+    /// readable events, the pump reader in a blocking loop.
     pub(crate) fn read_once(&self, read: &mut ReadState, chunk: &mut [u8]) -> ReadOutcome {
         loop {
             return match (&self.stream).read(chunk) {
@@ -377,15 +398,21 @@ impl Shared {
                     ReadOutcome::Eof
                 }
                 Ok(n) => {
-                    if read.buf.is_empty() {
-                        // A frame starts here: size the buffer for all of it
-                        // before the copy, so it is allocated exactly once.
-                        if let Ok(Some((_, total))) = peek_frame(&chunk[..n]) {
-                            read.size_for(total.max(n));
-                        }
+                    // A chunk that ends one frame and begins the next goes in
+                    // as two parts: the first fills the buffer sized for that
+                    // frame, which leaves with it, so the buffer is not grown
+                    // (and copied) for bytes that are another frame's.
+                    let room = match read.buf.len() {
+                        0 => n,
+                        len => (read.buf.capacity() - len).min(n),
+                    };
+                    let mut delivered = false;
+                    let intact = self.drain_frames(read, &chunk[..room], &mut delivered)
+                        && (room == n || self.drain_frames(read, &chunk[room..n], &mut delivered));
+                    if delivered {
+                        self.wake();
                     }
-                    read.buf.extend_from_slice(&chunk[..n]);
-                    if self.drain_frames(read) {
+                    if intact {
                         ReadOutcome::Progress
                     } else {
                         ReadOutcome::Failed
@@ -401,10 +428,19 @@ impl Shared {
         }
     }
 
-    /// Drains every complete frame in `read.buf` into the inbox. Returns
-    /// `false` when the link failed on a framing violation (the caller
-    /// tears the socket down).
-    fn drain_frames(&self, read: &mut ReadState) -> bool {
+    /// Appends `part` to `read.buf` and drains every frame now complete into
+    /// the inbox, setting `delivered` for the caller to wake the consumer with
+    /// `state` released. Returns `false` when the link failed on a framing
+    /// violation (the caller tears the socket down).
+    fn drain_frames(&self, read: &mut ReadState, part: &[u8], delivered: &mut bool) -> bool {
+        if read.buf.is_empty() {
+            // A frame starts here: size the buffer for all of it before the
+            // copy, so it is allocated exactly once.
+            if let Ok(Some((_, total))) = peek_frame(part) {
+                read.size_for(total.max(part.len()));
+            }
+        }
+        read.buf.extend_from_slice(part);
         loop {
             let (tag, total) = match peek_frame(&read.buf) {
                 Ok(Some(header)) => header,
@@ -429,7 +465,7 @@ impl Shared {
                 let mut state = self.state.lock();
                 state.last_heard = Instant::now();
                 state.peer_closed = true;
-                self.notify(&state);
+                *delivered = true;
                 // The peer will not send again; keep reading so the socket
                 // drains to EOF.
                 continue;
@@ -439,7 +475,7 @@ impl Shared {
                     let mut state = self.state.lock();
                     state.last_heard = Instant::now();
                     state.inbox.push_back(message);
-                    self.notify(&state);
+                    *delivered = true;
                 }
                 Err(err) => {
                     self.fail(TransportError::new(
@@ -482,12 +518,6 @@ impl Shared {
         } else {
             false
         }
-    }
-
-    /// Fires receivers + waker after a `WouldBlock`ed sender got room again.
-    fn notify_unblocked(&self) {
-        let state = self.state.lock();
-        self.notify(&state);
     }
 }
 
@@ -707,15 +737,15 @@ impl TcpTransport {
         Err(RecvError::Empty)
     }
 
-    /// Admits `frame` into the bounded outbound queue and nudges whichever
-    /// backend drains it.
-    fn enqueue_frame(&self, frame: Bytes) -> Result<(), SendError> {
+    /// Admits `pieces` — one frame, its end marked — into the bounded
+    /// outbound queue and nudges whichever backend drains it.
+    fn enqueue_frame(&self, pieces: &Pieces<'_>) -> Result<(), SendError> {
         let shared = &self.shared;
         let mut write = shared.write.lock();
         if write.closing || write.aborted {
             return Err(SendError::Closed);
         }
-        let size = frame.len();
+        let size = pieces.wire_len();
         if write.queued_bytes > 0 && write.queued_bytes + size > shared.config.write_buffer_max {
             // Bound overflow: admit nothing, remember to wake the sender
             // once the drain dips below the bound. An oversized frame on an
@@ -723,7 +753,8 @@ impl TcpTransport {
             write.blocked = true;
             return Err(SendError::WouldBlock);
         }
-        write.queue.push_back(frame);
+        pieces.for_each(|bytes| write.queue.push_back(Piece { bytes, ends_frame: false }));
+        write.queue.back_mut().expect("a frame has at least its header").ends_frame = true;
         write.queued_bytes += size;
         self.kick_writer(&mut write);
         Ok(())
@@ -750,7 +781,9 @@ impl TcpTransport {
         self.shared.write_cv.notify_one();
     }
 
-    fn send_frame(&self, message: &Message) -> Result<(), SendError> {
+    /// Sends `message` — behind the frame of a cumulative ack of `ack`, when
+    /// the session layer has one to announce — as borrowed pieces.
+    pub(crate) fn send_frame(&self, message: &Message, ack: Option<u64>) -> Result<(), SendError> {
         {
             let state = self.shared.state.lock();
             if state.locally_closed || state.crashed {
@@ -763,8 +796,8 @@ impl TcpTransport {
                 return Err(SendError::Closed);
             }
         }
-        let frame = match message.encode() {
-            Ok(frame) => frame,
+        let pieces = match message.pieces(ack) {
+            Ok(pieces) => pieces,
             Err(err) => {
                 // An unencodable (oversized) frame poisons the link: the
                 // peer could never receive it, so pretending it was sent
@@ -773,7 +806,7 @@ impl TcpTransport {
                 return Err(SendError::PeerFailed);
             }
         };
-        self.enqueue_frame(frame)
+        self.enqueue_frame(&pieces)
     }
 }
 
@@ -815,7 +848,7 @@ impl Transport for TcpTransport {
     }
 
     fn send(&self, message: Message) -> Result<(), SendError> {
-        self.send_frame(&message)
+        self.send_frame(&message, None)
     }
 
     fn send_records_with_size(
@@ -826,7 +859,7 @@ impl Transport for TcpTransport {
     ) -> Result<(), SendError> {
         // Real sockets carry the actual bytes; the simulated bandwidth
         // accounting parameters are meaningless here.
-        self.send_frame(&message)
+        self.send_frame(&message, None)
     }
 
     fn set_waker(&self, waker: Waker) {
@@ -868,7 +901,7 @@ impl Transport for TcpTransport {
         write.closing = true;
         let marker = encode_frame(TAG_CLOSE, b"").expect("empty close frame encodes");
         write.queued_bytes += marker.len();
-        write.queue.push_back(marker);
+        write.queue.push_back(Piece { bytes: marker, ends_frame: true });
         self.kick_writer(&mut write);
     }
 
@@ -946,14 +979,14 @@ fn run_reader(shared: Arc<Shared>) {
 /// close marker or on the first I/O error (reported as a link failure).
 fn run_writer(shared: Arc<Shared>) {
     loop {
-        let frame = {
+        let piece = {
             let mut write = shared.write.lock();
             loop {
                 if write.aborted {
                     return; // crash() cleared the queue
                 }
-                if let Some(frame) = write.queue.pop_front() {
-                    break Some(frame);
+                if let Some(piece) = write.queue.pop_front() {
+                    break Some(piece);
                 }
                 if write.closing {
                     break None; // marker already written; finish up
@@ -961,22 +994,22 @@ fn run_writer(shared: Arc<Shared>) {
                 shared.write_cv.wait(&mut write);
             }
         };
-        match frame {
-            Some(frame) => {
-                if let Err(err) = (&shared.stream).write_all(&frame) {
+        match piece {
+            Some(Piece { bytes, ends_frame }) => {
+                if let Err(err) = (&shared.stream).write_all(&bytes) {
                     shared.fail(err.into());
                     return;
                 }
                 let unblock = {
                     let mut write = shared.write.lock();
-                    write.queued_bytes = write.queued_bytes.saturating_sub(frame.len());
-                    write.frames_written += 1;
+                    write.queued_bytes = write.queued_bytes.saturating_sub(bytes.len());
+                    write.frames_written += u64::from(ends_frame);
                     write.write_calls += 1;
-                    write.bytes_written += frame.len() as u64;
+                    write.bytes_written += bytes.len() as u64;
                     shared.maybe_unblock(&mut write)
                 };
                 if unblock {
-                    shared.notify_unblocked();
+                    shared.wake();
                 }
             }
             None => {

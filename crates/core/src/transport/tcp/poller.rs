@@ -49,8 +49,10 @@ const READ_INTEREST: u32 = sys::EPOLLIN | sys::EPOLLRDHUP;
 /// Readiness bits that mean "try reading" (errors and hangups surface as
 /// a read result, which classifies them precisely).
 const READ_EVENTS: u32 = sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLHUP | sys::EPOLLERR;
-/// Most frames drained with a single vectored write.
+/// Most frames drained with a single vectored write...
 const MAX_FRAMES_PER_WRITE: usize = 16;
+/// ...and most pieces (`IOV_MAX`): a cap only frames of dozens of long payloads meet.
+const MAX_PIECES_PER_WRITE: usize = 1024;
 /// Byte cap per writable event; the remainder is re-reported by
 /// level-triggered epoll so other ready connections get their turn.
 const MAX_BYTES_PER_EVENT: usize = 256 * 1024;
@@ -156,13 +158,15 @@ pub(crate) fn drain_write_locked(shared: &Shared, write: &mut WriteState) {
     while !write.queue.is_empty() && budget > 0 {
         let result = {
             let mut slices: Vec<IoSlice<'_>> =
-                Vec::with_capacity(write.queue.len().min(MAX_FRAMES_PER_WRITE));
-            let mut frames = write.queue.iter();
-            if let Some(first) = frames.next() {
-                slices.push(IoSlice::new(&first[write.offset..]));
-            }
-            for frame in frames.take(MAX_FRAMES_PER_WRITE - 1) {
-                slices.push(IoSlice::new(frame));
+                Vec::with_capacity(write.queue.len().min(MAX_PIECES_PER_WRITE));
+            let mut frames = 0;
+            for piece in write.queue.iter().take(MAX_PIECES_PER_WRITE) {
+                let skip = if slices.is_empty() { write.offset } else { 0 };
+                slices.push(IoSlice::new(&piece.bytes[skip..]));
+                frames += usize::from(piece.ends_frame);
+                if frames == MAX_FRAMES_PER_WRITE {
+                    break;
+                }
             }
             (&shared.stream).write_vectored(&slices)
         };
@@ -180,14 +184,14 @@ pub(crate) fn drain_write_locked(shared: &Shared, write: &mut WriteState) {
                 write.queued_bytes = write.queued_bytes.saturating_sub(n);
                 budget = budget.saturating_sub(n);
                 // Advance the partial-write cursor: pop fully-written
-                // frames, remember the offset into the first survivor.
+                // pieces, remember the offset into the first survivor.
                 let mut remaining = n;
                 while remaining > 0 {
-                    let avail = write.queue[0].len() - write.offset;
+                    let avail = write.queue[0].bytes.len() - write.offset;
                     if remaining >= avail {
-                        write.queue.pop_front();
+                        let piece = write.queue.pop_front().expect("indexed above");
                         write.offset = 0;
-                        write.frames_written += 1;
+                        write.frames_written += u64::from(piece.ends_frame);
                         remaining -= avail;
                     } else {
                         write.offset += remaining;
@@ -221,7 +225,7 @@ fn handle_writable(shared: &Arc<Shared>) {
         unblock
     };
     if unblock {
-        shared.notify_unblocked();
+        shared.wake();
     }
 }
 

@@ -27,7 +27,19 @@
 //! # Acks are garbage collection, counters are truth
 //!
 //! Each side counts the *data* frames ([`Message::is_data`]) it has
-//! received and piggybacks a cumulative [`Message::Ack`] every few frames.
+//! received and tells the peer with a cumulative [`Message::Ack`]. The ack
+//! *rides*: unannounced progress is written into the head piece of the next
+//! data frame or heartbeat going the other way ([`Message::pieces`]) — one
+//! admission, one `writev`, one `recv` for the two — and counts as announced
+//! only once the link admitted that frame. An ack travels alone only when
+//! nothing is flowing back to carry it: eight data frames unannounced, or
+//! their wire bytes at a quarter of the redelivery bound (the buffer is
+//! bounded in bytes; counting frames alone let a few large ones fill it
+//! before their ack was due, and the sender waited forever), or a heartbeat
+//! arriving while any are unannounced, so ends with different bounds stall
+//! one heartbeat interval at most. No timer, no new message: a peer that
+//! acks every eighth frame interoperates, because acks are cumulative.
+//!
 //! Acks only trim the peer's redelivery buffer — **which** frames to replay
 //! after a reconnect is decided solely by the received-counts exchanged in
 //! the resume handshake. A frame is therefore redelivered exactly when the
@@ -40,7 +52,7 @@
 //! worker                                master
 //!   │── PNDO v2 NEW "tablet-7" ──────────▶│ issue token 42, SessionTransport
 //!   │◀─ PNDO v2 status=0 token=42 recvd=0─│
-//!   │── Task/Result frames, Ack every 8 ──│   (both directions)
+//!   │── Task/Result frames, acks riding ──│   (both directions)
 //!   ✂ link drops                          │ park session, grace timer arms
 //!   │   backoff: 50ms, 100ms, ...         │
 //!   │── PNDO v2 RESUME 42 recvd=17 ──────▶│ token live → reattach
@@ -60,9 +72,9 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// A cumulative [`Message::Ack`] is emitted every this many received data
-/// frames, bounding the peer's redelivery buffer to a handful of frames of
-/// slack beyond the in-flight window.
+/// A [`Message::Ack`] goes out on its own once this many received data frames
+/// are unannounced, bounding the peer's redelivery buffer to a handful of
+/// frames of slack beyond the in-flight window.
 const ACK_EVERY: u64 = 8;
 
 /// Knobs of the worker-side reconnect loop, mapped straight onto
@@ -127,11 +139,14 @@ struct SessionState {
     /// Data frames received on this session; reported in the resume hello
     /// and used by the peer to trim its replay.
     recvd: u64,
-    /// `recvd` as of the last cumulative ack we emitted.
+    /// `recvd` as of the last cumulative ack the link admitted.
     ack_announced: u64,
-    /// Sent data frames the peer has not acknowledged, oldest first, keyed
-    /// by their position in the `sent` sequence (1-based).
-    unacked: std::collections::VecDeque<(u64, Message)>,
+    /// Wire bytes of the data frames received since then: what the peer's
+    /// redelivery buffer holds, for all this end has told it.
+    unannounced_bytes: usize,
+    /// Sent data frames the peer has not acknowledged, oldest first: their
+    /// position in the `sent` sequence (1-based), the frame, its wire size.
+    unacked: std::collections::VecDeque<(u64, Message, usize)>,
     /// Wire bytes across `unacked`; the admission bound.
     unacked_bytes: usize,
     /// A data send bounced on the bound; fire the waker once acks trim it.
@@ -148,6 +163,7 @@ impl SessionCore {
                 sent: 0,
                 recvd: 0,
                 ack_announced: 0,
+                unannounced_bytes: 0,
                 unacked: std::collections::VecDeque::new(),
                 unacked_bytes: 0,
                 blocked: false,
@@ -178,45 +194,56 @@ impl SessionCore {
         Arc::new(move || core.fire_waker())
     }
 
-    /// Whether a data frame of `size` wire bytes fits the unacked bound.
-    /// Mirrors the socket queue's admission rule: an oversized frame on an
-    /// empty buffer is admitted alone instead of livelocking. Records the
-    /// would-block so the next trim fires the waker.
-    fn admit(&self, size: usize) -> Result<(), SendError> {
+    /// Opens a send: a data frame of `size` wire bytes must fit the unacked
+    /// bound (the socket queue's admission rule: an oversized frame on an
+    /// empty buffer is admitted alone instead of livelocking; a would-block is
+    /// recorded so the next trim fires the waker). Answers the cumulative ack
+    /// to send along, if any receive progress is unannounced.
+    fn begin_send(&self, message: &Message, size: usize) -> Result<Option<u64>, SendError> {
         let mut state = self.state.lock();
-        if state.unacked_bytes > 0 && state.unacked_bytes + size > self.max_unacked_bytes {
+        if message.is_data()
+            && state.unacked_bytes > 0
+            && state.unacked_bytes + size > self.max_unacked_bytes
+        {
             state.blocked = true;
             return Err(SendError::WouldBlock);
         }
-        Ok(())
+        Ok((state.recvd > state.ack_announced).then_some(state.recvd))
     }
 
-    /// Books a data frame into the redelivery buffer after it was admitted.
-    fn record_sent(&self, message: &Message) {
-        if !message.is_data() {
-            return;
-        }
+    /// Books an admitted send: the ack that went with it is announced, a data
+    /// frame enters the redelivery buffer — the one clone a send makes.
+    fn finish_send(&self, message: &Message, size: usize, ack: Option<u64>) {
         let mut state = self.state.lock();
-        state.sent += 1;
-        state.unacked_bytes += message.wire_size();
-        let seq = state.sent;
-        state.unacked.push_back((seq, message.clone()));
+        if let Some(count) = ack {
+            state.ack_announced = count;
+            state.unannounced_bytes = 0;
+        }
+        if message.is_data() {
+            state.sent += 1;
+            state.unacked_bytes += size;
+            let seq = state.sent;
+            state.unacked.push_back((seq, message.clone(), size));
+        }
     }
 
-    /// Counts an inbound data frame; `Some(count)` when a cumulative ack is
-    /// due to the peer.
+    /// Counts an inbound frame; `Some(count)` when a cumulative ack is due
+    /// on its own, nothing having flowed back for it to ride on: the
+    /// unannounced frames reached [`ACK_EVERY`], or their bytes a quarter of
+    /// the redelivery bound, or the peer went quiet enough to send a
+    /// heartbeat (its bound may be the smaller) while any are unannounced.
     fn note_received(&self, message: &Message) -> Option<u64> {
-        if !message.is_data() {
-            return None;
-        }
         let mut state = self.state.lock();
-        state.recvd += 1;
-        if state.recvd - state.ack_announced >= ACK_EVERY {
-            state.ack_announced = state.recvd;
-            Some(state.recvd)
-        } else {
-            None
+        if message.is_data() {
+            state.recvd += 1;
+            state.unannounced_bytes += message.wire_size();
         }
+        let unannounced = state.recvd - state.ack_announced;
+        let due = unannounced >= ACK_EVERY
+            || unannounced > 0
+                && (state.unannounced_bytes >= self.max_unacked_bytes / 4
+                    || matches!(message, Message::Heartbeat));
+        due.then_some(state.recvd)
     }
 
     /// Applies a cumulative ack from the peer: frames up to `count` leave
@@ -232,12 +259,11 @@ impl SessionCore {
     }
 
     fn trim_locked(state: &mut SessionState, count: u64, max: usize) -> bool {
-        while let Some((seq, message)) = state.unacked.front() {
-            if *seq > count {
+        while let Some(&(seq, _, size)) = state.unacked.front() {
+            if seq > count {
                 break;
             }
-            state.unacked_bytes = state.unacked_bytes.saturating_sub(message.wire_size());
-            let _ = seq;
+            state.unacked_bytes = state.unacked_bytes.saturating_sub(size);
             state.unacked.pop_front();
         }
         if state.blocked && state.unacked_bytes < max {
@@ -255,7 +281,7 @@ impl SessionCore {
     fn replay_after(&self, peer_recvd: u64) -> Vec<Message> {
         let mut state = self.state.lock();
         let unblocked = Self::trim_locked(&mut state, peer_recvd, self.max_unacked_bytes);
-        let replay = state.unacked.iter().map(|(_, message)| message.clone()).collect();
+        let replay = state.unacked.iter().map(|(_, message, _)| message.clone()).collect();
         drop(state);
         if unblocked {
             self.fire_waker();
@@ -272,6 +298,7 @@ impl SessionCore {
         state.sent = 0;
         state.recvd = 0;
         state.ack_announced = 0;
+        state.unannounced_bytes = 0;
         state.unacked.clear();
         state.unacked_bytes = 0;
         let unblocked = state.blocked;
@@ -299,8 +326,8 @@ enum Link {
 }
 
 /// Drains the active link: acks are absorbed into the session, data frames
-/// are counted (emitting a cumulative ack on cadence), everything else
-/// passes through.
+/// are counted (an ack goes out alone when [`SessionCore::note_received`]
+/// says so), everything else passes through.
 fn pump_recv(core: &SessionCore, active: &TcpTransport) -> Result<Message, RecvError> {
     loop {
         match active.try_recv() {
@@ -310,15 +337,38 @@ fn pump_recv(core: &SessionCore, active: &TcpTransport) -> Result<Message, RecvE
             }
             Ok(message) => {
                 if let Some(count) = core.note_received(&message) {
-                    // Best effort: a refused ack is re-announced with the
-                    // next one (they are cumulative).
-                    let _ = active.send(Message::Ack { count });
+                    // Best effort: a refused ack stays unannounced, and the
+                    // next frame in either direction announces it.
+                    let ack = Message::Ack { count };
+                    if active.send_frame(&ack, None).is_ok() {
+                        core.finish_send(&ack, 0, Some(count));
+                    }
                 }
                 return Ok(message);
             }
             Err(err) => return Err(err),
         }
     }
+}
+
+/// The send path of both session wrappers. A live link (`Some`) is lent the
+/// message, the unannounced ack riding in its head piece, and both are booked
+/// once admitted. A parked one (`None`): a data frame is buffered, bounded,
+/// for the replay; a control frame is dropped — cheap to lose, pointless to
+/// replay.
+fn send_on(
+    core: &SessionCore,
+    active: Option<&TcpTransport>,
+    message: &Message,
+) -> Result<(), SendError> {
+    let size = message.wire_size();
+    let mut ack = core.begin_send(message, size)?;
+    match active {
+        Some(active) => active.send_frame(message, ack)?,
+        None => ack = None,
+    }
+    core.finish_send(message, size, ack);
+    Ok(())
 }
 
 /// Replays the unacked frames the peer reports missing, in order, on a
@@ -328,7 +378,7 @@ fn pump_recv(core: &SessionCore, active: &TcpTransport) -> Result<Message, RecvE
 /// abandons this socket with the buffer intact — the next resume replays
 /// from whatever the peer received by then.
 fn replay(core: &SessionCore, active: &TcpTransport, peer_recvd: u64) -> Result<(), SendError> {
-    core.replay_after(peer_recvd).into_iter().try_for_each(|message| active.send(message))
+    core.replay_after(peer_recvd).iter().try_for_each(|message| active.send_frame(message, None))
 }
 
 /// The master-side session wrapper: a [`Transport`] whose failure verdict
@@ -438,59 +488,6 @@ impl SessionTransport {
         drop(link);
         self.core.fire_waker();
     }
-
-    /// Shared send path for both the plain and the record-counting entry
-    /// points.
-    fn send_message(
-        &self,
-        message: Message,
-        records: Option<(usize, u64)>,
-    ) -> Result<(), SendError> {
-        let mut link = self.link.lock();
-        loop {
-            match &*link {
-                Link::Up(active) => {
-                    if message.is_data() {
-                        self.core.admit(message.wire_size())?;
-                    }
-                    let sent = match records {
-                        Some((size, count)) => {
-                            active.send_records_with_size(message.clone(), size, count)
-                        }
-                        None => active.send(message.clone()),
-                    };
-                    match sent {
-                        Ok(()) => {
-                            self.core.record_sent(&message);
-                            return Ok(());
-                        }
-                        Err(SendError::PeerFailed) => {
-                            // Transient verdict: park and fall through to
-                            // the parked arm, which buffers or drops.
-                            *link = Link::Down { since: Instant::now() };
-                            continue;
-                        }
-                        Err(err) => return Err(err),
-                    }
-                }
-                Link::Down { since } => {
-                    if since.elapsed() >= self.grace {
-                        *link = Link::Failed;
-                        return Err(SendError::PeerFailed);
-                    }
-                    if message.is_data() {
-                        self.core.admit(message.wire_size())?;
-                        self.core.record_sent(&message);
-                    }
-                    // Control frames (heartbeats) are dropped while parked:
-                    // cheap to lose, pointless to replay.
-                    return Ok(());
-                }
-                Link::Closed => return Err(SendError::Closed),
-                Link::Failed => return Err(SendError::PeerFailed),
-            }
-        }
-    }
 }
 
 impl Transport for SessionTransport {
@@ -554,16 +551,37 @@ impl Transport for SessionTransport {
     }
 
     fn send(&self, message: Message) -> Result<(), SendError> {
-        self.send_message(message, None)
+        let mut link = self.link.lock();
+        loop {
+            match &*link {
+                Link::Up(active) => match send_on(&self.core, Some(active), &message) {
+                    Err(SendError::PeerFailed) => {
+                        // Transient verdict: park and fall through to the
+                        // parked arm, which buffers or drops.
+                        *link = Link::Down { since: Instant::now() };
+                    }
+                    sent => return sent,
+                },
+                Link::Down { since } => {
+                    if since.elapsed() >= self.grace {
+                        *link = Link::Failed;
+                        return Err(SendError::PeerFailed);
+                    }
+                    return send_on(&self.core, None, &message);
+                }
+                Link::Closed => return Err(SendError::Closed),
+                Link::Failed => return Err(SendError::PeerFailed),
+            }
+        }
     }
 
     fn send_records_with_size(
         &self,
         message: Message,
-        size: usize,
-        records: u64,
+        _size: usize,
+        _records: u64,
     ) -> Result<(), SendError> {
-        self.send_message(message, Some((size, records)))
+        self.send(message)
     }
 
     fn set_waker(&self, waker: Waker) {
@@ -855,30 +873,14 @@ impl Transport for ReconnectingTcpTransport {
         let mut link = shared.link.lock();
         loop {
             match &*link {
-                Link::Up(active) => {
-                    if message.is_data() {
-                        shared.core.admit(message.wire_size())?;
+                Link::Up(active) => match send_on(&shared.core, Some(active), &message) {
+                    Err(SendError::PeerFailed) => {
+                        *link = Link::Down { since: Instant::now() };
+                        ReconnectingTcpTransport::ensure_redial(shared);
                     }
-                    match active.send(message.clone()) {
-                        Ok(()) => {
-                            shared.core.record_sent(&message);
-                            return Ok(());
-                        }
-                        Err(SendError::PeerFailed) => {
-                            *link = Link::Down { since: Instant::now() };
-                            ReconnectingTcpTransport::ensure_redial(shared);
-                            continue;
-                        }
-                        Err(err) => return Err(err),
-                    }
-                }
-                Link::Down { .. } => {
-                    if message.is_data() {
-                        shared.core.admit(message.wire_size())?;
-                        shared.core.record_sent(&message);
-                    }
-                    return Ok(());
-                }
+                    sent => return sent,
+                },
+                Link::Down { .. } => return send_on(&shared.core, None, &message),
                 Link::Closed => return Err(SendError::Closed),
                 Link::Failed => return Err(SendError::PeerFailed),
             }
@@ -974,6 +976,129 @@ mod tests {
 
     fn task(seq: u64, len: usize) -> Message {
         Message::Task { seq, payload: Bytes::from(vec![seq as u8; len]) }
+    }
+
+    fn announced(core: &SessionCore) -> u64 {
+        core.state.lock().ack_announced
+    }
+
+    /// The next message of the session, waiting for the poller to deliver it.
+    fn recv_within(core: &SessionCore, active: &TcpTransport) -> Message {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            match pump_recv(core, active) {
+                Ok(message) => return message,
+                Err(RecvError::Empty) => {
+                    assert!(Instant::now() < deadline, "nothing arrived within 10 s");
+                    thread::sleep(Duration::from_micros(50));
+                }
+                Err(err) => panic!("link lost: {err}"),
+            }
+        }
+    }
+
+    #[test]
+    fn an_ack_goes_out_alone_on_three_triggers_only() {
+        let bound = 1024 * 1024;
+        let core = SessionCore::new(1, "vol".into(), bound);
+        let announce = |count| core.finish_send(&Message::Ack { count }, 0, Some(count));
+
+        // Frames: the eighth unannounced one, and not before.
+        for seq in 1..ACK_EVERY {
+            assert_eq!(core.note_received(&task(seq, 8)), None, "frame {seq}");
+        }
+        assert_eq!(core.note_received(&task(8, 8)), Some(8));
+        assert_eq!(announced(&core), 0, "due is not announced: the link may refuse the ack");
+        assert_eq!(core.note_received(&task(9, 8)), Some(9), "still due until it is admitted");
+        announce(9);
+        assert_eq!(announced(&core), 9);
+
+        // Bytes: a quarter of the redelivery bound, however few the frames.
+        assert_eq!(core.note_received(&task(10, bound / 8)), None);
+        assert_eq!(core.note_received(&task(11, bound / 8)), Some(11));
+        announce(11);
+
+        // A heartbeat: the peer has gone quiet, so nothing will carry the
+        // ack — but only if there is something to announce.
+        assert_eq!(core.note_received(&Message::Heartbeat), None);
+        assert_eq!(core.note_received(&task(12, 8)), None);
+        assert_eq!(core.note_received(&Message::Heartbeat), Some(12));
+        announce(12);
+        assert_eq!(core.note_received(&Message::Heartbeat), None);
+    }
+
+    #[test]
+    fn a_riding_ack_is_announced_only_once_its_frame_was_admitted() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let config = TcpConfig::default();
+        let core = SessionCore::new(1, "vol".into(), config.write_buffer_max);
+        for seq in 1..=3 {
+            assert_eq!(core.note_received(&task(seq, 8)), None);
+        }
+
+        // A link whose peer never reads, its write queue over half full: the
+        // frame is refused, and the ack it would have carried stays due.
+        let tight = TcpConfig { write_buffer_max: 64 * 1024, ..config.clone() };
+        let (_deaf_client, clogged) = link(&listener, &tight);
+        while clogged.send(task(0, 32 * 1024)) != Err(SendError::WouldBlock) {}
+        let frame = task(1, REPLAYED);
+        assert_eq!(send_on(&core, Some(&clogged), &frame), Err(SendError::WouldBlock));
+        assert_eq!(announced(&core), 0);
+        assert!(core.state.lock().unacked.is_empty(), "a refused frame is not owed a replay");
+
+        // A parked link buffers the frame for the replay; no ack rides there.
+        assert_eq!(send_on(&core, None, &frame), Ok(()));
+        assert_eq!((announced(&core), core.state.lock().unacked.len()), (0, 1));
+
+        // A healthy link: the ack frame, then the data frame, in one head —
+        // and on one admission both are booked.
+        let (mut client, healthy) = link(&listener, &config);
+        assert_eq!(send_on(&core, Some(&healthy), &frame), Ok(()));
+        assert_eq!(announced(&core), 3);
+        assert_eq!(healthy.stats().frames_written, 1, "one frame to the link, ack included");
+        let mut expected = Message::Ack { count: 3 }.encode().unwrap().to_vec();
+        expected.extend_from_slice(&frame.encode().unwrap());
+        let mut wire = vec![0u8; expected.len()];
+        client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        client.read_exact(&mut wire).unwrap();
+        assert!(wire == expected, "Ack{{3}} then the task, byte for byte");
+        let state = core.state.lock();
+        assert!(state.unacked_bytes == 2 * frame.wire_size() && state.unacked_bytes <= 1 << 20);
+    }
+
+    #[test]
+    fn a_request_response_exchange_sends_no_ack_of_its_own() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let config = TcpConfig { failure_timeout: Duration::from_secs(30), ..TcpConfig::default() };
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        let master = TcpTransport::from_stream(server, "vol".into(), config.clone());
+        let worker = TcpTransport::from_stream(client, "vol".into(), config.clone());
+        let bound = config.write_buffer_max;
+        let (master_core, worker_core) =
+            (SessionCore::new(1, "vol".into(), bound), SessionCore::new(1, "vol".into(), bound));
+
+        let exchanges = 1_000;
+        for seq in 0..exchanges {
+            send_on(&master_core, Some(&master), &task(seq, 8)).unwrap();
+            assert_eq!(recv_within(&worker_core, &worker), task(seq, 8));
+            let result = Message::TaskResult { seq, payload: Bytes::from(vec![7u8; 8]) };
+            send_on(&worker_core, Some(&worker), &result).unwrap();
+            assert_eq!(recv_within(&master_core, &master), result);
+            // Every frame acknowledged the one before it: a steady exchange
+            // keeps one frame, its latest, in each redelivery buffer.
+            for core in [&master_core, &worker_core] {
+                let state = core.state.lock();
+                assert!(state.unacked.len() <= 1 && state.unacked_bytes <= bound);
+            }
+        }
+        for (end, link) in [("master", &master), ("worker", &worker)] {
+            assert_eq!(
+                link.stats().frames_written,
+                exchanges,
+                "the {end} wrote a frame that was not a task or a result: an ack on its own"
+            );
+        }
     }
 
     /// Payload of the frames under replay: three quarters of the tight

@@ -25,6 +25,28 @@ fn payload_strategy() -> impl Strategy<Value = Vec<u8>> {
     )
 }
 
+/// Payload lengths on both sides of the length from which a payload travels
+/// as its own piece (1 KiB), the empty payload, and `tcp_bulk`'s 32 KiB.
+fn piece_len_strategy() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        Just(0usize),
+        Just(1usize),
+        Just(1023usize),
+        Just(1024usize),
+        Just(1025usize),
+        Just(32 * 1024usize),
+    ]
+}
+
+/// The pieces of `message` behind a riding `ack`, in wire order.
+fn pieces_of(message: &Message, ack: Option<u64>) -> Vec<Bytes> {
+    let pieces = message.pieces(ack).expect("within frame limit");
+    let mut out = Vec::new();
+    pieces.for_each(|piece| out.push(piece));
+    assert_eq!(pieces.wire_len(), out.iter().map(Bytes::len).sum::<usize>());
+    out
+}
+
 fn seq_strategy() -> impl Strategy<Value = u64> {
     prop_oneof![
         3 => (0usize..1_000_000).prop_map(|s| s as u64),
@@ -71,6 +93,69 @@ proptest! {
             let decoded = Message::decode(&frame).expect("decodes");
             prop_assert_eq!(decoded.record_count(), records.len() as u64);
             prop_assert_eq!(decoded, message);
+        }
+    }
+
+    /// The piece form is the contiguous form cut up, never a second format:
+    /// for every variant the pieces concatenate to `encode()` byte for byte,
+    /// a payload of 1 KiB or more is a piece sharing the message's own
+    /// allocation (not copied), a shorter one sits in the head, and a riding
+    /// ack is the `Ack` frame followed by the data frame.
+    #[test]
+    fn pieces_are_the_encoding_cut_up(
+        seq in seq_strategy(),
+        lens in proptest::collection::vec(piece_len_strategy(), 1..9),
+        ack in prop_oneof![Just(None), seq_strategy().prop_map(Some)],
+    ) {
+        let payloads: Vec<Bytes> = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| Bytes::from(vec![i as u8 ^ 0x5a; len]))
+            .collect();
+        let records: Vec<Record> = payloads
+            .iter()
+            .enumerate()
+            .map(|(i, payload)| Record::new(seq.wrapping_add(i as u64), payload.clone()))
+            .collect();
+        let first = payloads[0].clone();
+        for message in [
+            Message::Task { seq, payload: first.clone() },
+            Message::TaskResult { seq, payload: first.clone() },
+            Message::TaskError { seq, message: first.clone() },
+            Message::TaskBatch(records.clone()),
+            Message::ResultBatch(records.clone()),
+            Message::Heartbeat,
+            Message::Goodbye,
+            Message::Ack { count: seq },
+        ] {
+            let carried: &[Bytes] = match &message {
+                Message::TaskBatch(_) | Message::ResultBatch(_) => &payloads,
+                Message::Heartbeat | Message::Goodbye | Message::Ack { .. } => &[],
+                _ => &payloads[..1],
+            };
+            let pieces = pieces_of(&message, ack);
+            let frame = message.encode().expect("within frame limit");
+            let ack_frame =
+                ack.map(|count| Message::Ack { count }.encode().expect("an ack encodes"));
+            let ack_len = ack_frame.as_ref().map_or(0, Bytes::len);
+            let wire: Vec<u8> = pieces.iter().flat_map(|piece| piece.to_vec()).collect();
+            prop_assert_eq!(&wire[ack_len..], &frame[..]);
+            if let Some(ack_frame) = &ack_frame {
+                prop_assert_eq!(&wire[..ack_len], &ack_frame[..]);
+                prop_assert_eq!(
+                    Message::decode(&wire[..ack_len]).expect("the ack decodes first"),
+                    Message::Ack { count: ack.expect("an ack frame was made") }
+                );
+            }
+            prop_assert_eq!(Message::decode(&wire[ack_len..]).expect("then the frame"), message);
+            let long = carried.iter().filter(|payload| payload.len() >= 1024);
+            let shared = pieces
+                .iter()
+                .filter(|piece| carried.iter().any(|payload| piece.shares_allocation_with(payload)));
+            prop_assert_eq!(shared.count(), long.clone().count());
+            // Head, payload, head, payload ...: one run of head per long
+            // payload, and one after the last unless the frame ends there.
+            prop_assert!(pieces.len() <= 2 * long.count() + 1);
         }
     }
 

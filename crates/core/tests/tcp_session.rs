@@ -11,10 +11,12 @@
 use bytes::Bytes;
 use pando_core::config::PandoConfig;
 use pando_core::master::Pando;
+use pando_core::protocol::Message;
 use pando_core::transport::tcp::session::{ReconnectPolicy, ReconnectingTcpTransport};
-use pando_core::transport::tcp::{TcpAcceptor, TcpConfig};
+use pando_core::transport::tcp::{SessionEvent, TcpAcceptor, TcpConfig};
 use pando_core::transport::Transport;
 use pando_core::worker::WorkerBuilder;
+use pando_netsim::channel::{RecvError, SendError};
 use pando_netsim::fault::FaultPlan;
 use pando_pull_stream::source::{count, SourceExt};
 use pando_pull_stream::StreamError;
@@ -161,14 +163,12 @@ fn drop_link_on_a_session_transport_redials_and_resumes() {
         let mut keep = Vec::new();
         while std::time::Instant::now() < deadline && (joined < 1 || resumed < 1) {
             match accept_side.accept_session() {
-                Ok(Some(pando_core::transport::tcp::SessionEvent::Joined {
-                    transport, ..
-                })) => {
+                Ok(Some(SessionEvent::Joined { transport, .. })) => {
                     joined += 1;
                     keep.push(transport);
                 }
-                Ok(Some(pando_core::transport::tcp::SessionEvent::Resumed { .. })) => resumed += 1,
-                Ok(Some(pando_core::transport::tcp::SessionEvent::Plain { .. })) => {}
+                Ok(Some(SessionEvent::Resumed { .. })) => resumed += 1,
+                Ok(Some(SessionEvent::Plain { .. })) => {}
                 Ok(None) => std::thread::sleep(Duration::from_millis(2)),
                 Err(err) => panic!("handshake failed: {err}"),
             }
@@ -192,4 +192,122 @@ fn drop_link_on_a_session_transport_redials_and_resumes() {
     assert_eq!(client.token(), token_before, "a resume keeps the session token");
     assert!(keep[0].is_peer_alive(), "the master-side session is live again");
     client.close();
+}
+
+/// Payload size of the two tests below: a few such frames fill the default
+/// 1 MiB redelivery bound long before eight of them are due an ack by count.
+const LARGE: usize = 300 * 1024;
+
+#[test]
+fn large_results_are_acknowledged_before_they_fill_the_redelivery_buffer() {
+    // Acks used to be counted in frames (one per eight) while the redelivery
+    // buffer is bounded in bytes: the fourth 300 KiB result blocked on an ack
+    // the master was not yet due to send, forever. The ack now rides on the
+    // next task frame.
+    let tcp = TcpConfig::local_test();
+    let pando = Pando::new(PandoConfig::local_test().with_batch_size(1));
+    let acceptor = TcpAcceptor::bind("127.0.0.1:0", tcp.clone()).unwrap();
+    let addr = acceptor.local_addr();
+    let server = acceptor.serve(&pando);
+    let worker = WorkerBuilder::new().name("bulky").heartbeats(true).spawn(
+        ReconnectingTcpTransport::connect(addr, "bulky", tcp, ReconnectPolicy::local_test())
+            .unwrap(),
+        |payload: &Bytes| Ok(Bytes::from(vec![payload[0]; LARGE])),
+    );
+    assert!(server.wait_for_volunteers(1, Duration::from_secs(10)), "the volunteer joins");
+
+    let tasks = 40u64;
+    let (done, finished) = std::sync::mpsc::channel();
+    let runner = pando.clone();
+    std::thread::spawn(move || {
+        let output =
+            runner.run(count(tasks).map_values(|v| Bytes::from(vec![v as u8]))).collect_values();
+        let _ = done.send(output);
+    });
+    let output = finished
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the session wedged: a sender waits for an ack nobody is due to send")
+        .unwrap();
+    assert_eq!(output.len() as u64, tasks);
+    for (i, payload) in output.iter().enumerate() {
+        assert!(payload.len() == LARGE && payload[0] == (i + 1) as u8, "result {i} in order");
+    }
+    assert!(!worker.join().crashed);
+    server.stop();
+    server.join();
+    pando.join_volunteers();
+    assert_eq!(pando.lender_stats().unwrap().substreams_crashed, 0);
+}
+
+#[test]
+fn large_tasks_to_a_silent_worker_are_acknowledged_by_bytes_not_by_count() {
+    // The mirror case, on a bound that holds one 300 KiB task but not two: a
+    // worker busy 50 ms per task sends nothing back for an ack to ride on,
+    // so without the byte rule the master could send task n+1 only after
+    // result n — one task in flight. With it the worker acknowledges each
+    // task on its own as it arrives and the master keeps two in flight.
+    let tcp = TcpConfig {
+        write_buffer_max: 512 * 1024,
+        heartbeat_interval: Duration::from_secs(2),
+        failure_timeout: Duration::from_secs(30),
+        ..TcpConfig::default()
+    };
+    let acceptor = TcpAcceptor::bind("127.0.0.1:0", tcp.clone()).unwrap();
+    let addr = acceptor.local_addr();
+    let tasks = 10u64;
+    let worker = std::thread::spawn(move || {
+        let link =
+            ReconnectingTcpTransport::connect(addr, "slow", tcp, ReconnectPolicy::local_test())
+                .unwrap();
+        for _ in 0..tasks {
+            let task = link.recv_timeout(Duration::from_secs(20)).expect("a task arrives");
+            let Message::Task { seq, payload } = task else {
+                panic!("expected a task, got {task:?}");
+            };
+            assert_eq!(payload.len(), LARGE);
+            std::thread::sleep(Duration::from_millis(50));
+            link.send(Message::TaskResult { seq, payload: Bytes::new() }).unwrap();
+        }
+        link
+    });
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    let master = loop {
+        match acceptor.accept_session().expect("handshake") {
+            Some(SessionEvent::Joined { transport, .. }) => break transport,
+            _ => std::thread::sleep(Duration::from_millis(2)),
+        }
+        assert!(std::time::Instant::now() < deadline, "the worker never joined");
+    };
+
+    let payload = Bytes::from(vec![0x5Au8; LARGE]);
+    let (mut sent, mut done, mut overlapped) = (0u64, 0u64, 0u64);
+    while done < tasks {
+        assert!(std::time::Instant::now() < deadline, "{done} of {tasks} results after 30 s");
+        while sent < tasks && sent - done < 2 {
+            let task = Message::Task { seq: sent, payload: payload.clone() };
+            match master.send(task) {
+                Ok(()) => {
+                    sent += 1;
+                    overlapped += u64::from(sent - done == 2);
+                }
+                Err(SendError::WouldBlock) => break,
+                Err(err) => panic!("send failed: {err:?}"),
+            }
+        }
+        match master.try_recv() {
+            Ok(Message::TaskResult { seq, .. }) => {
+                assert_eq!(seq, done, "results in order");
+                done += 1;
+            }
+            Ok(other) => panic!("unexpected {other:?}"),
+            Err(RecvError::Empty) => {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            Err(err) => panic!("link lost: {err}"),
+        }
+    }
+    // Every task but the first went out while its predecessor was still
+    // being worked on.
+    assert_eq!(overlapped, tasks - 1, "tasks sent with one already in flight");
+    worker.join().unwrap().close();
 }

@@ -359,6 +359,92 @@ fn mixed_frame_sizes_reassemble_from_any_slicing_on_both_backends() {
 }
 
 #[test]
+fn a_slow_reader_gets_every_piece_of_200_mixed_frames_in_order_on_both_backends() {
+    use pando_netsim::channel::SendError;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    // Frames of one piece (all head), of two (head, long payload) and of
+    // many (a batch alternating long and short records), sent as pieces
+    // against a socket that takes them a few kilobytes at a time: the
+    // partial-write cursor stops inside heads and payloads alike and has to
+    // resume there.
+    let bound = 256 * 1024;
+    let bulk = Bytes::from((0..32 * 1024).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
+    let big = Bytes::from((0..200 * 1024).map(|i| (i % 241) as u8).collect::<Vec<u8>>());
+    let small = Bytes::copy_from_slice(&[7u8; 8]);
+    let messages: Vec<Message> = (0..200u64)
+        .map(|seq| match seq % 5 {
+            0 => Message::Task { seq, payload: small.clone() },
+            1 => Message::TaskResult { seq, payload: bulk.slice(..2048) },
+            2 => Message::Task { seq, payload: bulk.clone() },
+            3 => Message::ResultBatch(vec![
+                Record::new(seq, bulk.clone()),
+                Record::new(seq, small.clone()),
+                Record::new(seq, bulk.slice(1..)),
+                Record::new(seq, bulk.clone()),
+            ]),
+            _ => Message::TaskResult { seq, payload: big.clone() },
+        })
+        .collect();
+    let stream: Vec<u8> =
+        messages.iter().flat_map(|message| message.encode().unwrap().to_vec()).collect();
+    for (backend, tcp) in both_backends().into_iter().enumerate() {
+        let tcp = TcpConfig { write_buffer_max: bound, ..tcp };
+        let acceptor = TcpAcceptor::bind("127.0.0.1:0", tcp).unwrap();
+        let addr = acceptor.local_addr();
+        // The reader holds off until the sender has met backpressure, so the
+        // kernel's buffers are full when the first partial writes resume.
+        let pushed_back = Arc::new(AtomicBool::new(false));
+        let (go, total) = (pushed_back.clone(), stream.len());
+        let reader = std::thread::spawn(move || {
+            let mut socket = raw_handshake(addr, "sipper");
+            while !go.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let mut got = Vec::with_capacity(total);
+            let mut sip = vec![0u8; 48 * 1024];
+            while got.len() < total {
+                let n = socket.read(&mut sip).expect("the link stays up");
+                assert!(n > 0, "EOF after {} of {total} bytes", got.len());
+                got.extend_from_slice(&sip[..n]);
+                std::thread::sleep(Duration::from_micros(300));
+            }
+            (got, socket)
+        });
+        let (_, sender) = accept_one(&acceptor);
+        let deadline = Instant::now() + Duration::from_secs(60);
+        for message in &messages {
+            loop {
+                let sent = sender.send(message.clone());
+                let queued = sender.stats().queued_bytes;
+                assert!(queued <= bound, "backend {backend}: {queued} B queued, bound {bound}");
+                match sent {
+                    Ok(()) => break,
+                    Err(SendError::WouldBlock) => {
+                        pushed_back.store(true, Ordering::SeqCst);
+                        assert!(Instant::now() < deadline, "backend {backend}: never drained");
+                        std::thread::sleep(Duration::from_micros(500));
+                    }
+                    Err(err) => panic!("backend {backend}: send failed: {err:?}"),
+                }
+            }
+        }
+        assert!(pushed_back.load(Ordering::SeqCst), "13 MB never filled the socket's buffers");
+        let (got, socket) = reader.join().unwrap();
+        assert!(got == stream, "backend {backend}: the byte stream arrived altered");
+        while sender.stats().frames_written < 200 {
+            assert!(Instant::now() < deadline, "backend {backend}: {:?}", sender.stats());
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let stats = sender.stats();
+        assert_eq!((stats.frames_written, stats.queued_bytes), (200, 0), "frames, not pieces");
+        assert_eq!(stats.bytes_written, stream.len() as u64);
+        drop(socket);
+    }
+}
+
+#[test]
 fn mid_frame_disconnect_is_detected_as_a_crash() {
     let acceptor = TcpAcceptor::bind("127.0.0.1:0", lenient()).unwrap();
     let addr = acceptor.local_addr();

@@ -9,7 +9,7 @@
 //! channel round-trip. Decoding a record frame is zero-copy: every record
 //! payload is a [`Bytes`] slice into the frame's single allocation.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 use pando_pull_stream::StreamError;
 
 /// Maximum accepted frame length (16 MiB), mirroring the WebRTC message-size
@@ -23,33 +23,89 @@ pub const FRAME_HEADER_LEN: usize = 5;
 /// number plus 4-byte payload length.
 pub const RECORD_HEADER_LEN: usize = 12;
 
-/// Starts a frame of `body_len` body bytes: one buffer sized for the whole
-/// frame, header written. The caller appends the body and freezes it — a
-/// frame is built in one pass, in the allocation that goes to the socket.
+/// A payload this short is copied beside its framing when a frame is written
+/// as pieces; a longer one travels as the [`Bytes`] it already is. An iovec
+/// entry and a reference count cost about this much `memcpy`.
+const INLINE_PAYLOAD_MAX: usize = 1024;
+
+/// Where the one frame writer puts a frame's bytes, in wire order. The piece
+/// form is three passes of the same writer: `HeadLen`, `Head`, `Cut`.
+pub enum FrameSink<'a> {
+    /// The contiguous form: every byte, payloads copied.
+    Whole(&'a mut BytesMut),
+    /// Counts what `Head` will write.
+    HeadLen(&'a mut usize),
+    /// The *head*: all of a frame but its long payloads, in one small buffer.
+    Head(&'a mut BytesMut),
+    /// The same frame over its finished head emits the pieces: a slice of the
+    /// head up to each long payload, then that payload, shared, not copied.
+    Cut {
+        /// What `Head` wrote.
+        head: &'a Bytes,
+        /// Head bytes before this offset have been emitted.
+        start: usize,
+        /// Head bytes before this offset have been passed over.
+        cursor: usize,
+        /// Receives the pieces.
+        emit: &'a mut dyn FnMut(Bytes),
+    },
+}
+
+impl FrameSink<'_> {
+    /// Framing bytes: tag, lengths, sequence numbers.
+    pub fn put_framing(&mut self, bytes: &[u8]) {
+        match self {
+            FrameSink::Whole(buf) | FrameSink::Head(buf) => buf.extend_from_slice(bytes),
+            FrameSink::HeadLen(len) => **len += bytes.len(),
+            FrameSink::Cut { cursor, .. } => *cursor += bytes.len(),
+        }
+    }
+
+    /// A payload: copied like framing into `Whole` and, when short, the head;
+    /// a long one the head passes skip and `Cut` emits behind the head so far.
+    pub fn put_payload(&mut self, payload: &Bytes) {
+        if matches!(self, FrameSink::Whole(_)) || payload.len() < INLINE_PAYLOAD_MAX {
+            return self.put_framing(payload);
+        }
+        self.flush();
+        if let FrameSink::Cut { emit, .. } = self {
+            emit(payload.clone());
+        }
+    }
+
+    /// Emits the head bytes a `Cut` pass has passed over since its last
+    /// piece: before each long payload, and to end the pass.
+    pub fn flush(&mut self) {
+        if let FrameSink::Cut { head, start, cursor, emit } = self {
+            if cursor > start {
+                emit(head.slice(*start..*cursor));
+                *start = *cursor;
+            }
+        }
+    }
+}
+
+/// The header of a frame of `body_len` body bytes.
 ///
 /// # Errors
 ///
 /// Returns a protocol error if the body exceeds [`MAX_FRAME_LEN`]; an
 /// unchecked `as u32` cast here would silently truncate the length field and
 /// desynchronise the stream.
-pub fn begin_frame(tag: u8, body_len: usize) -> Result<BytesMut, StreamError> {
+pub fn frame_header(tag: u8, body_len: usize) -> Result<[u8; FRAME_HEADER_LEN], StreamError> {
     if body_len > MAX_FRAME_LEN {
         return Err(StreamError::protocol(format!(
             "frame body of {body_len} bytes exceeds the {MAX_FRAME_LEN} byte limit"
         )));
     }
-    let mut buf = BytesMut::with_capacity(FRAME_HEADER_LEN + body_len);
-    buf.put_u8(tag);
-    buf.put_u32(body_len as u32);
-    Ok(buf)
+    let [l0, l1, l2, l3] = (body_len as u32).to_be_bytes();
+    Ok([tag, l0, l1, l2, l3])
 }
 
 /// Encodes one whole frame — tag byte, 4-byte big-endian length, payload —
-/// failing as [`begin_frame`] does.
+/// failing as [`frame_header`] does.
 pub fn encode_frame(tag: u8, payload: &[u8]) -> Result<Bytes, StreamError> {
-    let mut buf = begin_frame(tag, payload.len())?;
-    buf.put_slice(payload);
-    Ok(buf.freeze())
+    Ok(Bytes::from([&frame_header(tag, payload.len())?[..], payload].concat()))
 }
 
 /// Reads the frame header at the front of `buf`: the tag and the length of
@@ -95,15 +151,15 @@ pub fn record_body_len(records: &[Record]) -> usize {
     4 + records.iter().map(|r| RECORD_HEADER_LEN + r.payload.len()).sum::<usize>()
 }
 
-/// Appends a record batch to a frame begun for [`record_body_len`] bytes
-/// (where the size was checked): a 4-byte big-endian record count, then per
-/// record an 8-byte sequence number, a 4-byte payload length, the payload.
-pub fn put_records(buf: &mut BytesMut, records: &[Record]) {
-    buf.put_u32(records.len() as u32);
+/// Writes a record batch into a frame sized from [`record_body_len`] (where
+/// the size was checked): a 4-byte big-endian record count, then per record
+/// an 8-byte sequence number, a 4-byte payload length, the payload.
+pub fn put_records(sink: &mut FrameSink<'_>, records: &[Record]) {
+    sink.put_framing(&(records.len() as u32).to_be_bytes());
     for record in records {
-        buf.put_u64(record.seq);
-        buf.put_u32(record.payload.len() as u32);
-        buf.put_slice(&record.payload);
+        sink.put_framing(&record.seq.to_be_bytes());
+        sink.put_framing(&(record.payload.len() as u32).to_be_bytes());
+        sink.put_payload(&record.payload);
     }
 }
 
@@ -214,11 +270,13 @@ pub fn base64_decode(text: &str) -> Result<Vec<u8>, StreamError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BufMut;
 
     /// The body of a record-batch frame, built the way `Message::encode` does.
     fn record_body(records: &[Record]) -> Result<Bytes, StreamError> {
-        let mut frame = begin_frame(6, record_body_len(records))?;
-        put_records(&mut frame, records);
+        let mut frame = BytesMut::new();
+        frame.put_slice(&frame_header(6, record_body_len(records))?);
+        put_records(&mut FrameSink::Whole(&mut frame), records);
         Ok(frame.freeze().slice(FRAME_HEADER_LEN..))
     }
 
