@@ -28,21 +28,6 @@ use pando_netsim::channel::ChannelConfig;
 use pando_netsim::sim::Clock;
 use std::time::Duration;
 
-/// How the master wires volunteer endpoints to the StreamLender.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum VolunteerBackend {
-    /// Event-driven: every volunteer is a registration on a shared reactor
-    /// pool of [`ReactorConfig::threads`] threads; ready endpoints are
-    /// queued and drained without blocking, so one master scales to tens of
-    /// thousands of volunteers with a constant thread count.
-    #[default]
-    Reactor,
-    /// Thread-per-volunteer: two dedicated pump threads (dispatcher +
-    /// receiver) per volunteer, the original shape. Kept for A/B comparison;
-    /// caps a master at low thousands of volunteers.
-    Threads,
-}
-
 /// How values are windowed towards each volunteer and coalesced into wire
 /// frames.
 ///
@@ -88,25 +73,18 @@ impl Default for BatchingConfig {
 /// How volunteer endpoints are driven and how the stream lender is sharded.
 ///
 /// ```
-/// use pando_core::config::{ReactorConfig, VolunteerBackend};
+/// use pando_core::config::ReactorConfig;
 ///
 /// let reactor = ReactorConfig::default();
-/// assert_eq!(reactor.backend, VolunteerBackend::Reactor);
 /// assert_eq!(reactor.threads, 4);
 /// assert_eq!(reactor.lender_shards, None); // derived from the pool size
-/// assert!(reactor.bounded_wakes);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReactorConfig {
-    /// How volunteer endpoints are driven: the event-driven reactor (the
-    /// default) or the legacy thread-per-volunteer pumps. Example:
-    /// `PandoConfig::local_test().with_backend(VolunteerBackend::Threads)`
-    /// switches a deployment to the legacy pumps for an A/B run.
-    pub backend: VolunteerBackend,
-    /// Number of OS threads in the reactor pool when [`Self::backend`] is
-    /// [`VolunteerBackend::Reactor`]. All volunteers are multiplexed over
-    /// this fixed pool (plus one input-pump thread per lender shard), so the
-    /// thread count no longer grows with the fleet. Example:
+    /// Number of OS threads in the reactor pool. Every volunteer is a
+    /// registration on this fixed pool (plus one input-pump thread per
+    /// lender shard): ready endpoints are queued and drained without
+    /// blocking, so the thread count does not grow with the fleet. Example:
     /// `PandoConfig::lan().with_reactor_threads(8)`.
     pub threads: usize,
     /// Number of independent StreamLender shards the input stream is
@@ -116,27 +94,12 @@ pub struct ReactorConfig {
     /// crash re-lends of different shards proceed under different locks.
     /// `None` derives `min(threads, 4)`; `Some(1)` (or
     /// `with_lender_shards(1)`) reproduces the single global lender exactly.
-    /// The legacy [`VolunteerBackend::Threads`] backend always runs a single
-    /// shard.
     pub lender_shards: Option<usize>,
-    /// Whether `kick_starved` wakes only `min(parked, shard lendable depth)`
-    /// drivers per lender change (the work-conserving default) or broadcasts
-    /// to every parked driver of the shard (the pre-bounded behaviour, kept
-    /// for A/B runs: `with_bounded_wakes(false)`). Liveness under bounded
-    /// wakes is guaranteed by the kick-epoch counter plus a
-    /// heartbeat-interval backstop timer that re-kicks any shard holding
-    /// lendable work while drivers are parked.
-    pub bounded_wakes: bool,
 }
 
 impl Default for ReactorConfig {
     fn default() -> Self {
-        Self {
-            backend: VolunteerBackend::default(),
-            threads: PandoConfig::DEFAULT_REACTOR_THREADS,
-            lender_shards: None,
-            bounded_wakes: true,
-        }
+        Self { threads: PandoConfig::DEFAULT_REACTOR_THREADS, lender_shards: None }
     }
 }
 
@@ -311,12 +274,6 @@ impl PandoConfig {
         self
     }
 
-    /// Returns the configuration with a different volunteer backend.
-    pub fn with_backend(mut self, backend: VolunteerBackend) -> Self {
-        self.reactor.backend = backend;
-        self
-    }
-
     /// Returns the configuration with a different reactor pool size.
     ///
     /// # Panics
@@ -339,14 +296,6 @@ impl PandoConfig {
         self
     }
 
-    /// Returns the configuration with bounded starved-kicks switched on or
-    /// off; see [`ReactorConfig::bounded_wakes`]. `false` restores the
-    /// broadcast kicks for A/B comparison.
-    pub fn with_bounded_wakes(mut self, bounded_wakes: bool) -> Self {
-        self.reactor.bounded_wakes = bounded_wakes;
-        self
-    }
-
     /// Returns the configuration with adaptive batching switched on or off.
     pub fn with_adaptive_batching(mut self, adaptive_batching: bool) -> Self {
         self.batching.adaptive = adaptive_batching;
@@ -357,7 +306,7 @@ impl PandoConfig {
     /// simulator ([`sim::simulate_fleet`](crate::sim::simulate_fleet)): the
     /// LAN network profile (2 ms latency, 1 ms jitter, 100 ms heartbeats,
     /// 500 ms failure timeout) with every jitter generator seeded from
-    /// `seed`, a virtual [`Clock`], and the reactor backend in inline mode.
+    /// `seed`, a virtual [`Clock`], and the reactor in inline mode.
     /// Two deployments built from the same seed and driven by the same
     /// scheduler produce identical event traces, byte for byte.
     ///
@@ -393,15 +342,9 @@ impl PandoConfig {
     /// [`ReactorConfig::lender_shards`] if set, otherwise
     /// `min(threads, 4)` — more shards than reactor threads cannot
     /// dispatch concurrently, and beyond four the splitter serialisation
-    /// dominates. The [`VolunteerBackend::Threads`] backend ignores this and
-    /// always runs a single shard.
+    /// dominates.
     pub fn effective_lender_shards(&self) -> usize {
-        match self.reactor.backend {
-            VolunteerBackend::Threads => 1,
-            VolunteerBackend::Reactor => {
-                self.reactor.lender_shards.unwrap_or(self.reactor.threads.min(4)).max(1)
-            }
-        }
+        self.reactor.lender_shards.unwrap_or(self.reactor.threads.min(4)).max(1)
     }
 
     /// The coalescing limit actually used by the dispatcher: the explicit
@@ -448,15 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_wakes_defaults_on_and_toggles() {
-        assert!(ReactorConfig::default().bounded_wakes);
-        assert!(PandoConfig::local_test().reactor.bounded_wakes);
-        let config = PandoConfig::local_test().with_bounded_wakes(false);
-        assert!(!config.reactor.bounded_wakes);
-        assert!(config.with_bounded_wakes(true).reactor.bounded_wakes);
-    }
-
-    #[test]
     #[should_panic(expected = "batch size")]
     fn zero_batch_size_is_rejected() {
         let _ = PandoConfig::local_test().with_batch_size(0);
@@ -480,11 +414,8 @@ mod tests {
     #[test]
     fn reactor_is_the_default_backend() {
         let config = PandoConfig::default();
-        assert_eq!(config.reactor.backend, VolunteerBackend::Reactor);
         assert_eq!(config.reactor.threads, PandoConfig::DEFAULT_REACTOR_THREADS);
-        let config = config.with_backend(VolunteerBackend::Threads).with_reactor_threads(8);
-        assert_eq!(config.reactor.backend, VolunteerBackend::Threads);
-        assert_eq!(config.reactor.threads, 8);
+        assert_eq!(config.with_reactor_threads(8).reactor.threads, 8);
     }
 
     #[test]
@@ -502,8 +433,6 @@ mod tests {
         assert_eq!(config.effective_lender_shards(), 4, "derived shards cap at 4");
         let config = config.with_lender_shards(6);
         assert_eq!(config.effective_lender_shards(), 6, "an explicit count wins");
-        let config = config.with_backend(VolunteerBackend::Threads);
-        assert_eq!(config.effective_lender_shards(), 1, "the threads backend never shards");
     }
 
     #[test]
@@ -517,7 +446,6 @@ mod tests {
         let config = PandoConfig::deterministic(42);
         assert!(config.run.clock.is_virtual());
         assert_eq!(config.transport.channel.seed, 42);
-        assert_eq!(config.reactor.backend, VolunteerBackend::Reactor);
         assert!(!PandoConfig::local_test().run.clock.is_virtual());
         let clock = Clock::virtual_clock();
         let config = PandoConfig::local_test().with_clock(clock.clone());

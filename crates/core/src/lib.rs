@@ -13,9 +13,8 @@
 //!   and their framed encoding;
 //! * [`master`] — the [`master::Pando`] master: StreamLender +
 //!   Limiter per volunteer + ordered output;
-//! * [`reactor`] — the event-driven backend: a fixed thread pool
-//!   multiplexing dispatch and receive for every volunteer (the default;
-//!   the thread-per-volunteer pumps remain available for A/B runs);
+//! * [`reactor`] — the event-driven driver of every volunteer: a fixed
+//!   thread pool multiplexing dispatch and receive for the whole fleet;
 //! * [`worker`] — the volunteer-side processing loop (`AsyncMap(f)`), as a
 //!   thread per device or a pool serving thousands of simulated devices;
 //! * [`volunteer`] — volunteer lifecycle (candidate → processor) and

@@ -1,42 +1,27 @@
 //! The Pando master process.
 //!
 //! The master (paper Figure 7) owns the StreamLender that coordinates the
-//! distributed map. Each volunteer is wired to a fresh sub-stream through
-//! one of two backends ([`ReactorConfig::backend`](crate::config::ReactorConfig::backend)):
-//!
-//! * **Reactor** (default): the volunteer becomes a registration on the
-//!   shared [`reactor`](crate::reactor) pool — a fixed number of threads
-//!   multiplexes dispatch and receive for *all* volunteers, so one master
-//!   scales to tens of thousands of endpoints.
-//! * **Threads** (legacy, kept for A/B comparison): two dedicated pump
-//!   threads per volunteer. The *dispatcher* borrows values from the
-//!   sub-stream — bounded by the batch-size window — and coalesces whatever
-//!   is immediately available into a single [`Message::TaskBatch`] frame, so
-//!   a whole window pays the channel round-trip once. The *receiver*
-//!   demultiplexes [`Message::ResultBatch`] frames back into the lender and
-//!   releases window slots.
-//!
-//! Either way, results are emitted on a single ordered output stream.
-//! Payloads are opaque [`Bytes`] end to end; [`Pando::run_typed`] layers a
-//! [`TaskCodec`] on top for applications with native task/result types.
+//! distributed map. Each volunteer is wired to a fresh sub-stream and
+//! becomes a registration on the shared [`reactor`](crate::reactor) pool — a
+//! fixed number of threads multiplexes dispatch and receive for *all*
+//! volunteers, so one master scales to tens of thousands of endpoints.
+//! Results are emitted on a single ordered output stream. Payloads are
+//! opaque [`Bytes`] end to end; [`Pando::run_typed`] layers a [`TaskCodec`]
+//! on top for applications with native task/result types.
 
-use crate::config::{PandoConfig, VolunteerBackend};
-use crate::metrics::{DeviceMeter, ShardMeter, ThroughputMeter};
+use crate::config::PandoConfig;
+use crate::metrics::ThroughputMeter;
 use crate::protocol::Message;
 use crate::reactor::{DriverHandle, Reactor, ReactorStats};
 use crate::transport::Transport;
 use bytes::Bytes;
-use pando_netsim::channel::{pair_with_clock, ChannelConfig, Endpoint, RecvError, SendError};
-use pando_netsim::codec::{Record, MAX_FRAME_LEN, RECORD_HEADER_LEN};
+use pando_netsim::channel::{pair_with_clock, ChannelConfig, Endpoint};
 use pando_pull_stream::codec::TaskCodec;
-use pando_pull_stream::lender::{LenderStats, SubStreamSink, SubStreamSource};
+use pando_pull_stream::lender::LenderStats;
 use pando_pull_stream::shard::{ShardedLender, ShardedOutput};
 use pando_pull_stream::source::Source;
-use pando_pull_stream::sync::Semaphore;
-use pando_pull_stream::{Answer, Request, StreamError};
 use parking_lot::Mutex;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// The Pando master: accepts volunteers and distributes a stream of values to
 /// them. See the [crate documentation](crate) for a complete example.
@@ -48,13 +33,13 @@ pub struct Pando {
 
 struct MasterState {
     lender: Option<ShardedLender<Bytes, Bytes>>,
-    /// The reactor pool, created lazily on the first reactor-backed wiring.
+    /// The reactor pool, created lazily when the first volunteer is wired.
     /// Dropping the last Pando handle joins its threads.
     reactor: Option<Arc<Reactor>>,
     /// Volunteer transports accepted before the input stream was attached.
     pending: Vec<(String, Arc<dyn Transport>)>,
-    links: Vec<VolunteerLink>,
-    next_volunteer: u64,
+    links: Vec<DriverHandle>,
+    /// Volunteers registered so far; also the next join index.
     volunteers_connected: u64,
 }
 
@@ -88,7 +73,6 @@ impl Pando {
                 reactor: None,
                 pending: Vec::new(),
                 links: Vec::new(),
-                next_volunteer: 0,
                 volunteers_connected: 0,
             })),
         }
@@ -111,9 +95,8 @@ impl Pando {
     /// deployment seed plus the volunteer's join index, so a whole fleet is
     /// reproducible from one [`PandoConfig::deterministic`] seed.
     pub fn open_volunteer_channel(&self) -> Endpoint<Message> {
-        let channel = self.config.transport.channel.clone();
-        let seed = channel.seed.wrapping_add(self.state.lock().next_volunteer);
-        self.open_volunteer_channel_with(channel.with_seed(seed))
+        let channel = &self.config.transport.channel;
+        self.open_channel(|index| channel.clone().with_seed(channel.seed.wrapping_add(index)))
     }
 
     /// Like [`Pando::open_volunteer_channel`] but with an explicit channel
@@ -123,78 +106,72 @@ impl Pando {
     /// channel still runs on the deployment clock, so scenario links stay
     /// deterministic under [`PandoConfig::deterministic`].
     pub fn open_volunteer_channel_with(&self, channel: ChannelConfig) -> Endpoint<Message> {
-        let index = self.state.lock().next_volunteer;
+        self.open_channel(|_| channel)
+    }
+
+    /// Takes the next join index and registers `volunteer-{index}` under one
+    /// hold of the state lock, so clones of one deployment opening channels
+    /// concurrently never share a name (one meter row, one shard hash) or a
+    /// jitter seed.
+    fn open_channel(&self, channel: impl FnOnce(u64) -> ChannelConfig) -> Endpoint<Message> {
+        let mut state = self.state.lock();
+        let index = state.volunteers_connected;
         let (master_side, volunteer_side) =
-            pair_with_clock::<Message>(channel, self.config.run.clock.clone());
-        self.add_volunteer_endpoint(format!("volunteer-{index}"), master_side);
+            pair_with_clock::<Message>(channel(index), self.config.run.clock.clone());
+        self.register(&mut state, format!("volunteer-{index}"), Arc::new(master_side));
         volunteer_side
     }
 
-    /// Registers the master side of a simulated volunteer connection, for
-    /// example one delivered by a
-    /// [`PublicServer`](pando_netsim::signaling::PublicServer). Shorthand
-    /// for [`Pando::add_volunteer_transport`] with a netsim endpoint.
-    pub fn add_volunteer_endpoint(&self, name: String, endpoint: Endpoint<Message>) {
-        self.add_volunteer_transport(name, Arc::new(endpoint));
-    }
-
     /// Registers the master side of a volunteer connection over any
-    /// [`Transport`] — a simulated channel or a live
+    /// [`Transport`] — a simulated channel (for example one delivered by a
+    /// [`PublicServer`](pando_netsim::signaling::PublicServer)) or a live
     /// [`TcpTransport`](crate::transport::tcp::TcpTransport) accepted from
     /// another process. Volunteers may be added at any time, before or while
     /// the input stream is processed (dynamic property).
     pub fn add_volunteer_transport(&self, name: String, endpoint: Arc<dyn Transport>) {
-        let mut state = self.state.lock();
-        state.next_volunteer += 1;
+        self.register(&mut self.state.lock(), name, endpoint);
+    }
+
+    fn register(&self, state: &mut MasterState, name: String, endpoint: Arc<dyn Transport>) {
         state.volunteers_connected += 1;
         match state.lender.clone() {
-            Some(lender) => {
-                let reactor = self.reactor_for(&mut state, &lender);
-                let link = wire_volunteer(
-                    &lender,
-                    reactor.as_deref(),
-                    &name,
-                    endpoint,
-                    &self.config,
-                    &self.meter,
-                );
-                state.links.push(link);
-            }
+            Some(lender) => self.wire_volunteer(state, &lender, &name, endpoint),
             None => state.pending.push((name, endpoint)),
         }
     }
 
-    /// Returns the shared reactor when the reactor backend is active,
-    /// creating the pool (and attaching it to the lender) on first use.
-    fn reactor_for(
+    /// Wires one volunteer endpoint to a fresh sub-stream on one lender shard
+    /// (volunteer id hash → shard; see [`shard_for_volunteer`]) and registers
+    /// the pair on the shared reactor, creating the pool (and attaching it to
+    /// the lender) on first use (paper Figures 7 and 9, with protocol-level
+    /// batching on top).
+    fn wire_volunteer(
         &self,
         state: &mut MasterState,
         lender: &ShardedLender<Bytes, Bytes>,
-    ) -> Option<Arc<Reactor>> {
-        match self.config.reactor.backend {
-            VolunteerBackend::Threads => None,
-            VolunteerBackend::Reactor => Some(
-                state
-                    .reactor
-                    .get_or_insert_with(|| {
-                        let reactor = Arc::new(Reactor::new(&self.config));
-                        reactor.attach_lender(lender);
-                        reactor
-                    })
-                    .clone(),
-            ),
-        }
+        name: &str,
+        endpoint: Arc<dyn Transport>,
+    ) {
+        let reactor = state.reactor.get_or_insert_with(|| {
+            let reactor = Arc::new(Reactor::new(&self.config));
+            reactor.attach_lender(lender);
+            reactor
+        });
+        let shard = shard_for_volunteer(lender, name);
+        let duplex = lender.lend_on(shard).into_duplex();
+        let link = reactor.register(name, shard, endpoint, duplex, &self.config, &self.meter);
+        state.links.push(link);
     }
 
-    /// Scheduling counters of the reactor pool, if the reactor backend is
-    /// active and at least one volunteer was wired.
+    /// Scheduling counters of the reactor pool, once at least one volunteer
+    /// was wired.
     pub fn reactor_stats(&self) -> Option<ReactorStats> {
         self.state.lock().reactor.as_ref().map(|reactor| reactor.stats())
     }
 
-    /// The shared reactor, once the first volunteer was wired on the reactor
-    /// backend. The deterministic fleet simulator uses this to single-step
-    /// an inline reactor.
+    /// The shared reactor, once the first volunteer was wired. The
+    /// deterministic fleet simulator uses this to single-step an inline
+    /// reactor.
     pub(crate) fn reactor_handle(&self) -> Option<Arc<Reactor>> {
         self.state.lock().reactor.clone()
     }
@@ -273,16 +250,7 @@ impl Pando {
         );
         let pending: Vec<(String, Arc<dyn Transport>)> = state.pending.drain(..).collect();
         for (name, endpoint) in pending {
-            let reactor = self.reactor_for(&mut state, &lender);
-            let link = wire_volunteer(
-                &lender,
-                reactor.as_deref(),
-                &name,
-                endpoint,
-                &self.config,
-                &self.meter,
-            );
-            state.links.push(link);
+            self.wire_volunteer(&mut state, &lender, &name, endpoint);
         }
         let output = lender.output();
         state.lender = Some(lender);
@@ -315,10 +283,10 @@ impl Pando {
         output.try_map(move |payload: Bytes| codec.decode_result(&payload))
     }
 
-    /// Waits for every volunteer pump thread spawned so far to finish.
-    /// Useful in tests to assert on final statistics.
+    /// Waits for every volunteer session wired so far to end. Useful in
+    /// tests to assert on final statistics.
     pub fn join_volunteers(&self) {
-        let links: Vec<VolunteerLink> = {
+        let links: Vec<DriverHandle> = {
             let mut state = self.state.lock();
             state.links.drain(..).collect()
         };
@@ -327,54 +295,6 @@ impl Pando {
             // expected part of operation; the lender already re-lent the
             // affected values.
             let _ = link.join();
-        }
-    }
-}
-
-/// Handle on the machinery driving one volunteer: either the dispatcher and
-/// receiver pump threads (legacy backend) or a registration on the shared
-/// reactor pool.
-#[derive(Debug)]
-pub enum VolunteerLink {
-    /// Thread-per-volunteer pumps.
-    Threads {
-        /// The dispatcher pump thread.
-        dispatcher: JoinHandle<Result<(), StreamError>>,
-        /// The receiver pump thread.
-        receiver: JoinHandle<Result<(), StreamError>>,
-    },
-    /// A driver registered on the reactor pool.
-    Reactor(DriverHandle),
-}
-
-impl VolunteerLink {
-    /// Waits for the volunteer session to end and reports the first error.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first stream error reported by either direction.
-    pub fn join(self) -> Result<(), StreamError> {
-        match self {
-            VolunteerLink::Threads { dispatcher, receiver } => {
-                let dispatcher = dispatcher
-                    .join()
-                    .map_err(|_| StreamError::protocol("volunteer dispatcher panicked"))?;
-                let receiver = receiver
-                    .join()
-                    .map_err(|_| StreamError::protocol("volunteer receiver panicked"))?;
-                dispatcher.and(receiver)
-            }
-            VolunteerLink::Reactor(handle) => handle.join(),
-        }
-    }
-
-    /// Returns `true` once the volunteer session has ended.
-    pub fn is_finished(&self) -> bool {
-        match self {
-            VolunteerLink::Threads { dispatcher, receiver } => {
-                dispatcher.is_finished() && receiver.is_finished()
-            }
-            VolunteerLink::Reactor(handle) => handle.is_finished(),
         }
     }
 }
@@ -407,213 +327,6 @@ fn shard_for_volunteer(lender: &ShardedLender<Bytes, Bytes>, name: &str) -> usiz
     (hasher.finish() % shards as u64) as usize
 }
 
-/// Wires one volunteer endpoint to a fresh sub-stream on one lender shard
-/// (volunteer id hash → shard; see [`shard_for_volunteer`]). On the reactor
-/// backend this is a registration on the shared pool; on the legacy backend
-/// it spawns a dispatcher thread that batches borrowed values into task
-/// frames and a receiver thread that demultiplexes result frames (paper
-/// Figures 7 and 9, with protocol-level batching on top).
-fn wire_volunteer(
-    lender: &ShardedLender<Bytes, Bytes>,
-    reactor: Option<&Reactor>,
-    name: &str,
-    endpoint: Arc<dyn Transport>,
-    config: &PandoConfig,
-    meter: &ThroughputMeter,
-) -> VolunteerLink {
-    let shard = shard_for_volunteer(lender, name);
-    let duplex = lender.lend_on(shard).into_duplex();
-    if let Some(reactor) = reactor {
-        return VolunteerLink::Reactor(
-            reactor.register(name, shard, endpoint, duplex, config, meter),
-        );
-    }
-    let (source, sink) = duplex;
-    // The in-flight window: `batch_size` slots, one per borrowed value that
-    // has not produced a result yet (the Limiter of the original pipeline,
-    // here driving batch coalescing as well).
-    let window = Semaphore::new(config.batching.batch_size);
-    let tasks_per_frame = config.effective_tasks_per_frame();
-
-    // Both pumps feed the volunteer's and the shard's meter cell.
-    let cells = (meter.device(name), meter.shard(shard));
-    let dispatcher = {
-        let endpoint = endpoint.clone();
-        let window = window.clone();
-        let cells = cells.clone();
-        std::thread::Builder::new()
-            .name(format!("pando-dispatch-{name}"))
-            .spawn(move || run_dispatcher(source, endpoint, window, tasks_per_frame, cells))
-            .expect("spawn volunteer dispatcher thread")
-    };
-    let receiver = {
-        let name = name.to_string();
-        std::thread::Builder::new()
-            .name(format!("pando-receive-{name}"))
-            .spawn(move || run_receiver(sink, endpoint, window, cells, name))
-            .expect("spawn volunteer receiver thread")
-    };
-    VolunteerLink::Threads { dispatcher, receiver }
-}
-
-/// Dispatcher pump: borrows values from the sub-stream within the in-flight
-/// window and coalesces whatever is immediately available — up to
-/// `tasks_per_frame` — into one frame.
-fn run_dispatcher(
-    mut source: SubStreamSource<Bytes, Bytes>,
-    endpoint: Arc<dyn Transport>,
-    window: Semaphore,
-    tasks_per_frame: usize,
-    (device, shard): (DeviceMeter, ShardMeter),
-) -> Result<(), StreamError> {
-    // A value pulled for a frame that had no byte budget left; it opens the
-    // next frame (its window slot is already held).
-    let mut carry: Option<Record> = None;
-    loop {
-        let first = match carry.take() {
-            Some(record) => record,
-            None => {
-                // One window slot per task; the receiver releases slots as
-                // results return and closes the window when the channel ends.
-                if !window.acquire() {
-                    let _ = source.pull(Request::Abort);
-                    return Ok(());
-                }
-                match source.pull(Request::Ask) {
-                    Answer::Value(lend) => Record::new(lend.seq, lend.value),
-                    Answer::Done => {
-                        endpoint.close();
-                        return Ok(());
-                    }
-                    Answer::Err(err) => {
-                        endpoint.close();
-                        return Err(err);
-                    }
-                }
-            }
-        };
-        // Frame byte budget: batching must never assemble a frame the codec
-        // would reject (its u32 length field caps at MAX_FRAME_LEN).
-        let mut body = 4 + RECORD_HEADER_LEN + first.payload.len();
-        let mut records = vec![first];
-        // Coalesce without blocking: take only values that are ready *now*,
-        // only while window slots remain and only within the byte budget.
-        while records.len() < tasks_per_frame && body < MAX_FRAME_LEN && window.try_acquire() {
-            match source.try_pull() {
-                Some(lend) => {
-                    let add = RECORD_HEADER_LEN + lend.value.len();
-                    if body + add > MAX_FRAME_LEN {
-                        // Keep the value (and its window slot) for the next
-                        // frame instead of overflowing this one.
-                        carry = Some(Record::new(lend.seq, lend.value));
-                        break;
-                    }
-                    body += add;
-                    records.push(Record::new(lend.seq, lend.value));
-                }
-                None => {
-                    window.release();
-                    break;
-                }
-            }
-        }
-        let message = Message::task_frame(records);
-        let size = message.wire_size();
-        let count = message.record_count();
-        loop {
-            match endpoint.send_records_with_size(message.clone(), size, count) {
-                Ok(()) => {
-                    device.record_wire(size as u64);
-                    shard.record_borrows(count);
-                    break;
-                }
-                Err(SendError::WouldBlock) => {
-                    // Bounded write queue full: this dedicated dispatcher
-                    // thread blocks until the transport drains, bailing out
-                    // only if the volunteer dies while we wait.
-                    if !endpoint.is_peer_alive() {
-                        let err = StreamError::transport("volunteer failed while sending tasks");
-                        let _ = source.pull(Request::Fail(err.clone()));
-                        return Err(err);
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
-                Err(SendError::Closed) => {
-                    let _ = source.pull(Request::Abort);
-                    return Ok(());
-                }
-                Err(SendError::PeerFailed) => {
-                    let err = StreamError::transport("volunteer failed while sending tasks");
-                    let _ = source.pull(Request::Fail(err.clone()));
-                    return Err(err);
-                }
-            }
-        }
-    }
-}
-
-/// Receiver pump: demultiplexes result frames back into the lender, releases
-/// window slots, and decides how the sub-stream ends.
-fn run_receiver(
-    sink: SubStreamSink<Bytes, Bytes>,
-    endpoint: Arc<dyn Transport>,
-    window: Semaphore,
-    (device, shard): (DeviceMeter, ShardMeter),
-    name: String,
-) -> Result<(), StreamError> {
-    let mut accept = |seq: u64, payload: Bytes| {
-        // A late or duplicate result for a value this sub-stream no longer
-        // borrows is dropped (the conservative property makes the other copy
-        // authoritative) — and it neither frees a window slot nor counts as
-        // a completed task, since no in-flight borrow corresponds to it.
-        if sink.push(seq, payload).is_ok() {
-            device.record(1, 1.0);
-            shard.record_results(1);
-            window.release();
-        }
-    };
-    loop {
-        match endpoint.recv() {
-            Ok(message @ Message::TaskResult { .. }) | Ok(message @ Message::ResultBatch(_)) => {
-                device.record_wire(message.wire_size() as u64);
-                message.demux_results(&mut accept);
-            }
-            Ok(Message::TaskError { seq, message }) => {
-                // The processing function reported an error for this value;
-                // the volunteer is treated as faulty so its values are
-                // re-lent to other devices (crash-stop model).
-                sink.finish(false);
-                endpoint.close();
-                window.close();
-                let text = String::from_utf8_lossy(&message).into_owned();
-                return Err(StreamError::new(format!(
-                    "volunteer {name} failed on value {seq}: {text}"
-                )));
-            }
-            Ok(Message::Heartbeat) | Ok(Message::Ack { .. }) => continue,
-            Ok(Message::Goodbye) | Ok(Message::Task { .. }) | Ok(Message::TaskBatch(_)) => {
-                // A clean goodbye (or nonsense we treat as end of stream).
-                sink.finish(true);
-                window.close();
-                return Ok(());
-            }
-            Err(RecvError::Closed) => {
-                sink.finish(true);
-                window.close();
-                return Ok(());
-            }
-            Err(RecvError::PeerFailed) => {
-                sink.finish(false);
-                window.close();
-                return Err(StreamError::transport(format!(
-                    "volunteer {name} disconnected (heartbeat timeout)"
-                )));
-            }
-            Err(RecvError::Timeout) | Err(RecvError::Empty) => continue,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -621,6 +334,7 @@ mod tests {
     use pando_netsim::fault::FaultPlan;
     use pando_pull_stream::codec::StringCodec;
     use pando_pull_stream::source::{count, SourceExt};
+    use pando_pull_stream::StreamError;
 
     #[allow(clippy::ptr_arg)] // must match Fn(&C::Task) with C::Task = String
     fn square(input: &String) -> Result<String, StreamError> {
@@ -734,6 +448,28 @@ mod tests {
         assert_eq!(output, (1..=10u64).map(|v| v.to_string()).collect::<Vec<_>>());
         let _ = flaky_worker.join();
         let _ = healthy.join();
+    }
+
+    #[test]
+    fn concurrent_channel_opens_never_share_a_volunteer_index() {
+        let pando = Pando::new(PandoConfig::local_test());
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                let (pando, start) = (pando.clone(), &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..100 {
+                        drop(pando.open_volunteer_channel());
+                    }
+                });
+            }
+        });
+        assert_eq!(pando.volunteers_connected(), 800);
+        let state = pando.state.lock();
+        let names: std::collections::HashSet<&str> =
+            state.pending.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names.len(), 800, "two devices must never share a meter row and shard hash");
     }
 
     #[test]

@@ -184,8 +184,7 @@ impl ThroughputMeter {
     }
 
     /// Records a point-in-time observation of the reactor scheduler's
-    /// work-conservation counters. A gauge set, overwritten on every call;
-    /// deployments on the legacy threads backend never feed it.
+    /// work-conservation counters. A gauge set, overwritten on every call.
     pub fn observe_scheduler(&self, counters: SchedulerCounters) {
         self.inner.cells.lock().scheduler = Some(counters);
     }
@@ -303,7 +302,7 @@ pub struct ThroughputReport {
     /// deployment never fed shard counters, e.g. a bare meter).
     pub shards: Vec<ShardThroughput>,
     /// Reactor work-conservation counters, if the deployment observed them
-    /// (`None` on the legacy threads backend and bare meters).
+    /// (`None` on bare meters).
     pub scheduler: Option<SchedulerCounters>,
 }
 

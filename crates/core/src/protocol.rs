@@ -199,9 +199,7 @@ impl Message {
     }
 
     /// Builds the task frame for one coalesced dispatch batch: a lone record
-    /// travels as [`Message::Task`], several as [`Message::TaskBatch`]. Both
-    /// volunteer backends build their frames through this one function so
-    /// the wire protocol cannot diverge between them.
+    /// travels as [`Message::Task`], several as [`Message::TaskBatch`].
     ///
     /// # Panics
     ///
@@ -219,8 +217,8 @@ impl Message {
 
     /// Demultiplexes a result frame into per-record calls of `accept` and
     /// returns `true`, or returns `false` for any non-result message. The
-    /// shared receive rule of both volunteer backends: the caller decides
-    /// (through `accept`) what a late or duplicate result means.
+    /// caller decides (through `accept`) what a late or duplicate result
+    /// means.
     pub fn demux_results(self, mut accept: impl FnMut(u64, Bytes)) -> bool {
         let is_result = matches!(self, Message::TaskResult { .. } | Message::ResultBatch(_));
         self.into_results().for_each(|(seq, payload)| accept(seq, payload));

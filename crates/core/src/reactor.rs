@@ -1,10 +1,10 @@
 //! The event-driven volunteer reactor.
 //!
-//! The original master wired every volunteer with two dedicated pump threads
-//! (dispatcher + receiver), which caps one master at low thousands of
-//! volunteers. This module replaces those pumps with an epoll-style reactor:
-//! a small fixed pool of [`ReactorConfig::threads`](crate::config::ReactorConfig::threads)
-//! OS threads multiplexes dispatch *and* receive for all volunteers.
+//! Two dedicated pump threads per volunteer (dispatcher + receiver) would
+//! cap one master at low thousands of volunteers. This module drives them
+//! with an epoll-style reactor instead: a small fixed pool of
+//! [`ReactorConfig::threads`](crate::config::ReactorConfig::threads) OS
+//! threads multiplexes dispatch *and* receive for all volunteers.
 //!
 //! The moving parts:
 //!
@@ -24,7 +24,7 @@
 //!   set whenever a value may have become available there (input progress, a
 //!   re-lend after a crash). A kick is *wake-limited*: it wakes at most
 //!   `min(parked, shard lendable depth)` drivers (never fewer than one), so
-//!   a single staged value no longer thunders the whole herd of parked
+//!   a single staged value does not thunder the whole herd of parked
 //!   drivers awake. An epoch counter per shard closes the register-vs-notify
 //!   race, and a per-shard heartbeat-interval *backstop timer* re-kicks any
 //!   shard that still has lendable work and parked drivers, so a lost or
@@ -45,11 +45,11 @@
 //!   demand input, staging values for non-blocking asks. These are the
 //!   `+ shards` constant threads of the design.
 //!
-//! Dispatch preserves the batching semantics of the threaded path: values
-//! are coalesced up to `tasks_per_frame` and the [`MAX_FRAME_LEN`] byte
-//! budget, window slots bound the in-flight count per volunteer, and
-//! heartbeats piggyback on data frames (an endpoint with traffic inside the
-//! heartbeat interval suppresses the standalone control frame).
+//! Dispatch batches: values are coalesced up to `tasks_per_frame` and the
+//! [`MAX_FRAME_LEN`] byte budget, window slots bound the in-flight count
+//! per volunteer, and heartbeats piggyback on data frames (an endpoint with
+//! traffic inside the heartbeat interval suppresses the standalone control
+//! frame).
 //!
 //! # Inline mode (deterministic stepping)
 //!
@@ -149,7 +149,7 @@ pub struct ReactorStats {
     /// Starved drivers actually woken by lender kicks (bounded by the
     /// shard's lendable depth per kick).
     pub kicks_sent: u64,
-    /// Starved drivers left parked by wake-limited kicks (the broadcast
+    /// Starved drivers left parked by wake-limited kicks (a broadcast
     /// would have woken them for nothing).
     pub kicks_suppressed: u64,
     /// Volunteers whose transport reported a permanent failure, firing the
@@ -281,10 +281,6 @@ struct Inner {
     /// interval): the longest a parked driver can wait while its shard has
     /// lendable work, whatever happens to individual kicks.
     backstop_interval: std::time::Duration,
-    /// `false` reverts [`Inner::kick_starved`] to the historical broadcast
-    /// (every parked driver woken on every lender change) for A/B runs; see
-    /// [`ReactorConfig::bounded_wakes`](crate::config::ReactorConfig::bounded_wakes).
-    bounded_wakes: bool,
     /// Set once [`Reactor::attach_lender`] ran (it must be idempotent).
     attached: AtomicBool,
     /// One slot per lender shard (starved set + kick epoch + pump signal).
@@ -422,14 +418,10 @@ impl Inner {
     fn kick_starved(&self, shard: usize) {
         let slot = &self.shards[shard];
         slot.kick_epoch.fetch_add(1, Ordering::SeqCst);
-        let budget = if self.bounded_wakes {
-            match self.lender.lock().as_ref() {
-                Some(lender) => lender.shard_depth(shard).max(1),
-                // No lender attached (bare reactor): nothing to bound by.
-                None => usize::MAX,
-            }
-        } else {
-            usize::MAX
+        let budget = match self.lender.lock().as_ref() {
+            Some(lender) => lender.shard_depth(shard).max(1),
+            // No lender attached (bare reactor): nothing to bound by.
+            None => usize::MAX,
         };
         let mut woken: Vec<Arc<Driver>> = Vec::new();
         let suppressed = {
@@ -791,8 +783,7 @@ impl Driver {
     }
 
     /// Marks the driver terminal: books the result (dispatch errors win over
-    /// a clean receive end, like the threaded `VolunteerLink::join`),
-    /// deregisters it and fires the completion signal.
+    /// a clean receive end), deregisters it and fires the completion signal.
     fn finish(
         self: &Arc<Self>,
         inner: &Inner,
@@ -823,8 +814,7 @@ impl Driver {
     }
 }
 
-/// Handle on one volunteer registered with a [`Reactor`]; the event-driven
-/// counterpart of the pump-thread pair of the threaded backend.
+/// Handle on one volunteer registered with a [`Reactor`].
 pub struct DriverHandle {
     driver: Arc<Driver>,
 }
@@ -844,7 +834,7 @@ impl DriverHandle {
     /// # Errors
     ///
     /// Returns the first stream error observed on either the dispatch or the
-    /// receive side, like the threaded `VolunteerLink::join`.
+    /// receive side.
     pub fn join(self) -> Result<(), StreamError> {
         self.driver.finished.wait();
         self.driver.result.lock().clone().expect("result set before the signal fires")
@@ -857,8 +847,7 @@ impl DriverHandle {
 }
 
 /// A fixed pool of reactor threads multiplexing every volunteer of one Pando
-/// deployment. Created by the master when the
-/// [`Reactor`](crate::config::VolunteerBackend::Reactor) backend is active.
+/// deployment. Created by the master when it wires its first volunteer.
 pub struct Reactor {
     inner: Arc<Inner>,
     threads: Mutex<Vec<JoinHandle<()>>>,
@@ -902,7 +891,6 @@ impl Reactor {
             ready_cond: Condvar::new(),
             timers: Mutex::new(BinaryHeap::new()),
             backstop_interval: config.transport.channel.heartbeat_interval,
-            bounded_wakes: config.reactor.bounded_wakes,
             attached: AtomicBool::new(false),
             shards: (0..shard_count).map(|_| ShardSlot::new()).collect(),
             lender: Mutex::new(None),

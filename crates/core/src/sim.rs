@@ -279,12 +279,6 @@ pub struct FleetParams {
     /// seed-derived virtual instant). Volunteer 0 never crashes, so the
     /// stream always completes.
     pub crash_fraction: f64,
-    /// Whether starved kicks are wake-limited
-    /// ([`ReactorConfig::bounded_wakes`](crate::config::ReactorConfig::bounded_wakes),
-    /// the default) or broadcast to every parked driver. Exposed so the sim
-    /// can A/B the wake discipline exactly: same seed, diff the poll
-    /// counters.
-    pub bounded_wakes: bool,
     /// Scripted link flaps, the deterministic replay of
     /// [`FaultPlan::Disconnect`](pando_netsim::fault::FaultPlan::Disconnect):
     /// each `(volunteer, at_us, down_for_us)` pauses that volunteer's link
@@ -357,15 +351,7 @@ pub struct FleetScript {
 impl FleetParams {
     /// Parameters with the default crash fraction (15 % of the fleet).
     pub fn new(seed: u64, volunteers: usize, tasks: u64) -> Self {
-        Self {
-            seed,
-            volunteers,
-            tasks,
-            crash_fraction: 0.15,
-            bounded_wakes: true,
-            flaps: Vec::new(),
-            script: None,
-        }
+        Self { seed, volunteers, tasks, crash_fraction: 0.15, flaps: Vec::new(), script: None }
     }
 
     /// Returns the parameters with a different crash fraction.
@@ -376,14 +362,6 @@ impl FleetParams {
     pub fn with_crash_fraction(mut self, crash_fraction: f64) -> Self {
         assert!((0.0..=1.0).contains(&crash_fraction), "crash fraction must be within [0, 1]");
         self.crash_fraction = crash_fraction;
-        self
-    }
-
-    /// Returns the parameters with bounded starved-kicks switched on or off
-    /// (broadcast kicks reproduce the pre-wake-limited reactor for A/B
-    /// comparison).
-    pub fn with_bounded_wakes(mut self, bounded_wakes: bool) -> Self {
-        self.bounded_wakes = bounded_wakes;
         self
     }
 
@@ -468,13 +446,11 @@ impl FleetReport {
     /// first nondeterministic event.
     pub fn canonical_trace(&self) -> String {
         let mut out = String::new();
+        // `bounded_wakes=true` is trace-format history (the toggle it named
+        // is gone); it stays so checked-in golden traces keep their bytes.
         out.push_str(&format!(
-            "params seed={} volunteers={} tasks={} crash_fraction={} bounded_wakes={}\n",
-            self.params.seed,
-            self.params.volunteers,
-            self.params.tasks,
-            self.params.crash_fraction,
-            self.params.bounded_wakes
+            "params seed={} volunteers={} tasks={} crash_fraction={} bounded_wakes=true\n",
+            self.params.seed, self.params.volunteers, self.params.tasks, self.params.crash_fraction
         ));
         if !self.params.flaps.is_empty() {
             // Only emitted for a non-empty schedule, so fault-free traces
@@ -714,7 +690,7 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
         }
     }
     let wall_start = Instant::now();
-    let config = PandoConfig::deterministic(params.seed).with_bounded_wakes(params.bounded_wakes);
+    let config = PandoConfig::deterministic(params.seed);
     let clock = config.run.clock.clone();
     let origin = clock.now();
     let pando = Pando::new(config);
@@ -851,8 +827,7 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
     } else {
         pando.run(from_iter(inputs))
     };
-    let reactor =
-        pando.reactor_handle().expect("the deterministic config always uses the reactor backend");
+    let reactor = pando.reactor_handle().expect("run() wired the fleet onto the reactor");
 
     // --- The scheduler loop. ---------------------------------------------
     let horizon = origin + Duration::from_secs(600);
@@ -1399,7 +1374,6 @@ mod tests {
             volunteers: 2,
             tasks: 8,
             crash_fraction: 0.0,
-            bounded_wakes: true,
             flaps: vec![(2, 100, 100)],
             script: None,
         };

@@ -1,8 +1,8 @@
 //! The transport seam between the coordination layer and the wire.
 //!
-//! The reactor, the master's dispatch/receive pumps and the worker loops
-//! never cared that messages travelled over in-process [`netsim`] channels —
-//! they consume a narrow, readiness-shaped surface: non-blocking
+//! The reactor and the worker loops never cared that messages travelled
+//! over in-process [`netsim`] channels — they consume a narrow,
+//! readiness-shaped surface: non-blocking
 //! [`try_recv`](Transport::try_recv), fallible frame
 //! [`send`](Transport::send), waker registration, a
 //! [`next_ready_at`](Transport::next_ready_at) deadline hint and
@@ -28,6 +28,11 @@
 //! | Crash | [`crash`](Transport::crash) abandons the connection without notice; the peer observes [`RecvError::PeerFailed`] once the failure detector's timeout elapses. |
 //!
 //! [`netsim`]: pando_netsim
+
+// The TCP transport is epoll and raw Linux syscalls with no fallback, and
+// `config` embeds its `TcpConfig`: the crate builds on Linux only.
+#[cfg(not(target_os = "linux"))]
+compile_error!("pando-core is Linux-only: its TCP transport is built on epoll");
 
 pub(crate) mod sys;
 pub mod tcp;
@@ -61,8 +66,8 @@ pub trait Transport: Send + Sync {
     /// Receives the next message, blocking until one arrives or the
     /// connection terminates.
     ///
-    /// Only legal on wall-clock transports driven by dedicated threads (the
-    /// legacy `Threads` backend, worker loops). Virtual-clock transports
+    /// Only legal on wall-clock transports driven by dedicated threads
+    /// (worker loops). Virtual-clock transports
     /// panic — they must be driven with [`try_recv`](Self::try_recv) +
     /// [`next_ready_at`](Self::next_ready_at) by the scheduler that owns the
     /// clock.

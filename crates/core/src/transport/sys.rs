@@ -8,10 +8,7 @@
 //! fairness, teardown, handshake deadlines) lives in [`super::tcp::poller`]
 //! and [`super::tcp::acceptor`].
 //!
-//! Only compiled on Linux; on other targets `transport::tcp` links fall back
-//! to the legacy two-threads-per-connection pump backend and the master-side
-//! acceptor is not built.
-#![cfg(target_os = "linux")]
+//! Linux ABI throughout: the one platform gate is in [`transport`](super).
 #![allow(unsafe_code)]
 
 use std::io;

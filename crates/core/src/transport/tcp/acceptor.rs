@@ -20,7 +20,6 @@
 //! of this one machine; `docs/ARCHITECTURE.md` ("Joining") has the rest.
 //!
 //! Linux only, like the poller: built on the `transport::sys` epoll shim.
-//! Volunteers (the dialing side) build everywhere.
 
 use super::handshake::{
     encode_server_reply, parse_client_hello, ClientHello, HelloMode, HelloParse, HANDSHAKE_TIMEOUT,

@@ -9,28 +9,25 @@
 //!
 //! All connections in a process are multiplexed onto a fixed pool of
 //! [`TcpConfig::poller_threads`] epoll poller threads (module `poller`,
-//! syscall shim in `transport::sys`) instead of a read/write pump thread pair
-//! per connection — a 64-volunteer master runs its transport on 2 threads,
-//! not 128. Sockets are non-blocking; a per-connection state machine owns
-//! partial-read reassembly (header → body, mid-frame truncation still
+//! syscall shim in `transport::sys`) — a 64-volunteer master runs its
+//! transport on 2 threads, where a read/write thread pair per connection
+//! would take 128. Sockets are non-blocking; a per-connection state machine
+//! owns partial-read reassembly (header → body, mid-frame truncation still
 //! classified as a crash) and partial-write resumption, and every readiness
 //! batch gives each ready connection a bounded slice of work so one
 //! fire-hose peer cannot starve the rest (round-robin fairness via
 //! level-triggered re-reporting). A payload is copied once on the way in —
 //! from the reading thread's scratch chunk into a buffer sized for its whole
 //! frame from the header — and the decoder slices that buffer
-//! ([`Message::decode_bytes`]); the pump backend runs the same read function.
+//! ([`Message::decode_bytes`]).
 //!
 //! The outbound queue is **byte-bounded** at [`TcpConfig::write_buffer_max`]:
 //! a send that would overflow the bound fails with [`SendError::WouldBlock`]
 //! (nothing enqueued, link healthy) and the registered waker fires once the
 //! queue drains below the bound — see the bounded-send row of the
-//! [`Transport`] contract table. The legacy two-threads-per-connection
-//! backend is kept behind the deprecated
-//! [`TcpConfig::pump_threads_backend`] flag for A/B benchmarking and for
-//! volunteers on non-Linux targets, with the same bounded-queue semantics.
-//! The master side (the `acceptor` module) is Linux-only: off Linux this
-//! module builds the dialing half alone.
+//! [`Transport`] contract table. epoll is the only readiness backend, so
+//! master and volunteer are both Linux-only (the one platform gate is in
+//! [`transport`](super)).
 //!
 //! # Wire format
 //!
@@ -69,23 +66,15 @@
 //! the simulated channels, and crash re-lend and shard hopping work
 //! unchanged over sockets.
 
-// Off Linux the master-side halves (hello parser, `SessionTransport`
-// constructors) have no caller.
-#![cfg_attr(not(target_os = "linux"), allow(dead_code))]
-
-#[cfg(target_os = "linux")]
 pub mod acceptor;
 pub mod handshake;
-#[cfg(target_os = "linux")]
 pub(crate) mod poller;
 pub mod session;
 
-#[cfg(target_os = "linux")]
 pub use acceptor::{SessionEvent, TcpAcceptor, TcpServerHandle};
 pub use handshake::TCP_PROTOCOL_VERSION;
 pub(crate) use handshake::{dial, HelloMode};
 
-#[cfg(target_os = "linux")]
 use super::sys;
 use super::{Transport, TransportError, TransportErrorKind};
 use crate::protocol::{Message, Pieces};
@@ -95,11 +84,11 @@ use pando_netsim::codec::{encode_frame, peek_frame};
 use pando_netsim::heartbeat::FailureDetector;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
+use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
 
 /// Frame tag reserved for the transport-level close marker (the protocol's
@@ -140,25 +129,16 @@ pub struct TcpConfig {
     /// Enable kernel `SO_KEEPALIVE` probing, paced from
     /// `heartbeat_interval` (rounded up to the kernel's 1s floor). See the
     /// module docs for how keepalive, heartbeats and socket events split
-    /// the failure-detection work. Linux only; ignored elsewhere.
+    /// the failure-detection work.
     pub keepalive: bool,
     /// How long a *session* volunteer (hello mode `NEW`/`RESUME`) may stay
     /// disconnected before the master reclassifies the transient disconnect
     /// as a crash and fires the re-lend path. Plain connections ignore this:
     /// for them a dropped socket is a crash immediately, as before.
     pub reconnect_grace: Duration,
-    /// Use the legacy two-OS-threads-per-connection pump backend instead of
-    /// the shared epoll poller. Kept for A/B benchmarking
-    /// (`benches/tcp.rs`) and as the volunteer-side fallback on non-Linux
-    /// targets, where it is used regardless of this flag (the master side
-    /// does not build there).
-    #[deprecated(note = "the epoll poller backend is the default; pump threads remain only for \
-                A/B benchmarks and non-Linux fallback")]
-    pub pump_threads_backend: bool,
 }
 
 impl Default for TcpConfig {
-    #[allow(deprecated)]
     fn default() -> Self {
         Self {
             heartbeat_interval: Duration::from_secs(2),
@@ -168,7 +148,6 @@ impl Default for TcpConfig {
             write_buffer_max: 1024 * 1024,
             keepalive: true,
             reconnect_grace: Duration::from_secs(30),
-            pump_threads_backend: false,
         }
     }
 }
@@ -184,19 +163,10 @@ impl TcpConfig {
             ..Self::default()
         }
     }
-
-    /// Whether connections with this config run on the legacy pump-thread
-    /// backend (explicitly requested, or forced on non-Linux targets, where
-    /// only volunteers build).
-    fn use_pump_backend(&self) -> bool {
-        #[allow(deprecated)]
-        let requested = self.pump_threads_backend;
-        requested || !cfg!(target_os = "linux")
-    }
 }
 
-/// Consumer-facing link state shared by the poller/pump threads and the
-/// public API.
+/// Consumer-facing link state shared by the poller threads and the public
+/// API.
 pub(crate) struct LinkState {
     /// Decoded messages not yet handed to the consumer, FIFO.
     inbox: VecDeque<Message>,
@@ -215,8 +185,8 @@ pub(crate) struct LinkState {
     waker: Option<Waker>,
 }
 
-/// Inbound reassembly state, touched only by the thread currently reading
-/// the socket (one poller thread, or the pump reader).
+/// Inbound reassembly state, touched only by the poller thread currently
+/// reading the socket.
 pub(crate) struct ReadState {
     /// Bytes received but not yet parsed into complete frames.
     buf: BytesMut,
@@ -276,7 +246,7 @@ impl ReadState {
 pub(crate) enum ReadOutcome {
     /// Bytes arrived and every complete frame among them reached the inbox.
     Progress,
-    /// Nothing to read right now (non-blocking sockets only).
+    /// Nothing to read right now.
     WouldBlock,
     /// The peer closed its sending direction; classified, never read again.
     Eof,
@@ -292,15 +262,14 @@ pub(crate) struct Piece {
     ends_frame: bool,
 }
 
-/// Outbound queue and partial-write cursor, drained by the poller on
-/// writable events (or by the pump writer thread).
+/// Outbound queue and partial-write cursor, drained inline by the sender
+/// and by the poller on writable events.
 pub(crate) struct WriteState {
     /// The pieces of encoded frames awaiting the socket, FIFO (see
     /// [`Message::pieces`]). The close marker is queued as a regular frame
     /// so ordering falls out naturally.
     queue: VecDeque<Piece>,
-    /// Bytes of `queue[0]` already written (partial-write resumption;
-    /// poller backend only — the pump writer blocks in `write_all`).
+    /// Bytes of `queue[0]` already written (partial-write resumption).
     offset: usize,
     /// Unwritten bytes across the whole queue; the admission bound, applied
     /// per frame.
@@ -315,8 +284,8 @@ pub(crate) struct WriteState {
     /// A send bounced with `WouldBlock`; fire the waker once the queue
     /// drains below the bound.
     blocked: bool,
-    /// Interest mask currently registered with epoll (poller backend).
-    /// Mutated only under this lock so interest updates cannot race.
+    /// Interest mask currently registered with epoll. Mutated only under
+    /// this lock so interest updates cannot race.
     armed_interest: u32,
     /// Frames fully written to the socket.
     frames_written: u64,
@@ -337,16 +306,12 @@ pub(crate) struct Shared {
     /// Signalled on every inbox/terminal-state change; backs blocking recv.
     recv_cv: Condvar,
     write: Mutex<WriteState>,
-    /// Pump backend only: wakes the writer thread on enqueue.
-    write_cv: Condvar,
     read: Mutex<ReadState>,
     /// EOF seen or link dead: drop read interest, never read again.
     read_closed: AtomicBool,
     /// Link failed or crashed: drop write interest, never write again.
     dead: AtomicBool,
-    /// Poller-backend registration (epoll shard + token); `None` on the
-    /// pump backend or after teardown.
-    #[cfg(target_os = "linux")]
+    /// Poller registration (epoll shard + token); `None` after teardown.
     registration: Mutex<Option<poller::Registration>>,
     /// Live [`TcpTransport`] handles over this link; the clean close on
     /// drop fires only when the last one goes.
@@ -387,8 +352,7 @@ impl Shared {
 
     /// One `read` of the socket through `chunk`, then every frame that
     /// completed goes to the inbox and the consumer is woken once for all of
-    /// them. The one read path of both backends: the poller calls it on
-    /// readable events, the pump reader in a blocking loop.
+    /// them. The poller calls it on readable events.
     pub(crate) fn read_once(&self, read: &mut ReadState, chunk: &mut [u8]) -> ReadOutcome {
         loop {
             return match (&self.stream).read(chunk) {
@@ -591,17 +555,13 @@ impl TcpTransport {
         Ok(Self::from_stream(outcome.stream, name.to_string(), config))
     }
 
-    /// Wires the shared state and hands the socket to the poller (default)
-    /// or spawns the legacy pump thread pair.
+    /// Wires the shared state and hands the socket to the poller.
     pub(crate) fn from_stream(stream: TcpStream, peer: String, config: TcpConfig) -> Self {
-        #[cfg(target_os = "linux")]
         if config.keepalive {
-            use std::os::unix::io::AsRawFd;
             // Best effort: a kernel that rejects the option still leaves
             // the two application-level detection layers above it.
             let _ = sys::set_keepalive(stream.as_raw_fd(), config.heartbeat_interval);
         }
-        let pump = config.use_pump_backend();
         let detector = FailureDetector::new(config.heartbeat_interval, config.failure_timeout);
         let shared = Arc::new(Shared {
             stream,
@@ -628,7 +588,6 @@ impl TcpTransport {
                 write_calls: 0,
                 bytes_written: 0,
             }),
-            write_cv: Condvar::new(),
             read: Mutex::new(ReadState {
                 buf: BytesMut::with_capacity(READ_CHUNK),
                 spare: None,
@@ -636,38 +595,13 @@ impl TcpTransport {
             }),
             read_closed: AtomicBool::new(false),
             dead: AtomicBool::new(false),
-            #[cfg(target_os = "linux")]
             registration: Mutex::new(None),
             handles: AtomicUsize::new(1),
             detector,
             config,
         });
-
-        if pump {
-            Self::spawn_pumps(&shared, &peer);
-        } else {
-            #[cfg(target_os = "linux")]
-            poller::register(&shared);
-        }
+        poller::register(&shared);
         Self { shared, peer }
-    }
-
-    /// Starts the legacy reader/writer pump threads (one pair per link).
-    /// They block in `read`/`write_all`, and the acceptor hands its sockets
-    /// over non-blocking: the mirror image of `poller::register`.
-    fn spawn_pumps(shared: &Arc<Shared>, peer: &str) {
-        shared.stream.set_nonblocking(false).expect("set TCP socket blocking");
-        let reader_shared = shared.clone();
-        thread::Builder::new()
-            .name(format!("tcp-read-{peer}"))
-            .spawn(move || run_reader(reader_shared))
-            .expect("spawn tcp reader thread");
-
-        let writer_shared = shared.clone();
-        thread::Builder::new()
-            .name(format!("tcp-write-{peer}"))
-            .spawn(move || run_writer(writer_shared))
-            .expect("spawn tcp writer thread");
     }
 
     /// The peer's handshake name (on the master side) or this volunteer's
@@ -699,18 +633,10 @@ impl TcpTransport {
         self.shared.state.lock().failed.clone()
     }
 
-    /// Whether `SO_KEEPALIVE` is enabled on the socket (`None` where the
-    /// option cannot be read, e.g. non-Linux builds).
+    /// Whether `SO_KEEPALIVE` is enabled on the socket (`None` if the
+    /// option cannot be read).
     pub fn keepalive_enabled(&self) -> Option<bool> {
-        #[cfg(target_os = "linux")]
-        {
-            use std::os::unix::io::AsRawFd;
-            sys::keepalive_enabled(self.shared.stream.as_raw_fd()).ok()
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            None
-        }
+        sys::keepalive_enabled(self.shared.stream.as_raw_fd()).ok()
     }
 
     /// Core non-blocking poll shared by `try_recv`/`recv_timeout`.
@@ -738,7 +664,7 @@ impl TcpTransport {
     }
 
     /// Admits `pieces` — one frame, its end marked — into the bounded
-    /// outbound queue and nudges whichever backend drains it.
+    /// outbound queue and drains it as far as the socket allows.
     fn enqueue_frame(&self, pieces: &Pieces<'_>) -> Result<(), SendError> {
         let shared = &self.shared;
         let mut write = shared.write.lock();
@@ -760,25 +686,16 @@ impl TcpTransport {
         Ok(())
     }
 
-    /// Wakes the drain path after the queue changed: arms `EPOLLOUT` on the
-    /// poller backend, signals the writer thread on the pump backend.
+    /// Drains the queue after it changed. Write-on-enqueue fast path: the
+    /// socket is almost always writable, so drain inline on the sender's
+    /// thread instead of paying an epoll wakeup of latency per frame. Only a
+    /// partial write (kernel buffer full) leaves residue, and
+    /// `update_interest` then arms `EPOLLOUT` so the poller resumes it. A
+    /// link already deregistered (peer gone, queue was idle) takes the same
+    /// path, best effort — that only ever carries the close marker.
     fn kick_writer(&self, write: &mut WriteState) {
-        #[cfg(target_os = "linux")]
-        if !self.shared.config.use_pump_backend() {
-            // Write-on-enqueue fast path: the socket is almost always
-            // writable, so drain inline on the sender's thread instead of
-            // paying an epoll wakeup of latency per frame. Only a partial
-            // write (kernel buffer full) leaves residue, and
-            // `update_interest` then arms `EPOLLOUT` so the poller resumes
-            // it. A link already deregistered (peer gone, queue was idle)
-            // takes the same path, best effort — that only ever carries
-            // the close marker.
-            poller::drain_write_locked(&self.shared, write);
-            poller::update_interest(&self.shared, write);
-            return;
-        }
-        let _ = write;
-        self.shared.write_cv.notify_one();
+        poller::drain_write_locked(&self.shared, write);
+        poller::update_interest(&self.shared, write);
     }
 
     /// Sends `message` — behind the frame of a cumulative ack of `ack`, when
@@ -922,9 +839,7 @@ impl Transport for TcpTransport {
             write.queue.clear();
             write.queued_bytes = 0;
             write.offset = 0;
-            self.shared.write_cv.notify_one();
         }
-        #[cfg(target_os = "linux")]
         poller::deregister(&self.shared);
         // Abrupt: no close marker, both directions torn down. The peer sees
         // EOF (or a reset) without the marker and classifies it as a crash.
@@ -958,74 +873,8 @@ impl Drop for TcpTransport {
     }
 }
 
-/// Legacy reader pump: one blocking thread per connection around
-/// [`Shared::read_once`].
-fn run_reader(shared: Arc<Shared>) {
-    let mut chunk = vec![0u8; READ_CHUNK];
-    loop {
-        let mut read = shared.read.lock();
-        match shared.read_once(&mut read, &mut chunk) {
-            ReadOutcome::Progress | ReadOutcome::WouldBlock => {}
-            ReadOutcome::Eof => return,
-            ReadOutcome::Failed => {
-                let _ = shared.stream.shutdown(Shutdown::Both);
-                return;
-            }
-        }
-    }
-}
-
-/// Legacy writer pump: outbound queue → socket. Exits after flushing the
-/// close marker or on the first I/O error (reported as a link failure).
-fn run_writer(shared: Arc<Shared>) {
-    loop {
-        let piece = {
-            let mut write = shared.write.lock();
-            loop {
-                if write.aborted {
-                    return; // crash() cleared the queue
-                }
-                if let Some(piece) = write.queue.pop_front() {
-                    break Some(piece);
-                }
-                if write.closing {
-                    break None; // marker already written; finish up
-                }
-                shared.write_cv.wait(&mut write);
-            }
-        };
-        match piece {
-            Some(Piece { bytes, ends_frame }) => {
-                if let Err(err) = (&shared.stream).write_all(&bytes) {
-                    shared.fail(err.into());
-                    return;
-                }
-                let unblock = {
-                    let mut write = shared.write.lock();
-                    write.queued_bytes = write.queued_bytes.saturating_sub(bytes.len());
-                    write.frames_written += u64::from(ends_frame);
-                    write.write_calls += 1;
-                    write.bytes_written += bytes.len() as u64;
-                    shared.maybe_unblock(&mut write)
-                };
-                if unblock {
-                    shared.wake();
-                }
-            }
-            None => {
-                // Queue drained after close(): the marker is on the wire.
-                if (&shared.stream).flush().is_ok() {
-                    let _ = shared.stream.shutdown(Shutdown::Write);
-                }
-                shared.write.lock().shutdown_done = true;
-                return;
-            }
-        }
-    }
-}
-
 /// Counts this process's live transport threads (names starting `tcp-`:
-/// pollers, the acceptor, and any legacy pump threads). `None` where
+/// pollers and the acceptor). `None` where
 /// `/proc` is unavailable. This is what the CI fleet job asserts stays
 /// O(`poller_threads`) instead of O(connections).
 pub fn transport_thread_census() -> Option<usize> {

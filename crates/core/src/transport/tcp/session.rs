@@ -544,8 +544,8 @@ impl Transport for SessionTransport {
                 return Err(RecvError::Timeout);
             }
             // Cross-incarnation blocking would need a condvar shared with
-            // every future socket; a short poll keeps it simple and only
-            // the legacy thread backend ever blocks here.
+            // every future socket; a short poll keeps it simple, and the
+            // reactor never blocks here (it drives `try_recv`).
             thread::sleep(Duration::from_millis(1));
         }
     }

@@ -63,9 +63,9 @@ pub fn serve(
             let mut joined = Vec::new();
             for volunteer in incoming.iter() {
                 joined.push(VolunteerInfo { id: volunteer.volunteer_id, kind: volunteer.kind });
-                master.add_volunteer_endpoint(
+                master.add_volunteer_transport(
                     format!("volunteer-{}", volunteer.volunteer_id),
-                    volunteer.endpoint,
+                    Arc::new(volunteer.endpoint),
                 );
             }
             joined

@@ -7,7 +7,7 @@
 //! serialised through a mutex instead of relying on `--test-threads=1`.
 
 use bytes::Bytes;
-use pando_core::config::{PandoConfig, VolunteerBackend};
+use pando_core::config::PandoConfig;
 use pando_core::master::Pando;
 use pando_core::protocol::Message;
 use pando_core::worker::WorkerBuilder;
@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn reactor_config() -> PandoConfig {
-    PandoConfig::local_test().with_backend(VolunteerBackend::Reactor).with_reactor_threads(2)
+    PandoConfig::local_test().with_reactor_threads(2)
 }
 
 /// Number of live threads in this process (Linux); `None` elsewhere.

@@ -5,7 +5,7 @@
 //! every borrow and result.
 
 use bytes::Bytes;
-use pando_core::config::{PandoConfig, VolunteerBackend};
+use pando_core::config::PandoConfig;
 use pando_core::master::Pando;
 use pando_core::worker::WorkerBuilder;
 use pando_netsim::fault::FaultPlan;
@@ -76,6 +76,11 @@ fn single_shard_reproduces_the_single_lender_protocol() {
     assert_eq!(pando.shard_stats().unwrap().len(), 1);
     let stats = pando.lender_stats().unwrap();
     assert_eq!((stats.values_read, stats.results_emitted), (40, 40));
+    // One shard is one meter row, and it saw every borrow and result.
+    pando.observe_shards();
+    let shard_rows = pando.meter().report().shards;
+    assert_eq!(shard_rows.len(), 1);
+    assert_eq!((shard_rows[0].borrows, shard_rows[0].results), (40, 40));
 }
 
 #[test]
@@ -155,23 +160,4 @@ fn adaptive_batching_completes_and_coalesces() {
         row.wire_frames,
         row.tasks
     );
-}
-
-#[test]
-fn threads_backend_runs_a_single_shard_with_shard_metrics() {
-    let config =
-        PandoConfig::local_test().with_backend(VolunteerBackend::Threads).with_lender_shards(4); // ignored: the threads backend never shards
-    let pando = Pando::new(config);
-    let worker =
-        WorkerBuilder::new().spawn_typed(pando.open_volunteer_channel(), StringCodec, echo);
-    let output = pando.run_typed(StringCodec, numbers(25)).collect_values().unwrap();
-    assert_eq!(output.len(), 25);
-    worker.join();
-    pando.join_volunteers();
-    assert_eq!(pando.shard_stats().unwrap().len(), 1);
-    pando.observe_shards();
-    let shard_rows = pando.meter().report().shards;
-    assert_eq!(shard_rows.len(), 1);
-    assert_eq!(shard_rows[0].borrows, 25);
-    assert_eq!(shard_rows[0].results, 25);
 }

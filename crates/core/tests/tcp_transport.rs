@@ -1,9 +1,8 @@
 //! End-to-end coverage of the real-socket TCP transport: handshake accept
 //! and rejection, frame codec round-trips over a live socket pair, oversized
-//! and truncated frames, frames of every size sliced every way on both read
-//! backends, hellos that stall or arrive a byte at a time, crash
-//! detection feeding re-lend, and a loopback 32-volunteer fleet driven by one
-//! master over localhost TCP.
+//! and truncated frames, frames of every size sliced every way, hellos that
+//! stall or arrive a byte at a time, crash detection feeding re-lend, and a
+//! loopback 32-volunteer fleet driven by one master over localhost TCP.
 //!
 //! Linux only: the master's acceptor sits on epoll.
 
@@ -284,36 +283,27 @@ fn raw_handshake(addr: std::net::SocketAddr, name: &str) -> TcpStream {
     stream
 }
 
-/// A plain-backend and a pump-backend config: the reassembly path is one
-/// function, and these tests hold both of its callers to it.
-fn both_backends() -> [TcpConfig; 2] {
-    #[allow(deprecated)]
-    [lenient(), TcpConfig { pump_threads_backend: true, ..lenient() }]
-}
-
 #[test]
 fn oversized_incoming_frame_fails_the_link() {
-    for tcp in both_backends() {
-        let acceptor = TcpAcceptor::bind("127.0.0.1:0", tcp).unwrap();
-        let addr = acceptor.local_addr();
-        let client = std::thread::spawn(move || {
-            let mut stream = raw_handshake(addr, "hostile");
-            // A header announcing a frame over the wire limit, and not one
-            // payload byte: the link must be poisoned from the header alone,
-            // before anything is sized from it.
-            let mut header = vec![1u8];
-            header.extend_from_slice(&((MAX_FRAME_LEN + 1) as u32).to_be_bytes());
-            stream.write_all(&header).unwrap();
-            let _ = stream.read(&mut [0u8; 16]); // wait for the shutdown
-        });
-        let (_, master_side) = accept_one(&acceptor);
-        let err = master_side.recv_timeout(Duration::from_secs(10)).unwrap_err();
-        assert_eq!(err, RecvError::PeerFailed, "an oversized frame is a protocol failure");
-        assert!(!master_side.is_peer_alive());
-        let failure = master_side.failure().expect("the link records why it failed");
-        assert_eq!(failure.kind(), TransportErrorKind::Protocol, "{failure}");
-        client.join().unwrap();
-    }
+    let acceptor = TcpAcceptor::bind("127.0.0.1:0", lenient()).unwrap();
+    let addr = acceptor.local_addr();
+    let client = std::thread::spawn(move || {
+        let mut stream = raw_handshake(addr, "hostile");
+        // A header announcing a frame over the wire limit, and not one
+        // payload byte: the link must be poisoned from the header alone,
+        // before anything is sized from it.
+        let mut header = vec![1u8];
+        header.extend_from_slice(&((MAX_FRAME_LEN + 1) as u32).to_be_bytes());
+        stream.write_all(&header).unwrap();
+        let _ = stream.read(&mut [0u8; 16]); // wait for the shutdown
+    });
+    let (_, master_side) = accept_one(&acceptor);
+    let err = master_side.recv_timeout(Duration::from_secs(10)).unwrap_err();
+    assert_eq!(err, RecvError::PeerFailed, "an oversized frame is a protocol failure");
+    assert!(!master_side.is_peer_alive());
+    let failure = master_side.failure().expect("the link records why it failed");
+    assert_eq!(failure.kind(), TransportErrorKind::Protocol, "{failure}");
+    client.join().unwrap();
 }
 
 #[test]
@@ -334,27 +324,25 @@ fn mixed_frame_sizes_reassemble_from_any_slicing_on_both_backends() {
     ];
     let stream: Vec<u8> =
         messages.iter().flat_map(|message| message.encode().unwrap().to_vec()).collect();
-    for (backend, tcp) in both_backends().into_iter().enumerate() {
-        let acceptor = TcpAcceptor::bind("127.0.0.1:0", tcp).unwrap();
-        let addr = acceptor.local_addr();
-        for slice in [1, 7, 16 * 1024 + 1] {
-            let bytes = stream.clone();
-            let client = std::thread::spawn(move || {
-                let mut socket = raw_handshake(addr, "slicer");
-                for part in bytes.chunks(slice) {
-                    socket.write_all(part).unwrap();
-                }
-                socket
-            });
-            let (_, master_side) = accept_one(&acceptor);
-            for (i, expected) in messages.iter().enumerate() {
-                let got = recv_one(&master_side);
-                assert!(got == *expected, "backend {backend}, {slice} B slices: frame {i} altered");
+    let acceptor = TcpAcceptor::bind("127.0.0.1:0", lenient()).unwrap();
+    let addr = acceptor.local_addr();
+    for slice in [1, 7, 16 * 1024 + 1] {
+        let bytes = stream.clone();
+        let client = std::thread::spawn(move || {
+            let mut socket = raw_handshake(addr, "slicer");
+            for part in bytes.chunks(slice) {
+                socket.write_all(part).unwrap();
             }
-            assert_eq!(master_side.try_recv().unwrap_err(), RecvError::Empty, "nothing extra");
-            assert!(master_side.failure().is_none());
-            drop(client.join().unwrap());
+            socket
+        });
+        let (_, master_side) = accept_one(&acceptor);
+        for (i, expected) in messages.iter().enumerate() {
+            let got = recv_one(&master_side);
+            assert!(got == *expected, "{slice} B slices: frame {i} altered");
         }
+        assert_eq!(master_side.try_recv().unwrap_err(), RecvError::Empty, "nothing extra");
+        assert!(master_side.failure().is_none());
+        drop(client.join().unwrap());
     }
 }
 
@@ -389,59 +377,57 @@ fn a_slow_reader_gets_every_piece_of_200_mixed_frames_in_order_on_both_backends(
         .collect();
     let stream: Vec<u8> =
         messages.iter().flat_map(|message| message.encode().unwrap().to_vec()).collect();
-    for (backend, tcp) in both_backends().into_iter().enumerate() {
-        let tcp = TcpConfig { write_buffer_max: bound, ..tcp };
-        let acceptor = TcpAcceptor::bind("127.0.0.1:0", tcp).unwrap();
-        let addr = acceptor.local_addr();
-        // The reader holds off until the sender has met backpressure, so the
-        // kernel's buffers are full when the first partial writes resume.
-        let pushed_back = Arc::new(AtomicBool::new(false));
-        let (go, total) = (pushed_back.clone(), stream.len());
-        let reader = std::thread::spawn(move || {
-            let mut socket = raw_handshake(addr, "sipper");
-            while !go.load(Ordering::SeqCst) {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            let mut got = Vec::with_capacity(total);
-            let mut sip = vec![0u8; 48 * 1024];
-            while got.len() < total {
-                let n = socket.read(&mut sip).expect("the link stays up");
-                assert!(n > 0, "EOF after {} of {total} bytes", got.len());
-                got.extend_from_slice(&sip[..n]);
-                std::thread::sleep(Duration::from_micros(300));
-            }
-            (got, socket)
-        });
-        let (_, sender) = accept_one(&acceptor);
-        let deadline = Instant::now() + Duration::from_secs(60);
-        for message in &messages {
-            loop {
-                let sent = sender.send(message.clone());
-                let queued = sender.stats().queued_bytes;
-                assert!(queued <= bound, "backend {backend}: {queued} B queued, bound {bound}");
-                match sent {
-                    Ok(()) => break,
-                    Err(SendError::WouldBlock) => {
-                        pushed_back.store(true, Ordering::SeqCst);
-                        assert!(Instant::now() < deadline, "backend {backend}: never drained");
-                        std::thread::sleep(Duration::from_micros(500));
-                    }
-                    Err(err) => panic!("backend {backend}: send failed: {err:?}"),
-                }
-            }
-        }
-        assert!(pushed_back.load(Ordering::SeqCst), "13 MB never filled the socket's buffers");
-        let (got, socket) = reader.join().unwrap();
-        assert!(got == stream, "backend {backend}: the byte stream arrived altered");
-        while sender.stats().frames_written < 200 {
-            assert!(Instant::now() < deadline, "backend {backend}: {:?}", sender.stats());
+    let tcp = TcpConfig { write_buffer_max: bound, ..lenient() };
+    let acceptor = TcpAcceptor::bind("127.0.0.1:0", tcp).unwrap();
+    let addr = acceptor.local_addr();
+    // The reader holds off until the sender has met backpressure, so the
+    // kernel's buffers are full when the first partial writes resume.
+    let pushed_back = Arc::new(AtomicBool::new(false));
+    let (go, total) = (pushed_back.clone(), stream.len());
+    let reader = std::thread::spawn(move || {
+        let mut socket = raw_handshake(addr, "sipper");
+        while !go.load(Ordering::SeqCst) {
             std::thread::sleep(Duration::from_millis(1));
         }
-        let stats = sender.stats();
-        assert_eq!((stats.frames_written, stats.queued_bytes), (200, 0), "frames, not pieces");
-        assert_eq!(stats.bytes_written, stream.len() as u64);
-        drop(socket);
+        let mut got = Vec::with_capacity(total);
+        let mut sip = vec![0u8; 48 * 1024];
+        while got.len() < total {
+            let n = socket.read(&mut sip).expect("the link stays up");
+            assert!(n > 0, "EOF after {} of {total} bytes", got.len());
+            got.extend_from_slice(&sip[..n]);
+            std::thread::sleep(Duration::from_micros(300));
+        }
+        (got, socket)
+    });
+    let (_, sender) = accept_one(&acceptor);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    for message in &messages {
+        loop {
+            let sent = sender.send(message.clone());
+            let queued = sender.stats().queued_bytes;
+            assert!(queued <= bound, "{queued} B queued, bound {bound}");
+            match sent {
+                Ok(()) => break,
+                Err(SendError::WouldBlock) => {
+                    pushed_back.store(true, Ordering::SeqCst);
+                    assert!(Instant::now() < deadline, "never drained");
+                    std::thread::sleep(Duration::from_micros(500));
+                }
+                Err(err) => panic!("send failed: {err:?}"),
+            }
+        }
     }
+    assert!(pushed_back.load(Ordering::SeqCst), "13 MB never filled the socket's buffers");
+    let (got, socket) = reader.join().unwrap();
+    assert!(got == stream, "the byte stream arrived altered");
+    while sender.stats().frames_written < 200 {
+        assert!(Instant::now() < deadline, "{:?}", sender.stats());
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let stats = sender.stats();
+    assert_eq!((stats.frames_written, stats.queued_bytes), (200, 0), "frames, not pieces");
+    assert_eq!(stats.bytes_written, stream.len() as u64);
+    drop(socket);
 }
 
 #[test]
@@ -508,36 +494,6 @@ fn tcp_volunteer_crash_triggers_re_lend() {
     assert_eq!(stats.results_emitted, 60);
     assert_eq!(stats.substreams_crashed, 1, "the TCP crash reaches the lender as a crash");
     assert!(stats.relends >= 1, "values held by the crashed volunteer are re-lent");
-}
-
-#[test]
-fn a_pump_backend_volunteer_joins_through_serve_and_round_trips_tasks() {
-    // The acceptor handshakes on non-blocking sockets; the legacy pumps
-    // block in `read`/`write_all` and must get the socket back blocking.
-    #[allow(deprecated)]
-    let tcp = TcpConfig { pump_threads_backend: true, ..lenient() };
-    let pando = Pando::new(PandoConfig::local_test().with_batch_size(4).with_tcp(tcp.clone()));
-    let acceptor = TcpAcceptor::bind("127.0.0.1:0", tcp.clone()).unwrap();
-    let addr = acceptor.local_addr();
-    let server = acceptor.serve(&pando);
-
-    let echo = |payload: &Bytes| -> Result<Bytes, StreamError> { Ok(payload.clone()) };
-    let worker = WorkerBuilder::new()
-        .name("pumped")
-        .heartbeats(true)
-        .spawn(TcpTransport::connect(addr, "pumped", tcp).unwrap(), echo);
-    let output = pando
-        .run(count(40).map_values(|v| Bytes::from(v.to_string().into_bytes())))
-        .collect_values()
-        .unwrap();
-    assert_eq!(output.len(), 40);
-    for (i, payload) in output.iter().enumerate() {
-        assert_eq!(payload.as_ref(), (i + 1).to_string().as_bytes());
-    }
-    assert!(!worker.join().crashed);
-    assert_eq!(server.join(), 1);
-    pando.join_volunteers();
-    assert_eq!(pando.lender_stats().unwrap().substreams_crashed, 0, "the pump link never failed");
 }
 
 #[test]
@@ -725,10 +681,8 @@ fn idle_link_with_keepalive_survives_past_three_heartbeat_intervals() {
     });
     let (_, master_side) = accept_one(&acceptor);
     let volunteer_side = client.join().unwrap();
-    if cfg!(target_os = "linux") {
-        assert_eq!(master_side.keepalive_enabled(), Some(true), "keepalive set on accept side");
-        assert_eq!(volunteer_side.keepalive_enabled(), Some(true), "keepalive set on connect side");
-    }
+    assert_eq!(master_side.keepalive_enabled(), Some(true), "keepalive set on accept side");
+    assert_eq!(volunteer_side.keepalive_enabled(), Some(true), "keepalive set on connect side");
 
     // No worker, no heartbeats, no traffic: an idle-but-open link past three
     // heartbeat intervals must not be suspected — only the failure timeout

@@ -30,17 +30,12 @@
 //!   proving the scripted link drops actually exercised the resume path
 //!   rather than finishing before the flap landed.
 //!
-//! Linux only (the acceptor sits on epoll); elsewhere the example builds to
-//! a stub that says so. `tcp_volunteer` runs everywhere.
-
-#![cfg_attr(not(target_os = "linux"), allow(unused))]
+//! Linux only, like `tcp_volunteer`: the TCP transport sits on epoll.
 
 use bytes::Bytes;
 use pando_core::config::PandoConfig;
 use pando_core::master::Pando;
-#[cfg(target_os = "linux")]
-use pando_core::transport::tcp::TcpAcceptor;
-use pando_core::transport::tcp::TcpConfig;
+use pando_core::transport::tcp::{TcpAcceptor, TcpConfig};
 use pando_pull_stream::source::{count, SourceExt};
 use std::time::{Duration, Instant};
 
@@ -60,13 +55,6 @@ fn demo_tcp_config() -> TcpConfig {
     }
 }
 
-#[cfg(not(target_os = "linux"))]
-fn main() {
-    eprintln!("tcp_master: the master side of the TCP transport is Linux-only");
-    std::process::exit(2);
-}
-
-#[cfg(target_os = "linux")]
 fn main() {
     let addr = std::env::var("PANDO_TCP_ADDR").unwrap_or_else(|_| "127.0.0.1:0".to_string());
     let tasks = env_u64("TCP_TASKS", 2_000);
