@@ -1,7 +1,7 @@
 # Local invocations matching the CI jobs in .github/workflows/ci.yml —
 # `make lint test` before pushing reproduces what CI will run.
 
-.PHONY: all build test lint fmt doc bench bench-run perf perf-pairs profile sim-counters tcp-counters scale scale-sharded sim scenarios tcp-demo tcp-demo-flap clean
+.PHONY: all build test lint fmt doc bench bench-run perf perf-pairs profile sim-counters tcp-counters scale scale-sharded churn-scale sim scenarios tcp-demo tcp-demo-flap clean
 
 all: lint build test doc
 
@@ -75,6 +75,15 @@ scale:
 # (four locks, four input pumps), under the same wall-clock guard.
 scale-sharded:
 	SCALE_VOLUNTEERS=10000 SCALE_SHARDS=4 cargo run --release --example scale_smoke
+
+# What one volunteer costs to bring in and see out must not grow with the
+# fleet: set-up cycles (one task per volunteer) at 1 000 and 4 000
+# volunteers, interleaved in one process, medians of nine; fails if the
+# per-volunteer cost at 4 000 is over 1.6 x the cost at 1 000 (1.84 x when
+# every exit scanned the reactor's sets, 1.3 x with ordered maps). Same
+# step CI runs.
+churn-scale:
+	cargo run --release --example churn_scale
 
 # The deterministic fleet simulator at 10k volunteers: the same reactor
 # stack on a virtual clock, run twice from one seed and the canonical event

@@ -215,16 +215,6 @@ impl Message {
         }
     }
 
-    /// Demultiplexes a result frame into per-record calls of `accept` and
-    /// returns `true`, or returns `false` for any non-result message. The
-    /// caller decides (through `accept`) what a late or duplicate result
-    /// means.
-    pub fn demux_results(self, mut accept: impl FnMut(u64, Bytes)) -> bool {
-        let is_result = matches!(self, Message::TaskResult { .. } | Message::ResultBatch(_));
-        self.into_results().for_each(|(seq, payload)| accept(seq, payload));
-        is_result
-    }
-
     /// The `(seq, payload)` records of a result frame in frame order, by
     /// value and without collecting them; empty for any non-result message.
     /// The shape [`SubStreamSink::push_batch`](pando_pull_stream::lender::SubStreamSink::push_batch)
@@ -636,25 +626,6 @@ mod tests {
         let batch =
             Message::task_frame(vec![Record::new(1, bytes(b"a")), Record::new(2, bytes(b"b"))]);
         assert_eq!(batch.record_count(), 2);
-    }
-
-    #[test]
-    fn demux_results_visits_result_records_only() {
-        let mut seen = Vec::new();
-        assert!(Message::TaskResult { seq: 4, payload: bytes(b"r") }
-            .demux_results(|seq, payload| seen.push((seq, payload))));
-        assert!(Message::ResultBatch(vec![
-            Record::new(5, bytes(b"s")),
-            Record::new(6, bytes(b"t")),
-        ])
-        .demux_results(|seq, payload| seen.push((seq, payload))));
-        assert_eq!(
-            seen,
-            vec![(4, bytes(b"r")), (5, bytes(b"s")), (6, bytes(b"t"))],
-            "records arrive in frame order"
-        );
-        assert!(!Message::Heartbeat.demux_results(|_, _| panic!("no records")));
-        assert!(!Message::Task { seq: 0, payload: bytes(b"") }.demux_results(|_, _| ()));
     }
 
     #[test]

@@ -25,13 +25,18 @@
 //!   re-lend after a crash). A kick is *wake-limited*: it wakes at most
 //!   `min(parked, shard lendable depth)` drivers (never fewer than one), so
 //!   a single staged value does not thunder the whole herd of parked
-//!   drivers awake. An epoch counter per shard closes the register-vs-notify
+//!   drivers awake. The set is an ordered map keyed by park sequence number:
+//!   a kick pops the longest-parked drivers off its front, and a driver that
+//!   exits or hops removes its own key — like the registration-id map of
+//!   live drivers, it is never scanned, so a volunteer leaves in
+//!   O(log fleet). An epoch counter per shard closes the register-vs-notify
 //!   race, and a per-shard heartbeat-interval *backstop timer* re-kicks any
 //!   shard that still has lendable work and parked drivers, so a lost or
 //!   under-counted wake can delay a driver by at most one interval. A driver
 //!   whose shard drains while another shard still holds work re-lends
 //!   itself there (*shard hopping*), so crashes can never strand values on a
-//!   device-less shard.
+//!   device-less shard; it leaves the old shard's starved set as it goes, so
+//!   it parks where it now borrows.
 //! * **Shard affinity** — the ready queue is segmented per shard: a wake
 //!   enqueues the driver on its shard's FIFO, and pool thread `t` prefers
 //!   the queue of shard `t % shards` before stealing from the others in
@@ -98,7 +103,7 @@ use pando_pull_stream::sync::Signal;
 use pando_pull_stream::{Answer, Request, StreamError};
 use parking_lot::{Condvar, Mutex};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
@@ -209,11 +214,30 @@ impl Ord for Timer {
     }
 }
 
+/// One shard's parked drivers, keyed by a park sequence number taken under
+/// the set's lock: iteration order is park order, so a kick pops the
+/// longest-parked drivers and a driver that leaves (exit or shard hop)
+/// removes its own key ([`Driver::unpark`]) — neither scans the set.
+#[derive(Default)]
+struct StarvedSet {
+    last_seq: u64,
+    parked: BTreeMap<u64, Weak<Driver>>,
+}
+
+impl StarvedSet {
+    /// Appends `driver` to the line and returns its key (never 0).
+    fn park(&mut self, driver: Weak<Driver>) -> u64 {
+        self.last_seq += 1;
+        self.parked.insert(self.last_seq, driver);
+        self.last_seq
+    }
+}
+
 /// Per-shard scheduling state: each lender shard has its own starved set,
 /// kick epoch and pump signal, so a result arriving on shard 0 never wakes
 /// (or contends with) the starved drivers of shard 3.
 struct ShardSlot {
-    starved: Mutex<Vec<Weak<Driver>>>,
+    starved: Mutex<StarvedSet>,
     /// Bumped by every kick *request* of this shard; closes the
     /// starve-vs-notify race.
     kick_epoch: AtomicU64,
@@ -236,7 +260,7 @@ struct ShardSlot {
 impl ShardSlot {
     fn new() -> Self {
         Self {
-            starved: Mutex::new(Vec::new()),
+            starved: Mutex::new(StarvedSet::default()),
             kick_epoch: AtomicU64::new(0),
             pending_kick: AtomicBool::new(false),
             backstop_armed: AtomicBool::new(false),
@@ -289,8 +313,9 @@ struct Inner {
     /// [`Reactor::attach_lender`]; drivers use it to re-lend themselves onto
     /// a shard that still has work once their own shard drains.
     lender: Mutex<Option<ShardedLender<Bytes, Bytes>>>,
-    /// Live drivers, kept so shutdown can force-finish them.
-    registered: Mutex<Vec<Arc<Driver>>>,
+    /// Live drivers by registration id, kept so shutdown can force-finish
+    /// them (in registration order).
+    registered: Mutex<BTreeMap<u64, Arc<Driver>>>,
     shutdown: AtomicBool,
     stats: Stats,
 }
@@ -328,7 +353,7 @@ impl Inner {
                 TimerTask::Backstop(shard) => {
                     let slot = &self.shards[shard];
                     slot.backstop_armed.store(false, Ordering::SeqCst);
-                    if slot.starved.lock().is_empty() {
+                    if slot.starved.lock().parked.is_empty() {
                         // Nobody is parked; the next park re-arms the timer.
                         continue;
                     }
@@ -413,8 +438,8 @@ impl Inner {
     /// promptly. Drivers left parked are covered three ways: the next state
     /// change kicks again, every parked driver re-polls on its own heartbeat
     /// timer, and the per-shard backstop timer re-kicks a shard that still
-    /// has lendable work. Dead `Weak` entries are pruned on every kick so
-    /// churning fleets do not accumulate stale slots.
+    /// has lendable work. The set is popped from the front — park order — and
+    /// a dead `Weak` met there is dropped without costing budget.
     fn kick_starved(&self, shard: usize) {
         let slot = &self.shards[shard];
         slot.kick_epoch.fetch_add(1, Ordering::SeqCst);
@@ -426,15 +451,14 @@ impl Inner {
         let mut woken: Vec<Arc<Driver>> = Vec::new();
         let suppressed = {
             let mut starved = slot.starved.lock();
-            starved.retain(|weak| weak.strong_count() > 0);
-            let take = starved.len().min(budget);
-            for weak in starved.drain(..take) {
+            while woken.len() < budget {
+                let Some((_, weak)) = starved.parked.pop_first() else { break };
                 if let Some(driver) = weak.upgrade() {
-                    driver.in_starved.store(false, Ordering::SeqCst);
+                    driver.park_seq.store(0, Ordering::SeqCst);
                     woken.push(driver);
                 }
             }
-            starved.len()
+            starved.parked.len()
         };
         self.stats.kicks_sent.fetch_add(woken.len() as u64, Ordering::Relaxed);
         self.stats.kicks_suppressed.fetch_add(suppressed as u64, Ordering::Relaxed);
@@ -502,6 +526,8 @@ fn wake(inner: &Inner, driver: &Arc<Driver>) {
 
 /// The per-volunteer dispatch/receive state machine, polled by the pool.
 struct Driver {
+    /// Registration id: this driver's key in [`Inner::registered`].
+    id: u64,
     name: String,
     endpoint: Arc<dyn Transport>,
     /// Where a shard hop looks its new shard's cell up; every record goes
@@ -515,7 +541,10 @@ struct Driver {
     /// that still has work after its own drained.
     shard: AtomicUsize,
     sched: AtomicU8,
-    in_starved: AtomicBool,
+    /// This driver's key in its shard's starved set, 0 while it is not
+    /// parked. Set by the park in [`poll_driver`] and cleared by the kick
+    /// that pops the entry, both under the set's lock.
+    park_seq: AtomicU64,
     /// Earliest timer currently scheduled for this driver, to avoid flooding
     /// the heap with duplicates.
     scheduled_at: Mutex<Option<Instant>>,
@@ -715,6 +744,7 @@ impl Driver {
                                 let lender =
                                     inner.lender.lock().clone().expect("hop target implies lender");
                                 io.sink.finish(true);
+                                self.unpark(inner);
                                 let (source, sink) = lender.lend_on(target).into_duplex();
                                 io.source = source;
                                 io.sink = sink;
@@ -799,18 +829,25 @@ impl Driver {
         self.endpoint.clear_waker();
         *self.result.lock() = Some(result);
         inner.stats.active.fetch_sub(1, Ordering::Relaxed);
-        inner.registered.lock().retain(|d| !Arc::ptr_eq(d, self));
+        inner.registered.lock().remove(&self.id);
         // Leave the starved set too: a stale entry would make the input pump
         // read ahead with no real demand, breaking its laziness guarantee.
-        if self.in_starved.swap(false, Ordering::SeqCst) {
-            let shard = self.shard.load(Ordering::Relaxed);
-            inner.shards[shard]
-                .starved
-                .lock()
-                .retain(|weak| weak.upgrade().map(|d| !Arc::ptr_eq(&d, self)).unwrap_or(false));
-        }
+        self.unpark(inner);
         self.finished.fire();
         PollOutcome::Terminal
+    }
+
+    /// Takes this driver's own entry, if it has one, out of its current
+    /// shard's starved set. Called by the poll that ends the session or, just
+    /// before `shard` changes, hops: a kick of the shard left behind would
+    /// otherwise spend budget on the stale entry while the new shard's kicks
+    /// and pump signal miss the driver.
+    fn unpark(&self, inner: &Inner) {
+        let seq = self.park_seq.swap(0, Ordering::SeqCst);
+        if seq != 0 {
+            let shard = self.shard.load(Ordering::Relaxed);
+            inner.shards[shard].starved.lock().parked.remove(&seq);
+        }
     }
 }
 
@@ -894,7 +931,7 @@ impl Reactor {
             attached: AtomicBool::new(false),
             shards: (0..shard_count).map(|_| ShardSlot::new()).collect(),
             lender: Mutex::new(None),
-            registered: Mutex::new(Vec::new()),
+            registered: Mutex::new(BTreeMap::new()),
             shutdown: AtomicBool::new(false),
             stats: Stats {
                 registered: AtomicU64::new(0),
@@ -996,6 +1033,7 @@ impl Reactor {
         assert!(shard < self.inner.shards.len(), "shard {shard} outside the reactor layout");
         let (source, sink) = duplex;
         let driver = Arc::new(Driver {
+            id: self.inner.stats.registered.fetch_add(1, Ordering::Relaxed),
             name: name.to_string(),
             endpoint: endpoint.clone(),
             meter: meter.clone(),
@@ -1003,7 +1041,7 @@ impl Reactor {
             tasks_per_frame: config.effective_tasks_per_frame(),
             shard: AtomicUsize::new(shard),
             sched: AtomicU8::new(IDLE),
-            in_starved: AtomicBool::new(false),
+            park_seq: AtomicU64::new(0),
             scheduled_at: Mutex::new(None),
             io: Mutex::new(DriverIo {
                 source,
@@ -1033,9 +1071,8 @@ impl Reactor {
                 wake(&inner, &driver);
             }
         }));
-        self.inner.stats.registered.fetch_add(1, Ordering::Relaxed);
         self.inner.stats.active.fetch_add(1, Ordering::Relaxed);
-        self.inner.registered.lock().push(driver.clone());
+        self.inner.registered.lock().insert(driver.id, driver.clone());
         wake(&self.inner, &driver);
         DriverHandle { driver }
     }
@@ -1088,7 +1125,7 @@ impl Reactor {
         };
         let mut staged = false;
         for (shard, slot) in self.inner.shards.iter().enumerate() {
-            if slot.starved.lock().is_empty() || lender.shard_failed_pending(shard) > 0 {
+            if slot.starved.lock().parked.is_empty() || lender.shard_failed_pending(shard) > 0 {
                 continue;
             }
             if lender.prefetch_shard(shard) {
@@ -1111,7 +1148,12 @@ impl Reactor {
             timer_fires: stats.timer_fires.load(Ordering::Relaxed),
             ready_depth: self.inner.ready.lock().len as u64,
             max_ready_depth: stats.max_ready_depth.load(Ordering::Relaxed),
-            starved: self.inner.shards.iter().map(|slot| slot.starved.lock().len() as u64).sum(),
+            starved: self
+                .inner
+                .shards
+                .iter()
+                .map(|slot| slot.starved.lock().parked.len() as u64)
+                .sum(),
             pump_prefetches: stats.pump_prefetches.load(Ordering::Relaxed),
             shards: self.inner.shards.len(),
             shard_hops: stats.shard_hops.load(Ordering::Relaxed),
@@ -1143,8 +1185,8 @@ impl Reactor {
         for pump in self.pumps.lock().drain(..) {
             let _ = pump.join();
         }
-        let leftover: Vec<Arc<Driver>> = self.inner.registered.lock().drain(..).collect();
-        for driver in leftover {
+        let leftover = std::mem::take(&mut *self.inner.registered.lock());
+        for driver in leftover.into_values() {
             driver.endpoint.clear_waker();
             driver.endpoint.close();
             let io = driver.io.lock();
@@ -1238,8 +1280,10 @@ fn poll_driver(inner: &Inner, driver: Arc<Driver>) {
                 }
             }
             let shard = driver.shard.load(Ordering::Relaxed);
-            if starved && !driver.in_starved.swap(true, Ordering::SeqCst) {
-                inner.shards[shard].starved.lock().push(Arc::downgrade(&driver));
+            if starved && driver.park_seq.load(Ordering::SeqCst) == 0 {
+                let mut set = inner.shards[shard].starved.lock();
+                driver.park_seq.store(set.park(Arc::downgrade(&driver)), Ordering::SeqCst);
+                drop(set);
                 inner.signal_pump(shard);
                 // Liveness backstop: bounded kicks may leave this driver
                 // parked, so guarantee a re-kick within one interval while
@@ -1286,7 +1330,8 @@ fn pump_loop(inner: &Inner, lender: &ShardedLender<Bytes, Bytes>, shard: usize) 
                 if inner.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                if !slot.starved.lock().is_empty() && lender.shard_failed_pending(shard) == 0 {
+                if !slot.starved.lock().parked.is_empty() && lender.shard_failed_pending(shard) == 0
+                {
                     break;
                 }
                 slot.demand_cond.wait(&mut demand);
@@ -1316,6 +1361,91 @@ fn pump_loop(inner: &Inner, lender: &ShardedLender<Bytes, Bytes>, shard: usize) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pando_netsim::channel::{pair_with_clock, ChannelConfig, Endpoint};
+    use std::collections::HashSet;
+
+    /// An inline reactor over an *interactive* input (every non-blocking ask
+    /// answers "would block"): a polled driver always parks, and a value
+    /// reaches a shard only when the test calls `pump_starved`. The virtual
+    /// clock never moves, so no timer fires unless a test says so.
+    struct Rig {
+        reactor: Reactor,
+        lender: ShardedLender<Bytes, Bytes>,
+        config: PandoConfig,
+        meter: ThroughputMeter,
+    }
+
+    impl Rig {
+        fn new(shards: usize, values: u64) -> Self {
+            let config = PandoConfig::deterministic(1).with_lender_shards(shards);
+            let mut next = 0;
+            let input = move |request: Request| match request {
+                Request::Ask if next < values => {
+                    next += 1;
+                    Answer::Value(Bytes::copy_from_slice(&next.to_le_bytes()))
+                }
+                _ => Answer::Done,
+            };
+            let lender = ShardedLender::new(input, shards, 1);
+            let reactor = Reactor::new(&config);
+            reactor.attach_lender(&lender);
+            Self { reactor, lender, config, meter: ThroughputMeter::new() }
+        }
+
+        /// Registers a volunteer with a window of `window` tasks on `shard`
+        /// and returns its handle and the volunteer's end of the channel.
+        fn join(
+            &self,
+            name: &str,
+            shard: usize,
+            window: usize,
+        ) -> (DriverHandle, Endpoint<Message>) {
+            let (master_side, volunteer_side) =
+                pair_with_clock::<Message>(ChannelConfig::instant(), self.config.run.clock.clone());
+            let handle = self.reactor.register(
+                name,
+                shard,
+                Arc::new(master_side),
+                self.lender.lend_on(shard).into_duplex(),
+                &self.config.clone().with_batch_size(window),
+                &self.meter,
+            );
+            (handle, volunteer_side)
+        }
+
+        /// Steps until the ready queue is dry.
+        fn drain(&self) {
+            while self.reactor.step() {}
+        }
+
+        /// Names in `shard`'s starved set in kick order, space-separated; a
+        /// dead entry reads as "<dead>".
+        fn parked(&self, shard: usize) -> String {
+            let set = self.reactor.inner.shards[shard].starved.lock();
+            let names = set.parked.values().map(|weak| match weak.upgrade() {
+                Some(driver) => driver.name.clone(),
+                None => "<dead>".into(),
+            });
+            names.collect::<Vec<_>>().join(" ")
+        }
+
+        /// `ReactorStats::starved` and `active` are the sets' lengths.
+        fn assert_stats_count_the_sets(&self) {
+            let inner = &self.reactor.inner;
+            let parked: usize = inner.shards.iter().map(|s| s.starved.lock().parked.len()).sum();
+            let stats = self.reactor.stats();
+            assert_eq!(stats.starved, parked as u64);
+            assert_eq!(stats.active, inner.registered.lock().len() as u64);
+        }
+    }
+
+    /// The seq of the lone task frame waiting at a volunteer's endpoint.
+    fn task_seq(volunteer: &Endpoint<Message>) -> u64 {
+        match volunteer.try_recv() {
+            Ok(Message::Task { seq, .. }) => seq,
+            other => panic!("expected one task frame, got {other:?}"),
+        }
+    }
 
     #[test]
     fn stats_snapshot_starts_clean() {
@@ -1332,5 +1462,130 @@ mod tests {
         let reactor = Reactor::new(&PandoConfig::local_test().with_reactor_threads(3));
         assert_eq!(reactor.stats().threads, 3);
         drop(reactor); // must not hang
+    }
+
+    #[test]
+    fn kick_order_is_park_order_across_interleaved_parks_and_exits() {
+        let rig = Rig::new(1, 1);
+        let (_a, a_end) = rig.join("a", 0, 2);
+        let (b, b_end) = rig.join("b", 0, 2);
+        let (_c, _c_end) = rig.join("c", 0, 2);
+        rig.drain();
+        assert_eq!(rig.parked(0), "a b c");
+
+        // `b` leaves from the middle. Its sub-stream ending is a lender
+        // change: the head of the line is kicked, finds nothing and parks
+        // again at the back. So is the sub-stream `d` joins with.
+        b_end.close();
+        rig.drain();
+        assert!(b.is_finished());
+        assert_eq!(rig.parked(0), "c a");
+        let (_d, _d_end) = rig.join("d", 0, 2);
+        rig.drain();
+        assert_eq!(rig.parked(0), "a d c");
+
+        // One staged value is a budget of one: it goes to the longest-parked
+        // (and lending it is one more change, which cycles `d`).
+        assert!(rig.reactor.pump_starved());
+        rig.drain();
+        assert_eq!(task_seq(&a_end), 0);
+        assert_eq!(rig.parked(0), "c a d");
+        rig.assert_stats_count_the_sets();
+    }
+
+    #[test]
+    fn a_dead_entry_at_the_front_costs_no_budget_and_is_not_suppressed() {
+        let rig = Rig::new(1, 0);
+        let (ghost, _ghost_end) = rig.join("ghost", 0, 1);
+        let (_b, _b_end) = rig.join("b", 0, 1);
+        let (_c, _c_end) = rig.join("c", 0, 1);
+        rig.drain();
+        // Drop the driver without letting it finish: its entry stays behind.
+        rig.reactor.inner.registered.lock().remove(&ghost.driver.id);
+        drop(ghost);
+        assert_eq!(rig.parked(0), "<dead> b c");
+
+        let before = rig.reactor.stats();
+        rig.reactor.inner.kick_starved(0);
+        let after = rig.reactor.stats();
+        assert_eq!(after.kicks_sent - before.kicks_sent, 1, "the budget of one went to `b`");
+        assert_eq!(after.kicks_suppressed - before.kicks_suppressed, 1, "only `c` stayed parked");
+        assert_eq!(rig.parked(0), "c");
+    }
+
+    #[test]
+    fn finish_of_a_parked_driver_removes_only_its_own_entry() {
+        // Park sequence numbers are per shard: `a` and `x` both hold key 1.
+        let rig = Rig::new(2, 0);
+        let (a, a_end) = rig.join("a", 0, 1);
+        let (_b, _b_end) = rig.join("b", 0, 1);
+        let (_x, _x_end) = rig.join("x", 1, 1);
+        let (_y, _y_end) = rig.join("y", 1, 1);
+        rig.drain();
+        assert_eq!([rig.parked(0), rig.parked(1)], ["a b", "x y"]);
+        rig.assert_stats_count_the_sets();
+
+        a_end.close();
+        assert!(rig.reactor.step(), "`a` is polled and finishes");
+        assert!(a.is_finished());
+        assert_eq!([rig.parked(0), rig.parked(1)], ["b", "x y"]);
+        rig.assert_stats_count_the_sets();
+    }
+
+    #[test]
+    fn registration_ids_are_unique_under_concurrent_register() {
+        let rig = Rig::new(1, 0);
+        let barrier = std::sync::Barrier::new(8);
+        let ids: Vec<u64> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..8)
+                .map(|t| {
+                    let (rig, barrier) = (&rig, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        (0..50)
+                            .map(|i| rig.join(&format!("v{t}-{i}"), 0, 1).0.driver.id)
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            threads.into_iter().flat_map(|thread| thread.join().expect("no panic")).collect()
+        });
+        assert_eq!(ids.iter().collect::<HashSet<_>>().len(), 400);
+        assert_eq!(rig.reactor.inner.registered.lock().len(), 400, "no driver displaced another");
+        assert_eq!(rig.reactor.stats().registered, 400);
+    }
+
+    /// A driver that hops while it is still listed in its old shard's starved
+    /// set (it was re-polled by its transport waker, not by a kick) must move
+    /// its listing along. Left behind, the entry makes the new shard's kicks
+    /// and pump signal miss the driver.
+    #[test]
+    fn a_hop_moves_the_drivers_starved_listing_to_the_new_shard() {
+        let rig = Rig::new(2, 2);
+        let (_x, x_end) = rig.join("x", 1, 1);
+        let (_d, d_end) = rig.join("d", 0, 2);
+        rig.drain();
+        // One value per shard; `d` has window left and parks again.
+        assert!(rig.reactor.pump_starved());
+        rig.drain();
+        let (d_seq, x_seq) = (task_seq(&d_end), task_seq(&x_end));
+        // The input ends: shard 0 is done once `d` returns its value.
+        assert!(!rig.reactor.pump_starved());
+        rig.drain();
+        assert_eq!([rig.parked(0), rig.parked(1)], ["d", ""]);
+
+        // The result wakes `d` through its transport; in that one poll shard 0
+        // drains, `d` hops to shard 1 (`x` still holds a value) and starves.
+        d_end.send(Message::TaskResult { seq: d_seq, payload: Bytes::new() }).unwrap();
+        assert!(rig.reactor.step());
+        assert_eq!(rig.reactor.stats().shard_hops, 1);
+        assert_eq!([rig.parked(0), rig.parked(1)], ["", "d"]);
+        rig.assert_stats_count_the_sets();
+
+        // `x` fails its task: the value re-lent on shard 1 kicks `d` awake.
+        x_end.send(Message::TaskError { seq: x_seq, message: Bytes::new() }).unwrap();
+        rig.drain();
+        assert_eq!(task_seq(&d_end), x_seq);
+        assert_eq!(rig.reactor.stats().timer_fires, 0);
     }
 }

@@ -119,6 +119,31 @@ impl Sphere {
     }
 }
 
+/// `v.floor()` without the call into libm: truncate, then step down where
+/// truncation rounded up (a negative non-integer). Beyond 2^53 every `f64`
+/// is an integer already, and `as i64` would saturate.
+fn floor(v: f64) -> f64 {
+    if v.abs() < 9.0e15 {
+        let truncated = v as i64 as f64;
+        if truncated > v {
+            truncated - 1.0
+        } else {
+            truncated
+        }
+    } else {
+        v.floor()
+    }
+}
+
+/// One colour channel as a byte: `(channel.clamp(0.0, 1.0) * 255.0).round()`
+/// without the call into libm. The remainder after truncation is exact, so
+/// comparing it with one half rounds exactly as `round` does (half up).
+fn quantise(channel: f64) -> u8 {
+    let scaled = channel.clamp(0.0, 1.0) * 255.0;
+    let truncated = scaled as u8;
+    truncated + u8::from(scaled - f64::from(truncated) >= 0.5)
+}
+
 /// The scene of the paper's usage example: a handful of spheres on a plane,
 /// lit by a single point light, rendered from a camera rotating around it.
 #[derive(Debug, Clone)]
@@ -203,7 +228,7 @@ impl Scene {
             (_, Some(t)) if t > 1e-6 => {
                 let hit = ray.origin + ray.direction.scale(t);
                 // Checkerboard floor.
-                let checker = ((hit.x.floor() + hit.z.floor()) as i64).rem_euclid(2) == 0;
+                let checker = ((floor(hit.x) + floor(hit.z)) as i64).rem_euclid(2) == 0;
                 let base =
                     if checker { Vec3::new(0.85, 0.85, 0.85) } else { Vec3::new(0.25, 0.25, 0.25) };
                 self.shade(hit, Vec3::new(0.0, 1.0, 0.0), base)
@@ -214,10 +239,11 @@ impl Scene {
 
     fn shade(&self, hit: Vec3, normal: Vec3, base: Vec3) -> Vec3 {
         let to_light = self.light - hit;
-        let light_dir = to_light.normalized();
+        // `to_light.normalized()`, sharing its square root with `max_t`.
+        let max_t = to_light.length();
+        let light_dir = if max_t == 0.0 { to_light } else { to_light.scale(1.0 / max_t) };
         // Hard shadow: any sphere between the hit point and the light.
         let shadow_ray = Ray { origin: hit + normal.scale(1e-4), direction: light_dir };
-        let max_t = to_light.length();
         let in_shadow =
             self.spheres.iter().filter_map(|s| s.intersect(&shadow_ray)).any(|t| t < max_t);
         let ambient = 0.12;
@@ -252,7 +278,7 @@ impl Scene {
                 let direction = (forward + right.scale(ndc_x) + up.scale(ndc_y)).normalized();
                 let color = self.trace(&Ray { origin: camera, direction }, 0);
                 for channel in [color.x, color.y, color.z] {
-                    pixels.push((channel.clamp(0.0, 1.0) * 255.0).round() as u8);
+                    pixels.push(quantise(channel));
                 }
             }
         }
@@ -322,6 +348,38 @@ mod tests {
     fn rendering_is_deterministic() {
         let scene = Scene::default();
         assert_eq!(scene.render(1.0, 16, 16), scene.render(1.0, 16, 16));
+    }
+
+    /// Pins every pixel of the benchmark's frame size over the default
+    /// animation: a change to the arithmetic of `render` must leave the
+    /// frames bit-identical (FNV-1a over all sixty frames, in order).
+    #[test]
+    fn default_animation_frames_are_pinned() {
+        let scene = Scene::default();
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        for angle in animation_angles(60) {
+            for byte in scene.render(angle, 96, 72) {
+                digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(digest, 0x2761_346e_b09c_c760, "{digest:#018x}");
+    }
+
+    #[test]
+    fn floor_and_quantise_agree_with_libm() {
+        let edges = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.5, -2.5, 1e7 + 0.25, -1e7 - 0.25, 9.0e15];
+        for v in edges.into_iter().chain([1e300, -1e300, f64::INFINITY, f64::NEG_INFINITY]) {
+            assert_eq!(floor(v), v.floor(), "floor({v})");
+        }
+        assert!(floor(f64::NAN).is_nan());
+        for step in 0..=2040 {
+            // Every half and quarter step of the byte range, and just off them.
+            for channel in [f64::from(step) / 2040.0, f64::from(step) / 2040.0 + 1e-12] {
+                let libm = (channel.clamp(0.0, 1.0) * 255.0).round() as u8;
+                assert_eq!(quantise(channel), libm, "quantise({channel})");
+            }
+        }
+        assert_eq!((quantise(-3.0), quantise(7.0), quantise(f64::NAN)), (0, 255, 0));
     }
 
     #[test]
