@@ -40,12 +40,13 @@
 use crate::config::PandoConfig;
 use crate::master::Pando;
 use crate::protocol::Message;
+use crate::worker::{Step, WorkerCore};
 use bytes::Bytes;
-use pando_netsim::channel::{ChannelConfig, Endpoint, RecvError};
-use pando_netsim::codec::Record;
+use pando_netsim::channel::{ChannelConfig, Endpoint};
+use pando_netsim::fault::FaultPlan;
 use pando_netsim::sim::{EventQueue, SimTime};
 use pando_pull_stream::source::{from_iter, Source};
-use pando_pull_stream::{Answer, Request};
+use pando_pull_stream::{Answer, Request, StreamError};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -280,7 +281,7 @@ pub struct FleetParams {
     /// stream always completes.
     pub crash_fraction: f64,
     /// Scripted link flaps, the deterministic replay of
-    /// [`FaultPlan::Disconnect`](pando_netsim::fault::FaultPlan::Disconnect):
+    /// [`FaultPlan::Disconnect`]:
     /// each `(volunteer, at_us, down_for_us)` pauses that volunteer's link
     /// in both directions from virtual instant `at_us` for `down_for_us`
     /// microseconds. A flap delays frames, it loses nothing — the sim twin
@@ -513,26 +514,45 @@ impl FleetReport {
     }
 }
 
-/// A simulated volunteer: the state machine the engine drives instead of a
-/// worker thread. It mirrors [`run_worker_on`](crate::worker::run_worker_on) —
-/// decode task frames, apply the processing function, reply in kind — but
-/// computation *time* is virtual: a reply is scheduled `service × records`
-/// after the device becomes free.
+/// A simulated volunteer: the engine drives the same `WorkerCore` as a
+/// worker-pool slot does (see [`crate::worker`]) — it classifies
+/// frames, applies the processing function and builds the replies — but
+/// computation *time* is virtual: the replies are delivered
+/// `service × records` after the device becomes free.
 struct SimVolunteer {
     /// `None` until the volunteer joins (script volunteers may join
     /// mid-run); the seed-derived path opens every channel up front.
     endpoint: Option<Endpoint<Message>>,
+    core: WorkerCore,
     service: Duration,
     busy_until: Instant,
     /// Earliest scheduled re-poll for a frame still in (virtual) flight.
     repoll_at: Option<Instant>,
-    /// Reply frames scheduled but not yet delivered. A real worker replies
+    /// Reply events scheduled but not yet delivered. A real worker replies
     /// before it can observe the master's close, so the simulated volunteer
     /// defers its goodbye until this drains.
     pending_replies: usize,
     done: bool,
-    crashed: bool,
-    processed: u64,
+}
+
+impl SimVolunteer {
+    fn new(endpoint: Option<Endpoint<Message>>, service: Duration, origin: Instant) -> Self {
+        Self {
+            endpoint,
+            // Crashes are engine events on virtual time, not a fault plan.
+            core: WorkerCore::new(String::new(), FaultPlan::None.arm(), None),
+            service,
+            busy_until: origin,
+            repoll_at: None,
+            pending_replies: 0,
+            done: false,
+        }
+    }
+
+    /// The endpoint of a volunteer that joined and has not left.
+    fn live(&self) -> Option<&Endpoint<Message>> {
+        self.endpoint.as_ref().filter(|_| !self.done)
+    }
 }
 
 /// An engine event at a virtual instant; `seq` breaks ties FIFO so the
@@ -625,11 +645,11 @@ impl Engine {
 /// the task's little-endian `u64` payload. Trivial on purpose — the engine
 /// simulates *coordination*, and compute cost is modelled by the service
 /// time, not by burning host cycles.
-fn process_payload(payload: &Bytes) -> Bytes {
+fn process_payload(payload: &Bytes) -> Result<Bytes, StreamError> {
     let mut buf = [0u8; 8];
     buf.copy_from_slice(&payload[..8]);
     let x = u64::from_le_bytes(buf);
-    Bytes::copy_from_slice(&(x.wrapping_mul(3).wrapping_add(1)).to_le_bytes())
+    Ok(Bytes::copy_from_slice(&(x.wrapping_mul(3).wrapping_add(1)).to_le_bytes()))
 }
 
 /// Decodes the task index a result payload answers (inverts
@@ -759,16 +779,7 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
             if let Some(at) = spec.leaves_at {
                 engine.schedule(origin + at, Ev::Leave { v });
             }
-            volunteers.push(SimVolunteer {
-                endpoint,
-                service: spec.service,
-                busy_until: origin,
-                repoll_at: None,
-                pending_replies: 0,
-                done: false,
-                crashed: false,
-                processed: 0,
-            });
+            volunteers.push(SimVolunteer::new(endpoint, spec.service, origin));
         }
         for (members, at, heal) in &script.partitions {
             engine.schedule(
@@ -798,16 +809,7 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
                 service.as_micros(),
                 crash_at_us.map(|us| us.to_string()).unwrap_or_else(|| "never".into())
             ));
-            volunteers.push(SimVolunteer {
-                endpoint: Some(endpoint),
-                service,
-                busy_until: origin,
-                repoll_at: None,
-                pending_replies: 0,
-                done: false,
-                crashed: false,
-                processed: 0,
-            });
+            volunteers.push(SimVolunteer::new(Some(endpoint), service, origin));
         }
     }
 
@@ -856,29 +858,16 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
             progress = true;
             match ev {
                 Ev::Crash { v } => {
-                    let vol = &mut volunteers[v];
-                    if vol.done {
-                        continue;
-                    }
-                    let Some(endpoint) = vol.endpoint.as_ref() else {
-                        // Crashing a volunteer that never joined is a no-op
-                        // (scenario loading rejects such schedules).
-                        continue;
-                    };
+                    // Crashing a volunteer that never joined is a no-op
+                    // (scenario loading rejects such schedules).
+                    let Some(endpoint) = volunteers[v].live() else { continue };
                     endpoint.crash();
-                    vol.crashed = true;
-                    vol.done = true;
+                    volunteers[v].done = true;
                     crashed_fired += 1;
                     trace.push(format!("[{}] v{v} crash", elapsed_us(&clock)));
                 }
                 Ev::Flap { v, down_for } => {
-                    let vol = &mut volunteers[v];
-                    if vol.done {
-                        continue;
-                    }
-                    let Some(endpoint) = vol.endpoint.as_ref() else {
-                        continue;
-                    };
+                    let Some(endpoint) = volunteers[v].live() else { continue };
                     // Both directions go quiet until the device "rejoins":
                     // in-flight frames keep their delivery instants, later
                     // ones mature no earlier than the rejoin instant. The
@@ -892,14 +881,8 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
                     ));
                 }
                 Ev::Reply { v, frames } => {
-                    let vol = &mut volunteers[v];
-                    vol.pending_replies = vol.pending_replies.saturating_sub(1);
-                    if vol.done {
-                        continue;
-                    }
-                    let Some(endpoint) = vol.endpoint.as_ref() else {
-                        continue;
-                    };
+                    volunteers[v].pending_replies -= 1;
+                    let Some(endpoint) = volunteers[v].live() else { continue };
                     for frame in frames {
                         let size = frame.wire_size();
                         let count = frame.record_count();
@@ -930,13 +913,7 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
                     trace.push(format!("[{}] v{v} join group={}", elapsed_us(&clock), spec.group));
                 }
                 Ev::Leave { v } => {
-                    let vol = &mut volunteers[v];
-                    if vol.done {
-                        continue;
-                    }
-                    let Some(endpoint) = vol.endpoint.as_ref() else {
-                        continue;
-                    };
+                    let Some(endpoint) = volunteers[v].live() else { continue };
                     // A clean departure: goodbye then close. The master
                     // re-lends whatever the volunteer still held without
                     // waiting for a failure timeout, and `crash_relends`
@@ -944,7 +921,7 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
                     // user shut the tab; the re-lend covers them).
                     let _ = endpoint.send(Message::Goodbye);
                     endpoint.close();
-                    vol.done = true;
+                    volunteers[v].done = true;
                     trace.push(format!("[{}] v{v} leave", elapsed_us(&clock)));
                 }
                 Ev::Partition { members, until } => {
@@ -955,14 +932,8 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
                         ids.join(","),
                         until.saturating_duration_since(origin).as_micros()
                     ));
-                    for v in members {
-                        let vol = &volunteers[v];
-                        if vol.done {
-                            continue;
-                        }
-                        if let Some(endpoint) = vol.endpoint.as_ref() {
-                            endpoint.pause_link_until(until);
-                        }
+                    for endpoint in members.iter().filter_map(|&v| volunteers[v].live()) {
+                        endpoint.pause_link_until(until);
                     }
                 }
                 Ev::Repoll { v } => {
@@ -1081,9 +1052,10 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
     }
 }
 
-/// Drains every deliverable frame of one simulated volunteer and reacts the
-/// way a worker thread would: task frames are answered (after virtual
-/// compute time), a clean close gets a goodbye, heartbeats are swallowed.
+/// Drains every deliverable frame of one simulated volunteer through its
+/// worker core. What stays here is what the simulation adds: replies leave
+/// after virtual compute time, a clean close is answered only once they
+/// are out, and a frame still in virtual flight schedules a re-poll.
 fn poll_volunteer(
     v: usize,
     vol: &mut SimVolunteer,
@@ -1091,42 +1063,25 @@ fn poll_volunteer(
     clock: &pando_netsim::sim::Clock,
     trace: &mut Vec<String>,
 ) {
-    if vol.done || vol.endpoint.is_none() {
+    // `vol.live()` would borrow all of `vol`; the core is borrowed mutably
+    // below.
+    let Some(endpoint) = vol.endpoint.as_ref().filter(|_| !vol.done) else {
         return;
-    }
+    };
     loop {
-        let endpoint = vol.endpoint.as_ref().expect("checked above; never cleared mid-run");
-        let (records, batched) = match endpoint.try_recv() {
-            Ok(Message::Task { seq, payload }) => (vec![Record::new(seq, payload)], false),
-            Ok(Message::TaskBatch(records)) => (records, true),
-            Ok(Message::Heartbeat) | Ok(Message::Ack { .. }) => continue,
-            Ok(_) => {
-                // Unexpected on the volunteer side; treat as end of stream.
-                endpoint.close();
-                vol.done = true;
-                return;
+        match vol.core.on_recv(endpoint.try_recv(), &process_payload) {
+            Step::Reply { records, batched, replies } => {
+                let now = clock.now();
+                let at = clock.elapsed().as_micros();
+                trace.push(format!("[{at}] v{v} recv records={records} batched={batched}"));
+                // The device computes for `service × records` of virtual
+                // time, serialised after whatever it was already chewing on.
+                vol.busy_until = vol.busy_until.max(now) + vol.service * records as u32;
+                vol.pending_replies += 1;
+                engine.schedule(vol.busy_until, Ev::Reply { v, frames: replies });
             }
-            Err(RecvError::Closed) => {
-                if vol.pending_replies > 0 {
-                    // Still computing: a worker thread would flush those
-                    // replies before its next receive observed the close.
-                    // Re-poll once the device goes idle (reply events at the
-                    // same instant were scheduled earlier, so they fire
-                    // first).
-                    engine.schedule(vol.busy_until.max(clock.now()), Ev::Repoll { v });
-                    return;
-                }
-                let _ = endpoint.send(Message::Goodbye);
-                endpoint.close();
-                vol.done = true;
-                trace.push(format!("[{}] v{v} goodbye", clock.elapsed().as_micros()));
-                return;
-            }
-            Err(RecvError::PeerFailed) => {
-                vol.done = true;
-                return;
-            }
-            Err(RecvError::Empty) | Err(RecvError::Timeout) => {
+            Step::Skip => {}
+            Step::Idle => {
                 // A frame may still be in virtual flight: re-poll when it
                 // matures (de-duplicated against an earlier pending re-poll).
                 if let Some(at) = endpoint.next_ready_at() {
@@ -1137,29 +1092,30 @@ fn poll_volunteer(
                 }
                 return;
             }
-        };
-        let count = records.len();
-        trace.push(format!(
-            "[{}] v{v} recv records={count} batched={batched}",
-            clock.elapsed().as_micros()
-        ));
-        vol.processed += count as u64;
-        let results: Vec<Record> =
-            records.iter().map(|r| Record::new(r.seq, process_payload(&r.payload))).collect();
-        let reply = if batched {
-            Message::ResultBatch(results)
-        } else {
-            let record = results.into_iter().next().expect("a task frame carries one record");
-            Message::TaskResult { seq: record.seq, payload: record.payload }
-        };
-        // The device computes for `service × records` of virtual time,
-        // serialised after whatever it was already chewing on.
-        let now = clock.now();
-        let start = vol.busy_until.max(now);
-        let finish = start + vol.service * count as u32;
-        vol.busy_until = finish;
-        vol.pending_replies += 1;
-        engine.schedule(finish, Ev::Reply { v, frames: vec![reply] });
+            Step::Goodbye if vol.pending_replies > 0 => {
+                // Still computing: a worker thread would flush those replies
+                // before its next receive observed the close. Re-poll once
+                // the device goes idle (reply events at the same instant
+                // were scheduled earlier, so they fire first).
+                engine.schedule(vol.busy_until.max(clock.now()), Ev::Repoll { v });
+                return;
+            }
+            Step::Goodbye => {
+                let _ = endpoint.send(Message::Goodbye);
+                endpoint.close();
+                vol.done = true;
+                trace.push(format!("[{}] v{v} goodbye", clock.elapsed().as_micros()));
+                return;
+            }
+            Step::Leave { close } => {
+                if close {
+                    endpoint.close();
+                }
+                vol.done = true;
+                return;
+            }
+            Step::Crash => unreachable!("a simulated volunteer crashes only by engine event"),
+        }
     }
 }
 

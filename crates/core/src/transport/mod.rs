@@ -1,6 +1,6 @@
 //! The transport seam between the coordination layer and the wire.
 //!
-//! The reactor and the worker loops never cared that messages travelled
+//! The reactor and the worker pool never cared that messages travelled
 //! over in-process [`netsim`] channels — they consume a narrow,
 //! readiness-shaped surface: non-blocking
 //! [`try_recv`](Transport::try_recv), fallible frame
@@ -66,8 +66,8 @@ pub trait Transport: Send + Sync {
     /// Receives the next message, blocking until one arrives or the
     /// connection terminates.
     ///
-    /// Only legal on wall-clock transports driven by dedicated threads
-    /// (worker loops). Virtual-clock transports
+    /// Only legal on wall-clock transports driven by a dedicated thread
+    /// (tests, hand-written peers). Virtual-clock transports
     /// panic — they must be driven with [`try_recv`](Self::try_recv) +
     /// [`next_ready_at`](Self::next_ready_at) by the scheduler that owns the
     /// clock.
@@ -146,7 +146,7 @@ pub trait Transport: Send + Sync {
     /// route flap or Wi-Fi blip would) without crashing the endpoint. A
     /// plain transport treats this as [`crash`](Self::crash); a resumable
     /// transport (a reconnecting session over TCP) instead tears down its
-    /// current socket and re-establishes the session, so the worker loop
+    /// current socket and re-establishes the session, so the worker
     /// above it only ever observes a stretch of
     /// [`RecvError::Empty`]/[`SendError::WouldBlock`]. Scripted by
     /// [`FaultPlan::Disconnect`](pando_netsim::fault::FaultPlan::Disconnect).

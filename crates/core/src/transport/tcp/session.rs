@@ -21,7 +21,7 @@
 //!   exponential [`Backoff`] from `core::protocol`, presenting its session
 //!   token and received count (`RESUME <token> <recvd>`); while down it
 //!   answers [`RecvError::Empty`] and buffers outbound results, so the
-//!   worker loop needs no new cases beyond its existing would-block
+//!   worker pool needs no new cases beyond its existing would-block
 //!   parking.
 //!
 //! # Acks are garbage collection, counters are truth
@@ -127,7 +127,7 @@ struct SessionCore {
     /// fires once an ack trims the buffer below the bound.
     max_unacked_bytes: usize,
     state: Mutex<SessionState>,
-    /// The consumer's registered waker (reactor driver or worker loop),
+    /// The consumer's registered waker (reactor driver or worker slot),
     /// fired on inbox activity of the active link, on ack-driven unblocking
     /// and on every link transition. One slot, like every transport.
     waker: Mutex<Option<Waker>>,
@@ -836,7 +836,7 @@ impl Transport for ReconnectingTcpTransport {
                     }
                 },
                 // Down reads as idle: the redial thread owns recovery, and
-                // the worker loop's heartbeat/would-block parking already
+                // the worker pool's heartbeat/would-block parking already
                 // copes with an idle stretch.
                 Link::Down { .. } => return Err(RecvError::Empty),
                 Link::Closed => return Err(RecvError::Closed),

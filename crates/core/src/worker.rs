@@ -1,4 +1,4 @@
-//! The volunteer-side worker loop.
+//! The volunteer side: one worker core and the threads that drive it.
 //!
 //! A worker is the code that runs inside a volunteer's browser tab: it
 //! receives task frames over its channel — single tasks or whole batches —
@@ -9,26 +9,29 @@
 //! top for processing functions with native types. A worker may crash at a
 //! scripted point (fault injection) to reproduce the failure scenarios of
 //! the evaluation, and a *panicking* processing function is reported as a
-//! crash instead of poisoning the joiner.
+//! crash of that one volunteer instead of poisoning the joiner.
 //!
-//! Workers are transport-generic: the same loop serves a simulated
-//! [`Endpoint`](pando_netsim::channel::Endpoint) and a live
-//! [`TcpTransport`](crate::transport::tcp::TcpTransport) connected to a
-//! master in another process. [`WorkerBuilder`] is the one entry point for
-//! spawning; [`run_worker_on`] runs the loop on the calling thread.
+//! That behaviour is written once, in a sans-IO `WorkerCore` per volunteer,
+//! and driven twice: by the pool threads behind every [`WorkerBuilder`]
+//! spawn — a single [`spawn`](WorkerBuilder::spawn) is a pool of one — over
+//! a simulated [`Endpoint`](pando_netsim::channel::Endpoint) or a live
+//! [`TcpTransport`](crate::transport::tcp::TcpTransport), and by the
+//! virtual-clock volunteers of [`simulate_fleet`](crate::sim::simulate_fleet).
 
-use crate::protocol::Message;
+use crate::protocol::{HeartbeatAction, HeartbeatPacer, Message};
 use crate::transport::Transport;
 use bytes::Bytes;
 use pando_netsim::channel::{RecvError, SendError};
 use pando_netsim::codec::{record_body_len, Record, MAX_FRAME_LEN, RECORD_HEADER_LEN};
-use pando_netsim::fault::FaultPlan;
+use pando_netsim::fault::{ArmedFaultPlan, FaultPlan};
 use pando_pull_stream::codec::{Payload, TaskCodec};
 use pando_pull_stream::StreamError;
+use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 /// Options controlling one worker.
 #[derive(Debug, Clone, Default)]
@@ -41,15 +44,16 @@ pub struct WorkerOptions {
     /// on result traffic: an interval that saw a data frame suppresses the
     /// standalone control frame. Off by default — unit tests asserting exact
     /// frame sequences stay deterministic — and enabled by deployments that
-    /// model real channel chatter (the scale examples, the worker pool).
+    /// model real channel chatter (the scale examples, the TCP fleets).
     pub heartbeats: bool,
 }
 
-/// One fluent entry point for every way of running volunteer workers:
-/// single thread per transport ([`spawn`](WorkerBuilder::spawn)), typed
-/// through a codec ([`spawn_typed`](WorkerBuilder::spawn_typed)), or a pool
-/// of threads multiplexing many transports
-/// ([`spawn_pool`](WorkerBuilder::spawn_pool)). Transport-generic: pass a
+/// One fluent entry point for running volunteer workers: one transport on
+/// its own thread ([`spawn`](WorkerBuilder::spawn)), typed through a codec
+/// ([`spawn_typed`](WorkerBuilder::spawn_typed)), or many transports over a
+/// few threads ([`spawn_pool`](WorkerBuilder::spawn_pool)). `spawn` is a pool
+/// of one, so scripted faults, heartbeat pacing, backpressure and panic
+/// containment behave alike on every path. Transport-generic: pass a
 /// simulated [`Endpoint`](pando_netsim::channel::Endpoint) or a live
 /// [`TcpTransport`](crate::transport::tcp::TcpTransport).
 ///
@@ -130,12 +134,25 @@ impl WorkerBuilder {
     /// exported under `'/pando/1.0.0'` (paper Figure 2), over the binary
     /// wire form: it receives a task payload (a zero-copy slice of the
     /// received frame) and returns either the result payload or an error.
+    /// The thread is a pool of one transport, so `process` need not be
+    /// `Sync`.
     pub fn spawn<T, F>(self, transport: T, process: F) -> WorkerHandle
     where
         T: Transport + 'static,
         F: Fn(&Payload) -> Result<Bytes, StreamError> + Send + 'static,
     {
-        spawn_on(Arc::new(transport), process, self.options)
+        let name = self.options.name.clone();
+        let handle = std::thread::Builder::new()
+            .name(format!("pando-worker-{name}"))
+            .spawn(move || {
+                let transports = vec![Arc::new(transport) as Arc<dyn Transport>];
+                let options = &self.options;
+                let mut reports =
+                    run_worker_slice(transports, |_| options.name.clone(), options, &process);
+                reports.pop().expect("one transport, one report")
+            })
+            .expect("spawn worker thread");
+        WorkerHandle { handle, name }
     }
 
     /// Spawns a worker whose processing function works on the native task
@@ -164,34 +181,35 @@ impl WorkerBuilder {
     /// a transport's waker enqueues it when a frame arrives, so a wake costs
     /// one slot visit instead of a scan over the whole slice. `process` is
     /// shared. Heartbeat pacing follows the builder's
-    /// [`heartbeats`](WorkerBuilder::heartbeats) setting; scripted faults
-    /// are not supported on the pooled path (use
-    /// [`spawn`](WorkerBuilder::spawn) for fault injection).
+    /// [`heartbeats`](WorkerBuilder::heartbeats) setting; each transport
+    /// gets its own copy of the builder's [`fault`](WorkerBuilder::fault)
+    /// plan, and a panic in `process` crashes only the transport whose task
+    /// raised it.
     pub fn spawn_pool<T, F>(self, transports: Vec<T>, process: F) -> WorkerPoolHandle
     where
         T: Transport + 'static,
         F: Fn(&Payload) -> Result<Bytes, StreamError> + Send + Sync + 'static,
     {
-        let threads = self.pool_threads;
-        let options = self.options;
+        let per_thread = transports.len().div_ceil(self.pool_threads).max(1);
         let process = Arc::new(process);
-        let transports: Vec<Arc<dyn Transport>> =
-            transports.into_iter().map(|t| Arc::new(t) as Arc<dyn Transport>).collect();
-        let total = transports.len();
-        let per_thread = total.div_ceil(threads).max(1);
-        let mut transports = transports.into_iter();
+        let mut transports = transports.into_iter().map(|t| Arc::new(t) as Arc<dyn Transport>);
         let mut handles = Vec::new();
-        for index in 0..threads {
+        for index in 0..self.pool_threads {
             let chunk: Vec<Arc<dyn Transport>> = transports.by_ref().take(per_thread).collect();
             if chunk.is_empty() {
                 break;
             }
-            let process = process.clone();
-            let options = options.clone();
+            let (process, options) = (process.clone(), self.options.clone());
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("pando-worker-pool-{index}"))
-                    .spawn(move || run_worker_slice(chunk, &*process, &options, index))
+                    .spawn(move || {
+                        let name = |i| match options.name.as_str() {
+                            "" => format!("pool-{index}-{i}"),
+                            prefix => format!("{prefix}-pool-{index}-{i}"),
+                        };
+                        run_worker_slice(chunk, name, &options, &*process)
+                    })
                     .expect("spawn worker pool thread"),
             );
         }
@@ -231,10 +249,6 @@ impl WorkerReport {
             heartbeats_suppressed: 0,
         }
     }
-
-    fn crashed(name: String) -> Self {
-        Self { crashed: true, ..Self::new(name) }
-    }
 }
 
 /// Handle on a running worker thread.
@@ -251,7 +265,7 @@ impl WorkerHandle {
     /// — the panic is contained inside the worker thread and never poisons
     /// the joining thread.
     pub fn join(self) -> WorkerReport {
-        let fallback = WorkerReport::crashed(self.name.clone());
+        let fallback = WorkerReport { crashed: true, ..WorkerReport::new(self.name.clone()) };
         self.handle.join().unwrap_or(fallback)
     }
 
@@ -259,43 +273,6 @@ impl WorkerHandle {
     pub fn is_finished(&self) -> bool {
         self.handle.is_finished()
     }
-}
-
-/// The worker body behind [`WorkerBuilder::spawn`]: a dedicated thread, a
-/// panic boundary that converts processing-function panics into a crashed
-/// channel plus a crashed report.
-fn spawn_on<F>(transport: Arc<dyn Transport>, process: F, options: WorkerOptions) -> WorkerHandle
-where
-    F: Fn(&Payload) -> Result<Bytes, StreamError> + Send + 'static,
-{
-    let name = options.name.clone();
-    let handle = std::thread::Builder::new()
-        .name(format!("pando-worker-{}", options.name))
-        .spawn(move || {
-            let report = {
-                let transport = transport.clone();
-                let options = options.clone();
-                std::panic::catch_unwind(AssertUnwindSafe(move || {
-                    run_worker_loop(&*transport, process, options)
-                }))
-            };
-            report.unwrap_or_else(|_| {
-                // The processing function panicked: indistinguishable from a
-                // browser tab dying mid-task, so crash the channel and report
-                // it as such instead of propagating the panic to the joiner.
-                transport.crash();
-                WorkerReport::crashed(options.name)
-            })
-        })
-        .expect("spawn worker thread");
-    WorkerHandle { handle, name }
-}
-
-/// Outcome of processing one task frame (single or batch).
-struct FrameOutcome {
-    results: Vec<Record>,
-    error: Option<(u64, StreamError)>,
-    crashed: bool,
 }
 
 /// Handle on a pool of threads multiplexing many volunteer transports.
@@ -312,42 +289,269 @@ impl WorkerPoolHandle {
     }
 }
 
-/// One pooled transport and its per-volunteer state.
-struct PoolSlot {
-    endpoint: Arc<dyn Transport>,
+/// One volunteer's worker, free of I/O: its report, armed fault plan and
+/// optional heartbeat pacer. A driver — a pool slot on wall-clock time, the
+/// fleet simulator on virtual time — hands it what the transport returned
+/// and does what it answers.
+pub(crate) struct WorkerCore {
     report: WorkerReport,
-    pacer: Option<crate::protocol::HeartbeatPacer>,
-    /// Replies refused with [`SendError::WouldBlock`] by a bounded
-    /// transport, waiting for its write queue to drain. While non-empty the
-    /// slot takes no new input, so transport backpressure propagates to the
-    /// task stream instead of ballooning in process memory.
-    pending: std::collections::VecDeque<Message>,
-    done: bool,
+    fault: ArmedFaultPlan,
+    pacer: Option<HeartbeatPacer>,
 }
 
-/// Sends a slot's parked replies until they are gone or the transport
-/// pushes back again. A terminal send error marks the slot done.
-fn flush_slot_pending(slot: &mut PoolSlot) {
-    while let Some(reply) = slot.pending.front() {
-        let size = reply.wire_size();
-        let count = reply.record_count();
-        match slot.endpoint.send_records_with_size(reply.clone(), size, count) {
-            Ok(()) => {
-                slot.pending.pop_front();
-                if let Some(pacer) = &mut slot.pacer {
-                    pacer.on_traffic();
+/// What one receive asks of the driver.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Step {
+    /// A task frame of `records` records was computed: send `replies`.
+    Reply { records: usize, batched: bool, replies: Vec<Message> },
+    /// The volunteer crashed mid-frame (its fault plan, or a panicking
+    /// `process`) before any result left: crash the link, send nothing.
+    Crash,
+    /// Nothing to answer (a heartbeat or an ack): receive again.
+    Skip,
+    /// Nothing deliverable yet.
+    Idle,
+    /// The master closed the stream: say goodbye, close, leave.
+    Goodbye,
+    /// Leave without a goodbye, closing the link unless the peer failed.
+    Leave { close: bool },
+}
+
+/// What falls due on a visit, before receiving.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Due {
+    /// The fault plan crashes the volunteer now.
+    Crash,
+    /// A scripted link flap, not a crash: sever the link and carry on.
+    DropLink,
+    /// The link was silent for a heartbeat interval: send a heartbeat.
+    Heartbeat,
+}
+
+impl WorkerCore {
+    pub(crate) fn new(name: String, fault: ArmedFaultPlan, pacer: Option<HeartbeatPacer>) -> Self {
+        Self { report: WorkerReport::new(name), fault, pacer }
+    }
+
+    /// Turns what one `try_recv` returned into a step, applying `process`
+    /// to a task frame's records and building its replies on the way.
+    pub(crate) fn on_recv<F>(&mut self, received: Result<Message, RecvError>, process: &F) -> Step
+    where
+        F: Fn(&Payload) -> Result<Bytes, StreamError>,
+    {
+        // A lone task's record stays on the stack: no allocation per frame.
+        let (single, batch);
+        let (records, batched): (&[Record], bool) = match received {
+            Ok(Message::Task { seq, payload }) => {
+                single = [Record::new(seq, payload)];
+                (&single, false)
+            }
+            Ok(Message::TaskBatch(records)) => {
+                batch = records;
+                (&batch, true)
+            }
+            Ok(Message::Heartbeat | Message::Ack { .. }) => return Step::Skip,
+            // Unexpected on the worker side; treat as end of stream.
+            Ok(
+                Message::Goodbye
+                | Message::TaskResult { .. }
+                | Message::ResultBatch(_)
+                | Message::TaskError { .. },
+            ) => return Step::Leave { close: true },
+            Err(RecvError::Closed) => return Step::Goodbye,
+            Err(RecvError::PeerFailed) => return Step::Leave { close: false },
+            Err(RecvError::Empty | RecvError::Timeout) => return Step::Idle,
+        };
+        let (mut results, mut error) = (Vec::with_capacity(records.len()), None);
+        // A panic is indistinguishable from a browser tab dying mid-task: it
+        // crashes this volunteer instead of unwinding its driver.
+        let finished = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            for record in records {
+                match process(&record.payload) {
+                    Ok(payload) => {
+                        self.report.processed += 1;
+                        results.push(Record::new(record.seq, payload));
+                    }
+                    Err(err) => {
+                        self.report.errors += 1;
+                        let message = Bytes::copy_from_slice(err.message().as_bytes());
+                        error = Some(Message::TaskError { seq: record.seq, message });
+                    }
+                }
+                // Errored tasks count towards the fault plan like successful
+                // ones: the plan scripts "after N tasks handled".
+                self.fault.record_task();
+                if self.fault.should_crash() {
+                    return false;
+                }
+                // The master treats an erroring volunteer as faulty anyway.
+                if error.is_some() {
+                    break;
                 }
             }
-            Err(SendError::WouldBlock) => return,
-            Err(SendError::Closed) | Err(SendError::PeerFailed) => {
-                slot.done = true;
-                return;
+            true
+        }));
+        if !finished.unwrap_or(false) {
+            self.report.crashed = true;
+            return Step::Crash;
+        }
+        // A lone task is answered in kind, a batch with one result batch; an
+        // application error follows the results before it.
+        let frames = usize::from(!results.is_empty()) + usize::from(error.is_some());
+        let mut replies = Vec::with_capacity(frames);
+        if !batched {
+            replies.extend(
+                results.pop().map(|r| Message::TaskResult { seq: r.seq, payload: r.payload }),
+            );
+        } else if !results.is_empty() {
+            push_result_batches(&mut replies, results);
+        }
+        replies.extend(error);
+        Step::Reply { records: records.len(), batched, replies }
+    }
+
+    /// Records that a reply frame left: it proves liveness for the
+    /// heartbeat interval.
+    pub(crate) fn on_sent(&mut self) {
+        if let Some(pacer) = &mut self.pacer {
+            pacer.on_traffic();
+        }
+    }
+
+    /// What the driver must do on this visit before it receives.
+    pub(crate) fn due(&mut self) -> Option<Due> {
+        if self.fault.should_crash() {
+            self.report.crashed = true;
+            return Some(Due::Crash);
+        }
+        if self.fault.pending_disconnect().is_some() {
+            return Some(Due::DropLink);
+        }
+        match self.pacer.as_mut()?.poll() {
+            HeartbeatAction::NotDue => None,
+            HeartbeatAction::Send => {
+                self.report.heartbeats_sent += 1;
+                Some(Due::Heartbeat)
+            }
+            HeartbeatAction::Suppressed => {
+                self.report.heartbeats_suppressed += 1;
+                None
             }
         }
     }
 }
 
-/// Serves a slice of transports from one pool thread until all of them end.
+/// Pushes `records` as result batches whose encoded bodies stay within
+/// [`MAX_FRAME_LEN`], so a worker answering a large batch (for example
+/// rendered frames) never produces an unencodable reply frame.
+fn push_result_batches(replies: &mut Vec<Message>, records: Vec<Record>) {
+    if record_body_len(&records) <= MAX_FRAME_LEN {
+        replies.push(Message::ResultBatch(records));
+        return;
+    }
+    let mut chunk = Vec::new();
+    let mut body = 4usize;
+    for record in records {
+        let add = RECORD_HEADER_LEN + record.payload.len();
+        if !chunk.is_empty() && body + add > MAX_FRAME_LEN {
+            replies.push(Message::ResultBatch(std::mem::take(&mut chunk)));
+            body = 4;
+        }
+        body += add;
+        chunk.push(record);
+    }
+    replies.push(Message::ResultBatch(chunk));
+}
+
+/// One pooled transport and the core that serves it.
+struct PoolSlot {
+    endpoint: Arc<dyn Transport>,
+    core: WorkerCore,
+    /// Replies refused with [`SendError::WouldBlock`] by a bounded
+    /// transport, waiting for its write queue to drain. While non-empty the
+    /// slot takes no new input, so transport backpressure propagates to the
+    /// task stream instead of ballooning in process memory.
+    pending: VecDeque<Message>,
+    done: bool,
+}
+
+impl PoolSlot {
+    /// Sends the parked replies until they are gone or the transport pushes
+    /// back again. A terminal send error ends the slot.
+    fn flush(&mut self) {
+        while let Some(reply) = self.pending.front() {
+            let size = reply.wire_size();
+            let count = reply.record_count();
+            match self.endpoint.send_records_with_size(reply.clone(), size, count) {
+                Ok(()) => {
+                    self.pending.pop_front();
+                    self.core.on_sent();
+                }
+                Err(SendError::WouldBlock) => return,
+                Err(SendError::Closed) | Err(SendError::PeerFailed) => {
+                    self.done = true;
+                    return;
+                }
+            }
+        }
+    }
+
+    /// One visit: act on what is due, flush parked replies — new input
+    /// waits behind them, or backpressure would break and sends reorder —
+    /// then drain at most eight frames, so one chatty endpoint cannot starve
+    /// its siblings. Answers whether input may still be waiting.
+    fn visit<F>(&mut self, process: &F) -> bool
+    where
+        F: Fn(&Payload) -> Result<Bytes, StreamError>,
+    {
+        match self.core.due() {
+            Some(Due::Crash) => {
+                self.endpoint.crash();
+                self.done = true;
+                return false;
+            }
+            // A resumable transport redials on its own; on a plain one
+            // `drop_link` is a crash, which the receive path observes.
+            Some(Due::DropLink) => self.endpoint.drop_link(),
+            Some(Due::Heartbeat) => {
+                let _ = self.endpoint.send(Message::Heartbeat);
+            }
+            None => {}
+        }
+        for _ in 0..8 {
+            self.flush();
+            if self.done || !self.pending.is_empty() {
+                return false;
+            }
+            match self.core.on_recv(self.endpoint.try_recv(), process) {
+                Step::Reply { replies, .. } => self.pending.extend(replies),
+                Step::Skip => {}
+                Step::Idle => return false,
+                Step::Crash => {
+                    self.endpoint.crash();
+                    self.done = true;
+                }
+                Step::Goodbye => {
+                    let _ = self.endpoint.send(Message::Goodbye);
+                    self.endpoint.close();
+                    self.done = true;
+                }
+                Step::Leave { close } => {
+                    if close {
+                        self.endpoint.close();
+                    }
+                    self.done = true;
+                }
+            }
+        }
+        self.flush();
+        !self.done && self.pending.is_empty()
+    }
+}
+
+/// Serves a slice of transports from one pool thread until all of them end,
+/// one [`WorkerCore`] per transport (named by `name(index)`), each with its
+/// own copy of the options' fault plan.
 ///
 /// Readiness is queue-driven, mirroring the master reactor: each transport's
 /// waker ([`Transport::set_waker`]) enqueues that slot's index on a
@@ -356,20 +560,20 @@ fn flush_slot_pending(slot: &mut PoolSlot) {
 /// whole slice per wake. With the queue empty the thread parks on a condvar,
 /// capped by the earliest known readiness instant
 /// ([`Transport::next_ready_at`]), the next heartbeat deadline, and a coarse
-/// safety timeout; a timed-out wait requeues every live slot once so paced
-/// heartbeats and matured simulated-latency frames are never missed.
+/// 50 ms safety timeout; a timed-out wait requeues every live slot once so
+/// paced heartbeats, time-scripted faults and matured simulated-latency
+/// frames are never missed.
 fn run_worker_slice<F>(
     transports: Vec<Arc<dyn Transport>>,
-    process: &F,
+    name: impl Fn(usize) -> String,
     options: &WorkerOptions,
-    thread_index: usize,
+    process: &F,
 ) -> Vec<WorkerReport>
 where
     F: Fn(&Payload) -> Result<Bytes, StreamError>,
 {
     use parking_lot::{Condvar, Mutex};
-    use std::collections::VecDeque;
-    let mut fault = FaultPlan::None.arm();
+    let fault = options.fault.clone().arm();
     let ready: Arc<(Mutex<VecDeque<usize>>, Condvar)> =
         Arc::new((Mutex::new(VecDeque::new()), Condvar::new()));
     let queued: Vec<Arc<AtomicBool>> =
@@ -378,7 +582,6 @@ where
         .into_iter()
         .enumerate()
         .map(|(i, endpoint)| {
-            let interval = endpoint.heartbeat_interval();
             let ready = ready.clone();
             let flag = queued[i].clone();
             endpoint.set_waker(Arc::new(move || {
@@ -390,51 +593,28 @@ where
                     cond.notify_one();
                 }
             }));
-            PoolSlot {
-                endpoint,
-                report: WorkerReport::new(format!(
-                    "{}pool-{thread_index}-{i}",
-                    if options.name.is_empty() {
-                        String::new()
-                    } else {
-                        format!("{}-", options.name)
-                    }
-                )),
-                pacer: options.heartbeats.then(|| crate::protocol::HeartbeatPacer::new(interval)),
-                pending: VecDeque::new(),
-                done: false,
-            }
+            let interval = endpoint.heartbeat_interval();
+            let pacer = options.heartbeats.then(|| HeartbeatPacer::new(interval));
+            let core = WorkerCore::new(name(i), fault.clone(), pacer);
+            PoolSlot { endpoint, core, pending: VecDeque::new(), done: false }
         })
         .collect();
     let mut live = slots.len();
     // Seed every slot once: frames may already be waiting from before the
     // wakers were registered.
-    {
-        let (queue, _) = &*ready;
-        let mut queue = queue.lock();
-        for (i, flag) in queued.iter().enumerate() {
-            flag.store(true, Ordering::SeqCst);
-            queue.push_back(i);
-        }
-    }
+    queued.iter().for_each(|flag| flag.store(true, Ordering::SeqCst));
+    ready.0.lock().extend(0..slots.len());
     while live > 0 {
-        let next = {
-            let (queue, _) = &*ready;
-            queue.lock().pop_front()
-        };
+        let next = ready.0.lock().pop_front();
         let Some(index) = next else {
             // Queue drained: park until a waker enqueues a slot, but never
             // past the earliest moment something is known to become
-            // deliverable (simulated latency) or a heartbeat falls due; a
-            // coarse safety cap bounds the wait regardless.
-            let now = std::time::Instant::now();
-            let mut deadline = now + std::time::Duration::from_millis(50);
+            // deliverable (simulated latency) or a heartbeat falls due.
+            let mut deadline = Instant::now() + std::time::Duration::from_millis(50);
             for slot in slots.iter().filter(|slot| !slot.done) {
-                if let Some(at) = slot.endpoint.next_ready_at() {
+                let heartbeat = slot.core.pacer.as_ref().map(HeartbeatPacer::next_due);
+                for at in [slot.endpoint.next_ready_at(), heartbeat].into_iter().flatten() {
                     deadline = deadline.min(at);
-                }
-                if let Some(pacer) = &slot.pacer {
-                    deadline = deadline.min(pacer.next_due());
                 }
             }
             let (queue, cond) = &*ready;
@@ -462,318 +642,28 @@ where
         if slot.done {
             continue;
         }
-        {
-            // Replies parked by an earlier would-block flush first: taking
-            // new input while they wait would break backpressure and
-            // reorder sends.
-            flush_slot_pending(slot);
-            if !slot.done && !slot.pending.is_empty() {
-                // Transport still pushing back; its waker re-enqueues the
-                // slot once the bounded write queue drains.
-                continue;
-            }
-            let mut drained = 0;
-            let mut more = true;
-            // Drain a bounded number of frames per visit so one chatty
-            // endpoint cannot starve its siblings.
-            while !slot.done && drained < 8 {
-                drained += 1;
-                let (outcome, batched) = match slot.endpoint.try_recv() {
-                    Ok(Message::Task { seq, payload }) => {
-                        let records = [Record::new(seq, payload)];
-                        (process_records(&records, process, &mut fault, &mut slot.report), false)
-                    }
-                    Ok(Message::TaskBatch(records)) => {
-                        (process_records(&records, process, &mut fault, &mut slot.report), true)
-                    }
-                    Ok(Message::Heartbeat) | Ok(Message::Ack { .. }) => continue,
-                    Ok(_) => {
-                        slot.endpoint.close();
-                        slot.done = true;
-                        break;
-                    }
-                    Err(RecvError::Closed) => {
-                        let _ = slot.endpoint.send(Message::Goodbye);
-                        slot.endpoint.close();
-                        slot.done = true;
-                        break;
-                    }
-                    Err(RecvError::PeerFailed) => {
-                        slot.done = true;
-                        break;
-                    }
-                    Err(RecvError::Empty) | Err(RecvError::Timeout) => {
-                        more = false;
-                        break;
-                    }
-                };
-                slot.pending.extend(build_replies(outcome, batched));
-                flush_slot_pending(slot);
-                if slot.done {
-                    break;
-                }
-                if !slot.pending.is_empty() {
-                    // The bounded write queue pushed back mid-drain: stop
-                    // taking new input; the transport waker re-enqueues the
-                    // slot once the queue drains below its bound.
-                    more = false;
-                    break;
-                }
-            }
-            if slot.done {
-                live -= 1;
-                slot.endpoint.clear_waker();
-                continue;
-            }
-            if let Some(pacer) = &mut slot.pacer {
-                match pacer.poll() {
-                    crate::protocol::HeartbeatAction::NotDue => {}
-                    crate::protocol::HeartbeatAction::Send => {
-                        slot.report.heartbeats_sent += 1;
-                        let _ = slot.endpoint.send(Message::Heartbeat);
-                    }
-                    crate::protocol::HeartbeatAction::Suppressed => {
-                        slot.report.heartbeats_suppressed += 1;
-                    }
-                }
-            }
-            if more && !queued[index].swap(true, Ordering::SeqCst) {
-                // The frame-drain bound was hit with input still pending:
-                // yield the queue to siblings and come back.
-                let (queue, _) = &*ready;
-                queue.lock().push_back(index);
-            }
+        let more = slot.visit(process);
+        if slot.done {
+            live -= 1;
+            slot.endpoint.clear_waker();
+        } else if more && !queued[index].swap(true, Ordering::SeqCst) {
+            // The frame-drain bound was hit with input still pending: yield
+            // the queue to siblings and come back.
+            ready.0.lock().push_back(index);
         }
     }
-    slots.into_iter().map(|slot| slot.report).collect()
-}
-
-/// Runs the worker loop on the calling thread over any [`Transport`], until
-/// the master closes the connection or the fault plan triggers a crash.
-pub fn run_worker_on<F>(
-    transport: &dyn Transport,
-    process: F,
-    options: WorkerOptions,
-) -> WorkerReport
-where
-    F: Fn(&Payload) -> Result<Bytes, StreamError>,
-{
-    run_worker_loop(transport, process, options)
-}
-
-fn run_worker_loop<F>(endpoint: &dyn Transport, process: F, options: WorkerOptions) -> WorkerReport
-where
-    F: Fn(&Payload) -> Result<Bytes, StreamError>,
-{
-    let mut report = WorkerReport::new(options.name.clone());
-    let mut fault = options.fault.arm();
-    let heartbeat_interval = endpoint.heartbeat_interval();
-    let mut pacer =
-        options.heartbeats.then(|| crate::protocol::HeartbeatPacer::new(heartbeat_interval));
-
-    loop {
-        if fault.should_crash() {
-            endpoint.crash();
-            report.crashed = true;
-            return report;
-        }
-        if fault.pending_disconnect().is_some() {
-            // A scripted link flap, not a crash: sever the socket and keep
-            // running. A resumable transport redials on its own backoff
-            // schedule and the loop sees at most an idle stretch; on a
-            // plain transport `drop_link` degrades to a crash, which the
-            // receive path below observes as usual.
-            endpoint.drop_link();
-        }
-        // With pacing enabled, wake at least once per heartbeat interval so
-        // an idle channel still signals liveness; result traffic below
-        // suppresses the standalone frame (piggyback).
-        let received = match &mut pacer {
-            Some(pacer) => {
-                let received = endpoint.recv_timeout(heartbeat_interval);
-                match pacer.poll() {
-                    crate::protocol::HeartbeatAction::NotDue => {}
-                    crate::protocol::HeartbeatAction::Send => {
-                        report.heartbeats_sent += 1;
-                        let _ = endpoint.send(Message::Heartbeat);
-                    }
-                    crate::protocol::HeartbeatAction::Suppressed => {
-                        report.heartbeats_suppressed += 1;
-                    }
-                }
-                received
-            }
-            None => endpoint.recv(),
-        };
-        let batch = match received {
-            Ok(Message::Task { seq, payload }) => {
-                let outcome = process_records(
-                    &[Record::new(seq, payload)],
-                    &process,
-                    &mut fault,
-                    &mut report,
-                );
-                if outcome.crashed {
-                    // The crash happens before the result reaches the master,
-                    // like a tab closed mid-upload.
-                    endpoint.crash();
-                    report.crashed = true;
-                    return report;
-                }
-                (outcome, false)
-            }
-            Ok(Message::TaskBatch(records)) => {
-                let outcome = process_records(&records, &process, &mut fault, &mut report);
-                if outcome.crashed {
-                    endpoint.crash();
-                    report.crashed = true;
-                    return report;
-                }
-                (outcome, true)
-            }
-            Ok(Message::Heartbeat) | Ok(Message::Ack { .. }) => continue,
-            Ok(Message::Goodbye)
-            | Ok(Message::TaskResult { .. })
-            | Ok(Message::ResultBatch(_))
-            | Ok(Message::TaskError { .. }) => {
-                // Unexpected on the worker side; treat as end of stream.
-                endpoint.close();
-                return report;
-            }
-            Err(RecvError::Closed) => {
-                // Clean end of the deployment: acknowledge and leave.
-                let _ = endpoint.send(Message::Goodbye);
-                endpoint.close();
-                return report;
-            }
-            Err(RecvError::PeerFailed) => return report,
-            Err(RecvError::Timeout) | Err(RecvError::Empty) => continue,
-        };
-        let (outcome, batched) = batch;
-        for reply in build_replies(outcome, batched) {
-            let size = reply.wire_size();
-            let count = reply.record_count();
-            loop {
-                match endpoint.send_records_with_size(reply.clone(), size, count) {
-                    Ok(()) => {
-                        if let Some(pacer) = &mut pacer {
-                            pacer.on_traffic();
-                        }
-                        break;
-                    }
-                    Err(SendError::WouldBlock) => {
-                        // Bounded write queue full. A dedicated-thread worker
-                        // can afford to wait for the poller to drain it,
-                        // bailing out only if the peer dies meanwhile.
-                        if !endpoint.is_peer_alive() {
-                            return report;
-                        }
-                        std::thread::sleep(std::time::Duration::from_millis(1));
-                    }
-                    Err(SendError::Closed) | Err(SendError::PeerFailed) => return report,
-                }
-            }
-        }
-    }
-}
-
-/// Builds the reply frames for one processed task frame. Results of a batch
-/// are coalesced into one frame, mirroring the master's task batching; a
-/// lone task is answered in kind. Large result sets are split so no reply
-/// frame exceeds the wire limit.
-fn build_replies(outcome: FrameOutcome, batched: bool) -> Vec<Message> {
-    let mut replies = Vec::with_capacity(2);
-    if !outcome.results.is_empty() {
-        let mut results = outcome.results;
-        if batched {
-            for chunk in split_by_frame_limit(results) {
-                replies.push(Message::ResultBatch(chunk));
-            }
-        } else {
-            let record = results.pop().expect("non-empty results");
-            replies.push(Message::TaskResult { seq: record.seq, payload: record.payload });
-        }
-    }
-    if let Some((seq, err)) = outcome.error {
-        replies.push(Message::TaskError {
-            seq,
-            message: Bytes::copy_from_slice(err.message().as_bytes()),
-        });
-    }
-    replies
-}
-
-/// Applies the processing function to every record of one frame, honouring
-/// the fault plan between records. Processing stops at the first application
-/// error: the master treats an erroring volunteer as faulty anyway.
-fn process_records<F>(
-    records: &[Record],
-    process: &F,
-    fault: &mut pando_netsim::fault::ArmedFaultPlan,
-    report: &mut WorkerReport,
-) -> FrameOutcome
-where
-    F: Fn(&Payload) -> Result<Bytes, StreamError>,
-{
-    let mut outcome =
-        FrameOutcome { results: Vec::with_capacity(records.len()), error: None, crashed: false };
-    for record in records {
-        // Errored tasks count towards the fault plan like successful ones:
-        // the plan scripts "after N tasks handled", not "after N successes".
-        let failed = match process(&record.payload) {
-            Ok(payload) => {
-                report.processed += 1;
-                outcome.results.push(Record::new(record.seq, payload));
-                false
-            }
-            Err(err) => {
-                report.errors += 1;
-                outcome.error = Some((record.seq, err));
-                true
-            }
-        };
-        fault.record_task();
-        if fault.should_crash() {
-            outcome.crashed = true;
-            break;
-        }
-        if failed {
-            break;
-        }
-    }
-    outcome
-}
-
-/// Splits result records into chunks whose encoded batch body stays within
-/// [`MAX_FRAME_LEN`], so a worker answering a large batch (for example
-/// rendered frames) never produces an unencodable reply frame.
-fn split_by_frame_limit(records: Vec<Record>) -> Vec<Vec<Record>> {
-    if record_body_len(&records) <= MAX_FRAME_LEN {
-        return vec![records];
-    }
-    let mut chunks = Vec::new();
-    let mut chunk: Vec<Record> = Vec::new();
-    let mut body = 4usize;
-    for record in records {
-        let add = RECORD_HEADER_LEN + record.payload.len();
-        if !chunk.is_empty() && body + add > MAX_FRAME_LEN {
-            chunks.push(std::mem::take(&mut chunk));
-            body = 4;
-        }
-        body += add;
-        chunk.push(record);
-    }
-    if !chunk.is_empty() {
-        chunks.push(chunk);
-    }
-    chunks
+    slots.into_iter().map(|slot| slot.core.report).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PandoConfig;
+    use crate::master::Pando;
     use pando_netsim::channel::{pair, ChannelConfig};
     use pando_pull_stream::codec::StringCodec;
+    use pando_pull_stream::source::{count, SourceExt};
+    use std::time::Duration;
 
     #[allow(clippy::ptr_arg)] // must match Fn(&C::Task) with C::Task = String
     fn upper(input: &String) -> Result<String, StreamError> {
@@ -782,6 +672,168 @@ mod tests {
 
     fn task(seq: u64, payload: &[u8]) -> Message {
         Message::Task { seq, payload: Bytes::copy_from_slice(payload) }
+    }
+
+    fn record(seq: u64, payload: &[u8]) -> Record {
+        Record::new(seq, Bytes::copy_from_slice(payload))
+    }
+
+    fn batch(payloads: &[&[u8]]) -> Result<Message, RecvError> {
+        Ok(Message::TaskBatch(payloads.iter().zip(0..).map(|(p, seq)| record(seq, p)).collect()))
+    }
+
+    fn core(fault: FaultPlan) -> WorkerCore {
+        WorkerCore::new("core".into(), fault.arm(), None)
+    }
+
+    fn echo(input: &Bytes) -> Result<Bytes, StreamError> {
+        Ok(input.clone())
+    }
+
+    fn reverse(payload: &Bytes) -> Result<Bytes, StreamError> {
+        let mut out = payload.to_vec();
+        out.reverse();
+        Ok(Bytes::from(out))
+    }
+
+    /// Runs `1..=tasks` through `pando` and checks the output is `reverse`
+    /// of each input's decimal form, complete and in order.
+    fn run_reversed(pando: &Pando, tasks: u64) {
+        let output = pando
+            .run(count(tasks).map_values(|v| Bytes::from(v.to_string().into_bytes())))
+            .collect_values()
+            .unwrap();
+        let expected: Vec<Bytes> = (1..=tasks)
+            .map(|v| reverse(&Bytes::from(v.to_string().into_bytes())).unwrap())
+            .collect();
+        assert_eq!(output, expected, "per-volunteer results stay demultiplexed in order");
+    }
+
+    #[test]
+    fn the_core_turns_each_receive_into_one_step() {
+        let mut core = core(FaultPlan::None);
+        let result = Message::TaskResult { seq: 1, payload: Bytes::copy_from_slice(b"x") };
+        assert_eq!(
+            core.on_recv(Ok(task(1, b"x")), &echo),
+            Step::Reply { records: 1, batched: false, replies: vec![result] }
+        );
+        assert_eq!(
+            core.on_recv(batch(&[b"a", b"b"]), &echo),
+            Step::Reply {
+                records: 2,
+                batched: true,
+                replies: vec![Message::ResultBatch(vec![record(0, b"a"), record(1, b"b")])],
+            }
+        );
+        for control in [Message::Heartbeat, Message::Ack { count: 4 }] {
+            assert_eq!(core.on_recv(Ok(control), &echo), Step::Skip);
+        }
+        let results = [
+            Message::Goodbye,
+            Message::TaskResult { seq: 0, payload: Bytes::new() },
+            Message::ResultBatch(vec![record(0, b"r")]),
+            Message::TaskError { seq: 0, message: Bytes::new() },
+        ];
+        for unexpected in results {
+            assert_eq!(core.on_recv(Ok(unexpected), &echo), Step::Leave { close: true });
+        }
+        assert_eq!(core.on_recv(Err(RecvError::Closed), &echo), Step::Goodbye);
+        assert_eq!(core.on_recv(Err(RecvError::PeerFailed), &echo), Step::Leave { close: false });
+        for nothing in [RecvError::Empty, RecvError::Timeout] {
+            assert_eq!(core.on_recv(Err(nothing), &echo), Step::Idle);
+        }
+        assert_eq!(core.report.processed, 3, "only task frames are computed");
+    }
+
+    #[test]
+    fn a_crash_mid_batch_sends_no_reply() {
+        let mut core = core(FaultPlan::AfterTasks(2));
+        assert_eq!(core.on_recv(batch(&[b"a", b"b", b"c"]), &echo), Step::Crash);
+        assert!(core.report.crashed);
+        assert_eq!(core.report.processed, 2, "the third record is never reached");
+    }
+
+    #[test]
+    fn a_panicking_process_is_a_crash_that_sends_no_reply() {
+        let mut core = core(FaultPlan::None);
+        let explode = |_: &Bytes| -> Result<Bytes, StreamError> { panic!("worker code exploded") };
+        assert_eq!(core.on_recv(batch(&[b"boom"]), &explode), Step::Crash);
+        assert!(core.report.crashed);
+    }
+
+    #[test]
+    fn batch_error_still_delivers_earlier_results() {
+        let mut core = core(FaultPlan::None);
+        let picky = |input: &Bytes| {
+            if &input[..] == b"bad" {
+                Err(StreamError::new("nope"))
+            } else {
+                Ok(input.clone())
+            }
+        };
+        let step = core.on_recv(batch(&[b"ok", b"bad", b"never-reached"]), &picky);
+        // The successful prefix comes first, then the error.
+        let replies = vec![
+            Message::ResultBatch(vec![record(0, b"ok")]),
+            Message::TaskError { seq: 1, message: Bytes::copy_from_slice(b"nope") },
+        ];
+        assert_eq!(step, Step::Reply { records: 3, batched: true, replies });
+        assert_eq!((core.report.processed, core.report.errors), (1, 1));
+    }
+
+    #[test]
+    fn errored_tasks_count_towards_the_fault_plan() {
+        // Every task errors; the plan still crashes after three *handled*
+        // tasks.
+        let mut core = core(FaultPlan::AfterTasks(3));
+        let fail = |_: &Bytes| Err(StreamError::new("always fails"));
+        let answered =
+            (0..5).take_while(|&seq| core.on_recv(Ok(task(seq, b"x")), &fail) != Step::Crash);
+        assert_eq!(answered.count(), 2, "the third handled task crashes the worker unanswered");
+        assert!(core.report.crashed, "errored tasks must advance the fault plan");
+        assert_eq!(core.report.errors, 3);
+    }
+
+    #[test]
+    fn oversized_result_batches_are_split_at_the_frame_limit() {
+        let nine_mb = Bytes::from(vec![7u8; 9 * 1024 * 1024]);
+        let records: Vec<Record> = (0..3).map(|seq| Record::new(seq, nine_mb.clone())).collect();
+        let step = core(FaultPlan::None).on_recv(Ok(Message::TaskBatch(records.clone())), &echo);
+        let Step::Reply { replies, .. } = step else { panic!("a task frame is answered") };
+        assert!(replies.len() > 1, "27MB of results cannot travel in one frame");
+        let mut rejoined = Vec::new();
+        for reply in replies {
+            let Message::ResultBatch(chunk) = reply else {
+                panic!("a batch is answered with result batches");
+            };
+            assert!(record_body_len(&chunk) <= MAX_FRAME_LEN);
+            rejoined.extend(chunk);
+        }
+        assert_eq!(rejoined, records, "splitting preserves order and content");
+        // Small batches stay in one frame.
+        let mut small = Vec::new();
+        push_result_batches(&mut small, vec![record(0, b"x")]);
+        assert_eq!(small, vec![Message::ResultBatch(vec![record(0, b"x")])]);
+    }
+
+    #[test]
+    fn the_core_reports_scripted_faults_and_heartbeats_as_due() {
+        assert_eq!(core(FaultPlan::AfterTasks(0)).due(), Some(Due::Crash));
+        let mut flapping =
+            core(FaultPlan::Disconnect { at: Duration::ZERO, down_for: Duration::ZERO });
+        assert_eq!(flapping.due(), Some(Due::DropLink));
+        assert_eq!(flapping.due(), None, "a flap is one link event");
+        assert!(!flapping.report.crashed);
+        // A pacer whose first heartbeat fell due in the past.
+        let interval = Duration::from_millis(50);
+        let overdue = || HeartbeatPacer::new_at(interval, Instant::now() - 2 * interval);
+        let mut idle = WorkerCore::new(String::new(), FaultPlan::None.arm(), Some(overdue()));
+        assert_eq!(idle.due(), Some(Due::Heartbeat));
+        assert_eq!(idle.report.heartbeats_sent, 1);
+        let mut busy = WorkerCore::new(String::new(), FaultPlan::None.arm(), Some(overdue()));
+        busy.on_sent();
+        assert_eq!(busy.due(), None, "a reply inside the interval proves liveness");
+        assert_eq!(busy.report.heartbeats_suppressed, 1);
     }
 
     #[test]
@@ -812,19 +864,11 @@ mod tests {
         let (master, volunteer) = pair::<Message>(ChannelConfig::instant());
         let worker = WorkerBuilder::new().spawn_typed(volunteer, StringCodec, upper);
         master
-            .send(Message::TaskBatch(vec![
-                Record::new(4, Bytes::copy_from_slice(b"a")),
-                Record::new(5, Bytes::copy_from_slice(b"b")),
-                Record::new(6, Bytes::copy_from_slice(b"c")),
-            ]))
+            .send(Message::TaskBatch(vec![record(4, b"a"), record(5, b"b"), record(6, b"c")]))
             .unwrap();
         assert_eq!(
             master.recv().unwrap(),
-            Message::ResultBatch(vec![
-                Record::new(4, Bytes::copy_from_slice(b"A")),
-                Record::new(5, Bytes::copy_from_slice(b"B")),
-                Record::new(6, Bytes::copy_from_slice(b"C")),
-            ])
+            Message::ResultBatch(vec![record(4, b"A"), record(5, b"B"), record(6, b"C")])
         );
         master.close();
         let report = worker.join();
@@ -848,76 +892,16 @@ mod tests {
         assert_eq!(report.processed, 0);
     }
 
-    #[test]
-    fn batch_error_still_delivers_earlier_results() {
-        let (master, volunteer) = pair::<Message>(ChannelConfig::instant());
-        let worker = WorkerBuilder::new().spawn(volunteer, |input: &Bytes| {
-            if &input[..] == b"bad" {
-                Err(StreamError::new("nope"))
-            } else {
-                Ok(Bytes::copy_from_slice(input))
-            }
-        });
-        master
-            .send(Message::TaskBatch(vec![
-                Record::new(0, Bytes::copy_from_slice(b"ok")),
-                Record::new(1, Bytes::copy_from_slice(b"bad")),
-                Record::new(2, Bytes::copy_from_slice(b"never-reached")),
-            ]))
-            .unwrap();
-        // The successful prefix arrives first, then the error.
-        assert_eq!(
-            master.recv().unwrap(),
-            Message::ResultBatch(vec![Record::new(0, Bytes::copy_from_slice(b"ok"))])
-        );
-        assert_eq!(
-            master.recv().unwrap(),
-            Message::TaskError { seq: 1, message: Bytes::copy_from_slice(b"nope") }
-        );
-        master.close();
-        let report = worker.join();
-        assert_eq!((report.processed, report.errors), (1, 1));
-    }
-
-    #[test]
-    fn errored_tasks_count_towards_the_fault_plan() {
-        let (master, volunteer) = pair::<Message>(ChannelConfig {
-            failure_timeout: std::time::Duration::from_millis(40),
-            ..ChannelConfig::instant()
-        });
-        // Every task errors; the plan still crashes after three *handled*
-        // tasks, exactly like the replaced per-message loop did.
-        let worker = WorkerBuilder::new()
-            .fault(FaultPlan::AfterTasks(3))
-            .spawn(volunteer, |_input: &Bytes| Err(StreamError::new("always fails")));
-        for seq in 0..5 {
-            let _ = master.send(task(seq, b"x"));
-        }
-        let report = worker.join();
-        assert!(report.crashed, "errored tasks must advance the fault plan");
-        assert_eq!(report.errors, 3);
-    }
-
-    #[test]
-    fn oversized_result_batches_are_split_at_the_frame_limit() {
-        let nine_mb = Bytes::from(vec![7u8; 9 * 1024 * 1024]);
-        let records: Vec<Record> = (0..3).map(|seq| Record::new(seq, nine_mb.clone())).collect();
-        let chunks = split_by_frame_limit(records.clone());
-        assert!(chunks.len() > 1, "27MB of results cannot travel in one frame");
-        for chunk in &chunks {
-            assert!(pando_netsim::codec::record_body_len(chunk) <= MAX_FRAME_LEN);
-        }
-        let rejoined: Vec<Record> = chunks.into_iter().flatten().collect();
-        assert_eq!(rejoined, records, "splitting preserves order and content");
-        // Small batches stay in one frame.
-        let small = vec![Record::new(0, Bytes::copy_from_slice(b"x"))];
-        assert_eq!(split_by_frame_limit(small.clone()), vec![small]);
+    /// Waits, through the failure detector, for `master` to see its peer
+    /// crash.
+    fn sees_the_crash(master: &pando_netsim::channel::Endpoint<Message>) -> bool {
+        (0..10).any(|_| matches!(master.recv(), Err(RecvError::PeerFailed)))
     }
 
     #[test]
     fn fault_plan_crashes_the_worker() {
         let (master, volunteer) = pair::<Message>(ChannelConfig {
-            failure_timeout: std::time::Duration::from_millis(40),
+            failure_timeout: Duration::from_millis(40),
             ..ChannelConfig::instant()
         });
         let worker = WorkerBuilder::new()
@@ -925,29 +909,18 @@ mod tests {
             .name("tablet")
             .spawn_typed(volunteer, StringCodec, upper);
         master.send(task(0, b"only")).unwrap();
-        master.send(task(1, b"never answered")).unwrap();
+        // The worker may already be gone: this send is allowed to fail.
+        let _ = master.send(task(1, b"never answered"));
         let report = worker.join();
         assert!(report.crashed);
         assert_eq!(report.name, "tablet");
-        // The master eventually suspects the crash instead of seeing results.
-        let mut saw_failure = false;
-        for _ in 0..10 {
-            match master.recv() {
-                Err(RecvError::PeerFailed) => {
-                    saw_failure = true;
-                    break;
-                }
-                Ok(_) => continue,
-                Err(_) => continue,
-            }
-        }
-        assert!(saw_failure, "the crash must be detected through the failure detector");
+        assert!(sees_the_crash(&master), "the crash must be detected through the failure detector");
     }
 
     #[test]
     fn panicking_process_function_is_reported_as_a_crash() {
         let (master, volunteer) = pair::<Message>(ChannelConfig {
-            failure_timeout: std::time::Duration::from_millis(40),
+            failure_timeout: Duration::from_millis(40),
             ..ChannelConfig::instant()
         });
         let worker = WorkerBuilder::new()
@@ -958,45 +931,15 @@ mod tests {
         let report = worker.join();
         assert!(report.crashed);
         assert_eq!(report.name, "flaky");
-        // The master sees the crash through the failure detector.
-        let mut saw_failure = false;
-        for _ in 0..10 {
-            match master.recv() {
-                Err(RecvError::PeerFailed) => {
-                    saw_failure = true;
-                    break;
-                }
-                _ => continue,
-            }
-        }
-        assert!(saw_failure, "a panicked worker must look crashed to its peer");
+        assert!(sees_the_crash(&master), "a panicked worker must look crashed to its peer");
     }
 
     #[test]
     fn worker_pool_serves_many_endpoints_with_few_threads() {
-        use crate::config::PandoConfig;
-        use crate::master::Pando;
-        use pando_pull_stream::source::{count, SourceExt};
-
         let pando = Pando::new(PandoConfig::local_test().with_batch_size(4));
         let endpoints: Vec<_> = (0..20).map(|_| pando.open_volunteer_channel()).collect();
-        let pool = WorkerBuilder::new().pool_threads(3).spawn_pool(endpoints, |payload: &Bytes| {
-            let mut out = payload.to_vec();
-            out.reverse();
-            Ok(Bytes::from(out))
-        });
-        let output = pando
-            .run(count(200).map_values(|v| Bytes::from(v.to_string().into_bytes())))
-            .collect_values()
-            .unwrap();
-        let expected: Vec<Bytes> = (1..=200u64)
-            .map(|v| {
-                let mut bytes = v.to_string().into_bytes();
-                bytes.reverse();
-                Bytes::from(bytes)
-            })
-            .collect();
-        assert_eq!(output, expected, "per-volunteer results stay demultiplexed in order");
+        let pool = WorkerBuilder::new().pool_threads(3).spawn_pool(endpoints, reverse);
+        run_reversed(&pando, 200);
         let reports = pool.join();
         assert_eq!(reports.len(), 20);
         let total: u64 = reports.iter().map(|r| r.processed).sum();
@@ -1006,21 +949,59 @@ mod tests {
     }
 
     #[test]
+    fn the_pool_arms_the_builders_fault_plan_on_every_slot() {
+        let pando = Pando::new(PandoConfig::local_test());
+        let doomed: Vec<_> = (0..4).map(|_| pando.open_volunteer_channel()).collect();
+        let pool = WorkerBuilder::new().fault(FaultPlan::AfterTasks(3)).spawn_pool(doomed, reverse);
+        let steady = WorkerBuilder::new().spawn(pando.open_volunteer_channel(), reverse);
+        // Enough input that the steady worker cannot finish it before every
+        // doomed slot has been lent its third task.
+        run_reversed(&pando, 1000);
+        let reports = pool.join();
+        assert_eq!(reports.len(), 4);
+        assert!(reports.iter().all(|r| r.crashed && r.processed == 3), "{reports:?}");
+        assert!(!steady.join().crashed);
+        pando.join_volunteers();
+    }
+
+    #[test]
+    fn a_panic_in_the_pool_crashes_only_its_own_slot() {
+        let pando = Pando::new(PandoConfig::local_test());
+        let endpoints: Vec<_> = (0..4).map(|_| pando.open_volunteer_channel()).collect();
+        let panicked = Arc::new(AtomicBool::new(false));
+        let once = panicked.clone();
+        let pool =
+            WorkerBuilder::new().pool_threads(1).spawn_pool(endpoints, move |payload: &Bytes| {
+                // Only the pool's first task explodes: its re-lend succeeds.
+                if !once.swap(true, Ordering::SeqCst) {
+                    panic!("worker code exploded");
+                }
+                reverse(payload)
+            });
+        let steady = WorkerBuilder::new().spawn(pando.open_volunteer_channel(), reverse);
+        run_reversed(&pando, 100);
+        assert!(panicked.load(Ordering::SeqCst));
+        let reports = pool.join();
+        assert_eq!(reports.len(), 4, "one report per transport");
+        assert_eq!(reports.iter().filter(|r| r.crashed).count(), 1, "{reports:?}");
+        assert!(!steady.join().crashed);
+        pando.join_volunteers();
+    }
+
+    #[test]
     fn idle_worker_emits_heartbeats_and_traffic_suppresses_them() {
         let (master, volunteer) = pair::<Message>(ChannelConfig {
-            heartbeat_interval: std::time::Duration::from_millis(10),
-            failure_timeout: std::time::Duration::from_millis(200),
+            heartbeat_interval: Duration::from_millis(10),
+            failure_timeout: Duration::from_millis(200),
             ..ChannelConfig::instant()
         });
         let worker =
             WorkerBuilder::new().heartbeats(true).spawn_typed(volunteer, StringCodec, upper);
         // Idle for several intervals: standalone heartbeats flow.
         let mut beats = 0;
-        let deadline = std::time::Instant::now() + std::time::Duration::from_millis(200);
-        while beats < 2 && std::time::Instant::now() < deadline {
-            if let Ok(Message::Heartbeat) =
-                master.recv_timeout(std::time::Duration::from_millis(50))
-            {
+        let deadline = Instant::now() + Duration::from_millis(200);
+        while beats < 2 && Instant::now() < deadline {
+            if let Ok(Message::Heartbeat) = master.recv_timeout(Duration::from_millis(50)) {
                 beats += 1;
             }
         }
@@ -1028,7 +1009,7 @@ mod tests {
         // Steady result traffic for a few intervals suppresses the beats.
         for seq in 0..8u64 {
             master.send(task(seq, b"x")).unwrap();
-            std::thread::sleep(std::time::Duration::from_millis(5));
+            std::thread::sleep(Duration::from_millis(5));
         }
         master.close();
         let report = worker.join();

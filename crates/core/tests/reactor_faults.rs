@@ -25,10 +25,15 @@ fn reactor_config() -> PandoConfig {
     PandoConfig::local_test().with_reactor_threads(2)
 }
 
-/// Number of live threads in this process (Linux); `None` elsewhere.
+/// Number of live deployment threads in this process — reactor, input pump
+/// and worker threads are all named `pando-*` (Linux); `None` elsewhere.
+/// Counting by name leaves out the test harness's own threads, which come
+/// and go as other tests queue on the mutex.
 fn thread_count() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status.lines().find_map(|line| line.strip_prefix("Threads:")?.trim().parse().ok())
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    let names =
+        tasks.filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok());
+    Some(names.filter(|name| name.starts_with("pando-")).count())
 }
 
 /// Waits until the thread count drops back to at most `limit` (threads may

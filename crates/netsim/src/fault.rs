@@ -3,7 +3,8 @@
 //! The evaluation scenarios need reproducible crashes: "the tablet crashes
 //! after rendering one frame" (paper Figure 4), or "ten percent of the
 //! volunteers disconnect during the run". A [`FaultPlan`] describes when a
-//! device crashes; the worker loop consults it before and after each task.
+//! device crashes; the worker consults it before each receive and after
+//! each task.
 
 use std::time::{Duration, Instant};
 
@@ -27,7 +28,7 @@ pub enum FaultPlan {
         elapsed: Duration,
     },
     /// The device's *link* drops once — a transient disconnect, not a crash:
-    /// the worker keeps its state and rejoins. The worker loop consults
+    /// the worker keeps its state and rejoins. The worker consults
     /// [`ArmedFaultPlan::pending_disconnect`] and severs its transport when
     /// the flap falls due; how long the device stays away is `down_for`
     /// (replayed exactly by the deterministic sim's link pause; a real

@@ -1,8 +1,8 @@
 //! TCP demo, volunteer half: a separate OS process that connects a fleet of
-//! worker loops to a running `tcp_master` over localhost TCP and processes
-//! tasks until the master closes the stream — or, with `TCP_CRASH_AFTER`
-//! set, kills itself abruptly mid-run to exercise crash detection and
-//! re-lend across a real process boundary.
+//! volunteers to a running `tcp_master` over localhost TCP, serves them all
+//! from one worker pool and processes tasks until the master closes the
+//! stream — or, with `TCP_CRASH_AFTER` set, kills itself abruptly mid-run to
+//! exercise crash detection and re-lend across a real process boundary.
 //!
 //! See `examples/tcp_master.rs` for the two-terminal walkthrough and
 //! `make tcp-demo` for the scripted version.
@@ -31,7 +31,6 @@ use pando_core::transport::tcp::{TcpConfig, TcpTransport};
 use pando_core::transport::Transport;
 use pando_core::worker::WorkerBuilder;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -79,96 +78,78 @@ fn main() {
     let prefix = std::env::var("TCP_NAME_PREFIX").unwrap_or_else(|_| "vol".to_string());
     let crash_after = std::env::var("TCP_CRASH_AFTER").ok().and_then(|v| v.parse::<u64>().ok());
     let drop_after = std::env::var("TCP_DROP_AFTER").ok().and_then(|v| v.parse::<u64>().ok());
-    let processed = Arc::new(AtomicU64::new(0));
+    let processed = AtomicU64::new(0);
 
     println!(
         "joining master at {addr} with {workers} workers{}{}",
         crash_after.map(|n| format!(", crashing the process after {n} tasks")).unwrap_or_default(),
         drop_after.map(|n| format!(", dropping every link after {n} tasks")).unwrap_or_default()
     );
-    let mut observers: Vec<TcpTransport> = Vec::with_capacity(workers);
-    let handles: Vec<_> = if let Some(drop_at) = drop_after {
-        // Resumable-session mode: every worker joins through a redialing
-        // session transport, and the first worker past the threshold severs
-        // the whole fleet's sockets at once (one-shot). Each link redials
-        // with backoff, presents its old token, and resumes mid-stream.
-        let links: Arc<Vec<ReconnectingTcpTransport>> = Arc::new(
-            (0..workers)
-                .map(|i| {
-                    ReconnectingTcpTransport::connect(
-                        addr.as_str(),
-                        &format!("{prefix}-{i}"),
-                        demo_tcp_config(),
-                        ReconnectPolicy::default(),
-                    )
-                    .expect("connect session to master")
-                })
-                .collect(),
-        );
-        let dropped = Arc::new(AtomicBool::new(false));
-        (0..workers)
+    // The whole fleet is served by one worker pool — the path the benchmark
+    // runs — with a thread per CPU instead of a thread per connection.
+    let builder = WorkerBuilder::new()
+        .name(prefix.clone())
+        .heartbeats(true)
+        .pool_threads(std::thread::available_parallelism().map_or(1, usize::from));
+    let mut observers: Vec<TcpTransport> = Vec::new();
+    let pool = if let Some(drop_at) = drop_after {
+        // Resumable-session mode: every connection joins through a
+        // redialing session transport, and the first task past the
+        // threshold severs the whole fleet's sockets at once (one-shot).
+        // Each link redials with backoff, presents its old token, and
+        // resumes mid-stream.
+        let links: Vec<ReconnectingTcpTransport> = (0..workers)
             .map(|i| {
-                let transport = links[i].clone();
-                let links = links.clone();
-                let dropped = dropped.clone();
-                let processed = processed.clone();
-                WorkerBuilder::new().name(format!("{prefix}-{i}")).heartbeats(true).spawn(
-                    transport,
-                    move |payload: &Bytes| {
-                        let v = parse_task(payload)?;
-                        let done = processed.fetch_add(1, Ordering::SeqCst) + 1;
-                        if done >= drop_at && !dropped.swap(true, Ordering::SeqCst) {
-                            // Sever every socket abruptly — no goodbyes, no
-                            // close markers — then let the redial loops
-                            // resume the sessions inside the master's grace
-                            // window. Nothing may be lost or re-lent.
-                            for link in links.iter() {
-                                link.drop_link();
-                            }
-                            println!(
-                                "dropped all {} links after {done} tasks; redialing",
-                                links.len()
-                            );
-                        }
-                        Ok(Bytes::from((v * 3 + 1).to_string().into_bytes()))
-                    },
+                ReconnectingTcpTransport::connect(
+                    addr.as_str(),
+                    &format!("{prefix}-{i}"),
+                    demo_tcp_config(),
+                    ReconnectPolicy::default(),
                 )
+                .expect("connect session to master")
             })
-            .collect()
+            .collect();
+        let fleet = links.clone();
+        let dropped = AtomicBool::new(false);
+        builder.spawn_pool(fleet, move |payload: &Bytes| {
+            let v = parse_task(payload)?;
+            let done = processed.fetch_add(1, Ordering::SeqCst) + 1;
+            if done >= drop_at && !dropped.swap(true, Ordering::SeqCst) {
+                // Sever every socket abruptly — no goodbyes, no close
+                // markers — then let the redial loops resume the sessions
+                // inside the master's grace window. Nothing may be lost or
+                // re-lent.
+                for link in links.iter() {
+                    link.drop_link();
+                }
+                println!("dropped all {} links after {done} tasks; redialing", links.len());
+            }
+            Ok(Bytes::from((v * 3 + 1).to_string().into_bytes()))
+        })
     } else {
-        (0..workers)
+        let fleet: Vec<TcpTransport> = (0..workers)
             .map(|i| {
-                let transport =
-                    TcpTransport::connect(&addr, &format!("{prefix}-{i}"), demo_tcp_config())
-                        .expect("connect to master");
-                // A cheap clone observes the write-path counters after the
-                // worker consumed the original.
-                observers.push(transport.clone());
-                let processed = processed.clone();
-                WorkerBuilder::new().name(format!("{prefix}-{i}")).heartbeats(true).spawn(
-                    transport,
-                    move |payload: &Bytes| {
-                        let v = parse_task(payload)?;
-                        let done = processed.fetch_add(1, Ordering::SeqCst) + 1;
-                        if let Some(limit) = crash_after {
-                            if done >= limit {
-                                // Abrupt process death: no unwinding, no close
-                                // markers. The master must detect the crash and
-                                // re-lend every value this fleet held.
-                                std::process::exit(2);
-                            }
-                        }
-                        Ok(Bytes::from((v * 3 + 1).to_string().into_bytes()))
-                    },
-                )
+                TcpTransport::connect(&addr, &format!("{prefix}-{i}"), demo_tcp_config())
+                    .expect("connect to master")
             })
-            .collect()
+            .collect();
+        // Cheap clones observe the write-path counters after the pool
+        // consumed the originals.
+        observers = fleet.clone();
+        builder.spawn_pool(fleet, move |payload: &Bytes| {
+            let v = parse_task(payload)?;
+            let done = processed.fetch_add(1, Ordering::SeqCst) + 1;
+            if crash_after.is_some_and(|limit| done >= limit) {
+                // Abrupt process death: no unwinding, no close markers. The
+                // master must detect the crash and re-lend every value this
+                // fleet held.
+                std::process::exit(2);
+            }
+            Ok(Bytes::from((v * 3 + 1).to_string().into_bytes()))
+        })
     };
 
-    let mut total = 0u64;
-    for handle in handles {
-        total += handle.join().processed;
-    }
+    let total: u64 = pool.join().iter().map(|report| report.processed).sum();
     if !observers.is_empty() {
         let (mut frames, mut calls, mut bytes) = (0u64, 0u64, 0u64);
         for observer in &observers {

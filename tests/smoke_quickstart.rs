@@ -2,7 +2,7 @@
 //!
 //! Exercises the cross-crate wiring CI needs covered beyond unit tests — a
 //! master from `pando-core` lending work over `pando-netsim` channels opened
-//! with `open_volunteer_channel`, two worker loops processing through the
+//! with `open_volunteer_channel`, two workers processing through the
 //! `pando-pull-stream` substrate and the typed `StringCodec` payload layer —
 //! and asserts the ordered-output guarantee of the programming model (paper
 //! Table 1).
