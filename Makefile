@@ -1,7 +1,7 @@
 # Local invocations matching the CI jobs in .github/workflows/ci.yml —
 # `make lint test` before pushing reproduces what CI will run.
 
-.PHONY: all build test lint fmt doc bench bench-run perf perf-pairs profile sim-counters tcp-counters scale scale-sharded churn-scale sim scenarios tcp-demo tcp-demo-flap clean
+.PHONY: all build test lint fmt doc paper perf perf-pairs profile sim-counters tcp-counters scale scale-sharded churn-scale sim scenarios tcp-demo tcp-demo-flap clean
 
 all: lint build test doc
 
@@ -22,12 +22,12 @@ fmt:
 doc:
 	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-# CI only checks that benches compile; `make bench-run` executes them.
-bench:
-	cargo bench --workspace --no-run
-
-bench-run:
-	cargo bench --workspace
+# The paper's evaluation on the fleet simulator - Table 2, the §5.5 batching
+# sweep, Figure 4 and the §5.5 device-vs-server claims - written to
+# docs/REPRODUCTION.md. Byte-deterministic: CI regenerates it and diffs it
+# like a golden trace, so an intended change ships the regenerated file.
+paper:
+	cargo run --release --bin paper
 
 # The end-to-end benchmark, exactly as BENCHMARK.json declares it: every
 # workload in a fresh process, results in target/perf/run-<rev>-seed<S>.json

@@ -24,18 +24,16 @@
 //! * [`metrics`] — per-device throughput accounting over a measurement
 //!   window, as used for Table 2: lock-free cells fed through handles the
 //!   drivers hold;
-//! * [`sim`] — the deterministic simulators: the analytic model replaying
-//!   the LAN / VPN / WAN experiments, and the virtual-clock *fleet
-//!   simulator* that single-steps the real reactor for tick-for-tick
-//!   reproducible 10k-volunteer runs;
+//! * [`sim`] — the virtual-clock *fleet simulator* that single-steps the
+//!   real reactor for tick-for-tick reproducible runs, from the paper's
+//!   LAN / VPN / WAN experiments (`make paper`) to 10k-volunteer fleets;
 //! * [`scenario`] — checked-in `scenarios/*.toml` topology/churn/fault
 //!   scripts compiled to fleet-simulator runs, backing the golden-trace
 //!   regression suite (`examples/scenario_run.rs`, `make scenarios`);
 //! * [`transport`] — the [`transport::Transport`] seam between the
 //!   coordination layer and the wire: the simulated [`pando_netsim`]
 //!   channels and the real-socket [`transport::tcp::TcpTransport`] backend
-//!   drive the same reactor through one object-safe trait;
-//! * [`deploy`] — the scripted deployment trace of paper Figure 4.
+//!   drive the same reactor through one object-safe trait.
 //!
 //! The wire protocol is binary end to end: every task and result travels as
 //! a [`bytes::Bytes`] payload with a fixed sequence header, batched into
@@ -83,7 +81,6 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod deploy;
 pub mod master;
 pub mod metrics;
 pub mod monitor;

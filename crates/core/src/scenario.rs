@@ -60,6 +60,7 @@
 //! `duration_us` or before their target's join, and schedules that leave no
 //! survivor to finish the stream.
 
+use crate::config::BatchingConfig;
 use crate::sim::{FleetParams, FleetReport, FleetScript, VolunteerSpec};
 use minitoml::{Document, Table, Value};
 use pando_devices::profiles::{Scenario as PaperNet, ScenarioSetup};
@@ -697,7 +698,6 @@ impl Scenario {
                 }
             }
         }
-        let total = self.volunteers();
         for (v, at_us) in &self.crashes {
             let join = self.join_us_of(*v).ok_or(ScenarioError::UnknownVolunteer(*v))?;
             if *at_us > self.duration_us {
@@ -773,7 +773,6 @@ impl Scenario {
             }
             base += group.count;
         }
-        let _ = total;
         if !survivor {
             return Err(ScenarioError::NoSurvivor);
         }
@@ -898,7 +897,7 @@ impl Scenario {
             }
             // Service precedence: the group's own service_us, then its
             // device's Table 2 measurement, then [defaults], then the mean
-            // used by the analytic model.
+            // service of the seed-derived fleet.
             let service = match (group.link.service_us, &group.device) {
                 (Some(us), _) => Duration::from_micros(us),
                 (None, Some(device)) => {
@@ -946,6 +945,7 @@ impl Scenario {
             volunteers,
             partitions,
             interactive_input: self.interactive,
+            batch_size: BatchingConfig::default().batch_size,
         };
         Ok(FleetParams::new(self.seed, 1, self.tasks)
             .with_script(script)

@@ -1,27 +1,17 @@
-//! Deterministic simulators: the analytic Table 2 model and the
-//! virtual-clock **fleet simulator** that drives the real reactor.
+//! The virtual-clock **fleet simulator**: the real reactor, deterministically.
 //!
-//! Two engines live here, at different levels of fidelity:
-//!
-//! 1. **The analytic model** ([`simulate`]) replays the *shape* of a
-//!    deployment — per-device service times, one-way latency, the
-//!    batch-size-limited dispatch policy — over an abstract event queue. It
-//!    regenerates Table 2, the Figure 4 deployment example and the §5.5
-//!    batching sweep without hardware, but it models the master; it does not
-//!    run it.
-//! 2. **The fleet simulator** ([`simulate_fleet`]) runs the *actual* stack —
-//!    [`ShardedLender`](pando_pull_stream::shard::ShardedLender), the
-//!    [reactor](crate::reactor) driver state machines, the real wire
-//!    protocol over [`pando_netsim::channel`] endpoints — under a virtual
-//!    [`Clock`](pando_netsim::sim::Clock) and a single-threaded scheduler.
-//!    No reactor threads, no pump threads, no volunteer threads: one loop
-//!    steps the reactor's ready queue, pumps starved shards synchronously,
-//!    polls simulated volunteers, and advances virtual time to the earliest
-//!    pending deadline (channel delivery, crash suspicion, heartbeat).
-//!    Every run from the same seed — including its crash schedule, shard
-//!    claims, heartbeat suppressions and merged output order — is identical
-//!    byte for byte, so fault scenarios become replayable artefacts and
-//!    flaky-hunt turns into seed bisection.
+//! [`simulate_fleet`] runs the *actual* stack — the
+//! [`ShardedLender`](pando_pull_stream::shard::ShardedLender), the
+//! [reactor](crate::reactor) drivers, the wire protocol over
+//! [`pando_netsim::channel`] endpoints, each volunteer's
+//! [worker core](crate::worker) — on a virtual
+//! [`Clock`](pando_netsim::sim::Clock), driven by one single-threaded loop:
+//! step the ready queue, pump starved shards, poll volunteers, advance time to
+//! the earliest deadline (delivery, crash suspicion, heartbeat). Every run from
+//! the same seed — crash schedule, shard claims, heartbeat suppressions, output
+//! order — is identical byte for byte, so fault scenarios are replayable
+//! artefacts. The paper's evaluation runs on it too: `make paper` writes
+//! `docs/REPRODUCTION.md`.
 //!
 //! # Examples
 //!
@@ -37,14 +27,13 @@
 //! assert_eq!(a.output_order, (0..24).collect::<Vec<u64>>(), "global order survives");
 //! ```
 
-use crate::config::PandoConfig;
+use crate::config::{BatchingConfig, PandoConfig};
 use crate::master::Pando;
 use crate::protocol::Message;
 use crate::worker::{Step, WorkerCore};
 use bytes::Bytes;
 use pando_netsim::channel::{ChannelConfig, Endpoint};
 use pando_netsim::fault::FaultPlan;
-use pando_netsim::sim::{EventQueue, SimTime};
 use pando_pull_stream::source::{from_iter, Source};
 use pando_pull_stream::{Answer, Request, StreamError};
 use parking_lot::Mutex;
@@ -55,214 +44,6 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// One simulated device.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimDevice {
-    /// Device name (used in the report).
-    pub name: String,
-    /// Time the device needs to process one task.
-    pub service_time: Duration,
-    /// When the device joins the deployment.
-    pub joins_at: Duration,
-    /// When the device crashes, if ever.
-    pub crashes_at: Option<Duration>,
-}
-
-impl SimDevice {
-    /// A device that participates from the start and never crashes.
-    pub fn steady(name: impl Into<String>, service_time: Duration) -> Self {
-        Self { name: name.into(), service_time, joins_at: Duration::ZERO, crashes_at: None }
-    }
-}
-
-/// Parameters of one simulated run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimParams {
-    /// Number of values in flight allowed per device (the batch size).
-    pub batch_size: usize,
-    /// One-way network latency between the master and every device.
-    pub latency: Duration,
-    /// Length of the measured run.
-    pub duration: Duration,
-}
-
-impl SimParams {
-    /// Parameters with the given batch size, latency and five simulated
-    /// minutes of measurement, the window used by the paper.
-    pub fn paper_window(batch_size: usize, latency: Duration) -> Self {
-        Self { batch_size, latency, duration: Duration::from_secs(300) }
-    }
-}
-
-/// Throughput of one simulated device.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimDeviceReport {
-    /// Device name.
-    pub name: String,
-    /// Number of tasks the device completed within the window.
-    pub completed: u64,
-    /// Average throughput in tasks per second over the window.
-    pub throughput: f64,
-    /// Fraction of the window the device spent computing (0 to 1).
-    pub utilization: f64,
-}
-
-/// Result of one simulated run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimReport {
-    /// Per-device results, in the order the devices were given.
-    pub devices: Vec<SimDeviceReport>,
-    /// Length of the simulated window.
-    pub duration: Duration,
-}
-
-impl SimReport {
-    /// Total throughput across devices, in tasks per second.
-    pub fn total_throughput(&self) -> f64 {
-        self.devices.iter().map(|d| d.throughput).sum()
-    }
-
-    /// Total number of completed tasks.
-    pub fn total_completed(&self) -> u64 {
-        self.devices.iter().map(|d| d.completed).sum()
-    }
-
-    /// Share of the total contributed by the device at `index`, in percent.
-    pub fn share(&self, index: usize) -> f64 {
-        let total = self.total_completed();
-        if total == 0 {
-            0.0
-        } else {
-            100.0 * self.devices[index].completed as f64 / total as f64
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Event {
-    /// The device joins: the master sends it an initial batch.
-    Join(usize),
-    /// A task arrives at the device.
-    TaskArrives(usize),
-    /// The device finishes its current task.
-    TaskDone(usize),
-    /// The result reaches the master, which releases one more task.
-    ResultAtMaster(usize),
-    /// The device crashes.
-    Crash(usize),
-}
-
-#[derive(Debug, Default, Clone)]
-struct DeviceState {
-    queued: u64,
-    busy: bool,
-    crashed: bool,
-    completed_in_window: u64,
-    busy_time: Duration,
-}
-
-/// Simulates a deployment over an infinite input stream (the usual Table 2
-/// setup: the workload never starves the devices) and reports per-device
-/// throughput over the window.
-///
-/// # Panics
-///
-/// Panics if `params.batch_size` is zero.
-pub fn simulate(devices: &[SimDevice], params: &SimParams) -> SimReport {
-    assert!(params.batch_size > 0, "batch size must be at least 1");
-    let mut queue: EventQueue<Event> = EventQueue::new();
-    let mut states: Vec<DeviceState> = vec![DeviceState::default(); devices.len()];
-    let end = SimTime::ZERO + params.duration;
-
-    for (i, device) in devices.iter().enumerate() {
-        queue.schedule(SimTime::ZERO + device.joins_at, Event::Join(i));
-        if let Some(crash) = device.crashes_at {
-            queue.schedule(SimTime::ZERO + crash, Event::Crash(i));
-        }
-    }
-
-    while let Some(time) = queue.peek_time() {
-        if time > end {
-            break;
-        }
-        let (now, event) = queue.pop().expect("peeked event exists");
-        match event {
-            Event::Join(i) => {
-                for _ in 0..params.batch_size {
-                    queue.schedule(now + params.latency, Event::TaskArrives(i));
-                }
-            }
-            Event::TaskArrives(i) => {
-                if states[i].crashed {
-                    continue;
-                }
-                states[i].queued += 1;
-                maybe_start(&mut queue, &mut states, devices, i, now);
-            }
-            Event::TaskDone(i) => {
-                if states[i].crashed {
-                    continue;
-                }
-                states[i].busy = false;
-                states[i].completed_in_window += 1;
-                states[i].busy_time += devices[i].service_time;
-                queue.schedule(now + params.latency, Event::ResultAtMaster(i));
-                maybe_start(&mut queue, &mut states, devices, i, now);
-            }
-            Event::ResultAtMaster(i) => {
-                // The Limiter releases one more value for this device; the
-                // master reads it lazily from the (infinite) input and sends
-                // it immediately.
-                if !states[i].crashed {
-                    queue.schedule(now + params.latency, Event::TaskArrives(i));
-                }
-            }
-            Event::Crash(i) => {
-                states[i].crashed = true;
-                states[i].queued = 0;
-                states[i].busy = false;
-                // In the real system the values it held are re-lent to other
-                // devices; with an infinite input this does not change the
-                // other devices' throughput, so the simulator simply drops
-                // them.
-            }
-        }
-    }
-
-    let window = params.duration.as_secs_f64();
-    SimReport {
-        devices: devices
-            .iter()
-            .zip(&states)
-            .map(|(device, state)| SimDeviceReport {
-                name: device.name.clone(),
-                completed: state.completed_in_window,
-                throughput: state.completed_in_window as f64 / window,
-                utilization: (state.busy_time.as_secs_f64() / window).min(1.0),
-            })
-            .collect(),
-        duration: params.duration,
-    }
-}
-
-fn maybe_start(
-    queue: &mut EventQueue<Event>,
-    states: &mut [DeviceState],
-    devices: &[SimDevice],
-    i: usize,
-    now: SimTime,
-) {
-    if !states[i].busy && !states[i].crashed && states[i].queued > 0 {
-        states[i].queued -= 1;
-        states[i].busy = true;
-        queue.schedule(now + devices[i].service_time, Event::TaskDone(i));
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The virtual-clock fleet simulator: the real reactor, deterministically.
-// ---------------------------------------------------------------------------
 
 /// Parameters of one deterministic fleet run. Everything a run does —
 /// per-volunteer service times, the crash schedule, channel jitter — derives
@@ -347,6 +128,9 @@ pub struct FleetScript {
     /// fail and the reactor's input pump must deliver — exactly the path
     /// whose kick/ask busy loop the `wasted_polls` budget guards.
     pub interactive_input: bool,
+    /// Values in flight per volunteer ([`BatchingConfig::batch_size`]): the
+    /// paper's 2 on LAN and VPN, 4 on WAN. Scenario files use the default, 2.
+    pub batch_size: usize,
 }
 
 impl FleetParams {
@@ -710,7 +494,10 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
         }
     }
     let wall_start = Instant::now();
-    let config = PandoConfig::deterministic(params.seed);
+    let mut config = PandoConfig::deterministic(params.seed);
+    if let Some(script) = &params.script {
+        config = config.with_batch_size(script.batch_size);
+    }
     let clock = config.run.clock.clone();
     let origin = clock.now();
     let pando = Pando::new(config);
@@ -748,8 +535,13 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
         at.map(|at| at.as_micros().to_string()).unwrap_or_else(|| "never".into())
     };
     if let Some(script) = &params.script {
+        // Named only off its default: older scripts' traces keep their bytes.
+        let mut batch = String::new();
+        if script.batch_size != BatchingConfig::default().batch_size {
+            batch = format!(" batch_size={}", script.batch_size);
+        }
         trace.push(format!(
-            "scenario name={} interactive={}",
+            "scenario name={} interactive={}{batch}",
             script.name, script.interactive_input
         ));
         for (v, spec) in script.volunteers.iter().enumerate() {
@@ -1123,101 +915,87 @@ fn poll_volunteer(
 mod tests {
     use super::*;
 
-    fn ms(v: u64) -> Duration {
-        Duration::from_millis(v)
+    /// A hand-built script of `volunteers` at `batch_size` over `tasks`.
+    fn run_script(volunteers: Vec<VolunteerSpec>, batch_size: usize, tasks: u64) -> FleetReport {
+        let script = FleetScript {
+            name: "unit".into(),
+            volunteers,
+            partitions: Vec::new(),
+            interactive_input: false,
+            batch_size,
+        };
+        simulate_fleet(&FleetParams::new(1, 1, tasks).with_script(script))
+    }
+
+    /// A volunteer on a zero-latency link, so only compute takes time.
+    fn instant(service_us: u64) -> VolunteerSpec {
+        VolunteerSpec { channel: ChannelConfig::instant(), ..spec("lan", service_us, 0) }
+    }
+
+    /// Results the master took from volunteer `v` (its meter row).
+    fn tasks_of(report: &FleetReport, v: usize) -> u64 {
+        let prefix = format!("meter volunteer-{v} tasks=");
+        let row = report.meter_rows.iter().find_map(|row| row.strip_prefix(&prefix));
+        row.and_then(|rest| rest.split(' ').next()?.parse().ok()).expect("one row per volunteer")
     }
 
     #[test]
     #[should_panic(expected = "batch size")]
     fn zero_batch_is_rejected() {
-        let devices = [SimDevice::steady("a", ms(10))];
-        simulate(&devices, &SimParams { batch_size: 0, latency: ms(1), duration: ms(100) });
+        run_script(vec![instant(800)], 0, 4);
     }
 
     #[test]
     fn single_device_throughput_matches_service_rate() {
-        // 10 ms per task, negligible latency, batch 2: ~100 tasks/s.
-        let devices = [SimDevice::steady("laptop", ms(10))];
-        let params = SimParams { batch_size: 2, latency: ms(1), duration: Duration::from_secs(10) };
-        let report = simulate(&devices, &params);
-        let throughput = report.devices[0].throughput;
+        // 10 ms per task and no latency: ~100 tasks/s.
+        let report = run_script(vec![instant(10_000)], 2, 200);
+        let throughput = 200.0 / report.virtual_elapsed.as_secs_f64();
         assert!((throughput - 100.0).abs() < 2.0, "throughput {throughput} should be ~100/s");
-        assert!(report.devices[0].utilization > 0.95);
     }
 
     #[test]
     fn batch_of_one_wastes_time_on_latency() {
-        // With batch 1 every task pays a full round trip of idle time; with
-        // batch 2 and 2*latency <= service the latency is fully hidden
-        // (the §5.5 claim).
-        let devices = [SimDevice::steady("phone", ms(10))];
-        let slow = simulate(
-            &devices,
-            &SimParams { batch_size: 1, latency: ms(4), duration: Duration::from_secs(10) },
-        );
-        let fast = simulate(
-            &devices,
-            &SimParams { batch_size: 2, latency: ms(4), duration: Duration::from_secs(10) },
-        );
-        // Batch 1: cycle = service + 2*latency = 18 ms -> ~55/s.
-        assert!((slow.devices[0].throughput - 55.5).abs() < 4.0);
-        // Batch 2: the next task is always waiting -> ~100/s (latency hidden).
-        assert!(fast.devices[0].throughput > 95.0);
-        assert!(fast.total_throughput() > 1.6 * slow.total_throughput());
+        // An iPhone SE rendering frames over the WAN: at batch 1 every frame
+        // pays a round trip of idle time, at batch 4 one round trip per four.
+        let phone =
+            VolunteerSpec { channel: ChannelConfig::wan().with_seed(3), ..spec("wan", 344_827, 3) };
+        let run = |batch_size| run_script(vec![phone.clone()], batch_size, 24);
+        let (one, four) = (run(1), run(4));
+        for (report, batch) in [(&one, 1), (&four, 4)] {
+            let records = report.trace.iter().filter_map(|line| {
+                line.split("recv records=").nth(1)?.split(' ').next()?.parse::<usize>().ok()
+            });
+            assert_eq!(records.max(), Some(batch), "frames never exceed the window");
+        }
+        assert!(four.trace[0].ends_with("interactive=false batch_size=4"), "{}", four.trace[0]);
+        let (one, four) = (one.virtual_elapsed, four.virtual_elapsed);
+        assert!(one > four.mul_f64(1.1), "batch 1 took {one:?}, batch 4 {four:?}");
     }
 
     #[test]
     fn faster_devices_complete_more_tasks() {
-        let devices = [SimDevice::steady("fast", ms(5)), SimDevice::steady("slow", ms(20))];
-        let params = SimParams { batch_size: 2, latency: ms(2), duration: Duration::from_secs(5) };
-        let report = simulate(&devices, &params);
-        assert!(report.devices[0].completed > 3 * report.devices[1].completed);
-        let share_fast = report.share(0);
-        assert!(share_fast > 70.0 && share_fast < 90.0, "share {share_fast}");
+        let report = run_script(vec![instant(5_000), instant(20_000)], 2, 400);
+        let (fast, slow) = (tasks_of(&report, 0), tasks_of(&report, 1));
+        assert!(fast > 3 * slow, "fast {fast} vs slow {slow}");
     }
 
     #[test]
     fn late_join_contributes_less() {
-        let mut late = SimDevice::steady("late", ms(10));
-        late.joins_at = Duration::from_secs(5);
-        let devices = [SimDevice::steady("early", ms(10)), late];
-        let params = SimParams { batch_size: 2, latency: ms(1), duration: Duration::from_secs(10) };
-        let report = simulate(&devices, &params);
-        assert!(report.devices[0].completed > report.devices[1].completed);
-        assert!(report.devices[1].completed > 0, "the late device still contributes");
+        let late = VolunteerSpec { joins_at: Duration::from_secs(1), ..instant(10_000) };
+        let report = run_script(vec![instant(10_000), late], 2, 300);
+        let (early, late) = (tasks_of(&report, 0), tasks_of(&report, 1));
+        assert!(early > late && late > 0, "early {early} vs late {late}");
     }
 
     #[test]
     fn crashed_device_stops_contributing() {
-        let mut doomed = SimDevice::steady("doomed", ms(10));
-        doomed.crashes_at = Some(Duration::from_secs(2));
-        let devices = [SimDevice::steady("survivor", ms(10)), doomed];
-        let params = SimParams { batch_size: 2, latency: ms(1), duration: Duration::from_secs(10) };
-        let report = simulate(&devices, &params);
-        let survivor = &report.devices[0];
-        let crashed = &report.devices[1];
-        assert!(crashed.completed < survivor.completed / 2);
-        assert!(crashed.utilization < 0.3);
-        assert!(survivor.utilization > 0.9);
-    }
-
-    #[test]
-    fn report_totals_are_consistent() {
-        let devices = [SimDevice::steady("a", ms(10)), SimDevice::steady("b", ms(10))];
-        let params = SimParams { batch_size: 2, latency: ms(1), duration: Duration::from_secs(3) };
-        let report = simulate(&devices, &params);
-        let sum: u64 = report.devices.iter().map(|d| d.completed).sum();
-        assert_eq!(sum, report.total_completed());
-        assert!((report.share(0) + report.share(1) - 100.0).abs() < 1e-9);
-        assert!(report.total_throughput() > 0.0);
-        assert_eq!(report.duration, Duration::from_secs(3));
-    }
-
-    #[test]
-    fn paper_window_is_five_minutes() {
-        let params = SimParams::paper_window(2, ms(2));
-        assert_eq!(params.duration, Duration::from_secs(300));
-        assert_eq!(params.batch_size, 2);
+        let doomed =
+            VolunteerSpec { crash_at: Some(Duration::from_millis(200)), ..instant(10_000) };
+        let report = run_script(vec![instant(10_000), doomed], 2, 300);
+        let (survivor, doomed) = (tasks_of(&report, 0), tasks_of(&report, 1));
+        assert_eq!(report.crashed, 1);
+        assert!(doomed < survivor / 4, "survivor {survivor} vs doomed {doomed}");
+        assert_eq!(report.output_order, (0..300).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -1366,6 +1144,7 @@ mod tests {
             volunteers: vec![spec("lan", 800, 10), phone, latecomer, quitter, doomed],
             partitions: vec![(vec![0, 1], Duration::from_millis(10), Duration::from_millis(14))],
             interactive_input: false,
+            batch_size: 2,
         };
         let params = FleetParams::new(77, 1, 96).with_script(script);
         assert_eq!(params.volunteers, 5, "with_script adopts the script's fleet size");
@@ -1375,7 +1154,7 @@ mod tests {
         assert_eq!(a.output_order, (0..96).collect::<Vec<u64>>(), "exactly-once output");
         assert_eq!(a.crashed, 1);
         assert!(a.retransmits > 0, "a 20% lossy link must retransmit");
-        assert!(a.canonical_trace().contains("scenario name=unit_mixed"));
+        assert!(a.canonical_trace().contains("scenario name=unit_mixed interactive=false\n"));
         assert!(a.trace.iter().any(|l| l.contains("join group=lan")));
         assert!(a.trace.iter().any(|l| l.contains("leave")));
         assert!(a.trace.iter().any(|l| l.contains("partition members=0,1")));
@@ -1393,6 +1172,7 @@ mod tests {
             volunteers: vec![spec("lan", 800, 20), spec("lan", 1_200, 21)],
             partitions: Vec::new(),
             interactive_input: true,
+            batch_size: 2,
         };
         let params = FleetParams::new(5, 1, 48).with_script(script);
         let report = simulate_fleet(&params);
@@ -1412,6 +1192,7 @@ mod tests {
             volunteers: vec![spec("lan", 800, 1)],
             partitions: Vec::new(),
             interactive_input: false,
+            batch_size: 2,
         };
         let mut params = FleetParams::new(1, 1, 8).with_script(script);
         params.volunteers = 3; // struct-literal-style tampering
