@@ -1,7 +1,7 @@
 # Local invocations matching the CI jobs in .github/workflows/ci.yml —
 # `make lint test` before pushing reproduces what CI will run.
 
-.PHONY: all build test lint fmt doc paper perf perf-pairs profile sim-counters tcp-counters scale scale-sharded churn-scale sim scenarios tcp-demo tcp-demo-flap clean
+.PHONY: all build test lint fmt doc paper pub-census perf perf-pairs profile sim-counters tcp-counters scale scale-sharded churn-scale sim scenarios tcp-demo tcp-demo-flap clean
 
 all: lint build test doc
 
@@ -28,6 +28,15 @@ doc:
 # like a golden trace, so an intended change ships the regenerated file.
 paper:
 	cargo run --release --bin paper
+
+# Who calls each `pub` item of crates/*/src, outside its own file and its
+# crate's unit tests (scripts/pub-census.sh, grep/awk only): one sorted row
+# per item in docs/PUB_CENSUS.txt, byte-deterministic. An item without a
+# caller is deleted unless the census keeps it (the paper's modules, the
+# Table 2 applications, the observability structs). CI regenerates the file
+# and diffs it, so a new public item ships together with its callers.
+pub-census:
+	sh scripts/pub-census.sh docs/PUB_CENSUS.txt
 
 # The end-to-end benchmark, exactly as BENCHMARK.json declares it: every
 # workload in a fresh process, results in target/perf/run-<rev>-seed<S>.json

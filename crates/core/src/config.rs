@@ -16,12 +16,13 @@
 //!     ..PandoConfig::default()
 //! };
 //! assert_eq!(config.batching.batch_size, 8);
-//! assert_eq!(config.reactor.threads, PandoConfig::DEFAULT_REACTOR_THREADS);
+//! assert_eq!(config.reactor.threads, 4);
 //! ```
 //!
 //! The `with_*` builder methods remain the recommended way to tweak a
-//! preset ([`PandoConfig::local_test`], [`PandoConfig::lan`],
-//! [`PandoConfig::deterministic`]); they write through to the nested fields.
+//! preset (`PandoConfig::default()`, the paper's LAN setup,
+//! [`PandoConfig::local_test`] and [`PandoConfig::deterministic`]); they
+//! write through to the nested fields.
 
 use crate::transport::tcp::TcpConfig;
 use pando_netsim::channel::ChannelConfig;
@@ -37,7 +38,6 @@ use std::time::Duration;
 /// let batching = BatchingConfig::default();
 /// assert_eq!(batching.batch_size, 2);
 /// assert_eq!(batching.tasks_per_frame, None); // pack up to the window
-/// assert!(!batching.adaptive);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchingConfig {
@@ -55,18 +55,11 @@ pub struct BatchingConfig {
     /// `with_tasks_per_frame(1)`) reproduces the original one-frame-per-task
     /// protocol.
     pub tasks_per_frame: Option<usize>,
-    /// Enables the adaptive `tasks_per_frame` policy
-    /// ([`BatchPolicy`](crate::protocol::BatchPolicy)): reactor drivers
-    /// start with single-task frames, grow the coalescing limit on channels
-    /// whose frames run full (a high records-per-frame ratio means the
-    /// round-trip dominates) and shrink it when the lender starves. Off by
-    /// default: the static limit keeps frame counts deterministic.
-    pub adaptive: bool,
 }
 
 impl Default for BatchingConfig {
     fn default() -> Self {
-        Self { batch_size: 2, tasks_per_frame: None, adaptive: false }
+        Self { batch_size: 2, tasks_per_frame: None }
     }
 }
 
@@ -85,7 +78,7 @@ pub struct ReactorConfig {
     /// registration on this fixed pool (plus one input-pump thread per
     /// lender shard): ready endpoints are queued and drained without
     /// blocking, so the thread count does not grow with the fleet. Example:
-    /// `PandoConfig::lan().with_reactor_threads(8)`.
+    /// `PandoConfig::default().with_reactor_threads(8)`.
     pub threads: usize,
     /// Number of independent StreamLender shards the input stream is
     /// partitioned across (the
@@ -207,13 +200,13 @@ pub struct PandoConfig {
 
 impl PandoConfig {
     /// The protocol version implemented by this crate.
-    pub const PROTOCOL_VERSION: &'static str = "/pando/1.0.0";
+    const PROTOCOL_VERSION: &'static str = "/pando/1.0.0";
 
     /// Default size of the reactor pool: enough to keep a few cores busy
     /// with dispatch/receive bookkeeping while volunteers do the actual
     /// compute. Deterministic (not derived from the host's core count) so
     /// runs are reproducible.
-    pub const DEFAULT_REACTOR_THREADS: usize = 4;
+    const DEFAULT_REACTOR_THREADS: usize = 4;
 
     /// A configuration suitable for in-process tests: instant channels, a
     /// batch size of 2, a two-thread reactor and tightened TCP liveness
@@ -232,12 +225,6 @@ impl PandoConfig {
             },
             ..Self::default()
         }
-    }
-
-    /// The configuration used by the paper's LAN experiment (batch size 2,
-    /// Wi-Fi profile, five-minute window). This is also the `Default`.
-    pub fn lan() -> Self {
-        Self::default()
     }
 
     /// Returns the configuration with a different batch size.
@@ -296,12 +283,6 @@ impl PandoConfig {
         self
     }
 
-    /// Returns the configuration with adaptive batching switched on or off.
-    pub fn with_adaptive_batching(mut self, adaptive_batching: bool) -> Self {
-        self.batching.adaptive = adaptive_batching;
-        self
-    }
-
     /// A fully deterministic configuration for the virtual-clock fleet
     /// simulator ([`sim::simulate_fleet`](crate::sim::simulate_fleet)): the
     /// LAN network profile (2 ms latency, 1 ms jitter, 100 ms heartbeats,
@@ -330,14 +311,6 @@ impl PandoConfig {
         }
     }
 
-    /// Returns the configuration with a different clock. A virtual clock
-    /// puts the reactor in inline (thread-free, externally stepped) mode;
-    /// see [`PandoConfig::deterministic`].
-    pub fn with_clock(mut self, clock: Clock) -> Self {
-        self.run.clock = clock;
-        self
-    }
-
     /// The lender shard count actually used by the master: the explicit
     /// [`ReactorConfig::lender_shards`] if set, otherwise
     /// `min(threads, 4)` — more shards than reactor threads cannot
@@ -364,7 +337,6 @@ mod tests {
         assert_eq!(config.batching.batch_size, 2);
         assert_eq!(config.run.measurement_window, Duration::from_secs(300));
         assert_eq!(config.run.protocol_version, "/pando/1.0.0");
-        assert_eq!(config, PandoConfig::lan(), "the default is the paper's LAN setup");
     }
 
     #[test]
@@ -447,15 +419,5 @@ mod tests {
         assert!(config.run.clock.is_virtual());
         assert_eq!(config.transport.channel.seed, 42);
         assert!(!PandoConfig::local_test().run.clock.is_virtual());
-        let clock = Clock::virtual_clock();
-        let config = PandoConfig::local_test().with_clock(clock.clone());
-        assert_eq!(config.run.clock, clock);
-    }
-
-    #[test]
-    fn adaptive_batching_defaults_off() {
-        let config = PandoConfig::local_test();
-        assert!(!config.batching.adaptive);
-        assert!(config.with_adaptive_batching(true).batching.adaptive);
     }
 }

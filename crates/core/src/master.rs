@@ -186,6 +186,7 @@ impl Pando {
 
     /// Number of volunteers that have connected so far (including ones that
     /// have since left or crashed).
+    #[cfg(test)]
     pub fn volunteers_connected(&self) -> u64 {
         self.state.lock().volunteers_connected
     }

@@ -307,16 +307,6 @@ pub struct ThroughputReport {
 }
 
 impl ThroughputReport {
-    /// Total throughput across devices, in units per second.
-    pub fn total_throughput(&self) -> f64 {
-        self.rows.iter().map(|r| r.throughput).sum()
-    }
-
-    /// Total number of units completed across devices.
-    pub fn total_units(&self) -> f64 {
-        self.rows.iter().map(|r| r.units).sum()
-    }
-
     /// Total payload bytes on the wire across devices.
     pub fn total_wire_bytes(&self) -> u64 {
         self.rows.iter().map(|r| r.wire_bytes).sum()
@@ -336,16 +326,6 @@ impl ThroughputReport {
     pub fn total_heartbeats_suppressed(&self) -> u64 {
         self.rows.iter().map(|r| r.heartbeats_suppressed).sum()
     }
-
-    /// The share (in percent) of the total contributed by `device`, as in the
-    /// `%` columns of Table 2.
-    pub fn share(&self, device: &str) -> Option<f64> {
-        let total = self.total_units();
-        if total <= 0.0 {
-            return None;
-        }
-        self.rows.iter().find(|r| r.device == device).map(|r| 100.0 * r.units / total)
-    }
 }
 
 #[cfg(test)]
@@ -357,8 +337,6 @@ mod tests {
         let meter = ThroughputMeter::new();
         let report = meter.report();
         assert!(report.rows.is_empty());
-        assert_eq!(report.total_units(), 0.0);
-        assert_eq!(report.share("phone"), None);
         assert_eq!(report.scheduler, None);
     }
 
@@ -395,10 +373,9 @@ mod tests {
         let report = meter.report();
         assert_eq!(report.rows.len(), 2);
         let tablet = report.rows.iter().find(|r| r.device == "tablet").unwrap();
-        assert_eq!(tablet.tasks, 2);
-        assert_eq!(report.total_units(), 3.0);
-        assert!((report.share("tablet").unwrap() - 66.666).abs() < 0.01);
-        assert!((report.share("phone").unwrap() - 33.333).abs() < 0.01);
+        assert_eq!((tablet.tasks, tablet.units), (2, 2.0));
+        let phone = report.rows.iter().find(|r| r.device == "phone").unwrap();
+        assert_eq!((phone.tasks, phone.units), (1, 1.0));
     }
 
     #[test]
@@ -411,7 +388,6 @@ mod tests {
         let report = meter.report();
         assert_eq!(report.rows[0].units, 4_000.0);
         assert!(report.rows[0].throughput > 0.0);
-        assert!(report.total_throughput() > 0.0);
         assert!(report.elapsed >= Duration::from_millis(20));
     }
 

@@ -326,8 +326,6 @@ pub struct HeartbeatPacer {
     interval: std::time::Duration,
     last_traffic: std::time::Instant,
     next_due: std::time::Instant,
-    suppressed: u64,
-    sent: u64,
 }
 
 impl HeartbeatPacer {
@@ -341,7 +339,7 @@ impl HeartbeatPacer {
     /// [`Clock`](pando_netsim::sim::Clock). The first heartbeat is due one
     /// interval after `now`.
     pub fn new_at(interval: std::time::Duration, now: std::time::Instant) -> Self {
-        Self { interval, last_traffic: now, next_due: now + interval, suppressed: 0, sent: 0 }
+        Self { interval, last_traffic: now, next_due: now + interval }
     }
 
     /// Records that a data frame was just sent on the channel.
@@ -369,10 +367,8 @@ impl HeartbeatPacer {
         }
         self.next_due = now + self.interval;
         if now.duration_since(self.last_traffic) < self.interval {
-            self.suppressed += 1;
             HeartbeatAction::Suppressed
         } else {
-            self.sent += 1;
             self.last_traffic = now;
             HeartbeatAction::Send
         }
@@ -381,85 +377,6 @@ impl HeartbeatPacer {
     /// The instant at which the next standalone heartbeat may become due.
     pub fn next_due(&self) -> std::time::Instant {
         self.next_due
-    }
-
-    /// Number of standalone heartbeats sent so far.
-    pub fn heartbeats_sent(&self) -> u64 {
-        self.sent
-    }
-
-    /// Number of heartbeats suppressed by piggybacking on data traffic.
-    pub fn heartbeats_suppressed(&self) -> u64 {
-        self.suppressed
-    }
-}
-
-/// Adaptive `tasks_per_frame` policy: sizes dispatch frames from observed
-/// channel behaviour instead of a static limit.
-///
-/// The driving signal is the per-channel `records_sent / messages_sent`
-/// ratio already exported by [`pando_netsim::channel::Endpoint`]: when it
-/// runs close to the current limit, every frame leaves full — the channel is
-/// round-trip-bound and larger batches would amortise the RTT further, so
-/// the limit grows (doubling, up to `max`). The policy tracks the same
-/// signal incrementally as a streak of full frames, so no channel snapshot
-/// is needed on the hot path. When the lender starves — the dispatcher had
-/// window slots but no value was available — large frames only add latency
-/// without improving utilisation, so the limit shrinks (halving, down to
-/// `min`).
-///
-/// One `BatchPolicy` lives per reactor driver (per channel): a high-RTT
-/// channel grows independently of a starved one.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchPolicy {
-    min: usize,
-    max: usize,
-    limit: usize,
-    full_streak: u32,
-}
-
-impl BatchPolicy {
-    /// Number of consecutive full frames required before the limit grows.
-    /// Two in a row distinguishes a round-trip-bound channel from a single
-    /// coincidental burst.
-    const GROW_STREAK: u32 = 2;
-
-    /// Creates a policy bounded by `[min, max]`, starting at `min`: the
-    /// limit must earn its growth by proving frames run full.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min` is zero or exceeds `max`.
-    pub fn new(min: usize, max: usize) -> Self {
-        assert!(min > 0, "the batch limit must be at least 1");
-        assert!(min <= max, "the minimum batch limit cannot exceed the maximum");
-        Self { min, max, limit: min, full_streak: 0 }
-    }
-
-    /// The current per-frame coalescing limit.
-    pub fn limit(&self) -> usize {
-        self.limit
-    }
-
-    /// Books one dispatched frame of `records` tasks. A streak of frames
-    /// filled to the limit doubles it (capped at `max`).
-    pub fn on_frame(&mut self, records: usize) {
-        if records >= self.limit && self.limit < self.max {
-            self.full_streak += 1;
-            if self.full_streak >= Self::GROW_STREAK {
-                self.limit = (self.limit * 2).min(self.max);
-                self.full_streak = 0;
-            }
-        } else {
-            self.full_streak = 0;
-        }
-    }
-
-    /// Books a lender starvation observed while dispatching: the channel is
-    /// input-bound, so the limit halves (floored at `min`).
-    pub fn on_starved(&mut self) {
-        self.limit = (self.limit / 2).max(self.min);
-        self.full_streak = 0;
     }
 }
 
@@ -480,7 +397,6 @@ pub struct Backoff {
     max_attempts: u32,
     attempt: u32,
     rng_state: u64,
-    seed: u64,
 }
 
 impl Backoff {
@@ -502,19 +418,7 @@ impl Backoff {
         // xorshift64 has a fixed point at zero; fold the seed into a non-zero
         // state so seed 0 still jitters.
         let rng_state = seed ^ 0x9E37_79B9_7F4A_7C15;
-        Self { base, cap, max_attempts, attempt: 0, rng_state, seed }
-    }
-
-    /// Number of delays handed out since creation or the last
-    /// [`Backoff::reset`].
-    pub fn attempt(&self) -> u32 {
-        self.attempt
-    }
-
-    /// Whether the attempt budget is spent: the next
-    /// [`Backoff::next_delay`] would answer `None`.
-    pub fn exhausted(&self) -> bool {
-        self.attempt >= self.max_attempts
+        Self { base, cap, max_attempts, attempt: 0, rng_state }
     }
 
     /// Returns the jittered delay to wait before the next attempt, or `None`
@@ -538,14 +442,6 @@ impl Backoff {
         Some(std::time::Duration::from_nanos(jittered))
     }
 
-    /// Rewinds the schedule after a successful attempt: the next failure
-    /// starts again from `base` with the original seed, so a reconnect cycle
-    /// replays identically under the deterministic sim.
-    pub fn reset(&mut self) {
-        self.attempt = 0;
-        self.rng_state = self.seed ^ 0x9E37_79B9_7F4A_7C15;
-    }
-
     fn next_rand(&mut self) -> u64 {
         let mut x = self.rng_state;
         x ^= x << 13;
@@ -563,60 +459,6 @@ mod tests {
 
     fn bytes(data: &[u8]) -> Bytes {
         Bytes::copy_from_slice(data)
-    }
-
-    #[test]
-    fn batch_policy_grows_on_full_frames_and_shrinks_on_starvation() {
-        let mut policy = BatchPolicy::new(1, 16);
-        assert_eq!(policy.limit(), 1);
-        // One full frame is not enough; a streak is.
-        policy.on_frame(1);
-        assert_eq!(policy.limit(), 1);
-        policy.on_frame(1);
-        assert_eq!(policy.limit(), 2);
-        policy.on_frame(2);
-        policy.on_frame(2);
-        assert_eq!(policy.limit(), 4);
-        // A partial frame resets the streak.
-        policy.on_frame(4);
-        policy.on_frame(3);
-        policy.on_frame(4);
-        assert_eq!(policy.limit(), 4);
-        policy.on_frame(4);
-        assert_eq!(policy.limit(), 8);
-        // Growth caps at the maximum.
-        for _ in 0..8 {
-            policy.on_frame(policy.limit());
-        }
-        assert_eq!(policy.limit(), 16);
-        // Starvation halves down to the floor.
-        policy.on_starved();
-        assert_eq!(policy.limit(), 8);
-        for _ in 0..8 {
-            policy.on_starved();
-        }
-        assert_eq!(policy.limit(), 1);
-    }
-
-    #[test]
-    fn batch_policy_degenerate_range_stays_fixed() {
-        let mut policy = BatchPolicy::new(3, 3);
-        policy.on_frame(3);
-        policy.on_frame(3);
-        policy.on_starved();
-        assert_eq!(policy.limit(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn batch_policy_zero_minimum_is_rejected() {
-        let _ = BatchPolicy::new(0, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot exceed")]
-    fn batch_policy_inverted_range_is_rejected() {
-        let _ = BatchPolicy::new(5, 4);
     }
 
     #[test]
@@ -658,8 +500,6 @@ mod tests {
         pacer.on_traffic();
         std::thread::sleep(Duration::from_millis(10));
         assert_eq!(pacer.poll(), HeartbeatAction::Suppressed);
-        assert_eq!(pacer.heartbeats_sent(), 1);
-        assert_eq!(pacer.heartbeats_suppressed(), 1);
         assert!(pacer.next_due() > std::time::Instant::now());
     }
 
@@ -802,9 +642,7 @@ mod tests {
         }
         // The cap was reached well before the budget ran out.
         assert_eq!(previous_nominal, Duration::from_secs(1));
-        assert!(backoff.exhausted());
         assert_eq!(backoff.next_delay(), None, "the budget is a hard stop");
-        assert_eq!(backoff.attempt(), 12);
     }
 
     #[test]
@@ -820,13 +658,6 @@ mod tests {
         let zeros = schedule(0);
         assert_eq!(zeros.len(), 8);
         assert!(zeros.windows(2).any(|w| w[0] != w[1]), "seed 0 still jitters");
-        // reset() rewinds both the attempt counter and the jitter stream.
-        let mut b = Backoff::new(Duration::from_millis(5), Duration::from_millis(500), 8, 7);
-        let first: Vec<_> = std::iter::from_fn(|| b.next_delay()).collect();
-        b.reset();
-        assert!(!b.exhausted());
-        let second: Vec<_> = std::iter::from_fn(|| b.next_delay()).collect();
-        assert_eq!(first, second);
     }
 
     #[test]

@@ -90,7 +90,7 @@
 
 use crate::config::PandoConfig;
 use crate::metrics::{DeviceMeter, ShardMeter, ThroughputMeter};
-use crate::protocol::{BatchPolicy, HeartbeatAction, HeartbeatPacer, Message};
+use crate::protocol::{HeartbeatAction, HeartbeatPacer, Message};
 use crate::transport::Transport;
 use bytes::Bytes;
 use pando_netsim::channel::{RecvError, SendError};
@@ -575,8 +575,6 @@ struct DriverIo {
     /// First dispatch-side error, reported over a clean receive shutdown.
     dispatch_error: Option<StreamError>,
     pacer: HeartbeatPacer,
-    /// Adaptive `tasks_per_frame` state, when the policy is enabled.
-    policy: Option<BatchPolicy>,
 }
 
 /// What a poll decided about the driver's future.
@@ -682,9 +680,6 @@ impl Driver {
                         progressed = true;
                         self.device.record_wire(size as u64);
                         io.shard_meter.record_borrows(count);
-                        if let Some(policy) = io.policy.as_mut() {
-                            policy.on_frame(count as usize);
-                        }
                         io.pacer.on_traffic_at(now);
                         continue;
                     }
@@ -721,9 +716,6 @@ impl Driver {
                     let epoch = inner.shards[shard].kick_epoch.load(Ordering::SeqCst);
                     match io.source.poll_pull() {
                         None => {
-                            if let Some(policy) = io.policy.as_mut() {
-                                policy.on_starved();
-                            }
                             starved = true;
                             starve_epoch = epoch;
                             break;
@@ -764,10 +756,9 @@ impl Driver {
                     }
                 }
             };
-            let limit = io.policy.as_ref().map(BatchPolicy::limit).unwrap_or(self.tasks_per_frame);
             let mut body = 4 + RECORD_HEADER_LEN + first.payload.len();
             let mut records = vec![first];
-            while records.len() < limit && body < MAX_FRAME_LEN && io.credits > 0 {
+            while records.len() < self.tasks_per_frame && body < MAX_FRAME_LEN && io.credits > 0 {
                 match io.source.try_pull() {
                     Some(lend) => {
                         let add = RECORD_HEADER_LEN + lend.value.len();
@@ -878,7 +869,8 @@ impl DriverHandle {
     }
 
     /// Returns `true` once the volunteer session has ended.
-    pub fn is_finished(&self) -> bool {
+    #[cfg(test)]
+    fn is_finished(&self) -> bool {
         self.driver.finished.fired()
     }
 }
@@ -1056,10 +1048,6 @@ impl Reactor {
                     endpoint.heartbeat_interval(),
                     self.inner.clock.now(),
                 ),
-                policy: config
-                    .batching
-                    .adaptive
-                    .then(|| BatchPolicy::new(1, config.effective_tasks_per_frame())),
             }),
             result: Mutex::new(None),
             finished: Signal::new(),

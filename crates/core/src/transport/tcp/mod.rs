@@ -85,7 +85,7 @@ use pando_netsim::heartbeat::FailureDetector;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::io::Read;
-use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -608,11 +608,6 @@ impl TcpTransport {
     /// own name (on the connecting side).
     pub fn peer_name(&self) -> &str {
         &self.peer
-    }
-
-    /// The socket address of the remote end.
-    pub fn peer_addr(&self) -> Option<SocketAddr> {
-        self.shared.stream.peer_addr().ok()
     }
 
     /// Snapshot of the link's write-path counters.

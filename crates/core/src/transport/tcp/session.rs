@@ -451,7 +451,8 @@ impl SessionTransport {
     }
 
     /// Currently parked, waiting out the grace window?
-    pub fn is_parked(&self) -> bool {
+    #[cfg(test)]
+    fn is_parked(&self) -> bool {
         matches!(&*self.link.lock(), Link::Down { .. })
     }
 

@@ -10,7 +10,6 @@
 use crate::master::Pando;
 use crate::protocol::Message;
 use crate::worker::{WorkerBuilder, WorkerHandle, WorkerOptions};
-use bytes::Bytes;
 use pando_netsim::channel::ChannelKind;
 use pando_netsim::signaling::{PublicServer, VolunteerUrl};
 use pando_pull_stream::codec::TaskCodec;
@@ -18,37 +17,16 @@ use pando_pull_stream::StreamError;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// The state of one volunteer as seen by the master.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum VolunteerState {
-    /// The volunteer opened the URL and is establishing a connection.
-    Candidate,
-    /// The volunteer is connected and processing values.
-    Processor,
-    /// The volunteer left cleanly.
-    Left,
-    /// The volunteer crashed or its connection was lost.
-    Crashed,
-}
-
-/// Information about a volunteer that joined through the public server.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VolunteerInfo {
-    /// Identifier assigned by the public server.
-    pub id: u64,
-    /// How the connection was established.
-    pub kind: ChannelKind,
-}
-
 /// Publishes the deployment on `server` and starts accepting volunteers.
 ///
 /// Returns the URL to share (the line Pando prints on startup, paper
 /// Figure 3) and a handle on the acceptor thread. The acceptor runs until
-/// the deployment is unhosted from the server.
+/// the deployment is unhosted from the server and then answers how many
+/// volunteers joined.
 pub fn serve(
     pando: &Pando,
     server: &Arc<PublicServer<Message>>,
-) -> (VolunteerUrl, JoinHandle<Vec<VolunteerInfo>>) {
+) -> (VolunteerUrl, JoinHandle<usize>) {
     let direct = {
         let mut config = pando.config().transport.channel.clone();
         config.kind = ChannelKind::WebRtc;
@@ -60,9 +38,9 @@ pub fn serve(
     let acceptor = std::thread::Builder::new()
         .name("pando-acceptor".into())
         .spawn(move || {
-            let mut joined = Vec::new();
+            let mut joined = 0;
             for volunteer in incoming.iter() {
-                joined.push(VolunteerInfo { id: volunteer.volunteer_id, kind: volunteer.kind });
+                joined += 1;
                 master.add_volunteer_transport(
                     format!("volunteer-{}", volunteer.volunteer_id),
                     Arc::new(volunteer.endpoint),
@@ -94,25 +72,6 @@ where
 {
     let (endpoint, kind) = server.join(url)?;
     Ok((WorkerBuilder::from_options(options).spawn_typed(endpoint, codec, process), kind))
-}
-
-/// Like [`join_as_volunteer`] but with a processing function over the raw
-/// binary payloads, for bundles that do their own decoding.
-///
-/// # Errors
-///
-/// Returns an error if the deployment no longer accepts volunteers.
-pub fn join_as_raw_volunteer<F>(
-    server: &PublicServer<Message>,
-    url: &VolunteerUrl,
-    process: F,
-    options: WorkerOptions,
-) -> Result<(WorkerHandle, ChannelKind), StreamError>
-where
-    F: Fn(&Bytes) -> Result<Bytes, StreamError> + Send + 'static,
-{
-    let (endpoint, kind) = server.join(url)?;
-    Ok((WorkerBuilder::from_options(options).spawn(endpoint, process), kind))
 }
 
 #[cfg(test)]
@@ -151,40 +110,10 @@ mod tests {
         assert_eq!(output, (1..=40u64).map(|v| (v * 2).to_string()).collect::<Vec<_>>());
 
         server.unhost(&url);
-        let joined = acceptor.join().unwrap();
-        assert_eq!(joined.len(), 2);
+        assert_eq!(acceptor.join().unwrap(), 2);
         assert_eq!(pando.volunteers_connected(), 2);
         let _ = worker_a.join();
         let _ = worker_b.join();
-    }
-
-    #[test]
-    fn raw_volunteers_process_binary_payloads() {
-        let server: Arc<PublicServer<Message>> = Arc::new(PublicServer::local());
-        let pando = Pando::new(PandoConfig::local_test());
-        let (url, acceptor) = serve(&pando, &server);
-        let (worker, _kind) = join_as_raw_volunteer(
-            &server,
-            &url,
-            |input: &Bytes| Ok(Bytes::copy_from_slice(&[input.len() as u8])),
-            WorkerOptions::default(),
-        )
-        .unwrap();
-        let inputs =
-            vec![Bytes::copy_from_slice(&[0, 0, 0]), Bytes::new(), Bytes::copy_from_slice(b"xy")];
-        let output =
-            pando.run(pando_pull_stream::source::from_iter(inputs)).collect_values().unwrap();
-        assert_eq!(
-            output,
-            vec![
-                Bytes::copy_from_slice(&[3]),
-                Bytes::copy_from_slice(&[0]),
-                Bytes::copy_from_slice(&[2]),
-            ]
-        );
-        server.unhost(&url);
-        acceptor.join().unwrap();
-        let _ = worker.join();
     }
 
     #[test]
@@ -197,18 +126,5 @@ mod tests {
             .unwrap_err();
         assert!(err.is_transport());
         acceptor.join().unwrap();
-    }
-
-    #[test]
-    fn volunteer_states_cover_the_lifecycle() {
-        // Simple data-type checks so the lifecycle enum stays usable.
-        let states = [
-            VolunteerState::Candidate,
-            VolunteerState::Processor,
-            VolunteerState::Left,
-            VolunteerState::Crashed,
-        ];
-        assert_eq!(states.len(), 4);
-        assert_ne!(VolunteerState::Candidate, VolunteerState::Processor);
     }
 }

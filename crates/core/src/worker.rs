@@ -268,11 +268,6 @@ impl WorkerHandle {
         let fallback = WorkerReport { crashed: true, ..WorkerReport::new(self.name.clone()) };
         self.handle.join().unwrap_or(fallback)
     }
-
-    /// Returns `true` once the worker thread has finished.
-    pub fn is_finished(&self) -> bool {
-        self.handle.is_finished()
-    }
 }
 
 /// Handle on a pool of threads multiplexing many volunteer transports.
@@ -1022,15 +1017,5 @@ mod tests {
             report.heartbeats_sent,
             report.heartbeats_suppressed
         );
-    }
-
-    #[test]
-    fn is_finished_reflects_thread_state() {
-        let (master, volunteer) = pair::<Message>(ChannelConfig::instant());
-        let worker = WorkerBuilder::new().spawn_typed(volunteer, StringCodec, upper);
-        assert!(!worker.is_finished());
-        master.close();
-        let report = worker.join();
-        assert_eq!(report.processed, 0);
     }
 }

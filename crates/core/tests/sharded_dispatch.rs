@@ -133,31 +133,3 @@ fn volunteers_spread_across_shards_before_hashing() {
         assert!(stats.substreams_created >= 1, "shard {shard} never received a volunteer");
     }
 }
-
-#[test]
-fn adaptive_batching_completes_and_coalesces() {
-    // Smoke the adaptive policy end to end: a wide window, one volunteer,
-    // plenty of immediately available tasks. Frames must still coalesce
-    // (fewer frames than the unbatched two-per-task protocol) and the
-    // output must stay ordered.
-    let config = PandoConfig::local_test()
-        .with_batch_size(16)
-        .with_adaptive_batching(true)
-        .with_lender_shards(1);
-    let pando = Pando::new(config);
-    let worker =
-        WorkerBuilder::new().spawn_typed(pando.open_volunteer_channel(), StringCodec, echo);
-    let output = pando.run_typed(StringCodec, numbers(300)).collect_values().unwrap();
-    assert_eq!(output.len(), 300);
-    worker.join();
-    pando.join_volunteers();
-    let report = pando.meter().report();
-    let row = &report.rows[0];
-    assert_eq!(row.tasks, 300);
-    assert!(
-        row.wire_frames < 2 * row.tasks,
-        "adaptive batching still coalesces ({} frames for {} tasks)",
-        row.wire_frames,
-        row.tasks
-    );
-}

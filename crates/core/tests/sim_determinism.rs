@@ -37,7 +37,9 @@ proptest! {
 
     /// Whatever the fault schedule does, every input value is emitted
     /// exactly once and in global input order (crash recovery re-lends,
-    /// the merge stage reorders).
+    /// the merge stage reorders). This is also the reactor's wake-discipline
+    /// liveness check: a stranded lendable value (kicked nobody, backstop
+    /// missed) would wedge the sim or drop the value.
     #[test]
     fn output_is_complete_and_ordered_under_any_fault_schedule(
         seed in 0u64..1_000_000,

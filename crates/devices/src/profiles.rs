@@ -8,7 +8,7 @@
 //! WAN, paper §5.2–§5.4).
 
 use crate::table2;
-use pando_netsim::channel::{ChannelConfig, ChannelKind};
+use pando_netsim::channel::ChannelConfig;
 use pando_workloads::AppKind;
 use std::time::Duration;
 
@@ -29,16 +29,6 @@ impl Scenario {
         [Scenario::Lan, Scenario::Vpn, Scenario::Wan]
     }
 
-    /// Parses a scenario from its lowercase name.
-    pub fn from_name(name: &str) -> Option<Scenario> {
-        match name.to_ascii_lowercase().as_str() {
-            "lan" => Some(Scenario::Lan),
-            "vpn" => Some(Scenario::Vpn),
-            "wan" => Some(Scenario::Wan),
-            _ => None,
-        }
-    }
-
     /// Human-readable title used by the bench harness output.
     pub fn title(self) -> &'static str {
         match self {
@@ -57,19 +47,11 @@ impl Scenario {
     }
 
     /// The channel configuration modelling this scenario's network.
-    pub fn channel_config(self) -> ChannelConfig {
+    fn channel_config(self) -> ChannelConfig {
         match self {
             Scenario::Lan => ChannelConfig::lan(),
             Scenario::Vpn => ChannelConfig::vpn(),
             Scenario::Wan => ChannelConfig::wan(),
-        }
-    }
-
-    /// The communication technology used by the paper in this scenario.
-    pub fn channel_kind(self) -> ChannelKind {
-        match self {
-            Scenario::Lan | Scenario::Vpn => ChannelKind::WebSocket,
-            Scenario::Wan => ChannelKind::WebRtc,
         }
     }
 }
@@ -99,7 +81,7 @@ pub struct DeviceProfile {
 
 impl DeviceProfile {
     /// Builds the profile of one published table row.
-    pub fn from_entry(entry: table2::PaperEntry) -> Self {
+    fn from_entry(entry: table2::PaperEntry) -> Self {
         Self { name: entry.device.to_string(), scenario: entry.scenario, cores: entry.cores, entry }
     }
 
@@ -182,9 +164,6 @@ mod tests {
 
     #[test]
     fn scenario_parsing_and_titles() {
-        assert_eq!(Scenario::from_name("LAN"), Some(Scenario::Lan));
-        assert_eq!(Scenario::from_name("vpn"), Some(Scenario::Vpn));
-        assert_eq!(Scenario::from_name("mars"), None);
         assert_eq!(Scenario::Lan.to_string(), "lan");
         assert!(Scenario::Wan.title().contains("PlanetLab"));
         assert_eq!(Scenario::all().len(), 3);
@@ -195,12 +174,6 @@ mod tests {
         assert_eq!(Scenario::Lan.batch_size(), 2);
         assert_eq!(Scenario::Vpn.batch_size(), 2);
         assert_eq!(Scenario::Wan.batch_size(), 4);
-    }
-
-    #[test]
-    fn channel_kinds_match_the_paper() {
-        assert_eq!(Scenario::Vpn.channel_kind(), ChannelKind::WebSocket);
-        assert_eq!(Scenario::Wan.channel_kind(), ChannelKind::WebRtc);
     }
 
     #[test]

@@ -20,10 +20,6 @@
 use crate::heartbeat::FailureDetector;
 use crate::sim::Clock;
 use crossbeam::channel;
-use pando_pull_stream::duplex::Duplex;
-use pando_pull_stream::sink::Sink;
-use pando_pull_stream::source::{BoxSource, Source};
-use pando_pull_stream::{Answer, Request, StreamError};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -84,8 +80,8 @@ pub struct ChannelConfig {
     /// frame is never dropped for good: it is retransmitted until it lands,
     /// so loss surfaces as added delivery delay ([`ChannelConfig::retransmit`]
     /// per lost transmission), never as a missing or duplicated frame.
-    /// Retransmissions are counted per side
-    /// ([`Endpoint::frames_retransmitted`]). `0.0` (every profile
+    /// Retransmissions are counted per link
+    /// ([`Endpoint::link_retransmits`]). `0.0` (every profile
     /// constructor's default) draws nothing from the jitter RNG, keeping
     /// pre-existing deterministic traces byte-identical.
     pub loss: f64,
@@ -181,7 +177,7 @@ impl ChannelConfig {
 
     /// Transmission delay of a message of `size` bytes at the configured
     /// bandwidth.
-    pub fn transmission_delay(&self, size: usize) -> Duration {
+    fn transmission_delay(&self, size: usize) -> Duration {
         match self.bandwidth_bytes_per_sec {
             Some(bw) if bw > 0 => Duration::from_secs_f64(size as f64 / bw as f64),
             _ => Duration::ZERO,
@@ -510,7 +506,7 @@ impl<T: Send + 'static> Endpoint<T> {
     /// # Errors
     ///
     /// Same conditions as [`Endpoint::send`].
-    pub fn send_with_size(&self, payload: T, size: usize) -> Result<(), SendError> {
+    fn send_with_size(&self, payload: T, size: usize) -> Result<(), SendError> {
         self.send_records_with_size(payload, size, 1)
     }
 
@@ -861,29 +857,10 @@ impl<T: Send + 'static> Endpoint<T> {
         self.my_state().lock().records_sent
     }
 
-    /// Transmissions of this side's frames lost on the wire and re-sent by
-    /// the modelled reliable transport. Zero unless [`ChannelConfig::loss`]
-    /// is non-zero.
-    pub fn frames_retransmitted(&self) -> u64 {
-        self.my_state().lock().frames_retransmitted
-    }
-
     /// Total lost-and-re-sent transmissions on this link, both directions.
     /// Either endpoint of the pair reports the same number.
     pub fn link_retransmits(&self) -> u64 {
         self.shared.a.lock().frames_retransmitted + self.shared.b.lock().frames_retransmitted
-    }
-
-    /// Converts the endpoint into a pull-stream duplex: the source yields
-    /// received messages and the sink sends the messages of the source it
-    /// drains. This is the shape expected by the Pando master pipeline
-    /// (paper Figure 7).
-    pub fn into_duplex(self) -> Duplex<T, T> {
-        let endpoint = Arc::new(self);
-        Duplex {
-            source: Box::new(EndpointSource { endpoint: endpoint.clone() }),
-            sink: Box::new(EndpointSink { endpoint }),
-        }
     }
 }
 
@@ -901,67 +878,6 @@ impl<T> Drop for Endpoint<T> {
         let waker = peer.lock().waker.clone();
         if let Some(waker) = waker {
             waker();
-        }
-    }
-}
-
-struct EndpointSource<T> {
-    endpoint: Arc<Endpoint<T>>,
-}
-
-impl<T: Send + 'static> Source<T> for EndpointSource<T> {
-    fn pull(&mut self, request: Request) -> Answer<T> {
-        if request.is_termination() {
-            self.endpoint.close();
-            return Answer::Done;
-        }
-        match self.endpoint.recv() {
-            Ok(value) => Answer::Value(value),
-            Err(RecvError::Closed) => Answer::Done,
-            Err(RecvError::PeerFailed) => {
-                Answer::Err(StreamError::transport("peer failed (heartbeat timeout)"))
-            }
-            Err(RecvError::Timeout) | Err(RecvError::Empty) => {
-                Answer::Err(StreamError::transport("unexpected receive state"))
-            }
-        }
-    }
-}
-
-struct EndpointSink<T> {
-    endpoint: Arc<Endpoint<T>>,
-}
-
-impl<T: Send + 'static> Sink<T> for EndpointSink<T> {
-    fn drain(&mut self, mut source: BoxSource<T>) -> Result<(), StreamError> {
-        loop {
-            match source.pull(Request::Ask) {
-                Answer::Value(value) => match self.endpoint.send(value) {
-                    Ok(()) => {}
-                    Err(SendError::Closed) => {
-                        let _ = source.pull(Request::Abort);
-                        return Ok(());
-                    }
-                    Err(SendError::PeerFailed) => {
-                        let err = StreamError::transport("peer failed while sending");
-                        let _ = source.pull(Request::Fail(err.clone()));
-                        return Err(err);
-                    }
-                    Err(SendError::WouldBlock) => {
-                        // `send` models a zero-size frame and the bounded
-                        // admission always passes those through.
-                        unreachable!("zero-size sends are never bounded")
-                    }
-                },
-                Answer::Done => {
-                    self.endpoint.close();
-                    return Ok(());
-                }
-                Answer::Err(err) => {
-                    self.endpoint.close();
-                    return Err(err);
-                }
-            }
         }
     }
 }
@@ -1204,44 +1120,6 @@ mod tests {
     }
 
     #[test]
-    fn duplex_adapter_round_trip() {
-        use pando_pull_stream::source::{count, SourceExt};
-
-        let (master, worker) = pair::<u64>(ChannelConfig::instant());
-        // Worker: echoes doubled values back, then closes.
-        let worker_thread = std::thread::spawn(move || loop {
-            match worker.recv() {
-                Ok(v) => worker.send(v * 2).unwrap(),
-                Err(RecvError::Closed) => {
-                    worker.close();
-                    break;
-                }
-                Err(other) => panic!("unexpected {other:?}"),
-            }
-        });
-        let Duplex { source, mut sink } = master.into_duplex();
-        let results = std::thread::spawn(move || pando_pull_stream::sink::collect(source));
-        sink.drain(count(5).boxed()).unwrap();
-        let collected = results.join().unwrap().unwrap();
-        worker_thread.join().unwrap();
-        assert_eq!(collected, vec![2, 4, 6, 8, 10]);
-    }
-
-    #[test]
-    fn duplex_adapter_reports_crash_as_transport_error() {
-        let (master, worker) = pair::<u64>(ChannelConfig {
-            failure_timeout: Duration::from_millis(30),
-            ..ChannelConfig::instant()
-        });
-        worker.crash();
-        let Duplex { mut source, sink: _sink } = master.into_duplex();
-        match source.pull(Request::Ask) {
-            Answer::Err(err) => assert!(err.is_transport()),
-            other => panic!("expected transport error, got {:?}", other.is_done()),
-        }
-    }
-
-    #[test]
     fn virtual_clock_channel_never_sleeps_and_delivers_on_advance() {
         use crate::sim::Clock;
         let clock = Clock::virtual_clock();
@@ -1387,20 +1265,19 @@ mod tests {
                     Err(other) => panic!("unexpected {other:?}"),
                 }
             }
-            (deliveries, a.frames_retransmitted(), b.link_retransmits())
+            (deliveries, b.link_retransmits())
         };
-        let (first, sent_retx, link_retx) = run(7);
+        let (first, retx) = run(7);
         // Every frame arrives exactly once, in order: loss is delay, not drop.
         assert_eq!(first.iter().map(|(v, _)| *v).collect::<Vec<_>>(), (0..50).collect::<Vec<_>>());
-        assert!(sent_retx > 0, "at 40% loss, 50 frames must lose a few transmissions");
-        assert_eq!(link_retx, sent_retx, "only side a sent anything");
+        assert!(retx > 0, "at 40% loss, 50 frames must lose a few transmissions");
         // Same seed ⇒ byte-identical delivery schedule.
-        let (second, retx2, _) = run(7);
+        let (second, retx2) = run(7);
         assert_eq!(first, second);
-        assert_eq!(sent_retx, retx2);
+        assert_eq!(retx, retx2);
         // A different seed loses different transmissions.
-        let (_, retx3, _) = run(8);
-        assert_ne!(sent_retx, retx3);
+        let (_, retx3) = run(8);
+        assert_ne!(retx, retx3);
     }
 
     #[test]

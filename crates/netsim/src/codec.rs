@@ -204,69 +204,6 @@ pub fn decode_record_body(body: &Bytes) -> Result<Vec<Record>, StreamError> {
     Ok(records)
 }
 
-/// Encodes a string payload the way Pando does for binary results: a base64
-/// encoding of the raw bytes, which inflates the size by 4/3 (paper §2.1.1).
-/// Kept as the reference point the binary codec is measured against.
-pub fn base64_encode(data: &[u8]) -> String {
-    const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
-    let mut out = String::with_capacity(data.len().div_ceil(3) * 4);
-    for chunk in data.chunks(3) {
-        let b0 = chunk[0] as u32;
-        let b1 = chunk.get(1).copied().unwrap_or(0) as u32;
-        let b2 = chunk.get(2).copied().unwrap_or(0) as u32;
-        let triple = (b0 << 16) | (b1 << 8) | b2;
-        out.push(ALPHABET[(triple >> 18) as usize & 0x3f] as char);
-        out.push(ALPHABET[(triple >> 12) as usize & 0x3f] as char);
-        out.push(if chunk.len() > 1 {
-            ALPHABET[(triple >> 6) as usize & 0x3f] as char
-        } else {
-            '='
-        });
-        out.push(if chunk.len() > 2 { ALPHABET[triple as usize & 0x3f] as char } else { '=' });
-    }
-    out
-}
-
-/// Decodes a base64 string produced by [`base64_encode`].
-///
-/// # Errors
-///
-/// Returns an error on characters outside the base64 alphabet or on a length
-/// that is not a multiple of four.
-pub fn base64_decode(text: &str) -> Result<Vec<u8>, StreamError> {
-    fn value(c: u8) -> Result<u32, StreamError> {
-        match c {
-            b'A'..=b'Z' => Ok((c - b'A') as u32),
-            b'a'..=b'z' => Ok((c - b'a') as u32 + 26),
-            b'0'..=b'9' => Ok((c - b'0') as u32 + 52),
-            b'+' => Ok(62),
-            b'/' => Ok(63),
-            _ => Err(StreamError::protocol(format!("invalid base64 character {:?}", c as char))),
-        }
-    }
-    let bytes = text.as_bytes();
-    if !bytes.len().is_multiple_of(4) {
-        return Err(StreamError::protocol("base64 length must be a multiple of 4"));
-    }
-    let mut out = Vec::with_capacity(bytes.len() / 4 * 3);
-    for chunk in bytes.chunks(4) {
-        let pad = chunk.iter().rev().take_while(|&&c| c == b'=').count();
-        let mut triple = 0u32;
-        for (i, &c) in chunk.iter().enumerate() {
-            let v = if c == b'=' { 0 } else { value(c)? };
-            triple |= v << (18 - 6 * i);
-        }
-        out.push((triple >> 16) as u8);
-        if pad < 2 {
-            out.push((triple >> 8) as u8);
-        }
-        if pad < 1 {
-            out.push(triple as u8);
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,34 +321,5 @@ mod tests {
     fn oversized_record_batch_is_rejected() {
         let records = vec![Record::new(0, Bytes::from(vec![0u8; MAX_FRAME_LEN - 8])); 2];
         assert!(record_body(&records).is_err());
-    }
-
-    #[test]
-    fn base64_round_trip() {
-        for data in [&b""[..], b"f", b"fo", b"foo", b"foob", b"fooba", b"foobar"] {
-            let encoded = base64_encode(data);
-            assert_eq!(base64_decode(&encoded).unwrap(), data, "round trip of {data:?}");
-        }
-    }
-
-    #[test]
-    fn base64_known_vectors() {
-        assert_eq!(base64_encode(b"foobar"), "Zm9vYmFy");
-        assert_eq!(base64_encode(b"foo"), "Zm9v");
-        assert_eq!(base64_encode(b"fo"), "Zm8=");
-        assert_eq!(base64_encode(b"f"), "Zg==");
-    }
-
-    #[test]
-    fn base64_inflates_by_four_thirds() {
-        let data = vec![0u8; 168_000]; // a Landsat tile from the paper
-        let encoded = base64_encode(&data);
-        assert_eq!(encoded.len(), 224_000);
-    }
-
-    #[test]
-    fn base64_rejects_invalid_input() {
-        assert!(base64_decode("abc").is_err());
-        assert!(base64_decode("ab!=").is_err());
     }
 }

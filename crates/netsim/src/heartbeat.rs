@@ -3,12 +3,9 @@
 //! Pando relies on the heartbeat mechanism of WebSocket and WebRTC to suspect
 //! failures: a peer that stops answering heartbeats within a time bound is
 //! considered crashed (crash-stop model under partial synchrony, paper §2.3).
-//! [`FailureDetector`] captures that logic in one place so both the simulated
-//! channels and the master's volunteer registry share the same semantics.
+//! [`FailureDetector`] captures that logic in one place so the simulated
+//! channels and the master's drivers share the same semantics.
 
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::hash::Hash;
 use std::time::{Duration, Instant};
 
 /// A simple timeout-based failure detector.
@@ -19,7 +16,6 @@ use std::time::{Duration, Instant};
 /// life.
 #[derive(Debug, Clone)]
 pub struct FailureDetector {
-    heartbeat_interval: Duration,
     failure_timeout: Duration,
 }
 
@@ -36,91 +32,21 @@ impl FailureDetector {
             failure_timeout > heartbeat_interval,
             "failure timeout must exceed the heartbeat interval"
         );
-        Self { heartbeat_interval, failure_timeout }
-    }
-
-    /// Interval at which peers are expected to emit heartbeats.
-    pub fn heartbeat_interval(&self) -> Duration {
-        self.heartbeat_interval
-    }
-
-    /// Time without heartbeat after which a peer is suspected.
-    pub fn failure_timeout(&self) -> Duration {
-        self.failure_timeout
+        Self { failure_timeout }
     }
 
     /// Returns `true` if a peer last heard from at `last_seen` should be
-    /// suspected of having crashed.
-    pub fn suspects(&self, last_seen: Instant) -> bool {
-        self.suspects_at(last_seen, Instant::now())
-    }
-
-    /// Like [`FailureDetector::suspects`], but against an explicit `now` —
-    /// the form used by components running on a virtual
-    /// [`Clock`](crate::sim::Clock), where `Instant::now()` would compare
-    /// simulated timestamps against wall time.
+    /// suspected of having crashed by `now`. The caller supplies `now` so
+    /// components running on a virtual [`Clock`](crate::sim::Clock) compare
+    /// simulated timestamps against simulated time, not wall time.
     pub fn suspects_at(&self, last_seen: Instant, now: Instant) -> bool {
         now.saturating_duration_since(last_seen) >= self.failure_timeout
-    }
-}
-
-/// Tracks the liveness of a set of peers identified by `K`.
-///
-/// The Pando master keeps one entry per connected volunteer; the periodic
-/// heartbeat of the underlying channel refreshes the entry, and the master
-/// reaps sub-streams whose volunteer became suspect.
-#[derive(Debug)]
-pub struct LivenessRegistry<K> {
-    detector: FailureDetector,
-    last_seen: Mutex<HashMap<K, Instant>>,
-}
-
-impl<K: Eq + Hash + Clone> LivenessRegistry<K> {
-    /// Creates an empty registry with the given detector.
-    pub fn new(detector: FailureDetector) -> Self {
-        Self { detector, last_seen: Mutex::new(HashMap::new()) }
-    }
-
-    /// Records a sign of life from `peer` (a heartbeat or any message).
-    pub fn heartbeat(&self, peer: K) {
-        self.last_seen.lock().insert(peer, Instant::now());
-    }
-
-    /// Removes `peer` from the registry (it left cleanly).
-    pub fn remove(&self, peer: &K) {
-        self.last_seen.lock().remove(peer);
-    }
-
-    /// Returns `true` if `peer` is known and not suspected.
-    pub fn is_alive(&self, peer: &K) -> bool {
-        self.last_seen.lock().get(peer).map(|last| !self.detector.suspects(*last)).unwrap_or(false)
-    }
-
-    /// Returns the peers currently suspected of having crashed.
-    pub fn suspected(&self) -> Vec<K> {
-        self.last_seen
-            .lock()
-            .iter()
-            .filter(|(_, last)| self.detector.suspects(**last))
-            .map(|(peer, _)| peer.clone())
-            .collect()
-    }
-
-    /// Number of peers currently tracked.
-    pub fn len(&self) -> usize {
-        self.last_seen.lock().len()
-    }
-
-    /// Returns `true` if no peer is tracked.
-    pub fn is_empty(&self) -> bool {
-        self.last_seen.lock().is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
 
     fn detector(timeout_ms: u64) -> FailureDetector {
         FailureDetector::new(
@@ -138,45 +64,16 @@ mod tests {
     #[test]
     fn fresh_peer_is_not_suspected() {
         let d = detector(100);
-        assert!(!d.suspects(Instant::now()));
-        assert_eq!(d.failure_timeout(), Duration::from_millis(100));
-        assert_eq!(d.heartbeat_interval(), Duration::from_millis(33));
+        let now = Instant::now();
+        assert!(!d.suspects_at(now, now));
+        assert!(!d.suspects_at(now, now + Duration::from_millis(99)));
     }
 
     #[test]
     fn stale_peer_is_suspected() {
         let d = detector(30);
-        let long_ago = Instant::now() - Duration::from_millis(500);
-        assert!(d.suspects(long_ago));
-    }
-
-    #[test]
-    fn registry_tracks_liveness() {
-        let registry = LivenessRegistry::new(detector(60));
-        assert!(registry.is_empty());
-        registry.heartbeat("tablet");
-        registry.heartbeat("phone");
-        assert_eq!(registry.len(), 2);
-        assert!(registry.is_alive(&"tablet"));
-        assert!(registry.suspected().is_empty());
-
-        // The tablet stops heart-beating; the phone keeps going.
-        thread::sleep(Duration::from_millis(40));
-        registry.heartbeat("phone");
-        thread::sleep(Duration::from_millis(30));
-        registry.heartbeat("phone");
-        assert!(!registry.is_alive(&"tablet"));
-        assert!(registry.is_alive(&"phone"));
-        assert_eq!(registry.suspected(), vec!["tablet"]);
-
-        registry.remove(&"tablet");
-        assert_eq!(registry.len(), 1);
-        assert!(!registry.is_alive(&"tablet"));
-    }
-
-    #[test]
-    fn unknown_peer_is_not_alive() {
-        let registry: LivenessRegistry<u32> = LivenessRegistry::new(detector(60));
-        assert!(!registry.is_alive(&42));
+        let now = Instant::now();
+        assert!(d.suspects_at(now, now + Duration::from_millis(30)));
+        assert!(d.suspects_at(now, now + Duration::from_millis(500)));
     }
 }

@@ -20,9 +20,9 @@
 //!   traversal model;
 //! * [`codec`] — a length-delimited frame codec over [`bytes`], used by the
 //!   core protocol to give messages a realistic wire size;
-//! * [`sim`] — a small deterministic discrete-event simulation core used by
-//!   the evaluation harness to replay the paper's LAN / VPN / WAN scenarios
-//!   without waiting for wall-clock time.
+//! * [`sim`] — the [`Clock`](sim::Clock) every channel reads time from: the
+//!   wall clock, or a virtual clock that the deterministic fleet simulator
+//!   advances explicitly, and a stand-alone event queue over simulated time.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,5 +36,5 @@ pub mod sim;
 
 pub use channel::{ChannelConfig, ChannelKind, Endpoint, RecvError, SendError};
 pub use fault::FaultPlan;
-pub use signaling::{NatModel, PublicServer, VolunteerUrl};
+pub use signaling::{PublicServer, VolunteerUrl};
 pub use sim::{EventQueue, SimTime};

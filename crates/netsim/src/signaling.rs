@@ -18,46 +18,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::fmt;
-use std::time::Duration;
-
-/// Probability model for NAT traversal when negotiating a direct (WebRTC)
-/// connection.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NatModel {
-    /// Probability that a direct connection can be established; otherwise the
-    /// connection falls back to the relay.
-    pub direct_success_probability: f64,
-}
-
-impl NatModel {
-    /// Every direct connection succeeds (devices on the same LAN or with
-    /// public addresses).
-    pub fn open() -> Self {
-        Self { direct_success_probability: 1.0 }
-    }
-
-    /// Symmetric-NAT heavy environment: most direct connections fail.
-    pub fn restrictive() -> Self {
-        Self { direct_success_probability: 0.2 }
-    }
-}
-
-impl Default for NatModel {
-    fn default() -> Self {
-        Self { direct_success_probability: 0.85 }
-    }
-}
 
 /// The URL printed by Pando on startup and shared with volunteers.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct VolunteerUrl(String);
-
-impl VolunteerUrl {
-    /// The textual form of the URL.
-    pub fn as_str(&self) -> &str {
-        &self.0
-    }
-}
 
 impl fmt::Display for VolunteerUrl {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -89,8 +53,9 @@ struct Listener<T> {
 /// specific to a single master and shuts down with it (design principle DP1).
 pub struct PublicServer<T> {
     listeners: Mutex<HashMap<VolunteerUrl, Listener<T>>>,
-    nat: NatModel,
-    signalling_latency: Duration,
+    /// Probability that NAT traversal lets a direct (WebRTC) connection
+    /// through; otherwise the connection falls back to the relay.
+    direct_success_probability: f64,
     rng: Mutex<StdRng>,
     next_url: Mutex<u64>,
 }
@@ -98,29 +63,25 @@ pub struct PublicServer<T> {
 impl<T> fmt::Debug for PublicServer<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PublicServer")
-            .field("nat", &self.nat)
-            .field("signalling_latency", &self.signalling_latency)
+            .field("direct_success_probability", &self.direct_success_probability)
             .finish_non_exhaustive()
     }
 }
 
 impl<T: Send + 'static> PublicServer<T> {
-    /// Creates a server with the given NAT model and signalling latency
-    /// (the round trips needed to exchange WebRTC session descriptions).
-    pub fn new(nat: NatModel, signalling_latency: Duration, seed: u64) -> Self {
+    fn new(direct_success_probability: f64, seed: u64) -> Self {
         Self {
             listeners: Mutex::new(HashMap::new()),
-            nat,
-            signalling_latency,
+            direct_success_probability,
             rng: Mutex::new(StdRng::seed_from_u64(seed)),
             next_url: Mutex::new(0),
         }
     }
 
-    /// A server on an open network with negligible signalling latency,
-    /// suitable for tests.
+    /// A server on an open network (every direct connection succeeds) with
+    /// negligible signalling latency.
     pub fn local() -> Self {
-        Self::new(NatModel::open(), Duration::ZERO, 0)
+        Self::new(1.0, 0)
     }
 
     /// Registers a new deployment and returns the URL to share with
@@ -150,11 +111,6 @@ impl<T: Send + 'static> PublicServer<T> {
         self.listeners.lock().remove(url);
     }
 
-    /// Number of deployments currently hosted.
-    pub fn deployments(&self) -> usize {
-        self.listeners.lock().len()
-    }
-
     /// Joins the deployment at `url` as a volunteer: performs the signalling
     /// handshake and returns the volunteer-side endpoint together with the
     /// kind of connection that was established.
@@ -164,16 +120,12 @@ impl<T: Send + 'static> PublicServer<T> {
     /// Returns an error if no deployment is hosted at `url` (it shut down or
     /// never existed).
     pub fn join(&self, url: &VolunteerUrl) -> Result<(Endpoint<T>, ChannelKind), StreamError> {
-        if !self.signalling_latency.is_zero() {
-            std::thread::sleep(self.signalling_latency);
-        }
         let mut listeners = self.listeners.lock();
         let listener = listeners
             .get_mut(url)
             .ok_or_else(|| StreamError::transport(format!("no deployment at {url}")))?;
         let wants_direct = listener.direct.kind == ChannelKind::WebRtc;
-        let direct_ok =
-            wants_direct && self.rng.lock().gen_bool(self.nat.direct_success_probability);
+        let direct_ok = wants_direct && self.rng.lock().gen_bool(self.direct_success_probability);
         let (kind, config) = if direct_ok {
             (ChannelKind::WebRtc, listener.direct.clone())
         } else {
@@ -202,7 +154,6 @@ mod tests {
     fn volunteers_reach_the_master() {
         let server: PublicServer<String> = PublicServer::local();
         let (url, incoming) = server.host(webrtc_config(), ChannelConfig::instant());
-        assert_eq!(server.deployments(), 1);
 
         let (volunteer, kind) = server.join(&url).unwrap();
         assert_eq!(kind, ChannelKind::WebRtc, "open NAT gives a direct connection");
@@ -228,8 +179,7 @@ mod tests {
 
     #[test]
     fn restrictive_nat_falls_back_to_relay() {
-        let server: PublicServer<u8> =
-            PublicServer::new(NatModel { direct_success_probability: 0.0 }, Duration::ZERO, 1);
+        let server: PublicServer<u8> = PublicServer::new(0.0, 1);
         let (url, incoming) = server.host(webrtc_config(), ChannelConfig::instant());
         let (_volunteer, kind) = server.join(&url).unwrap();
         assert_eq!(kind, ChannelKind::WebSocket);
@@ -241,7 +191,6 @@ mod tests {
         let server: PublicServer<u8> = PublicServer::local();
         let (url, _incoming) = server.host(webrtc_config(), ChannelConfig::instant());
         server.unhost(&url);
-        assert_eq!(server.deployments(), 0);
         let err = server.join(&url).unwrap_err();
         assert!(err.is_transport());
     }
@@ -252,14 +201,6 @@ mod tests {
         let (url1, _rx1) = server.host(webrtc_config(), ChannelConfig::instant());
         let (url2, _rx2) = server.host(webrtc_config(), ChannelConfig::instant());
         assert_ne!(url1, url2);
-        assert!(url1.as_str().starts_with("http://"));
-        assert_eq!(format!("{url1}"), url1.as_str());
-    }
-
-    #[test]
-    fn nat_models_expose_probabilities() {
-        assert_eq!(NatModel::open().direct_success_probability, 1.0);
-        assert!(NatModel::restrictive().direct_success_probability < 0.5);
-        assert!(NatModel::default().direct_success_probability > 0.5);
+        assert!(url1.to_string().starts_with("http://"));
     }
 }

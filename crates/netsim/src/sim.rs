@@ -1,14 +1,16 @@
-//! A minimal deterministic discrete-event simulation core.
+//! Simulated time.
 //!
-//! The evaluation harness replays the paper's LAN / VPN / WAN scenarios
-//! (Table 2) over five simulated minutes. Running them in wall-clock time
-//! would take hours; instead the bench binaries drive a virtual clock and an
-//! event queue. The simulation core is deliberately tiny: simulated time,
-//! an ordered event queue, helpers to convert to and from [`Duration`], and
-//! a [`Clock`] that lets the *real* transport stack
+//! The evaluation replays the paper's LAN / VPN / WAN scenarios (Table 2)
+//! over minutes of simulated time. Running them in wall-clock time would take
+//! hours; instead a [`Clock`] lets the *real* transport stack
 //! ([`channel`](crate::channel)) run on either the wall clock or a virtual
 //! clock advanced explicitly by a single-threaded scheduler — the foundation
-//! of the deterministic reactor simulation in `pando_core::sim`.
+//! of the deterministic fleet simulation in `pando_core::sim`.
+//!
+//! [`SimTime`] and [`EventQueue`] are a stand-alone discrete-event core:
+//! microsecond simulated time and an event queue that pops in time order,
+//! ties in FIFO order. Nothing in the workspace calls them
+//! (`docs/PUB_CENSUS.txt` lists them without a caller).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

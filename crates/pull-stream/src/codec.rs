@@ -17,9 +17,8 @@
 //!   natural binary layout (raw pixel buffers, big-endian integers, IEEE-754
 //!   doubles) instead of strings.
 //!
-//! Two codecs are provided here because every layer needs them:
-//! [`BytesCodec`] (the identity, for pipelines that are already binary) and
-//! [`StringCodec`] (UTF-8 text, the compatibility path for string workloads).
+//! One codec is provided here: [`StringCodec`] (UTF-8 text, the compatibility
+//! path for string workloads).
 
 use crate::error::StreamError;
 use bytes::Bytes;
@@ -106,33 +105,6 @@ pub trait TaskCodec: Send + Sync + 'static {
     fn decode_result(&self, bytes: &Payload) -> Result<Self::Result, StreamError>;
 }
 
-/// The identity codec: tasks and results are already [`Payload`]s.
-///
-/// Decoding copies nothing — the reference-counted buffer is shared as-is.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BytesCodec;
-
-impl TaskCodec for BytesCodec {
-    type Task = Bytes;
-    type Result = Bytes;
-
-    fn encode_task(&self, task: &Bytes) -> Payload {
-        task.clone()
-    }
-
-    fn decode_task(&self, bytes: &Payload) -> Result<Bytes, StreamError> {
-        Ok(bytes.clone())
-    }
-
-    fn encode_result(&self, result: &Bytes) -> Payload {
-        result.clone()
-    }
-
-    fn decode_result(&self, bytes: &Payload) -> Result<Bytes, StreamError> {
-        Ok(bytes.clone())
-    }
-}
-
 /// UTF-8 text codec: the compatibility path for workloads whose values are
 /// strings (the original `'/pando/1.0.0'` convention).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -216,16 +188,6 @@ pub fn split_at(bytes: &[u8], n: usize) -> Result<(&[u8], &[u8]), StreamError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bytes_codec_is_the_identity() {
-        let codec = BytesCodec;
-        let payload = Bytes::from(vec![0u8, 1, 2, 255]);
-        assert_eq!(codec.encode_task(&payload), payload);
-        assert_eq!(codec.decode_task(&payload).unwrap(), payload);
-        assert_eq!(codec.encode_result(&payload), payload);
-        assert_eq!(codec.decode_result(&payload).unwrap(), payload);
-    }
 
     #[test]
     fn string_codec_round_trips_text() {

@@ -1,9 +1,11 @@
 //! Duplex streams: a paired source and sink, the shape of a bidirectional
 //! channel endpoint and of a StreamLender sub-stream.
 
-use crate::error::StreamError;
-use crate::sink::{BoxSink, Sink};
-use crate::source::{BoxSource, Source};
+use crate::sink::BoxSink;
+use crate::source::BoxSource;
+#[cfg(test)]
+use crate::{error::StreamError, sink::Sink, source::Source};
+#[cfg(test)]
 use std::thread::{self, JoinHandle};
 
 /// A bidirectional stream endpoint.
@@ -19,19 +21,11 @@ pub struct Duplex<In, Out> {
     pub sink: BoxSink<In>,
 }
 
-impl<In, Out> Duplex<In, Out>
-where
-    In: Send + 'static,
-    Out: Send + 'static,
-{
+#[cfg(test)]
+impl<In: Send + 'static, Out: Send + 'static> Duplex<In, Out> {
     /// Creates a duplex from a source and a sink.
     pub fn new(source: impl Source<Out> + 'static, sink: impl Sink<In> + 'static) -> Self {
         Self { source: Box::new(source), sink: Box::new(sink) }
-    }
-
-    /// Splits the duplex into its source and sink halves.
-    pub fn split(self) -> (BoxSource<Out>, BoxSink<In>) {
-        (self.source, self.sink)
     }
 }
 
@@ -41,25 +35,9 @@ impl<In, Out> std::fmt::Debug for Duplex<In, Out> {
     }
 }
 
-/// Drains `source` into `sink` on the calling thread, the equivalent of
-/// `pull(source, sink)` in the JavaScript pull-stream library.
-///
-/// # Errors
-///
-/// Returns the stream error if either side terminates with one.
-pub fn pipe<T: Send + 'static>(
-    source: impl Source<T> + 'static,
-    mut sink: impl Sink<T>,
-) -> Result<(), StreamError> {
-    sink.drain(Box::new(source))
-}
-
 /// Connects two duplex endpoints with two pump threads: everything produced
 /// by `a` is sent into `b`, and everything produced by `b` is sent into `a`.
-///
-/// This is how the Pando master connects a StreamLender sub-stream to the
-/// (limited) channel towards a volunteer device: tasks flow one way, results
-/// flow back the other way, in parallel.
+#[cfg(test)]
 pub fn connect<A, B>(a: Duplex<A, B>, b: Duplex<B, A>) -> DuplexLink
 where
     A: Send + 'static,
@@ -79,18 +57,16 @@ where
 }
 
 /// Handle on the two pump threads created by [`connect`].
+#[cfg(test)]
 #[derive(Debug)]
 pub struct DuplexLink {
     forward: JoinHandle<Result<(), StreamError>>,
     backward: JoinHandle<Result<(), StreamError>>,
 }
 
+#[cfg(test)]
 impl DuplexLink {
     /// Waits for both pump threads to finish and reports the first error.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first stream error reported by either direction.
     pub fn join(self) -> Result<(), StreamError> {
         let forward = self
             .forward
@@ -102,11 +78,6 @@ impl DuplexLink {
             .map_err(|_| StreamError::protocol("duplex backward pump panicked"))?;
         forward.and(backward)
     }
-
-    /// Returns `true` once both pump threads have finished.
-    pub fn is_finished(&self) -> bool {
-        self.forward.is_finished() && self.backward.is_finished()
-    }
 }
 
 #[cfg(test)]
@@ -115,20 +86,6 @@ mod tests {
     use crate::sink::fn_sink;
     use crate::source::{count, SourceExt};
     use crossbeam::channel;
-
-    #[test]
-    fn pipe_moves_all_values() {
-        let (tx, rx) = channel::unbounded();
-        pipe(
-            count(5),
-            fn_sink(move |v: u64| {
-                tx.send(v).map_err(|_| StreamError::transport("receiver dropped"))
-            }),
-        )
-        .unwrap();
-        let received: Vec<u64> = rx.try_iter().collect();
-        assert_eq!(received, vec![1, 2, 3, 4, 5]);
-    }
 
     #[test]
     fn connect_pumps_both_directions() {
@@ -149,13 +106,6 @@ mod tests {
         let to_a: Vec<u64> = a_recv_rx.try_iter().collect();
         assert_eq!(to_b, (1..=10).collect::<Vec<_>>());
         assert_eq!(to_a, (100..=104).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn split_gives_back_halves() {
-        let duplex: Duplex<u64, u64> = Duplex::new(count(2), fn_sink(|_v: u64| Ok(())));
-        let (source, mut sink) = duplex.split();
-        assert_eq!(sink.drain(source), Ok(()));
     }
 
     #[test]

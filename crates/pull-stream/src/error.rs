@@ -36,8 +36,6 @@ pub enum ErrorKind {
     /// A protocol violation: a module answered after `done`, returned a result
     /// for a value it never borrowed, etc.
     Protocol,
-    /// The stream was cancelled by the consumer.
-    Cancelled,
 }
 
 impl StreamError {
@@ -46,7 +44,7 @@ impl StreamError {
     /// ```
     /// # use pando_pull_stream::StreamError;
     /// let err = StreamError::new("bad input");
-    /// assert!(err.is_application());
+    /// assert_eq!(err.kind(), pando_pull_stream::error::ErrorKind::Application);
     /// ```
     pub fn new(message: impl Into<String>) -> Self {
         Self { message: message.into(), kind: ErrorKind::Application }
@@ -62,11 +60,6 @@ impl StreamError {
         Self { message: message.into(), kind: ErrorKind::Protocol }
     }
 
-    /// Creates a cancellation error.
-    pub fn cancelled(message: impl Into<String>) -> Self {
-        Self { message: message.into(), kind: ErrorKind::Cancelled }
-    }
-
     /// The human readable message carried by the error.
     pub fn message(&self) -> &str {
         &self.message
@@ -77,11 +70,6 @@ impl StreamError {
         self.kind
     }
 
-    /// Returns `true` if the error was raised by application code.
-    pub fn is_application(&self) -> bool {
-        self.kind == ErrorKind::Application
-    }
-
     /// Returns `true` if the error came from the transport layer.
     pub fn is_transport(&self) -> bool {
         self.kind == ErrorKind::Transport
@@ -90,11 +78,6 @@ impl StreamError {
     /// Returns `true` if the error marks a pull-stream protocol violation.
     pub fn is_protocol(&self) -> bool {
         self.kind == ErrorKind::Protocol
-    }
-
-    /// Returns `true` if the error marks a cancellation by the consumer.
-    pub fn is_cancelled(&self) -> bool {
-        self.kind == ErrorKind::Cancelled
     }
 }
 
@@ -131,11 +114,10 @@ mod tests {
 
     #[test]
     fn kinds_are_reported() {
-        assert!(StreamError::new("a").is_application());
+        assert_eq!(StreamError::new("a").kind(), ErrorKind::Application);
         assert!(StreamError::transport("t").is_transport());
         assert!(StreamError::protocol("p").is_protocol());
-        assert!(StreamError::cancelled("c").is_cancelled());
-        assert!(!StreamError::transport("t").is_application());
+        assert!(!StreamError::transport("t").is_protocol());
     }
 
     #[test]

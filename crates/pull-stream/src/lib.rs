@@ -9,8 +9,9 @@
 //!   downstream consumer *asks* for each value and an upstream producer
 //!   answers with a *value*, *done*, or an *error* — the Rust analogue of the
 //!   JavaScript `pull-stream` callback protocol used by Pando;
-//! * a library of composable stream modules (sources, transformers and
-//!   sinks) in [`source`], [`through`] and [`sink`];
+//! * the few stream modules the coordination layer composes around them:
+//!   in-memory and generated sources ([`source`]), `map` and `asyncMap`
+//!   ([`through`]) and collecting sinks ([`sink`]);
 //! * the typed payload layer ([`codec`]): [`codec::Payload`] is the binary
 //!   wire form of every task and result (`bytes::Bytes`, cheap to clone and
 //!   slice), and [`codec::TaskCodec`] maps application types to it —
@@ -78,7 +79,6 @@
 pub mod codec;
 pub mod duplex;
 pub mod error;
-pub mod iter;
 pub mod lender;
 pub mod limit;
 pub mod protocol;
@@ -91,7 +91,7 @@ pub mod through;
 
 pub use codec::{Payload, TaskCodec};
 pub use error::StreamError;
-pub use protocol::{Answer, End, Request};
+pub use protocol::{Answer, Request};
 pub use shard::{ShardedLender, ShardedOutput};
 pub use sink::{BoxSink, Sink};
 pub use source::{BoxSource, Source, SourceExt};

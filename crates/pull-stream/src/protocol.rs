@@ -35,14 +35,6 @@ impl Request {
     pub fn is_termination(&self) -> bool {
         !matches!(self, Request::Ask)
     }
-
-    /// The error carried by a [`Request::Fail`], if any.
-    pub fn error(&self) -> Option<&StreamError> {
-        match self {
-            Request::Fail(err) => Some(err),
-            _ => None,
-        }
-    }
 }
 
 /// An answer sent downstream by the producer of a stream.
@@ -73,17 +65,10 @@ impl<T> Answer<T> {
     }
 
     /// Returns the carried value, if any, consuming the answer.
+    #[cfg(test)]
     pub fn into_value(self) -> Option<T> {
         match self {
             Answer::Value(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Returns the carried error, if any.
-    pub fn error(&self) -> Option<&StreamError> {
-        match self {
-            Answer::Err(err) => Some(err),
             _ => None,
         }
     }
@@ -102,15 +87,6 @@ impl<T> Answer<T> {
             Answer::Value(v) => Answer::Value(f(v)),
             Answer::Done => Answer::Done,
             Answer::Err(e) => Answer::Err(e),
-        }
-    }
-
-    /// Converts the terminal answers into an [`End`] marker, if terminal.
-    pub fn end(&self) -> Option<End> {
-        match self {
-            Answer::Value(_) => None,
-            Answer::Done => Some(End::Done),
-            Answer::Err(e) => Some(End::Failed(e.clone())),
         }
     }
 }
@@ -133,36 +109,6 @@ impl<T> From<Result<T, StreamError>> for Answer<T> {
     }
 }
 
-/// The way a stream terminated.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum End {
-    /// The stream completed normally.
-    Done,
-    /// The stream terminated with an error.
-    Failed(StreamError),
-}
-
-impl End {
-    /// Converts the termination marker into a `Result`.
-    ///
-    /// ```
-    /// use pando_pull_stream::{End, StreamError};
-    /// assert!(End::Done.into_result().is_ok());
-    /// assert!(End::Failed(StreamError::new("x")).into_result().is_err());
-    /// ```
-    pub fn into_result(self) -> Result<(), StreamError> {
-        match self {
-            End::Done => Ok(()),
-            End::Failed(e) => Err(e),
-        }
-    }
-
-    /// Returns `true` if the stream completed without error.
-    pub fn is_done(&self) -> bool {
-        matches!(self, End::Done)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,8 +119,6 @@ mod tests {
         assert!(Request::Abort.is_termination());
         let fail = Request::Fail(StreamError::new("x"));
         assert!(fail.is_termination());
-        assert_eq!(fail.error().unwrap().message(), "x");
-        assert!(Request::Ask.error().is_none());
     }
 
     #[test]
@@ -183,17 +127,13 @@ mod tests {
         assert!(v.is_value());
         assert!(!v.is_termination());
         assert_eq!(v.clone().into_value(), Some(3));
-        assert!(v.end().is_none());
 
         let d: Answer<i32> = Answer::Done;
         assert!(d.is_done());
         assert!(d.is_termination());
-        assert_eq!(d.end(), Some(End::Done));
 
         let e: Answer<i32> = Answer::Err(StreamError::new("bad"));
         assert!(e.is_termination());
-        assert_eq!(e.error().unwrap().message(), "bad");
-        assert!(matches!(e.end(), Some(End::Failed(_))));
     }
 
     #[test]
@@ -211,14 +151,5 @@ mod tests {
             Answer::<i32>::from(Err(StreamError::new("e"))),
             Answer::Err(StreamError::new("e"))
         );
-    }
-
-    #[test]
-    fn end_into_result() {
-        assert!(End::Done.into_result().is_ok());
-        assert!(End::Done.is_done());
-        let failed = End::Failed(StreamError::new("x"));
-        assert!(!failed.is_done());
-        assert_eq!(failed.into_result().unwrap_err().message(), "x");
     }
 }

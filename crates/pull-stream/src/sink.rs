@@ -1,9 +1,9 @@
 //! Sinks: the consuming end of a pull-stream.
 //!
-//! A sink drives a source to completion. The free functions in this module
-//! ([`drain`], [`collect`], [`for_each`], [`reduce`]) are the most common
-//! sinks; the [`Sink`] trait is used where a sink must be handed around as a
-//! value, for example the sending half of a network channel.
+//! A sink drives a source to completion. The free functions [`collect`] and
+//! [`take`] drain a stream into a `Vec`; the [`Sink`] trait is used where a
+//! sink must be handed around as a value, for example the sending half of a
+//! network channel.
 
 use crate::error::StreamError;
 use crate::protocol::{Answer, Request};
@@ -37,16 +37,7 @@ impl<T> Sink<T> for BoxSink<T> {
 ///
 /// The closure returns `Ok(())` to keep pulling or an error to fail the
 /// stream (the error is propagated upstream with [`Request::Fail`]).
-///
-/// ```
-/// use pando_pull_stream::sink::{fn_sink, Sink};
-/// use pando_pull_stream::source::{count, SourceExt};
-///
-/// let mut sum = 0u64;
-/// let mut sink = fn_sink(|v: u64| { sum += v; Ok(()) });
-/// sink.drain(count(4).boxed()).unwrap();
-/// assert_eq!(sum, 10);
-/// ```
+#[cfg(test)]
 pub fn fn_sink<T, F>(f: F) -> FnSink<F>
 where
     T: Send,
@@ -56,11 +47,13 @@ where
 }
 
 /// Sink wrapping a closure. Created by [`fn_sink`].
+#[cfg(test)]
 #[derive(Debug)]
 pub struct FnSink<F> {
     f: F,
 }
 
+#[cfg(test)]
 impl<T, F> Sink<T> for FnSink<F>
 where
     T: Send,
@@ -82,23 +75,6 @@ where
     }
 }
 
-/// Pulls `source` to completion, discarding every value, and returns how many
-/// values were consumed (the pull-stream `drain` module).
-///
-/// # Errors
-///
-/// Returns the stream error if the source terminates with one.
-pub fn drain<T, S: Source<T>>(mut source: S) -> Result<usize, StreamError> {
-    let mut n = 0;
-    loop {
-        match source.pull(Request::Ask) {
-            Answer::Value(_) => n += 1,
-            Answer::Done => return Ok(n),
-            Answer::Err(err) => return Err(err),
-        }
-    }
-}
-
 /// Pulls `source` to completion, collecting every value into a `Vec` (the
 /// pull-stream `collect` module).
 ///
@@ -111,53 +87,6 @@ pub fn collect<T, S: Source<T>>(mut source: S) -> Result<Vec<T>, StreamError> {
         match source.pull(Request::Ask) {
             Answer::Value(v) => out.push(v),
             Answer::Done => return Ok(out),
-            Answer::Err(err) => return Err(err),
-        }
-    }
-}
-
-/// Calls `f` for every value of `source` until it terminates.
-///
-/// # Errors
-///
-/// Returns the stream error if the source terminates with one.
-pub fn for_each<T, S, F>(mut source: S, mut f: F) -> Result<(), StreamError>
-where
-    S: Source<T>,
-    F: FnMut(T),
-{
-    loop {
-        match source.pull(Request::Ask) {
-            Answer::Value(v) => f(v),
-            Answer::Done => return Ok(()),
-            Answer::Err(err) => return Err(err),
-        }
-    }
-}
-
-/// Folds every value of `source` into an accumulator (the pull-stream
-/// `reduce` module).
-///
-/// # Errors
-///
-/// Returns the stream error if the source terminates with one.
-///
-/// ```
-/// use pando_pull_stream::sink::reduce;
-/// use pando_pull_stream::source::count;
-/// let max = reduce(count(10), 0u64, |acc, v| acc.max(v)).unwrap();
-/// assert_eq!(max, 10);
-/// ```
-pub fn reduce<T, A, S, F>(mut source: S, init: A, mut f: F) -> Result<A, StreamError>
-where
-    S: Source<T>,
-    F: FnMut(A, T) -> A,
-{
-    let mut acc = init;
-    loop {
-        match source.pull(Request::Ask) {
-            Answer::Value(v) => acc = f(acc, v),
-            Answer::Done => return Ok(acc),
             Answer::Err(err) => return Err(err),
         }
     }
@@ -189,12 +118,6 @@ mod tests {
     use crate::source::{count, failing, infinite, SourceExt};
 
     #[test]
-    fn drain_counts_values() {
-        assert_eq!(drain(count(7)).unwrap(), 7);
-        assert_eq!(drain(count(0)).unwrap(), 0);
-    }
-
-    #[test]
     fn collect_gathers_values() {
         assert_eq!(collect(count(3)).unwrap(), vec![1, 2, 3]);
     }
@@ -202,12 +125,6 @@ mod tests {
     #[test]
     fn collect_propagates_error() {
         assert!(collect(failing::<u8>(StreamError::new("e"))).is_err());
-    }
-
-    #[test]
-    fn reduce_folds() {
-        let sum = reduce(count(100), 0u64, |acc, v| acc + v).unwrap();
-        assert_eq!(sum, 5050);
     }
 
     #[test]

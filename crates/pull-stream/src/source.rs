@@ -2,7 +2,6 @@
 //! sources and the [`SourceExt`] combinator extension trait.
 
 use crate::error::StreamError;
-use crate::iter::IntoValues;
 use crate::protocol::{Answer, Request};
 use crate::sink;
 use crate::through;
@@ -77,14 +76,15 @@ where
 
 /// Extension methods available on every [`Source`].
 ///
-/// These mirror the pull-stream module ecosystem used by Pando: `map`,
-/// `asyncMap` ([`SourceExt::try_map`]), `filter`, `take`, `drain`, `collect`,
-/// and free-form composition with [`SourceExt::through`].
+/// These are the pull-stream modules the master composes: `map`
+/// ([`SourceExt::map_values`]), `asyncMap` ([`SourceExt::try_map`]) and
+/// `collect` ([`SourceExt::collect_values`]).
 pub trait SourceExt<T>: Source<T> + Sized + 'static
 where
     T: Send + 'static,
 {
     /// Boxes the source, erasing its concrete type.
+    #[cfg(test)]
     fn boxed(self) -> BoxSource<T> {
         Box::new(self)
     }
@@ -124,77 +124,6 @@ where
         through::TryMap::new(self, f)
     }
 
-    /// Keeps only the values for which `predicate` returns `true`.
-    ///
-    /// ```
-    /// use pando_pull_stream::source::{count, SourceExt};
-    /// let even: Vec<u64> = count(6).filter_values(|x| x % 2 == 0).collect_values().unwrap();
-    /// assert_eq!(even, vec![2, 4, 6]);
-    /// ```
-    fn filter_values<F>(self, predicate: F) -> through::Filter<Self, F>
-    where
-        F: FnMut(&T) -> bool + Send + 'static,
-    {
-        through::Filter::new(self, predicate)
-    }
-
-    /// Maps and filters in a single pass.
-    fn filter_map_values<U, F>(self, f: F) -> through::FilterMap<Self, F, T>
-    where
-        U: Send + 'static,
-        F: FnMut(T) -> Option<U> + Send + 'static,
-    {
-        through::FilterMap::new(self, f)
-    }
-
-    /// Passes at most `n` values through, then aborts the upstream source.
-    ///
-    /// ```
-    /// use pando_pull_stream::source::{infinite, SourceExt};
-    /// let three: Vec<u64> = infinite(|i| i).take_values(3).collect_values().unwrap();
-    /// assert_eq!(three, vec![0, 1, 2]);
-    /// ```
-    fn take_values(self, n: usize) -> through::Take<Self> {
-        through::Take::new(self, n)
-    }
-
-    /// Calls `f` on a reference to every value flowing through, unchanged.
-    fn inspect_values<F>(self, f: F) -> through::Inspect<Self, F>
-    where
-        F: FnMut(&T) + Send + 'static,
-    {
-        through::Inspect::new(self, f)
-    }
-
-    /// Applies an arbitrary through (transformer) constructor, enabling
-    /// pipeline composition in the style of `pull(source, through, sink)`.
-    ///
-    /// ```
-    /// use pando_pull_stream::source::{count, SourceExt};
-    /// use pando_pull_stream::through::Map;
-    /// let out: Vec<u64> = count(3)
-    ///     .through(|s| Map::new(s, |x: u64| x + 10))
-    ///     .collect_values()
-    ///     .unwrap();
-    /// assert_eq!(out, vec![11, 12, 13]);
-    /// ```
-    fn through<U, S, F>(self, f: F) -> S
-    where
-        S: Source<U>,
-        F: FnOnce(Self) -> S,
-    {
-        f(self)
-    }
-
-    /// Drives the stream to completion, discarding values (the `drain` sink).
-    ///
-    /// # Errors
-    ///
-    /// Returns the stream error if the source terminates with one.
-    fn drain_all(self) -> Result<usize, StreamError> {
-        sink::drain(self)
-    }
-
     /// Collects every value into a `Vec` (the `collect` sink).
     ///
     /// # Errors
@@ -202,26 +131,6 @@ where
     /// Returns the stream error if the source terminates with one.
     fn collect_values(self) -> Result<Vec<T>, StreamError> {
         sink::collect(self)
-    }
-
-    /// Calls `f` for every value until the stream terminates.
-    ///
-    /// # Errors
-    ///
-    /// Returns the stream error if the source terminates with one.
-    fn for_each_value<F>(self, f: F) -> Result<(), StreamError>
-    where
-        F: FnMut(T),
-    {
-        sink::for_each(self, f)
-    }
-
-    /// Converts the source into a standard [`Iterator`] over its values.
-    ///
-    /// Errors terminate the iteration; use [`IntoValues::end`] afterwards to
-    /// learn how the stream terminated.
-    fn into_values(self) -> IntoValues<Self, T> {
-        IntoValues::new(self)
     }
 }
 
@@ -239,7 +148,7 @@ where
 /// let out: Vec<&str> = from_iter(["a", "b"]).collect_values().unwrap();
 /// assert_eq!(out, vec!["a", "b"]);
 /// ```
-pub fn from_iter<I>(iter: I) -> IterSource<I::IntoIter>
+pub fn from_iter<I>(iter: I) -> impl Source<I::Item>
 where
     I: IntoIterator,
     I::IntoIter: Send,
@@ -249,7 +158,8 @@ where
 }
 
 /// A source over an explicit vector of values (the pull-stream `values` module).
-pub fn values<T: Send>(values: Vec<T>) -> IterSource<std::vec::IntoIter<T>> {
+#[cfg(test)]
+pub fn values<T: Send>(values: Vec<T>) -> impl Source<T> {
     from_iter(values)
 }
 
@@ -259,25 +169,15 @@ pub fn values<T: Send>(values: Vec<T>) -> IterSource<std::vec::IntoIter<T>> {
 /// use pando_pull_stream::source::{count, SourceExt};
 /// assert_eq!(count(4).collect_values().unwrap(), vec![1, 2, 3, 4]);
 /// ```
-pub fn count(n: u64) -> IterSource<std::ops::RangeInclusive<u64>> {
+pub fn count(n: u64) -> impl Source<u64> {
     from_iter(1..=n)
-}
-
-/// A source that never produces a value and immediately answers `Done`.
-pub fn empty<T: Send>() -> IterSource<std::iter::Empty<T>> {
-    from_iter(std::iter::empty())
-}
-
-/// A source producing a single value.
-pub fn once<T: Send>(value: T) -> IterSource<std::iter::Once<T>> {
-    from_iter(std::iter::once(value))
 }
 
 /// An infinite source calling `f(i)` for `i = 0, 1, 2, ...` on every ask.
 ///
 /// Infinite sources are the reason Pando is *lazy*: values are only generated
 /// when a participating device has capacity to process them.
-pub fn infinite<T, F>(f: F) -> Generate<F>
+pub fn infinite<T, F>(f: F) -> impl Source<T>
 where
     T: Send,
     F: FnMut(u64) -> T + Send,
@@ -285,24 +185,15 @@ where
     Generate { f, next: 0, terminated: false }
 }
 
-/// A source calling `f(i)` until it returns `None`.
-pub fn generate<T, F>(f: F) -> GenerateWhile<F>
-where
-    T: Send,
-    F: FnMut(u64) -> Option<T> + Send,
-{
-    GenerateWhile { f, next: 0, terminated: false }
-}
-
 /// A source that immediately terminates with the given error.
+#[cfg(test)]
 pub fn failing<T: Send>(error: StreamError) -> Failing<T> {
     Failing { error, _marker: std::marker::PhantomData }
 }
 
-/// Source over an iterator. Created by [`from_iter`], [`values`], [`count`],
-/// [`empty`] and [`once`].
+/// Source over an iterator. Created by [`from_iter`] and [`count`].
 #[derive(Debug)]
-pub struct IterSource<I> {
+struct IterSource<I> {
     iter: Option<I>,
 }
 
@@ -336,7 +227,7 @@ where
 
 /// Infinite generator source. Created by [`infinite`].
 #[derive(Debug)]
-pub struct Generate<F> {
+struct Generate<F> {
     f: F,
     next: u64,
     terminated: bool,
@@ -366,50 +257,15 @@ where
     }
 }
 
-/// Bounded generator source. Created by [`generate`].
-#[derive(Debug)]
-pub struct GenerateWhile<F> {
-    f: F,
-    next: u64,
-    terminated: bool,
-}
-
-impl<T, F> Source<T> for GenerateWhile<F>
-where
-    T: Send,
-    F: FnMut(u64) -> Option<T> + Send,
-{
-    fn pull(&mut self, request: Request) -> Answer<T> {
-        if self.terminated || request.is_termination() {
-            self.terminated = true;
-            return match request {
-                Request::Fail(err) => Answer::Err(err),
-                _ => Answer::Done,
-            };
-        }
-        let index = self.next;
-        self.next += 1;
-        match (self.f)(index) {
-            Some(value) => Answer::Value(value),
-            None => {
-                self.terminated = true;
-                Answer::Done
-            }
-        }
-    }
-
-    fn try_pull(&mut self) -> Option<Answer<T>> {
-        Some(self.pull(Request::Ask))
-    }
-}
-
 /// Source terminating immediately with an error. Created by [`failing`].
+#[cfg(test)]
 #[derive(Debug)]
 pub struct Failing<T> {
     error: StreamError,
     _marker: std::marker::PhantomData<fn() -> T>,
 }
 
+#[cfg(test)]
 impl<T: Send> Source<T> for Failing<T> {
     fn pull(&mut self, _request: Request) -> Answer<T> {
         Answer::Err(self.error.clone())
@@ -439,12 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_and_once() {
-        assert!(empty::<u8>().collect_values().unwrap().is_empty());
-        assert_eq!(once(7).collect_values().unwrap(), vec![7]);
-    }
-
-    #[test]
     fn termination_is_idempotent() {
         let mut src = count(1);
         assert_eq!(src.pull(Request::Ask), Answer::Value(1));
@@ -469,22 +319,8 @@ mod tests {
 
     #[test]
     fn infinite_is_lazy_and_unbounded() {
-        let out = infinite(|i| i * i).take_values(4).collect_values().unwrap();
+        let out = sink::take(infinite(|i| i * i), 4).unwrap();
         assert_eq!(out, vec![0, 1, 4, 9]);
-    }
-
-    #[test]
-    fn generate_stops_on_none() {
-        let out = generate(|i| if i < 3 { Some(i) } else { None }).collect_values().unwrap();
-        assert_eq!(out, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn generate_termination_idempotent_after_none() {
-        let mut src = generate(|i| if i == 0 { Some(i) } else { None });
-        assert_eq!(src.pull(Request::Ask), Answer::Value(0));
-        assert_eq!(src.pull(Request::Ask), Answer::Done);
-        assert_eq!(src.pull(Request::Ask), Answer::Done);
     }
 
     #[test]
@@ -512,13 +348,5 @@ mod tests {
     fn boxed_source_is_still_a_source() {
         let boxed: BoxSource<u64> = count(3).boxed();
         assert_eq!(boxed.collect_values().unwrap(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn for_each_and_drain() {
-        let mut sum = 0;
-        count(4).for_each_value(|v| sum += v).unwrap();
-        assert_eq!(sum, 10);
-        assert_eq!(count(4).drain_all().unwrap(), 4);
     }
 }

@@ -70,10 +70,10 @@ pub struct Tracked<T = ()> {
 ///
 /// ```
 /// use pando_pull_stream::stubborn::StubbornQueue;
-/// use pando_pull_stream::source::{values, SourceExt};
+/// use pando_pull_stream::source::{from_iter, SourceExt};
 /// use pando_pull_stream::{Answer, Request, Source};
 ///
-/// let (mut queue, handle) = StubbornQueue::new(values(vec!["img-1"]), 3);
+/// let (mut queue, handle) = StubbornQueue::new(from_iter(["img-1"]), 3);
 /// let first = match queue.pull(Request::Ask) {
 ///     Answer::Value(tracked) => tracked,
 ///     other => panic!("unexpected {other:?}"),

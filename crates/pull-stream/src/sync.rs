@@ -2,7 +2,6 @@
 
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A counting semaphore that can be closed.
 ///
@@ -16,12 +15,10 @@ use std::time::Duration;
 /// ```
 /// use pando_pull_stream::sync::Semaphore;
 ///
-/// let sem = Semaphore::new(2);
+/// let sem = Semaphore::new(1);
 /// assert!(sem.acquire());
-/// assert!(sem.acquire());
-/// assert_eq!(sem.available(), 0);
 /// sem.release();
-/// assert_eq!(sem.available(), 1);
+/// assert!(sem.acquire());
 /// sem.close();
 /// assert!(!sem.acquire());
 /// ```
@@ -69,44 +66,6 @@ impl Semaphore {
         }
     }
 
-    /// Attempts to take a permit without blocking.
-    pub fn try_acquire(&self) -> bool {
-        let mut state = self.inner.state.lock();
-        if state.closed || state.permits == 0 {
-            false
-        } else {
-            state.permits -= 1;
-            true
-        }
-    }
-
-    /// Blocks until a permit is available, a timeout elapses or the semaphore
-    /// closes. Returns `true` only if a permit was acquired.
-    pub fn acquire_timeout(&self, timeout: Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut state = self.inner.state.lock();
-        loop {
-            if state.closed {
-                return false;
-            }
-            if state.permits > 0 {
-                state.permits -= 1;
-                return true;
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            if self.inner.available.wait_until(&mut state, deadline).timed_out() {
-                if !state.closed && state.permits > 0 {
-                    state.permits -= 1;
-                    return true;
-                }
-                return false;
-            }
-        }
-    }
-
     /// Returns one permit, waking a waiter if any.
     pub fn release(&self) {
         let mut state = self.inner.state.lock();
@@ -123,12 +82,8 @@ impl Semaphore {
         self.inner.available.notify_all();
     }
 
-    /// Returns `true` once [`Semaphore::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.state.lock().closed
-    }
-
     /// The number of permits currently available.
+    #[cfg(test)]
     pub fn available(&self) -> usize {
         self.inner.state.lock().permits
     }
@@ -175,19 +130,6 @@ impl Signal {
             self.inner.cond.wait(&mut fired);
         }
     }
-
-    /// Blocks until the signal fires or the timeout elapses. Returns `true`
-    /// only if the signal fired.
-    pub fn wait_timeout(&self, timeout: Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut fired = self.inner.fired.lock();
-        while !*fired {
-            if self.inner.cond.wait_until(&mut fired, deadline).timed_out() {
-                return *fired;
-            }
-        }
-        true
-    }
 }
 
 impl Default for Signal {
@@ -200,14 +142,15 @@ impl Default for Signal {
 mod tests {
     use super::*;
     use std::thread;
+    use std::time::Duration;
 
     #[test]
     fn semaphore_basic_acquire_release() {
         let sem = Semaphore::new(1);
         assert!(sem.acquire());
-        assert!(!sem.try_acquire());
+        assert_eq!(sem.available(), 0);
         sem.release();
-        assert!(sem.try_acquire());
+        assert_eq!(sem.available(), 1);
     }
 
     #[test]
@@ -220,7 +163,6 @@ mod tests {
         thread::sleep(Duration::from_millis(20));
         sem.close();
         assert!(!waiter.join().unwrap());
-        assert!(sem.is_closed());
     }
 
     #[test]
@@ -233,14 +175,6 @@ mod tests {
         thread::sleep(Duration::from_millis(20));
         sem.release();
         assert!(waiter.join().unwrap());
-    }
-
-    #[test]
-    fn semaphore_acquire_timeout_expires() {
-        let sem = Semaphore::new(0);
-        assert!(!sem.acquire_timeout(Duration::from_millis(20)));
-        sem.release();
-        assert!(sem.acquire_timeout(Duration::from_millis(20)));
     }
 
     #[test]
@@ -269,13 +203,5 @@ mod tests {
         signal.fire();
         assert!(waiter.join().unwrap());
         assert!(signal.fired());
-    }
-
-    #[test]
-    fn signal_wait_timeout() {
-        let signal = Signal::new();
-        assert!(!signal.wait_timeout(Duration::from_millis(10)));
-        signal.fire();
-        assert!(signal.wait_timeout(Duration::from_millis(10)));
     }
 }

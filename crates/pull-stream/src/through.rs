@@ -1,5 +1,6 @@
 //! Through modules (transformers): stream stages that both consume and
 //! produce values, sitting between a source and a sink (paper Figure 6).
+//! The master uses two: `map` ([`Map`]) and `asyncMap` ([`TryMap`]).
 
 use crate::error::StreamError;
 use crate::protocol::{Answer, Request};
@@ -103,361 +104,10 @@ where
     }
 }
 
-/// Keeps only values matching a predicate. Created by
-/// [`SourceExt::filter_values`](crate::SourceExt::filter_values).
-#[derive(Debug)]
-pub struct Filter<S, F> {
-    upstream: S,
-    predicate: F,
-}
-
-impl<S, F> Filter<S, F> {
-    /// Wraps `upstream`, keeping only values for which `predicate` is true.
-    pub fn new(upstream: S, predicate: F) -> Self {
-        Self { upstream, predicate }
-    }
-}
-
-impl<T, S, F> Source<T> for Filter<S, F>
-where
-    S: Source<T>,
-    F: FnMut(&T) -> bool + Send,
-    T: Send,
-{
-    fn pull(&mut self, request: Request) -> Answer<T> {
-        if request.is_termination() {
-            return self.upstream.pull(request);
-        }
-        loop {
-            match self.upstream.pull(Request::Ask) {
-                Answer::Value(v) if (self.predicate)(&v) => return Answer::Value(v),
-                Answer::Value(_) => continue,
-                other => return other,
-            }
-        }
-    }
-
-    fn try_pull(&mut self) -> Option<Answer<T>> {
-        loop {
-            match self.upstream.try_pull()? {
-                Answer::Value(v) if (self.predicate)(&v) => return Some(Answer::Value(v)),
-                Answer::Value(_) => continue,
-                other => return Some(other),
-            }
-        }
-    }
-}
-
-/// Maps and filters in a single pass. Created by
-/// [`SourceExt::filter_map_values`](crate::SourceExt::filter_map_values).
-#[derive(Debug)]
-pub struct FilterMap<S, F, T> {
-    upstream: S,
-    f: F,
-    _marker: std::marker::PhantomData<fn(T)>,
-}
-
-impl<S, F, T> FilterMap<S, F, T> {
-    /// Wraps `upstream`, applying `f` and dropping `None` results.
-    pub fn new(upstream: S, f: F) -> Self {
-        Self { upstream, f, _marker: std::marker::PhantomData }
-    }
-}
-
-impl<T, U, S, F> Source<U> for FilterMap<S, F, T>
-where
-    S: Source<T>,
-    F: FnMut(T) -> Option<U> + Send,
-    T: Send,
-    U: Send,
-{
-    fn pull(&mut self, request: Request) -> Answer<U> {
-        if request.is_termination() {
-            return match self.upstream.pull(request) {
-                Answer::Err(e) => Answer::Err(e),
-                _ => Answer::Done,
-            };
-        }
-        loop {
-            match self.upstream.pull(Request::Ask) {
-                Answer::Value(v) => match (self.f)(v) {
-                    Some(mapped) => return Answer::Value(mapped),
-                    None => continue,
-                },
-                Answer::Done => return Answer::Done,
-                Answer::Err(e) => return Answer::Err(e),
-            }
-        }
-    }
-
-    fn try_pull(&mut self) -> Option<Answer<U>> {
-        loop {
-            match self.upstream.try_pull()? {
-                Answer::Value(v) => match (self.f)(v) {
-                    Some(mapped) => return Some(Answer::Value(mapped)),
-                    None => continue,
-                },
-                Answer::Done => return Some(Answer::Done),
-                Answer::Err(e) => return Some(Answer::Err(e)),
-            }
-        }
-    }
-}
-
-/// Lets at most `n` values through, then aborts the upstream. Created by
-/// [`SourceExt::take_values`](crate::SourceExt::take_values).
-#[derive(Debug)]
-pub struct Take<S> {
-    upstream: S,
-    remaining: usize,
-    terminated: bool,
-}
-
-impl<S> Take<S> {
-    /// Wraps `upstream`, letting at most `n` values through.
-    pub fn new(upstream: S, n: usize) -> Self {
-        Self { upstream, remaining: n, terminated: false }
-    }
-}
-
-impl<T, S> Source<T> for Take<S>
-where
-    S: Source<T>,
-    T: Send,
-{
-    fn pull(&mut self, request: Request) -> Answer<T> {
-        if self.terminated {
-            return Answer::Done;
-        }
-        if request.is_termination() {
-            self.terminated = true;
-            return self.upstream.pull(request);
-        }
-        if self.remaining == 0 {
-            self.terminated = true;
-            // Normal early termination: release the upstream.
-            let _ = self.upstream.pull(Request::Abort);
-            return Answer::Done;
-        }
-        match self.upstream.pull(Request::Ask) {
-            Answer::Value(v) => {
-                self.remaining -= 1;
-                Answer::Value(v)
-            }
-            other => {
-                self.terminated = true;
-                other
-            }
-        }
-    }
-
-    fn try_pull(&mut self) -> Option<Answer<T>> {
-        if self.terminated {
-            return Some(Answer::Done);
-        }
-        if self.remaining == 0 {
-            self.terminated = true;
-            let _ = self.upstream.pull(Request::Abort);
-            return Some(Answer::Done);
-        }
-        Some(match self.upstream.try_pull()? {
-            Answer::Value(v) => {
-                self.remaining -= 1;
-                Answer::Value(v)
-            }
-            other => {
-                self.terminated = true;
-                other
-            }
-        })
-    }
-}
-
-/// Observes every value flowing through without modifying it. Created by
-/// [`SourceExt::inspect_values`](crate::SourceExt::inspect_values).
-#[derive(Debug)]
-pub struct Inspect<S, F> {
-    upstream: S,
-    f: F,
-}
-
-impl<S, F> Inspect<S, F> {
-    /// Wraps `upstream`, calling `f` on every value.
-    pub fn new(upstream: S, f: F) -> Self {
-        Self { upstream, f }
-    }
-}
-
-impl<T, S, F> Source<T> for Inspect<S, F>
-where
-    S: Source<T>,
-    F: FnMut(&T) + Send,
-    T: Send,
-{
-    fn pull(&mut self, request: Request) -> Answer<T> {
-        match self.upstream.pull(request) {
-            Answer::Value(v) => {
-                (self.f)(&v);
-                Answer::Value(v)
-            }
-            other => other,
-        }
-    }
-
-    fn try_pull(&mut self) -> Option<Answer<T>> {
-        match self.upstream.try_pull()? {
-            Answer::Value(v) => {
-                (self.f)(&v);
-                Some(Answer::Value(v))
-            }
-            other => Some(other),
-        }
-    }
-}
-
-/// Flattens a source of vectors into a source of values, used to unbatch
-/// grouped network messages on the worker side.
-#[derive(Debug)]
-pub struct Unbatch<S, T> {
-    upstream: S,
-    buffer: std::collections::VecDeque<T>,
-    terminated: Option<Answer<T>>,
-}
-
-impl<S, T> Unbatch<S, T> {
-    /// Wraps a source of `Vec<T>`, producing its elements one by one.
-    pub fn new(upstream: S) -> Self {
-        Self { upstream, buffer: std::collections::VecDeque::new(), terminated: None }
-    }
-}
-
-impl<T, S> Source<T> for Unbatch<S, T>
-where
-    S: Source<Vec<T>>,
-    T: Send,
-{
-    fn pull(&mut self, request: Request) -> Answer<T> {
-        if request.is_termination() {
-            self.buffer.clear();
-            return match self.upstream.pull(request) {
-                Answer::Err(e) => Answer::Err(e),
-                _ => Answer::Done,
-            };
-        }
-        loop {
-            if let Some(v) = self.buffer.pop_front() {
-                return Answer::Value(v);
-            }
-            if let Some(end) = &self.terminated {
-                return end.clone_end();
-            }
-            match self.upstream.pull(Request::Ask) {
-                Answer::Value(batch) => self.buffer.extend(batch),
-                Answer::Done => self.terminated = Some(Answer::Done),
-                Answer::Err(e) => self.terminated = Some(Answer::Err(e)),
-            }
-        }
-    }
-
-    fn try_pull(&mut self) -> Option<Answer<T>> {
-        loop {
-            if let Some(v) = self.buffer.pop_front() {
-                return Some(Answer::Value(v));
-            }
-            if let Some(end) = &self.terminated {
-                return Some(end.clone_end());
-            }
-            match self.upstream.try_pull()? {
-                Answer::Value(batch) => self.buffer.extend(batch),
-                Answer::Done => self.terminated = Some(Answer::Done),
-                Answer::Err(e) => self.terminated = Some(Answer::Err(e)),
-            }
-        }
-    }
-}
-
-trait CloneEnd<T> {
-    fn clone_end(&self) -> Answer<T>;
-}
-
-impl<T> CloneEnd<T> for Answer<T> {
-    fn clone_end(&self) -> Answer<T> {
-        match self {
-            Answer::Done => Answer::Done,
-            Answer::Err(e) => Answer::Err(e.clone()),
-            Answer::Value(_) => unreachable!("terminated marker never holds a value"),
-        }
-    }
-}
-
-/// Groups consecutive values into vectors of at most `size` elements, used to
-/// batch values before sending them over a high-latency network link
-/// (paper §5: "by batching inputs for distribution, the network latency could
-/// be hidden").
-#[derive(Debug)]
-pub struct Batch<S> {
-    upstream: S,
-    size: usize,
-    terminated: bool,
-}
-
-impl<S> Batch<S> {
-    /// Wraps `upstream`, grouping values into vectors of at most `size`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `size` is zero.
-    pub fn new(upstream: S, size: usize) -> Self {
-        assert!(size > 0, "batch size must be at least 1");
-        Self { upstream, size, terminated: false }
-    }
-}
-
-impl<T, S> Source<Vec<T>> for Batch<S>
-where
-    S: Source<T>,
-    T: Send,
-{
-    fn pull(&mut self, request: Request) -> Answer<Vec<T>> {
-        if self.terminated {
-            return Answer::Done;
-        }
-        if request.is_termination() {
-            self.terminated = true;
-            return match self.upstream.pull(request) {
-                Answer::Err(e) => Answer::Err(e),
-                _ => Answer::Done,
-            };
-        }
-        let mut batch = Vec::with_capacity(self.size);
-        while batch.len() < self.size {
-            match self.upstream.pull(Request::Ask) {
-                Answer::Value(v) => batch.push(v),
-                Answer::Done => {
-                    self.terminated = true;
-                    break;
-                }
-                Answer::Err(e) => {
-                    self.terminated = true;
-                    if batch.is_empty() {
-                        return Answer::Err(e);
-                    }
-                    break;
-                }
-            }
-        }
-        if batch.is_empty() {
-            Answer::Done
-        } else {
-            Answer::Value(batch)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::{count, failing, infinite, values, SourceExt};
+    use crate::source::{count, failing, SourceExt};
 
     #[test]
     fn map_transforms_values() {
@@ -506,111 +156,5 @@ mod tests {
         let mut stream = count(10).try_map(|_| Err::<u64, _>(StreamError::new("x")));
         assert!(matches!(stream.pull(Request::Ask), Answer::Err(_)));
         assert_eq!(stream.pull(Request::Ask), Answer::Done);
-    }
-
-    #[test]
-    fn filter_keeps_matching_values() {
-        let out = count(10).filter_values(|x| x % 3 == 0).collect_values().unwrap();
-        assert_eq!(out, vec![3, 6, 9]);
-    }
-
-    #[test]
-    fn filter_forwards_abort() {
-        let mut filtered = count(10).filter_values(|_| true);
-        assert_eq!(filtered.pull(Request::Abort), Answer::Done);
-    }
-
-    #[test]
-    fn filter_map_combines() {
-        let out = count(6)
-            .filter_map_values(|x| if x % 2 == 0 { Some(x * 100) } else { None })
-            .collect_values()
-            .unwrap();
-        assert_eq!(out, vec![200, 400, 600]);
-    }
-
-    #[test]
-    fn take_limits_and_aborts_upstream() {
-        let out = infinite(|i| i).take_values(5).collect_values().unwrap();
-        assert_eq!(out, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn take_zero_is_empty() {
-        let out = count(10).take_values(0).collect_values().unwrap();
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn take_is_idempotent_after_done() {
-        let mut take = count(2).take_values(1);
-        assert_eq!(take.pull(Request::Ask), Answer::Value(1));
-        assert_eq!(take.pull(Request::Ask), Answer::Done);
-        assert_eq!(take.pull(Request::Ask), Answer::Done);
-    }
-
-    #[test]
-    fn inspect_observes_without_changing() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-        let seen = Arc::new(AtomicU64::new(0));
-        let counter = seen.clone();
-        let out = count(3)
-            .inspect_values(move |v| {
-                counter.fetch_add(*v, Ordering::SeqCst);
-            })
-            .collect_values()
-            .unwrap();
-        assert_eq!(out, vec![1, 2, 3]);
-        assert_eq!(seen.load(Ordering::SeqCst), 6);
-    }
-
-    #[test]
-    fn batch_groups_values() {
-        let out: Vec<Vec<u64>> = count(7).through(|s| Batch::new(s, 3)).collect_values().unwrap();
-        assert_eq!(out, vec![vec![1, 2, 3], vec![4, 5, 6], vec![7]]);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch size")]
-    fn batch_of_zero_panics() {
-        let _ = Batch::new(count(1), 0);
-    }
-
-    #[test]
-    fn unbatch_flattens() {
-        let out: Vec<u64> = values(vec![vec![1, 2], vec![], vec![3]])
-            .through(Unbatch::new)
-            .collect_values()
-            .unwrap();
-        assert_eq!(out, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn batch_then_unbatch_is_identity() {
-        let out: Vec<u64> =
-            count(25).through(|s| Batch::new(s, 4)).through(Unbatch::new).collect_values().unwrap();
-        assert_eq!(out, (1..=25).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn unbatch_propagates_error_after_flushing() {
-        let mut calls = 0;
-        let upstream = move |req: Request| -> Answer<Vec<u64>> {
-            if req.is_termination() {
-                return Answer::Done;
-            }
-            calls += 1;
-            if calls == 1 {
-                Answer::Value(vec![1, 2])
-            } else {
-                Answer::Err(StreamError::new("late failure"))
-            }
-        };
-        let mut unbatched = Unbatch::new(upstream);
-        assert_eq!(unbatched.pull(Request::Ask), Answer::Value(1));
-        assert_eq!(unbatched.pull(Request::Ask), Answer::Value(2));
-        assert!(matches!(unbatched.pull(Request::Ask), Answer::Err(_)));
-        assert!(matches!(unbatched.pull(Request::Ask), Answer::Err(_)));
     }
 }
