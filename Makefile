@@ -1,7 +1,7 @@
 # Local invocations matching the CI jobs in .github/workflows/ci.yml —
 # `make lint test` before pushing reproduces what CI will run.
 
-.PHONY: all build test lint fmt doc paper pub-census perf perf-pairs profile sim-counters tcp-counters scale scale-sharded churn-scale sim scenarios tcp-demo tcp-demo-flap clean
+.PHONY: all build test lint fmt doc paper pub-census no-sleep-poll perf perf-pairs profile sim-counters tcp-counters scale scale-sharded churn-scale sim scenarios tcp-demo tcp-demo-flap clean
 
 all: lint build test doc
 
@@ -37,6 +37,23 @@ paper:
 # and diffs it, so a new public item ships together with its callers.
 pub-census:
 	sh scripts/pub-census.sh docs/PUB_CENSUS.txt
+
+# No sleep outside tests: code waits on a waker, a condvar or a deadline, not
+# in a sleep-and-poll loop. Scans crates/*/src above each file's
+# `#[cfg(test)] mod tests` and fails on any `sleep(` but the two that model
+# time on purpose: `run_redial`'s backoff between redials
+# (core/src/transport/tcp/session.rs) and the arxiv workload's modelled
+# reading time (workloads/src/arxiv.rs). Same step CI runs.
+no-sleep-poll:
+	@awk 'FNR == 1 { done = 0; prev = "" } \
+		prev ~ /^#\[cfg\(test\)\]/ && /^mod tests/ { done = 1 } \
+		{ prev = $$0 } \
+		done || !/sleep\(/ { next } \
+		FILENAME ~ /tcp\/session\.rs$$/ && /thread::sleep\(delay\)/ { next } \
+		FILENAME ~ /arxiv\.rs$$/ && /sleep\(self\.reading_time\)/ { next } \
+		{ print FILENAME ":" FNR ": " $$0; bad++ } \
+		END { if (bad) { print bad " sleep(s) outside tests"; exit 1 } }' \
+		$$(find crates/*/src -name '*.rs' | sort)
 
 # The end-to-end benchmark, exactly as BENCHMARK.json declares it: every
 # workload in a fresh process, results in target/perf/run-<rev>-seed<S>.json

@@ -646,7 +646,7 @@ mod tests {
     }
 
     #[test]
-    fn backoff_is_deterministic_per_seed_and_reset_replays() {
+    fn backoff_jitter_is_deterministic_per_seed_and_never_degenerate() {
         use std::time::Duration;
         let schedule = |seed: u64| -> Vec<Duration> {
             let mut b = Backoff::new(Duration::from_millis(5), Duration::from_millis(500), 8, seed);

@@ -662,7 +662,7 @@ impl Driver {
                     let _ = io.source.pull(Request::Fail(err.clone()));
                     return self.finish(inner, io, Err(err));
                 }
-                Err(RecvError::Empty) | Err(RecvError::Timeout) => break,
+                Err(RecvError::Empty) => break,
             }
         }
 

@@ -5,9 +5,11 @@
 //! readiness-shaped surface: non-blocking
 //! [`try_recv`](Transport::try_recv), fallible frame
 //! [`send`](Transport::send), waker registration, a
-//! [`next_ready_at`](Transport::next_ready_at) deadline hint and
-//! peer-liveness/close semantics. [`Transport`] formalizes that seam as an
-//! object-safe trait so the same state machines drive
+//! [`next_ready_at`](Transport::next_ready_at) deadline hint, and the close
+//! and crash verdicts that `try_recv` reports. Like the browser's WebRTC and
+//! WebSocket channels, a transport has no blocking receive. [`Transport`]
+//! formalizes that seam as an object-safe trait so the same state machines
+//! drive
 //!
 //! * [`netsim::Endpoint<Message>`](pando_netsim::channel::Endpoint) — the
 //!   deterministic in-process twin used by the virtual-clock fleet simulator
@@ -19,7 +21,7 @@
 //!
 //! | Aspect | Guarantee |
 //! |---|---|
-//! | Blocking discipline | [`try_recv`](Transport::try_recv) never blocks; [`recv`](Transport::recv)/[`recv_timeout`](Transport::recv_timeout) may block and MUST NOT be called from reactor pool threads. Virtual-clock transports panic on `recv`. |
+//! | Blocking discipline | No method blocks: [`try_recv`](Transport::try_recv) answers [`RecvError::Empty`] when nothing is deliverable, and a caller that must wait parks on the waker and [`next_ready_at`](Transport::next_ready_at). |
 //! | Ordering | Frames are delivered reliably and in FIFO order per connection. |
 //! | Waker | The registered waker fires whenever the transport *may* have become pollable: frame arrival, clean close, crash detection, peer drop. One slot: `set_waker` replaces any previous waker. Spurious wakes are allowed; lost wakes are not. |
 //! | Deadline hint | [`next_ready_at`](Transport::next_ready_at) returns the earliest instant at which a currently-known future event matures (a buffered frame's delivery time, a pending crash suspicion). `None` means "nothing scheduled"; the reactor then relies solely on the waker. |
@@ -62,29 +64,6 @@ pub trait Transport: Send + Sync {
     /// after a clean close, [`RecvError::PeerFailed`] once the peer is
     /// suspected crashed.
     fn try_recv(&self) -> Result<Message, RecvError>;
-
-    /// Receives the next message, blocking until one arrives or the
-    /// connection terminates.
-    ///
-    /// Only legal on wall-clock transports driven by a dedicated thread
-    /// (tests, hand-written peers). Virtual-clock transports
-    /// panic — they must be driven with [`try_recv`](Self::try_recv) +
-    /// [`next_ready_at`](Self::next_ready_at) by the scheduler that owns the
-    /// clock.
-    ///
-    /// # Errors
-    ///
-    /// [`RecvError::Closed`] or [`RecvError::PeerFailed`] as for
-    /// [`try_recv`](Self::try_recv).
-    fn recv(&self) -> Result<Message, RecvError>;
-
-    /// Receives the next message, waiting at most `timeout`.
-    ///
-    /// # Errors
-    ///
-    /// [`RecvError::Timeout`] if nothing arrived in time; otherwise as
-    /// [`recv`](Self::recv).
-    fn recv_timeout(&self, timeout: Duration) -> Result<Message, RecvError>;
 
     /// Sends a control message whose wire size is negligible (heartbeats,
     /// goodbyes).
@@ -134,10 +113,6 @@ pub trait Transport: Send + Sync {
     /// out via its failure detector ([`RecvError::PeerFailed`]).
     fn crash(&self);
 
-    /// Whether the peer is currently believed alive (no crash suspicion, no
-    /// observed close).
-    fn is_peer_alive(&self) -> bool;
-
     /// Interval at which this link expects heartbeats; workers pace their
     /// keep-alives and the reactor schedules heartbeat timers from this.
     fn heartbeat_interval(&self) -> Duration;
@@ -162,14 +137,6 @@ pub trait Transport: Send + Sync {
 impl Transport for Endpoint<Message> {
     fn try_recv(&self) -> Result<Message, RecvError> {
         Endpoint::try_recv(self)
-    }
-
-    fn recv(&self) -> Result<Message, RecvError> {
-        Endpoint::recv(self)
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Message, RecvError> {
-        Endpoint::recv_timeout(self, timeout)
     }
 
     fn send(&self, message: Message) -> Result<(), SendError> {
@@ -205,10 +172,6 @@ impl Transport for Endpoint<Message> {
         Endpoint::crash(self)
     }
 
-    fn is_peer_alive(&self) -> bool {
-        Endpoint::is_peer_alive(self)
-    }
-
     fn heartbeat_interval(&self) -> Duration {
         self.config().heartbeat_interval
     }
@@ -220,14 +183,6 @@ impl Transport for Endpoint<Message> {
 impl<T: Transport + ?Sized> Transport for Arc<T> {
     fn try_recv(&self) -> Result<Message, RecvError> {
         (**self).try_recv()
-    }
-
-    fn recv(&self) -> Result<Message, RecvError> {
-        (**self).recv()
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Message, RecvError> {
-        (**self).recv_timeout(timeout)
     }
 
     fn send(&self, message: Message) -> Result<(), SendError> {
@@ -261,10 +216,6 @@ impl<T: Transport + ?Sized> Transport for Arc<T> {
 
     fn crash(&self) {
         (**self).crash()
-    }
-
-    fn is_peer_alive(&self) -> bool {
-        (**self).is_peer_alive()
     }
 
     fn heartbeat_interval(&self) -> Duration {
@@ -390,9 +341,10 @@ mod tests {
     fn endpoint_round_trips_through_the_trait() {
         let (master, volunteer) = dyn_pair();
         master.send(Message::Heartbeat).unwrap();
-        assert_eq!(volunteer.recv().unwrap(), Message::Heartbeat);
+        // An instant link: each frame is deliverable once sent.
+        assert_eq!(volunteer.try_recv().unwrap(), Message::Heartbeat);
         master.close();
-        assert_eq!(volunteer.recv().unwrap_err(), RecvError::Closed);
+        assert_eq!(volunteer.try_recv().unwrap_err(), RecvError::Closed);
     }
 
     #[test]
@@ -413,7 +365,6 @@ mod tests {
         let (master, volunteer) = dyn_pair();
         volunteer.crash();
         std::thread::sleep(ChannelConfig::instant().failure_timeout + Duration::from_millis(5));
-        assert!(!master.is_peer_alive());
         assert_eq!(master.try_recv().unwrap_err(), RecvError::PeerFailed);
     }
 

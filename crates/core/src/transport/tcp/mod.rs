@@ -82,7 +82,7 @@ use bytes::{Buf, Bytes, BytesMut};
 use pando_netsim::channel::{RecvError, SendError, Waker};
 use pando_netsim::codec::{encode_frame, peek_frame};
 use pando_netsim::heartbeat::FailureDetector;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::io::Read;
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
@@ -303,8 +303,6 @@ pub(crate) struct Shared {
     /// The socket itself; reads and writes go through `&TcpStream`.
     stream: TcpStream,
     state: Mutex<LinkState>,
-    /// Signalled on every inbox/terminal-state change; backs blocking recv.
-    recv_cv: Condvar,
     write: Mutex<WriteState>,
     read: Mutex<ReadState>,
     /// EOF seen or link dead: drop read interest, never read again.
@@ -321,10 +319,9 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Wakes blocking receivers and the registered reactor waker. Must be
-    /// called after every state change that could make the link pollable.
+    /// Fires the registered waker. Must be called after every state change
+    /// that could make the link pollable.
     fn notify(&self, state: &LinkState) {
-        self.recv_cv.notify_all();
         if let Some(waker) = &state.waker {
             waker();
         }
@@ -333,7 +330,6 @@ impl Shared {
     /// [`Shared::notify`] for a caller that has let go of `state` (frames
     /// delivered, a sender given room): the woken `try_recv` finds it free.
     pub(crate) fn wake(&self) {
-        self.recv_cv.notify_all();
         let waker = self.state.lock().waker.clone();
         if let Some(waker) = waker {
             waker();
@@ -574,7 +570,6 @@ impl TcpTransport {
                 last_heard: Instant::now(),
                 waker: None,
             }),
-            recv_cv: Condvar::new(),
             write: Mutex::new(WriteState {
                 queue: VecDeque::new(),
                 offset: 0,
@@ -634,7 +629,7 @@ impl TcpTransport {
         sys::keepalive_enabled(self.shared.stream.as_raw_fd()).ok()
     }
 
-    /// Core non-blocking poll shared by `try_recv`/`recv_timeout`.
+    /// The non-blocking poll behind `try_recv`.
     fn poll_inbox(&self, state: &mut LinkState) -> Result<Message, RecvError> {
         if let Some(message) = state.inbox.pop_front() {
             return Ok(message);
@@ -728,37 +723,6 @@ impl Transport for TcpTransport {
         self.poll_inbox(&mut state)
     }
 
-    fn recv(&self) -> Result<Message, RecvError> {
-        loop {
-            match self.recv_timeout(self.shared.config.failure_timeout) {
-                Err(RecvError::Timeout) => continue,
-                other => return other,
-            }
-        }
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Message, RecvError> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.shared.state.lock();
-        loop {
-            match self.poll_inbox(&mut state) {
-                Err(RecvError::Empty) => {}
-                other => return other,
-            }
-            // Wake early enough to notice a heartbeat timeout even if the
-            // caller asked for a longer wait.
-            let suspect_at = state.last_heard + self.shared.config.failure_timeout;
-            let wait_until = deadline.min(suspect_at);
-            if Instant::now() >= wait_until {
-                if Instant::now() >= deadline {
-                    return Err(RecvError::Timeout);
-                }
-                continue; // suspicion matured; re-poll classifies it
-            }
-            self.shared.recv_cv.wait_until(&mut state, wait_until);
-        }
-    }
-
     fn send(&self, message: Message) -> Result<(), SendError> {
         self.send_frame(&message, None)
     }
@@ -839,13 +803,6 @@ impl Transport for TcpTransport {
         // Abrupt: no close marker, both directions torn down. The peer sees
         // EOF (or a reset) without the marker and classifies it as a crash.
         let _ = self.shared.stream.shutdown(Shutdown::Both);
-    }
-
-    fn is_peer_alive(&self) -> bool {
-        let state = self.shared.state.lock();
-        state.failed.is_none()
-            && !state.peer_closed
-            && !self.shared.detector.suspects_at(state.last_heard, Instant::now())
     }
 
     fn heartbeat_interval(&self) -> Duration {

@@ -497,9 +497,6 @@ impl Transport for SessionTransport {
         loop {
             match &*link {
                 Link::Up(active) => match pump_recv(&self.core, active) {
-                    Ok(message) => return Ok(message),
-                    Err(RecvError::Empty) => return Err(RecvError::Empty),
-                    Err(RecvError::Timeout) => return Err(RecvError::Timeout),
                     Err(RecvError::Closed) => {
                         *link = Link::Closed;
                         return Err(RecvError::Closed);
@@ -509,6 +506,7 @@ impl Transport for SessionTransport {
                         *link = Link::Down { since: Instant::now() };
                         continue;
                     }
+                    received => return received,
                 },
                 Link::Down { since } => {
                     if since.elapsed() >= self.grace {
@@ -522,32 +520,6 @@ impl Transport for SessionTransport {
                 Link::Closed => return Err(RecvError::Closed),
                 Link::Failed => return Err(RecvError::PeerFailed),
             }
-        }
-    }
-
-    fn recv(&self) -> Result<Message, RecvError> {
-        loop {
-            match self.recv_timeout(self.grace.max(self.heartbeat_interval)) {
-                Err(RecvError::Timeout) => continue,
-                other => return other,
-            }
-        }
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Message, RecvError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match self.try_recv() {
-                Err(RecvError::Empty) => {}
-                other => return other,
-            }
-            if Instant::now() >= deadline {
-                return Err(RecvError::Timeout);
-            }
-            // Cross-incarnation blocking would need a condvar shared with
-            // every future socket; a short poll keeps it simple, and the
-            // reactor never blocks here (it drives `try_recv`).
-            thread::sleep(Duration::from_millis(1));
         }
     }
 
@@ -618,16 +590,6 @@ impl Transport for SessionTransport {
             active.crash();
         }
         *link = Link::Closed;
-    }
-
-    fn is_peer_alive(&self) -> bool {
-        match &*self.link.lock() {
-            // A suspected-but-not-yet-parked link still counts as alive:
-            // the next poll parks it and sends start buffering.
-            Link::Up(_) => true,
-            Link::Down { since } => since.elapsed() < self.grace,
-            Link::Closed | Link::Failed => false,
-        }
     }
 
     fn heartbeat_interval(&self) -> Duration {
@@ -823,9 +785,6 @@ impl Transport for ReconnectingTcpTransport {
         loop {
             match &*link {
                 Link::Up(active) => match pump_recv(&shared.core, active) {
-                    Ok(message) => return Ok(message),
-                    Err(RecvError::Empty) => return Err(RecvError::Empty),
-                    Err(RecvError::Timeout) => return Err(RecvError::Timeout),
                     Err(RecvError::Closed) => {
                         *link = Link::Closed;
                         return Err(RecvError::Closed);
@@ -835,6 +794,7 @@ impl Transport for ReconnectingTcpTransport {
                         ReconnectingTcpTransport::ensure_redial(shared);
                         continue;
                     }
+                    received => return received,
                 },
                 // Down reads as idle: the redial thread owns recovery, and
                 // the worker pool's heartbeat/would-block parking already
@@ -843,29 +803,6 @@ impl Transport for ReconnectingTcpTransport {
                 Link::Closed => return Err(RecvError::Closed),
                 Link::Failed => return Err(RecvError::PeerFailed),
             }
-        }
-    }
-
-    fn recv(&self) -> Result<Message, RecvError> {
-        loop {
-            match self.recv_timeout(self.shared.config.failure_timeout) {
-                Err(RecvError::Timeout) => continue,
-                other => return other,
-            }
-        }
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Message, RecvError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match self.try_recv() {
-                Err(RecvError::Empty) => {}
-                other => return other,
-            }
-            if Instant::now() >= deadline {
-                return Err(RecvError::Timeout);
-            }
-            thread::sleep(Duration::from_millis(1));
         }
     }
 
@@ -932,13 +869,6 @@ impl Transport for ReconnectingTcpTransport {
             active.crash();
         }
         *link = Link::Closed;
-    }
-
-    fn is_peer_alive(&self) -> bool {
-        match &*self.shared.link.lock() {
-            Link::Up(_) | Link::Down { .. } => true,
-            Link::Closed | Link::Failed => false,
-        }
     }
 
     fn heartbeat_interval(&self) -> Duration {

@@ -355,7 +355,7 @@ impl WorkerCore {
             ) => return Step::Leave { close: true },
             Err(RecvError::Closed) => return Step::Goodbye,
             Err(RecvError::PeerFailed) => return Step::Leave { close: false },
-            Err(RecvError::Empty | RecvError::Timeout) => return Step::Idle,
+            Err(RecvError::Empty) => return Step::Idle,
         };
         let (mut results, mut error) = (Vec::with_capacity(records.len()), None);
         // A panic is indistinguishable from a browser tab dying mid-task: it
@@ -660,6 +660,29 @@ mod tests {
     use pando_pull_stream::source::{count, SourceExt};
     use std::time::Duration;
 
+    const PATIENCE: Duration = Duration::from_secs(10);
+
+    /// Waits up to `timeout` for `try_recv` to answer anything but `Empty`,
+    /// parked between polls: the waker unparks this thread, and
+    /// `next_ready_at` bounds the park while a frame is in flight or a crash
+    /// suspicion is pending. `Empty` once the deadline passes.
+    fn recv_within(transport: &dyn Transport, timeout: Duration) -> Result<Message, RecvError> {
+        let deadline = Instant::now() + timeout;
+        let me = std::thread::current();
+        transport.set_waker(Arc::new(move || me.unpark()));
+        let received = loop {
+            match transport.try_recv() {
+                Err(RecvError::Empty) if Instant::now() < deadline => {
+                    let until = transport.next_ready_at().map_or(deadline, |at| at.min(deadline));
+                    std::thread::park_timeout(until.saturating_duration_since(Instant::now()));
+                }
+                received => break received,
+            }
+        };
+        transport.clear_waker();
+        received
+    }
+
     #[allow(clippy::ptr_arg)] // must match Fn(&C::Task) with C::Task = String
     fn upper(input: &String) -> Result<String, StreamError> {
         Ok(input.to_uppercase())
@@ -734,9 +757,7 @@ mod tests {
         }
         assert_eq!(core.on_recv(Err(RecvError::Closed), &echo), Step::Goodbye);
         assert_eq!(core.on_recv(Err(RecvError::PeerFailed), &echo), Step::Leave { close: false });
-        for nothing in [RecvError::Empty, RecvError::Timeout] {
-            assert_eq!(core.on_recv(Err(nothing), &echo), Step::Idle);
-        }
+        assert_eq!(core.on_recv(Err(RecvError::Empty), &echo), Step::Idle);
         assert_eq!(core.report.processed, 3, "only task frames are computed");
     }
 
@@ -838,11 +859,11 @@ mod tests {
         master.send(task(0, b"hello")).unwrap();
         master.send(task(1, b"world")).unwrap();
         assert_eq!(
-            master.recv().unwrap(),
+            recv_within(&master, PATIENCE).unwrap(),
             Message::TaskResult { seq: 0, payload: Bytes::copy_from_slice(b"HELLO") }
         );
         assert_eq!(
-            master.recv().unwrap(),
+            recv_within(&master, PATIENCE).unwrap(),
             Message::TaskResult { seq: 1, payload: Bytes::copy_from_slice(b"WORLD") }
         );
         master.close();
@@ -851,7 +872,7 @@ mod tests {
         assert_eq!(report.errors, 0);
         assert!(!report.crashed);
         // The worker said goodbye before leaving.
-        assert_eq!(master.recv().unwrap(), Message::Goodbye);
+        assert_eq!(recv_within(&master, PATIENCE).unwrap(), Message::Goodbye);
     }
 
     #[test]
@@ -862,7 +883,7 @@ mod tests {
             .send(Message::TaskBatch(vec![record(4, b"a"), record(5, b"b"), record(6, b"c")]))
             .unwrap();
         assert_eq!(
-            master.recv().unwrap(),
+            recv_within(&master, PATIENCE).unwrap(),
             Message::ResultBatch(vec![record(4, b"A"), record(5, b"B"), record(6, b"C")])
         );
         master.close();
@@ -878,7 +899,7 @@ mod tests {
             .spawn(volunteer, |_input: &Bytes| Err(StreamError::new("cannot render")));
         master.send(task(5, b"x")).unwrap();
         assert_eq!(
-            master.recv().unwrap(),
+            recv_within(&master, PATIENCE).unwrap(),
             Message::TaskError { seq: 5, message: Bytes::copy_from_slice(b"cannot render") }
         );
         master.close();
@@ -890,7 +911,7 @@ mod tests {
     /// Waits, through the failure detector, for `master` to see its peer
     /// crash.
     fn sees_the_crash(master: &pando_netsim::channel::Endpoint<Message>) -> bool {
-        (0..10).any(|_| matches!(master.recv(), Err(RecvError::PeerFailed)))
+        (0..10).any(|_| matches!(recv_within(master, PATIENCE), Err(RecvError::PeerFailed)))
     }
 
     #[test]
@@ -996,7 +1017,7 @@ mod tests {
         let mut beats = 0;
         let deadline = Instant::now() + Duration::from_millis(200);
         while beats < 2 && Instant::now() < deadline {
-            if let Ok(Message::Heartbeat) = master.recv_timeout(Duration::from_millis(50)) {
+            if let Ok(Message::Heartbeat) = recv_within(&master, Duration::from_millis(50)) {
                 beats += 1;
             }
         }

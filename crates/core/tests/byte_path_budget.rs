@@ -11,6 +11,8 @@
 
 #![cfg(target_os = "linux")]
 
+mod common;
+
 use bytes::Bytes;
 use pando_core::metrics::ThroughputMeter;
 use pando_core::protocol::Message;
@@ -206,7 +208,7 @@ fn the_byte_path_stays_within_its_allocation_budget() {
         sender
     });
     for n in 0..FRAMES {
-        let got = receiver.recv_timeout(Duration::from_secs(30)).expect("frame arrives");
+        let got = common::recv_within(&receiver, Duration::from_secs(30)).expect("frame arrives");
         assert!(got == message, "frame {n} arrived altered");
         window.release();
     }
@@ -232,7 +234,7 @@ fn the_byte_path_stays_within_its_allocation_budget() {
     let mut header = vec![1u8];
     header.extend_from_slice(&((MAX_FRAME_LEN + 1) as u32).to_be_bytes());
     hostile.write_all(&header).expect("header");
-    assert_eq!(victim.recv_timeout(Duration::from_secs(10)), Err(RecvError::PeerFailed));
+    assert_eq!(common::recv_within(&victim, Duration::from_secs(10)), Err(RecvError::PeerFailed));
     assert_eq!(
         victim.failure().expect("the link recorded why").kind(),
         TransportErrorKind::Protocol

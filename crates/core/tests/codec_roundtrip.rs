@@ -4,6 +4,8 @@
 //! record framing, and a jittery simulated channel, byte for byte. The
 //! seed's string protocol could not represent most of these payloads at all.
 
+mod common;
+
 use bytes::Bytes;
 use pando_core::protocol::Message;
 use pando_netsim::channel::{pair, ChannelConfig};
@@ -196,7 +198,8 @@ proptest! {
                 .expect("channel is open");
         }
         for message in &sent {
-            let received = worker.recv().expect("message arrives");
+            let received = common::recv_within(&worker, Duration::from_secs(10))
+                .expect("message arrives");
             prop_assert_eq!(&received, message);
         }
         master.close();

@@ -6,6 +6,8 @@
 //! The tests in this file share one process-wide thread counter, so they are
 //! serialised through a mutex instead of relying on `--test-threads=1`.
 
+mod common;
+
 use bytes::Bytes;
 use pando_core::config::PandoConfig;
 use pando_core::master::Pando;
@@ -98,7 +100,7 @@ fn clean_close_during_dispatch_completes_elsewhere() {
     let leaver = std::thread::spawn(move || {
         let mut answered = 0u64;
         loop {
-            match leaver_endpoint.recv() {
+            match common::recv_within(&leaver_endpoint, Duration::from_secs(10)) {
                 Ok(Message::Task { seq, payload }) => {
                     let _ = leaver_endpoint.send(Message::TaskResult { seq, payload });
                     answered += 1;
@@ -112,7 +114,7 @@ fn clean_close_during_dispatch_completes_elsewhere() {
                     answered += records.len() as u64;
                 }
                 Ok(_) => {}
-                Err(RecvError::Timeout) | Err(RecvError::Empty) => continue,
+                Err(RecvError::Empty) => continue,
                 Err(_) => break,
             }
             if answered >= 2 {

@@ -8,6 +8,8 @@
 
 #![cfg(target_os = "linux")]
 
+mod common;
+
 use bytes::Bytes;
 use pando_core::config::PandoConfig;
 use pando_core::master::Pando;
@@ -190,7 +192,12 @@ fn drop_link_on_a_session_transport_redials_and_resumes() {
     assert_eq!(joined, 1);
     assert_eq!(resumed, 1, "the redial presents the old token and resumes");
     assert_eq!(client.token(), token_before, "a resume keeps the session token");
-    assert!(keep[0].is_peer_alive(), "the master-side session is live again");
+    // The master-side session is live again: a frame reaches the client.
+    keep[0].send(Message::Task { seq: 0, payload: Bytes::new() }).unwrap();
+    assert_eq!(
+        common::recv_within(&client, Duration::from_secs(10)).unwrap(),
+        Message::Task { seq: 0, payload: Bytes::new() }
+    );
     client.close();
 }
 
@@ -260,7 +267,7 @@ fn large_tasks_to_a_silent_worker_are_acknowledged_by_bytes_not_by_count() {
             ReconnectingTcpTransport::connect(addr, "slow", tcp, ReconnectPolicy::local_test())
                 .unwrap();
         for _ in 0..tasks {
-            let task = link.recv_timeout(Duration::from_secs(20)).expect("a task arrives");
+            let task = common::recv_within(&link, Duration::from_secs(20)).expect("a task arrives");
             let Message::Task { seq, payload } = task else {
                 panic!("expected a task, got {task:?}");
             };

@@ -8,6 +8,8 @@
 
 #![cfg(target_os = "linux")]
 
+mod common;
+
 use bytes::Bytes;
 use pando_core::config::PandoConfig;
 use pando_core::master::Pando;
@@ -69,7 +71,7 @@ fn accept_expect_error(acceptor: &TcpAcceptor) -> pando_core::TransportError {
 }
 
 fn recv_one(transport: &dyn Transport) -> Message {
-    transport.recv_timeout(Duration::from_secs(10)).expect("message arrives")
+    common::recv_within(transport, Duration::from_secs(10)).expect("message arrives")
 }
 
 #[test]
@@ -298,9 +300,9 @@ fn oversized_incoming_frame_fails_the_link() {
         let _ = stream.read(&mut [0u8; 16]); // wait for the shutdown
     });
     let (_, master_side) = accept_one(&acceptor);
-    let err = master_side.recv_timeout(Duration::from_secs(10)).unwrap_err();
+    let err = common::recv_within(&master_side, Duration::from_secs(10)).unwrap_err();
     assert_eq!(err, RecvError::PeerFailed, "an oversized frame is a protocol failure");
-    assert!(!master_side.is_peer_alive());
+    assert_eq!(master_side.try_recv().unwrap_err(), RecvError::PeerFailed, "the verdict stays");
     let failure = master_side.failure().expect("the link records why it failed");
     assert_eq!(failure.kind(), TransportErrorKind::Protocol, "{failure}");
     client.join().unwrap();
@@ -446,7 +448,7 @@ fn mid_frame_disconnect_is_detected_as_a_crash() {
     });
     let (_, master_side) = accept_one(&acceptor);
     client.join().unwrap();
-    let err = master_side.recv_timeout(Duration::from_secs(10)).unwrap_err();
+    let err = common::recv_within(&master_side, Duration::from_secs(10)).unwrap_err();
     assert_eq!(err, RecvError::PeerFailed, "mid-frame EOF must read as a crash, never a close");
     assert_eq!(master_side.try_recv().unwrap_err(), RecvError::PeerFailed);
     assert!(link_is_terminal(&master_side));
@@ -587,7 +589,11 @@ fn slow_reader_bounds_the_write_queue_and_send_resumes_after_drain() {
     };
     assert!(blocked, "a stalled reader must surface WouldBlock, not unbounded buffering");
     assert!(sent > 0, "some frames must be accepted before the queue fills");
-    assert!(master_side.is_peer_alive(), "backpressure is transient: the peer is slow, not dead");
+    assert_eq!(
+        master_side.try_recv().unwrap_err(),
+        RecvError::Empty,
+        "backpressure is transient: the peer is slow, not dead"
+    );
 
     // The reader wakes up and drains the socket: the queue empties and the
     // same link accepts new frames again — WouldBlock was not terminal.
@@ -688,10 +694,8 @@ fn idle_link_with_keepalive_survives_past_three_heartbeat_intervals() {
     // heartbeat intervals must not be suspected — only the failure timeout
     // (or the kernel's keepalive probes, on real dead links) may end it.
     std::thread::sleep(tcp.heartbeat_interval * 4);
-    assert!(master_side.is_peer_alive(), "idle is not dead");
-    assert!(volunteer_side.is_peer_alive(), "idle is not dead");
-    assert_eq!(master_side.try_recv().unwrap_err(), RecvError::Empty);
-    assert_eq!(volunteer_side.try_recv().unwrap_err(), RecvError::Empty);
+    assert_eq!(master_side.try_recv().unwrap_err(), RecvError::Empty, "idle is not dead");
+    assert_eq!(volunteer_side.try_recv().unwrap_err(), RecvError::Empty, "idle is not dead");
 
     // And the link still works after the idle spell.
     volunteer_side.send(Message::Heartbeat).unwrap();

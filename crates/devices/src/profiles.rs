@@ -163,7 +163,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scenario_parsing_and_titles() {
+    fn the_three_scenarios_have_names_and_titles() {
         assert_eq!(Scenario::Lan.to_string(), "lan");
         assert!(Scenario::Wan.title().contains("PlanetLab"));
         assert_eq!(Scenario::all().len(), 3);

@@ -22,7 +22,7 @@
 //!   core protocol to give messages a realistic wire size;
 //! * [`sim`] — the [`Clock`](sim::Clock) every channel reads time from: the
 //!   wall clock, or a virtual clock that the deterministic fleet simulator
-//!   advances explicitly, and a stand-alone event queue over simulated time.
+//!   advances explicitly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,4 +37,3 @@ pub mod sim;
 pub use channel::{ChannelConfig, ChannelKind, Endpoint, RecvError, SendError};
 pub use fault::FaultPlan;
 pub use signaling::{PublicServer, VolunteerUrl};
-pub use sim::{EventQueue, SimTime};

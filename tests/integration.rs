@@ -81,22 +81,47 @@ fn collatz_survives_churn() {
     assert_eq!(stats.substreams_crashed, 1);
 }
 
-/// Laziness: with an infinite input stream, Pando only reads what the
-/// volunteers can process, and the deployment can be shut down early
-/// (Table 1 rows 4-5).
+/// Laziness on the volunteer side (Table 1 rows 4-5): with an infinite
+/// input, the master reads only what its volunteers ask for — what they
+/// processed, plus the dispatch window, one chunk of read-ahead per lender
+/// shard and one pump prefetch per shard — and the deployment shuts down
+/// early. The volunteer stops on a gate after a fixed number of tasks, so
+/// the bound does not depend on how fast the consumer reads the stats.
+/// (Whether the *consumer's* pace bounds the input is ROADMAP item 8.)
 #[test]
 fn infinite_stream_is_read_lazily() {
-    let pando = Pando::new(PandoConfig::local_test());
-    let _worker = app_worker(&pando, AppKind::Collatz, "solo", FaultPlan::None);
+    const TAKEN: usize = 10;
+    let config = PandoConfig::local_test();
+    // A reply leaves once its whole frame is computed: the frame holding
+    // result TAKEN - 1 may carry tasks behind it.
+    let free = TAKEN + config.effective_tasks_per_frame() - 1;
+    let shards = config.effective_lender_shards();
+    let bound =
+        free + config.batching.batch_size + shards * config.effective_tasks_per_frame() + shards;
+    let pando = Pando::new(config);
+    let (release, gate) = std::sync::mpsc::channel::<()>();
+    let gate = std::sync::Mutex::new(gate);
+    let computed = std::sync::atomic::AtomicUsize::new(0);
+    let app = AppKind::Collatz.instantiate();
+    let _worker = WorkerBuilder::new().name("solo").spawn(
+        pando.open_volunteer_channel(),
+        move |input: &Bytes| {
+            if computed.fetch_add(1, std::sync::atomic::Ordering::SeqCst) >= free {
+                // Blocks until `release` is dropped.
+                let _ = gate.lock().unwrap().recv();
+            }
+            app.process(input)
+        },
+    );
     let app = AppKind::Collatz.instantiate();
     let output = pando.run(pando_pull_stream::source::infinite(move |i| app.input(i)));
-    let first_ten = pando_pull_stream::sink::take(output, 10).unwrap();
-    assert_eq!(first_ten.len(), 10);
-    let stats = pando.lender_stats().unwrap();
+    let first = pando_pull_stream::sink::take(output, TAKEN).unwrap();
+    assert_eq!(first.len(), TAKEN);
+    let read = pando.lender_stats().unwrap().values_read;
+    drop(release);
     assert!(
-        stats.values_read < 40,
-        "an infinite stream must not be read eagerly (read {})",
-        stats.values_read
+        read <= bound as u64,
+        "an infinite stream must not be read eagerly (read {read}, bound {bound})"
     );
 }
 
