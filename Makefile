@@ -1,7 +1,7 @@
 # Local invocations matching the CI jobs in .github/workflows/ci.yml —
 # `make lint test` before pushing reproduces what CI will run.
 
-.PHONY: all build test lint fmt doc paper pub-census no-sleep-poll perf perf-pairs profile sim-counters tcp-counters scale scale-sharded churn-scale sim scenarios tcp-demo tcp-demo-flap clean
+.PHONY: all build test lint fmt doc paper pub-census no-sleep-poll test-stress perf perf-pairs profile sim-counters tcp-counters scale scale-sharded churn-scale sim scenarios tcp-demo tcp-demo-flap clean
 
 all: lint build test doc
 
@@ -32,8 +32,8 @@ paper:
 # Who calls each `pub` item of crates/*/src, outside its own file and its
 # crate's unit tests (scripts/pub-census.sh, grep/awk only): one sorted row
 # per item in docs/PUB_CENSUS.txt, byte-deterministic. An item without a
-# caller is deleted unless the census keeps it (the paper's modules, the
-# Table 2 applications, the observability structs). CI regenerates the file
+# caller is deleted unless the census keeps it (the paper's modules and the
+# Table 2 applications). CI regenerates the file
 # and diffs it, so a new public item ships together with its callers.
 pub-census:
 	sh scripts/pub-census.sh docs/PUB_CENSUS.txt
@@ -54,6 +54,16 @@ no-sleep-poll:
 		{ print FILENAME ":" FNR ": " $$0; bad++ } \
 		END { if (bad) { print bad " sleep(s) outside tests"; exit 1 } }' \
 		$$(find crates/*/src -name '*.rs' | sort)
+
+# Tier-1 under contention: `cargo test -q $(TEST)` ROUNDS times, each round
+# pinned to CPU 0 beside a busy loop pinned to the same CPU
+# (scripts/test-stress.sh). Prints the failures of each round and fails if
+# any round did. Too slow for CI.
+# `make test-stress TEST="--test sharded_dispatch" ROUNDS=40`.
+ROUNDS ?= 20
+TEST ?=
+test-stress:
+	sh scripts/test-stress.sh $(ROUNDS) $(TEST)
 
 # The end-to-end benchmark, exactly as BENCHMARK.json declares it: every
 # workload in a fresh process, results in target/perf/run-<rev>-seed<S>.json

@@ -203,32 +203,6 @@ impl Pando {
         self.state.lock().lender.as_ref().map(ShardedLender::shard_stats)
     }
 
-    /// Samples every shard's queue gauges (staged depth, in-flight count)
-    /// and the reactor's wake-discipline counters into the
-    /// [`ThroughputMeter`], so the next [`ThroughputMeter::report`] carries
-    /// fresh per-shard rows and a scheduler row alongside the borrow/result
-    /// counters the dispatch path accumulates.
-    pub fn observe_shards(&self) {
-        let state = self.state.lock();
-        if let Some(lender) = state.lender.as_ref() {
-            for shard in 0..lender.shard_count() {
-                self.meter.shard(shard).observe(
-                    lender.shard_depth(shard) as u64,
-                    lender.shard_in_flight(shard) as u64,
-                );
-            }
-        }
-        if let Some(reactor) = state.reactor.as_ref() {
-            let stats = reactor.stats();
-            self.meter.observe_scheduler(crate::metrics::SchedulerCounters {
-                polls: stats.polls,
-                wasted_polls: stats.wasted_polls,
-                kicks_sent: stats.kicks_sent,
-                kicks_suppressed: stats.kicks_suppressed,
-            });
-        }
-    }
-
     /// Attaches the binary input stream and returns the ordered output
     /// stream. Payloads are opaque [`Bytes`]; use [`Pando::run_typed`] to
     /// work with an application's native types through a [`TaskCodec`].

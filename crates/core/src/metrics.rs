@@ -1,9 +1,12 @@
-//! Throughput accounting, as used for the paper's Table 2.
+//! Per-device and per-shard dispatch counts.
 //!
-//! The evaluation measures, for every device, the number of items processed
-//! over a five-minute window and derives the device's average throughput and
-//! its share of the total. [`ThroughputMeter`] collects those counts during a
-//! run; [`ThroughputReport`] renders them.
+//! The evaluation counts, for every device, the items it processed over a
+//! window. [`ThroughputMeter`] collects those counts during a run — tasks,
+//! wire traffic and heartbeats per device, borrows and results per lender
+//! shard — and [`ThroughputReport`] renders them. Everything else a run
+//! counts is counted once, by the layer that owns it, and read from there:
+//! the reactor's [`ReactorStats`](crate::reactor::ReactorStats), the
+//! lender's [`LenderStats`](pando_pull_stream::lender::LenderStats).
 //!
 //! The meter sits *beside* the dispatch path, not in it. Its counters live in
 //! cells — one per device name, one per lender shard — and whoever feeds a
@@ -19,53 +22,28 @@
 //! let meter = ThroughputMeter::new();
 //! let tablet = meter.device("tablet"); // once, when the device joins
 //! tablet.record_wire(120);             // per frame, lock-free
-//! tablet.record(2, 1.0);               // two results came back in it
+//! tablet.record(2);                    // two results came back in it
 //! let report = meter.report();
 //! assert_eq!((report.rows[0].tasks, report.rows[0].wire_frames), (2, 1));
 //! ```
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Collects per-device completion counts during a run. Clones share the same
 /// cells.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ThroughputMeter {
-    inner: Arc<MeterInner>,
-}
-
-#[derive(Debug)]
-struct MeterInner {
-    started_at: Instant,
     /// The registry of cells. Never taken by a record.
-    cells: Mutex<Cells>,
+    cells: Arc<Mutex<Cells>>,
 }
 
 #[derive(Debug, Default)]
 struct Cells {
     devices: BTreeMap<String, Arc<DeviceCell>>,
     shards: BTreeMap<usize, Arc<ShardCell>>,
-    scheduler: Option<SchedulerCounters>,
-}
-
-/// Work-conservation counters of the reactor scheduler: how many driver
-/// polls ran, how many of them made no progress, and how the bounded
-/// starved-kick budget split wakes between sent and suppressed.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SchedulerCounters {
-    /// Driver polls executed by the reactor.
-    pub polls: u64,
-    /// Polls that returned `Pending` without making any progress (no frame
-    /// received, nothing dispatched): the direct cost of over-waking.
-    pub wasted_polls: u64,
-    /// Starved drivers actually woken by `kick_starved`.
-    pub kicks_sent: u64,
-    /// Starved drivers left parked because the kick budget (the shard's
-    /// lendable depth) was already covered.
-    pub kicks_suppressed: u64,
 }
 
 /// The counters of one device. Statistics only — they publish no other data,
@@ -73,25 +51,17 @@ pub struct SchedulerCounters {
 #[derive(Debug, Default)]
 struct DeviceCell {
     tasks: AtomicU64,
-    /// The bits of an `f64` (zero bits are `0.0`).
-    units: AtomicU64,
     wire_bytes: AtomicU64,
     wire_frames: AtomicU64,
     heartbeats_sent: AtomicU64,
     heartbeats_suppressed: AtomicU64,
 }
 
-/// Accumulated dispatch counters and last-observed gauges of one lender
-/// shard; `Relaxed` like [`DeviceCell`].
+/// The dispatch counters of one lender shard; `Relaxed` like [`DeviceCell`].
 #[derive(Debug, Default)]
 struct ShardCell {
     borrows: AtomicU64,
     results: AtomicU64,
-    depth: AtomicU64,
-    in_flight: AtomicU64,
-    /// The gauges were set at least once (an observed shard gets its row even
-    /// while everything reads zero).
-    observed: AtomicBool,
 }
 
 /// A feeder's handle on the counters of one device, from
@@ -101,13 +71,9 @@ struct ShardCell {
 pub struct DeviceMeter(Arc<DeviceCell>);
 
 impl DeviceMeter {
-    /// Records that the device completed `n` tasks worth `units` table units
-    /// each. The units are added one task at a time, so the sum is the same
-    /// `f64` whether results are recorded singly or a frame at once.
-    pub fn record(&self, n: u64, units: f64) {
+    /// Records that the device completed `n` tasks.
+    pub fn record(&self, n: u64) {
         self.0.tasks.fetch_add(n, Relaxed);
-        let add = |bits| Some((0..n).fold(f64::from_bits(bits), |sum, _| sum + units).to_bits());
-        let _ = self.0.units.fetch_update(Relaxed, Relaxed, add);
     }
 
     /// Records that one wire frame of `bytes` payload bytes travelled on the
@@ -147,46 +113,27 @@ impl ShardMeter {
     pub fn record_results(&self, n: u64) {
         self.0.results.fetch_add(n, Relaxed);
     }
-
-    /// Records a point-in-time observation of the shard's queues: `depth`
-    /// values staged or awaiting re-lend and `in_flight` values borrowed but
-    /// not yet answered. Gauges, overwritten on every call.
-    pub fn observe(&self, depth: u64, in_flight: u64) {
-        self.0.depth.store(depth, Relaxed);
-        self.0.in_flight.store(in_flight, Relaxed);
-        self.0.observed.store(true, Relaxed);
-    }
 }
 
 impl ThroughputMeter {
-    /// Creates a meter whose window starts now.
+    /// Creates an empty meter.
     pub fn new() -> Self {
-        Self {
-            inner: Arc::new(MeterInner {
-                started_at: Instant::now(),
-                cells: Mutex::new(Cells::default()),
-            }),
-        }
+        Self::default()
     }
 
     /// The handle on the counters of `device`, creating its cell on first
     /// sight. Look it up once — where the device joins — and record through
     /// the handle. A device nothing was recorded on renders no row.
     pub fn device(&self, device: &str) -> DeviceMeter {
-        DeviceMeter(self.inner.cells.lock().devices.entry(device.to_string()).or_default().clone())
+        DeviceMeter(self.cells.lock().devices.entry(device.to_string()).or_default().clone())
     }
 
     /// The handle on the counters of lender shard `shard`; like
     /// [`ThroughputMeter::device`], looked up once by whoever feeds it (and
-    /// again by a driver that hops shards).
+    /// again by a driver that hops shards). A shard nothing was recorded on
+    /// renders no row.
     pub fn shard(&self, shard: usize) -> ShardMeter {
-        ShardMeter(self.inner.cells.lock().shards.entry(shard).or_default().clone())
-    }
-
-    /// Records a point-in-time observation of the reactor scheduler's
-    /// work-conservation counters. A gauge set, overwritten on every call.
-    pub fn observe_scheduler(&self, counters: SchedulerCounters) {
-        self.inner.cells.lock().scheduler = Some(counters);
+        ShardMeter(self.cells.lock().shards.entry(shard).or_default().clone())
     }
 
     /// Renders the counts observed so far into a report.
@@ -194,7 +141,7 @@ impl ThroughputMeter {
     /// Every counter is exact: a record is never lost or counted twice, and
     /// once the feeders are quiet the report is the run's totals. A report
     /// taken *while* they record reads each counter on its own, so one
-    /// record's task may show a moment before its units.
+    /// frame's bytes may show a moment before its tasks.
     ///
     /// Row order is part of the contract (the `meter` lines of every golden
     /// trace are these rows): devices that completed a task in name order,
@@ -202,17 +149,12 @@ impl ThroughputMeter {
     /// seen through wire traffic, through a sent heartbeat, through a
     /// suppressed one.
     pub fn report(&self) -> ThroughputReport {
-        let cells = self.inner.cells.lock();
-        let elapsed = self.inner.started_at.elapsed();
-        let seconds = elapsed.as_secs_f64().max(1e-9);
+        let cells = self.cells.lock();
         let mut groups: [Vec<DeviceThroughput>; 4] = Default::default();
         for (device, cell) in &cells.devices {
-            let units = f64::from_bits(cell.units.load(Relaxed));
             let row = DeviceThroughput {
                 device: device.clone(),
                 tasks: cell.tasks.load(Relaxed),
-                units,
-                throughput: units / seconds,
                 wire_bytes: cell.wire_bytes.load(Relaxed),
                 wire_frames: cell.wire_frames.load(Relaxed),
                 heartbeats_sent: cell.heartbeats_sent.load(Relaxed),
@@ -227,43 +169,24 @@ impl ThroughputMeter {
         let shards = cells
             .shards
             .iter()
-            .filter_map(|(&shard, cell)| {
-                let row = ShardThroughput {
-                    shard,
-                    borrows: cell.borrows.load(Relaxed),
-                    results: cell.results.load(Relaxed),
-                    depth: cell.depth.load(Relaxed),
-                    in_flight: cell.in_flight.load(Relaxed),
-                };
-                (row.borrows > 0 || row.results > 0 || cell.observed.load(Relaxed)).then_some(row)
+            .map(|(&shard, cell)| ShardThroughput {
+                shard,
+                borrows: cell.borrows.load(Relaxed),
+                results: cell.results.load(Relaxed),
             })
+            .filter(|row| row.borrows > 0 || row.results > 0)
             .collect();
-        ThroughputReport {
-            elapsed,
-            rows: groups.into_iter().flatten().collect(),
-            shards,
-            scheduler: cells.scheduler,
-        }
+        ThroughputReport { rows: groups.into_iter().flatten().collect(), shards }
     }
 }
 
-impl Default for ThroughputMeter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Throughput of one device over the measurement window.
-#[derive(Debug, Clone, PartialEq)]
+/// What one device did over the run.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeviceThroughput {
     /// Device identifier.
     pub device: String,
     /// Number of tasks completed.
     pub tasks: u64,
-    /// Number of table units completed (tasks × units per task).
-    pub units: f64,
-    /// Average throughput in units per second.
-    pub throughput: f64,
     /// Payload bytes that travelled on this device's channel.
     pub wire_bytes: u64,
     /// Wire frames that carried those bytes (batching lowers frames/task).
@@ -276,7 +199,7 @@ pub struct DeviceThroughput {
 }
 
 /// Dispatch activity of one lender shard: how many borrows and results its
-/// lock served, plus the last observed queue gauges.
+/// lock served.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardThroughput {
     /// Shard index.
@@ -285,25 +208,17 @@ pub struct ShardThroughput {
     pub borrows: u64,
     /// Results accepted by this shard.
     pub results: u64,
-    /// Last observed number of values staged or awaiting re-lend.
-    pub depth: u64,
-    /// Last observed number of values borrowed but not yet answered.
-    pub in_flight: u64,
 }
 
-/// The per-device throughput rows of one run.
-#[derive(Debug, Clone, PartialEq)]
+/// The per-device and per-shard rows of one run.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ThroughputReport {
-    /// Length of the measurement window.
-    pub elapsed: Duration,
-    /// One row per device that completed at least one task.
+    /// One row per device something was recorded on, in the order
+    /// [`ThroughputMeter::report`] documents.
     pub rows: Vec<DeviceThroughput>,
     /// One row per lender shard that saw dispatch activity (empty when the
     /// deployment never fed shard counters, e.g. a bare meter).
     pub shards: Vec<ShardThroughput>,
-    /// Reactor work-conservation counters, if the deployment observed them
-    /// (`None` on bare meters).
-    pub scheduler: Option<SchedulerCounters>,
 }
 
 impl ThroughputReport {
@@ -337,81 +252,29 @@ mod tests {
         let meter = ThroughputMeter::new();
         let report = meter.report();
         assert!(report.rows.is_empty());
-        assert_eq!(report.scheduler, None);
-    }
-
-    #[test]
-    fn scheduler_counters_are_a_gauge_set() {
-        let meter = ThroughputMeter::new();
-        meter.observe_scheduler(SchedulerCounters {
-            polls: 10,
-            wasted_polls: 4,
-            kicks_sent: 3,
-            kicks_suppressed: 7,
-        });
-        // A later observation overwrites, never accumulates.
-        meter.observe_scheduler(SchedulerCounters {
-            polls: 25,
-            wasted_polls: 6,
-            kicks_sent: 9,
-            kicks_suppressed: 11,
-        });
-        let scheduler = meter.report().scheduler.unwrap();
-        assert_eq!(scheduler.polls, 25);
-        assert_eq!(scheduler.wasted_polls, 6);
-        assert_eq!(scheduler.kicks_sent, 9);
-        assert_eq!(scheduler.kicks_suppressed, 11);
+        assert!(report.shards.is_empty());
     }
 
     #[test]
     fn counts_accumulate_per_device() {
         let meter = ThroughputMeter::new();
         let (tablet, phone) = (meter.device("tablet"), meter.device("phone"));
-        tablet.record(1, 1.0);
-        tablet.record(1, 1.0);
-        phone.record(1, 1.0);
+        tablet.record(1);
+        tablet.record(1);
+        phone.record(1);
         let report = meter.report();
         assert_eq!(report.rows.len(), 2);
         let tablet = report.rows.iter().find(|r| r.device == "tablet").unwrap();
-        assert_eq!((tablet.tasks, tablet.units), (2, 2.0));
+        assert_eq!(tablet.tasks, 2);
         let phone = report.rows.iter().find(|r| r.device == "phone").unwrap();
-        assert_eq!((phone.tasks, phone.units), (1, 1.0));
-    }
-
-    #[test]
-    fn units_scale_throughput() {
-        let meter = ThroughputMeter::new();
-        let miner = meter.device("miner");
-        miner.record(1, 2_000.0);
-        miner.record(1, 2_000.0);
-        std::thread::sleep(Duration::from_millis(20));
-        let report = meter.report();
-        assert_eq!(report.rows[0].units, 4_000.0);
-        assert!(report.rows[0].throughput > 0.0);
-        assert!(report.elapsed >= Duration::from_millis(20));
-    }
-
-    #[test]
-    fn a_frame_of_results_sums_its_units_one_task_at_a_time() {
-        let meter = ThroughputMeter::new();
-        let (singly, at_once) = (meter.device("singly"), meter.device("at-once"));
-        for _ in 0..10 {
-            singly.record(1, 0.1);
-        }
-        at_once.record(10, 0.1);
-        at_once.record(0, 0.1);
-        let report = meter.report();
-        let units = |device: &str| report.rows.iter().find(|r| r.device == device).unwrap().units;
-        assert_eq!(units("singly").to_bits(), units("at-once").to_bits());
-        assert_ne!(units("at-once"), 10.0 * 0.1, "the sum, not the product");
-        assert_eq!(report.rows.iter().map(|r| r.tasks).collect::<Vec<_>>(), [10, 10]);
+        assert_eq!(phone.tasks, 1);
     }
 
     #[test]
     fn wire_counters_accumulate_per_device() {
         let meter = ThroughputMeter::new();
         let tablet = meter.device("tablet");
-        tablet.record(1, 1.0);
+        tablet.record(1);
         tablet.record_wire(120);
         tablet.record_wire(60);
         // A device that only produced traffic so far still gets a row.
@@ -445,25 +308,21 @@ mod tests {
     }
 
     #[test]
-    fn shard_counters_accumulate_and_gauges_overwrite() {
+    fn shard_counters_accumulate_and_only_a_shard_with_traffic_has_a_row() {
         let meter = ThroughputMeter::new();
         let shard0 = meter.shard(0);
         shard0.record_borrows(4);
         shard0.record_borrows(2);
         shard0.record_results(5);
         meter.shard(2).record_borrows(1);
-        shard0.observe(3, 1);
-        shard0.observe(0, 2);
+        meter.shard(3).record_results(1);
         // Looked up by a driver that never dispatched: no row.
         let _idle = meter.shard(1);
-        // Observed while everything reads zero: a row.
-        meter.shard(3).observe(0, 0);
         let report = meter.report();
         assert_eq!(report.shards.iter().map(|s| s.shard).collect::<Vec<_>>(), [0, 2, 3]);
-        let shard0 = &report.shards[0];
-        assert_eq!((shard0.borrows, shard0.results), (6, 5));
-        assert_eq!((shard0.depth, shard0.in_flight), (0, 2), "gauges keep the last observation");
+        assert_eq!((report.shards[0].borrows, report.shards[0].results), (6, 5));
         assert_eq!((report.shards[1].borrows, report.shards[1].results), (1, 0));
+        assert_eq!((report.shards[2].borrows, report.shards[2].results), (0, 1));
         // A meter that never saw shard traffic reports no shard rows.
         assert!(ThroughputMeter::new().report().shards.is_empty());
     }
@@ -472,7 +331,7 @@ mod tests {
     fn meter_is_shared_between_clones() {
         let meter = ThroughputMeter::new();
         let clone = meter.clone();
-        clone.device("a").record(1, 1.0);
+        clone.device("a").record(1);
         assert_eq!(meter.report().rows.len(), 1);
     }
 
@@ -482,18 +341,15 @@ mod tests {
         // A volunteer that re-registers (or resumes) under its name keeps
         // its row.
         let (first, again) = (meter.device("flappy"), meter.device("flappy"));
-        first.record(2, 1.0);
-        again.record(3, 1.0);
+        first.record(2);
+        again.record(3);
         again.record_wire(10);
         // Registered, crashed before its first frame.
         let _silent = meter.device("silent");
         let report = meter.report();
         assert_eq!(report.rows.len(), 1, "{:?}", report.rows);
         let row = &report.rows[0];
-        assert_eq!(
-            (row.device.as_str(), row.tasks, row.units, row.wire_frames),
-            ("flappy", 5, 5.0, 1)
-        );
+        assert_eq!((row.device.as_str(), row.tasks, row.wire_frames), ("flappy", 5, 1));
     }
 
     /// The `meter ...` lines of every golden trace are the report's rows in
@@ -511,10 +367,10 @@ mod tests {
         meter.device("d-wire").record_wire(7);
         meter.device("d-wire").record_heartbeat(false);
         meter.device("d-wire").record_heartbeat(true);
-        meter.device("z-tasks").record(1, 1.0);
+        meter.device("z-tasks").record(1);
         meter.device("a-tasks").record_heartbeat(true);
         meter.device("a-tasks").record_wire(9);
-        meter.device("a-tasks").record(1, 1.0);
+        meter.device("a-tasks").record(1);
         let rows = meter.report().rows;
         let order: Vec<&str> = rows.iter().map(|r| r.device.as_str()).collect();
         assert_eq!(
@@ -551,7 +407,7 @@ mod tests {
                 scope.spawn(move || {
                     start.wait();
                     for _ in 0..RECORDS {
-                        device.record(1, 0.5);
+                        device.record(1);
                         device.record_wire(3);
                         device.record_heartbeat(true);
                         shard.record_results(1);
@@ -573,7 +429,7 @@ mod tests {
         let report = meter.report();
         assert_eq!(report.rows.len(), 2);
         for row in &report.rows {
-            assert_eq!((row.tasks, row.units), (2 * RECORDS, RECORDS as f64), "{}", row.device);
+            assert_eq!(row.tasks, 2 * RECORDS, "{}", row.device);
             assert_eq!((row.wire_bytes, row.wire_frames), (6 * RECORDS, 2 * RECORDS));
             assert_eq!((row.heartbeats_sent, row.heartbeats_suppressed), (0, 2 * RECORDS));
         }

@@ -132,13 +132,8 @@ pub struct ReactorStats {
     pub polls: u64,
     /// Timer deadlines fired (delayed frames, crash suspicions, heartbeats).
     pub timer_fires: u64,
-    /// Current depth of the ready queue.
-    pub ready_depth: u64,
     /// High-water mark of the ready queue depth.
     pub max_ready_depth: u64,
-    /// Drivers currently parked in a starved set (waiting for input),
-    /// summed across shards.
-    pub starved: u64,
     /// Values read ahead by the input pumps on behalf of starved drivers,
     /// summed across shards.
     pub pump_prefetches: u64,
@@ -615,7 +610,7 @@ impl Driver {
                     // released for it.
                     let accepted = io.sink.push_batch(message.into_results());
                     if accepted > 0 {
-                        self.device.record(accepted as u64, 1.0);
+                        self.device.record(accepted as u64);
                         io.credits += accepted;
                         io.shard_meter.record_results(accepted as u64);
                     }
@@ -1134,14 +1129,7 @@ impl Reactor {
             wakeups: stats.wakeups.load(Ordering::Relaxed),
             polls: stats.polls.load(Ordering::Relaxed),
             timer_fires: stats.timer_fires.load(Ordering::Relaxed),
-            ready_depth: self.inner.ready.lock().len as u64,
             max_ready_depth: stats.max_ready_depth.load(Ordering::Relaxed),
-            starved: self
-                .inner
-                .shards
-                .iter()
-                .map(|slot| slot.starved.lock().parked.len() as u64)
-                .sum(),
             pump_prefetches: stats.pump_prefetches.load(Ordering::Relaxed),
             shards: self.inner.shards.len(),
             shard_hops: stats.shard_hops.load(Ordering::Relaxed),
@@ -1417,13 +1405,10 @@ mod tests {
             names.collect::<Vec<_>>().join(" ")
         }
 
-        /// `ReactorStats::starved` and `active` are the sets' lengths.
-        fn assert_stats_count_the_sets(&self) {
-            let inner = &self.reactor.inner;
-            let parked: usize = inner.shards.iter().map(|s| s.starved.lock().parked.len()).sum();
-            let stats = self.reactor.stats();
-            assert_eq!(stats.starved, parked as u64);
-            assert_eq!(stats.active, inner.registered.lock().len() as u64);
+        /// `ReactorStats::active` is the registered set's length.
+        fn assert_active_counts_the_registered(&self) {
+            let registered = self.reactor.inner.registered.lock().len() as u64;
+            assert_eq!(self.reactor.stats().active, registered);
         }
     }
 
@@ -1442,7 +1427,6 @@ mod tests {
         assert_eq!(stats.threads, 2);
         assert_eq!(stats.registered, 0);
         assert_eq!(stats.active, 0);
-        assert_eq!(stats.ready_depth, 0);
     }
 
     #[test]
@@ -1478,7 +1462,7 @@ mod tests {
         rig.drain();
         assert_eq!(task_seq(&a_end), 0);
         assert_eq!(rig.parked(0), "c a d");
-        rig.assert_stats_count_the_sets();
+        rig.assert_active_counts_the_registered();
     }
 
     #[test]
@@ -1511,13 +1495,13 @@ mod tests {
         let (_y, _y_end) = rig.join("y", 1, 1);
         rig.drain();
         assert_eq!([rig.parked(0), rig.parked(1)], ["a b", "x y"]);
-        rig.assert_stats_count_the_sets();
+        rig.assert_active_counts_the_registered();
 
         a_end.close();
         assert!(rig.reactor.step(), "`a` is polled and finishes");
         assert!(a.is_finished());
         assert_eq!([rig.parked(0), rig.parked(1)], ["b", "x y"]);
-        rig.assert_stats_count_the_sets();
+        rig.assert_active_counts_the_registered();
     }
 
     #[test]
@@ -1568,7 +1552,7 @@ mod tests {
         assert!(rig.reactor.step());
         assert_eq!(rig.reactor.stats().shard_hops, 1);
         assert_eq!([rig.parked(0), rig.parked(1)], ["", "d"]);
-        rig.assert_stats_count_the_sets();
+        rig.assert_active_counts_the_registered();
 
         // `x` fails its task: the value re-lent on shard 1 kicks `d` awake.
         x_end.send(Message::TaskError { seq: x_seq, message: Bytes::new() }).unwrap();

@@ -197,8 +197,9 @@ pub struct FleetReport {
     pub output_digest: u64,
     /// Canonical per-device rows of the
     /// [`ThroughputMeter`](crate::metrics::ThroughputMeter)
-    /// (tasks, wire bytes, wire frames, heartbeats) — the deterministic
-    /// columns only; wall-time-derived rates are excluded.
+    /// (tasks, wire bytes, wire frames, heartbeats), then a `meter scheduler`
+    /// row read from [`FleetReport::reactor`]: polls, wasted polls, kicks
+    /// sent and suppressed.
     pub meter_rows: Vec<String>,
     /// Canonical per-shard dispatch rows (borrows and accepted results).
     pub shard_rows: Vec<String>,
@@ -784,12 +785,6 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
         "every input value must produce exactly one output"
     );
     let reactor_stats = reactor.stats();
-    pando.meter().observe_scheduler(crate::metrics::SchedulerCounters {
-        polls: reactor_stats.polls,
-        wasted_polls: reactor_stats.wasted_polls,
-        kicks_sent: reactor_stats.kicks_sent,
-        kicks_suppressed: reactor_stats.kicks_suppressed,
-    });
     let report = pando.meter().report();
     let mut meter_rows: Vec<String> = report
         .rows
@@ -806,15 +801,13 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
             )
         })
         .collect();
-    if let Some(scheduler) = report.scheduler {
-        meter_rows.push(format!(
-            "meter scheduler polls={} wasted_polls={} kicks_sent={} kicks_suppressed={}",
-            scheduler.polls,
-            scheduler.wasted_polls,
-            scheduler.kicks_sent,
-            scheduler.kicks_suppressed
-        ));
-    }
+    meter_rows.push(format!(
+        "meter scheduler polls={} wasted_polls={} kicks_sent={} kicks_suppressed={}",
+        reactor_stats.polls,
+        reactor_stats.wasted_polls,
+        reactor_stats.kicks_sent,
+        reactor_stats.kicks_suppressed
+    ));
     let shard_rows: Vec<String> = report
         .shards
         .iter()

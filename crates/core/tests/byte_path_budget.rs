@@ -160,7 +160,7 @@ fn the_byte_path_stays_within_its_allocation_budget() {
     let (device, shard) = (meter.device("budget"), meter.shard(0));
     let before = OWN_BYTES.get();
     for _ in 0..1_000 {
-        device.record(2, 1.0);
+        device.record(2);
         device.record_wire(wire);
         device.record_heartbeat(false);
         device.record_heartbeat(true);

@@ -2,7 +2,7 @@
 //! multi-shard fleets keep global output order, `lender_shards = 1`
 //! reproduces the single-lender protocol exactly, crash rescue crosses
 //! shards through driver hopping, and the per-shard meters account for
-//! every borrow and result.
+//! every borrow and result, agreeing with the lender's own per-shard counts.
 
 use bytes::Bytes;
 use pando_core::config::PandoConfig;
@@ -12,6 +12,8 @@ use pando_netsim::fault::FaultPlan;
 use pando_pull_stream::codec::StringCodec;
 use pando_pull_stream::source::{count, Source, SourceExt};
 use pando_pull_stream::StreamError;
+use std::sync::{mpsc, Arc, OnceLock};
+use std::time::Duration;
 
 #[allow(clippy::ptr_arg)] // must match Fn(&C::Task) with C::Task = String
 fn echo(input: &String) -> Result<String, StreamError> {
@@ -48,13 +50,20 @@ fn four_shards_keep_global_order_across_a_fleet() {
     assert_eq!(reports.iter().map(|r| r.processed).sum::<u64>(), 500);
     let stats = pando.lender_stats().unwrap();
     assert_eq!(stats.results_emitted, 500);
+    assert_eq!(stats.values_read, stats.results_emitted, "every value read came out");
     // Work actually spread over more than one shard's lock.
-    pando.observe_shards();
     let shard_rows = pando.meter().report().shards;
     assert!(shard_rows.len() > 1, "multiple shards saw dispatch traffic");
     assert_eq!(shard_rows.iter().map(|s| s.borrows).sum::<u64>(), 500);
     assert_eq!(shard_rows.iter().map(|s| s.results).sum::<u64>(), 500);
-    assert!(shard_rows.iter().all(|s| s.depth == 0 && s.in_flight == 0), "drained at the end");
+    // The meter's shard rows and the lender's shards count the same results
+    // from two layers: they agree shard by shard.
+    let lender_results: Vec<u64> =
+        pando.shard_stats().unwrap().iter().map(|s| s.results_emitted).collect();
+    let meter_results: Vec<u64> = (0..lender_results.len())
+        .map(|shard| shard_rows.iter().find(|s| s.shard == shard).map_or(0, |s| s.results))
+        .collect();
+    assert_eq!(meter_results, lender_results);
 }
 
 #[test]
@@ -77,7 +86,6 @@ fn single_shard_reproduces_the_single_lender_protocol() {
     let stats = pando.lender_stats().unwrap();
     assert_eq!((stats.values_read, stats.results_emitted), (40, 40));
     // One shard is one meter row, and it saw every borrow and result.
-    pando.observe_shards();
     let shard_rows = pando.meter().report().shards;
     assert_eq!(shard_rows.len(), 1);
     assert_eq!((shard_rows[0].borrows, shard_rows[0].results), (40, 40));
@@ -90,15 +98,34 @@ fn crash_on_one_shard_is_rescued_by_volunteers_of_another() {
     // finish its own shard, hop over, and complete the orphaned work.
     let config = PandoConfig::local_test().with_reactor_threads(2).with_lender_shards(2);
     let pando = Pando::new(config);
+    // The survivor holds its first task until the crasher has handled three:
+    // left alone it could finish all 80 values before the crasher is lent
+    // its third. A crasher that never gets there costs the wait and fails
+    // the test instead of hanging it.
+    let (handled, crasher_handled) = mpsc::channel();
     let crasher = WorkerBuilder::new().fault(FaultPlan::AfterTasks(3)).spawn_typed(
         pando.open_volunteer_channel(),
         StringCodec,
-        echo,
+        move |input: &String| {
+            let _ = handled.send(());
+            echo(input)
+        },
     );
-    let survivor =
-        WorkerBuilder::new().spawn_typed(pando.open_volunteer_channel(), StringCodec, echo);
+    let waited = Arc::new(OnceLock::new());
+    let survivor_waited = waited.clone();
+    let survivor = WorkerBuilder::new().spawn_typed(
+        pando.open_volunteer_channel(),
+        StringCodec,
+        move |input: &String| {
+            survivor_waited.get_or_init(|| {
+                (0..3).all(|_| crasher_handled.recv_timeout(Duration::from_secs(10)).is_ok())
+            });
+            echo(input)
+        },
+    );
     let output = pando.run_typed(StringCodec, numbers(80)).collect_values().unwrap();
     assert_eq!(output, (1..=80u64).map(|v| v.to_string()).collect::<Vec<_>>());
+    assert_eq!(waited.get(), Some(&true), "the crasher handled three tasks first");
     assert!(crasher.join().crashed);
     assert!(!survivor.join().crashed);
     pando.join_volunteers();

@@ -16,8 +16,6 @@ use crate::sink::{BoxSink, Sink};
 use crate::source::{BoxSource, Source};
 use crate::sync::Semaphore;
 use crate::StreamError;
-use parking_lot::Mutex;
-use std::sync::Arc;
 
 /// Bounds the number of values in flight through a duplex.
 ///
@@ -38,18 +36,6 @@ use std::sync::Arc;
 pub struct Limiter {
     limit: usize,
     semaphore: Semaphore,
-    stats: Arc<Mutex<LimiterStats>>,
-}
-
-/// Counters observed by a [`Limiter`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LimiterStats {
-    /// Total number of values allowed through the sink side.
-    pub sent: u64,
-    /// Total number of values that came back out of the source side.
-    pub received: u64,
-    /// Maximum number of values that were simultaneously in flight.
-    pub max_in_flight: usize,
 }
 
 impl Limiter {
@@ -61,11 +47,7 @@ impl Limiter {
     /// through.
     pub fn new(limit: usize) -> Self {
         assert!(limit > 0, "limit must be at least 1");
-        Self {
-            limit,
-            semaphore: Semaphore::new(limit),
-            stats: Arc::new(Mutex::new(LimiterStats::default())),
-        }
+        Self { limit, semaphore: Semaphore::new(limit) }
     }
 
     /// The configured limit (batch size).
@@ -73,15 +55,10 @@ impl Limiter {
         self.limit
     }
 
-    /// The number of values currently in flight (sent but not yet returned).
+    /// The number of values currently in flight: the permits taken by the
+    /// sink side and not yet given back by a value out of the source side.
     pub fn in_flight(&self) -> usize {
-        let stats = self.stats.lock();
-        (stats.sent - stats.received) as usize
-    }
-
-    /// A snapshot of the counters observed so far.
-    pub fn stats(&self) -> LimiterStats {
-        self.stats.lock().clone()
+        self.limit.saturating_sub(self.semaphore.available())
     }
 
     /// Wraps `duplex` so that at most [`Limiter::limit`] values are in flight
@@ -94,16 +71,8 @@ impl Limiter {
     {
         let Duplex { source, sink } = duplex;
         Duplex {
-            source: Box::new(ReleasingSource {
-                inner: source,
-                semaphore: self.semaphore.clone(),
-                stats: self.stats.clone(),
-            }),
-            sink: Box::new(GatedSink {
-                inner: sink,
-                semaphore: self.semaphore.clone(),
-                stats: self.stats.clone(),
-            }),
+            source: Box::new(ReleasingSource { inner: source, semaphore: self.semaphore.clone() }),
+            sink: Box::new(GatedSink { inner: sink, semaphore: self.semaphore.clone() }),
         }
     }
 }
@@ -124,7 +93,6 @@ where
 struct ReleasingSource<Out> {
     inner: BoxSource<Out>,
     semaphore: Semaphore,
-    stats: Arc<Mutex<LimiterStats>>,
 }
 
 impl<Out: Send> Source<Out> for ReleasingSource<Out> {
@@ -132,10 +100,7 @@ impl<Out: Send> Source<Out> for ReleasingSource<Out> {
         let terminating = request.is_termination();
         let answer = self.inner.pull(request);
         match &answer {
-            Answer::Value(_) => {
-                self.stats.lock().received += 1;
-                self.semaphore.release();
-            }
+            Answer::Value(_) => self.semaphore.release(),
             _ => self.semaphore.close(),
         }
         if terminating {
@@ -148,16 +113,11 @@ impl<Out: Send> Source<Out> for ReleasingSource<Out> {
 struct GatedSink<In> {
     inner: BoxSink<In>,
     semaphore: Semaphore,
-    stats: Arc<Mutex<LimiterStats>>,
 }
 
 impl<In: Send + 'static> Sink<In> for GatedSink<In> {
     fn drain(&mut self, source: BoxSource<In>) -> Result<(), StreamError> {
-        let gated = GatedSource {
-            inner: source,
-            semaphore: self.semaphore.clone(),
-            stats: self.stats.clone(),
-        };
+        let gated = GatedSource { inner: source, semaphore: self.semaphore.clone() };
         self.inner.drain(Box::new(gated))
     }
 }
@@ -165,7 +125,6 @@ impl<In: Send + 'static> Sink<In> for GatedSink<In> {
 struct GatedSource<In> {
     inner: BoxSource<In>,
     semaphore: Semaphore,
-    stats: Arc<Mutex<LimiterStats>>,
 }
 
 impl<In: Send> Source<In> for GatedSource<In> {
@@ -179,13 +138,7 @@ impl<In: Send> Source<In> for GatedSource<In> {
             return Answer::Done;
         }
         match self.inner.pull(Request::Ask) {
-            Answer::Value(v) => {
-                let mut stats = self.stats.lock();
-                stats.sent += 1;
-                let in_flight = (stats.sent - stats.received) as usize;
-                stats.max_in_flight = stats.max_in_flight.max(in_flight);
-                Answer::Value(v)
-            }
+            value @ Answer::Value(_) => value,
             terminal => {
                 // Give the unused permit back so accounting stays balanced.
                 self.semaphore.release();
@@ -236,7 +189,6 @@ mod tests {
         let limiter = Limiter::new(3);
         assert_eq!(limiter.limit(), 3);
         assert_eq!(limiter.in_flight(), 0);
-        assert_eq!(limiter.stats(), LimiterStats::default());
     }
 
     #[test]
@@ -271,13 +223,17 @@ mod tests {
     fn end_to_end_limited_echo() {
         // Worker thread: echoes tasks back as results, simulating a device.
         let (duplex, results_tx, sent_rx) = echo_duplex();
+        let limiter = Limiter::new(3);
+        let bound = limiter.clone();
         let worker = thread::spawn(move || {
             for task in sent_rx.iter() {
+                // This task holds a permit; never more than the limit do.
+                let in_flight = bound.in_flight();
+                assert!((1..=3).contains(&in_flight), "{in_flight} in flight");
                 results_tx.send(task * 10).unwrap();
             }
         });
 
-        let limiter = Limiter::new(3);
         let Duplex { source, mut sink } = limiter.wrap(duplex);
 
         let collector = thread::spawn(move || crate::sink::take(source, 20).unwrap());
@@ -287,10 +243,7 @@ mod tests {
         pump.join().unwrap().unwrap();
         worker.join().unwrap();
         assert_eq!(results, (1..=20).map(|v| v * 10).collect::<Vec<_>>());
-        let stats = limiter.stats();
-        assert_eq!(stats.sent, 20);
-        assert_eq!(stats.received, 20);
-        assert!(stats.max_in_flight <= 3, "never more than the limit in flight");
+        assert_eq!(limiter.in_flight(), 0, "all 20 came back");
     }
 
     #[test]
@@ -339,7 +292,7 @@ mod tests {
         sink.drain(count(2).boxed()).unwrap();
         // Two permits consumed by the two values; the final pull that saw
         // `Done` must give its permit back.
-        assert_eq!(limiter.stats().sent, 2);
+        assert_eq!(limiter.in_flight(), 2);
         assert_eq!(limiter.semaphore.available(), 3);
     }
 }

@@ -83,7 +83,6 @@ impl Semaphore {
     }
 
     /// The number of permits currently available.
-    #[cfg(test)]
     pub fn available(&self) -> usize {
         self.inner.state.lock().permits
     }

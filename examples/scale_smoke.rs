@@ -127,12 +127,8 @@ fn main() {
         "wake discipline: {} wasted polls, {} kicks sent, {} kicks suppressed",
         stats.wasted_polls, stats.kicks_sent, stats.kicks_suppressed
     );
-    pando.observe_shards();
     for row in pando.meter().report().shards {
-        println!(
-            "shard {}: {} borrows, {} results, depth {}, in flight {}",
-            row.shard, row.borrows, row.results, row.depth, row.in_flight
-        );
+        println!("shard {}: {} borrows, {} results", row.shard, row.borrows, row.results);
     }
     println!(
         "heartbeats: {} standalone sent, {} piggybacked/suppressed (master side)",

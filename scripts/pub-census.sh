@@ -28,7 +28,7 @@
 # none has no caller anywhere.
 #
 # Rows without a caller are kept only for the groups in `kept` below (the
-# paper's modules, the Table 2 applications, the observability structs), and
+# paper's modules and the Table 2 applications), and
 # the last line counts them. The output is sorted and byte-deterministic:
 # `make pub-census` writes docs/PUB_CENSUS.txt and CI diffs it, so a new
 # `pub` item ships together with its row.
@@ -228,14 +228,11 @@ awk -v defs="$defs" '
     }
 
     # The groups that stay even when nothing calls them: the modules the
-    # paper names, its Table 2 applications, and the observability structs
-    # a metrics registry is to replace.
-    function kept(file, name) {
+    # paper names and its Table 2 applications.
+    function kept(file) {
         if (file ~ /^crates\/pull-stream\/src\/(limit|lender|shard|stubborn)\.rs$/)
             return "paper module"
         if (file ~ /^crates\/workloads\/src\//) return "Table 2 application"
-        if (name ~ /^(ThroughputMeter|SchedulerCounters|ReactorStats|LenderStats|LimiterStats|StubbornStats|TcpLinkStats|WorkerReport|FleetReport)(::|$)/)
-            return "observability struct"
         return ""
     }
 
@@ -266,7 +263,7 @@ awk -v defs="$defs" '
             if (live == "") {
                 tests = callers(1, f[1], f[2], f[3])
                 if (tests != "") row = row " unit tests:" tests
-                why = kept(f[1], f[3])
+                why = kept(f[1])
                 if (why != "") { row = row " kept: " why; kept_n++ } else uncalled_n++
             }
             print row | "sort"
