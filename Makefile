@@ -122,16 +122,18 @@ churn-scale:
 	cargo run --release --example churn_scale
 
 # The deterministic fleet simulator at 10k volunteers: the same reactor
-# stack on a virtual clock, run twice from one seed and the canonical event
-# traces compared byte for byte. Same target CI runs.
+# stack on a virtual clock, run twice from one seed through sim::oracle::run
+# (canonical event traces compared byte for byte, then the contract
+# checked), under a committed poll budget. Same target CI runs.
 sim:
 	cargo run --release --example sim_determinism
 
 # The golden-trace regression suite: every scenarios/*.toml script runs
-# twice on the virtual clock, is byte-compared against itself, checked
-# against its [expect] table, and diffed against the committed trace in
-# scenarios/golden/. After an intentional behaviour change, re-bless with
-# `make scenarios BLESS=1` and commit the golden diff for review.
+# twice on the virtual clock, is byte-compared against itself, held to the
+# sim::oracle contract and its [expect] table, and diffed against the
+# committed trace in scenarios/golden/. After an intentional behaviour
+# change, re-bless with `make scenarios BLESS=1` and commit the golden diff
+# for review.
 scenarios:
 	BLESS=$(BLESS) cargo run --release --example scenario_run
 

@@ -18,7 +18,9 @@
 #![warn(missing_docs)]
 
 use pando_core::scenario::Scenario as ScenarioFile;
-use pando_core::sim::{simulate_fleet, FleetParams, FleetReport, FleetScript, VolunteerSpec};
+use pando_core::sim::{
+    oracle, simulate_fleet, FleetParams, FleetReport, FleetScript, VolunteerSpec,
+};
 use pando_devices::profiles::{units_per_task, Scenario, ScenarioSetup};
 use pando_devices::table2::{paper_reference, paper_total, scenario_entries};
 use pando_workloads::AppKind;
@@ -116,7 +118,7 @@ fn fleet_rates(setup: &ScenarioSetup, app: AppKind, batch_size: usize) -> Vec<f6
         interactive_input: false,
         batch_size,
     };
-    let report = simulate_fleet(&FleetParams::new(SEED, 1, tasks).with_script(script));
+    let report = checked(FleetParams::new(SEED, 1, tasks).with_script(script));
     let mut done = vec![0u64; services.len()];
     for (at, v, records) in replies(&report) {
         // A volunteer computes a frame's records back to back, so the
@@ -126,6 +128,14 @@ fn fleet_rates(setup: &ScenarioSetup, app: AppKind, batch_size: usize) -> Vec<f6
     }
     let units = units_per_task(app) / WINDOW.as_secs_f64();
     done.into_iter().map(|records| records as f64 * units).collect()
+}
+
+/// Runs `params`, panicking if the run breaks [`oracle::check`]'s contract:
+/// no reproduced number comes from such a run.
+fn checked(params: FleetParams) -> FleetReport {
+    let report = simulate_fleet(&params);
+    oracle::check(&report).unwrap_or_else(|e| panic!("{}: {e}", report.trace[0]));
+    report
 }
 
 /// Every reply of a fleet run as `(virtual instant, volunteer, records)`,
@@ -184,9 +194,10 @@ pub fn batching_sweep(
 
 /// The paper's Figure 4 deployment (`scenarios/figure4.toml`) on the fleet
 /// simulator: a laptop starts alone, two phones and a board join, the laptop
-/// crashes and the others take its values over.
+/// crashes and the others take its values over. The run is held to
+/// [`oracle::check`]: every value comes back once, in input order.
 pub fn figure4() -> FleetReport {
-    simulate_fleet(&FleetParams::from_scenario(FIGURE4).expect("scenarios/figure4.toml loads"))
+    checked(FleetParams::from_scenario(FIGURE4).expect("scenarios/figure4.toml loads"))
 }
 
 /// Values a run lent more than once: every borrow past the one whose
@@ -470,16 +481,14 @@ stream over. `tests/experiments.rs` (E4) asserts these events.
         let ms = at.parse::<u64>().unwrap_or(0) / 1_000;
         let _ = writeln!(out, "| {ms} ms | {text} |");
     }
-    let in_order = report.output_order.iter().copied().eq(0..report.params.tasks);
     let computed: Vec<String> =
         computed.iter().enumerate().map(|(v, n)| format!("v{v} {n}")).collect();
     let _ = write!(
         out,
         "
-Output in input order: {}. Crashes: {}. Crash re-lends: {}, covering {} values.
+Output in input order: yes. Crashes: {}. Crash re-lends: {}, covering {} values.
 Tasks computed per volunteer: {}.
 ",
-        if in_order { "yes" } else { "no" },
         report.crashed,
         report.reactor.crash_relends,
         values_relent(&report),

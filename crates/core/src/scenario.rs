@@ -318,8 +318,6 @@ pub struct PartitionSpec {
 pub struct Expectations {
     /// Exact number of volunteers that crashed.
     pub crashed: Option<u64>,
-    /// Lower bound on crashed volunteers.
-    pub min_crashed: Option<u64>,
     /// Exact number of crash re-lends the reactor performed.
     pub crash_relends: Option<u64>,
     /// Upper bound on the reactor's wasted polls (the PR 7 busy-loop
@@ -331,31 +329,22 @@ pub struct Expectations {
 }
 
 impl Expectations {
-    const KEYS: [&'static str; 5] =
-        ["crashed", "min_crashed", "crash_relends", "max_wasted_polls", "min_retransmits"];
+    const KEYS: [&'static str; 4] =
+        ["crashed", "crash_relends", "max_wasted_polls", "min_retransmits"];
 
     fn is_empty(&self) -> bool {
         *self == Expectations::default()
     }
 
-    /// Checks a finished run: every input value emitted exactly once and in
-    /// order, whatever the churn and fault schedule did, then every declared
-    /// expectation.
+    /// Checks a finished run against every declared expectation. What every
+    /// run owes whatever its table says is
+    /// [`oracle::check`](crate::sim::oracle::check)'s.
     ///
     /// # Errors
     ///
     /// Returns every violation, one per line.
     pub fn check(&self, report: &FleetReport) -> Result<(), String> {
         let mut failures = Vec::new();
-        let order = &report.output_order;
-        if !order.iter().copied().eq(0..report.params.tasks) {
-            failures.push(format!(
-                "output incomplete or reordered (got {} of {} values, first {:?})",
-                order.len(),
-                report.params.tasks,
-                &order[..order.len().min(8)]
-            ));
-        }
         let mut expect = |label: &str, ok: bool, got: u64| {
             if !ok {
                 failures.push(format!("expect.{label} violated (got {got})"));
@@ -363,9 +352,6 @@ impl Expectations {
         };
         if let Some(want) = self.crashed {
             expect("crashed", report.crashed == want, report.crashed);
-        }
-        if let Some(min) = self.min_crashed {
-            expect("min_crashed", report.crashed >= min, report.crashed);
         }
         if let Some(want) = self.crash_relends {
             expect(
@@ -593,7 +579,6 @@ impl Scenario {
                 check_keys(table, "expect", &Expectations::KEYS)?;
                 Expectations {
                     crashed: opt_u64(table, "expect", "crashed")?,
-                    min_crashed: opt_u64(table, "expect", "min_crashed")?,
                     crash_relends: opt_u64(table, "expect", "crash_relends")?,
                     max_wasted_polls: opt_u64(table, "expect", "max_wasted_polls")?,
                     min_retransmits: opt_u64(table, "expect", "min_retransmits")?,
@@ -848,7 +833,6 @@ impl Scenario {
             let mut table = Table::default();
             let pairs = [
                 ("crashed", self.expect.crashed),
-                ("min_crashed", self.expect.min_crashed),
                 ("crash_relends", self.expect.crash_relends),
                 ("max_wasted_polls", self.expect.max_wasted_polls),
                 ("min_retransmits", self.expect.min_retransmits),
@@ -998,7 +982,7 @@ fn device_service(device: &str, app: AppKind) -> Option<Duration> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::simulate_fleet;
+    use crate::sim::{oracle, simulate_fleet};
 
     const WAN_MIX: &str = r#"
 name = "unit_wan_mix"
@@ -1061,10 +1045,7 @@ min_retransmits = 1
             script.partitions,
             vec![(vec![0, 1], Duration::from_micros(5_000), Duration::from_micros(8_000))]
         );
-        let a = simulate_fleet(&params);
-        let b = simulate_fleet(&params);
-        assert_eq!(a.canonical_trace(), b.canonical_trace());
-        scenario.expect.check(&a).unwrap();
+        scenario.expect.check(&oracle::run(&params).unwrap()).unwrap();
     }
 
     #[test]
@@ -1178,14 +1159,12 @@ at_us = 200
     #[test]
     fn expectation_failures_name_the_violated_bound() {
         let scenario = Scenario::parse(WAN_MIX).unwrap();
-        let mut report = simulate_fleet(&scenario.to_fleet_params().unwrap());
+        let report = simulate_fleet(&scenario.to_fleet_params().unwrap());
         let mut expect = scenario.expect.clone();
         expect.crashed = Some(7);
         expect.max_wasted_polls = Some(0);
         let message = expect.check(&report).unwrap_err();
         assert!(message.contains("expect.crashed"), "{message}");
-        report.output_order.swap(0, 1);
-        let message = scenario.expect.check(&report).unwrap_err();
-        assert!(message.starts_with("output incomplete or reordered"), "{message}");
+        assert!(message.contains("expect.max_wasted_polls"), "{message}");
     }
 }

@@ -15,16 +15,14 @@
 //!
 //! # Examples
 //!
-//! Two same-seed runs produce identical canonical traces:
+//! Two same-seed runs produce identical canonical traces, and the run keeps
+//! the contract [`oracle`] checks — every input once, in order:
 //!
 //! ```
-//! use pando_core::sim::{simulate_fleet, FleetParams};
+//! use pando_core::sim::{oracle, FleetParams};
 //!
-//! let params = FleetParams::new(7, 4, 24);
-//! let a = simulate_fleet(&params);
-//! let b = simulate_fleet(&params);
-//! assert_eq!(a.canonical_trace(), b.canonical_trace());
-//! assert_eq!(a.output_order, (0..24).collect::<Vec<u64>>(), "global order survives");
+//! let report = oracle::run(&FleetParams::new(7, 4, 24)).unwrap();
+//! assert!(report.canonical_trace().starts_with("params seed=7 volunteers=4 tasks=24 "));
 //! ```
 
 use crate::config::{BatchingConfig, PandoConfig};
@@ -44,6 +42,8 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+pub mod oracle;
 
 /// Parameters of one deterministic fleet run. Everything a run does —
 /// per-volunteer service times, the crash schedule, channel jitter — derives
@@ -988,18 +988,7 @@ mod tests {
         let (survivor, doomed) = (tasks_of(&report, 0), tasks_of(&report, 1));
         assert_eq!(report.crashed, 1);
         assert!(doomed < survivor / 4, "survivor {survivor} vs doomed {doomed}");
-        assert_eq!(report.output_order, (0..300).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn fleet_sim_same_seed_is_byte_identical() {
-        let params = FleetParams::new(1234, 6, 48);
-        let a = simulate_fleet(&params);
-        let b = simulate_fleet(&params);
-        assert_eq!(a.canonical_trace(), b.canonical_trace());
-        assert_eq!(a.output_digest, b.output_digest);
-        assert_eq!(a.output_order, (0..48).collect::<Vec<u64>>());
-        assert_eq!(a.claim_log, b.claim_log);
+        oracle::check(&report).unwrap();
     }
 
     #[test]
@@ -1009,8 +998,8 @@ mod tests {
         let a = simulate_fleet(&FleetParams::new(1, 6, 48));
         let b = simulate_fleet(&FleetParams::new(2, 6, 48));
         assert_ne!(a.canonical_trace(), b.canonical_trace());
-        // Both still complete the stream in order.
-        assert_eq!(a.output_order, b.output_order);
+        oracle::check(&a).unwrap();
+        oracle::check(&b).unwrap();
     }
 
     #[test]
@@ -1020,7 +1009,7 @@ mod tests {
         let params = FleetParams::new(99, 8, 64).with_crash_fraction(0.9);
         let report = simulate_fleet(&params);
         assert!(report.crashed >= 1, "the schedule must actually crash volunteers");
-        assert_eq!(report.output_order, (0..64).collect::<Vec<u64>>());
+        oracle::check(&report).unwrap();
         assert!(
             report.trace.iter().any(|line| line.ends_with("crash")),
             "crash events appear in the trace"
@@ -1054,15 +1043,14 @@ mod tests {
         // Same seed, no scripted crashes; one run flap-free, one with two
         // mid-run flaps. The flapped run must produce the same output order
         // and digest — a transient disconnect loses nothing — and must not
-        // fire the crash re-lend path.
+        // fire the crash re-lend path (the oracle's rules b and c).
         let base = FleetParams::new(4242, 6, 60).with_crash_fraction(0.0);
         let calm = simulate_fleet(&base);
         let flapped =
             simulate_fleet(&base.clone().with_flaps(vec![(1, 2_000, 8_000), (3, 5_000, 20_000)]));
         assert_eq!(flapped.output_order, calm.output_order);
         assert_eq!(flapped.output_digest, calm.output_digest);
-        assert_eq!(flapped.crashed, 0, "a flap is not a crash");
-        assert_eq!(flapped.reactor.crash_relends, 0, "a flap must not fire the re-lend path");
+        oracle::check(&flapped).unwrap();
         assert!(
             flapped.trace.iter().any(|line| line.contains("flap down_us=")),
             "flap events appear in the trace"
@@ -1122,8 +1110,8 @@ mod tests {
     fn scripted_fleet_is_deterministic_across_churn_loss_and_partitions() {
         // A hand-built script exercising every scripted event kind at once:
         // a lossy WAN phone, a mid-run join, a clean leave, a crash and a
-        // partition that heals. The stream still completes exactly once per
-        // task, and two runs are byte-identical.
+        // partition that heals. Two runs are byte-identical and keep the
+        // contract.
         let mut phone = spec("wan", 2_500, 11);
         phone.channel = ChannelConfig::wan().with_seed(11).with_loss(0.2);
         let mut latecomer = spec("lan", 900, 12);
@@ -1141,10 +1129,7 @@ mod tests {
         };
         let params = FleetParams::new(77, 1, 96).with_script(script);
         assert_eq!(params.volunteers, 5, "with_script adopts the script's fleet size");
-        let a = simulate_fleet(&params);
-        let b = simulate_fleet(&params);
-        assert_eq!(a.canonical_trace(), b.canonical_trace());
-        assert_eq!(a.output_order, (0..96).collect::<Vec<u64>>(), "exactly-once output");
+        let a = oracle::run(&params).unwrap();
         assert_eq!(a.crashed, 1);
         assert!(a.retransmits > 0, "a 20% lossy link must retransmit");
         assert!(a.canonical_trace().contains("scenario name=unit_mixed interactive=false\n"));
@@ -1152,29 +1137,6 @@ mod tests {
         assert!(a.trace.iter().any(|l| l.contains("leave")));
         assert!(a.trace.iter().any(|l| l.contains("partition members=0,1")));
         assert!(a.canonical_trace().contains(&format!("loss retransmits={}", a.retransmits)));
-    }
-
-    #[test]
-    fn interactive_input_completes_with_a_bounded_wasted_poll_budget() {
-        // The PR 7 regression shape: a source whose non-blocking asks always
-        // would-block forces every task through the input pump. The run must
-        // finish (no wedge) without the kick/ask busy loop inflating
-        // wasted_polls.
-        let script = FleetScript {
-            name: "unit_interactive".into(),
-            volunteers: vec![spec("lan", 800, 20), spec("lan", 1_200, 21)],
-            partitions: Vec::new(),
-            interactive_input: true,
-            batch_size: 2,
-        };
-        let params = FleetParams::new(5, 1, 48).with_script(script);
-        let report = simulate_fleet(&params);
-        assert_eq!(report.output_order, (0..48).collect::<Vec<u64>>());
-        assert!(
-            report.reactor.wasted_polls <= 10 * 48,
-            "wasted polls must stay bounded, got {}",
-            report.reactor.wasted_polls
-        );
     }
 
     #[test]

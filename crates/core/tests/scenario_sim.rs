@@ -1,14 +1,14 @@
 //! End-to-end determinism of scripted scenarios: for *any* generated
 //! topology/churn/fault script, compiling it through
 //! [`pando_core::scenario`] and executing it twice on the virtual clock
-//! yields byte-identical canonical traces, and the merged output is always
-//! the complete input in input order — churn waves, crashes, flaps, jittery
-//! and lossy links and partitions included. This is the property behind the committed
-//! golden traces in `scenarios/golden/`: if two in-process runs ever
-//! diverged, a golden file could never be stable across machines.
+//! yields byte-identical canonical traces, and the run keeps the contract of
+//! [`pando_core::sim::oracle`] — churn waves, crashes, flaps, jittery and
+//! lossy links and partitions included. This is the property behind the
+//! committed golden traces in `scenarios/golden/`: if two in-process runs
+//! ever diverged, a golden file could never be stable across machines.
 
 use pando_core::scenario::{GroupSpec, LinkOverrides, PartitionSpec, Scenario};
-use pando_core::sim::simulate_fleet;
+use pando_core::sim::{oracle, simulate_fleet};
 use proptest::prelude::*;
 
 /// The no, low, medium and high jitter link rows of SNIPPETS.md snippet 2,
@@ -103,47 +103,30 @@ fn build(seed: u64, tasks: u64, shape: u64, faults: u64) -> Scenario {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Same scenario ⇒ byte-identical canonical traces, twice over.
-    #[test]
-    fn scripted_runs_are_byte_identical(
-        seed in 0u64..1_000_000,
-        tasks in 1u64..64,
-        shape in 0u64..1_000_000,
-        faults in 0u64..1_000_000,
-    ) {
-        let scenario = build(seed, tasks, shape, faults);
-        let params = scenario.to_fleet_params().unwrap();
-        let a = simulate_fleet(&params);
-        let b = simulate_fleet(&params);
-        prop_assert_eq!(a.canonical_trace(), b.canonical_trace());
-        prop_assert_eq!(a.output_digest, b.output_digest);
-        prop_assert_eq!(&a.claim_log, &b.claim_log);
-        prop_assert_eq!(a.retransmits, b.retransmits);
-    }
-
     /// Whatever the script throws at the fleet — staggered joins, clean
-    /// leaves, crash-stops, flaps, partitions, lossy links — every input
-    /// value is emitted exactly once, in global input order.
+    /// leaves, crash-stops, flaps, partitions, lossy links — two runs are
+    /// byte-identical and keep the contract [`oracle::check`] names: every
+    /// input value emitted exactly once, in global input order.
     #[test]
-    fn scripted_output_is_complete_and_ordered(
+    fn scripted_fleets_keep_the_contract(
         seed in 0u64..1_000_000,
         tasks in 1u64..64,
         shape in 0u64..1_000_000,
         faults in 0u64..1_000_000,
     ) {
         let scenario = build(seed, tasks, shape, faults);
-        let report = simulate_fleet(&scenario.to_fleet_params().unwrap());
-        let expected: Vec<u64> = (0..tasks).collect();
-        prop_assert_eq!(&report.output_order, &expected);
-        // Crash accounting matches the script: only scripted crash-stops
-        // count, clean leaves and flaps never do.
+        let report = oracle::run(&scenario.to_fleet_params().unwrap())
+            .unwrap_or_else(|e| panic!("{e}"));
+        // Crash accounting matches the script exactly: only scripted
+        // crash-stops count, clean leaves and flaps never do.
         prop_assert_eq!(report.crashed, scenario.crashes.len() as u64);
     }
 }
 
-/// The checked-in scenario files themselves parse, compile, and satisfy
-/// their own [expect] tables — the unit-test twin of `make scenarios`
-/// (which additionally diffs the golden traces).
+/// The checked-in scenario files themselves parse, compile, keep the
+/// contract and satisfy their own [expect] tables — the unit-test twin of
+/// `make scenarios` (which additionally runs each twice and diffs the
+/// golden traces).
 #[test]
 fn checked_in_scenarios_run_green() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
@@ -157,6 +140,8 @@ fn checked_in_scenarios_run_green() {
     for path in paths {
         let scenario = Scenario::load(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         let report = simulate_fleet(&scenario.to_fleet_params().unwrap());
-        scenario.expect.check(&report).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        oracle::check(&report)
+            .and_then(|()| scenario.expect.check(&report))
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     }
 }

@@ -504,6 +504,10 @@ where
         let Some(borrowed) = state.borrowed_by.remove(&id) else {
             return false;
         };
+        // Re-lend in input order: a hash set iterates in a per-process
+        // random order, which would make two same-seed simulations diverge.
+        let mut borrowed: Vec<u64> = borrowed.into_iter().collect();
+        borrowed.sort_unstable();
         for seq in borrowed {
             if let Some(value) = state.in_flight.remove(&seq) {
                 state.failed.push_back(Lend::new(seq, value));
@@ -1248,22 +1252,27 @@ mod tests {
     #[test]
     fn crashed_substream_values_are_relent() {
         let lender: StreamLender<u64, u64> = StreamLender::new(count(10));
-        // First sub-stream borrows three values and crashes without answering.
+        // First sub-stream borrows eight values and crashes without answering.
         let mut doomed = lender.lend();
-        let t1 = doomed.next_task().unwrap();
-        let t2 = doomed.next_task().unwrap();
-        let t3 = doomed.next_task().unwrap();
-        assert_eq!(doomed.borrowed(), 3);
-        assert_eq!((t1.seq, t2.seq, t3.seq), (0, 1, 2));
+        let seqs: Vec<u64> = (0..8).map(|_| doomed.next_task().unwrap().seq).collect();
+        assert_eq!(doomed.borrowed(), 8);
+        assert_eq!(seqs, (0..8).collect::<Vec<_>>());
         drop(doomed); // crash-stop
 
-        assert_eq!(lender.failed_pending(), 3);
-        let worker = square_worker(lender.lend());
+        assert_eq!(lender.failed_pending(), 8);
+        // They are re-lent in input order, the same in every process.
+        let mut heir = lender.lend();
+        let tasks: Vec<_> = (0..8).map(|_| heir.next_task().unwrap()).collect();
+        assert_eq!(tasks.iter().map(|task| task.seq).collect::<Vec<_>>(), seqs);
+        for task in tasks {
+            heir.push_result(task.seq, task.value * task.value).unwrap();
+        }
+        let worker = square_worker(heir);
         let output = lender.output().collect_values().unwrap();
         worker.join().unwrap();
         assert_eq!(output, (1..=10u64).map(|x| x * x).collect::<Vec<_>>());
         let stats = lender.stats();
-        assert_eq!(stats.relends, 3);
+        assert_eq!(stats.relends, 8);
         assert_eq!(stats.substreams_crashed, 1);
         // Only 10 input values were ever read despite the crash (laziness +
         // conservative re-lend, not re-read).

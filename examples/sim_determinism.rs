@@ -1,101 +1,52 @@
 //! Deterministic fleet-sim smoke: the real reactor stack — sharded lender,
-//! driver state machines, wire protocol, crash recovery — run twice at fleet
-//! scale under the virtual clock, and the two event traces compared **byte
-//! for byte**. This is the acceptance check that experiments are
-//! reproducible tick-for-tick: any scheduler nondeterminism (a real-time
-//! read, an unseeded RNG, a racing wake-up) diverges the canonical traces
-//! and fails the run with the first differing line.
+//! driver state machines, wire protocol, crash recovery — on the virtual
+//! clock at 10 000 volunteers and 20 000 values from seed 42, run twice by
+//! [`oracle::run`]: any scheduler nondeterminism (a real-time read, an
+//! unseeded RNG, a racing wake-up) diverges the canonical traces and fails
+//! with the first differing line. Run 1 must stay under 1 500 000 reactor
+//! polls (broadcast kicks spent 14 991 667 on this fleet, bounded wakes
+//! 149 530: a 10× floor on the win) and the pair under a 480 s wall-clock
+//! guard.
 //!
-//! Run with: `cargo run --release --example sim_determinism`
-//!
-//! Environment knobs:
-//!
-//! * `SIM_VOLUNTEERS` — fleet size (default 10000, the `make sim` scale)
-//! * `SIM_TASKS` — number of values to stream (default 2 × volunteers)
-//! * `SIM_SEED` — master seed for jitter, service times and the fault
-//!   schedule (default 42)
-//! * `SIM_BUDGET_SECS` — wall-clock guard for the pair of runs (default
-//!   480); exceeding it means the scheduler regressed
-//! * `SIM_MAX_POLLS` — committed reactor-poll budget for run 1 (default 0 =
-//!   unchecked); exceeding it means the wake discipline regressed towards
-//!   broadcast kicks. CI pins the 10k fleet well under the 14,991,667 polls
-//!   the pre-bounded reactor spent.
+//! Run with: `cargo run --release --example sim_determinism` (or `make sim`).
 
-use pando_core::sim::{simulate_fleet, FleetParams};
+use pando_core::sim::{oracle, FleetParams};
 use std::time::{Duration, Instant};
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
+const VOLUNTEERS: usize = 10_000;
+const TASKS: u64 = 20_000;
+const SEED: u64 = 42;
+const BUDGET: Duration = Duration::from_secs(480);
+const MAX_POLLS: u64 = 1_500_000;
 
 fn main() {
-    let volunteers = env_u64("SIM_VOLUNTEERS", 10_000) as usize;
-    let tasks = env_u64("SIM_TASKS", 2 * volunteers as u64);
-    let seed = env_u64("SIM_SEED", 42);
-    let budget = Duration::from_secs(env_u64("SIM_BUDGET_SECS", 480));
-    let max_polls = env_u64("SIM_MAX_POLLS", 0);
-    let params = FleetParams::new(seed, volunteers, tasks);
-
     let started = Instant::now();
-    let first = simulate_fleet(&params);
+    let report = oracle::run(&FleetParams::new(SEED, VOLUNTEERS, TASKS))
+        .unwrap_or_else(|e| panic!("the 10k fleet broke the sim contract:\n{e}"));
     println!(
-        "run 1: {tasks} tasks over {volunteers} volunteers, {} crashed, \
-         {:?} virtual in {:?} wall ({} reactor polls, {} trace events)",
-        first.crashed,
-        first.virtual_elapsed,
-        first.wall_elapsed,
-        first.reactor.polls,
-        first.trace.len()
+        "{TASKS} tasks over {VOLUNTEERS} volunteers, {} crashed, {:?} virtual, run 1 in {:?} \
+         wall ({} reactor polls, {} trace events)",
+        report.crashed,
+        report.virtual_elapsed,
+        report.wall_elapsed,
+        report.reactor.polls,
+        report.trace.len()
     );
-    let second = simulate_fleet(&params);
-    println!("run 2: {:?} virtual in {:?} wall", second.virtual_elapsed, second.wall_elapsed);
+    println!("canonical traces identical, output complete and in order");
 
-    // The headline assertion: byte-identical canonical traces — event log,
-    // output order and digest, shard claim log, meter rows, reactor
-    // counters.
-    let (a, b) = (first.canonical_trace(), second.canonical_trace());
-    if a != b {
-        for (i, (la, lb)) in a.lines().zip(b.lines()).enumerate() {
-            if la != lb {
-                eprintln!("first divergence at canonical line {i}:\n  run1: {la}\n  run2: {lb}");
-                break;
-            }
-        }
-        panic!("same-seed runs diverged ({} vs {} bytes)", a.len(), b.len());
-    }
-    println!("canonical traces identical: {} bytes", a.len());
-
-    // Sanity on top of equality: the stream completed, in order, despite the
-    // fault schedule.
-    assert_eq!(first.output_order, (0..tasks).collect::<Vec<u64>>(), "global order must survive");
-    assert_eq!(first.claim_log, second.claim_log);
-
-    // Optional committed poll budget: a regression towards broadcast kicks
+    // The committed poll budget: a regression towards broadcast kicks
     // multiplies the poll count long before it hurts wall-clock.
-    if max_polls > 0 {
-        assert!(
-            first.reactor.polls < max_polls,
-            "reactor polls exceeded the committed budget: {} >= {max_polls}",
-            first.reactor.polls
-        );
-        println!("poll budget OK: {} < {max_polls}", first.reactor.polls);
-    }
-
-    // A different seed must not produce the same trace (jitter, service
-    // times and the fault schedule all derive from it). Checked at a token
-    // size: the full fleet twice is enough wall-clock already.
-    let small = FleetParams::new(seed, 64, 256);
-    let other = FleetParams::new(seed.wrapping_add(1), 64, 256);
-    assert_ne!(
-        simulate_fleet(&small).canonical_trace(),
-        simulate_fleet(&other).canonical_trace(),
-        "different seeds must diverge"
+    assert!(
+        report.reactor.polls < MAX_POLLS,
+        "reactor polls exceeded the committed budget: {} >= {MAX_POLLS}",
+        report.reactor.polls
     );
+    println!("poll budget OK: {} < {MAX_POLLS}", report.reactor.polls);
 
     let elapsed = started.elapsed();
     assert!(
-        elapsed <= budget,
-        "wall-clock guard exceeded: {elapsed:?} > {budget:?} — sim scheduling regressed"
+        elapsed <= BUDGET,
+        "wall-clock guard exceeded: {elapsed:?} > {BUDGET:?} — sim scheduling regressed"
     );
     println!("sim determinism OK ({elapsed:?} total)");
 }

@@ -84,8 +84,9 @@ fn cross_scenario_ordering_matches_the_paper() {
 
 /// E4: the Figure 4 deployment (`scenarios/figure4.toml`) — the laptop
 /// starts alone, the phones and the board join in order, the laptop crashes
-/// and is the only crash, its two values are re-lent once, and every output
-/// still comes back in order.
+/// and is the only crash, and its two values are re-lent once. That every
+/// output still comes back in order, `figure4` holds the run to
+/// `sim::oracle::check` for.
 #[test]
 fn figure4_deployment_trace_has_the_expected_shape() {
     let report = figure4();
@@ -101,7 +102,6 @@ fn figure4_deployment_trace_has_the_expected_shape() {
         report.trace.iter().filter(|l| l.ends_with(" crash")).filter_map(event).collect();
     assert_eq!(crashes, ["v0 crash"], "exactly one crash, of the laptop");
     assert_eq!(report.crashed, 1);
-    assert_eq!(report.output_order, (0..100).collect::<Vec<u64>>(), "complete, in order");
     assert_eq!(report.reactor.crash_relends, 1, "one crash verdict re-lends");
     assert_eq!(values_relent(&report), 2, "the laptop's window, lent twice");
 }
