@@ -4,9 +4,8 @@
 //! subsystem: [`BatchingConfig`] (how values are windowed and framed),
 //! [`ReactorConfig`] (how volunteer endpoints are driven and how the lender
 //! is sharded), [`TransportConfig`] (how bytes reach the volunteers) and
-//! [`RunConfig`] (clock, reporting windows, bundle identity). Every
-//! sub-config implements `Default`, so a custom deployment can override one
-//! group without spelling out the rest:
+//! [`RunConfig`] (the clock). Every sub-config implements `Default`, so a
+//! custom deployment can override one group without spelling out the rest:
 //!
 //! ```
 //! use pando_core::config::{BatchingConfig, PandoConfig};
@@ -27,7 +26,6 @@
 use crate::transport::tcp::TcpConfig;
 use pando_netsim::channel::ChannelConfig;
 use pando_netsim::sim::Clock;
-use std::time::Duration;
 
 /// How values are windowed towards each volunteer and coalesced into wire
 /// frames.
@@ -107,7 +105,6 @@ impl Default for ReactorConfig {
 ///
 /// let transport = TransportConfig::default();
 /// assert_eq!(transport.channel.latency.as_millis(), 2); // LAN profile
-/// assert!(transport.tcp.nodelay);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransportConfig {
@@ -129,16 +126,14 @@ impl Default for TransportConfig {
     }
 }
 
-/// Clock, reporting windows and the identity of the served bundle — the
-/// knobs of the run as a whole rather than of any one subsystem.
+/// The clock — the knob of the run as a whole rather than of any one
+/// subsystem.
 ///
 /// ```
 /// use pando_core::config::RunConfig;
 ///
 /// let run = RunConfig::default();
 /// assert!(!run.clock.is_virtual());
-/// assert_eq!(run.measurement_window.as_secs(), 300); // the paper's window
-/// assert_eq!(run.protocol_version, "/pando/1.0.0");
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunConfig {
@@ -150,28 +145,11 @@ pub struct RunConfig {
     /// and advances time explicitly, making whole runs reproducible
     /// tick-for-tick.
     pub clock: Clock,
-    /// How long the master waits for the first volunteer before reporting
-    /// (it keeps waiting regardless; this only controls a log line).
-    pub startup_grace: Duration,
-    /// Length of the throughput measurement window used by
-    /// [`metrics`](crate::metrics) (five minutes in the paper).
-    pub measurement_window: Duration,
-    /// Human-readable name of the processing-function bundle served to
-    /// volunteers (the equivalent of the browserified `render.js`).
-    pub bundle_name: String,
-    /// Version tag of the Pando protocol exposed to the bundle.
-    pub protocol_version: String,
 }
 
 impl Default for RunConfig {
     fn default() -> Self {
-        Self {
-            clock: Clock::wall(),
-            startup_grace: Duration::from_secs(1),
-            measurement_window: Duration::from_secs(300),
-            bundle_name: "bundle.js".to_string(),
-            protocol_version: PandoConfig::PROTOCOL_VERSION.to_string(),
-        }
+        Self { clock: Clock::wall() }
     }
 }
 
@@ -194,14 +172,11 @@ pub struct PandoConfig {
     pub reactor: ReactorConfig,
     /// Simulated-channel profile and TCP knobs; see [`TransportConfig`].
     pub transport: TransportConfig,
-    /// Clock, windows and bundle identity; see [`RunConfig`].
+    /// The clock; see [`RunConfig`].
     pub run: RunConfig,
 }
 
 impl PandoConfig {
-    /// The protocol version implemented by this crate.
-    const PROTOCOL_VERSION: &'static str = "/pando/1.0.0";
-
     /// Default size of the reactor pool: enough to keep a few cores busy
     /// with dispatch/receive bookkeeping while volunteers do the actual
     /// compute. Deterministic (not derived from the host's core count) so
@@ -217,11 +192,6 @@ impl PandoConfig {
             transport: TransportConfig {
                 channel: ChannelConfig::instant(),
                 tcp: TcpConfig::local_test(),
-            },
-            run: RunConfig {
-                startup_grace: Duration::from_millis(100),
-                measurement_window: Duration::from_secs(1),
-                ..RunConfig::default()
             },
             ..Self::default()
         }
@@ -302,11 +272,7 @@ impl PandoConfig {
                 channel: ChannelConfig::lan().with_seed(seed),
                 ..TransportConfig::default()
             },
-            run: RunConfig {
-                clock: Clock::virtual_clock(),
-                startup_grace: Duration::from_millis(100),
-                ..RunConfig::default()
-            },
+            run: RunConfig { clock: Clock::virtual_clock() },
             ..Self::default()
         }
     }
@@ -335,8 +301,6 @@ mod tests {
     fn defaults_match_the_paper() {
         let config = PandoConfig::default();
         assert_eq!(config.batching.batch_size, 2);
-        assert_eq!(config.run.measurement_window, Duration::from_secs(300));
-        assert_eq!(config.run.protocol_version, "/pando/1.0.0");
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //! WebSocket/WebRTC-like channels bootstrapped by a **public server**.
 //!
 //! * [`config`] — deployment configuration (batch size, channel profile,
-//!   worker code bundle);
+//!   TCP knobs, clock);
 //! * [`protocol`] — the wire messages exchanged between master and workers
 //!   and their framed encoding;
-//! * [`master`] — the [`master::Pando`] master: StreamLender +
-//!   Limiter per volunteer + ordered output;
+//! * [`master`] — the [`master::Pando`] master: StreamLender + a
+//!   `batch_size` window per volunteer (the reactor's credits, the paper's
+//!   `pull-limit`) + ordered output;
 //! * [`reactor`] — the event-driven driver of every volunteer: a fixed
 //!   thread pool multiplexing dispatch and receive for the whole fleet;
 //! * [`worker`] — the volunteer-side processing loop (`AsyncMap(f)`), as a

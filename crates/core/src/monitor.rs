@@ -20,7 +20,7 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// A block solved by the mining run.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SolvedBlock {
     /// The block header that was mined.
     pub block: String,

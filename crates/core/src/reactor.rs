@@ -98,9 +98,8 @@ use pando_netsim::codec::{Record, MAX_FRAME_LEN, RECORD_HEADER_LEN};
 use pando_netsim::sim::Clock;
 use pando_pull_stream::lender::{SubStreamSink, SubStreamSource};
 use pando_pull_stream::shard::ShardedLender;
-use pando_pull_stream::source::Source;
 use pando_pull_stream::sync::Signal;
-use pando_pull_stream::{Answer, Request, StreamError};
+use pando_pull_stream::{Answer, StreamError};
 use parking_lot::{Condvar, Mutex};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -153,9 +152,9 @@ pub struct ReactorStats {
     /// would have woken them for nothing).
     pub kicks_suppressed: u64,
     /// Volunteers whose transport reported a permanent failure, firing the
-    /// crash re-lend path (`finish(false)` + `Request::Fail`). A transient
-    /// disconnect absorbed by a resumable session within its grace window
-    /// does *not* count — only the final crash verdict does.
+    /// crash re-lend path (`finish(false)`). A transient disconnect absorbed
+    /// by a resumable session within its grace window does *not* count —
+    /// only the final crash verdict does.
     pub crash_relends: u64,
 }
 
@@ -553,8 +552,9 @@ struct DriverIo {
     sink: SubStreamSink<Bytes, Bytes>,
     /// The meter cell of the shard `source` and `sink` belong to.
     shard_meter: ShardMeter,
-    /// Free in-flight window slots (the `batch_size` Limiter of the paper):
-    /// one is consumed per dispatched task and released per accepted result.
+    /// Free in-flight window slots: the paper's `pull-limit` at `batch_size`,
+    /// and the only place it is enforced. One is consumed per dispatched
+    /// task and released per accepted result.
     credits: usize,
     /// A value pulled for a frame that had no byte budget left; it opens the
     /// next frame (its window slot is already consumed).
@@ -639,12 +639,10 @@ impl Driver {
                 }
                 Ok(Message::Goodbye) | Ok(Message::Task { .. }) | Ok(Message::TaskBatch(_)) => {
                     io.sink.finish(true);
-                    let _ = io.source.pull(Request::Abort);
                     return self.finish(inner, io, Ok(()));
                 }
                 Err(RecvError::Closed) => {
                     io.sink.finish(true);
-                    let _ = io.source.pull(Request::Abort);
                     return self.finish(inner, io, Ok(()));
                 }
                 Err(RecvError::PeerFailed) => {
@@ -654,7 +652,6 @@ impl Driver {
                     let err = StreamError::transport(format!(
                         "volunteer {name} disconnected (heartbeat timeout)"
                     ));
-                    let _ = io.source.pull(Request::Fail(err.clone()));
                     return self.finish(inner, io, Err(err));
                 }
                 Err(RecvError::Empty) => break,
@@ -686,15 +683,13 @@ impl Driver {
                         break;
                     }
                     Err(SendError::Closed) => {
-                        let _ = io.source.pull(Request::Abort);
                         io.dispatch_done = true;
                         progressed = true;
                         continue;
                     }
                     Err(SendError::PeerFailed) => {
-                        let err = StreamError::transport("volunteer failed while sending tasks");
-                        let _ = io.source.pull(Request::Fail(err.clone()));
-                        io.dispatch_error = Some(err);
+                        io.dispatch_error =
+                            Some(StreamError::transport("volunteer failed while sending tasks"));
                         io.dispatch_done = true;
                         progressed = true;
                         continue;
@@ -1338,6 +1333,7 @@ fn pump_loop(inner: &Inner, lender: &ShardedLender<Bytes, Bytes>, shard: usize) 
 mod tests {
     use super::*;
     use pando_netsim::channel::{pair_with_clock, ChannelConfig, Endpoint};
+    use pando_pull_stream::Request;
     use std::collections::HashSet;
 
     /// An inline reactor over an *interactive* input (every non-blocking ask
@@ -1417,6 +1413,19 @@ mod tests {
         match volunteer.try_recv() {
             Ok(Message::Task { seq, .. }) => seq,
             other => panic!("expected one task frame, got {other:?}"),
+        }
+    }
+
+    /// The seqs of every task frame waiting at a volunteer's endpoint.
+    fn task_seqs(volunteer: &Endpoint<Message>) -> Vec<u64> {
+        let mut seqs = Vec::new();
+        loop {
+            match volunteer.try_recv() {
+                Ok(Message::Task { seq, .. }) => seqs.push(seq),
+                Ok(Message::TaskBatch(records)) => seqs.extend(records.iter().map(|r| r.seq)),
+                Err(RecvError::Empty) => return seqs,
+                other => panic!("expected task frames, got {other:?}"),
+            }
         }
     }
 
@@ -1525,6 +1534,27 @@ mod tests {
         assert_eq!(ids.iter().collect::<HashSet<_>>().len(), 400);
         assert_eq!(rig.reactor.inner.registered.lock().len(), 400, "no driver displaced another");
         assert_eq!(rig.reactor.stats().registered, 400);
+    }
+
+    /// The credits are the paper's `pull-limit`: a driver hands its
+    /// volunteer at most `batch_size` values, however many the lender could
+    /// lend, and one more per result that comes back.
+    #[test]
+    fn a_driver_holds_at_most_its_window() {
+        let rig = Rig::new(1, 5);
+        let (_v, v_end) = rig.join("v", 0, 3);
+        let quiesce = || {
+            rig.drain();
+            while rig.reactor.pump_starved() {
+                rig.drain();
+            }
+        };
+        quiesce();
+        assert_eq!(task_seqs(&v_end), [0, 1, 2]);
+
+        v_end.send(Message::TaskResult { seq: 1, payload: Bytes::new() }).unwrap();
+        quiesce();
+        assert_eq!(task_seqs(&v_end), [3]);
     }
 
     /// A driver that hops while it is still listed in its old shard's starved

@@ -321,9 +321,8 @@ impl TcpAcceptor {
         for _ in 0..MAX_ACCEPTS_PER_EVENT {
             match self.listener.accept() {
                 Ok((stream, _addr)) => {
-                    let setup = stream
-                        .set_nonblocking(true)
-                        .and_then(|()| stream.set_nodelay(self.config.nodelay));
+                    let setup =
+                        stream.set_nonblocking(true).and_then(|()| stream.set_nodelay(true));
                     if let Err(err) = setup {
                         self.finish(machine, Err(err.into()));
                         continue;

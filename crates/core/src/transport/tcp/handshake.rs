@@ -23,7 +23,6 @@
 //! (status `0`, new token) — the volunteer rejoins as a new device rather
 //! than being rejected.
 
-use super::TcpConfig;
 use crate::transport::{TransportError, TransportErrorKind};
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -195,12 +194,11 @@ pub(crate) struct DialOutcome {
 pub(crate) fn dial(
     addr: impl ToSocketAddrs,
     name: &str,
-    config: &TcpConfig,
     mode: HelloMode,
 ) -> Result<DialOutcome, TransportError> {
     let hello = encode_client_hello(mode, name)?;
     let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(config.nodelay)?;
+    stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
     stream.set_write_timeout(Some(HANDSHAKE_TIMEOUT))?;
     (&stream).write_all(&hello)?;

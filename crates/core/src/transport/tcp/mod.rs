@@ -52,7 +52,7 @@
 //!    frame refreshes `last_heard`; `failure_timeout` of silence marks the
 //!    peer failed even when the socket looks healthy. This is the only
 //!    layer that catches a *wedged* peer process whose kernel still ACKs.
-//! 3. **TCP keepalive** ([`TcpConfig::keepalive`], probes paced from
+//! 3. **TCP keepalive** (`SO_KEEPALIVE` on every link, probes paced from
 //!    `heartbeat_interval`): kernel-level probing that reaps connections
 //!    whose remote *host* vanished (power loss, cable pull) even if this
 //!    process never tries to write — the probe failure surfaces as a socket
@@ -103,6 +103,12 @@ pub(crate) const READ_CHUNK: usize = 16 * 1024;
 /// [`ChannelConfig`](pando_netsim::channel::ChannelConfig): heartbeats are
 /// expected every `heartbeat_interval` and the peer is declared crashed
 /// after `failure_timeout` of silence.
+///
+/// Every link disables Nagle's algorithm (`TCP_NODELAY`: latency beats
+/// batching for the small control frames of this protocol) and enables
+/// kernel `SO_KEEPALIVE` probing, paced from `heartbeat_interval` (rounded up
+/// to the kernel's 1s floor); see the module docs for how keepalive,
+/// heartbeats and socket events split the failure-detection work.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TcpConfig {
     /// Interval between keep-alive heartbeats while a link is idle.
@@ -110,9 +116,6 @@ pub struct TcpConfig {
     /// Silence after which the peer is suspected crashed; must exceed
     /// `heartbeat_interval`.
     pub failure_timeout: Duration,
-    /// Disable Nagle's algorithm (`TCP_NODELAY`); latency beats batching for
-    /// the small control frames of this protocol.
-    pub nodelay: bool,
     /// Number of shared epoll poller threads multiplexing every TCP
     /// connection in the process. The pool is process-global and sized
     /// once, by the first connection created; later configs cannot resize
@@ -126,11 +129,6 @@ pub struct TcpConfig {
     /// growing master-side memory without bound. The same bound caps the one
     /// spent reassembly allocation a link holds on to for its next frame.
     pub write_buffer_max: usize,
-    /// Enable kernel `SO_KEEPALIVE` probing, paced from
-    /// `heartbeat_interval` (rounded up to the kernel's 1s floor). See the
-    /// module docs for how keepalive, heartbeats and socket events split
-    /// the failure-detection work.
-    pub keepalive: bool,
     /// How long a *session* volunteer (hello mode `NEW`/`RESUME`) may stay
     /// disconnected before the master reclassifies the transient disconnect
     /// as a crash and fires the re-lend path. Plain connections ignore this:
@@ -143,10 +141,8 @@ impl Default for TcpConfig {
         Self {
             heartbeat_interval: Duration::from_secs(2),
             failure_timeout: Duration::from_secs(10),
-            nodelay: true,
             poller_threads: 2,
             write_buffer_max: 1024 * 1024,
-            keepalive: true,
             reconnect_grace: Duration::from_secs(30),
         }
     }
@@ -547,17 +543,15 @@ impl TcpTransport {
         name: &str,
         config: TcpConfig,
     ) -> Result<Self, TransportError> {
-        let outcome = dial(addr, name, &config, HelloMode::Plain)?;
+        let outcome = dial(addr, name, HelloMode::Plain)?;
         Ok(Self::from_stream(outcome.stream, name.to_string(), config))
     }
 
     /// Wires the shared state and hands the socket to the poller.
     pub(crate) fn from_stream(stream: TcpStream, peer: String, config: TcpConfig) -> Self {
-        if config.keepalive {
-            // Best effort: a kernel that rejects the option still leaves
-            // the two application-level detection layers above it.
-            let _ = sys::set_keepalive(stream.as_raw_fd(), config.heartbeat_interval);
-        }
+        // Best effort: a kernel that rejects the option still leaves the two
+        // application-level detection layers above it.
+        let _ = sys::set_keepalive(stream.as_raw_fd(), config.heartbeat_interval);
         let detector = FailureDetector::new(config.heartbeat_interval, config.failure_timeout);
         let shared = Arc::new(Shared {
             stream,

@@ -662,7 +662,7 @@ impl ReconnectingTcpTransport {
                 "address resolved to no socket addresses",
             ));
         }
-        let outcome = dial(&addrs[..], name, &config, HelloMode::New)?;
+        let outcome = dial(&addrs[..], name, HelloMode::New)?;
         let transport = TcpTransport::from_stream(outcome.stream, name.to_string(), config.clone());
         let core =
             Arc::new(SessionCore::new(outcome.token, name.to_string(), config.write_buffer_max));
@@ -739,7 +739,7 @@ fn run_redial(shared: Arc<ReconnectShared>) {
             break;
         }
         let mode = HelloMode::Resume { token: shared.core.token(), recvd: shared.core.recvd() };
-        let Ok(outcome) = dial(&shared.addrs[..], &shared.core.name, &shared.config, mode) else {
+        let Ok(outcome) = dial(&shared.addrs[..], &shared.core.name, mode) else {
             continue;
         };
         let transport = TcpTransport::from_stream(

@@ -20,7 +20,6 @@ use pando_core::transport::tcp::{TcpAcceptor, TcpConfig, TcpTransport, TCP_PROTO
 use pando_core::transport::{Transport, TransportErrorKind};
 use pando_netsim::channel::{RecvError, SendError};
 use pando_netsim::codec::{Record, MAX_FRAME_LEN};
-use pando_pull_stream::sync::Semaphore;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io::{Read, Write};
@@ -190,13 +189,14 @@ fn the_byte_path_stays_within_its_allocation_budget() {
     });
     let receiver = accept_one(&acceptor);
     let sender = dialer.join().expect("dialer finishes");
+    // A credit is a slot of this channel: the producer fills one per frame
+    // and the consumer frees one per frame it takes.
+    let (credits, window) = std::sync::mpsc::sync_channel::<()>(2);
     reset();
     let outbound = message.clone();
-    let window = Semaphore::new(2);
-    let credits = window.clone();
     let producer = std::thread::spawn(move || {
         for _ in 0..FRAMES {
-            assert!(credits.acquire(), "the consumer closed the window");
+            credits.send(()).expect("the consumer closed the window");
             loop {
                 match sender.send(outbound.clone()) {
                     Ok(()) => break,
@@ -210,7 +210,7 @@ fn the_byte_path_stays_within_its_allocation_budget() {
     for n in 0..FRAMES {
         let got = common::recv_within(&receiver, Duration::from_secs(30)).expect("frame arrives");
         assert!(got == message, "frame {n} arrived altered");
-        window.release();
+        window.recv().expect("the producer took a credit for this frame");
     }
     let sender = producer.join().expect("producer finishes");
     let (bytes, _) = counted();

@@ -13,7 +13,7 @@ use pando_workloads::AppKind;
 use std::time::Duration;
 
 /// The three deployment scenarios of the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scenario {
     /// Personal devices on a local Wi-Fi network (paper §5.2).
     Lan,

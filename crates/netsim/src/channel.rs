@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The browser communication technology being modelled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChannelKind {
     /// A WebSocket connection relayed through a server reachable by both ends.
     WebSocket,
@@ -47,7 +47,7 @@ impl fmt::Display for ChannelKind {
 }
 
 /// Configuration of a simulated channel.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChannelConfig {
     /// Which technology the channel models (affects the signalling path, not
     /// the data path).

@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 /// The URL printed by Pando on startup and shared with volunteers.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct VolunteerUrl(String);
 
 impl fmt::Display for VolunteerUrl {

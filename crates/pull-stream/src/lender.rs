@@ -24,7 +24,6 @@
 
 use crate::error::StreamError;
 use crate::protocol::{Answer, Request};
-use crate::sink::Sink;
 use crate::source::{BoxSource, Source};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -917,9 +916,8 @@ where
         self.shared.borrowed_count(self.id)
     }
 
-    /// Splits the sub-stream into a pull-stream source of tasks and sink of
-    /// results, the duplex shape used to wire a sub-stream to a network
-    /// channel (paper Figure 9).
+    /// Splits the sub-stream into its task half and its result half, the
+    /// shape used to wire a sub-stream to a network channel (paper Figure 9).
     pub fn into_duplex(mut self) -> (SubStreamSource<T, R>, SubStreamSink<T, R>) {
         // Ownership of the end-of-life decision moves to the guard shared by
         // the two halves, so disarm the `Drop` of `self`.
@@ -969,8 +967,8 @@ where
     }
 }
 
-/// The sub-stream's task source as a pull-stream [`Source`], for composing
-/// with channels and the [`Limiter`](crate::limit::Limiter).
+/// The sub-stream's task half: non-blocking pulls for an event-driven
+/// dispatcher.
 pub struct SubStreamSource<T, R>
 where
     T: Clone + Send + 'static,
@@ -1002,26 +1000,8 @@ where
     }
 }
 
-impl<T, R> Source<Lend<T>> for SubStreamSource<T, R>
-where
-    T: Clone + Send + 'static,
-    R: Send + 'static,
-{
-    fn pull(&mut self, request: Request) -> Answer<Lend<T>> {
-        if request.is_termination() {
-            // Termination of the task flow alone does not end the sub-stream:
-            // results may still be arriving on the other half.
-            return Answer::Done;
-        }
-        self.guard.shared.ask(self.guard.id)
-    }
-}
-
-/// The sub-stream's result sink as a pull-stream [`Sink`].
-///
-/// Draining a source of `Lend<R>` into this sink returns each result to the
-/// lender. When the drained source terminates, the sub-stream ends: gracefully
-/// on a clean `Done`, with crash semantics on an error.
+/// The sub-stream's result half: returns results to the lender and ends the
+/// sub-stream.
 pub struct SubStreamSink<T, R>
 where
     T: Clone + Send + 'static,
@@ -1072,34 +1052,6 @@ where
             self.guard.shared.end_sub(self.guard.id, SubStreamEnd::Completed);
         } else {
             self.guard.shared.end_sub(self.guard.id, SubStreamEnd::Crashed);
-        }
-    }
-}
-
-impl<T, R> Sink<Lend<R>> for SubStreamSink<T, R>
-where
-    T: Clone + Send + 'static,
-    R: Send + 'static,
-{
-    fn drain(&mut self, mut source: BoxSource<Lend<R>>) -> Result<(), StreamError> {
-        loop {
-            match source.pull(Request::Ask) {
-                Answer::Value(lend) => {
-                    // A late result for a value that was already re-lent is
-                    // dropped: the conservative property means the other copy
-                    // is authoritative.
-                    let _ = self.guard.shared.push_result(self.guard.id, lend.seq, lend.value);
-                }
-                Answer::Done => {
-                    self.guard.ended_clean.store(true, Ordering::SeqCst);
-                    self.guard.shared.end_sub(self.guard.id, SubStreamEnd::Completed);
-                    return Ok(());
-                }
-                Answer::Err(err) => {
-                    self.guard.shared.end_sub(self.guard.id, SubStreamEnd::Crashed);
-                    return Err(err);
-                }
-            }
         }
     }
 }
@@ -1613,44 +1565,12 @@ mod tests {
     }
 
     #[test]
-    fn duplex_adapters_complete_on_done() {
-        use crate::duplex::Duplex;
-        let lender: StreamLender<u64, u64> = StreamLender::new(count(20));
-        let (sub_source, sub_sink) = lender.lend().into_duplex();
-        // Worker that squares the lends it receives, as a duplex.
-        let worker_duplex: Duplex<Lend<u64>, Lend<u64>> = {
-            let (task_tx, task_rx) = crossbeam::channel::unbounded::<Lend<u64>>();
-            let source = move |req: Request| -> Answer<Lend<u64>> {
-                if req.is_termination() {
-                    return Answer::Done;
-                }
-                match task_rx.recv() {
-                    Ok(lend) => Answer::Value(lend.map(|v| v * v)),
-                    Err(_) => Answer::Done,
-                }
-            };
-            let sink = crate::sink::fn_sink(move |lend: Lend<u64>| {
-                task_tx.send(lend).map_err(|_| StreamError::transport("worker gone"))
-            });
-            Duplex::new(source, sink)
-        };
-        let sub_duplex = Duplex::new(sub_source, sub_sink);
-        let link = crate::duplex::connect(sub_duplex, worker_duplex);
-        let output = lender.output().collect_values().unwrap();
-        link.join().unwrap();
-        assert_eq!(output, (1..=20u64).map(|x| x * x).collect::<Vec<_>>());
-        assert_eq!(lender.stats().substreams_completed, 1);
-    }
-
-    #[test]
     fn duplex_adapter_crash_relends_values() {
         let lender: StreamLender<u64, u64> = StreamLender::new(count(6));
         let (mut sub_source, sub_sink) = lender.lend().into_duplex();
         // Borrow two values over the source half, then drop both halves
         // without pushing results: a crash.
-        let a = sub_source.pull(Request::Ask);
-        let b = sub_source.pull(Request::Ask);
-        assert!(a.is_value() && b.is_value());
+        assert!(sub_source.try_pull().is_some() && sub_source.try_pull().is_some());
         drop(sub_source);
         drop(sub_sink);
         assert_eq!(lender.failed_pending(), 2);

@@ -4,11 +4,11 @@
 //! Pando personal volunteer computing tool (Lavoie et al., Middleware 2019).
 //! It provides:
 //!
-//! * the **pull-stream protocol** ([`Source`], [`Sink`], [`Request`],
-//!   [`Answer`]): a lazy, demand-driven streaming protocol in which a
-//!   downstream consumer *asks* for each value and an upstream producer
-//!   answers with a *value*, *done*, or an *error* — the Rust analogue of the
-//!   JavaScript `pull-stream` callback protocol used by Pando;
+//! * the **pull-stream protocol** ([`Source`], [`Request`], [`Answer`]): a
+//!   lazy, demand-driven streaming protocol in which a downstream consumer
+//!   *asks* for each value and an upstream producer answers with a *value*,
+//!   *done*, or an *error* — the Rust analogue of the JavaScript
+//!   `pull-stream` callback protocol used by Pando;
 //! * the few stream modules the coordination layer composes around them:
 //!   in-memory and generated sources ([`source`]), `map` and `asyncMap`
 //!   ([`through`]) and collecting sinks ([`sink`]);
@@ -16,9 +16,6 @@
 //!   wire form of every task and result (`bytes::Bytes`, cheap to clone and
 //!   slice), and [`codec::TaskCodec`] maps application types to it —
 //!   replacing the original tool's base64-string convention;
-//! * the [`Limiter`](limit::Limiter) (`pull-limit`), which bounds the number
-//!   of values in flight through a duplex channel so that data transfers can
-//!   overlap with computation without flooding slow workers;
 //! * the [`StreamLender`](lender::StreamLender) (`pull-lend-stream`), the
 //!   paper's core contribution: it splits one input stream into many
 //!   concurrent *sub-streams*, one per participating device, and merges the
@@ -31,6 +28,11 @@
 //! * the [`StubbornQueue`](stubborn::StubbornQueue) (`pull-stubborn`), which
 //!   resubmits inputs whose results could not be confirmed because an
 //!   external data-distribution protocol failed.
+//!
+//! The paper's `pull-limit` module, which bounds the values in flight towards
+//! each device so that transfers overlap with computation without flooding
+//! slow workers, is not here: the master reactor's per-volunteer credits
+//! (`pando_core::reactor`) are that window.
 //!
 //! # Quick example
 //!
@@ -77,10 +79,8 @@
 #![warn(missing_docs)]
 
 pub mod codec;
-pub mod duplex;
 pub mod error;
 pub mod lender;
-pub mod limit;
 pub mod protocol;
 pub mod shard;
 pub mod sink;
@@ -93,5 +93,4 @@ pub use codec::{Payload, TaskCodec};
 pub use error::StreamError;
 pub use protocol::{Answer, Request};
 pub use shard::{ShardedLender, ShardedOutput};
-pub use sink::{BoxSink, Sink};
 pub use source::{BoxSource, Source, SourceExt};

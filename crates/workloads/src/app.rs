@@ -63,7 +63,7 @@ pub trait PandoApp: Send + Sync {
 }
 
 /// The applications of the paper's evaluation, by name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AppKind {
     /// Collatz-conjecture step counting.
     Collatz,

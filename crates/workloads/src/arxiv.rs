@@ -11,7 +11,7 @@
 use std::time::Duration;
 
 /// Metadata of one paper to be tagged.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PaperMeta {
     /// Stable identifier (for example `1803.08426`).
     pub id: String,
@@ -22,7 +22,7 @@ pub struct PaperMeta {
 }
 
 /// The verdict of a volunteer on one paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tag {
     /// Worth reading for the project at hand.
     Interesting,

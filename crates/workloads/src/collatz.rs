@@ -9,7 +9,7 @@
 use crate::bignum::BigUint;
 
 /// Result of one Collatz trajectory computation.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CollatzResult {
     /// The starting value.
     pub start: u64,

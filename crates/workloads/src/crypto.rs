@@ -99,7 +99,7 @@ pub fn sha256_hex(data: &[u8]) -> String {
 }
 
 /// A mining work unit: try every nonce in `nonce_range` against `block`.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MiningAttempt {
     /// Serialized block header (transactions digest, previous hash, ...).
     pub block: String,
@@ -112,7 +112,7 @@ pub struct MiningAttempt {
 }
 
 /// The outcome of one [`MiningAttempt`].
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MiningOutcome {
     /// The nonce that satisfied the difficulty, if any was found in the range.
     pub nonce: Option<u64>,

@@ -18,7 +18,7 @@ pub const GRID: usize = 8;
 const ACTIONS: [(i32, i32); 4] = [(0, 1), (0, -1), (1, 0), (-1, 0)];
 
 /// Result of training one hyper-parameter candidate.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainingOutcome {
     /// The learning rate that was evaluated.
     pub learning_rate: f64,
@@ -31,7 +31,7 @@ pub struct TrainingOutcome {
 }
 
 /// Configuration of one training run.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainingConfig {
     /// Number of episodes to train for.
     pub episodes: u32,

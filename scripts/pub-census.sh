@@ -118,13 +118,14 @@ awk -v defs="$defs" '
         indent = match(s, /[^ ]/) - 1
 
         # A `#[cfg(test)]` item runs to the line that closes it at its own
-        # indentation (or to its `;` when it has no body).
+        # indentation (or to its `;` when it has no body, its `,` when it is a
+        # field).
         if (test_indent < 0 && s ~ /^[ \t]*#\[cfg\(test\)\]/) {
             test_indent = indent; test_open = 0; next
         }
         test = test_indent >= 0
         if (test && indent == test_indent && s !~ /^[ \t]*#/) {
-            if (!test_open && s ~ /;[ \t]*$/ && s !~ /\{/) test_indent = -1
+            if (!test_open && s ~ /[;,][ \t]*$/ && s !~ /\{/) test_indent = -1
             else if (test_open && s ~ /^[ \t]*\}/) test_indent = -1
             else if (s ~ /\{/ && s ~ /\}[ \t]*;?[ \t]*$/) test_indent = -1
             else test_open = 1
@@ -230,7 +231,7 @@ awk -v defs="$defs" '
     # The groups that stay even when nothing calls them: the modules the
     # paper names and its Table 2 applications.
     function kept(file) {
-        if (file ~ /^crates\/pull-stream\/src\/(limit|lender|shard|stubborn)\.rs$/)
+        if (file ~ /^crates\/pull-stream\/src\/(lender|shard|stubborn)\.rs$/)
             return "paper module"
         if (file ~ /^crates\/workloads\/src\//) return "Table 2 application"
         return ""

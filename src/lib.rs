@@ -5,7 +5,7 @@
 //! owns the root-level `tests/` (cross-crate integration and experiment shape
 //! checks) and `examples/` (the paper's applications end to end):
 //!
-//! * [`pull_stream`] — the pull-stream protocol, StreamLender, Limiter and
+//! * [`pull_stream`] — the pull-stream protocol, StreamLender and
 //!   StubbornQueue (the paper's coordination substrate);
 //! * [`netsim`] — simulated WebSocket/WebRTC-like channels, heartbeats,
 //!   signalling and fault injection;
