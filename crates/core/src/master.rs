@@ -158,8 +158,8 @@ impl Pando {
             reactor
         });
         let shard = shard_for_volunteer(lender, name);
-        let duplex = lender.lend_on(shard).into_duplex();
-        let link = reactor.register(name, shard, endpoint, duplex, &self.config, &self.meter);
+        let sub = lender.lend_on(shard);
+        let link = reactor.register(name, shard, endpoint, sub, &self.config, &self.meter);
         state.links.push(link);
     }
 

@@ -217,7 +217,7 @@ impl Message {
 
     /// The `(seq, payload)` records of a result frame in frame order, by
     /// value and without collecting them; empty for any non-result message.
-    /// The shape [`SubStreamSink::push_batch`](pando_pull_stream::lender::SubStreamSink::push_batch)
+    /// The shape [`SubStream::push_batch`](pando_pull_stream::lender::SubStream::push_batch)
     /// takes a frame in.
     pub fn into_results(self) -> impl Iterator<Item = (u64, Bytes)> {
         let (single, batch) = match self {

@@ -96,7 +96,7 @@ use bytes::Bytes;
 use pando_netsim::channel::{RecvError, SendError};
 use pando_netsim::codec::{Record, MAX_FRAME_LEN, RECORD_HEADER_LEN};
 use pando_netsim::sim::Clock;
-use pando_pull_stream::lender::{SubStreamSink, SubStreamSource};
+use pando_pull_stream::lender::{SubStream, SubStreamEnd};
 use pando_pull_stream::shard::ShardedLender;
 use pando_pull_stream::sync::Signal;
 use pando_pull_stream::{Answer, StreamError};
@@ -548,9 +548,8 @@ struct Driver {
 }
 
 struct DriverIo {
-    source: SubStreamSource<Bytes, Bytes>,
-    sink: SubStreamSink<Bytes, Bytes>,
-    /// The meter cell of the shard `source` and `sink` belong to.
+    sub: SubStream<Bytes, Bytes>,
+    /// The meter cell of the shard `sub` belongs to.
     shard_meter: ShardMeter,
     /// Free in-flight window slots: the paper's `pull-limit` at `batch_size`,
     /// and the only place it is enforced. One is consumed per dispatched
@@ -608,7 +607,7 @@ impl Driver {
                     // for a value this sub-stream no longer borrows is
                     // dropped (conservative property): no window slot is
                     // released for it.
-                    let accepted = io.sink.push_batch(message.into_results());
+                    let accepted = io.sub.push_batch(message.into_results());
                     if accepted > 0 {
                         self.device.record(accepted as u64);
                         io.credits += accepted;
@@ -618,7 +617,7 @@ impl Driver {
                 Ok(Message::TaskError { seq, message }) => {
                     // An application error marks the volunteer faulty; its
                     // values are re-lent elsewhere (crash-stop model).
-                    io.sink.finish(false);
+                    io.sub.end(SubStreamEnd::Crashed);
                     self.endpoint.close();
                     let text = String::from_utf8_lossy(&message).into_owned();
                     let name = &self.name;
@@ -638,15 +637,15 @@ impl Driver {
                     continue;
                 }
                 Ok(Message::Goodbye) | Ok(Message::Task { .. }) | Ok(Message::TaskBatch(_)) => {
-                    io.sink.finish(true);
+                    io.sub.end(SubStreamEnd::Completed);
                     return self.finish(inner, io, Ok(()));
                 }
                 Err(RecvError::Closed) => {
-                    io.sink.finish(true);
+                    io.sub.end(SubStreamEnd::Completed);
                     return self.finish(inner, io, Ok(()));
                 }
                 Err(RecvError::PeerFailed) => {
-                    io.sink.finish(false);
+                    io.sub.end(SubStreamEnd::Crashed);
                     inner.stats.crash_relends.fetch_add(1, Ordering::Relaxed);
                     let name = &self.name;
                     let err = StreamError::transport(format!(
@@ -704,7 +703,7 @@ impl Driver {
                     }
                     let shard = self.shard.load(Ordering::Relaxed);
                     let epoch = inner.shards[shard].kick_epoch.load(Ordering::SeqCst);
-                    match io.source.poll_pull() {
+                    match io.sub.poll_task() {
                         None => {
                             starved = true;
                             starve_epoch = epoch;
@@ -725,11 +724,9 @@ impl Driver {
                             if let Some(target) = inner.hop_target(shard) {
                                 let lender =
                                     inner.lender.lock().clone().expect("hop target implies lender");
-                                io.sink.finish(true);
+                                io.sub.end(SubStreamEnd::Completed);
                                 self.unpark(inner);
-                                let (source, sink) = lender.lend_on(target).into_duplex();
-                                io.source = source;
-                                io.sink = sink;
+                                io.sub = lender.lend_on(target);
                                 io.shard_meter = self.meter.shard(target);
                                 self.shard.store(target, Ordering::Relaxed);
                                 inner.stats.shard_hops.fetch_add(1, Ordering::Relaxed);
@@ -749,7 +746,7 @@ impl Driver {
             let mut body = 4 + RECORD_HEADER_LEN + first.payload.len();
             let mut records = vec![first];
             while records.len() < self.tasks_per_frame && body < MAX_FRAME_LEN && io.credits > 0 {
-                match io.source.try_pull() {
+                match io.sub.try_next_task() {
                     Some(lend) => {
                         let add = RECORD_HEADER_LEN + lend.value.len();
                         if body + add > MAX_FRAME_LEN {
@@ -1008,12 +1005,11 @@ impl Reactor {
         name: &str,
         shard: usize,
         endpoint: Arc<dyn Transport>,
-        duplex: (SubStreamSource<Bytes, Bytes>, SubStreamSink<Bytes, Bytes>),
+        sub: SubStream<Bytes, Bytes>,
         config: &PandoConfig,
         meter: &ThroughputMeter,
     ) -> DriverHandle {
         assert!(shard < self.inner.shards.len(), "shard {shard} outside the reactor layout");
-        let (source, sink) = duplex;
         let driver = Arc::new(Driver {
             id: self.inner.stats.registered.fetch_add(1, Ordering::Relaxed),
             name: name.to_string(),
@@ -1026,8 +1022,7 @@ impl Reactor {
             park_seq: AtomicU64::new(0),
             scheduled_at: Mutex::new(None),
             io: Mutex::new(DriverIo {
-                source,
-                sink,
+                sub,
                 shard_meter: meter.shard(shard),
                 credits: config.batching.batch_size,
                 carry: None,
@@ -1160,9 +1155,7 @@ impl Reactor {
         for driver in leftover.into_values() {
             driver.endpoint.clear_waker();
             driver.endpoint.close();
-            let io = driver.io.lock();
-            io.sink.finish(false);
-            drop(io);
+            driver.io.lock().sub.end(SubStreamEnd::Crashed);
             *driver.result.lock() = Some(Err(StreamError::transport("reactor shut down")));
             self.inner.stats.active.fetch_sub(1, Ordering::Relaxed);
             driver.finished.fire();
@@ -1378,7 +1371,7 @@ mod tests {
                 name,
                 shard,
                 Arc::new(master_side),
-                self.lender.lend_on(shard).into_duplex(),
+                self.lender.lend_on(shard),
                 &self.config.clone().with_batch_size(window),
                 &self.meter,
             );

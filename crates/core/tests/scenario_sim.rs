@@ -8,7 +8,7 @@
 //! ever diverged, a golden file could never be stable across machines.
 
 use pando_core::scenario::{GroupSpec, LinkOverrides, PartitionSpec, Scenario};
-use pando_core::sim::{oracle, simulate_fleet};
+use pando_core::sim::{oracle, simulate_fleet, FleetReport};
 use proptest::prelude::*;
 
 /// The no, low, medium and high jitter link rows of SNIPPETS.md snippet 2,
@@ -114,13 +114,57 @@ proptest! {
         shape in 0u64..1_000_000,
         faults in 0u64..1_000_000,
     ) {
-        let scenario = build(seed, tasks, shape, faults);
-        let report = oracle::run(&scenario.to_fleet_params().unwrap())
-            .unwrap_or_else(|e| panic!("{e}"));
-        // Crash accounting matches the script exactly: only scripted
-        // crash-stops count, clean leaves and flaps never do.
-        prop_assert_eq!(report.crashed, scenario.crashes.len() as u64);
+        run_and_check_crashes(&build(seed, tasks, shape, faults));
     }
+}
+
+/// The instant a trace line `[us] v{v} {event}` is stamped with, if `line`
+/// is that event of volunteer `v`.
+fn stamp_of(line: &str, v: usize, event: &str) -> Option<u64> {
+    let (stamp, rest) = line.strip_prefix('[')?.split_once("] ")?;
+    if rest != format!("v{v} {event}") {
+        return None;
+    }
+    stamp.parse().ok()
+}
+
+/// Runs `scenario` through [`oracle::run`] and checks its crash accounting
+/// against the trace. A scripted crash `(v, at)` fires exactly when `v` is
+/// still connected at `at`: each one has either a `v{v} crash` line, or a
+/// `v{v} goodbye`/`v{v} leave` line stamped no later than `at` (the
+/// volunteer left first, so there is nothing left to crash) — exactly one
+/// of the two. Flaps and clean leaves never count, and `report.crashed` is
+/// the number of crash lines.
+fn run_and_check_crashes(scenario: &Scenario) -> FleetReport {
+    let report =
+        oracle::run(&scenario.to_fleet_params().unwrap()).unwrap_or_else(|e| panic!("{e}"));
+    let trace = &report.trace;
+    for &(v, at) in &scenario.crashes {
+        let crashed = trace.iter().filter(|line| stamp_of(line, v, "crash").is_some()).count();
+        let left_first = trace.iter().any(|line| {
+            ["goodbye", "leave"]
+                .iter()
+                .any(|event| stamp_of(line, v, event).is_some_and(|stamp| stamp <= at))
+        });
+        assert!(
+            crashed + usize::from(left_first) == 1,
+            "crash of v{v} at {at} us: {crashed} crash line(s), left first: {left_first}"
+        );
+    }
+    let crash_lines = trace.iter().filter(|line| line.ends_with(" crash")).count();
+    assert_eq!(report.crashed, crash_lines as u64);
+    report
+}
+
+/// Case 810 of 20 000 of the property: `v2` says goodbye at 37 283 us, its
+/// scripted crash is due at 37 586 us, so the crash does not fire.
+#[test]
+fn a_volunteer_that_left_before_its_crash_is_not_counted_crashed() {
+    let scenario = build(937_556, 3, 405_337, 457_586);
+    assert_eq!(scenario.crashes, [(2, 37_586)]);
+    let report = run_and_check_crashes(&scenario);
+    assert_eq!(report.crashed, 0);
+    assert!(report.trace.iter().any(|line| line == "[37283] v2 goodbye"));
 }
 
 /// The checked-in scenario files themselves parse, compile, keep the

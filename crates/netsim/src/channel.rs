@@ -19,10 +19,10 @@
 
 use crate::heartbeat::FailureDetector;
 use crate::sim::Clock;
-use crossbeam::channel;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -245,16 +245,25 @@ enum Frame<T> {
     Close { deliver_at: Instant },
 }
 
-struct Direction<T> {
-    tx: channel::Sender<Frame<T>>,
-    rx: channel::Receiver<Frame<T>>,
+impl<T> Frame<T> {
+    fn deliver_at(&self) -> Instant {
+        match self {
+            Frame::Data { deliver_at, .. } | Frame::Close { deliver_at } => *deliver_at,
+        }
+    }
 }
 
 /// Readiness callback registered with [`Endpoint::set_waker`]: invoked (from
 /// the peer's thread) whenever the endpoint may have become pollable.
 pub type Waker = Arc<dyn Fn() + Send + Sync>;
 
-struct SideState {
+/// One direction of a link, owned by the side that sends on it.
+struct Side<T> {
+    /// Frames this side sent that the peer has not taken yet, in send order.
+    /// A frame whose delivery instant lies in the future stays here.
+    wire: VecDeque<Frame<T>>,
+    /// This side's jitter and loss generator.
+    rng: StdRng,
     /// Set when this side crashed (abruptly stopped).
     crashed_at: Option<Instant>,
     /// Set when this side closed its sending direction cleanly.
@@ -281,9 +290,21 @@ struct SideState {
     frames_retransmitted: u64,
 }
 
-struct Shared {
-    a: Mutex<SideState>,
-    b: Mutex<SideState>,
+/// Splits a link into `(mine, peer)` for the side `is_a` names.
+fn sides<T>(link: &mut [Side<T>; 2], is_a: bool) -> (&mut Side<T>, &mut Side<T>) {
+    let [a, b] = link;
+    if is_a {
+        (a, b)
+    } else {
+        (b, a)
+    }
+}
+
+/// Calls `waker`, if any, once the link's lock is released.
+fn wake(waker: Option<Waker>) {
+    if let Some(waker) = waker {
+        waker();
+    }
 }
 
 /// One endpoint of a simulated duplex channel. Create pairs with [`pair`].
@@ -295,13 +316,10 @@ pub struct Endpoint<T> {
     /// wall clock for real runs, a virtual clock under the deterministic
     /// simulator (see [`pair_with_clock`]).
     clock: Clock,
-    outgoing: channel::Sender<Frame<T>>,
-    incoming: channel::Receiver<Frame<T>>,
-    shared: Arc<Shared>,
-    rng: Mutex<StdRng>,
+    /// Both directions of the link, behind its one lock; shared with the
+    /// peer endpoint.
+    link: Arc<Mutex<[Side<T>; 2]>>,
     detector: FailureDetector,
-    /// Buffered frame whose delivery time has not yet been reached.
-    pending: Mutex<Option<Frame<T>>>,
 }
 
 impl<T> fmt::Debug for Endpoint<T> {
@@ -341,67 +359,32 @@ pub fn pair_with_clock<T: Send + 'static>(
     config: ChannelConfig,
     clock: Clock,
 ) -> (Endpoint<T>, Endpoint<T>) {
-    let a_to_b = channel::unbounded();
-    let b_to_a = channel::unbounded();
     let now = clock.now();
-    let side = || {
-        Mutex::new(SideState {
-            crashed_at: None,
-            closed: false,
-            peer_done: false,
-            dropped: false,
-            waker: None,
-            next_delivery: now,
-            bytes_in_flight: 0,
-            send_blocked: false,
-            frames_retransmitted: 0,
-        })
+    let side = |seed| Side {
+        wire: VecDeque::new(),
+        rng: StdRng::seed_from_u64(seed),
+        crashed_at: None,
+        closed: false,
+        peer_done: false,
+        dropped: false,
+        waker: None,
+        next_delivery: now,
+        bytes_in_flight: 0,
+        send_blocked: false,
+        frames_retransmitted: 0,
     };
-    let shared = Arc::new(Shared { a: side(), b: side() });
-    let dir_ab = Direction { tx: a_to_b.0, rx: a_to_b.1 };
-    let dir_ba = Direction { tx: b_to_a.0, rx: b_to_a.1 };
-    let a = Endpoint {
-        is_a: true,
+    let link = Arc::new(Mutex::new([side(config.seed), side(config.seed.wrapping_add(1))]));
+    let endpoint = |is_a, link| Endpoint {
+        is_a,
         config: config.clone(),
         clock: clock.clone(),
-        outgoing: dir_ab.tx,
-        incoming: dir_ba.rx,
-        shared: shared.clone(),
-        rng: Mutex::new(StdRng::seed_from_u64(config.seed)),
+        link,
         detector: FailureDetector::new(config.heartbeat_interval, config.failure_timeout),
-        pending: Mutex::new(None),
     };
-    let b = Endpoint {
-        is_a: false,
-        config: config.clone(),
-        clock,
-        outgoing: dir_ba.tx,
-        incoming: dir_ab.rx,
-        shared,
-        rng: Mutex::new(StdRng::seed_from_u64(config.seed.wrapping_add(1))),
-        detector: FailureDetector::new(config.heartbeat_interval, config.failure_timeout),
-        pending: Mutex::new(None),
-    };
-    (a, b)
+    (endpoint(true, link.clone()), endpoint(false, link))
 }
 
 impl<T: Send + 'static> Endpoint<T> {
-    fn my_state(&self) -> &Mutex<SideState> {
-        if self.is_a {
-            &self.shared.a
-        } else {
-            &self.shared.b
-        }
-    }
-
-    fn peer_state(&self) -> &Mutex<SideState> {
-        if self.is_a {
-            &self.shared.b
-        } else {
-            &self.shared.a
-        }
-    }
-
     /// The configuration this channel was created with.
     pub fn config(&self) -> &ChannelConfig {
         &self.config
@@ -420,45 +403,25 @@ impl<T: Send + 'static> Endpoint<T> {
     /// the waker with [`Endpoint::next_ready_at`] to re-poll frames whose
     /// simulated latency has not elapsed yet.
     pub fn set_waker(&self, waker: Waker) {
-        self.my_state().lock().waker = Some(waker);
+        sides(&mut self.link.lock(), self.is_a).0.waker = Some(waker);
     }
 
     /// Removes the readiness callback, if any.
     pub fn clear_waker(&self) {
-        self.my_state().lock().waker = None;
-    }
-
-    /// Fires the peer's readiness callback, if registered.
-    fn wake_peer(&self) {
-        let waker = self.peer_state().lock().waker.clone();
-        if let Some(waker) = waker {
-            waker();
-        }
+        sides(&mut self.link.lock(), self.is_a).0.waker = None;
     }
 
     /// The earliest instant at which this endpoint may become pollable again
-    /// without a new wake event: the delivery time of a buffered frame whose
-    /// simulated latency has not elapsed, or the moment a pending crash
-    /// suspicion matures. `None` means "nothing buffered" — the next
-    /// readiness change will fire the waker.
-    ///
-    /// Note that a frame still in the wire queue is only buffered (and thus
-    /// visible here) after a [`Endpoint::try_recv`] attempted to deliver it,
-    /// so reactors should call `try_recv` first and consult this on `Empty`.
+    /// without a new wake event: the delivery time of the first frame on the
+    /// wire towards this endpoint, or the moment a pending crash suspicion
+    /// matures. `None` means "nothing in flight" — the next readiness change
+    /// will fire the waker.
     pub fn next_ready_at(&self) -> Option<Instant> {
-        let pending = self.pending.lock().as_ref().map(|frame| match frame {
-            Frame::Data { deliver_at, .. } | Frame::Close { deliver_at } => *deliver_at,
-        });
-        let suspicion = self
-            .peer_state()
-            .lock()
-            .crashed_at
-            .map(|crashed_at| crashed_at + self.config.failure_timeout);
-        match (pending, suspicion) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (Some(a), None) => Some(a),
-            (None, b) => b,
-        }
+        let mut link = self.link.lock();
+        let (_, peer) = sides(&mut link, self.is_a);
+        let head = peer.wire.front().map(Frame::deliver_at);
+        let suspicion = peer.crashed_at.map(|crashed_at| crashed_at + self.config.failure_timeout);
+        head.into_iter().chain(suspicion).min()
     }
 
     /// Sends a message, modelling it as having a negligible size.
@@ -468,25 +431,15 @@ impl<T: Send + 'static> Endpoint<T> {
     /// Returns [`SendError::Closed`] if either side already closed the channel
     /// and [`SendError::PeerFailed`] if the peer is known to have crashed.
     pub fn send(&self, payload: T) -> Result<(), SendError> {
-        self.send_with_size(payload, 0)
-    }
-
-    /// Sends a message of `size` bytes: the delivery time accounts for the
-    /// propagation latency, the random jitter and the transmission time at
-    /// the configured bandwidth.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Endpoint::send`].
-    fn send_with_size(&self, payload: T, size: usize) -> Result<(), SendError> {
-        self.send_records_with_size(payload, size, 1)
+        self.send_records_with_size(payload, 0, 1)
     }
 
     /// Sends one message of `size` bytes — a batched frame of task or result
-    /// records. The whole batch pays the propagation latency and jitter
-    /// **once**, and the transmission time of its total size. The record
-    /// count keeps the signature of `pando-core`'s
-    /// `Transport::send_records_with_size`; a simulated link ignores it.
+    /// records. The delivery time accounts for the propagation latency and
+    /// the random jitter, paid **once** per frame, and the transmission time
+    /// of its total size at the configured bandwidth. The record count keeps
+    /// the signature of `pando-core`'s `Transport::send_records_with_size`;
+    /// a simulated link ignores it.
     ///
     /// # Errors
     ///
@@ -497,17 +450,12 @@ impl<T: Send + 'static> Endpoint<T> {
         size: usize,
         _records: u64,
     ) -> Result<(), SendError> {
-        {
-            let peer = self.peer_state().lock();
-            if let Some(crashed_at) = peer.crashed_at {
-                if self.clock.now().saturating_duration_since(crashed_at)
-                    >= self.config.failure_timeout
-                {
-                    return Err(SendError::PeerFailed);
-                }
-            }
+        let now = self.clock.now();
+        let mut link = self.link.lock();
+        let (mine, peer) = sides(&mut link, self.is_a);
+        if peer.crashed_at.is_some_and(|crashed_at| self.detector.suspects_at(crashed_at, now)) {
+            return Err(SendError::PeerFailed);
         }
-        let mut mine = self.my_state().lock();
         if mine.closed {
             return Err(SendError::Closed);
         }
@@ -528,7 +476,7 @@ impl<T: Send + 'static> Endpoint<T> {
             Duration::ZERO
         } else {
             let nanos = self.config.jitter.as_nanos() as u64;
-            Duration::from_nanos(self.rng.lock().gen_range(0..=nanos))
+            Duration::from_nanos(mine.rng.gen_range(0..=nanos))
         };
         let mut delay = self.config.latency + jitter + self.config.transmission_delay(size);
         // Per-transmission loss: the modelled reliable transport re-sends a
@@ -539,53 +487,29 @@ impl<T: Send + 'static> Endpoint<T> {
         // it every pre-existing golden trace, stays byte-identical.
         if self.config.loss > 0.0 {
             let mut lost = 0u32;
-            {
-                let mut rng = self.rng.lock();
-                while lost < 16 && rng.gen_bool(self.config.loss) {
-                    lost += 1;
-                }
+            while lost < 16 && mine.rng.gen_bool(self.config.loss) {
+                lost += 1;
             }
             if lost > 0 {
                 delay += self.config.retransmit * lost;
                 mine.frames_retransmitted += u64::from(lost);
             }
         }
-        let deliver_at = (self.clock.now() + delay).max(mine.next_delivery);
+        let deliver_at = (now + delay).max(mine.next_delivery);
         mine.next_delivery = deliver_at;
         mine.bytes_in_flight += size;
-        drop(mine);
-        self.outgoing
-            .send(Frame::Data { payload, deliver_at, size })
-            .map_err(|_| SendError::Closed)?;
-        self.wake_peer();
+        if peer.dropped {
+            return Err(SendError::Closed);
+        }
+        mine.wire.push_back(Frame::Data { payload, deliver_at, size });
+        let waker = peer.waker.clone();
+        drop(link);
+        wake(waker);
         Ok(())
     }
 
-    /// Books `size` consumed bytes against the *peer's* in-flight counter
-    /// (the peer sent them, this side just delivered them) and fires the
-    /// peer's waker if a bounded send was parked on the drain.
-    fn drain_in_flight(&self, size: usize) {
-        if size == 0 || self.config.send_buffer_max.is_none() {
-            return;
-        }
-        let max = self.config.send_buffer_max.unwrap_or(usize::MAX);
-        let waker = {
-            let mut peer = self.peer_state().lock();
-            peer.bytes_in_flight = peer.bytes_in_flight.saturating_sub(size);
-            if peer.send_blocked && peer.bytes_in_flight < max {
-                peer.send_blocked = false;
-                peer.waker.clone()
-            } else {
-                None
-            }
-        };
-        if let Some(waker) = waker {
-            waker();
-        }
-    }
-
     /// Returns the next message if one is deliverable now, without blocking.
-    /// A frame whose latency has not elapsed stays buffered, and
+    /// A frame whose latency has not elapsed stays on the wire, and
     /// [`Endpoint::next_ready_at`] reports when it matures.
     ///
     /// # Errors
@@ -595,61 +519,49 @@ impl<T: Send + 'static> Endpoint<T> {
     /// it were delivered) and [`RecvError::PeerFailed`] once the failure
     /// detector suspects the peer.
     pub fn try_recv(&self) -> Result<T, RecvError> {
-        // A frame already pulled off the wire but not yet deliverable.
-        let buffered = self.pending.lock().take();
-        let frame = match buffered {
-            Some(frame) => Some(frame),
-            None => match self.incoming.try_recv() {
-                Ok(frame) => Some(frame),
-                Err(channel::TryRecvError::Empty) => None,
-                Err(channel::TryRecvError::Disconnected) => {
-                    // The peer endpoint was dropped entirely. A clean close
-                    // was observed as a Close frame; anything else is
-                    // indistinguishable from a crash.
-                    let peer = self.peer_state().lock();
-                    return if peer.closed {
-                        Err(RecvError::Closed)
-                    } else {
-                        Err(RecvError::PeerFailed)
-                    };
+        let now = self.clock.now();
+        let mut link = self.link.lock();
+        let (mine, peer) = sides(&mut link, self.is_a);
+        match peer.wire.front().map(Frame::deliver_at) {
+            Some(deliver_at) if deliver_at > now => Err(RecvError::Empty),
+            Some(_) => match peer.wire.pop_front() {
+                Some(Frame::Data { payload, size, .. }) => {
+                    // Book the consumed bytes against the peer's in-flight
+                    // count, and wake it if a bounded send was parked on the
+                    // drain.
+                    let mut waker = None;
+                    if let Some(max) = self.config.send_buffer_max.filter(|_| size > 0) {
+                        peer.bytes_in_flight = peer.bytes_in_flight.saturating_sub(size);
+                        if peer.send_blocked && peer.bytes_in_flight < max {
+                            peer.send_blocked = false;
+                            waker = peer.waker.clone();
+                        }
+                    }
+                    drop(link);
+                    wake(waker);
+                    Ok(payload)
+                }
+                Some(Frame::Close { .. }) | None => {
+                    // Keep answering Closed on subsequent calls.
+                    mine.peer_done = true;
+                    Err(RecvError::Closed)
                 }
             },
-        };
-        let now = self.clock.now();
-        match frame {
-            Some(Frame::Data { payload, deliver_at, size }) => {
-                if deliver_at > now {
-                    *self.pending.lock() = Some(Frame::Data { payload, deliver_at, size });
-                    return Err(RecvError::Empty);
-                }
-                self.drain_in_flight(size);
-                Ok(payload)
+            // The peer endpoint was dropped and its frames are drained. A
+            // clean close was observed as a Close frame; anything else is
+            // indistinguishable from a crash.
+            None if peer.dropped => {
+                Err(if peer.closed { RecvError::Closed } else { RecvError::PeerFailed })
             }
-            Some(Frame::Close { deliver_at }) => {
-                if deliver_at > now {
-                    *self.pending.lock() = Some(Frame::Close { deliver_at });
-                    return Err(RecvError::Empty);
+            None if mine.peer_done => Err(RecvError::Closed),
+            // Crash detection: the peer stops sending heartbeats when it
+            // crashes; the detector fires after the failure timeout.
+            None => match peer.crashed_at {
+                Some(crashed_at) if self.detector.suspects_at(crashed_at, now) => {
+                    Err(RecvError::PeerFailed)
                 }
-                // Keep answering Closed on subsequent calls.
-                self.my_state().lock().peer_done = true;
-                Err(RecvError::Closed)
-            }
-            None => {
-                if self.my_state().lock().peer_done {
-                    return Err(RecvError::Closed);
-                }
-                // Crash detection: the peer stops sending heartbeats when it
-                // crashes; the detector fires after the failure timeout.
-                let peer = self.peer_state().lock();
-                let failed = match peer.crashed_at {
-                    Some(crashed_at) => self.detector.suspects_at(crashed_at, now),
-                    // Dropped without closing: once the queue is drained this
-                    // is indistinguishable from a crash, and the drop already
-                    // woke us.
-                    None => peer.dropped && !peer.closed,
-                };
-                Err(if failed { RecvError::PeerFailed } else { RecvError::Empty })
-            }
+                _ => Err(RecvError::Empty),
+            },
         }
     }
 
@@ -657,25 +569,33 @@ impl<T: Send + 'static> Endpoint<T> {
     /// peer observes [`RecvError::Closed`] after draining the messages
     /// already in flight, but may still send its remaining results back.
     pub fn close(&self) {
-        let mut mine = self.my_state().lock();
+        let now = self.clock.now();
+        let mut link = self.link.lock();
+        let (mine, peer) = sides(&mut link, self.is_a);
         if mine.closed || mine.crashed_at.is_some() {
             return;
         }
         mine.closed = true;
-        let deliver_at = (self.clock.now() + self.config.latency).max(mine.next_delivery);
-        drop(mine);
-        let _ = self.outgoing.send(Frame::Close { deliver_at });
-        self.wake_peer();
+        let deliver_at = (now + self.config.latency).max(mine.next_delivery);
+        mine.wire.push_back(Frame::Close { deliver_at });
+        let waker = peer.waker.clone();
+        drop(link);
+        wake(waker);
     }
 
     /// Crashes this endpoint abruptly (crash-stop): nothing more is sent, not
     /// even a close notification; the peer only finds out after the heartbeat
     /// failure timeout.
     pub fn crash(&self) {
-        self.my_state().lock().crashed_at = Some(self.clock.now());
+        let now = self.clock.now();
+        let mut link = self.link.lock();
+        let (mine, peer) = sides(&mut link, self.is_a);
+        mine.crashed_at = Some(now);
         // The peer's poller re-checks now and schedules a re-poll for the
         // moment the failure detector starts suspecting (next_ready_at).
-        self.wake_peer();
+        let waker = peer.waker.clone();
+        drop(link);
+        wake(waker);
     }
 
     /// Pauses the link in **both** directions until `until`: a deterministic
@@ -689,39 +609,36 @@ impl<T: Send + 'static> Endpoint<T> {
     /// unlike [`Endpoint::crash`] — never trips the failure detector: the
     /// sim's grace-window twin of a volunteer that reconnects in time.
     pub fn pause_link_until(&self, until: Instant) {
-        for side in [&self.shared.a, &self.shared.b] {
-            let mut state = side.lock();
-            state.next_delivery = state.next_delivery.max(until);
+        let mut link = self.link.lock();
+        for side in link.iter_mut() {
+            side.next_delivery = side.next_delivery.max(until);
         }
-        // Any frame already buffered on either side now matures later; the
-        // already-sent announcement wakes are enough (pollers re-check
-        // `next_ready_at`), but nudge the peer so a parked reactor re-arms
-        // its timer against the new maturity.
-        self.wake_peer();
+        // Frames sent from now on mature later; nudge the peer so a parked
+        // reactor re-arms its timer against the new maturity.
+        let waker = sides(&mut link, self.is_a).1.waker.clone();
+        drop(link);
+        wake(waker);
     }
 
     /// Total lost-and-re-sent transmissions on this link, both directions.
     /// Either endpoint of the pair reports the same number.
     pub fn link_retransmits(&self) -> u64 {
-        self.shared.a.lock().frames_retransmitted + self.shared.b.lock().frames_retransmitted
+        self.link.lock().iter().map(|side| side.frames_retransmitted).sum()
     }
 }
 
 impl<T> Drop for Endpoint<T> {
     fn drop(&mut self) {
-        // Mark the side as gone *before* waking the peer, so a reactor thread
-        // polling concurrently either still drains the queued frames or
-        // observes the drop — never sleeps forever on a vanished peer.
-        let (mine, peer) = if self.is_a {
-            (&self.shared.a, &self.shared.b)
-        } else {
-            (&self.shared.b, &self.shared.a)
-        };
-        mine.lock().dropped = true;
-        let waker = peer.lock().waker.clone();
-        if let Some(waker) = waker {
-            waker();
-        }
+        // Mark the side as gone and read the peer's waker under the one lock,
+        // so a reactor thread polling concurrently either still drains the
+        // frames on the wire or observes the drop — never sleeps forever on a
+        // vanished peer.
+        let mut link = self.link.lock();
+        let (mine, peer) = sides(&mut link, self.is_a);
+        mine.dropped = true;
+        let waker = peer.waker.clone();
+        drop(link);
+        wake(waker);
     }
 }
 
@@ -729,32 +646,19 @@ impl<T> Drop for Endpoint<T> {
 mod tests {
     use super::*;
 
-    /// Waits up to `timeout` (wall clock) for `try_recv` to answer anything
-    /// but `Empty`, parked between polls: the waker unparks this thread on
-    /// every send, close, crash and drop, and `next_ready_at` bounds the park
-    /// while a frame is in flight or a crash suspicion is pending. `Empty`
-    /// once the deadline passes.
-    fn recv_within<T: Send + 'static>(
-        endpoint: &Endpoint<T>,
-        timeout: Duration,
-    ) -> Result<T, RecvError> {
-        let deadline = Instant::now() + timeout;
-        let me = std::thread::current();
-        endpoint.set_waker(Arc::new(move || me.unpark()));
-        let received = loop {
-            match endpoint.try_recv() {
-                Err(RecvError::Empty) if Instant::now() < deadline => {
-                    let until = endpoint.next_ready_at().map_or(deadline, |at| at.min(deadline));
-                    std::thread::park_timeout(until.saturating_duration_since(Instant::now()));
-                }
-                received => break received,
-            }
-        };
-        endpoint.clear_waker();
-        received
+    /// A pair on a fresh virtual clock, with the clock and its origin.
+    fn virtual_pair<T: Send + 'static>(
+        config: ChannelConfig,
+    ) -> (Endpoint<T>, Endpoint<T>, Clock, Instant) {
+        let clock = Clock::virtual_clock();
+        let (a, b) = pair_with_clock(config, clock.clone());
+        let origin = clock.now();
+        (a, b, clock, origin)
     }
 
-    const PATIENCE: Duration = Duration::from_secs(10);
+    fn ms(millis: u64) -> Duration {
+        Duration::from_millis(millis)
+    }
 
     #[test]
     fn messages_are_delivered_in_order() {
@@ -778,38 +682,51 @@ mod tests {
     #[test]
     fn latency_delays_delivery() {
         let mut config = ChannelConfig::instant();
-        config.latency = Duration::from_millis(30);
-        let (a, b) = pair::<u8>(config);
-        let start = Instant::now();
+        config.latency = ms(30);
+        let (a, b, clock, origin) = virtual_pair::<u8>(config);
         a.send(1).unwrap();
-        assert_eq!(recv_within(&b, PATIENCE).unwrap(), 1);
-        assert!(start.elapsed() >= Duration::from_millis(25), "latency must be observed");
+        clock.advance_to(origin + ms(30) - Duration::from_nanos(1));
+        assert_eq!(b.try_recv().unwrap_err(), RecvError::Empty, "latency must be observed");
+        assert_eq!(b.next_ready_at(), Some(origin + ms(30)));
+        clock.advance_to(origin + ms(30));
+        assert_eq!(b.try_recv().unwrap(), 1);
     }
 
     #[test]
     fn jitter_preserves_fifo_order() {
         let mut config = ChannelConfig::instant();
-        config.latency = Duration::from_millis(1);
-        config.jitter = Duration::from_millis(5);
+        config.latency = ms(1);
+        config.jitter = ms(5);
         config.seed = 42;
-        let (a, b) = pair::<u32>(config);
+        let (a, b, clock, origin) = virtual_pair::<u32>(config);
         for i in 0..20 {
             a.send(i).unwrap();
         }
-        let received: Vec<u32> = (0..20).map(|_| recv_within(&b, PATIENCE).unwrap()).collect();
-        assert_eq!(received, (0..20).collect::<Vec<_>>());
+        // Side a draws its jitter from `seed`; a frame never overtakes the
+        // one sent before it.
+        let mut rng = StdRng::seed_from_u64(42);
+        let mut due = origin;
+        for i in 0..20 {
+            let jitter = Duration::from_nanos(rng.gen_range(0..=5_000_000));
+            due = due.max(origin + ms(1) + jitter);
+            assert_eq!(b.next_ready_at(), Some(due));
+            clock.advance_to(due);
+            assert_eq!(b.try_recv().unwrap(), i);
+        }
     }
 
     #[test]
     fn bandwidth_adds_transmission_delay() {
         let mut config = ChannelConfig::instant();
         config.bandwidth_bytes_per_sec = Some(1_000_000); // 1 MB/s
-        let (a, b) = pair::<Vec<u8>>(config.clone());
-        assert_eq!(config.transmission_delay(100_000), Duration::from_millis(100));
-        let start = Instant::now();
-        a.send_with_size(vec![0u8; 100_000], 100_000).unwrap();
-        recv_within(&b, PATIENCE).unwrap();
-        assert!(start.elapsed() >= Duration::from_millis(90));
+        assert_eq!(config.transmission_delay(100_000), ms(100));
+        let (a, b, clock, origin) = virtual_pair::<Vec<u8>>(config);
+        a.send_records_with_size(vec![0u8; 100_000], 100_000, 1).unwrap();
+        assert_eq!(b.next_ready_at(), Some(origin + ms(100)));
+        clock.advance_to(origin + ms(99));
+        assert_eq!(b.try_recv().unwrap_err(), RecvError::Empty);
+        clock.advance_to(origin + ms(100));
+        assert_eq!(b.try_recv().unwrap().len(), 100_000);
     }
 
     #[test]
@@ -832,60 +749,59 @@ mod tests {
     #[test]
     fn crash_is_detected_after_failure_timeout() {
         let mut config = ChannelConfig::instant();
-        config.failure_timeout = Duration::from_millis(50);
-        let (a, b) = pair::<u32>(config);
+        config.failure_timeout = ms(50);
+        let (a, b, clock, origin) = virtual_pair::<u32>(config);
         a.send(7).unwrap();
         a.crash();
         // The in-flight message is still delivered (it was already sent).
         assert_eq!(b.try_recv().unwrap(), 7);
-        let start = Instant::now();
-        assert_eq!(recv_within(&b, PATIENCE).unwrap_err(), RecvError::PeerFailed);
-        assert!(start.elapsed() >= Duration::from_millis(40), "failure needs the timeout");
+        clock.advance_to(origin + ms(49));
+        assert_eq!(b.try_recv().unwrap_err(), RecvError::Empty, "failure needs the timeout");
+        clock.advance_to(origin + ms(50));
+        assert_eq!(b.try_recv().unwrap_err(), RecvError::PeerFailed);
         assert_eq!(b.try_recv().unwrap_err(), RecvError::PeerFailed, "the verdict stays");
     }
 
     #[test]
     fn try_recv_and_timeout() {
-        let (a, b) = pair::<u32>(ChannelConfig::instant());
+        let (a, b, clock, origin) = virtual_pair::<u32>(ChannelConfig::instant());
         assert_eq!(b.try_recv().unwrap_err(), RecvError::Empty);
-        assert_eq!(recv_within(&b, Duration::from_millis(10)).unwrap_err(), RecvError::Empty);
+        // Time passing with nothing sent changes nothing, and nothing is due.
+        clock.advance_to(origin + ms(10));
+        assert_eq!(b.try_recv().unwrap_err(), RecvError::Empty);
+        assert_eq!(b.next_ready_at(), None);
         a.send(5).unwrap();
-        assert_eq!(recv_within(&b, Duration::from_millis(100)).unwrap(), 5);
+        assert_eq!(b.next_ready_at(), Some(origin + ms(10)));
+        assert_eq!(b.try_recv().unwrap(), 5);
     }
 
     #[test]
     fn batch_pays_latency_once_not_per_record() {
         let mut config = ChannelConfig::instant();
-        config.latency = Duration::from_millis(20);
-        let (a, b) = pair::<u8>(config);
-        let start = Instant::now();
+        config.latency = ms(20);
+        let (a, b, clock, origin) = virtual_pair::<u8>(config);
         a.send_records_with_size(7, 0, 16).unwrap();
-        assert_eq!(recv_within(&b, PATIENCE).unwrap(), 7);
-        let elapsed = start.elapsed();
-        assert!(elapsed >= Duration::from_millis(15));
-        assert!(
-            elapsed < Duration::from_millis(150),
-            "a 16-record batch must not pay 16 latencies ({elapsed:?})"
-        );
+        // A 16-record batch is due after one latency, not sixteen.
+        assert_eq!(b.next_ready_at(), Some(origin + ms(20)));
+        clock.advance_to(origin + ms(20));
+        assert_eq!(b.try_recv().unwrap(), 7);
     }
 
     #[test]
     fn try_recv_is_nonblocking_while_a_frame_is_in_flight() {
         // Regression: a frame whose simulated delay has not elapsed must make
-        // try_recv report Empty immediately — not sleep, not time out through
-        // the failure-timeout path, not get consumed early.
+        // try_recv report Empty at once — not wait, not time out through the
+        // failure-timeout path, not get consumed early.
         let mut config = ChannelConfig::instant();
-        config.latency = Duration::from_millis(40);
-        let (a, b) = pair::<u32>(config);
+        config.latency = ms(40);
+        let (a, b, clock, origin) = virtual_pair::<u32>(config);
         a.send(9).unwrap();
-        let start = Instant::now();
         assert_eq!(b.try_recv().unwrap_err(), RecvError::Empty);
         assert_eq!(b.try_recv().unwrap_err(), RecvError::Empty);
-        assert!(start.elapsed() < Duration::from_millis(20), "try_recv must not block");
-        // The buffered frame advertises its maturity time.
-        let ready_at = b.next_ready_at().expect("an in-flight frame is buffered");
-        assert!(ready_at > start, "delivery lies in the future");
-        std::thread::sleep(Duration::from_millis(45));
+        assert_eq!(clock.now(), origin, "try_recv must not wait");
+        // The frame on the wire advertises its maturity time.
+        assert_eq!(b.next_ready_at(), Some(origin + ms(40)));
+        clock.advance_to(origin + ms(40));
         assert_eq!(b.try_recv().unwrap(), 9);
     }
 
@@ -895,15 +811,15 @@ mod tests {
         // for the full latency *and* consume the close before its delivery
         // time.
         let mut config = ChannelConfig::instant();
-        config.latency = Duration::from_millis(40);
-        let (a, b) = pair::<u32>(config);
+        config.latency = ms(40);
+        let (a, b, clock, origin) = virtual_pair::<u32>(config);
         a.send(1).unwrap();
         a.close();
-        let start = Instant::now();
         // Both the data frame and the close are still travelling.
         assert_eq!(b.try_recv().unwrap_err(), RecvError::Empty);
-        assert!(start.elapsed() < Duration::from_millis(20), "try_recv must not block");
-        std::thread::sleep(Duration::from_millis(45));
+        clock.advance_to(origin + ms(39));
+        assert_eq!(b.try_recv().unwrap_err(), RecvError::Empty);
+        clock.advance_to(origin + ms(40));
         assert_eq!(b.try_recv().unwrap(), 1);
         assert_eq!(b.try_recv().unwrap_err(), RecvError::Closed);
     }
@@ -947,15 +863,55 @@ mod tests {
     #[test]
     fn crash_suspicion_is_advertised_through_next_ready_at() {
         let mut config = ChannelConfig::instant();
-        config.failure_timeout = Duration::from_millis(50);
-        let (a, b) = pair::<u32>(config);
-        assert!(b.next_ready_at().is_none(), "nothing buffered, nothing suspected");
+        config.failure_timeout = ms(50);
+        let (a, b, clock, origin) = virtual_pair::<u32>(config);
+        assert!(b.next_ready_at().is_none(), "nothing in flight, nothing suspected");
         a.crash();
-        let ready_at = b.next_ready_at().expect("suspicion maturity is scheduled");
-        assert!(ready_at > Instant::now(), "the detector has not fired yet");
+        assert_eq!(b.next_ready_at(), Some(origin + ms(50)), "suspicion maturity is scheduled");
         assert_eq!(b.try_recv().unwrap_err(), RecvError::Empty);
-        std::thread::sleep(Duration::from_millis(60));
+        clock.advance_to(origin + ms(50));
         assert_eq!(b.try_recv().unwrap_err(), RecvError::PeerFailed);
+    }
+
+    #[test]
+    fn a_dropped_peer_is_drained_before_it_is_judged() {
+        let mut config = ChannelConfig::instant();
+        config.latency = ms(10);
+        let (a, b, clock, origin) = virtual_pair::<u32>(config.clone());
+        a.send(1).unwrap();
+        clock.advance_to(origin + ms(5));
+        a.send(2).unwrap();
+        drop(a);
+        // The frames in flight still arrive, each at its own instant.
+        assert_eq!(b.try_recv().unwrap_err(), RecvError::Empty);
+        clock.advance_to(origin + ms(10));
+        assert_eq!(b.try_recv().unwrap(), 1);
+        assert_eq!(b.try_recv().unwrap_err(), RecvError::Empty);
+        clock.advance_to(origin + ms(15));
+        assert_eq!(b.try_recv().unwrap(), 2);
+        // Drained, a peer dropped without a close reads as failed at once,
+        // and nothing can be sent towards it.
+        assert_eq!(b.try_recv().unwrap_err(), RecvError::PeerFailed);
+        assert_eq!(b.send(3).unwrap_err(), SendError::Closed);
+
+        // A clean close before the drop is read as Closed.
+        let (a, b) = pair_with_clock::<u32>(config, clock.clone());
+        a.send(4).unwrap();
+        a.close();
+        drop(a);
+        clock.advance_to(origin + ms(25));
+        assert_eq!(b.try_recv().unwrap(), 4);
+        assert_eq!(b.try_recv().unwrap_err(), RecvError::Closed);
+        assert_eq!(b.try_recv().unwrap_err(), RecvError::Closed, "the verdict stays");
+    }
+
+    #[test]
+    fn next_ready_at_reports_a_frame_before_any_poll() {
+        let mut config = ChannelConfig::instant();
+        config.latency = ms(40);
+        let (a, b, _clock, origin) = virtual_pair::<u32>(config);
+        a.send(1).unwrap();
+        assert_eq!(b.next_ready_at(), Some(origin + ms(40)));
     }
 
     #[test]
@@ -1017,10 +973,10 @@ mod tests {
         let mut config = ChannelConfig::instant();
         config.send_buffer_max = Some(100);
         let (a, b) = pair::<u32>(config);
-        a.send_with_size(1, 80).unwrap();
+        a.send_records_with_size(1, 80, 1).unwrap();
         // The next sized frame would push past the bound: rejected, nothing
         // sent, channel still healthy.
-        assert_eq!(a.send_with_size(2, 40).unwrap_err(), SendError::WouldBlock);
+        assert_eq!(a.send_records_with_size(2, 40, 1).unwrap_err(), SendError::WouldBlock);
         // Zero-size control frames (heartbeats) always pass.
         a.send(3).unwrap();
         let woke = Arc::new(AtomicUsize::new(0));
@@ -1032,7 +988,7 @@ mod tests {
         // sender's waker exactly once.
         assert_eq!(b.try_recv().unwrap(), 1);
         assert_eq!(woke.load(Ordering::SeqCst), 1);
-        a.send_with_size(4, 40).unwrap();
+        a.send_records_with_size(4, 40, 1).unwrap();
         assert_eq!(b.try_recv().unwrap(), 3);
         assert_eq!(b.try_recv().unwrap(), 4);
         // No further drain-wakes without another WouldBlock.
@@ -1082,7 +1038,7 @@ mod tests {
             let t0 = clock.now();
             let mut deliveries = Vec::new();
             for i in 0..50 {
-                a.send_with_size(i, 8).unwrap();
+                a.send_records_with_size(i, 8, 1).unwrap();
             }
             while deliveries.len() < 50 {
                 match b.try_recv() {
@@ -1121,7 +1077,7 @@ mod tests {
             let t0 = clock.now();
             let mut out = Vec::new();
             for i in 0..20 {
-                a.send_with_size(i, 4).unwrap();
+                a.send_records_with_size(i, 4, 1).unwrap();
             }
             while out.len() < 20 {
                 match b.try_recv() {
@@ -1152,10 +1108,10 @@ mod tests {
         let (a, b) = pair::<u32>(config);
         // A single frame larger than the whole bound must go through when
         // the buffer is empty — rejecting it would deadlock the sender.
-        a.send_with_size(1, 1000).unwrap();
-        assert_eq!(a.send_with_size(2, 1).unwrap_err(), SendError::WouldBlock);
+        a.send_records_with_size(1, 1000, 1).unwrap();
+        assert_eq!(a.send_records_with_size(2, 1, 1).unwrap_err(), SendError::WouldBlock);
         assert_eq!(b.try_recv().unwrap(), 1);
-        a.send_with_size(2, 1).unwrap();
+        a.send_records_with_size(2, 1, 1).unwrap();
         assert_eq!(b.try_recv().unwrap(), 2);
     }
 }

@@ -11,13 +11,13 @@
 //! extra relay latency).
 
 use crate::channel::{pair, ChannelConfig, ChannelKind, Endpoint};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use pando_pull_stream::StreamError;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 /// The URL printed by Pando on startup and shared with volunteers.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -99,7 +99,7 @@ impl<T: Send + 'static> PublicServer<T> {
         let url = VolunteerUrl(format!("http://10.10.14.119:5000/#deploy-{}", *next_url));
         *next_url += 1;
         drop(next_url);
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         self.listeners
             .lock()
             .insert(url.clone(), Listener { incoming: tx, direct, relayed, next_volunteer: 0 });

@@ -27,7 +27,8 @@ use crate::protocol::{Answer, Request};
 use crate::source::{BoxSource, Source};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
+#[cfg(test)]
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -126,7 +127,7 @@ struct State<T, R> {
 
 /// Change callback registered with [`StreamLender::add_waker`]: invoked on
 /// every lender state change: results arrived (once per
-/// [`SubStreamSink::push_batch`]), a value became lendable or was emitted, a
+/// [`SubStream::push_batch`]), a value became lendable or was emitted, a
 /// sub-stream ended, the stream terminated.
 pub type LenderWaker = Arc<dyn Fn() + Send + Sync>;
 
@@ -892,6 +893,19 @@ where
         self.shared.push_result(self.id, seq, result)
     }
 
+    /// Returns the `(seq, result)` records of one frame to the lender at
+    /// once — one lock acquisition and at most one wake-up of the ordered
+    /// output, however many records the frame carries — and reports how
+    /// many were accepted. [`SubStream::push_result`] is the one-record case.
+    ///
+    /// A late record (see [`SubStream::push_result`]) is skipped, not an
+    /// error for the frame: the records around it are accepted. `records` is
+    /// consumed with the lender locked, so it must be a plain in-memory
+    /// iterator.
+    pub fn push_batch(&mut self, records: impl IntoIterator<Item = (u64, R)>) -> usize {
+        self.shared.push_results(self.id, records).0
+    }
+
     /// Ends the sub-stream gracefully. Values still borrowed (for example
     /// sitting in a network buffer) are re-lent to other sub-streams.
     pub fn complete(mut self) {
@@ -903,7 +917,11 @@ where
         self.end(SubStreamEnd::Crashed);
     }
 
-    fn end(&mut self, how: SubStreamEnd) {
+    /// Ends the sub-stream without consuming it, for a dispatcher that keeps
+    /// the handle in place: gracefully or as a crash, as `how` says. Either
+    /// way its borrowed values are re-lent. Only the first end counts; the
+    /// sub-stream answers `Done` after it.
+    pub fn end(&mut self, how: SubStreamEnd) {
         if self.ended {
             return;
         }
@@ -915,20 +933,6 @@ where
     pub fn borrowed(&self) -> usize {
         self.shared.borrowed_count(self.id)
     }
-
-    /// Splits the sub-stream into its task half and its result half, the
-    /// shape used to wire a sub-stream to a network channel (paper Figure 9).
-    pub fn into_duplex(mut self) -> (SubStreamSource<T, R>, SubStreamSink<T, R>) {
-        // Ownership of the end-of-life decision moves to the guard shared by
-        // the two halves, so disarm the `Drop` of `self`.
-        self.ended = true;
-        let guard = Arc::new(SubGuard {
-            shared: self.shared.clone(),
-            id: self.id,
-            ended_clean: AtomicBool::new(false),
-        });
-        (SubStreamSource { guard: guard.clone() }, SubStreamSink { guard })
-    }
 }
 
 impl<T, R> Drop for SubStream<T, R>
@@ -938,121 +942,6 @@ where
 {
     fn drop(&mut self) {
         self.end(SubStreamEnd::Crashed);
-    }
-}
-
-/// Shared end-of-life guard for the two duplex halves of a sub-stream.
-struct SubGuard<T, R>
-where
-    T: Clone + Send + 'static,
-    R: Send + 'static,
-{
-    shared: Arc<Shared<T, R>>,
-    id: SubStreamId,
-    ended_clean: AtomicBool,
-}
-
-impl<T, R> Drop for SubGuard<T, R>
-where
-    T: Clone + Send + 'static,
-    R: Send + 'static,
-{
-    fn drop(&mut self) {
-        let how = if self.ended_clean.load(Ordering::SeqCst) {
-            SubStreamEnd::Completed
-        } else {
-            SubStreamEnd::Crashed
-        };
-        self.shared.end_sub(self.id, how);
-    }
-}
-
-/// The sub-stream's task half: non-blocking pulls for an event-driven
-/// dispatcher.
-pub struct SubStreamSource<T, R>
-where
-    T: Clone + Send + 'static,
-    R: Send + 'static,
-{
-    guard: Arc<SubGuard<T, R>>,
-}
-
-impl<T, R> SubStreamSource<T, R>
-where
-    T: Clone + Send + 'static,
-    R: Send + 'static,
-{
-    /// Non-blocking pull: returns immediately with `None` when no value is
-    /// available right now (more may arrive later). Used by the batching
-    /// dispatcher to coalesce whatever is ready into one frame without
-    /// stalling on values that are still in flight elsewhere.
-    pub fn try_pull(&mut self) -> Option<Lend<T>> {
-        self.guard.shared.try_ask(self.guard.id)
-    }
-
-    /// Non-blocking pull that also reports termination, the shape an
-    /// event-driven dispatcher needs: `None` means "would block" (poll again
-    /// after the lender's waker fires), `Some(Answer::Done)` means this
-    /// sub-stream will never be handed another value, so the dispatcher can
-    /// close its channel.
-    pub fn poll_pull(&mut self) -> Option<Answer<Lend<T>>> {
-        self.guard.shared.try_ask_status(self.guard.id)
-    }
-}
-
-/// The sub-stream's result half: returns results to the lender and ends the
-/// sub-stream.
-pub struct SubStreamSink<T, R>
-where
-    T: Clone + Send + 'static,
-    R: Send + 'static,
-{
-    guard: Arc<SubGuard<T, R>>,
-}
-
-impl<T, R> SubStreamSink<T, R>
-where
-    T: Clone + Send + 'static,
-    R: Send + 'static,
-{
-    /// Returns one result to the lender without draining a source, the shape
-    /// used by a receive loop that demultiplexes batched result frames.
-    ///
-    /// A late result for a value that was already re-lent elsewhere is
-    /// reported as a protocol error; callers following the conservative
-    /// property simply drop it (the other copy is authoritative).
-    ///
-    /// # Errors
-    ///
-    /// Returns a protocol error if `seq` is not currently borrowed by this
-    /// sub-stream.
-    pub fn push(&self, seq: u64, result: R) -> Result<(), StreamError> {
-        self.guard.shared.push_result(self.guard.id, seq, result)
-    }
-
-    /// Returns the `(seq, result)` records of one frame to the lender at
-    /// once — one lock acquisition and at most one wake-up of the ordered
-    /// output, however many records the frame carries — and reports how
-    /// many were accepted. [`SubStreamSink::push`] is the one-record case.
-    ///
-    /// A late record (see [`SubStreamSink::push`]) is skipped, not an error
-    /// for the frame: the records around it are accepted. `records` is
-    /// consumed with the lender locked, so it must be a plain in-memory
-    /// iterator.
-    pub fn push_batch(&self, records: impl IntoIterator<Item = (u64, R)>) -> usize {
-        self.guard.shared.push_results(self.guard.id, records).0
-    }
-
-    /// Ends the sub-stream explicitly: gracefully when `clean`, with crash
-    /// semantics (borrowed values re-lent) otherwise. Idempotent with the
-    /// guard's drop-based end-of-life.
-    pub fn finish(&self, clean: bool) {
-        if clean {
-            self.guard.ended_clean.store(true, Ordering::SeqCst);
-            self.guard.shared.end_sub(self.guard.id, SubStreamEnd::Completed);
-        } else {
-            self.guard.shared.end_sub(self.guard.id, SubStreamEnd::Crashed);
-        }
     }
 }
 
@@ -1446,11 +1335,11 @@ mod tests {
     #[test]
     fn poll_pull_reports_done_after_shutdown() {
         let lender: StreamLender<u64, u64> = StreamLender::new(count(5));
-        let (mut source, sink) = lender.lend().into_duplex();
-        assert!(matches!(source.poll_pull(), Some(Answer::Value(_))));
+        let mut sub = lender.lend();
+        assert!(matches!(sub.poll_task(), Some(Answer::Value(_))));
         lender.shutdown();
-        assert!(matches!(source.poll_pull(), Some(Answer::Done)));
-        sink.finish(true);
+        assert!(matches!(sub.poll_task(), Some(Answer::Done)));
+        sub.end(SubStreamEnd::Completed);
     }
 
     /// Wakers a lender has fired, counted.
@@ -1567,12 +1456,11 @@ mod tests {
     #[test]
     fn duplex_adapter_crash_relends_values() {
         let lender: StreamLender<u64, u64> = StreamLender::new(count(6));
-        let (mut sub_source, sub_sink) = lender.lend().into_duplex();
-        // Borrow two values over the source half, then drop both halves
+        let mut sub = lender.lend();
+        // Borrow two values without blocking, then drop the sub-stream
         // without pushing results: a crash.
-        assert!(sub_source.try_pull().is_some() && sub_source.try_pull().is_some());
-        drop(sub_source);
-        drop(sub_sink);
+        assert!(sub.try_next_task().is_some() && sub.try_next_task().is_some());
+        drop(sub);
         assert_eq!(lender.failed_pending(), 2);
         assert_eq!(lender.stats().substreams_crashed, 1);
         let worker = square_worker(lender.lend());
@@ -1584,21 +1472,20 @@ mod tests {
     #[test]
     fn duplex_halves_support_nonblocking_batch_pumping() {
         let lender: StreamLender<u64, u64> = StreamLender::new(count(5));
-        let (mut source, sink) = lender.lend().into_duplex();
+        let mut sub = lender.lend();
         // Coalesce everything available without blocking.
         let mut batch = Vec::new();
-        while let Some(lend) = source.try_pull() {
+        while let Some(lend) = sub.try_next_task() {
             batch.push(lend);
         }
         assert_eq!(batch.len(), 5, "all five values are immediately available");
         // Return results out of band, as a receive loop would.
         for lend in &batch {
-            sink.push(lend.seq, lend.value + 100).unwrap();
+            sub.push_result(lend.seq, lend.value + 100).unwrap();
         }
         // A second push for the same seq is a protocol error (conservative).
-        assert!(sink.push(batch[0].seq, 0).is_err());
-        sink.finish(true);
-        drop(source);
+        assert!(sub.push_result(batch[0].seq, 0).is_err());
+        sub.complete();
         assert_eq!(lender.output().collect_values().unwrap(), vec![101, 102, 103, 104, 105]);
         assert_eq!(lender.stats().substreams_completed, 1);
         assert_eq!(lender.stats().substreams_crashed, 0);
@@ -1607,16 +1494,18 @@ mod tests {
     #[test]
     fn sink_finish_unclean_relends_borrowed_values() {
         let lender: StreamLender<u64, u64> = StreamLender::new(count(3));
-        let (mut source, sink) = lender.lend().into_duplex();
-        let first = source.try_pull().unwrap();
+        let mut sub = lender.lend();
+        let first = sub.try_next_task().unwrap();
         assert_eq!(first.seq, 0);
-        sink.finish(false);
+        sub.end(SubStreamEnd::Crashed);
         assert_eq!(lender.failed_pending(), 1);
         assert_eq!(lender.stats().substreams_crashed, 1);
-        // The crashed half no longer hands out values.
-        assert!(source.try_pull().is_none());
-        drop(sink);
-        drop(source);
+        // The crashed sub-stream no longer hands out values, and dropping it
+        // ends nothing twice.
+        assert!(sub.try_next_task().is_none());
+        assert!(matches!(sub.poll_task(), Some(Answer::Done)));
+        drop(sub);
+        assert_eq!(lender.stats().substreams_crashed, 1);
         let worker = square_worker(lender.lend());
         let output = lender.output().collect_values().unwrap();
         worker.join().unwrap();
@@ -1813,15 +1702,15 @@ mod tests {
     #[test]
     fn every_emit_fires_the_wakers_once_however_the_consumer_came_by_it() {
         let lender: StreamLender<u64, u64> = StreamLender::new(count(4));
-        let (mut source, sink) = lender.lend().into_duplex();
-        let tasks: Vec<_> = std::iter::from_fn(|| source.try_pull()).collect();
+        let mut sub = lender.lend();
+        let tasks: Vec<_> = std::iter::from_fn(|| sub.try_next_task()).collect();
         let fired = counted_wakers(&lender);
         let fired_since = |before: usize| fired.load(Ordering::SeqCst) - before;
         let mut output = lender.output();
 
         // Already there, by `pull` and by `next_timeout` with and without
         // time to wait: the emit fires once, a poll that finds nothing never.
-        sink.push_batch(tasks[..3].iter().map(|task| (task.seq, task.seq)));
+        sub.push_batch(tasks[..3].iter().map(|task| (task.seq, task.seq)));
         let before = fired.load(Ordering::SeqCst);
         assert_eq!(output.pull(Request::Ask), Answer::Value(0));
         assert_eq!(output.next_timeout(WATCHDOG), Some(Answer::Value(1)));
@@ -1845,10 +1734,10 @@ mod tests {
             }
             (tasks[3].seq, 3)
         });
-        assert_eq!(sink.push_batch(late), 1);
+        assert_eq!(sub.push_batch(late), 1);
         assert_eq!(consumer.woken(), Some(Answer::Value(3)));
         assert_eq!(fired_since(before), 2, "once for the frame, once for the emit");
-        sink.finish(true);
+        sub.complete();
     }
 
     #[test]
@@ -1914,28 +1803,27 @@ mod tests {
     #[test]
     fn push_batch_skips_a_late_record_and_signals_the_output_once() {
         let lender: StreamLender<u64, u64> = StreamLender::new(count(4));
-        let (mut source, sink) = lender.lend().into_duplex();
-        let tasks: Vec<_> = std::iter::from_fn(|| source.try_pull()).collect();
+        let mut sub = lender.lend();
+        let tasks: Vec<_> = std::iter::from_fn(|| sub.try_next_task()).collect();
         assert_eq!(tasks.len(), 4);
         let wakeups = counted_wakers(&lender);
         let signals = lender.output_signals();
         // A frame without the result the output waits for is quiet there.
-        assert_eq!(sink.push_batch([(3, 40)]), 1);
+        assert_eq!(sub.push_batch([(3, 40)]), 1);
         assert_eq!(lender.output_signals(), signals);
         assert_eq!(wakeups.load(Ordering::SeqCst), 1, "wakers hear of a frame once");
         // Seq 9 was never borrowed (a late result, to the lender): it is
         // skipped, the records around it are stored, and the output — which
         // can now emit — is signalled once for the whole frame.
-        assert_eq!(sink.push_batch([(0, 10), (9, 99), (1, 20), (2, 30)]), 3);
+        assert_eq!(sub.push_batch([(0, 10), (9, 99), (1, 20), (2, 30)]), 3);
         assert_eq!(lender.output_signals(), signals + 1);
         assert_eq!(wakeups.load(Ordering::SeqCst), 2);
         // A frame of late results only changes nothing and wakes nobody.
-        assert_eq!(sink.push_batch([(0, 11), (3, 41)]), 0);
+        assert_eq!(sub.push_batch([(0, 11), (3, 41)]), 0);
         assert_eq!(lender.output_signals(), signals + 1);
         assert_eq!(wakeups.load(Ordering::SeqCst), 2);
-        assert!(sink.push(0, 11).is_err(), "the one-record case reports the refusal");
-        sink.finish(true);
-        drop(source);
+        assert!(sub.push_result(0, 11).is_err(), "the one-record case reports the refusal");
+        sub.complete();
         assert_eq!(lender.output().collect_values().unwrap(), vec![10, 20, 30, 40]);
     }
 }

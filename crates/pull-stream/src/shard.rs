@@ -999,7 +999,7 @@ mod tests {
         thread::sleep(Duration::from_millis(30));
         // Aborting the merged output must return promptly: the termination
         // broadcast may not wait on the blocked pull.
-        let (done_tx, done_rx) = crossbeam::channel::unbounded();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
         let mut output = sharded.output();
         let aborter = thread::spawn(move || {
             assert_eq!(output.pull(Request::Abort), Answer::Done);
