@@ -18,9 +18,7 @@
 #![warn(missing_docs)]
 
 use pando_core::scenario::Scenario as ScenarioFile;
-use pando_core::sim::{
-    oracle, simulate_fleet, FleetParams, FleetReport, FleetScript, VolunteerSpec,
-};
+use pando_core::sim::{oracle, simulate_fleet, FleetParams, FleetReport, VolunteerSpec};
 use pando_devices::profiles::{units_per_task, Scenario, ScenarioSetup};
 use pando_devices::table2::{paper_reference, paper_total, scenario_entries};
 use pando_workloads::AppKind;
@@ -111,14 +109,15 @@ fn fleet_rates(setup: &ScenarioSetup, app: AppKind, batch_size: usize) -> Vec<f6
     let per_second: f64 = services.iter().map(|service| 1.0 / service.as_secs_f64()).sum();
     let tasks =
         (1.1 * per_second * WINDOW.as_secs_f64()) as u64 + (2 * batch_size * services.len()) as u64;
-    let script = FleetScript {
+    let report = checked(FleetParams {
         name: format!("table2-{}-{app}", setup.scenario),
+        seed: SEED,
+        tasks,
         volunteers,
         partitions: Vec::new(),
         interactive_input: false,
         batch_size,
-    };
-    let report = checked(FleetParams::new(SEED, 1, tasks).with_script(script));
+    });
     let mut done = vec![0u64; services.len()];
     for (at, v, records) in replies(&report) {
         // A volunteer computes a frame's records back to back, so the
@@ -134,7 +133,7 @@ fn fleet_rates(setup: &ScenarioSetup, app: AppKind, batch_size: usize) -> Vec<f6
 /// no reproduced number comes from such a run.
 fn checked(params: FleetParams) -> FleetReport {
     let report = simulate_fleet(&params);
-    oracle::check(&report).unwrap_or_else(|e| panic!("{}: {e}", report.trace[0]));
+    oracle::check(&report).unwrap_or_else(|e| panic!("{}: {e}", params.name));
     report
 }
 

@@ -310,6 +310,9 @@ mod tests {
     use pando_pull_stream::codec::StringCodec;
     use pando_pull_stream::source::{count, SourceExt};
     use pando_pull_stream::StreamError;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
 
     #[allow(clippy::ptr_arg)] // must match Fn(&C::Task) with C::Task = String
     fn square(input: &String) -> Result<String, StreamError> {
@@ -360,31 +363,70 @@ mod tests {
     #[test]
     fn volunteer_joining_mid_run_is_used() {
         let pando = Pando::new(PandoConfig::local_test());
-        let first =
-            WorkerBuilder::new().spawn_typed(pando.open_volunteer_channel(), StringCodec, square);
+        // The first volunteer says when it has begun, then holds its first
+        // value until the late one has processed a value of its own.
+        let (started, first_began) = mpsc::channel();
+        let (second_did_one, late_one_worked) = mpsc::channel();
+        let held = AtomicBool::new(true);
+        let first = WorkerBuilder::new().spawn_typed(
+            pando.open_volunteer_channel(),
+            StringCodec,
+            move |input: &String| {
+                if held.swap(false, Ordering::SeqCst) {
+                    let _ = started.send(());
+                    let _ = late_one_worked.recv_timeout(Duration::from_secs(10));
+                }
+                square(input)
+            },
+        );
         let output_source = pando.run_typed(StringCodec, number_source(100));
         let collector =
             std::thread::spawn(move || pando_pull_stream::sink::collect(output_source).unwrap());
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        let second =
-            WorkerBuilder::new().spawn_typed(pando.open_volunteer_channel(), StringCodec, square);
+        first_began.recv_timeout(Duration::from_secs(10)).expect("the first volunteer starts");
+        let second = WorkerBuilder::new().spawn_typed(
+            pando.open_volunteer_channel(),
+            StringCodec,
+            move |input: &String| {
+                let _ = second_did_one.send(());
+                square(input)
+            },
+        );
         let output = collector.join().unwrap();
         assert_eq!(output.len(), 100);
         let (a, b) = (first.join().processed, second.join().processed);
         assert_eq!(a + b, 100);
+        assert!(a > 0 && b > 0, "both volunteers processed values: {a} and {b}");
     }
 
     #[test]
     fn crashed_volunteer_work_is_recovered() {
         let pando = Pando::new(PandoConfig::local_test());
-        // A volunteer that crashes after 3 tasks, plus a reliable one.
+        // A volunteer that crashes after 3 tasks, plus a reliable one that
+        // holds its first task until the crasher has handled three: left
+        // alone it could finish all 50 values before the crasher is lent its
+        // third.
+        let (handled, crasher_handled) = mpsc::channel();
         let crashing = WorkerBuilder::new().fault(FaultPlan::AfterTasks(3)).spawn_typed(
             pando.open_volunteer_channel(),
             StringCodec,
-            square,
+            move |input: &String| {
+                let _ = handled.send(());
+                square(input)
+            },
         );
-        let reliable =
-            WorkerBuilder::new().spawn_typed(pando.open_volunteer_channel(), StringCodec, square);
+        let held = AtomicBool::new(true);
+        let reliable = WorkerBuilder::new().spawn_typed(
+            pando.open_volunteer_channel(),
+            StringCodec,
+            move |input: &String| {
+                if held.swap(false, Ordering::SeqCst) {
+                    for _ in 0..3 {
+                        let _ = crasher_handled.recv_timeout(Duration::from_secs(10));
+                    }
+                }
+                square(input)
+            },
+        );
         let output = pando.run_typed(StringCodec, number_source(50)).collect_values().unwrap();
         assert_eq!(output, (1..=50u64).map(|v| (v * v).to_string()).collect::<Vec<_>>());
         assert!(crashing.join().crashed);
@@ -413,7 +455,13 @@ mod tests {
         let output_source = pando.run_typed(StringCodec, number_source(10));
         let collector =
             std::thread::spawn(move || pando_pull_stream::sink::collect(output_source).unwrap());
-        std::thread::sleep(std::time::Duration::from_millis(50));
+        // The flaky volunteer's first error ends its sub-stream; only then
+        // does the healthy one join, so the erred values must be re-lent.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while pando.lender_stats().map_or(0, |stats| stats.substreams_crashed) < 1 {
+            assert!(Instant::now() < deadline, "the flaky volunteer never failed");
+            std::thread::yield_now();
+        }
         let healthy = WorkerBuilder::new().spawn_typed(
             pando.open_volunteer_channel(),
             StringCodec,

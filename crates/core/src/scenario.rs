@@ -5,8 +5,8 @@
 //! per-link latency/jitter/loss profiles, optionally typed by a published
 //! device from [`pando_devices`] — plus a timed churn and fault schedule:
 //! join waves, clean leaves, crash-stops, link flaps and group-scoped
-//! partitions. [`Scenario::to_fleet_params`] compiles it to a
-//! [`FleetScript`] that [`simulate_fleet`](crate::sim::simulate_fleet)
+//! partitions. [`Scenario::to_fleet_params`] compiles it to the
+//! [`FleetParams`] that [`simulate_fleet`](crate::sim::simulate_fleet)
 //! executes deterministically on the virtual clock, so every scenario run
 //! from the same file is byte-identical and the canonical trace can be
 //! committed as a golden artefact (see `scenarios/` and
@@ -18,7 +18,7 @@
 //! name = "wan_mix"          # must match the file stem
 //! seed = 7                  # jitter/loss seed (volunteer v uses seed + v)
 //! tasks = 200               # input values to process
-//! duration_us = 60000000    # schedule horizon (default 600s)
+//! duration_us = 60000000    # schedule horizon (default and maximum 600s)
 //! # input = "interactive"   # route tasks through the would-block pump path
 //!
 //! [defaults]                # optional fallbacks for every group
@@ -40,7 +40,8 @@
 //! volunteer = 2
 //! at_us = 15000
 //!
-//! [[flap]]                  # transient disconnect (delays, never loses)
+//! [[flap]]                  # transient disconnect of one volunteer: a
+//!                           # partition of it alone (delays, never loses)
 //! volunteer = 1
 //! at_us = 10000
 //! down_us = 5000
@@ -56,12 +57,13 @@
 //! ```
 //!
 //! Every key outside this reference is a typed [`ScenarioError`], as are
-//! out-of-range loss, overlapping partitions of one group, events past
-//! `duration_us` or before their target's join, and schedules that leave no
-//! survivor to finish the stream.
+//! out-of-range loss, a `duration_us` past the simulator's 600-second
+//! horizon, overlapping partitions of one group, events (a flap's or
+//! partition's end included) past `duration_us` or before their target's
+//! join, and schedules that leave no survivor to finish the stream.
 
 use crate::config::BatchingConfig;
-use crate::sim::{FleetParams, FleetReport, FleetScript, VolunteerSpec};
+use crate::sim::{FleetParams, FleetReport, VolunteerSpec};
 use minitoml::{Document, Table, Value};
 use pando_devices::profiles::{Scenario as PaperNet, ScenarioSetup};
 use pando_netsim::channel::ChannelConfig;
@@ -75,8 +77,9 @@ use std::time::Duration;
 /// honest model.
 const MAX_LOSS: f64 = 0.9;
 
-/// Horizon used when a scenario does not declare `duration_us`: the fleet
-/// simulator's own 600-second virtual ceiling.
+/// Horizon used when a scenario does not declare `duration_us`, and the
+/// longest it may declare: the fleet simulator's own 600-second virtual
+/// ceiling.
 pub const DEFAULT_DURATION_US: u64 = 600_000_000;
 
 /// A typed scenario-file error: what went wrong and where.
@@ -391,7 +394,8 @@ pub struct Scenario {
     pub seed: u64,
     /// Number of input values to process.
     pub tasks: u64,
-    /// Schedule horizon in microseconds; every event must land inside it.
+    /// Schedule horizon in microseconds, at most [`DEFAULT_DURATION_US`];
+    /// every event must land inside it.
     pub duration_us: u64,
     /// Route the input through the interactive would-block pump path.
     pub interactive: bool,
@@ -651,6 +655,12 @@ impl Scenario {
         if self.tasks == 0 {
             return Err(invalid("scenario.tasks", "at least one task is required"));
         }
+        if self.duration_us > DEFAULT_DURATION_US {
+            return Err(invalid(
+                "scenario.duration_us",
+                format!("the simulator's horizon is {DEFAULT_DURATION_US}us"),
+            ));
+        }
         if self.groups.is_empty() {
             return Err(invalid("scenario.group", "at least one [[group]] is required"));
         }
@@ -709,12 +719,13 @@ impl Scenario {
                 });
             }
         }
-        for (v, at_us, _down) in &self.flaps {
+        for (v, at_us, down_us) in &self.flaps {
             let join = self.join_us_of(*v).ok_or(ScenarioError::UnknownVolunteer(*v))?;
-            if *at_us > self.duration_us {
+            let end_us = at_us.saturating_add(*down_us);
+            if end_us > self.duration_us {
                 return Err(ScenarioError::EventPastDuration {
                     what: format!("flap v{v}"),
-                    at_us: *at_us,
+                    at_us: end_us,
                 });
             }
             if *at_us < join {
@@ -847,10 +858,10 @@ impl Scenario {
         Document::from_root(root).render()
     }
 
-    /// Compiles the scenario to [`FleetParams`] carrying a
-    /// [`FleetScript`]: group ids become volunteer specs in declaration
-    /// order, partitions resolve their member lists, and each volunteer's
-    /// channel is seeded `seed + v`.
+    /// Compiles the scenario to [`FleetParams`]: group ids become volunteer
+    /// specs in declaration order, partitions resolve their member lists,
+    /// each flap `(v, at, down)` becomes the partition `([v], at, at + down)`
+    /// after them, and each volunteer's channel is seeded `seed + v`.
     ///
     /// # Errors
     ///
@@ -923,28 +934,28 @@ impl Scenario {
             }
             members.push((group.name.clone(), ids));
         }
-        let partitions = self
-            .partitions
-            .iter()
-            .map(|p| {
-                let ids = members
-                    .iter()
-                    .find(|(name, _)| *name == p.group)
-                    .map(|(_, ids)| ids.clone())
-                    .expect("validated partition group");
-                (ids, Duration::from_micros(p.at_us), Duration::from_micros(p.heal_us))
-            })
-            .collect();
-        let script = FleetScript {
+        let groups = self.partitions.iter().map(|p| {
+            let ids = members
+                .iter()
+                .find(|(name, _)| *name == p.group)
+                .map(|(_, ids)| ids.clone())
+                .expect("validated partition group");
+            (ids, p.at_us, p.heal_us)
+        });
+        let flaps = self.flaps.iter().map(|&(v, at_us, down_us)| (vec![v], at_us, at_us + down_us));
+        let us = Duration::from_micros;
+        Ok(FleetParams {
             name: self.name.clone(),
+            seed: self.seed,
+            tasks: self.tasks,
             volunteers,
-            partitions,
+            partitions: groups
+                .chain(flaps)
+                .map(|(ids, at, heal)| (ids, us(at), us(heal)))
+                .collect(),
             interactive_input: self.interactive,
             batch_size: BatchingConfig::default().batch_size,
-        };
-        Ok(FleetParams::new(self.seed, 1, self.tasks)
-            .with_script(script)
-            .with_flaps(self.flaps.clone()))
+        })
     }
 }
 
@@ -1034,16 +1045,16 @@ min_retransmits = 1
         assert_eq!(scenario.volunteers(), 4);
         assert_eq!(scenario.groups[1].device.as_deref(), Some("iPhone SE"));
         let params = scenario.to_fleet_params().unwrap();
-        assert_eq!(params.volunteers, 4);
-        assert_eq!(params.flaps, vec![(1, 4_000, 3_000)]);
-        let script = params.script.as_ref().unwrap();
+        assert_eq!(params.volunteers.len(), 4);
         // The iPhone's Table 2 raytrace rate, not the defaults fallback.
-        assert!(script.volunteers[2].service > Duration::from_millis(100));
-        assert_eq!(script.volunteers[2].joins_at, Duration::from_micros(2_000));
-        assert_eq!(script.volunteers[3].joins_at, Duration::from_micros(3_000));
+        assert!(params.volunteers[2].service > Duration::from_millis(100));
+        assert_eq!(params.volunteers[2].joins_at, Duration::from_micros(2_000));
+        assert_eq!(params.volunteers[3].joins_at, Duration::from_micros(3_000));
+        // The group partition, then the flap as a partition of volunteer 1.
+        let us = Duration::from_micros;
         assert_eq!(
-            script.partitions,
-            vec![(vec![0, 1], Duration::from_micros(5_000), Duration::from_micros(8_000))]
+            params.partitions,
+            vec![(vec![0, 1], us(5_000), us(8_000)), (vec![1], us(4_000), us(7_000))]
         );
         scenario.expect.check(&oracle::run(&params).unwrap()).unwrap();
     }

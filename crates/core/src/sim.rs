@@ -22,7 +22,7 @@
 //! use pando_core::sim::{oracle, FleetParams};
 //!
 //! let report = oracle::run(&FleetParams::new(7, 4, 24)).unwrap();
-//! assert!(report.canonical_trace().starts_with("params seed=7 volunteers=4 tasks=24 "));
+//! assert!(report.canonical_trace().starts_with("params name=fleet seed=7 volunteers=4 tasks=24 "));
 //! ```
 
 use crate::config::{BatchingConfig, PandoConfig};
@@ -45,45 +45,47 @@ use std::time::{Duration, Instant};
 
 pub mod oracle;
 
-/// Parameters of one deterministic fleet run. Everything a run does —
-/// per-volunteer service times, the crash schedule, channel jitter — derives
-/// from `seed`, so the parameters fully determine the trace.
+/// Parameters of one deterministic fleet run: one [`VolunteerSpec`] per
+/// device plus the partitions that pause some of their links. Every link
+/// carries its own jitter seed, so the parameters fully determine the trace.
+/// [`FleetParams::seeded`] draws a fleet from a seed; a scenario file
+/// compiles to the same shape ([`crate::scenario`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetParams {
-    /// Master seed: drives channel jitter, service times and the fault
-    /// schedule.
+    /// Fleet name, the first field of the canonical trace's `params` line.
+    pub name: String,
+    /// Seed of the deployment; it names the run in the trace (each
+    /// volunteer's channel carries its own jitter seed).
     pub seed: u64,
-    /// Number of simulated volunteer devices.
-    pub volunteers: usize,
     /// Number of input values to process.
     pub tasks: u64,
-    /// Fraction of volunteers that crash mid-run (crash-stop, at a
-    /// seed-derived virtual instant). Volunteer 0 never crashes, so the
-    /// stream always completes.
-    pub crash_fraction: f64,
-    /// Scripted link flaps, the deterministic replay of
-    /// [`FaultPlan::Disconnect`]:
-    /// each `(volunteer, at_us, down_for_us)` pauses that volunteer's link
-    /// in both directions from virtual instant `at_us` for `down_for_us`
-    /// microseconds. A flap delays frames, it loses nothing — the sim twin
-    /// of a session volunteer reconnecting within its grace window — so a
-    /// flapped run produces the same output order and digest as a fault-free
-    /// one and never fires the crash re-lend path. Empty by default, and an
-    /// empty schedule leaves the canonical trace byte-identical to builds
-    /// that predate flaps.
-    pub flaps: Vec<(usize, u64, u64)>,
-    /// Explicit fleet script replacing the seed-derived schedule (see
-    /// [`FleetScript`]). `None` — the default, and what every pre-scenario
-    /// trace was recorded with — keeps the seed-derived path byte-identical.
-    pub script: Option<FleetScript>,
+    /// One spec per volunteer; the index in this vector is the volunteer id
+    /// used by the trace and by `partitions`.
+    pub volunteers: Vec<VolunteerSpec>,
+    /// Partition events: `(members, starts_at, heals_at)` pauses every
+    /// member's link in both directions from `starts_at` until `heals_at`
+    /// (offsets from the run origin). Frames are delayed, never lost, and
+    /// the failure detector never fires — the twin of a transient network
+    /// split that heals within the session grace window. A link flap is a
+    /// partition of one volunteer.
+    pub partitions: Vec<(Vec<usize>, Duration, Duration)>,
+    /// Run the input through a source whose non-blocking asks always report
+    /// "would block" (the blocking pull still answers immediately): the
+    /// deterministic stand-in for interactive stdin. Drivers' fast-path asks
+    /// fail and the reactor's input pump must deliver — exactly the path
+    /// whose kick/ask busy loop the `wasted_polls` budget guards.
+    pub interactive_input: bool,
+    /// Values in flight per volunteer ([`BatchingConfig::batch_size`]): the
+    /// paper's 2 on LAN and VPN, 4 on WAN. Scenario files use the default, 2.
+    pub batch_size: usize,
 }
 
-/// One scripted volunteer of a [`FleetScript`]: which link it sits on, how
-/// fast it computes, and when it joins, leaves or crashes.
+/// One volunteer of a [`FleetParams`]: which link it sits on, how fast it
+/// computes, and when it joins, leaves or crashes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VolunteerSpec {
-    /// Scenario group this volunteer belongs to (used by partition events
-    /// and in the trace; carries no behaviour of its own).
+    /// Group this volunteer belongs to (named in the trace; carries no
+    /// behaviour of its own).
     pub group: String,
     /// Virtual compute time per task record.
     pub service: Duration,
@@ -104,77 +106,54 @@ pub struct VolunteerSpec {
     pub crash_at: Option<Duration>,
 }
 
-/// A fully explicit fleet script: per-volunteer links and churn instants
-/// plus group-scoped partitions, executed by [`simulate_fleet`] instead of
-/// the seed-derived schedule. Usually loaded from a checked-in
-/// `scenarios/*.toml` file via [`crate::scenario`], but constructible by
-/// hand for tests.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetScript {
-    /// Scenario name, echoed as the first trace line.
-    pub name: String,
-    /// One spec per volunteer; the index in this vector is the volunteer id
-    /// used by the trace, partitions and [`FleetParams::flaps`].
-    pub volunteers: Vec<VolunteerSpec>,
-    /// Partition events: `(members, starts_at, heals_at)` pauses every
-    /// member's link in both directions from `starts_at` until `heals_at`
-    /// (offsets from the run origin). Frames are delayed, never lost, and
-    /// the failure detector never fires — the scripted twin of a transient
-    /// network split that heals within the session grace window.
-    pub partitions: Vec<(Vec<usize>, Duration, Duration)>,
-    /// Run the input through a source whose non-blocking asks always report
-    /// "would block" (the blocking pull still answers immediately): the
-    /// deterministic stand-in for interactive stdin. Drivers' fast-path asks
-    /// fail and the reactor's input pump must deliver — exactly the path
-    /// whose kick/ask busy loop the `wasted_polls` budget guards.
-    pub interactive_input: bool,
-    /// Values in flight per volunteer ([`BatchingConfig::batch_size`]): the
-    /// paper's 2 on LAN and VPN, 4 on WAN. Scenario files use the default, 2.
-    pub batch_size: usize,
-}
-
 impl FleetParams {
-    /// Parameters with the default crash fraction (15 % of the fleet).
+    /// A seed-derived fleet of `volunteers` with 15 % of them crashing
+    /// ([`FleetParams::seeded`]).
     pub fn new(seed: u64, volunteers: usize, tasks: u64) -> Self {
-        Self { seed, volunteers, tasks, crash_fraction: 0.15, flaps: Vec::new(), script: None }
+        Self::seeded(seed, volunteers, tasks, 0.15)
     }
 
-    /// Returns the parameters with a different crash fraction.
+    /// A fleet of `volunteers` LAN devices drawn from `seed`: volunteer `v`
+    /// computes for 0.3–3 ms per task, sits on
+    /// `ChannelConfig::lan().with_seed(seed + v)`, and crash-stops with
+    /// probability `crash_share` at an instant inside the expected run.
+    /// Volunteer 0 never crashes, so the stream always completes.
     ///
     /// # Panics
     ///
-    /// Panics if `crash_fraction` is outside `[0, 1]`.
-    pub fn with_crash_fraction(mut self, crash_fraction: f64) -> Self {
-        assert!((0.0..=1.0).contains(&crash_fraction), "crash fraction must be within [0, 1]");
-        self.crash_fraction = crash_fraction;
-        self
-    }
-
-    /// Returns the parameters with a scripted link-flap schedule (see
-    /// [`FleetParams::flaps`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a flap names a volunteer outside the fleet.
-    pub fn with_flaps(mut self, flaps: Vec<(usize, u64, u64)>) -> Self {
-        for (v, _, _) in &flaps {
-            assert!(*v < self.volunteers, "flap names volunteer {v} outside the fleet");
+    /// Panics if `crash_share` is outside `[0, 1]`.
+    pub fn seeded(seed: u64, volunteers: usize, tasks: u64, crash_share: f64) -> Self {
+        assert!((0.0..=1.0).contains(&crash_share), "crash share must be within [0, 1]");
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        // Crash instants are drawn from a window scaled to the expected run
+        // length (mean service 1.65 ms, `volunteers` devices in parallel),
+        // so the fault schedule actually lands mid-run instead of after the
+        // last result.
+        let expected_run_us = (tasks.saturating_mul(1_650) / volunteers.max(1) as u64).max(5_000);
+        let volunteers = (0..volunteers)
+            .map(|v| {
+                let service = Duration::from_micros(rng.gen_range(300..3_000));
+                let crash_at = (v != 0 && rng.gen_bool(crash_share))
+                    .then(|| Duration::from_micros(rng.gen_range(1_000u64..expected_run_us)));
+                VolunteerSpec {
+                    group: "fleet".into(),
+                    service,
+                    channel: ChannelConfig::lan().with_seed(seed.wrapping_add(v as u64)),
+                    joins_at: Duration::ZERO,
+                    leaves_at: None,
+                    crash_at,
+                }
+            })
+            .collect();
+        Self {
+            name: "fleet".into(),
+            seed,
+            tasks,
+            volunteers,
+            partitions: Vec::new(),
+            interactive_input: false,
+            batch_size: BatchingConfig::default().batch_size,
         }
-        self.flaps = flaps;
-        self
-    }
-
-    /// Returns the parameters driven by an explicit [`FleetScript`] instead
-    /// of the seed-derived schedule: `volunteers` becomes the script's fleet
-    /// size and the seed-derived crash draw is disabled (scripts declare
-    /// their crashes explicitly). The seed keeps naming the run — each
-    /// spec's channel carries its own jitter seed.
-    pub fn with_script(mut self, script: FleetScript) -> Self {
-        assert!(!script.volunteers.is_empty(), "a fleet script needs at least one volunteer");
-        self.volunteers = script.volunteers.len();
-        self.crash_fraction = 0.0;
-        self.script = Some(script);
-        self
     }
 }
 
@@ -214,9 +193,7 @@ pub struct FleetReport {
     /// crash instants landing after a volunteer finished do not fire).
     pub crashed: u64,
     /// Total lost-and-re-sent frame transmissions across every volunteer
-    /// link, both directions ([`ChannelConfig::loss`]). Part of the
-    /// canonical trace only under a script — seed-derived runs predate the
-    /// loss knob and keep their traces byte-identical.
+    /// link, both directions ([`ChannelConfig::loss`]).
     pub retransmits: u64,
     /// Virtual time the run spanned.
     pub virtual_elapsed: Duration,
@@ -232,23 +209,16 @@ impl FleetReport {
     /// first nondeterministic event.
     pub fn canonical_trace(&self) -> String {
         let mut out = String::new();
-        // `bounded_wakes=true` is trace-format history (the toggle it named
-        // is gone); it stays so checked-in golden traces keep their bytes.
+        let params = &self.params;
         out.push_str(&format!(
-            "params seed={} volunteers={} tasks={} crash_fraction={} bounded_wakes=true\n",
-            self.params.seed, self.params.volunteers, self.params.tasks, self.params.crash_fraction
+            "params name={} seed={} volunteers={} tasks={} batch_size={} interactive={}\n",
+            params.name,
+            params.seed,
+            params.volunteers.len(),
+            params.tasks,
+            params.batch_size,
+            params.interactive_input
         ));
-        if !self.params.flaps.is_empty() {
-            // Only emitted for a non-empty schedule, so fault-free traces
-            // stay byte-identical to builds that predate link flaps.
-            let flaps: Vec<String> = self
-                .params
-                .flaps
-                .iter()
-                .map(|(v, at, down)| format!("v{v}@{at}us+{down}us"))
-                .collect();
-            out.push_str(&format!("flaps {}\n", flaps.join(",")));
-        }
         for line in &self.trace {
             out.push_str(line);
             out.push('\n');
@@ -270,9 +240,7 @@ impl FleetReport {
             out.push_str(row);
             out.push('\n');
         }
-        if self.params.script.is_some() {
-            out.push_str(&format!("loss retransmits={}\n", self.retransmits));
-        }
+        out.push_str(&format!("loss retransmits={}\n", self.retransmits));
         out.push_str(&format!(
             "reactor registered={} polls={} wakeups={} timer_fires={} prefetches={} \
              shards={} hops={} max_ready_depth={} wasted_polls={} kicks_sent={} \
@@ -305,8 +273,7 @@ impl FleetReport {
 /// computation *time* is virtual: the replies are delivered
 /// `service × records` after the device becomes free.
 struct SimVolunteer {
-    /// `None` until the volunteer joins (script volunteers may join
-    /// mid-run); the seed-derived path opens every channel up front.
+    /// `None` until the volunteer joins (a volunteer may join mid-run).
     endpoint: Option<Endpoint<Message>>,
     core: WorkerCore,
     service: Duration,
@@ -354,9 +321,6 @@ enum Ev {
     Reply { v: usize, frames: Vec<Message> },
     /// Crash volunteer `v` (crash-stop; scripted by the fault schedule).
     Crash { v: usize },
-    /// Pause volunteer `v`'s link for `down_for` (a scripted transient
-    /// disconnect; frames are delayed, never lost).
-    Flap { v: usize, down_for: Duration },
     /// Re-poll volunteer `v`: a frame buffered on its endpoint matures now.
     Repoll { v: usize },
     /// Volunteer `v` joins mid-run: open its scripted channel and register
@@ -366,7 +330,8 @@ enum Ev {
     /// re-lent without a failure timeout.
     Leave { v: usize },
     /// Pause every member's link in both directions until `until` (a
-    /// scripted partition; heals without tripping the failure detector).
+    /// scripted partition, or a flap when it has one member; it heals
+    /// without tripping the failure detector).
     Partition { members: Vec<usize>, until: Instant },
 }
 
@@ -450,7 +415,7 @@ fn decode_result(payload: &Bytes) -> u64 {
 /// an interactive input (a user typing lines). Drivers' fast-path asks fail
 /// and the reactor's input pump must deliver — the exact path whose kick/ask
 /// busy loop the `wasted_polls` counter guards
-/// ([`FleetScript::interactive_input`]).
+/// ([`FleetParams::interactive_input`]).
 struct InteractiveSource<S> {
     inner: S,
 }
@@ -470,53 +435,36 @@ impl<T, S: Source<T>> Source<T> for InteractiveSource<S> {
 ///
 /// # Panics
 ///
-/// Panics if `params.volunteers` is zero, if the run deadlocks (no pending
-/// work and no pending timers — a scheduler bug by construction), or if the
-/// virtual horizon of ten simulated minutes is exceeded.
+/// Panics if `params.volunteers` is empty, if a partition names a volunteer
+/// outside the fleet, if the run deadlocks (no pending work and no pending
+/// timers — a scheduler bug by construction), or if the virtual horizon of
+/// ten simulated minutes is exceeded.
 pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
-    assert!(params.volunteers > 0, "a fleet needs at least one volunteer");
-    // `FleetParams` has public fields, so validate here too — a struct
-    // literal bypasses the `with_flaps`/`with_script` builders. A flap (or
-    // partition member) naming a volunteer outside the fleet would
-    // otherwise be silently ignored or panic deep in the scheduler.
-    for (v, _, _) in &params.flaps {
-        assert!(*v < params.volunteers, "flap names volunteer {v} outside the fleet");
-    }
-    if let Some(script) = &params.script {
-        assert_eq!(
-            script.volunteers.len(),
-            params.volunteers,
-            "the script's fleet size must match params.volunteers"
-        );
-        for (members, _, _) in &script.partitions {
-            for m in members {
-                assert!(*m < params.volunteers, "partition names volunteer {m} outside the fleet");
-            }
+    let n = params.volunteers.len();
+    assert!(n > 0, "a fleet needs at least one volunteer");
+    for (members, _, _) in &params.partitions {
+        for m in members {
+            assert!(*m < n, "partition names volunteer {m} outside the fleet");
         }
     }
     let wall_start = Instant::now();
-    let mut config = PandoConfig::deterministic(params.seed);
-    if let Some(script) = &params.script {
-        config = config.with_batch_size(script.batch_size);
-    }
+    let config = PandoConfig::deterministic(params.seed).with_batch_size(params.batch_size);
     let clock = config.run.clock.clone();
     let origin = clock.now();
     let pando = Pando::new(config);
     let mut trace: Vec<String> = Vec::new();
     let elapsed_us = |clock: &pando_netsim::sim::Clock| clock.elapsed().as_micros();
 
-    // --- The fleet: seed-derived service times and fault schedule. -------
-    let mut rng = StdRng::seed_from_u64(params.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    // --- The fleet: each volunteer's link, churn and crash schedule. -----
     let woken = Arc::new(Mutex::new(VecDeque::new()));
-    let queued =
-        Arc::new((0..params.volunteers).map(|_| AtomicBool::new(false)).collect::<Vec<_>>());
+    let queued = Arc::new((0..n).map(|_| AtomicBool::new(false)).collect::<Vec<_>>());
     let mut engine = Engine {
         queue: BinaryHeap::new(),
         next_seq: 0,
         woken: woken.clone(),
         queued: queued.clone(),
     };
-    let mut volunteers: Vec<SimVolunteer> = Vec::with_capacity(params.volunteers);
+    let mut volunteers: Vec<SimVolunteer> = Vec::with_capacity(n);
     // One coalescing waker per volunteer, shared between up-front channels
     // and mid-run joins.
     let make_waker = {
@@ -535,89 +483,46 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
     let opt_us = |at: Option<Duration>| {
         at.map(|at| at.as_micros().to_string()).unwrap_or_else(|| "never".into())
     };
-    if let Some(script) = &params.script {
-        // Named only off its default: older scripts' traces keep their bytes.
-        let mut batch = String::new();
-        if script.batch_size != BatchingConfig::default().batch_size {
-            batch = format!(" batch_size={}", script.batch_size);
-        }
+    for (v, spec) in params.volunteers.iter().enumerate() {
         trace.push(format!(
-            "scenario name={} interactive={}{batch}",
-            script.name, script.interactive_input
+            "setup v{v} group={} service_us={} latency_us={} jitter_us={} loss={} \
+             joins_at_us={} leaves_at_us={} crash_at_us={}",
+            spec.group,
+            spec.service.as_micros(),
+            spec.channel.latency.as_micros(),
+            spec.channel.jitter.as_micros(),
+            spec.channel.loss,
+            spec.joins_at.as_micros(),
+            opt_us(spec.leaves_at),
+            opt_us(spec.crash_at),
         ));
-        for (v, spec) in script.volunteers.iter().enumerate() {
-            trace.push(format!(
-                "setup v{v} group={} service_us={} latency_us={} jitter_us={} loss={} \
-                 joins_at_us={} leaves_at_us={} crash_at_us={}",
-                spec.group,
-                spec.service.as_micros(),
-                spec.channel.latency.as_micros(),
-                spec.channel.jitter.as_micros(),
-                spec.channel.loss,
-                spec.joins_at.as_micros(),
-                opt_us(spec.leaves_at),
-                opt_us(spec.crash_at),
-            ));
-            let endpoint = if spec.joins_at.is_zero() {
-                let endpoint = pando.open_volunteer_channel_with(spec.channel.clone());
-                endpoint.set_waker(make_waker(v));
-                Some(endpoint)
-            } else {
-                engine.schedule(origin + spec.joins_at, Ev::Join { v });
-                None
-            };
-            if let Some(at) = spec.crash_at {
-                engine.schedule(origin + at, Ev::Crash { v });
-            }
-            if let Some(at) = spec.leaves_at {
-                engine.schedule(origin + at, Ev::Leave { v });
-            }
-            volunteers.push(SimVolunteer::new(endpoint, spec.service, origin));
-        }
-        for (members, at, heal) in &script.partitions {
-            engine.schedule(
-                origin + *at,
-                Ev::Partition { members: members.clone(), until: origin + *heal },
-            );
-        }
-    } else {
-        // Crash instants are drawn from a window scaled to the expected run
-        // length (mean service 1.65 ms, `volunteers` devices in parallel),
-        // so the fault schedule actually lands mid-run instead of after the
-        // last result.
-        let expected_run_us =
-            (params.tasks.saturating_mul(1_650) / params.volunteers.max(1) as u64).max(5_000);
-        for v in 0..params.volunteers {
-            let endpoint = pando.open_volunteer_channel();
+        let endpoint = if spec.joins_at.is_zero() {
+            let endpoint = pando.open_volunteer_channel_with(spec.channel.clone());
             endpoint.set_waker(make_waker(v));
-            let service = Duration::from_micros(rng.gen_range(300..3_000));
-            // Volunteer 0 is the survivor that guarantees completion.
-            let crash_at_us = (v != 0 && rng.gen_bool(params.crash_fraction))
-                .then(|| rng.gen_range(1_000u64..expected_run_us));
-            if let Some(at_us) = crash_at_us {
-                engine.schedule(origin + Duration::from_micros(at_us), Ev::Crash { v });
-            }
-            trace.push(format!(
-                "setup v{v} service_us={} crash_at_us={}",
-                service.as_micros(),
-                crash_at_us.map(|us| us.to_string()).unwrap_or_else(|| "never".into())
-            ));
-            volunteers.push(SimVolunteer::new(Some(endpoint), service, origin));
+            Some(endpoint)
+        } else {
+            engine.schedule(origin + spec.joins_at, Ev::Join { v });
+            None
+        };
+        if let Some(at) = spec.crash_at {
+            engine.schedule(origin + at, Ev::Crash { v });
         }
+        if let Some(at) = spec.leaves_at {
+            engine.schedule(origin + at, Ev::Leave { v });
+        }
+        volunteers.push(SimVolunteer::new(endpoint, spec.service, origin));
     }
-
-    for (v, at_us, down_for_us) in &params.flaps {
+    for (members, at, heal) in &params.partitions {
         engine.schedule(
-            origin + Duration::from_micros(*at_us),
-            Ev::Flap { v: *v, down_for: Duration::from_micros(*down_for_us) },
+            origin + *at,
+            Ev::Partition { members: members.clone(), until: origin + *heal },
         );
     }
 
     // --- The input stream: task index i as a little-endian u64 payload. --
     let inputs: Vec<Bytes> =
         (0..params.tasks).map(|i| Bytes::copy_from_slice(&i.to_le_bytes())).collect();
-    let interactive = params.script.as_ref().map(|s| s.interactive_input).unwrap_or(false);
-    let mut output = if interactive {
+    let mut output = if params.interactive_input {
         pando.run(InteractiveSource { inner: from_iter(inputs) })
     } else {
         pando.run(from_iter(inputs))
@@ -659,20 +564,6 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
                     crashed_fired += 1;
                     trace.push(format!("[{}] v{v} crash", elapsed_us(&clock)));
                 }
-                Ev::Flap { v, down_for } => {
-                    let Some(endpoint) = volunteers[v].live() else { continue };
-                    // Both directions go quiet until the device "rejoins":
-                    // in-flight frames keep their delivery instants, later
-                    // ones mature no earlier than the rejoin instant. The
-                    // pause never trips the failure detector, mirroring a
-                    // session resume inside the grace window.
-                    endpoint.pause_link_until(clock.now() + down_for);
-                    trace.push(format!(
-                        "[{}] v{v} flap down_us={}",
-                        elapsed_us(&clock),
-                        down_for.as_micros()
-                    ));
-                }
                 Ev::Reply { v, frames } => {
                     volunteers[v].pending_replies -= 1;
                     let Some(endpoint) = volunteers[v].live() else { continue };
@@ -688,11 +579,7 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
                     }
                 }
                 Ev::Join { v } => {
-                    let spec = &params
-                        .script
-                        .as_ref()
-                        .expect("join events only exist under a script")
-                        .volunteers[v];
+                    let spec = &params.volunteers[v];
                     let vol = &mut volunteers[v];
                     if vol.done || vol.endpoint.is_some() {
                         continue;
@@ -725,6 +612,8 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
                         ids.join(","),
                         until.saturating_duration_since(origin).as_micros()
                     ));
+                    // In-flight frames keep their delivery instants, later
+                    // ones mature no earlier than the heal instant.
                     for endpoint in members.iter().filter_map(|&v| volunteers[v].live()) {
                         endpoint.pause_link_until(until);
                     }
@@ -908,16 +797,22 @@ fn poll_volunteer(
 mod tests {
     use super::*;
 
-    /// A hand-built script of `volunteers` at `batch_size` over `tasks`.
-    fn run_script(volunteers: Vec<VolunteerSpec>, batch_size: usize, tasks: u64) -> FleetReport {
-        let script = FleetScript {
-            name: "unit".into(),
+    /// A hand-built fleet of `volunteers` over `tasks`, nothing partitioned.
+    fn fleet(name: &str, seed: u64, volunteers: Vec<VolunteerSpec>, tasks: u64) -> FleetParams {
+        FleetParams {
+            name: name.into(),
+            seed,
+            tasks,
             volunteers,
             partitions: Vec::new(),
             interactive_input: false,
-            batch_size,
-        };
-        simulate_fleet(&FleetParams::new(1, 1, tasks).with_script(script))
+            batch_size: 2,
+        }
+    }
+
+    /// A hand-built fleet of `volunteers` at `batch_size` over `tasks`, run.
+    fn run_script(volunteers: Vec<VolunteerSpec>, batch_size: usize, tasks: u64) -> FleetReport {
+        simulate_fleet(&FleetParams { batch_size, ..fleet("unit", 1, volunteers, tasks) })
     }
 
     /// A volunteer on a zero-latency link, so only compute takes time.
@@ -960,7 +855,9 @@ mod tests {
             });
             assert_eq!(records.max(), Some(batch), "frames never exceed the window");
         }
-        assert!(four.trace[0].ends_with("interactive=false batch_size=4"), "{}", four.trace[0]);
+        let header =
+            "params name=unit seed=1 volunteers=1 tasks=24 batch_size=4 interactive=false\n";
+        assert!(four.canonical_trace().starts_with(header), "{}", four.canonical_trace());
         let (one, four) = (one.virtual_elapsed, four.virtual_elapsed);
         assert!(one > four.mul_f64(1.1), "batch 1 took {one:?}, batch 4 {four:?}");
     }
@@ -1006,7 +903,7 @@ mod tests {
     fn fleet_sim_recovers_from_crashes() {
         // Force a heavy fault schedule: half the fleet crashes, the stream
         // still completes in order because values are re-lent.
-        let params = FleetParams::new(99, 8, 64).with_crash_fraction(0.9);
+        let params = FleetParams::seeded(99, 8, 64, 0.9);
         let report = simulate_fleet(&params);
         assert!(report.crashed >= 1, "the schedule must actually crash volunteers");
         oracle::check(&report).unwrap();
@@ -1041,57 +938,33 @@ mod tests {
     #[test]
     fn link_flaps_delay_but_never_crash_or_reorder() {
         // Same seed, no scripted crashes; one run flap-free, one with two
-        // mid-run flaps. The flapped run must produce the same output order
-        // and digest — a transient disconnect loses nothing — and must not
-        // fire the crash re-lend path (the oracle's rules b and c).
-        let base = FleetParams::new(4242, 6, 60).with_crash_fraction(0.0);
-        let calm = simulate_fleet(&base);
-        let flapped =
-            simulate_fleet(&base.clone().with_flaps(vec![(1, 2_000, 8_000), (3, 5_000, 20_000)]));
+        // mid-run flaps (partitions of one volunteer). The flapped run must
+        // produce the same output order and digest — a transient disconnect
+        // loses nothing — and must not fire the crash re-lend path (the
+        // oracle's rules b and c).
+        let calm = FleetParams::seeded(4242, 6, 60, 0.0);
+        let ms = Duration::from_millis;
+        let partitions = vec![(vec![1], ms(2), ms(10)), (vec![3], ms(5), ms(25))];
+        let flapped = simulate_fleet(&FleetParams { partitions, ..calm.clone() });
+        let calm = simulate_fleet(&calm);
         assert_eq!(flapped.output_order, calm.output_order);
         assert_eq!(flapped.output_digest, calm.output_digest);
         oracle::check(&flapped).unwrap();
-        assert!(
-            flapped.trace.iter().any(|line| line.contains("flap down_us=")),
-            "flap events appear in the trace"
-        );
-        assert!(
-            flapped.canonical_trace().contains("flaps v1@2000us+8000us,v3@5000us+20000us"),
-            "a non-empty schedule is part of the canonical parameters"
-        );
+        let pauses = [
+            "[2000] partition members=1 heal_us=10000",
+            "[5000] partition members=3 heal_us=25000",
+        ];
+        for pause in pauses {
+            assert!(flapped.trace.iter().any(|line| line == pause), "{pause} is traced");
+        }
     }
 
     #[test]
-    fn empty_flap_schedule_leaves_the_trace_unchanged() {
-        // `with_flaps(vec![])` must be a byte-level no-op: fault-absent runs
-        // keep their pre-flap canonical traces.
-        let params = FleetParams::new(7, 4, 24);
-        let plain = simulate_fleet(&params);
-        let explicit = simulate_fleet(&params.clone().with_flaps(Vec::new()));
-        assert_eq!(plain.canonical_trace(), explicit.canonical_trace());
-        assert!(!plain.canonical_trace().contains("flaps "));
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the fleet")]
-    fn flap_on_an_unknown_volunteer_is_rejected() {
-        let _ = FleetParams::new(1, 2, 8).with_flaps(vec![(2, 100, 100)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the fleet")]
-    fn struct_literal_flap_outside_the_fleet_is_rejected_at_run_time() {
-        // The builders validate, but `FleetParams` has public fields: a
-        // struct literal used to smuggle an out-of-range flap past the
-        // check, where it was silently ignored.
-        let params = FleetParams {
-            seed: 1,
-            volunteers: 2,
-            tasks: 8,
-            crash_fraction: 0.0,
-            flaps: vec![(2, 100, 100)],
-            script: None,
-        };
+    #[should_panic(expected = "partition names volunteer 2 outside the fleet")]
+    fn a_partition_outside_the_fleet_is_rejected() {
+        let mut params = FleetParams::seeded(1, 2, 8, 0.0);
+        params.partitions =
+            vec![(vec![0, 2], Duration::from_micros(100), Duration::from_micros(200))];
         let _ = simulate_fleet(&params);
     }
 
@@ -1120,37 +993,20 @@ mod tests {
         quitter.leaves_at = Some(Duration::from_millis(20));
         let mut doomed = spec("lan", 700, 14);
         doomed.crash_at = Some(Duration::from_millis(15));
-        let script = FleetScript {
-            name: "unit_mixed".into(),
-            volunteers: vec![spec("lan", 800, 10), phone, latecomer, quitter, doomed],
+        let volunteers = vec![spec("lan", 800, 10), phone, latecomer, quitter, doomed];
+        let params = FleetParams {
             partitions: vec![(vec![0, 1], Duration::from_millis(10), Duration::from_millis(14))],
-            interactive_input: false,
-            batch_size: 2,
+            ..fleet("unit_mixed", 77, volunteers, 96)
         };
-        let params = FleetParams::new(77, 1, 96).with_script(script);
-        assert_eq!(params.volunteers, 5, "with_script adopts the script's fleet size");
         let a = oracle::run(&params).unwrap();
         assert_eq!(a.crashed, 1);
         assert!(a.retransmits > 0, "a 20% lossy link must retransmit");
-        assert!(a.canonical_trace().contains("scenario name=unit_mixed interactive=false\n"));
+        let header =
+            "params name=unit_mixed seed=77 volunteers=5 tasks=96 batch_size=2 interactive=false\n";
+        assert!(a.canonical_trace().starts_with(header));
         assert!(a.trace.iter().any(|l| l.contains("join group=lan")));
         assert!(a.trace.iter().any(|l| l.contains("leave")));
         assert!(a.trace.iter().any(|l| l.contains("partition members=0,1")));
         assert!(a.canonical_trace().contains(&format!("loss retransmits={}", a.retransmits)));
-    }
-
-    #[test]
-    #[should_panic(expected = "fleet size must match")]
-    fn script_fleet_size_mismatch_is_rejected() {
-        let script = FleetScript {
-            name: "unit_bad".into(),
-            volunteers: vec![spec("lan", 800, 1)],
-            partitions: Vec::new(),
-            interactive_input: false,
-            batch_size: 2,
-        };
-        let mut params = FleetParams::new(1, 1, 8).with_script(script);
-        params.volunteers = 3; // struct-literal-style tampering
-        let _ = simulate_fleet(&params);
     }
 }

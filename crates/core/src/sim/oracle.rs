@@ -6,16 +6,15 @@
 //! only what a report already carries.
 
 use super::{simulate_fleet, FleetParams, FleetReport};
-use crate::config::PandoConfig;
-use std::time::Duration;
 
 /// Checks one finished run against the contract:
 ///
 /// * **(a)** the output is `0..tasks`: every input exactly once, in order;
-/// * **(b)** no more volunteers crashed than the run's `setup` trace lines
-///   scheduled crash-stops;
-/// * **(c)** a crash re-lend needs a crash verdict: when every flap and
-///   partition heals inside its link's failure timeout, there are no more
+/// * **(b)** no more volunteers crashed than the fleet scheduled
+///   crash-stops;
+/// * **(c)** a crash re-lend needs a crash verdict: when every partition
+///   (a flap included) heals inside its members' failure timeouts, there
+///   are no more
 ///   crash re-lends than crashed volunteers — none without a scheduled
 ///   crash.
 ///
@@ -33,10 +32,7 @@ pub fn check(report: &FleetReport) -> Result<(), String> {
             order.get(at)
         ));
     }
-    let scheduled = report
-        .trace
-        .iter()
-        .filter(|line| line.starts_with("setup v") && !line.ends_with(" crash_at_us=never"));
+    let scheduled = report.params.volunteers.iter().filter(|spec| spec.crash_at.is_some());
     let (crashed, scheduled) = (report.crashed, scheduled.count());
     if crashed > scheduled as u64 {
         return Err(format!("{crashed} volunteers crashed, {scheduled} crash-stops scheduled"));
@@ -51,20 +47,14 @@ pub fn check(report: &FleetReport) -> Result<(), String> {
     Ok(())
 }
 
-/// Whether every flap, and every partition's member, heals before its
-/// link's failure timeout. A seed-derived fleet sits on the deterministic
-/// deployment's link.
+/// Whether every partition heals before each member's link failure
+/// timeout.
 fn outages_heal_in_time(params: &FleetParams) -> bool {
-    let fleet_link = PandoConfig::deterministic(params.seed).transport.channel.failure_timeout;
-    let timeout = |v: usize| match &params.script {
-        Some(script) => script.volunteers[v].channel.failure_timeout,
-        None => fleet_link,
-    };
-    let mut partitions = params.script.iter().flat_map(|script| &script.partitions);
-    params.flaps.iter().all(|&(v, _, down_us)| Duration::from_micros(down_us) < timeout(v))
-        && partitions.all(|(members, at, heal)| {
-            members.iter().all(|&m| heal.saturating_sub(*at) < timeout(m))
-        })
+    params.partitions.iter().all(|(members, at, heal)| {
+        members
+            .iter()
+            .all(|&m| heal.saturating_sub(*at) < params.volunteers[m].channel.failure_timeout)
+    })
 }
 
 /// Simulates `params` twice, demands byte-identical canonical traces, then
@@ -111,7 +101,7 @@ mod tests {
     /// The oracle's verdict on a calm run (nothing scheduled to crash) that
     /// `doctor` edited.
     fn doctored(doctor: impl FnOnce(&mut FleetReport)) -> Result<(), String> {
-        let mut report = simulate_fleet(&FleetParams::new(7, 4, 24).with_crash_fraction(0.0));
+        let mut report = simulate_fleet(&FleetParams::seeded(7, 4, 24, 0.0));
         check(&report).unwrap();
         doctor(&mut report);
         check(&report)
@@ -142,7 +132,8 @@ mod tests {
         // An outage past the link's 500 ms failure timeout may earn one.
         doctored(|report| {
             report.reactor.crash_relends = 1;
-            report.params.flaps = vec![(1, 1_000, 600_000)];
+            let ms = std::time::Duration::from_millis;
+            report.params.partitions = vec![(vec![1], ms(1), ms(601))];
         })
         .unwrap();
     }

@@ -11,6 +11,7 @@ use pando_core::scenario::{
     DEFAULT_DURATION_US,
 };
 use proptest::prelude::*;
+use std::time::Duration;
 
 /// Deterministically builds a *valid* scenario from integer draws: group 0
 /// never crashes or leaves (there is always a survivor), every event lands
@@ -61,6 +62,9 @@ fn build(seed: u64, tasks: u64, shape: u64, faults: u64) -> Scenario {
     }
     if faults & 4 == 4 {
         flaps.push((0, 3_000 + faults % 5_000, 1_000 + faults % 20_000));
+    }
+    if faults & 64 == 64 {
+        flaps.push((anchor_count - 1, 30_000 + faults % 7_000, 2_000));
     }
     if wave_count > 0 && faults & 8 == 8 {
         partitions.push(PartitionSpec {
@@ -114,9 +118,10 @@ proptest! {
         prop_assert_eq!(parsed.render(), text);
     }
 
-    /// Compilation to fleet parameters preserves the headline shape: one
-    /// volunteer spec per declared seat, flaps forwarded verbatim, and the
-    /// script name matching the scenario.
+    /// Compilation to fleet parameters preserves the declared shape: one
+    /// volunteer spec per declared seat, one partition per `[[partition]]`,
+    /// then each flap `(v, at, down)` as the partition `([v], at, at + down)`
+    /// in declaration order, and the name matching the scenario.
     #[test]
     fn compiled_params_match_the_declared_shape(
         seed in 0u64..1_000_000,
@@ -126,13 +131,21 @@ proptest! {
     ) {
         let scenario = build(seed, tasks, shape, faults);
         let params = scenario.to_fleet_params().unwrap();
-        prop_assert_eq!(params.volunteers, scenario.volunteers());
+        prop_assert_eq!(params.volunteers.len(), scenario.volunteers());
         prop_assert_eq!(params.tasks, scenario.tasks);
-        prop_assert_eq!(&params.flaps, &scenario.flaps);
-        let script = params.script.as_ref().unwrap();
-        prop_assert_eq!(&script.name, &scenario.name);
-        prop_assert_eq!(script.interactive_input, scenario.interactive);
-        prop_assert_eq!(script.partitions.len(), scenario.partitions.len());
+        prop_assert_eq!(&params.name, &scenario.name);
+        prop_assert_eq!(params.interactive_input, scenario.interactive);
+        let groups = scenario.partitions.len();
+        for ((members, at, heal), p) in params.partitions.iter().zip(&scenario.partitions) {
+            prop_assert_eq!((*at, *heal), (Duration::from_micros(p.at_us), Duration::from_micros(p.heal_us)));
+            let group = params.volunteers.iter().enumerate().filter(|(_, spec)| spec.group == p.group);
+            prop_assert_eq!(members, &group.map(|(m, _)| m).collect::<Vec<_>>());
+        }
+        prop_assert_eq!(params.partitions.len(), groups + scenario.flaps.len());
+        let us = Duration::from_micros;
+        let flaps: Vec<_> =
+            scenario.flaps.iter().map(|&(v, at, down)| (vec![v], us(at), us(at + down))).collect();
+        prop_assert_eq!(&params.partitions[groups..], &flaps[..]);
     }
 }
 
@@ -186,6 +199,8 @@ fn out_of_range_values_name_the_key() {
         (VALID.replace("tasks = 16", "tasks = 0"), "scenario.tasks"),
         (VALID.replace("tasks = 16", "tasks = \"many\""), "scenario.tasks"),
         (VALID.replace("seed = 3", "seed = 3\ninput = \"psychic\""), "scenario.input"),
+        // Past the simulator's 600 s horizon, which the run would panic on.
+        (VALID.replace("duration_us = 1000000", "duration_us = 800000000"), "scenario.duration_us"),
     ] {
         match err_of(&text) {
             ScenarioError::InvalidValue { key: got, .. } => assert_eq!(got, key),
@@ -208,6 +223,11 @@ fn impossible_schedules_are_typed() {
         err_of(&format!("{VALID}\n[[flap]]\nvolunteer = 0\nat_us = 2000000\ndown_us = 5")),
         ScenarioError::EventPastDuration { .. }
     ));
+    // A flap that starts in time but ends past `duration_us`.
+    assert_eq!(
+        err_of(&format!("{VALID}\n[[flap]]\nvolunteer = 1\nat_us = 5000\ndown_us = 999000")),
+        ScenarioError::EventPastDuration { what: "flap v1".into(), at_us: 1_004_000 }
+    );
     assert!(matches!(
         err_of(&format!("{VALID}\n[[partition]]\ngroup = \"only\"\nat_us = 500\nheal_us = 400")),
         ScenarioError::EventBeforeJoin { .. }

@@ -7,6 +7,7 @@
 
 use pando_core::sim::{oracle, simulate_fleet, FleetParams};
 use proptest::prelude::*;
+use std::time::Duration;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -24,8 +25,8 @@ proptest! {
         tasks in 1u64..96,
         crash_pct in 0u32..91,
     ) {
-        let params = FleetParams::new(seed, volunteers, tasks)
-            .with_crash_fraction(f64::from(crash_pct) / 100.0);
+        let params =
+            FleetParams::seeded(seed, volunteers, tasks, f64::from(crash_pct) / 100.0);
         let report = oracle::run(&params).unwrap_or_else(|e| panic!("{e}"));
         // The shards accepted one result per emitted value (late results of
         // crashed volunteers may process a value twice on the device side).
@@ -41,8 +42,9 @@ proptest! {
 
     /// Any random disconnect/reconnect schedule (links pausing and coming
     /// back, the sim twin of a session volunteer resuming within its grace
-    /// window) yields the same ordered output and digest as the fault-free
-    /// run, and never fires the crash re-lend path.
+    /// window; each flap is a partition of one volunteer) yields the same
+    /// ordered output and digest as the fault-free run, and never fires the
+    /// crash re-lend path.
     #[test]
     fn link_flaps_never_lose_reorder_or_crash(
         seed in 0u64..1_000_000,
@@ -50,20 +52,20 @@ proptest! {
         tasks in 1u64..80,
         raw_flaps in proptest::collection::vec(0u64..1_000_000_000_000, 0..6),
     ) {
-        // Decode each raw draw into (volunteer, at_us, down_for_us): the
-        // in-tree proptest stand-in has no tuple strategies.
-        let flaps: Vec<(usize, u64, u64)> = raw_flaps
+        // Decode each raw draw into ([volunteer], at, heal): the in-tree
+        // proptest stand-in has no tuple strategies.
+        let partitions = raw_flaps
             .into_iter()
             .map(|raw| {
                 let v = (raw % volunteers as u64) as usize;
-                let at_us = (raw / 7) % 40_000;
-                let down_for_us = 100 + (raw / 13) % 30_000;
-                (v, at_us, down_for_us)
+                let at = Duration::from_micros((raw / 7) % 40_000);
+                let down = Duration::from_micros(100 + (raw / 13) % 30_000);
+                (vec![v], at, at + down)
             })
             .collect();
-        let base = FleetParams::new(seed, volunteers, tasks).with_crash_fraction(0.0);
+        let base = FleetParams::seeded(seed, volunteers, tasks, 0.0);
         let calm = simulate_fleet(&base);
-        let flapped = simulate_fleet(&base.clone().with_flaps(flaps));
+        let flapped = simulate_fleet(&FleetParams { partitions, ..base });
         oracle::check(&flapped).unwrap_or_else(|e| panic!("{e}"));
         prop_assert_eq!(flapped.output_order, calm.output_order);
         prop_assert_eq!(flapped.output_digest, calm.output_digest);
@@ -79,7 +81,7 @@ proptest! {
 fn pinned_seed_shape_regression() {
     let report = simulate_fleet(&FleetParams::new(7, 8, 64));
     oracle::check(&report).unwrap();
-    assert_eq!(report.params.volunteers, 8);
+    assert_eq!(report.params.volunteers.len(), 8);
     assert!(!report.claim_log.is_empty());
     assert_eq!(report.meter_rows.len(), 9, "one meter row per volunteer plus the scheduler row");
 }
