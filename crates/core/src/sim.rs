@@ -968,6 +968,35 @@ mod tests {
         let _ = simulate_fleet(&params);
     }
 
+    #[test]
+    #[should_panic(expected = "partition names volunteer 2 outside the fleet")]
+    fn flap_on_an_unknown_volunteer_is_rejected() {
+        // A flap is a partition of one volunteer; naming volunteer 2 of a
+        // two-volunteer fleet must not be silently ignored.
+        let mut params = FleetParams::new(1, 2, 8);
+        params.partitions =
+            vec![(vec![2], Duration::from_micros(100), Duration::from_micros(200))];
+        let _ = simulate_fleet(&params);
+    }
+
+    #[test]
+    #[should_panic(expected = "partition names volunteer 2 outside the fleet")]
+    fn struct_literal_flap_outside_the_fleet_is_rejected_at_run_time() {
+        // `FleetParams` has public fields: a struct literal must not smuggle
+        // an out-of-range flap past the run-time check.
+        let fleet = FleetParams::seeded(1, 2, 8, 0.0);
+        let params = FleetParams {
+            name: fleet.name,
+            seed: 1,
+            tasks: 8,
+            volunteers: fleet.volunteers,
+            partitions: vec![(vec![2], Duration::from_micros(100), Duration::from_micros(100))],
+            interactive_input: false,
+            batch_size: fleet.batch_size,
+        };
+        let _ = simulate_fleet(&params);
+    }
+
     fn spec(group: &str, service_us: u64, seed: u64) -> VolunteerSpec {
         VolunteerSpec {
             group: group.into(),
