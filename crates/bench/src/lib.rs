@@ -323,9 +323,9 @@ The WAN deployment has no image-processing column, as in the paper.
 ### The frame-packing gap
 
 The six frame-bound cells show a coordination cost that a model of the master
-could not. With the default `tasks_per_frame = None`, the master packs a
-volunteer's whole window of `b` values into one frame, and the worker replies
-once per frame. The volunteer computes `b × service`, replies, then idles for
+could not. The master packs the free part of a volunteer's window into one
+frame, and the worker replies once per frame, so a window of `b` values
+travels whole. The volunteer computes `b × service`, replies, then idles for
 one round trip until the next frame arrives: batching becomes stop-and-wait
 per frame. The bound below charges that idle time to every device,
 `Σ rate × compute / (compute + round trip)`, with the mean round trip
@@ -364,11 +364,11 @@ per frame on every link.
     }
     out.push_str(
         "
-Run with one task per frame instead (`PandoConfig::with_tasks_per_frame(1)`
-inside `simulate_fleet`), the next value of a window travels while the previous
-one computes, and every cell lands within 2.6 % of the published total. The
-default is left as it is: sizing the in-flight window and the frames from
-measured round trips is ROADMAP item 9.
+With one task per frame instead, the next value of a window travels while the
+previous one computes: measured that way, when the master still had a
+per-frame cap, every cell landed within 2.6 % of the published total. Frames
+carry the free window because a reply per record doubles the frames per task;
+replying as results finish without that cost is ROADMAP item 3.
 
 ### Per device
 

@@ -1,21 +1,22 @@
 //! Deployment configuration.
 //!
-//! [`PandoConfig`] groups its knobs into nested sub-configs, one per
-//! subsystem: [`BatchingConfig`] (how values are windowed and framed),
+//! [`PandoConfig`] holds the window ([`PandoConfig::batch_size`]) and groups
+//! its other knobs into nested sub-configs, one per subsystem:
 //! [`ReactorConfig`] (how volunteer endpoints are driven and how the lender
 //! is sharded), [`TransportConfig`] (how bytes reach the volunteers) and
 //! [`RunConfig`] (the clock). Every sub-config implements `Default`, so a
 //! custom deployment can override one group without spelling out the rest:
 //!
 //! ```
-//! use pando_core::config::{BatchingConfig, PandoConfig};
+//! use pando_core::config::{PandoConfig, ReactorConfig};
 //!
 //! let config = PandoConfig {
-//!     batching: BatchingConfig { batch_size: 8, ..BatchingConfig::default() },
+//!     reactor: ReactorConfig { threads: 8, ..ReactorConfig::default() },
 //!     ..PandoConfig::default()
 //! };
-//! assert_eq!(config.batching.batch_size, 8);
-//! assert_eq!(config.reactor.threads, 4);
+//! assert_eq!(config.reactor.threads, 8);
+//! assert_eq!(config.reactor.lender_shards, None);
+//! assert_eq!(config.batch_size, 2);
 //! ```
 //!
 //! The `with_*` builder methods remain the recommended way to tweak a
@@ -26,40 +27,6 @@
 use crate::transport::tcp::TcpConfig;
 use pando_netsim::channel::ChannelConfig;
 use pando_netsim::sim::Clock;
-
-/// How values are windowed towards each volunteer and coalesced into wire
-/// frames.
-///
-/// ```
-/// use pando_core::config::BatchingConfig;
-///
-/// let batching = BatchingConfig::default();
-/// assert_eq!(batching.batch_size, 2);
-/// assert_eq!(batching.tasks_per_frame, None); // pack up to the window
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchingConfig {
-    /// Number of values that may be in flight towards one volunteer at a
-    /// time (the `--batch-size` argument of the original tool). A batch size
-    /// of 2 lets one input travel while another is being processed, which is
-    /// enough to hide the network latency of compute-bound applications
-    /// (paper §5.5). Example: `PandoConfig::local_test().with_batch_size(8)`
-    /// widens the window for latency-bound workloads.
-    pub batch_size: usize,
-    /// Maximum number of tasks (and results) coalesced into one wire frame.
-    /// `None` means "up to the batch size": the dispatcher packs whatever is
-    /// immediately available, so a whole window can travel in one frame and
-    /// pay the channel round-trip once. `Some(1)` (or
-    /// `with_tasks_per_frame(1)`) reproduces the original one-frame-per-task
-    /// protocol.
-    pub tasks_per_frame: Option<usize>,
-}
-
-impl Default for BatchingConfig {
-    fn default() -> Self {
-        Self { batch_size: 2, tasks_per_frame: None }
-    }
-}
 
 /// How volunteer endpoints are driven and how the stream lender is sharded.
 ///
@@ -160,20 +127,38 @@ impl Default for RunConfig {
 /// [`Pando::new`](crate::master::Pando::new) and dropped when the stream of
 /// values is exhausted.
 ///
-/// The knobs are grouped into nested sub-configs — [`BatchingConfig`],
+/// Besides the window, the knobs are grouped into nested sub-configs —
 /// [`ReactorConfig`], [`TransportConfig`], [`RunConfig`] — each with a
 /// `Default`; see the [module docs](self) for the struct-update idiom. The
 /// `with_*` builders below write through to the nested fields.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PandoConfig {
-    /// Windowing and frame coalescing; see [`BatchingConfig`].
-    pub batching: BatchingConfig,
+    /// Number of values that may be in flight towards one volunteer at a
+    /// time (the `--batch-size` argument of the original tool). A batch size
+    /// of 2 lets one input travel while another is being processed, which is
+    /// enough to hide the network latency of compute-bound applications
+    /// (paper §5.5). The dispatcher packs whatever of the window is free
+    /// into one frame, so a whole window can pay the channel round-trip
+    /// once. Example: `PandoConfig::local_test().with_batch_size(8)` widens
+    /// the window for latency-bound workloads.
+    pub batch_size: usize,
     /// Endpoint driving and lender sharding; see [`ReactorConfig`].
     pub reactor: ReactorConfig,
     /// Simulated-channel profile and TCP knobs; see [`TransportConfig`].
     pub transport: TransportConfig,
     /// The clock; see [`RunConfig`].
     pub run: RunConfig,
+}
+
+impl Default for PandoConfig {
+    fn default() -> Self {
+        Self {
+            batch_size: 2,
+            reactor: ReactorConfig::default(),
+            transport: TransportConfig::default(),
+            run: RunConfig::default(),
+        }
+    }
 }
 
 impl PandoConfig {
@@ -204,7 +189,7 @@ impl PandoConfig {
     /// Panics if `batch_size` is zero.
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         assert!(batch_size > 0, "batch size must be at least 1");
-        self.batching.batch_size = batch_size;
+        self.batch_size = batch_size;
         self
     }
 
@@ -217,17 +202,6 @@ impl PandoConfig {
     /// Returns the configuration with different TCP transport knobs.
     pub fn with_tcp(mut self, tcp: TcpConfig) -> Self {
         self.transport.tcp = tcp;
-        self
-    }
-
-    /// Returns the configuration with an explicit per-frame coalescing limit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tasks_per_frame` is zero.
-    pub fn with_tasks_per_frame(mut self, tasks_per_frame: usize) -> Self {
-        assert!(tasks_per_frame > 0, "tasks per frame must be at least 1");
-        self.batching.tasks_per_frame = Some(tasks_per_frame);
         self
     }
 
@@ -285,12 +259,6 @@ impl PandoConfig {
     pub fn effective_lender_shards(&self) -> usize {
         self.reactor.lender_shards.unwrap_or(self.reactor.threads.min(4)).max(1)
     }
-
-    /// The coalescing limit actually used by the dispatcher: the explicit
-    /// [`BatchingConfig::tasks_per_frame`] if set, otherwise the batch size.
-    pub fn effective_tasks_per_frame(&self) -> usize {
-        self.batching.tasks_per_frame.unwrap_or(self.batching.batch_size).max(1)
-    }
 }
 
 #[cfg(test)]
@@ -300,14 +268,14 @@ mod tests {
     #[test]
     fn defaults_match_the_paper() {
         let config = PandoConfig::default();
-        assert_eq!(config.batching.batch_size, 2);
+        assert_eq!(config.batch_size, 2);
     }
 
     #[test]
     fn builders_adjust_fields() {
         let config =
             PandoConfig::local_test().with_batch_size(4).with_channel(ChannelConfig::wan());
-        assert_eq!(config.batching.batch_size, 4);
+        assert_eq!(config.batch_size, 4);
         assert_eq!(config.transport.channel, ChannelConfig::wan());
         let config = config.with_tcp(TcpConfig::default());
         assert_eq!(config.transport.tcp, TcpConfig::default());
@@ -316,11 +284,11 @@ mod tests {
     #[test]
     fn sub_configs_compose_with_struct_update() {
         let config = PandoConfig {
-            batching: BatchingConfig { batch_size: 16, ..BatchingConfig::default() },
+            batch_size: 16,
             reactor: ReactorConfig { threads: 8, ..ReactorConfig::default() },
             ..PandoConfig::default()
         };
-        assert_eq!(config.batching.batch_size, 16);
+        assert_eq!(config.batch_size, 16);
         assert_eq!(config.reactor.threads, 8);
         assert_eq!(config.transport, TransportConfig::default());
         assert_eq!(config.run, RunConfig::default());
@@ -330,21 +298,6 @@ mod tests {
     #[should_panic(expected = "batch size")]
     fn zero_batch_size_is_rejected() {
         let _ = PandoConfig::local_test().with_batch_size(0);
-    }
-
-    #[test]
-    fn tasks_per_frame_defaults_to_the_batch_size() {
-        let config = PandoConfig::local_test().with_batch_size(8);
-        assert_eq!(config.batching.tasks_per_frame, None);
-        assert_eq!(config.effective_tasks_per_frame(), 8);
-        let config = config.with_tasks_per_frame(3);
-        assert_eq!(config.effective_tasks_per_frame(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "tasks per frame")]
-    fn zero_tasks_per_frame_is_rejected() {
-        let _ = PandoConfig::local_test().with_tasks_per_frame(0);
     }
 
     #[test]

@@ -55,7 +55,7 @@ impl std::fmt::Debug for Pando {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let state = self.state.lock();
         f.debug_struct("Pando")
-            .field("batch_size", &self.config.batching.batch_size)
+            .field("batch_size", &self.config.batch_size)
             .field("volunteers_connected", &state.volunteers_connected)
             .field("running", &state.lender.is_some())
             .finish()
@@ -221,7 +221,7 @@ impl Pando {
         let lender = ShardedLender::new(
             input,
             self.config.effective_lender_shards(),
-            self.config.effective_tasks_per_frame(),
+            self.config.batch_size,
         );
         let pending: Vec<(String, Arc<dyn Transport>)> = state.pending.drain(..).collect();
         for (name, endpoint) in pending {
@@ -536,21 +536,6 @@ mod tests {
             "batching must send fewer frames ({}) than the two-per-task unbatched protocol",
             row.wire_frames
         );
-    }
-
-    #[test]
-    fn tasks_per_frame_one_reproduces_the_unbatched_protocol() {
-        let config = PandoConfig::local_test().with_batch_size(8).with_tasks_per_frame(1);
-        let pando = Pando::new(config);
-        let worker =
-            WorkerBuilder::new().spawn_typed(pando.open_volunteer_channel(), StringCodec, square);
-        let output = pando.run_typed(StringCodec, number_source(40)).collect_values().unwrap();
-        assert_eq!(output.len(), 40);
-        worker.join();
-        pando.join_volunteers();
-        let report = pando.meter().report();
-        // One task frame out and one result frame back per value.
-        assert_eq!(report.rows[0].wire_frames, 80);
     }
 
     #[test]

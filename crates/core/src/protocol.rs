@@ -4,15 +4,16 @@
 //! convention); this reproduction's protocol is binary end to end. Every
 //! task and result payload is a [`Bytes`] buffer, the sequence number is a
 //! fixed 8-byte big-endian header (no `format!`/`parse` on the hot path),
-//! and the batched variants pack many `(seq, payload)` records into a single
-//! length-delimited frame of [`pando_netsim::codec`] so a whole batch pays
+//! and every task or result frame is a batch: it packs as many
+//! `(seq, payload)` records as the window allows into a single
+//! length-delimited frame of [`pando_netsim::codec`], so the whole batch pays
 //! the channel round-trip once.
 //!
 //! Wire layout (after the 5-byte frame header `tag, u32 len`):
 //!
 //! | Message | Body |
 //! |---|---|
-//! | `Task`, `TaskResult`, `TaskError` | `u64 seq` then the raw payload |
+//! | `TaskError` | `u64 seq` then the raw payload |
 //! | `TaskBatch`, `ResultBatch` | `u32 count` then per record `u64 seq, u32 len, payload` |
 //! | `Heartbeat`, `Goodbye` | empty |
 //! | `Ack` | `u64 count` — cumulative data frames received on this session |
@@ -27,20 +28,6 @@ use pando_pull_stream::StreamError;
 /// A message of the Pando master/worker protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Message {
-    /// A value to process, tagged with its position in the input stream.
-    Task {
-        /// Sequence number of the value in the input stream.
-        seq: u64,
-        /// The encoded input value.
-        payload: Bytes,
-    },
-    /// The result of a processed value.
-    TaskResult {
-        /// Sequence number of the value this result answers.
-        seq: u64,
-        /// The encoded result value.
-        payload: Bytes,
-    },
     /// The worker reports an application error for a value; the master treats
     /// the worker as faulty and re-lends the value elsewhere.
     TaskError {
@@ -49,10 +36,11 @@ pub enum Message {
         /// UTF-8 error message produced by the processing function.
         message: Bytes,
     },
-    /// Several tasks coalesced into one frame: the whole batch pays the
-    /// channel latency and framing overhead once.
+    /// Values to process, each tagged with its position in the input stream,
+    /// coalesced into one frame: the whole batch pays the channel latency and
+    /// framing overhead once.
     TaskBatch(Vec<Record>),
-    /// Several results coalesced into one frame by the worker.
+    /// Results of processed values, coalesced into one frame by the worker.
     ResultBatch(Vec<Record>),
     /// Periodic liveness signal.
     Heartbeat,
@@ -68,8 +56,8 @@ pub enum Message {
     },
 }
 
-const TAG_TASK: u8 = 1;
-const TAG_RESULT: u8 = 2;
+// Tags 1 and 2 are retired (one-record task and result frames): never reuse
+// them, so a peer that still sends one fails as on any unknown tag.
 const TAG_ERROR: u8 = 3;
 const TAG_HEARTBEAT: u8 = 4;
 const TAG_GOODBYE: u8 = 5;
@@ -98,8 +86,6 @@ impl Message {
             Message::Ack { count }.write_to(None, sink)?;
         }
         let tag = match self {
-            Message::Task { .. } => TAG_TASK,
-            Message::TaskResult { .. } => TAG_RESULT,
             Message::TaskError { .. } => TAG_ERROR,
             Message::TaskBatch(_) => TAG_TASK_BATCH,
             Message::ResultBatch(_) => TAG_RESULT_BATCH,
@@ -109,9 +95,7 @@ impl Message {
         };
         sink.put_framing(&frame_header(tag, self.wire_size() - FRAME_HEADER_LEN)?);
         match self {
-            Message::Task { seq, payload }
-            | Message::TaskResult { seq, payload }
-            | Message::TaskError { seq, message: payload } => {
+            Message::TaskError { seq, message: payload } => {
                 sink.put_framing(&seq.to_be_bytes());
                 sink.put_payload(payload);
             }
@@ -160,9 +144,7 @@ impl Message {
     pub fn wire_size(&self) -> usize {
         FRAME_HEADER_LEN
             + match self {
-                Message::Task { payload, .. }
-                | Message::TaskResult { payload, .. }
-                | Message::TaskError { message: payload, .. } => 8 + payload.len(),
+                Message::TaskError { message: payload, .. } => 8 + payload.len(),
                 Message::TaskBatch(records) | Message::ResultBatch(records) => {
                     record_body_len(records)
                 }
@@ -175,7 +157,7 @@ impl Message {
     /// channel accounting.
     pub fn record_count(&self) -> u64 {
         match self {
-            Message::Task { .. } | Message::TaskResult { .. } | Message::TaskError { .. } => 1,
+            Message::TaskError { .. } => 1,
             Message::TaskBatch(records) | Message::ResultBatch(records) => records.len() as u64,
             Message::Heartbeat | Message::Goodbye | Message::Ack { .. } => 0,
         }
@@ -188,31 +170,19 @@ impl Message {
     /// Control frames (`Heartbeat`, `Goodbye`, `Ack` itself) are excluded:
     /// they are cheap to lose and must never be redelivered.
     pub fn is_data(&self) -> bool {
-        matches!(
-            self,
-            Message::Task { .. }
-                | Message::TaskResult { .. }
-                | Message::TaskError { .. }
-                | Message::TaskBatch(_)
-                | Message::ResultBatch(_)
-        )
+        matches!(self, Message::TaskError { .. } | Message::TaskBatch(_) | Message::ResultBatch(_))
     }
 
-    /// Builds the task frame for one coalesced dispatch batch: a lone record
-    /// travels as [`Message::Task`], several as [`Message::TaskBatch`].
+    /// Builds the task frame for one coalesced dispatch batch: a
+    /// [`Message::TaskBatch`] of however many records the window let in.
     ///
     /// # Panics
     ///
     /// Panics if `records` is empty — the dispatcher never coalesces an
     /// empty frame.
-    pub fn task_frame(mut records: Vec<Record>) -> Message {
+    pub fn task_frame(records: Vec<Record>) -> Message {
         assert!(!records.is_empty(), "a task frame carries at least one record");
-        if records.len() == 1 {
-            let record = records.pop().expect("one record present");
-            Message::Task { seq: record.seq, payload: record.payload }
-        } else {
-            Message::TaskBatch(records)
-        }
+        Message::TaskBatch(records)
     }
 
     /// The `(seq, payload)` records of a result frame in frame order, by
@@ -220,12 +190,11 @@ impl Message {
     /// The shape [`SubStream::push_batch`](pando_pull_stream::lender::SubStream::push_batch)
     /// takes a frame in.
     pub fn into_results(self) -> impl Iterator<Item = (u64, Bytes)> {
-        let (single, batch) = match self {
-            Message::TaskResult { seq, payload } => (Some((seq, payload)), Vec::new()),
-            Message::ResultBatch(records) => (None, records),
-            _ => (None, Vec::new()),
+        let records = match self {
+            Message::ResultBatch(records) => records,
+            _ => Vec::new(),
         };
-        single.into_iter().chain(batch.into_iter().map(|record| (record.seq, record.payload)))
+        records.into_iter().map(|record| (record.seq, record.payload))
     }
 
     /// [`Message::decode_bytes`] of a copy of `frame`, for callers that do
@@ -253,14 +222,6 @@ impl Message {
         }
         let body = frame.slice(FRAME_HEADER_LEN..);
         match tag {
-            TAG_TASK => {
-                let (seq, payload) = decode_seq_body(&body)?;
-                Ok(Message::Task { seq, payload })
-            }
-            TAG_RESULT => {
-                let (seq, payload) = decode_seq_body(&body)?;
-                Ok(Message::TaskResult { seq, payload })
-            }
             TAG_ERROR => {
                 let (seq, message) = decode_seq_body(&body)?;
                 Ok(Message::TaskError { seq, message })
@@ -461,10 +422,15 @@ mod tests {
         Bytes::copy_from_slice(data)
     }
 
+    fn one(seq: u64, data: &[u8]) -> Vec<Record> {
+        vec![Record::new(seq, bytes(data))]
+    }
+
     #[test]
     fn task_frame_picks_the_single_or_batched_variant() {
-        let single = Message::task_frame(vec![Record::new(3, bytes(b"x"))]);
-        assert_eq!(single, Message::Task { seq: 3, payload: bytes(b"x") });
+        // One data shape per direction: a lone record is a batch of one.
+        let single = Message::task_frame(one(3, b"x"));
+        assert_eq!(single, Message::TaskBatch(one(3, b"x")));
         let batch =
             Message::task_frame(vec![Record::new(1, bytes(b"a")), Record::new(2, bytes(b"b"))]);
         assert_eq!(batch.record_count(), 2);
@@ -472,7 +438,7 @@ mod tests {
 
     #[test]
     fn into_results_yields_result_records_only() {
-        let single = Message::TaskResult { seq: 4, payload: bytes(b"r") };
+        let single = Message::ResultBatch(one(4, b"r"));
         assert_eq!(single.into_results().collect::<Vec<_>>(), vec![(4, bytes(b"r"))]);
         let batch =
             Message::ResultBatch(vec![Record::new(5, bytes(b"s")), Record::new(6, bytes(b"t"))]);
@@ -488,33 +454,33 @@ mod tests {
 
     #[test]
     fn pacer_sends_only_after_a_silent_interval() {
-        use std::time::Duration;
-        let mut pacer = HeartbeatPacer::new(Duration::from_millis(20));
-        assert_eq!(pacer.poll(), HeartbeatAction::NotDue);
-        std::thread::sleep(Duration::from_millis(25));
+        use std::time::{Duration, Instant};
+        let start = Instant::now();
+        let at = |ms: u64| start + Duration::from_millis(ms);
+        let mut pacer = HeartbeatPacer::new_at(Duration::from_millis(20), start);
+        assert_eq!(pacer.poll_at(at(19)), HeartbeatAction::NotDue);
         // Idle for a full interval: a standalone heartbeat goes out.
-        assert_eq!(pacer.poll(), HeartbeatAction::Send);
-        assert_eq!(pacer.poll(), HeartbeatAction::NotDue);
+        assert_eq!(pacer.poll_at(at(25)), HeartbeatAction::Send);
+        assert_eq!(pacer.poll_at(at(25)), HeartbeatAction::NotDue);
+        assert_eq!(pacer.next_due(), at(45));
         // Traffic inside the next interval suppresses the following beat.
-        std::thread::sleep(Duration::from_millis(15));
-        pacer.on_traffic();
-        std::thread::sleep(Duration::from_millis(10));
-        assert_eq!(pacer.poll(), HeartbeatAction::Suppressed);
-        assert!(pacer.next_due() > std::time::Instant::now());
+        pacer.on_traffic_at(at(40));
+        assert_eq!(pacer.poll_at(at(50)), HeartbeatAction::Suppressed);
+        assert_eq!(pacer.next_due(), at(70));
     }
 
     #[test]
     fn round_trip_every_variant() {
         let messages = [
-            Message::Task { seq: 0, payload: bytes(b"0.52") },
-            Message::TaskResult { seq: 7, payload: bytes(b"foobar") },
+            Message::TaskBatch(one(0, b"0.52")),
             Message::TaskError { seq: 3, message: bytes(b"render failed") },
             Message::TaskBatch(vec![
                 Record::new(1, bytes(b"a")),
                 Record::new(2, bytes(b"")),
                 Record::new(u64::MAX, bytes(&[0, 10, 255])),
             ]),
-            Message::ResultBatch(vec![Record::new(9, bytes(b"r"))]),
+            Message::ResultBatch(one(7, b"foobar")),
+            Message::ResultBatch(vec![Record::new(8, bytes(b"r")), Record::new(9, bytes(b""))]),
             Message::Heartbeat,
             Message::Goodbye,
             Message::Ack { count: 0 },
@@ -531,34 +497,28 @@ mod tests {
     fn binary_payloads_survive() {
         // Newlines, NUL bytes and invalid UTF-8 are all fine: the seq header
         // is fixed-width, not separator-based.
-        let payload = bytes(&[b'\n', 0, 0xff, 0xfe, b'\n', 0]);
-        let message = Message::Task { seq: 1, payload };
+        let message = Message::TaskBatch(one(1, &[b'\n', 0, 0xff, 0xfe, b'\n', 0]));
         assert_eq!(Message::decode(&message.encode().unwrap()).unwrap(), message);
     }
 
     #[test]
     fn wire_size_grows_with_payload() {
-        let small = Message::Task { seq: 0, payload: bytes(b"x") };
-        let large = Message::Task { seq: 0, payload: Bytes::from(vec![b'x'; 10_000]) };
+        let small = Message::TaskBatch(one(0, b"x"));
+        let large = Message::TaskBatch(one(0, &[b'x'; 10_000]));
         assert!(large.wire_size() > small.wire_size() + 9_000);
         assert!(Message::Heartbeat.wire_size() < 10);
     }
 
     #[test]
     fn batching_amortises_framing_overhead() {
-        // Per record the batch pays a 4-byte length field more than a single
-        // frame's body, but saves the 5-byte frame header — so beyond ~9
-        // records a batch is also smaller in bytes, on top of collapsing N
-        // channel round-trips into one.
+        // Every record beyond the first saves a 5-byte frame header and a
+        // 4-byte record count, on top of collapsing N channel round-trips
+        // into one.
         let singles: usize =
-            (0..16).map(|seq| Message::Task { seq, payload: bytes(b"payload") }.wire_size()).sum();
+            (0..16).map(|seq| Message::TaskBatch(one(seq, b"payload")).wire_size()).sum();
         let batch =
             Message::TaskBatch((0..16).map(|seq| Record::new(seq, bytes(b"payload"))).collect());
-        assert!(
-            batch.wire_size() < singles,
-            "batch {} must be smaller than 16 single frames {singles}",
-            batch.wire_size()
-        );
+        assert_eq!(batch.wire_size() + 15 * 9, singles, "16 one-record frames vs one batch");
         assert_eq!(batch.record_count(), 16);
         assert_eq!(Message::Heartbeat.record_count(), 0);
     }
@@ -578,10 +538,8 @@ mod tests {
 
     #[test]
     fn oversized_message_encode_fails_cleanly() {
-        let message = Message::Task {
-            seq: 0,
-            payload: Bytes::from(vec![0u8; pando_netsim::codec::MAX_FRAME_LEN + 1]),
-        };
+        let message =
+            Message::TaskBatch(one(0, &vec![0u8; pando_netsim::codec::MAX_FRAME_LEN + 1]));
         assert!(message.encode().unwrap_err().is_protocol());
     }
 
@@ -592,8 +550,8 @@ mod tests {
         // Unknown tag.
         let frame = encode_frame(42, &[0, 0, 0, 0, 0, 0, 0, 0, b'x']).unwrap();
         assert!(Message::decode(&frame).is_err());
-        // Task too short for the fixed seq header.
-        let frame = encode_frame(TAG_TASK, b"1234").unwrap();
+        // Error too short for the fixed seq header.
+        let frame = encode_frame(TAG_ERROR, b"1234").unwrap();
         assert!(Message::decode(&frame).is_err());
         // Batch with a corrupt record body.
         let frame = encode_frame(TAG_TASK_BATCH, &[0, 0, 0, 5]).unwrap();
@@ -603,7 +561,7 @@ mod tests {
         assert!(Message::decode(&frame).is_err());
         // A frame cut anywhere, and a frame with anything after it: the
         // transport hands over exactly one, so neither is silently accepted.
-        let frame = Message::Task { seq: 1, payload: bytes(b"abc") }.encode().unwrap();
+        let frame = Message::TaskBatch(one(1, b"abc")).encode().unwrap();
         assert!(
             (0..frame.len()).all(|cut| Message::decode(&frame[..cut]).unwrap_err().is_protocol())
         );
@@ -613,8 +571,6 @@ mod tests {
 
     #[test]
     fn data_classification_matches_the_session_contract() {
-        assert!(Message::Task { seq: 0, payload: bytes(b"x") }.is_data());
-        assert!(Message::TaskResult { seq: 0, payload: bytes(b"x") }.is_data());
         assert!(Message::TaskError { seq: 0, message: bytes(b"x") }.is_data());
         assert!(Message::TaskBatch(vec![Record::new(0, bytes(b"x"))]).is_data());
         assert!(Message::ResultBatch(vec![Record::new(0, bytes(b"x"))]).is_data());

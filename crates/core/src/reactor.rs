@@ -50,7 +50,7 @@
 //!   demand input, staging values for non-blocking asks. These are the
 //!   `+ shards` constant threads of the design.
 //!
-//! Dispatch batches: values are coalesced up to `tasks_per_frame` and the
+//! Dispatch batches: values are coalesced up to the free window and the
 //! [`MAX_FRAME_LEN`] byte budget, window slots bound the in-flight count
 //! per volunteer, and heartbeats piggyback on data frames (an endpoint with
 //! traffic inside the heartbeat interval suppresses the standalone control
@@ -528,7 +528,6 @@ struct Driver {
     /// through a held handle (`device`, [`DriverIo::shard_meter`]).
     meter: ThroughputMeter,
     device: DeviceMeter,
-    tasks_per_frame: usize,
     /// Lender shard this driver currently borrows from. Pinned at
     /// registration (volunteer id hash → shard, with an override for shards
     /// left without devices); changes only when the driver hops to a shard
@@ -598,8 +597,7 @@ impl Driver {
         // re-checked by the dispatch phase below in the same poll).
         loop {
             match self.endpoint.try_recv() {
-                Ok(message @ Message::TaskResult { .. })
-                | Ok(message @ Message::ResultBatch(_)) => {
+                Ok(message @ Message::ResultBatch(_)) => {
                     progressed = true;
                     self.device.record_wire(message.wire_size() as u64);
                     // The frame enters the lender at once: one lock, one
@@ -636,7 +634,7 @@ impl Driver {
                     progressed = true;
                     continue;
                 }
-                Ok(Message::Goodbye) | Ok(Message::Task { .. }) | Ok(Message::TaskBatch(_)) => {
+                Ok(Message::Goodbye) | Ok(Message::TaskBatch(_)) => {
                     io.sub.end(SubStreamEnd::Completed);
                     return self.finish(inner, io, Ok(()));
                 }
@@ -745,7 +743,7 @@ impl Driver {
             };
             let mut body = 4 + RECORD_HEADER_LEN + first.payload.len();
             let mut records = vec![first];
-            while records.len() < self.tasks_per_frame && body < MAX_FRAME_LEN && io.credits > 0 {
+            while body < MAX_FRAME_LEN && io.credits > 0 {
                 match io.sub.try_next_task() {
                     Some(lend) => {
                         let add = RECORD_HEADER_LEN + lend.value.len();
@@ -1016,7 +1014,6 @@ impl Reactor {
             endpoint: endpoint.clone(),
             meter: meter.clone(),
             device: meter.device(name),
-            tasks_per_frame: config.effective_tasks_per_frame(),
             shard: AtomicUsize::new(shard),
             sched: AtomicU8::new(IDLE),
             park_seq: AtomicU64::new(0),
@@ -1024,7 +1021,7 @@ impl Reactor {
             io: Mutex::new(DriverIo {
                 sub,
                 shard_meter: meter.shard(shard),
-                credits: config.batching.batch_size,
+                credits: config.batch_size,
                 carry: None,
                 pending: None,
                 dispatch_done: false,
@@ -1401,12 +1398,18 @@ mod tests {
         }
     }
 
-    /// The seq of the lone task frame waiting at a volunteer's endpoint.
+    /// The seq of the one-record task frame waiting at a volunteer's
+    /// endpoint.
     fn task_seq(volunteer: &Endpoint<Message>) -> u64 {
         match volunteer.try_recv() {
-            Ok(Message::Task { seq, .. }) => seq,
-            other => panic!("expected one task frame, got {other:?}"),
+            Ok(Message::TaskBatch(records)) if records.len() == 1 => records[0].seq,
+            other => panic!("expected a one-record task frame, got {other:?}"),
         }
+    }
+
+    /// A result frame of one empty record for `seq`.
+    fn result(seq: u64) -> Message {
+        Message::ResultBatch(vec![Record::new(seq, Bytes::new())])
     }
 
     /// The seqs of every task frame waiting at a volunteer's endpoint.
@@ -1414,7 +1417,6 @@ mod tests {
         let mut seqs = Vec::new();
         loop {
             match volunteer.try_recv() {
-                Ok(Message::Task { seq, .. }) => seqs.push(seq),
                 Ok(Message::TaskBatch(records)) => seqs.extend(records.iter().map(|r| r.seq)),
                 Err(RecvError::Empty) => return seqs,
                 other => panic!("expected task frames, got {other:?}"),
@@ -1545,7 +1547,7 @@ mod tests {
         quiesce();
         assert_eq!(task_seqs(&v_end), [0, 1, 2]);
 
-        v_end.send(Message::TaskResult { seq: 1, payload: Bytes::new() }).unwrap();
+        v_end.send(result(1)).unwrap();
         quiesce();
         assert_eq!(task_seqs(&v_end), [3]);
     }
@@ -1571,7 +1573,7 @@ mod tests {
 
         // The result wakes `d` through its transport; in that one poll shard 0
         // drains, `d` hops to shard 1 (`x` still holds a value) and starves.
-        d_end.send(Message::TaskResult { seq: d_seq, payload: Bytes::new() }).unwrap();
+        d_end.send(result(d_seq)).unwrap();
         assert!(rig.reactor.step());
         assert_eq!(rig.reactor.stats().shard_hops, 1);
         assert_eq!([rig.parked(0), rig.parked(1)], ["", "d"]);

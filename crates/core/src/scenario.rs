@@ -62,7 +62,7 @@
 //! partition's end included) past `duration_us` or before their target's
 //! join, and schedules that leave no survivor to finish the stream.
 
-use crate::config::BatchingConfig;
+use crate::config::PandoConfig;
 use crate::sim::{FleetParams, FleetReport, VolunteerSpec};
 use minitoml::{Document, Table, Value};
 use pando_devices::profiles::{Scenario as PaperNet, ScenarioSetup};
@@ -954,7 +954,7 @@ impl Scenario {
                 .map(|(ids, at, heal)| (ids, us(at), us(heal)))
                 .collect(),
             interactive_input: self.interactive,
-            batch_size: BatchingConfig::default().batch_size,
+            batch_size: PandoConfig::default().batch_size,
         })
     }
 }

@@ -25,7 +25,7 @@
 //! assert!(report.canonical_trace().starts_with("params name=fleet seed=7 volunteers=4 tasks=24 "));
 //! ```
 
-use crate::config::{BatchingConfig, PandoConfig};
+use crate::config::PandoConfig;
 use crate::master::Pando;
 use crate::protocol::Message;
 use crate::worker::{Step, WorkerCore};
@@ -75,7 +75,7 @@ pub struct FleetParams {
     /// fail and the reactor's input pump must deliver — exactly the path
     /// whose kick/ask busy loop the `wasted_polls` budget guards.
     pub interactive_input: bool,
-    /// Values in flight per volunteer ([`BatchingConfig::batch_size`]): the
+    /// Values in flight per volunteer ([`PandoConfig::batch_size`]): the
     /// paper's 2 on LAN and VPN, 4 on WAN. Scenario files use the default, 2.
     pub batch_size: usize,
 }
@@ -152,7 +152,7 @@ impl FleetParams {
             volunteers,
             partitions: Vec::new(),
             interactive_input: false,
-            batch_size: BatchingConfig::default().batch_size,
+            batch_size: PandoConfig::default().batch_size,
         }
     }
 }
@@ -744,10 +744,10 @@ fn poll_volunteer(
     };
     loop {
         match vol.core.on_recv(endpoint.try_recv(), &process_payload) {
-            Step::Reply { records, batched, replies } => {
+            Step::Reply { records, replies } => {
                 let now = clock.now();
                 let at = clock.elapsed().as_micros();
-                trace.push(format!("[{at}] v{v} recv records={records} batched={batched}"));
+                trace.push(format!("[{at}] v{v} recv records={records}"));
                 // The device computes for `service × records` of virtual
                 // time, serialised after whatever it was already chewing on.
                 vol.busy_until = vol.busy_until.max(now) + vol.service * records as u32;
@@ -974,8 +974,7 @@ mod tests {
         // A flap is a partition of one volunteer; naming volunteer 2 of a
         // two-volunteer fleet must not be silently ignored.
         let mut params = FleetParams::new(1, 2, 8);
-        params.partitions =
-            vec![(vec![2], Duration::from_micros(100), Duration::from_micros(200))];
+        params.partitions = vec![(vec![2], Duration::from_micros(100), Duration::from_micros(200))];
         let _ = simulate_fleet(&params);
     }
 

@@ -330,10 +330,15 @@ impl From<TransportError> for SendError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pando_netsim::channel::{pair, ChannelConfig};
+    use pando_netsim::channel::{pair_with_clock, ChannelConfig};
+    use pando_netsim::sim::Clock;
 
     fn dyn_pair() -> (Arc<dyn Transport>, Arc<dyn Transport>) {
-        let (a, b) = pair::<Message>(ChannelConfig::instant());
+        dyn_pair_on(Clock::wall())
+    }
+
+    fn dyn_pair_on(clock: Clock) -> (Arc<dyn Transport>, Arc<dyn Transport>) {
+        let (a, b) = pair_with_clock::<Message>(ChannelConfig::instant(), clock);
         (Arc::new(a), Arc::new(b))
     }
 
@@ -362,9 +367,14 @@ mod tests {
 
     #[test]
     fn crash_is_detected_through_the_trait() {
-        let (master, volunteer) = dyn_pair();
+        let clock = Clock::virtual_clock();
+        let origin = clock.now();
+        let (master, volunteer) = dyn_pair_on(clock.clone());
         volunteer.crash();
-        std::thread::sleep(ChannelConfig::instant().failure_timeout + Duration::from_millis(5));
+        let timeout = ChannelConfig::instant().failure_timeout;
+        clock.advance_to(origin + timeout - Duration::from_nanos(1));
+        assert_eq!(master.try_recv().unwrap_err(), RecvError::Empty, "failure needs the timeout");
+        clock.advance_to(origin + timeout);
         assert_eq!(master.try_recv().unwrap_err(), RecvError::PeerFailed);
     }
 

@@ -31,8 +31,10 @@ use std::time::Duration;
 /// Magic bytes opening both handshake directions.
 const MAGIC: [u8; 4] = *b"PNDO";
 /// Version byte of the TCP wire protocol; bumped on incompatible change.
-/// v2 added the hello mode byte and the 22-byte session reply.
-pub const TCP_PROTOCOL_VERSION: u8 = 2;
+/// v2 added the hello mode byte and the 22-byte session reply; v3 retired
+/// the one-record `Task`/`TaskResult` frames (tags 1 and 2), so every data
+/// frame is a record batch.
+pub const TCP_PROTOCOL_VERSION: u8 = 3;
 /// Longest volunteer name accepted in the hello.
 const MAX_NAME_LEN: usize = 256;
 /// How long either side waits for the other half of the handshake: the

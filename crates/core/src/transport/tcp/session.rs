@@ -50,13 +50,13 @@
 //!
 //! ```text
 //! worker                                master
-//!   │── PNDO v2 NEW "tablet-7" ──────────▶│ issue token 42, SessionTransport
-//!   │◀─ PNDO v2 status=0 token=42 recvd=0─│
+//!   │── PNDO v3 NEW "tablet-7" ──────────▶│ issue token 42, SessionTransport
+//!   │◀─ PNDO v3 status=0 token=42 recvd=0─│
 //!   │── Task/Result frames, acks riding ──│   (both directions)
 //!   ✂ link drops                          │ park session, grace timer arms
 //!   │   backoff: 50ms, 100ms, ...         │
-//!   │── PNDO v2 RESUME 42 recvd=17 ──────▶│ token live → reattach
-//!   │◀─ PNDO v2 status=1 token=42 recvd=9─│
+//!   │── PNDO v3 RESUME 42 recvd=17 ──────▶│ token live → reattach
+//!   │◀─ PNDO v3 status=1 token=42 recvd=9─│
 //!   │◀─ replay of sent frames 18.. ───────│ (worker replays its 10.. too)
 //!   │── ordinary traffic resumes ─────────│
 //! ```
@@ -894,6 +894,7 @@ impl Transport for ReconnectingTcpTransport {
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use pando_netsim::codec::Record;
     use std::io::Read;
     use std::net::{TcpListener, TcpStream};
 
@@ -906,7 +907,7 @@ mod tests {
     }
 
     fn task(seq: u64, len: usize) -> Message {
-        Message::Task { seq, payload: Bytes::from(vec![seq as u8; len]) }
+        Message::TaskBatch(vec![Record::new(seq, Bytes::from(vec![seq as u8; len]))])
     }
 
     fn announced(core: &SessionCore) -> u64 {
@@ -1013,7 +1014,7 @@ mod tests {
         for seq in 0..exchanges {
             send_on(&master_core, Some(&master), &task(seq, 8)).unwrap();
             assert_eq!(recv_within(&worker_core, &worker), task(seq, 8));
-            let result = Message::TaskResult { seq, payload: Bytes::from(vec![7u8; 8]) };
+            let result = Message::ResultBatch(vec![Record::new(seq, Bytes::from(vec![7u8; 8]))]);
             send_on(&worker_core, Some(&worker), &result).unwrap();
             assert_eq!(recv_within(&master_core, &master), result);
             // Every frame acknowledged the one before it: a steady exchange

@@ -1,10 +1,9 @@
 //! The volunteer side: one worker core and the threads that drive it.
 //!
 //! A worker is the code that runs inside a volunteer's browser tab: it
-//! receives task frames over its channel — single tasks or whole batches —
-//! applies the processing function (the `AsyncMap(f)` module of paper
-//! Figure 7) to each record, and replies in kind: one result for a single
-//! task, one coalesced [`Message::ResultBatch`] for a batch. Payloads are
+//! receives task batches over its channel, applies the processing function
+//! (the `AsyncMap(f)` module of paper Figure 7) to each record, and answers
+//! each batch with coalesced [`Message::ResultBatch`] frames. Payloads are
 //! opaque bytes; [`WorkerBuilder::spawn_typed`] layers a [`TaskCodec`] on
 //! top for processing functions with native types. A worker may crash at a
 //! scripted point (fault injection) to reproduce the failure scenarios of
@@ -298,7 +297,7 @@ pub(crate) struct WorkerCore {
 #[derive(Debug, PartialEq)]
 pub(crate) enum Step {
     /// A task frame of `records` records was computed: send `replies`.
-    Reply { records: usize, batched: bool, replies: Vec<Message> },
+    Reply { records: usize, replies: Vec<Message> },
     /// The volunteer crashed mid-frame (its fault plan, or a panicking
     /// `process`) before any result left: crash the link, send nothing.
     Crash,
@@ -334,38 +333,29 @@ impl WorkerCore {
     where
         F: Fn(&Payload) -> Result<Bytes, StreamError>,
     {
-        // A lone task's record stays on the stack: no allocation per frame.
-        let (single, batch);
-        let (records, batched): (&[Record], bool) = match received {
-            Ok(Message::Task { seq, payload }) => {
-                single = [Record::new(seq, payload)];
-                (&single, false)
-            }
-            Ok(Message::TaskBatch(records)) => {
-                batch = records;
-                (&batch, true)
-            }
+        let mut records = match received {
+            Ok(Message::TaskBatch(records)) => records,
             Ok(Message::Heartbeat | Message::Ack { .. }) => return Step::Skip,
             // Unexpected on the worker side; treat as end of stream.
-            Ok(
-                Message::Goodbye
-                | Message::TaskResult { .. }
-                | Message::ResultBatch(_)
-                | Message::TaskError { .. },
-            ) => return Step::Leave { close: true },
+            Ok(Message::Goodbye | Message::ResultBatch(_) | Message::TaskError { .. }) => {
+                return Step::Leave { close: true }
+            }
             Err(RecvError::Closed) => return Step::Goodbye,
             Err(RecvError::PeerFailed) => return Step::Leave { close: false },
             Err(RecvError::Empty) => return Step::Idle,
         };
-        let (mut results, mut error) = (Vec::with_capacity(records.len()), None);
+        let (frame_len, mut done, mut error) = (records.len(), 0, None);
         // A panic is indistinguishable from a browser tab dying mid-task: it
         // crashes this volunteer instead of unwinding its driver.
         let finished = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            for record in records {
+            for record in &mut records {
                 match process(&record.payload) {
                     Ok(payload) => {
                         self.report.processed += 1;
-                        results.push(Record::new(record.seq, payload));
+                        // The result takes its task's place in the frame's
+                        // own records: no second vector per frame.
+                        record.payload = payload;
+                        done += 1;
                     }
                     Err(err) => {
                         self.report.errors += 1;
@@ -390,19 +380,15 @@ impl WorkerCore {
             self.report.crashed = true;
             return Step::Crash;
         }
-        // A lone task is answered in kind, a batch with one result batch; an
-        // application error follows the results before it.
-        let frames = usize::from(!results.is_empty()) + usize::from(error.is_some());
+        // The computed prefix is answered; an application error follows it.
+        records.truncate(done);
+        let frames = usize::from(done > 0) + usize::from(error.is_some());
         let mut replies = Vec::with_capacity(frames);
-        if !batched {
-            replies.extend(
-                results.pop().map(|r| Message::TaskResult { seq: r.seq, payload: r.payload }),
-            );
-        } else if !results.is_empty() {
-            push_result_batches(&mut replies, results);
+        if done > 0 {
+            push_result_batches(&mut replies, records);
         }
         replies.extend(error);
-        Step::Reply { records: records.len(), batched, replies }
+        Step::Reply { records: frame_len, replies }
     }
 
     /// Records that a reply frame left: it proves liveness for the
@@ -688,12 +674,18 @@ mod tests {
         Ok(input.to_uppercase())
     }
 
-    fn task(seq: u64, payload: &[u8]) -> Message {
-        Message::Task { seq, payload: Bytes::copy_from_slice(payload) }
-    }
-
     fn record(seq: u64, payload: &[u8]) -> Record {
         Record::new(seq, Bytes::copy_from_slice(payload))
+    }
+
+    /// A task frame of one record.
+    fn task(seq: u64, payload: &[u8]) -> Message {
+        Message::TaskBatch(vec![record(seq, payload)])
+    }
+
+    /// A result frame of one record.
+    fn result(seq: u64, payload: &[u8]) -> Message {
+        Message::ResultBatch(vec![record(seq, payload)])
     }
 
     fn batch(payloads: &[&[u8]]) -> Result<Message, RecvError> {
@@ -730,16 +722,14 @@ mod tests {
     #[test]
     fn the_core_turns_each_receive_into_one_step() {
         let mut core = core(FaultPlan::None);
-        let result = Message::TaskResult { seq: 1, payload: Bytes::copy_from_slice(b"x") };
         assert_eq!(
             core.on_recv(Ok(task(1, b"x")), &echo),
-            Step::Reply { records: 1, batched: false, replies: vec![result] }
+            Step::Reply { records: 1, replies: vec![result(1, b"x")] }
         );
         assert_eq!(
             core.on_recv(batch(&[b"a", b"b"]), &echo),
             Step::Reply {
                 records: 2,
-                batched: true,
                 replies: vec![Message::ResultBatch(vec![record(0, b"a"), record(1, b"b")])],
             }
         );
@@ -748,8 +738,7 @@ mod tests {
         }
         let results = [
             Message::Goodbye,
-            Message::TaskResult { seq: 0, payload: Bytes::new() },
-            Message::ResultBatch(vec![record(0, b"r")]),
+            result(0, b"r"),
             Message::TaskError { seq: 0, message: Bytes::new() },
         ];
         for unexpected in results {
@@ -793,7 +782,7 @@ mod tests {
             Message::ResultBatch(vec![record(0, b"ok")]),
             Message::TaskError { seq: 1, message: Bytes::copy_from_slice(b"nope") },
         ];
-        assert_eq!(step, Step::Reply { records: 3, batched: true, replies });
+        assert_eq!(step, Step::Reply { records: 3, replies });
         assert_eq!((core.report.processed, core.report.errors), (1, 1));
     }
 
@@ -858,14 +847,8 @@ mod tests {
         let worker = WorkerBuilder::new().spawn_typed(volunteer, StringCodec, upper);
         master.send(task(0, b"hello")).unwrap();
         master.send(task(1, b"world")).unwrap();
-        assert_eq!(
-            recv_within(&master, PATIENCE).unwrap(),
-            Message::TaskResult { seq: 0, payload: Bytes::copy_from_slice(b"HELLO") }
-        );
-        assert_eq!(
-            recv_within(&master, PATIENCE).unwrap(),
-            Message::TaskResult { seq: 1, payload: Bytes::copy_from_slice(b"WORLD") }
-        );
+        assert_eq!(recv_within(&master, PATIENCE).unwrap(), result(0, b"HELLO"));
+        assert_eq!(recv_within(&master, PATIENCE).unwrap(), result(1, b"WORLD"));
         master.close();
         let report = worker.join();
         assert_eq!(report.processed, 2);

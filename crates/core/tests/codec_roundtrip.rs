@@ -9,7 +9,7 @@ mod common;
 use bytes::Bytes;
 use pando_core::protocol::Message;
 use pando_netsim::channel::{pair, ChannelConfig};
-use pando_netsim::codec::{Record, MAX_FRAME_LEN};
+use pando_netsim::codec::{Record, MAX_FRAME_LEN, RECORD_HEADER_LEN};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -63,9 +63,10 @@ proptest! {
     /// Single-record messages round-trip for any seq and any payload bytes.
     #[test]
     fn single_messages_round_trip(seq in seq_strategy(), payload in payload_strategy()) {
+        let record = Record::new(seq, Bytes::from(payload.clone()));
         for message in [
-            Message::Task { seq, payload: Bytes::from(payload.clone()) },
-            Message::TaskResult { seq, payload: Bytes::from(payload.clone()) },
+            Message::TaskBatch(vec![record.clone()]),
+            Message::ResultBatch(vec![record]),
             Message::TaskError { seq, message: Bytes::from(payload.clone()) },
         ] {
             let frame = message.encode().expect("within frame limit");
@@ -119,11 +120,9 @@ proptest! {
             .enumerate()
             .map(|(i, payload)| Record::new(seq.wrapping_add(i as u64), payload.clone()))
             .collect();
-        let first = payloads[0].clone();
         for message in [
-            Message::Task { seq, payload: first.clone() },
-            Message::TaskResult { seq, payload: first.clone() },
-            Message::TaskError { seq, message: first.clone() },
+            Message::TaskBatch(records[..1].to_vec()),
+            Message::TaskError { seq, message: payloads[0].clone() },
             Message::TaskBatch(records.clone()),
             Message::ResultBatch(records.clone()),
             Message::Heartbeat,
@@ -131,9 +130,11 @@ proptest! {
             Message::Ack { count: seq },
         ] {
             let carried: &[Bytes] = match &message {
-                Message::TaskBatch(_) | Message::ResultBatch(_) => &payloads,
+                Message::TaskBatch(records) | Message::ResultBatch(records) => {
+                    &payloads[..records.len()]
+                }
+                Message::TaskError { .. } => &payloads[..1],
                 Message::Heartbeat | Message::Goodbye | Message::Ack { .. } => &[],
-                _ => &payloads[..1],
             };
             let pieces = pieces_of(&message, ack);
             let frame = message.encode().expect("within frame limit");
@@ -181,7 +182,7 @@ proptest! {
             .enumerate()
             .map(|(i, payload)| {
                 if i % 2 == 0 {
-                    Message::Task { seq: i as u64, payload: Bytes::from(payload.clone()) }
+                    Message::TaskBatch(vec![Record::new(i as u64, Bytes::from(payload.clone()))])
                 } else {
                     Message::TaskBatch(vec![
                         Record::new(i as u64, Bytes::from(payload.clone())),
@@ -210,24 +211,25 @@ proptest! {
 /// rejected at encode time instead of corrupting the length field.
 #[test]
 fn max_size_frames_round_trip_and_overflow_is_rejected() {
-    let max_payload = MAX_FRAME_LEN - 8; // body = 8-byte seq header + payload
-    let message = Message::Task { seq: 42, payload: Bytes::from(vec![0xabu8; max_payload]) };
+    // body = 4-byte record count + one record header + payload
+    let max_payload = MAX_FRAME_LEN - 4 - RECORD_HEADER_LEN;
+    let one = |len| Message::TaskBatch(vec![Record::new(42, Bytes::from(vec![0xabu8; len]))]);
+    let message = one(max_payload);
     let frame = message.encode().expect("exactly at the limit");
     assert_eq!(frame.len(), message.wire_size());
     assert_eq!(Message::decode(&frame).expect("decodes"), message);
 
-    let too_big = Message::Task { seq: 42, payload: Bytes::from(vec![0u8; MAX_FRAME_LEN + 1]) };
-    assert!(too_big.encode().unwrap_err().is_protocol());
+    assert!(one(max_payload + 1).encode().unwrap_err().is_protocol());
 }
 
 /// Empty payloads are valid tasks, results and batch records.
 #[test]
 fn empty_payloads_round_trip() {
     for message in [
-        Message::Task { seq: 0, payload: Bytes::new() },
-        Message::TaskResult { seq: 0, payload: Bytes::new() },
+        Message::TaskError { seq: 0, message: Bytes::new() },
         Message::TaskBatch(vec![]),
         Message::TaskBatch(vec![Record::new(0, Bytes::new())]),
+        Message::ResultBatch(vec![Record::new(0, Bytes::new())]),
     ] {
         let frame = message.encode().unwrap();
         assert_eq!(Message::decode(&frame).unwrap(), message);

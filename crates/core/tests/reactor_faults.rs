@@ -101,17 +101,9 @@ fn clean_close_during_dispatch_completes_elsewhere() {
         let mut answered = 0u64;
         loop {
             match common::recv_within(&leaver_endpoint, Duration::from_secs(10)) {
-                Ok(Message::Task { seq, payload }) => {
-                    let _ = leaver_endpoint.send(Message::TaskResult { seq, payload });
-                    answered += 1;
-                }
                 Ok(Message::TaskBatch(records)) => {
-                    let results = records
-                        .iter()
-                        .map(|r| pando_netsim::codec::Record::new(r.seq, r.payload.clone()))
-                        .collect();
-                    let _ = leaver_endpoint.send(Message::ResultBatch(results));
                     answered += records.len() as u64;
+                    let _ = leaver_endpoint.send(Message::ResultBatch(records));
                 }
                 Ok(_) => {}
                 Err(RecvError::Empty) => continue,

@@ -68,11 +68,10 @@ fn four_shards_keep_global_order_across_a_fleet() {
 
 #[test]
 fn single_shard_reproduces_the_single_lender_protocol() {
-    // With one shard and tasks_per_frame = 1, the wire pattern of the
+    // With one shard and a window of one value, the wire pattern of the
     // pre-sharding master must reproduce exactly: one task frame out and
     // one result frame back per value.
-    let config =
-        PandoConfig::local_test().with_lender_shards(1).with_batch_size(8).with_tasks_per_frame(1);
+    let config = PandoConfig::local_test().with_lender_shards(1).with_batch_size(1);
     let pando = Pando::new(config);
     let worker =
         WorkerBuilder::new().spawn_typed(pando.open_volunteer_channel(), StringCodec, echo);

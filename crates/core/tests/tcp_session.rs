@@ -19,6 +19,7 @@ use pando_core::transport::tcp::{SessionEvent, TcpAcceptor, TcpConfig};
 use pando_core::transport::Transport;
 use pando_core::worker::WorkerBuilder;
 use pando_netsim::channel::{RecvError, SendError};
+use pando_netsim::codec::Record;
 use pando_netsim::fault::FaultPlan;
 use pando_pull_stream::source::{count, SourceExt};
 use pando_pull_stream::StreamError;
@@ -193,11 +194,9 @@ fn drop_link_on_a_session_transport_redials_and_resumes() {
     assert_eq!(resumed, 1, "the redial presents the old token and resumes");
     assert_eq!(client.token(), token_before, "a resume keeps the session token");
     // The master-side session is live again: a frame reaches the client.
-    keep[0].send(Message::Task { seq: 0, payload: Bytes::new() }).unwrap();
-    assert_eq!(
-        common::recv_within(&client, Duration::from_secs(10)).unwrap(),
-        Message::Task { seq: 0, payload: Bytes::new() }
-    );
+    let task = Message::TaskBatch(vec![Record::new(0, Bytes::new())]);
+    keep[0].send(task.clone()).unwrap();
+    assert_eq!(common::recv_within(&client, Duration::from_secs(10)).unwrap(), task);
     client.close();
 }
 
@@ -268,12 +267,15 @@ fn large_tasks_to_a_silent_worker_are_acknowledged_by_bytes_not_by_count() {
                 .unwrap();
         for _ in 0..tasks {
             let task = common::recv_within(&link, Duration::from_secs(20)).expect("a task arrives");
-            let Message::Task { seq, payload } = task else {
+            let Message::TaskBatch(records) = task else {
                 panic!("expected a task, got {task:?}");
+            };
+            let [Record { seq, payload }] = &records[..] else {
+                panic!("expected one record, got {}", records.len());
             };
             assert_eq!(payload.len(), LARGE);
             std::thread::sleep(Duration::from_millis(50));
-            link.send(Message::TaskResult { seq, payload: Bytes::new() }).unwrap();
+            link.send(Message::ResultBatch(vec![Record::new(*seq, Bytes::new())])).unwrap();
         }
         link
     });
@@ -291,7 +293,7 @@ fn large_tasks_to_a_silent_worker_are_acknowledged_by_bytes_not_by_count() {
     while done < tasks {
         assert!(std::time::Instant::now() < deadline, "{done} of {tasks} results after 30 s");
         while sent < tasks && sent - done < 2 {
-            let task = Message::Task { seq: sent, payload: payload.clone() };
+            let task = Message::TaskBatch(vec![Record::new(sent, payload.clone())]);
             match master.send(task) {
                 Ok(()) => {
                     sent += 1;
@@ -302,8 +304,8 @@ fn large_tasks_to_a_silent_worker_are_acknowledged_by_bytes_not_by_count() {
             }
         }
         match master.try_recv() {
-            Ok(Message::TaskResult { seq, .. }) => {
-                assert_eq!(seq, done, "results in order");
+            Ok(Message::ResultBatch(records)) if records.len() == 1 => {
+                assert_eq!(records[0].seq, done, "results in order");
                 done += 1;
             }
             Ok(other) => panic!("unexpected {other:?}"),

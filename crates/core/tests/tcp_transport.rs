@@ -74,6 +74,16 @@ fn recv_one(transport: &dyn Transport) -> Message {
     common::recv_within(transport, Duration::from_secs(10)).expect("message arrives")
 }
 
+/// A task frame of one record.
+fn task(seq: u64, payload: Bytes) -> Message {
+    Message::TaskBatch(vec![Record::new(seq, payload)])
+}
+
+/// A result frame of one record.
+fn result(seq: u64, payload: Bytes) -> Message {
+    Message::ResultBatch(vec![Record::new(seq, payload)])
+}
+
 #[test]
 fn handshake_exchanges_names_and_all_message_kinds_round_trip() {
     let acceptor = TcpAcceptor::bind("127.0.0.1:0", lenient()).unwrap();
@@ -93,7 +103,7 @@ fn handshake_exchanges_names_and_all_message_kinds_round_trip() {
         Record::new(6, Bytes::from(vec![0xAB; 4096])),
     ];
     let outbound = vec![
-        Message::Task { seq: 1, payload: Bytes::copy_from_slice(b"value-1") },
+        task(1, Bytes::copy_from_slice(b"value-1")),
         Message::TaskBatch(batch.clone()),
         Message::Heartbeat,
         Message::Goodbye,
@@ -106,7 +116,7 @@ fn handshake_exchanges_names_and_all_message_kinds_round_trip() {
     }
 
     let inbound = vec![
-        Message::TaskResult { seq: 1, payload: Bytes::copy_from_slice(b"result-1") },
+        result(1, Bytes::copy_from_slice(b"result-1")),
         Message::ResultBatch(batch),
         Message::TaskError { seq: 9, message: Bytes::copy_from_slice(b"boom") },
     ];
@@ -266,7 +276,7 @@ fn server_handle_join_wakes_an_idle_acceptor_promptly() {
     assert!(quickest < Duration::from_millis(20), "join of an idle acceptor took {quickest:?}");
 }
 
-/// Performs a valid client-side handshake (v2, plain mode) on a raw socket
+/// Performs a valid client-side handshake (current version, plain mode) on a raw socket
 /// so the test can then inject arbitrary bytes at the frame layer.
 fn raw_handshake(addr: std::net::SocketAddr, name: &str) -> TcpStream {
     let mut stream = TcpStream::connect(addr).unwrap();
@@ -294,7 +304,7 @@ fn oversized_incoming_frame_fails_the_link() {
         // A header announcing a frame over the wire limit, and not one
         // payload byte: the link must be poisoned from the header alone,
         // before anything is sized from it.
-        let mut header = vec![1u8];
+        let mut header = vec![6u8]; // a task batch
         header.extend_from_slice(&((MAX_FRAME_LEN + 1) as u32).to_be_bytes());
         stream.write_all(&header).unwrap();
         let _ = stream.read(&mut [0u8; 16]); // wait for the shutdown
@@ -309,20 +319,44 @@ fn oversized_incoming_frame_fails_the_link() {
 }
 
 #[test]
+fn a_frame_with_a_retired_tag_fails_the_link() {
+    let acceptor = TcpAcceptor::bind("127.0.0.1:0", lenient()).unwrap();
+    let addr = acceptor.local_addr();
+    let client = std::thread::spawn(move || {
+        let mut stream = raw_handshake(addr, "stale");
+        // A well-formed frame of the retired one-record task shape (tag 1,
+        // `u64` seq, payload): its header passes, its decode must not.
+        let mut frame = vec![1u8];
+        frame.extend_from_slice(&11u32.to_be_bytes());
+        frame.extend_from_slice(&7u64.to_be_bytes());
+        frame.extend_from_slice(b"abc");
+        stream.write_all(&frame).unwrap();
+        let _ = stream.read(&mut [0u8; 16]); // wait for the shutdown
+    });
+    let (_, master_side) = accept_one(&acceptor);
+    let err = common::recv_within(&master_side, Duration::from_secs(10)).unwrap_err();
+    assert_eq!(err, RecvError::PeerFailed, "a retired tag is a protocol failure");
+    let failure = master_side.failure().expect("the link records why it failed");
+    assert_eq!(failure.kind(), TransportErrorKind::Protocol, "{failure}");
+    assert!(failure.message().contains("tag 1"), "{failure}");
+    client.join().unwrap();
+}
+
+#[test]
 fn mixed_frame_sizes_reassemble_from_any_slicing_on_both_backends() {
     let small = Bytes::copy_from_slice(&[7u8; 8]);
     let bulk = Bytes::from((0..32 * 1024).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
     let huge = Bytes::from((0..1024 * 1024).map(|i| (i % 241) as u8).collect::<Vec<u8>>());
     let messages = vec![
-        Message::Task { seq: 1, payload: small.clone() },
+        task(1, small.clone()),
         Message::TaskBatch(vec![Record::new(2, bulk.clone()), Record::new(3, bulk.clone())]),
         Message::Heartbeat,
-        Message::TaskResult { seq: 4, payload: huge.clone() },
-        Message::Task { seq: 5, payload: small.clone() },
+        result(4, huge.clone()),
+        task(5, small.clone()),
         Message::ResultBatch(vec![Record::new(6, small.clone()), Record::new(7, bulk)]),
-        Message::TaskResult { seq: 8, payload: huge },
+        result(8, huge),
         Message::Ack { count: 9 },
-        Message::Task { seq: 10, payload: small },
+        task(10, small),
     ];
     let stream: Vec<u8> =
         messages.iter().flat_map(|message| message.encode().unwrap().to_vec()).collect();
@@ -365,16 +399,16 @@ fn a_slow_reader_gets_every_piece_of_200_mixed_frames_in_order_on_both_backends(
     let small = Bytes::copy_from_slice(&[7u8; 8]);
     let messages: Vec<Message> = (0..200u64)
         .map(|seq| match seq % 5 {
-            0 => Message::Task { seq, payload: small.clone() },
-            1 => Message::TaskResult { seq, payload: bulk.slice(..2048) },
-            2 => Message::Task { seq, payload: bulk.clone() },
+            0 => task(seq, small.clone()),
+            1 => result(seq, bulk.slice(..2048)),
+            2 => task(seq, bulk.clone()),
             3 => Message::ResultBatch(vec![
                 Record::new(seq, bulk.clone()),
                 Record::new(seq, small.clone()),
                 Record::new(seq, bulk.slice(1..)),
                 Record::new(seq, bulk.clone()),
             ]),
-            _ => Message::TaskResult { seq, payload: big.clone() },
+            _ => result(seq, big.clone()),
         })
         .collect();
     let stream: Vec<u8> =
@@ -567,7 +601,7 @@ fn slow_reader_bounds_the_write_queue_and_send_resumes_after_drain() {
     // absorb the first burst; after that the transport's own queue fills to
     // its byte bound and `send` must push back instead of buffering forever.
     let payload = Bytes::from(vec![0x5A_u8; 32 * 1024]);
-    let frame = Message::Task { seq: 1, payload: payload.clone() };
+    let frame = task(1, payload.clone());
     let mut sent = 0u64;
     let deadline = Instant::now() + Duration::from_secs(30);
     let blocked = loop {
@@ -705,7 +739,7 @@ fn idle_link_with_keepalive_survives_past_three_heartbeat_intervals() {
 #[test]
 fn frame_header_constant_matches_the_wire() {
     // The TCP reader parses headers by hand; pin the layout it assumes.
-    let message = Message::Task { seq: 42, payload: Bytes::copy_from_slice(b"xyz") };
+    let message = task(42, Bytes::copy_from_slice(b"xyz"));
     let frame = message.encode().unwrap();
     let len = u32::from_be_bytes([frame[1], frame[2], frame[3], frame[4]]) as usize;
     assert_eq!(frame.len(), FRAME_HEADER_LEN + len);

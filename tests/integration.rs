@@ -93,11 +93,10 @@ fn infinite_stream_is_read_lazily() {
     const TAKEN: usize = 10;
     let config = PandoConfig::local_test();
     // A reply leaves once its whole frame is computed: the frame holding
-    // result TAKEN - 1 may carry tasks behind it.
-    let free = TAKEN + config.effective_tasks_per_frame() - 1;
+    // result TAKEN - 1 may carry up to a window of tasks behind it.
+    let free = TAKEN + config.batch_size - 1;
     let shards = config.effective_lender_shards();
-    let bound =
-        free + config.batching.batch_size + shards * config.effective_tasks_per_frame() + shards;
+    let bound = free + config.batch_size + shards * config.batch_size + shards;
     let pando = Pando::new(config);
     let (release, gate) = std::sync::mpsc::channel::<()>();
     let gate = std::sync::Mutex::new(gate);
