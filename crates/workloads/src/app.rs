@@ -473,8 +473,8 @@ impl PandoApp for RaytraceApp {
         "Frames/s"
     }
     fn input(&self, i: u64) -> Bytes {
-        let angles = raytrace::animation_angles(self.frames);
-        RaytraceCodec.encode_task(&angles[(i as usize) % self.frames])
+        let frame = (i as usize) % self.frames.max(1);
+        RaytraceCodec.encode_task(&raytrace::animation_angle(frame, self.frames))
     }
     fn process(&self, input: &Payload) -> Result<Bytes, StreamError> {
         let angle = RaytraceCodec.decode_task(input)?;
@@ -856,6 +856,22 @@ mod tests {
         assert!(app.process(&Bytes::copy_from_slice(b"angle?")).is_err());
         let not_finite = RaytraceCodec.encode_task(&f64::NAN);
         assert!(RaytraceCodec.decode_task(&not_finite).is_err());
+    }
+
+    #[test]
+    fn raytrace_inputs_cycle_through_the_animation() {
+        let app = RaytraceApp::default();
+        let angles = raytrace::animation_angles(app.frames);
+        for i in 0..2 * app.frames as u64 + 3 {
+            let angle = RaytraceCodec.decode_task(&app.input(i)).unwrap();
+            assert_eq!(angle.to_bits(), angles[i as usize % app.frames].to_bits(), "input {i}");
+        }
+        // Zero frames count as one, as in `animation_angles`: every input is
+        // the first frame's angle, and none panics.
+        let empty = RaytraceApp { frames: 0, ..RaytraceApp::default() };
+        for i in [0, 1, 59, u64::MAX] {
+            assert_eq!(RaytraceCodec.decode_task(&empty.input(i)).unwrap(), 0.0, "input {i}");
+        }
     }
 
     #[test]
