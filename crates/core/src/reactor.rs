@@ -244,6 +244,10 @@ struct ShardSlot {
     /// the timer heap (armed when a driver parks, re-armed on fire while
     /// drivers remain parked; one entry per shard at a time).
     backstop_armed: AtomicBool,
+    /// Set once a prefetch for this shard answered `false`: the shard will
+    /// never receive another value, so the inline pump stops asking (the
+    /// threaded [`pump_loop`] parks until shutdown instead).
+    input_ended: AtomicBool,
     /// Signals the shard's input pump that a driver starved. The pump itself
     /// decides whether to read ahead (see [`pump_loop`]); the mutex carries
     /// no data.
@@ -258,6 +262,7 @@ impl ShardSlot {
             kick_epoch: AtomicU64::new(0),
             pending_kick: AtomicBool::new(false),
             backstop_armed: AtomicBool::new(false),
+            input_ended: AtomicBool::new(false),
             demand: Mutex::new(()),
             demand_cond: Condvar::new(),
         }
@@ -1080,7 +1085,9 @@ impl Reactor {
     /// one value ahead on the shard's behalf (the staged value fires the
     /// shard waker, which re-queues its starved drivers). Returns `true` if
     /// any shard staged a value, i.e. the scheduler should step again before
-    /// advancing the clock.
+    /// advancing the clock. A shard whose prefetch once answered `false`
+    /// will never receive another value and is latched: no later pass asks
+    /// it again.
     ///
     /// The deterministic simulator requires inputs that answer immediately
     /// (in-memory iterators); an input that truly blocks would block the
@@ -1095,12 +1102,17 @@ impl Reactor {
         };
         let mut staged = false;
         for (shard, slot) in self.inner.shards.iter().enumerate() {
-            if slot.starved.lock().parked.is_empty() || lender.shard_failed_pending(shard) > 0 {
+            if slot.input_ended.load(Ordering::Relaxed)
+                || slot.starved.lock().parked.is_empty()
+                || lender.shard_failed_pending(shard) > 0
+            {
                 continue;
             }
             if lender.prefetch_shard(shard) {
                 self.inner.stats.pump_prefetches.fetch_add(1, Ordering::Relaxed);
                 staged = true;
+            } else {
+                slot.input_ended.store(true, Ordering::Relaxed);
             }
         }
         staged

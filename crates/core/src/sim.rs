@@ -261,7 +261,7 @@ impl FleetReport {
         out.push_str(&format!(
             "crashed={} virtual_elapsed_us={}\n",
             self.crashed,
-            self.virtual_elapsed.as_micros()
+            micros(self.virtual_elapsed)
         ));
         out
     }
@@ -453,7 +453,7 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
     let origin = clock.now();
     let pando = Pando::new(config);
     let mut trace: Vec<String> = Vec::new();
-    let elapsed_us = |clock: &pando_netsim::sim::Clock| clock.elapsed().as_micros();
+    let elapsed_us = |clock: &pando_netsim::sim::Clock| micros(clock.elapsed());
 
     // --- The fleet: each volunteer's link, churn and crash schedule. -----
     let woken = Arc::new(Mutex::new(VecDeque::new()));
@@ -481,18 +481,18 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
         }
     };
     let opt_us = |at: Option<Duration>| {
-        at.map(|at| at.as_micros().to_string()).unwrap_or_else(|| "never".into())
+        at.map(|at| micros(at).to_string()).unwrap_or_else(|| "never".into())
     };
     for (v, spec) in params.volunteers.iter().enumerate() {
         trace.push(format!(
             "setup v{v} group={} service_us={} latency_us={} jitter_us={} loss={} \
              joins_at_us={} leaves_at_us={} crash_at_us={}",
             spec.group,
-            spec.service.as_micros(),
-            spec.channel.latency.as_micros(),
-            spec.channel.jitter.as_micros(),
+            micros(spec.service),
+            micros(spec.channel.latency),
+            micros(spec.channel.jitter),
             spec.channel.loss,
-            spec.joins_at.as_micros(),
+            micros(spec.joins_at),
             opt_us(spec.leaves_at),
             opt_us(spec.crash_at),
         ));
@@ -535,20 +535,42 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
     let mut digest: u64 = 0xcbf2_9ce4_8422_2325; // FNV-1a offset basis
     let mut finished = false;
     let mut crashed_fired = 0u64;
+    // The lender and the starved sets change only inside `Reactor::step` (a
+    // poll, a kick, a timer) and inside a pump, so the pump and the output
+    // drain run again only after one of those: a call skipped in between
+    // would have found nothing.
+    let (mut pump_due, mut drain_due) = (true, true);
     loop {
         let mut progress = false;
         // 1. Drain the reactor's ready queue (fires due timers first).
         while reactor.step() {
             progress = true;
         }
-        // 2. Pump starved shards synchronously; staged values re-queue
-        //    drivers, so go around for more steps before anything else.
-        if reactor.pump_starved() {
-            continue;
+        if progress {
+            (pump_due, drain_due) = (true, true);
         }
-        // 3. Poll volunteers whose endpoints signalled readiness.
+        // 2. Pump starved shards synchronously; staged values re-queue
+        //    drivers, so go around for more steps before anything else. A
+        //    pump that ends the input can complete the output: drain after
+        //    every pump call.
+        if pump_due {
+            (pump_due, drain_due) = (false, true);
+            if reactor.pump_starved() {
+                pump_due = true;
+                continue;
+            }
+        }
+        // 3. Poll volunteers whose endpoints signalled readiness. The waker
+        //    fires when a frame is sent; one still in flight cannot be
+        //    received yet, so its re-poll is booked without polling (the
+        //    master's side never crash-stops, so a volunteer's
+        //    `next_ready_at` is its head frame's delivery).
         while let Some(v) = engine.pop_woken() {
-            poll_volunteer(v, &mut volunteers[v], &mut engine, &clock, &mut trace);
+            let vol = &mut volunteers[v];
+            match vol.live().and_then(Endpoint::next_ready_at) {
+                Some(at) if at > clock.now() => book_repoll(v, vol, at, &mut engine),
+                _ => poll_volunteer(v, vol, &mut engine, &clock, &mut trace),
+            }
             progress = true;
         }
         // 4. Fire engine events due at the current virtual instant.
@@ -610,7 +632,7 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
                         "[{}] partition members={} heal_us={}",
                         elapsed_us(&clock),
                         ids.join(","),
-                        until.saturating_duration_since(origin).as_micros()
+                        micros(until.saturating_duration_since(origin))
                     ));
                     // In-flight frames keep their delivery instants, later
                     // ones mature no earlier than the heal instant.
@@ -625,7 +647,8 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
             }
         }
         // 5. Drain the merged output without blocking.
-        if !finished {
+        if drain_due && !finished {
+            drain_due = false;
             while let Some(answer) = output.next_timeout(Duration::ZERO) {
                 progress = true;
                 match answer {
@@ -726,6 +749,21 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
     }
 }
 
+/// A trace field in whole microseconds. A `u64` formats for a fraction of
+/// what `Duration::as_micros`' `u128` costs, and no run comes near its range.
+fn micros(duration: Duration) -> u64 {
+    duration.as_micros() as u64
+}
+
+/// Schedules a re-poll of volunteer `v` at `at`, unless one is already
+/// booked no later.
+fn book_repoll(v: usize, vol: &mut SimVolunteer, at: Instant, engine: &mut Engine) {
+    if vol.repoll_at.map(|existing| at < existing).unwrap_or(true) {
+        vol.repoll_at = Some(at);
+        engine.schedule(at, Ev::Repoll { v });
+    }
+}
+
 /// Drains every deliverable frame of one simulated volunteer through its
 /// worker core. What stays here is what the simulation adds: replies leave
 /// after virtual compute time, a clean close is answered only once they
@@ -746,8 +784,7 @@ fn poll_volunteer(
         match vol.core.on_recv(endpoint.try_recv(), &process_payload) {
             Step::Reply { records, replies } => {
                 let now = clock.now();
-                let at = clock.elapsed().as_micros();
-                trace.push(format!("[{at}] v{v} recv records={records}"));
+                trace.push(format!("[{}] v{v} recv records={records}", micros(clock.elapsed())));
                 // The device computes for `service × records` of virtual
                 // time, serialised after whatever it was already chewing on.
                 vol.busy_until = vol.busy_until.max(now) + vol.service * records as u32;
@@ -757,12 +794,9 @@ fn poll_volunteer(
             Step::Skip => {}
             Step::Idle => {
                 // A frame may still be in virtual flight: re-poll when it
-                // matures (de-duplicated against an earlier pending re-poll).
+                // matures.
                 if let Some(at) = endpoint.next_ready_at() {
-                    if vol.repoll_at.map(|existing| at < existing).unwrap_or(true) {
-                        vol.repoll_at = Some(at);
-                        engine.schedule(at, Ev::Repoll { v });
-                    }
+                    book_repoll(v, vol, at, engine);
                 }
                 return;
             }
@@ -778,7 +812,7 @@ fn poll_volunteer(
                 let _ = endpoint.send(Message::Goodbye);
                 endpoint.close();
                 vol.done = true;
-                trace.push(format!("[{}] v{v} goodbye", clock.elapsed().as_micros()));
+                trace.push(format!("[{}] v{v} goodbye", micros(clock.elapsed())));
                 return;
             }
             Step::Leave { close } => {
