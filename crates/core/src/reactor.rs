@@ -21,11 +21,13 @@
 //!   to one lender shard ([`ShardedLender`]); a driver with free window
 //!   slots but no lendable value parks in its *shard's* starved set, and the
 //!   shard's change waker ([`ShardedLender::add_shard_waker`]) kicks that
-//!   set whenever a value may have become available there (input progress, a
-//!   re-lend after a crash). A kick is *wake-limited*: it wakes at most
-//!   `min(parked, shard lendable depth)` drivers (never fewer than one), so
-//!   a single staged value does not thunder the whole herd of parked
-//!   drivers awake. The set is an ordered map keyed by park sequence number:
+//!   set only when a value became lendable there (a staged or parked value,
+//!   a re-lend after a crash) or the shard can no longer lend. A value kick
+//!   is *wake-limited*: it wakes at most `min(parked, shard lendable depth)`
+//!   drivers (never fewer than one), so a single staged value does not
+//!   thunder the whole herd of parked drivers awake; a termination kick
+//!   wakes them all, since each must see `Done` to hop or close. The set is
+//!   an ordered map keyed by park sequence number:
 //!   a kick pops the longest-parked drivers off its front, and a driver that
 //!   exits or hops removes its own key — like the registration-id map of
 //!   live drivers, it is never scanned, so a volunteer leaves in
@@ -146,7 +148,8 @@ pub struct ReactorStats {
     /// exist to keep this low.
     pub wasted_polls: u64,
     /// Starved drivers actually woken by lender kicks (bounded by the
-    /// shard's lendable depth per kick).
+    /// shard's lendable depth per value kick; every parked driver on a
+    /// termination kick).
     pub kicks_sent: u64,
     /// Starved drivers left parked by wake-limited kicks (a broadcast
     /// would have woken them for nothing).
@@ -326,28 +329,32 @@ impl Inner {
 
     /// Pops and fires every timer whose deadline has passed: driver timers
     /// re-queue their driver, backstop timers re-kick their shard if it
-    /// still has lendable work and parked drivers.
+    /// still has lendable work and parked drivers. A driver entry fires only
+    /// if it still holds the driver's booking: one superseded by an earlier
+    /// deadline is dropped, uncounted, so it can neither wake the driver nor
+    /// clear the booking that replaced it.
     fn fire_due_timers(&self, now: Instant) {
         loop {
-            let task = {
+            let Timer { at, task } = {
                 let mut timers = self.timers.lock();
                 match timers.peek() {
                     Some(Reverse(timer)) if timer.at <= now => {
-                        let Reverse(timer) = timers.pop().expect("peeked entry present");
-                        timer.task
+                        timers.pop().expect("peeked entry present").0
                     }
                     _ => return,
                 }
             };
             match task {
                 TimerTask::Driver(weak) => {
-                    if let Some(driver) = weak.upgrade() {
-                        if !driver.finished.fired() {
-                            driver.scheduled_at.lock().take();
-                            self.stats.timer_fires.fetch_add(1, Ordering::Relaxed);
-                            wake(self, &driver);
-                        }
+                    let Some(driver) = weak.upgrade() else { continue };
+                    let mut scheduled = driver.scheduled_at.lock();
+                    if driver.finished.fired() || *scheduled != Some(at) {
+                        continue;
                     }
+                    *scheduled = None;
+                    drop(scheduled);
+                    self.stats.timer_fires.fetch_add(1, Ordering::Relaxed);
+                    wake(self, &driver);
                 }
                 TimerTask::Backstop(shard) => {
                     let slot = &self.shards[shard];
@@ -428,24 +435,27 @@ impl Inner {
 
     /// Moves starved drivers of `shard` back onto the ready queue — at most
     /// as many as the shard could serve right now. Runs in scheduler context
-    /// on behalf of the shard's change waker (see [`Inner::request_kick`]):
-    /// any state change of that shard may have made a value lendable there.
+    /// on behalf of the shard's change waker (see [`Inner::request_kick`]),
+    /// which fires only when a value became lendable there or the shard can
+    /// no longer lend.
     ///
-    /// The wake budget is `min(parked, max(lendable depth, 1))`: one staged
-    /// value wakes one driver instead of the whole set, and at least one
-    /// driver always wakes so termination (`Done`, depth zero) propagates
-    /// promptly. Drivers left parked are covered three ways: the next state
-    /// change kicks again, every parked driver re-polls on its own heartbeat
-    /// timer, and the per-shard backstop timer re-kicks a shard that still
-    /// has lendable work. The set is popped from the front — park order — and
-    /// a dead `Weak` met there is dropped without costing budget.
+    /// A value kick's budget is `min(parked, max(lendable depth, 1))`: one
+    /// staged value wakes one driver instead of the whole set. A
+    /// termination kick — the shard has nothing staged, nothing in flight,
+    /// or was shut down — wakes every parked driver, since each must see
+    /// `Done` to hop or close. Drivers left parked are covered three ways:
+    /// the next kick, every parked driver's own heartbeat timer, and the
+    /// per-shard backstop timer that re-kicks a shard that still has
+    /// lendable work. The set is popped from the front — park order — and a
+    /// dead `Weak` met there is dropped without costing budget.
     fn kick_starved(&self, shard: usize) {
         let slot = &self.shards[shard];
         slot.kick_epoch.fetch_add(1, Ordering::SeqCst);
         let budget = match self.lender.lock().as_ref() {
-            Some(lender) => lender.shard_depth(shard).max(1),
-            // No lender attached (bare reactor): nothing to bound by.
-            None => usize::MAX,
+            Some(lender) if lender.shard_needs_help(shard) => lender.shard_depth(shard).max(1),
+            // Termination, or no lender attached (bare reactor): nothing to
+            // bound by.
+            _ => usize::MAX,
         };
         let mut woken: Vec<Arc<Driver>> = Vec::new();
         let suppressed = {
@@ -544,7 +554,8 @@ struct Driver {
     /// that pops the entry, both under the set's lock.
     park_seq: AtomicU64,
     /// Earliest timer currently scheduled for this driver, to avoid flooding
-    /// the heap with duplicates.
+    /// the heap with duplicates; a heap entry for any other instant is
+    /// superseded and fires nothing.
     scheduled_at: Mutex<Option<Instant>>,
     io: Mutex<DriverIo>,
     result: Mutex<Option<Result<(), StreamError>>>,
@@ -1461,29 +1472,30 @@ mod tests {
         rig.drain();
         assert_eq!(rig.parked(0), "a b c");
 
-        // `b` leaves from the middle. Its sub-stream ending is a lender
-        // change: the head of the line is kicked, finds nothing and parks
-        // again at the back. So is the sub-stream `d` joins with.
+        // `b` leaves from the middle. Its sub-stream held nothing, so its
+        // end re-lends nothing and kicks nobody: the line closes up. The
+        // sub-stream `d` joins with is no news either; `d` parks at the back.
         b_end.close();
         rig.drain();
         assert!(b.is_finished());
-        assert_eq!(rig.parked(0), "c a");
+        assert_eq!(rig.parked(0), "a c");
         let (_d, _d_end) = rig.join("d", 0, 2);
         rig.drain();
-        assert_eq!(rig.parked(0), "a d c");
+        assert_eq!(rig.parked(0), "a c d");
 
-        // One staged value is a budget of one: it goes to the longest-parked
-        // (and lending it is one more change, which cycles `d`).
+        // One staged value is a budget of one: it goes to the longest-parked,
+        // which starves again for its second window slot and parks at the
+        // back (lending the value kicks nobody).
         assert!(rig.reactor.pump_starved());
         rig.drain();
         assert_eq!(task_seq(&a_end), 0);
-        assert_eq!(rig.parked(0), "c a d");
+        assert_eq!(rig.parked(0), "c d a");
         rig.assert_active_counts_the_registered();
     }
 
     #[test]
     fn a_dead_entry_at_the_front_costs_no_budget_and_is_not_suppressed() {
-        let rig = Rig::new(1, 0);
+        let rig = Rig::new(1, 1);
         let (ghost, _ghost_end) = rig.join("ghost", 0, 1);
         let (_b, _b_end) = rig.join("b", 0, 1);
         let (_c, _c_end) = rig.join("c", 0, 1);
@@ -1493,6 +1505,8 @@ mod tests {
         drop(ghost);
         assert_eq!(rig.parked(0), "<dead> b c");
 
+        // One staged value: a value kick with a budget of one.
+        assert!(rig.lender.prefetch_shard(0));
         let before = rig.reactor.stats();
         rig.reactor.inner.kick_starved(0);
         let after = rig.reactor.stats();
@@ -1562,6 +1576,42 @@ mod tests {
         v_end.send(result(1)).unwrap();
         quiesce();
         assert_eq!(task_seqs(&v_end), [3]);
+    }
+
+    /// A driver's timer entry superseded by an earlier deadline fires
+    /// nothing: when the old instant passes, the driver is polled once and
+    /// one timer fire is counted, for the booking that replaced the entry.
+    #[test]
+    fn a_superseded_timer_entry_never_wakes_its_driver() {
+        let rig = Rig::new(1, 0);
+        let clock = rig.config.run.clock.clone();
+        let ms = std::time::Duration::from_millis;
+        let link = ChannelConfig { latency: ms(2), ..ChannelConfig::instant() };
+        let (master_side, v_end) = pair_with_clock::<Message>(link, clock.clone());
+        let sub = rig.lender.lend_on(0);
+        let _v = rig.reactor.register("v", 0, Arc::new(master_side), sub, &rig.config, &rig.meter);
+        rig.drain();
+        let heartbeat_due = clock.now() + ms(5);
+        assert_eq!(rig.reactor.next_timer_at(), Some(heartbeat_due));
+
+        // A frame in flight books an earlier deadline: the heartbeat's entry
+        // is superseded, and the poll at the frame's arrival books the
+        // heartbeat again.
+        v_end.send(Message::Heartbeat).unwrap();
+        rig.drain();
+        assert_eq!(rig.reactor.next_timer_at(), Some(clock.now() + ms(2)));
+        clock.advance_to(clock.now() + ms(2));
+        rig.drain();
+        let before = rig.reactor.stats();
+        clock.advance_to(heartbeat_due);
+        rig.drain();
+        let after = rig.reactor.stats();
+        assert_eq!(after.polls - before.polls, 1, "one poll at the old instant");
+        assert_eq!(
+            after.timer_fires - before.timer_fires,
+            1,
+            "the superseded entry is not counted"
+        );
     }
 
     /// A driver that hops while it is still listed in its old shard's starved

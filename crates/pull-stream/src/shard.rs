@@ -125,7 +125,9 @@ struct Splitter<T> {
     /// that the stream terminated while they were waiting for it).
     source_cond: Condvar,
     /// Per-shard readiness callbacks, fired when a value was parked for the
-    /// shard (its next non-blocking ask will succeed) or the input ended.
+    /// shard (its next non-blocking ask will succeed). The end of the input
+    /// reaches them through each shard's lender, once it has booked it (see
+    /// [`Notifier`]).
     wakers: Mutex<Vec<Vec<LenderWaker>>>,
     /// Per-shard termination broadcast (see [`Notifier`]); installed once at
     /// construction, after the lenders exist.
@@ -219,7 +221,7 @@ where
             // value, and — on termination — everyone.
             self.source_cond.notify_all();
             if let Some(owner) = notify_parked {
-                self.fire_wakers(Some(owner));
+                self.fire_wakers(owner);
             }
             if terminated {
                 self.after_termination(shard);
@@ -283,7 +285,7 @@ where
             }
         };
         for owner in parked_for {
-            self.fire_wakers(Some(owner));
+            self.fire_wakers(owner);
         }
         if terminated {
             self.after_termination(shard);
@@ -336,36 +338,24 @@ where
         answer
     }
 
-    /// Fires the readiness callbacks of one shard (`Some`) or all (`None`).
-    /// Called outside the state lock.
-    fn fire_wakers(&self, shard: Option<usize>) {
-        let wakers = self.wakers.lock();
-        match shard {
-            Some(shard) => {
-                for waker in &wakers[shard] {
-                    waker();
-                }
-            }
-            None => {
-                for shard_wakers in wakers.iter() {
-                    for waker in shard_wakers {
-                        waker();
-                    }
-                }
-            }
+    /// Fires the readiness callbacks of `shard`. Called outside the state
+    /// lock.
+    fn fire_wakers(&self, shard: usize) {
+        for waker in &self.wakers.lock()[shard] {
+            waker();
         }
     }
 
     /// Post-termination notifications (outside the state lock): wakes every
-    /// shard and checkout waiter, releases the merge stage, and broadcasts
-    /// the end to every *other* shard's lender so each books `input_done`
-    /// without waiting for a device ask. The origin shard is skipped
-    /// because its own port pull is still in flight (its lender's input is
-    /// checked out; a reentrant prefetch would wait on itself).
+    /// checkout waiter, releases the merge stage, and broadcasts the end to
+    /// every *other* shard's lender so each books `input_done` without
+    /// waiting for a device ask — and fires its wakers if that leaves it
+    /// nothing to lend. The origin shard is skipped because its own port
+    /// pull is still in flight (its lender's input is checked out; a
+    /// reentrant prefetch would wait on itself): that pull books the end.
     fn after_termination(&self, origin: usize) {
         self.source_cond.notify_all();
         self.assign_cond.notify_all();
-        self.fire_wakers(None);
         let notifiers = self.notifiers.lock();
         for (index, notify) in notifiers.iter().enumerate() {
             if index != origin {
@@ -516,10 +506,11 @@ where
         self.lenders[shard].lend()
     }
 
-    /// Registers a change callback for shard `shard`: invoked on every state
-    /// change of the shard's lender *and* whenever the splitter parks a
-    /// value for the shard (so a non-blocking ask would now succeed). This
-    /// is the per-shard waker hook of an event-driven dispatcher.
+    /// Registers a change callback for shard `shard`: invoked when the
+    /// shard's lender fires its wakers (see [`LenderWaker`]) *and* whenever
+    /// the splitter parks a value for the shard (so a non-blocking ask would
+    /// now succeed). This is the per-shard waker hook of an event-driven
+    /// dispatcher.
     pub fn add_shard_waker(&self, shard: usize, waker: LenderWaker) {
         self.lenders[shard].add_waker(waker.clone());
         self.splitter.wakers.lock()[shard].push(waker);
