@@ -1,7 +1,7 @@
 # Local invocations matching the CI jobs in .github/workflows/ci.yml —
 # `make lint test` before pushing reproduces what CI will run.
 
-.PHONY: all build test lint fmt doc paper pub-census no-sleep-poll test-stress perf perf-pairs profile sim-counters tcp-counters scale scale-sharded churn-scale sim scenarios tcp-demo tcp-demo-flap clean
+.PHONY: all build test lint fmt doc paper pub-census no-sleep-poll test-stress perf perf-pairs profile sim-counters tcp-counters scale churn-scale sim scenarios tcp-demo tcp-demo-flap clean
 
 all: lint build test doc
 
@@ -106,11 +106,6 @@ tcp-counters:
 # results seq-checked. CI runs the same example at 1k (its default).
 scale:
 	SCALE_VOLUNTEERS=10000 cargo run --release --example scale_smoke
-
-# Same 10k-volunteer run with dispatch sharded over four lender instances
-# (four locks, four input pumps), under the same wall-clock guard.
-scale-sharded:
-	SCALE_VOLUNTEERS=10000 SCALE_SHARDS=4 cargo run --release --example scale_smoke
 
 # What one volunteer costs to bring in and see out must not grow with the
 # fleet: set-up cycles (one task per volunteer) at 1 000 and 4 000

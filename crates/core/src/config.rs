@@ -2,8 +2,8 @@
 //!
 //! [`PandoConfig`] holds the window ([`PandoConfig::batch_size`]) and groups
 //! its other knobs into nested sub-configs, one per subsystem:
-//! [`ReactorConfig`] (how volunteer endpoints are driven and how the lender
-//! is sharded), [`TransportConfig`] (how bytes reach the volunteers) and
+//! [`ReactorConfig`] (how volunteer endpoints are driven),
+//! [`TransportConfig`] (how bytes reach the volunteers) and
 //! [`RunConfig`] (the clock). Every sub-config implements `Default`, so a
 //! custom deployment can override one group without spelling out the rest:
 //!
@@ -11,11 +11,10 @@
 //! use pando_core::config::{PandoConfig, ReactorConfig};
 //!
 //! let config = PandoConfig {
-//!     reactor: ReactorConfig { threads: 8, ..ReactorConfig::default() },
+//!     reactor: ReactorConfig { threads: 8 },
 //!     ..PandoConfig::default()
 //! };
 //! assert_eq!(config.reactor.threads, 8);
-//! assert_eq!(config.reactor.lender_shards, None);
 //! assert_eq!(config.batch_size, 2);
 //! ```
 //!
@@ -28,36 +27,27 @@ use crate::transport::tcp::TcpConfig;
 use pando_netsim::channel::ChannelConfig;
 use pando_netsim::sim::Clock;
 
-/// How volunteer endpoints are driven and how the stream lender is sharded.
+/// How volunteer endpoints are driven.
 ///
 /// ```
 /// use pando_core::config::ReactorConfig;
 ///
 /// let reactor = ReactorConfig::default();
 /// assert_eq!(reactor.threads, 4);
-/// assert_eq!(reactor.lender_shards, None); // derived from the pool size
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReactorConfig {
     /// Number of OS threads in the reactor pool. Every volunteer is a
-    /// registration on this fixed pool (plus one input-pump thread per
-    /// lender shard): ready endpoints are queued and drained without
-    /// blocking, so the thread count does not grow with the fleet. Example:
-    /// `PandoConfig::default().with_reactor_threads(8)`.
+    /// registration on this fixed pool (plus one input-pump thread): ready
+    /// endpoints are queued and drained without blocking, so the thread
+    /// count does not grow with the fleet. All of them borrow from the one
+    /// lender. Example: `PandoConfig::default().with_reactor_threads(8)`.
     pub threads: usize,
-    /// Number of independent StreamLender shards the input stream is
-    /// partitioned across (the
-    /// [`ShardedLender`](pando_pull_stream::shard::ShardedLender) layout):
-    /// each reactor driver is pinned to one shard, so borrows, results and
-    /// crash re-lends of different shards proceed under different locks.
-    /// `None` derives `min(threads, 4)`; `Some(1)` (or
-    /// `with_lender_shards(1)`) reproduces the single global lender exactly.
-    pub lender_shards: Option<usize>,
 }
 
 impl Default for ReactorConfig {
     fn default() -> Self {
-        Self { threads: PandoConfig::DEFAULT_REACTOR_THREADS, lender_shards: None }
+        Self { threads: PandoConfig::DEFAULT_REACTOR_THREADS }
     }
 }
 
@@ -142,7 +132,7 @@ pub struct PandoConfig {
     /// once. Example: `PandoConfig::local_test().with_batch_size(8)` widens
     /// the window for latency-bound workloads.
     pub batch_size: usize,
-    /// Endpoint driving and lender sharding; see [`ReactorConfig`].
+    /// Endpoint driving; see [`ReactorConfig`].
     pub reactor: ReactorConfig,
     /// Simulated-channel profile and TCP knobs; see [`TransportConfig`].
     pub transport: TransportConfig,
@@ -173,7 +163,7 @@ impl PandoConfig {
     /// windows.
     pub fn local_test() -> Self {
         Self {
-            reactor: ReactorConfig { threads: 2, ..ReactorConfig::default() },
+            reactor: ReactorConfig { threads: 2 },
             transport: TransportConfig {
                 channel: ChannelConfig::instant(),
                 tcp: TcpConfig::local_test(),
@@ -216,17 +206,6 @@ impl PandoConfig {
         self
     }
 
-    /// Returns the configuration with an explicit lender shard count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lender_shards` is zero.
-    pub fn with_lender_shards(mut self, lender_shards: usize) -> Self {
-        assert!(lender_shards > 0, "lender shards must be at least 1");
-        self.reactor.lender_shards = Some(lender_shards);
-        self
-    }
-
     /// A fully deterministic configuration for the virtual-clock fleet
     /// simulator ([`sim::simulate_fleet`](crate::sim::simulate_fleet)): the
     /// LAN network profile (2 ms latency, 1 ms jitter, 100 ms heartbeats,
@@ -249,15 +228,6 @@ impl PandoConfig {
             run: RunConfig { clock: Clock::virtual_clock() },
             ..Self::default()
         }
-    }
-
-    /// The lender shard count actually used by the master: the explicit
-    /// [`ReactorConfig::lender_shards`] if set, otherwise
-    /// `min(threads, 4)` — more shards than reactor threads cannot
-    /// dispatch concurrently, and beyond four the splitter serialisation
-    /// dominates.
-    pub fn effective_lender_shards(&self) -> usize {
-        self.reactor.lender_shards.unwrap_or(self.reactor.threads.min(4)).max(1)
     }
 }
 
@@ -285,7 +255,7 @@ mod tests {
     fn sub_configs_compose_with_struct_update() {
         let config = PandoConfig {
             batch_size: 16,
-            reactor: ReactorConfig { threads: 8, ..ReactorConfig::default() },
+            reactor: ReactorConfig { threads: 8 },
             ..PandoConfig::default()
         };
         assert_eq!(config.batch_size, 16);
@@ -311,23 +281,6 @@ mod tests {
     #[should_panic(expected = "reactor threads")]
     fn zero_reactor_threads_is_rejected() {
         let _ = PandoConfig::local_test().with_reactor_threads(0);
-    }
-
-    #[test]
-    fn lender_shards_derive_from_the_reactor_pool() {
-        let config = PandoConfig::local_test();
-        assert_eq!(config.reactor.lender_shards, None);
-        assert_eq!(config.effective_lender_shards(), 2, "min(reactor_threads = 2, 4)");
-        let config = config.with_reactor_threads(8);
-        assert_eq!(config.effective_lender_shards(), 4, "derived shards cap at 4");
-        let config = config.with_lender_shards(6);
-        assert_eq!(config.effective_lender_shards(), 6, "an explicit count wins");
-    }
-
-    #[test]
-    #[should_panic(expected = "lender shards")]
-    fn zero_lender_shards_is_rejected() {
-        let _ = PandoConfig::local_test().with_lender_shards(0);
     }
 
     #[test]

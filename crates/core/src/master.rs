@@ -111,8 +111,7 @@ impl Pando {
 
     /// Takes the next join index and registers `volunteer-{index}` under one
     /// hold of the state lock, so clones of one deployment opening channels
-    /// concurrently never share a name (one meter row, one shard hash) or a
-    /// jitter seed.
+    /// concurrently never share a name (one meter row) or a jitter seed.
     fn open_channel(&self, channel: impl FnOnce(u64) -> ChannelConfig) -> Endpoint<Message> {
         let mut state = self.state.lock();
         let index = state.volunteers_connected;
@@ -140,11 +139,10 @@ impl Pando {
         }
     }
 
-    /// Wires one volunteer endpoint to a fresh sub-stream on one lender shard
-    /// (volunteer id hash → shard; see [`shard_for_volunteer`]) and registers
-    /// the pair on the shared reactor, creating the pool (and attaching it to
-    /// the lender) on first use (paper Figures 7 and 9, with protocol-level
-    /// batching on top).
+    /// Wires one volunteer endpoint to a fresh sub-stream of the lender and
+    /// registers the pair on the shared reactor, creating the pool (and
+    /// attaching it to the lender) on first use (paper Figures 7 and 9, with
+    /// protocol-level batching on top).
     fn wire_volunteer(
         &self,
         state: &mut MasterState,
@@ -157,9 +155,7 @@ impl Pando {
             reactor.attach_lender(lender);
             reactor
         });
-        let shard = shard_for_volunteer(lender, name);
-        let sub = lender.lend_on(shard);
-        let link = reactor.register(name, shard, endpoint, sub, &self.config, &self.meter);
+        let link = reactor.register(name, endpoint, lender.lend_on(0), &self.config, &self.meter);
         state.links.push(link);
     }
 
@@ -176,14 +172,6 @@ impl Pando {
         self.state.lock().reactor.clone()
     }
 
-    /// The claim log of the underlying sharded lender (chunk index → owning
-    /// shard, in claim order), if the run has started. Under the
-    /// deterministic simulator this sequence is identical across same-seed
-    /// runs; see [`ShardedLender::claim_log`].
-    pub fn claim_log(&self) -> Option<Vec<usize>> {
-        self.state.lock().lender.as_ref().map(ShardedLender::claim_log)
-    }
-
     /// Number of volunteers that have connected so far (including ones that
     /// have since left or crashed).
     #[cfg(test)]
@@ -191,16 +179,9 @@ impl Pando {
         self.state.lock().volunteers_connected
     }
 
-    /// Aggregated statistics of the underlying lender shards, if the run has
-    /// started.
+    /// Statistics of the lender, if the run has started.
     pub fn lender_stats(&self) -> Option<LenderStats> {
         self.state.lock().lender.as_ref().map(ShardedLender::stats)
-    }
-
-    /// Per-shard lender statistics, if the run has started. Index `i` is
-    /// shard `i`; a single-shard deployment reports one row.
-    pub fn shard_stats(&self) -> Option<Vec<LenderStats>> {
-        self.state.lock().lender.as_ref().map(ShardedLender::shard_stats)
     }
 
     /// Attaches the binary input stream and returns the ordered output
@@ -218,11 +199,9 @@ impl Pando {
     pub fn run(&self, input: impl Source<Bytes> + 'static) -> ShardedOutput<Bytes, Bytes> {
         let mut state = self.state.lock();
         assert!(state.lender.is_none(), "a Pando deployment runs a single stream");
-        let lender = ShardedLender::new(
-            input,
-            self.config.effective_lender_shards(),
-            self.config.batch_size,
-        );
+        // One shard: the paper's single StreamLender. The sharded type stays
+        // until the benchmark's shard row moves off it (ROADMAP item 12).
+        let lender = ShardedLender::new(input, 1, self.config.batch_size);
         let pending: Vec<(String, Arc<dyn Transport>)> = state.pending.drain(..).collect();
         for (name, endpoint) in pending {
             self.wire_volunteer(&mut state, &lender, &name, endpoint);
@@ -272,34 +251,6 @@ impl Pando {
             let _ = link.join();
         }
     }
-}
-
-/// Picks the lender shard a joining volunteer is pinned to: the hash of its
-/// id spreads a fleet uniformly, but a shard left without any device (none
-/// hashed there yet, or its devices crashed away while it still holds
-/// values) takes priority — deepest backlog first — so no shard's work ever
-/// waits for the hash to land on it.
-fn shard_for_volunteer(lender: &ShardedLender<Bytes, Bytes>, name: &str) -> usize {
-    let shards = lender.shard_count();
-    if shards == 1 {
-        return 0;
-    }
-    let mut rescue: Option<(usize, usize)> = None;
-    for shard in 0..shards {
-        if lender.shard_active_substreams(shard) == 0 {
-            let backlog = lender.shard_depth(shard);
-            if rescue.map(|(_, deepest)| backlog > deepest).unwrap_or(true) {
-                rescue = Some((shard, backlog));
-            }
-        }
-    }
-    if let Some((shard, _)) = rescue {
-        return shard;
-    }
-    use std::hash::{Hash, Hasher};
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    name.hash(&mut hasher);
-    (hasher.finish() % shards as u64) as usize
 }
 
 #[cfg(test)]
@@ -492,7 +443,7 @@ mod tests {
         let state = pando.state.lock();
         let names: std::collections::HashSet<&str> =
             state.pending.iter().map(|(name, _)| name.as_str()).collect();
-        assert_eq!(names.len(), 800, "two devices must never share a meter row and shard hash");
+        assert_eq!(names.len(), 800, "two devices must never share a meter row");
     }
 
     #[test]

@@ -129,9 +129,8 @@ impl ThroughputMeter {
     }
 
     /// The handle on the counters of lender shard `shard`; like
-    /// [`ThroughputMeter::device`], looked up once by whoever feeds it (and
-    /// again by a driver that hops shards). A shard nothing was recorded on
-    /// renders no row.
+    /// [`ThroughputMeter::device`], looked up once by whoever feeds it. A
+    /// shard nothing was recorded on renders no row.
     pub fn shard(&self, shard: usize) -> ShardMeter {
         ShardMeter(self.cells.lock().shards.entry(shard).or_default().clone())
     }

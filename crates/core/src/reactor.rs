@@ -4,7 +4,8 @@
 //! cap one master at low thousands of volunteers. This module drives them
 //! with an epoll-style reactor instead: a small fixed pool of
 //! [`ReactorConfig::threads`](crate::config::ReactorConfig::threads) OS
-//! threads multiplexes dispatch *and* receive for all volunteers.
+//! threads multiplexes dispatch *and* receive for all volunteers, all
+//! borrowing from the master's one lender shard.
 //!
 //! The moving parts:
 //!
@@ -17,40 +18,27 @@
 //!   suspicions that mature later ([`Endpoint::next_ready_at`](pando_netsim::channel::Endpoint::next_ready_at)) and heartbeat
 //!   deadlines are re-polled via a monotonic timer heap; reactor threads
 //!   sleep exactly until the earliest deadline.
-//! * **Per-shard starved sets with bounded kicks** — every driver is pinned
-//!   to one lender shard ([`ShardedLender`]); a driver with free window
-//!   slots but no lendable value parks in its *shard's* starved set, and the
-//!   shard's change waker ([`ShardedLender::add_shard_waker`]) kicks that
-//!   set only when a value became lendable there (a staged or parked value,
-//!   a re-lend after a crash) or the shard can no longer lend. A value kick
-//!   is *wake-limited*: it wakes at most `min(parked, shard lendable depth)`
-//!   drivers (never fewer than one), so a single staged value does not
-//!   thunder the whole herd of parked drivers awake; a termination kick
-//!   wakes them all, since each must see `Done` to hop or close. The set is
-//!   an ordered map keyed by park sequence number:
-//!   a kick pops the longest-parked drivers off its front, and a driver that
-//!   exits or hops removes its own key — like the registration-id map of
-//!   live drivers, it is never scanned, so a volunteer leaves in
-//!   O(log fleet). An epoch counter per shard closes the register-vs-notify
-//!   race, and a per-shard heartbeat-interval *backstop timer* re-kicks any
-//!   shard that still has lendable work and parked drivers, so a lost or
-//!   under-counted wake can delay a driver by at most one interval. A driver
-//!   whose shard drains while another shard still holds work re-lends
-//!   itself there (*shard hopping*), so crashes can never strand values on a
-//!   device-less shard; it leaves the old shard's starved set as it goes, so
-//!   it parks where it now borrows.
-//! * **Shard affinity** — the ready queue is segmented per shard: a wake
-//!   enqueues the driver on its shard's FIFO, and pool thread `t` prefers
-//!   the queue of shard `t % shards` before stealing from the others in
-//!   wrap-around order. Drivers of one shard are therefore mostly polled by
-//!   the same thread (warm lender locks and caches) while the stealing
-//!   fallback keeps every thread work-conserving.
-//! * **Per-shard input pumps** — reactor threads never block, but some
-//!   inputs only answer blocking pulls (interactive queues, feedback
-//!   loops). One dedicated pump thread per shard calls
-//!   [`ShardedLender::prefetch_shard`] while that shard's starved drivers
-//!   demand input, staging values for non-blocking asks. These are the
-//!   `+ shards` constant threads of the design.
+//! * **A starved set with credit-sized kicks** — a driver with free window
+//!   slots but no lendable value parks in the starved set, recording how
+//!   many slots it has free, and the lender's change waker
+//!   ([`ShardedLender::add_shard_waker`]) kicks the set only when a value
+//!   became lendable (a staged value, a re-lend after a crash) or the lender
+//!   can no longer lend. A value kick wakes the longest-parked drivers until
+//!   their free slots cover the lendable depth, so a single staged value
+//!   does not thunder the whole herd of parked drivers awake, and two values
+//!   wake one driver with room for both; a termination kick wakes them all,
+//!   since each must see `Done` to close. The set is an ordered map keyed by
+//!   park sequence number: a kick pops the longest-parked drivers off its
+//!   front, and a driver that exits removes its own key — like the
+//!   registration-id map of live drivers, it is never scanned, so a
+//!   volunteer leaves in O(log fleet). A kick epoch closes the
+//!   register-vs-notify race. A driver left parked by a kick is re-polled
+//!   by its own heartbeat timer, which every pending driver books.
+//! * **One input pump** — reactor threads never block, but some inputs only
+//!   answer blocking pulls (interactive queues, feedback loops). One
+//!   dedicated pump thread calls [`ShardedLender::prefetch_shard`] while
+//!   starved drivers demand input, staging values for non-blocking asks.
+//!   It is the `+ 1` constant thread of the design.
 //!
 //! Dispatch batches: values are coalesced up to the free window and the
 //! [`MAX_FRAME_LEN`] byte budget, window slots bound the in-flight count
@@ -65,10 +53,10 @@
 //! clock the reactor is the thread pool described above. With a *virtual*
 //! clock ([`PandoConfig::deterministic`](crate::config::PandoConfig::deterministic))
 //! it spawns **no threads at all**: an external single-threaded scheduler
-//! pops one driver at a time with [`Reactor::step`], pumps starved shards
-//! synchronously with [`Reactor::pump_starved`], and advances the virtual
-//! clock to [`Reactor::next_timer_at`] when the ready queue runs dry. Both
-//! modes share the same poll function, so the inline path exercises exactly
+//! pops one driver at a time with [`Reactor::step`], pumps the input for
+//! starved drivers synchronously with [`Reactor::pump_starved`], and
+//! advances the virtual clock to [`Reactor::next_timer_at`] when the ready
+//! queue runs dry. Both modes share the same poll function, so the inline path exercises exactly
 //! the production state machines — which is what lets the fleet simulator
 //! ([`crate::sim::simulate_fleet`]) replay 10 000-volunteer runs
 //! tick-for-tick reproducibly.
@@ -135,21 +123,15 @@ pub struct ReactorStats {
     pub timer_fires: u64,
     /// High-water mark of the ready queue depth.
     pub max_ready_depth: u64,
-    /// Values read ahead by the input pumps on behalf of starved drivers,
-    /// summed across shards.
+    /// Values read ahead by the input pump on behalf of starved drivers.
     pub pump_prefetches: u64,
-    /// Lender shards (= starved sets = input pumps) this reactor serves.
-    pub shards: usize,
-    /// Times a driver whose shard drained re-lent itself onto another shard
-    /// that still had pending work (end-game rebalancing / crash rescue).
-    pub shard_hops: u64,
     /// Driver polls that made no progress: nothing received, nothing
     /// dispatched, no heartbeat sent. The cost of over-waking; bounded kicks
     /// exist to keep this low.
     pub wasted_polls: u64,
-    /// Starved drivers actually woken by lender kicks (bounded by the
-    /// shard's lendable depth per value kick; every parked driver on a
-    /// termination kick).
+    /// Starved drivers actually woken by lender kicks (as many as it takes
+    /// for their free window slots to cover the lendable depth per value
+    /// kick; every parked driver on a termination kick).
     pub kicks_sent: u64,
     /// Starved drivers left parked by wake-limited kicks (a broadcast
     /// would have woken them for nothing).
@@ -169,29 +151,18 @@ struct Stats {
     timer_fires: AtomicU64,
     max_ready_depth: AtomicU64,
     pump_prefetches: AtomicU64,
-    shard_hops: AtomicU64,
     wasted_polls: AtomicU64,
     kicks_sent: AtomicU64,
     kicks_suppressed: AtomicU64,
     crash_relends: AtomicU64,
 }
 
-/// What a timer heap entry re-schedules when its deadline passes.
-enum TimerTask {
-    /// Re-poll one driver (delayed frame, crash suspicion, heartbeat).
-    Driver(Weak<Driver>),
-    /// Liveness backstop for one shard: re-kick it if it still has lendable
-    /// work and parked drivers (see [`Inner::kick_starved`] — bounded wakes
-    /// may leave drivers parked, and this timer guarantees none stays parked
-    /// past a heartbeat interval while work is available).
-    Backstop(usize),
-}
-
-/// A timer heap entry; ordered by deadline through `Reverse` so the
-/// `BinaryHeap` pops the earliest first.
+/// A timer heap entry: re-poll one driver (delayed frame, crash suspicion,
+/// heartbeat). Ordered by deadline through `Reverse` so the `BinaryHeap`
+/// pops the earliest first.
 struct Timer {
     at: Instant,
-    task: TimerTask,
+    driver: Weak<Driver>,
 }
 
 impl PartialEq for Timer {
@@ -211,10 +182,10 @@ impl Ord for Timer {
     }
 }
 
-/// One shard's parked drivers, keyed by a park sequence number taken under
-/// the set's lock: iteration order is park order, so a kick pops the
-/// longest-parked drivers and a driver that leaves (exit or shard hop)
-/// removes its own key ([`Driver::unpark`]) — neither scans the set.
+/// The parked drivers, keyed by a park sequence number taken under the
+/// set's lock: iteration order is park order, so a kick pops the
+/// longest-parked drivers and a driver that exits removes its own key
+/// ([`Driver::unpark`]) — neither scans the set.
 #[derive(Default)]
 struct StarvedSet {
     last_seq: u64,
@@ -230,90 +201,36 @@ impl StarvedSet {
     }
 }
 
-/// Per-shard scheduling state: each lender shard has its own starved set,
-/// kick epoch and pump signal, so a result arriving on shard 0 never wakes
-/// (or contends with) the starved drivers of shard 3.
-struct ShardSlot {
-    starved: Mutex<StarvedSet>,
-    /// Bumped by every kick *request* of this shard; closes the
-    /// starve-vs-notify race.
-    kick_epoch: AtomicU64,
-    /// A shard waker fired and the bounded kick has not run yet. The waker
-    /// contract forbids calling back into the lender, so wakers only set
-    /// this flag ([`Inner::request_kick`]) and scheduler threads execute the
-    /// kick ([`Inner::drain_kicks`]) where no lender locks are held.
-    pending_kick: AtomicBool,
-    /// Whether a [`TimerTask::Backstop`] entry for this shard is already on
-    /// the timer heap (armed when a driver parks, re-armed on fire while
-    /// drivers remain parked; one entry per shard at a time).
-    backstop_armed: AtomicBool,
-    /// Set once a prefetch for this shard answered `false`: the shard will
-    /// never receive another value, so the inline pump stops asking (the
-    /// threaded [`pump_loop`] parks until shutdown instead).
-    input_ended: AtomicBool,
-    /// Signals the shard's input pump that a driver starved. The pump itself
-    /// decides whether to read ahead (see [`pump_loop`]); the mutex carries
-    /// no data.
-    demand: Mutex<()>,
-    demand_cond: Condvar,
-}
-
-impl ShardSlot {
-    fn new() -> Self {
-        Self {
-            starved: Mutex::new(StarvedSet::default()),
-            kick_epoch: AtomicU64::new(0),
-            pending_kick: AtomicBool::new(false),
-            backstop_armed: AtomicBool::new(false),
-            input_ended: AtomicBool::new(false),
-            demand: Mutex::new(()),
-            demand_cond: Condvar::new(),
-        }
-    }
-}
-
-/// The ready queue, segmented per lender shard for affinity: a wake pushes
-/// the driver onto its shard's FIFO, and every pop scans the segments
-/// starting at the popping thread's preferred shard (work stealing in
-/// wrap-around order keeps threads busy when their own shard is quiet).
-struct ReadyState {
-    queues: Vec<VecDeque<Arc<Driver>>>,
-    /// Total queued drivers across all segments.
-    len: usize,
-}
-
-impl ReadyState {
-    fn pop_preferring(&mut self, prefer: usize) -> Option<Arc<Driver>> {
-        let shards = self.queues.len();
-        for offset in 0..shards {
-            if let Some(driver) = self.queues[(prefer + offset) % shards].pop_front() {
-                self.len -= 1;
-                return Some(driver);
-            }
-        }
-        None
-    }
-}
-
 struct Inner {
     /// The clock every timer deadline, heartbeat decision and failure
     /// suspicion is measured on. Wall for the threaded pool; virtual in
     /// inline mode, advanced by the external scheduler.
     clock: Clock,
-    ready: Mutex<ReadyState>,
+    ready: Mutex<VecDeque<Arc<Driver>>>,
     ready_cond: Condvar,
     timers: Mutex<BinaryHeap<Reverse<Timer>>>,
-    /// Cadence of the per-shard liveness backstop (the channel's heartbeat
-    /// interval): the longest a parked driver can wait while its shard has
-    /// lendable work, whatever happens to individual kicks.
-    backstop_interval: std::time::Duration,
     /// Set once [`Reactor::attach_lender`] ran (it must be idempotent).
     attached: AtomicBool,
-    /// One slot per lender shard (starved set + kick epoch + pump signal).
-    shards: Vec<ShardSlot>,
-    /// The deployment's sharded lender, installed by
-    /// [`Reactor::attach_lender`]; drivers use it to re-lend themselves onto
-    /// a shard that still has work once their own shard drains.
+    /// Drivers with free window slots and nothing to take.
+    starved: Mutex<StarvedSet>,
+    /// Bumped by every kick *request*; closes the starve-vs-notify race.
+    kick_epoch: AtomicU64,
+    /// The lender's waker fired and the kick has not run yet. The waker
+    /// contract forbids calling back into the lender, so the waker only sets
+    /// this flag ([`Inner::request_kick`]) and scheduler threads execute the
+    /// kick ([`Inner::drain_kicks`]) where no lender locks are held.
+    pending_kick: AtomicBool,
+    /// Set once a prefetch answered `false`: the lender will never receive
+    /// another value, so the inline pump stops asking (the threaded
+    /// [`pump_loop`] parks until shutdown instead).
+    input_ended: AtomicBool,
+    /// Signals the input pump that a driver starved. The pump itself
+    /// decides whether to read ahead (see [`pump_loop`]); the mutex carries
+    /// no data.
+    demand: Mutex<()>,
+    demand_cond: Condvar,
+    /// The deployment's lender, installed by [`Reactor::attach_lender`];
+    /// kicks read its lendable depth.
     lender: Mutex<Option<ShardedLender<Bytes, Bytes>>>,
     /// Live drivers by registration id, kept so shutdown can force-finish
     /// them (in registration order).
@@ -327,15 +244,13 @@ impl Inner {
         self.timers.lock().peek().map(|Reverse(timer)| timer.at)
     }
 
-    /// Pops and fires every timer whose deadline has passed: driver timers
-    /// re-queue their driver, backstop timers re-kick their shard if it
-    /// still has lendable work and parked drivers. A driver entry fires only
-    /// if it still holds the driver's booking: one superseded by an earlier
-    /// deadline is dropped, uncounted, so it can neither wake the driver nor
-    /// clear the booking that replaced it.
+    /// Pops and fires every timer whose deadline has passed, re-queueing its
+    /// driver. An entry fires only if it still holds the driver's booking:
+    /// one superseded by an earlier deadline is dropped, uncounted, so it can
+    /// neither wake the driver nor clear the booking that replaced it.
     fn fire_due_timers(&self, now: Instant) {
         loop {
-            let Timer { at, task } = {
+            let Timer { at, driver } = {
                 let mut timers = self.timers.lock();
                 match timers.peek() {
                     Some(Reverse(timer)) if timer.at <= now => {
@@ -344,51 +259,16 @@ impl Inner {
                     _ => return,
                 }
             };
-            match task {
-                TimerTask::Driver(weak) => {
-                    let Some(driver) = weak.upgrade() else { continue };
-                    let mut scheduled = driver.scheduled_at.lock();
-                    if driver.finished.fired() || *scheduled != Some(at) {
-                        continue;
-                    }
-                    *scheduled = None;
-                    drop(scheduled);
-                    self.stats.timer_fires.fetch_add(1, Ordering::Relaxed);
-                    wake(self, &driver);
-                }
-                TimerTask::Backstop(shard) => {
-                    let slot = &self.shards[shard];
-                    slot.backstop_armed.store(false, Ordering::SeqCst);
-                    if slot.starved.lock().parked.is_empty() {
-                        // Nobody is parked; the next park re-arms the timer.
-                        continue;
-                    }
-                    self.stats.timer_fires.fetch_add(1, Ordering::Relaxed);
-                    let lendable = self
-                        .lender
-                        .lock()
-                        .as_ref()
-                        .map(|lender| lender.shard_depth(shard))
-                        .unwrap_or(0);
-                    if lendable > 0 {
-                        self.kick_starved(shard);
-                    }
-                    self.arm_backstop(shard, now + self.backstop_interval);
-                }
+            let Some(driver) = driver.upgrade() else { continue };
+            let mut scheduled = driver.scheduled_at.lock();
+            if driver.finished.fired() || *scheduled != Some(at) {
+                continue;
             }
+            *scheduled = None;
+            drop(scheduled);
+            self.stats.timer_fires.fetch_add(1, Ordering::Relaxed);
+            wake(self, &driver);
         }
-    }
-
-    /// Books a liveness-backstop timer for `shard` unless one is already
-    /// pending (at most one heap entry per shard).
-    fn arm_backstop(&self, shard: usize, at: Instant) {
-        let slot = &self.shards[shard];
-        if slot.backstop_armed.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        self.timers.lock().push(Reverse(Timer { at, task: TimerTask::Backstop(shard) }));
-        // A sleeping pool thread may need to shorten its wait.
-        self.wake_sleeper();
     }
 
     /// Wakes one sleeping pool thread after a change it did not see under
@@ -401,69 +281,61 @@ impl Inner {
         self.ready_cond.notify_one();
     }
 
-    /// The shard-waker entry point: records that `shard` changed and needs a
-    /// kick, without touching the lender. Wakers fire with lender/splitter
+    /// The lender-waker entry point: records that the lender changed and
+    /// needs a kick, without touching it. Wakers fire with lender/splitter
     /// internals locked (and their contract forbids re-entering the lender),
-    /// so the budget computation of [`Inner::kick_starved`] cannot run here —
-    /// a scheduler thread picks the flag up via [`Inner::drain_kicks`]. The
-    /// epoch bump happens *now* so a driver racing into its starved set
+    /// so the depth read of [`Inner::kick_starved`] cannot run here — a
+    /// scheduler thread picks the flag up via [`Inner::drain_kicks`]. The
+    /// epoch bump happens *now* so a driver racing into the starved set
     /// observes the change and re-polls (see [`poll_driver`]).
-    fn request_kick(&self, shard: usize) {
-        let slot = &self.shards[shard];
-        slot.kick_epoch.fetch_add(1, Ordering::SeqCst);
-        slot.pending_kick.store(true, Ordering::SeqCst);
+    fn request_kick(&self) {
+        self.kick_epoch.fetch_add(1, Ordering::SeqCst);
+        self.pending_kick.store(true, Ordering::SeqCst);
         // One sleeper, if any, runs the kick.
         self.wake_sleeper();
     }
 
-    /// True if any shard has a kick requested but not yet executed.
-    fn has_pending_kicks(&self) -> bool {
-        self.shards.iter().any(|slot| slot.pending_kick.load(Ordering::SeqCst))
-    }
-
-    /// Executes every requested kick. Called from scheduler context only
+    /// Executes a requested kick. Called from scheduler context only
     /// (pool-thread loop top and the inline [`Reactor::step`]) where no
     /// lender or splitter lock is held, so [`Inner::kick_starved`] may query
-    /// shard depths freely.
+    /// the lendable depth freely.
     fn drain_kicks(&self) {
-        for shard in 0..self.shards.len() {
-            if self.shards[shard].pending_kick.swap(false, Ordering::SeqCst) {
-                self.kick_starved(shard);
-            }
+        if self.pending_kick.swap(false, Ordering::SeqCst) {
+            self.kick_starved();
         }
     }
 
-    /// Moves starved drivers of `shard` back onto the ready queue — at most
-    /// as many as the shard could serve right now. Runs in scheduler context
-    /// on behalf of the shard's change waker (see [`Inner::request_kick`]),
-    /// which fires only when a value became lendable there or the shard can
-    /// no longer lend.
+    /// Moves starved drivers back onto the ready queue — as many as the
+    /// lender could serve right now. Runs in scheduler context on behalf of
+    /// the lender's change waker (see [`Inner::request_kick`]), which fires
+    /// only when a value became lendable or the lender can no longer lend.
     ///
-    /// A value kick's budget is `min(parked, max(lendable depth, 1))`: one
-    /// staged value wakes one driver instead of the whole set. A
-    /// termination kick — the shard has nothing staged, nothing in flight,
-    /// or was shut down — wakes every parked driver, since each must see
-    /// `Done` to hop or close. Drivers left parked are covered three ways:
-    /// the next kick, every parked driver's own heartbeat timer, and the
-    /// per-shard backstop timer that re-kicks a shard that still has
-    /// lendable work. The set is popped from the front — park order — and a
-    /// dead `Weak` met there is dropped without costing budget.
-    fn kick_starved(&self, shard: usize) {
-        let slot = &self.shards[shard];
-        slot.kick_epoch.fetch_add(1, Ordering::SeqCst);
-        let budget = match self.lender.lock().as_ref() {
-            Some(lender) if lender.shard_needs_help(shard) => lender.shard_depth(shard).max(1),
+    /// A value kick pops drivers until the free window slots they recorded
+    /// when they parked cover the lendable depth (at least one value): one
+    /// staged value wakes one driver, and so do two staged values when that
+    /// driver has room for both. A termination kick — nothing staged,
+    /// nothing in flight, or shut down — wakes every parked driver, since
+    /// each must see `Done` to close. A driver left parked is re-polled by
+    /// the next kick or by its own heartbeat timer. The set is popped from
+    /// the front — park order — and a dead `Weak` met there is dropped
+    /// without covering anything.
+    fn kick_starved(&self) {
+        self.kick_epoch.fetch_add(1, Ordering::SeqCst);
+        let lendable = match self.lender.lock().as_ref() {
+            Some(lender) if lender.shard_needs_help(0) => Some(lender.shard_depth(0).max(1)),
             // Termination, or no lender attached (bare reactor): nothing to
             // bound by.
-            _ => usize::MAX,
+            _ => None,
         };
         let mut woken: Vec<Arc<Driver>> = Vec::new();
         let suppressed = {
-            let mut starved = slot.starved.lock();
-            while woken.len() < budget {
+            let mut starved = self.starved.lock();
+            let mut covered = 0;
+            while lendable.is_none_or(|depth| covered < depth) {
                 let Some((_, weak)) = starved.parked.pop_first() else { break };
                 if let Some(driver) = weak.upgrade() {
                     driver.park_seq.store(0, Ordering::SeqCst);
+                    covered += driver.parked_credits.load(Ordering::Relaxed);
                     woken.push(driver);
                 }
             }
@@ -476,29 +348,9 @@ impl Inner {
         }
     }
 
-    fn signal_pump(&self, shard: usize) {
-        let slot = &self.shards[shard];
-        let demand = slot.demand.lock();
-        drop(demand);
-        slot.demand_cond.notify_one();
-    }
-
-    /// A shard other than `from` that still has work a fresh sub-stream
-    /// could progress (values awaiting re-lend, parked in the splitter, or
-    /// in flight on a crashable borrower). Prefers the deepest backlog.
-    fn hop_target(&self, from: usize) -> Option<usize> {
-        let lender = self.lender.lock().clone()?;
-        let mut best: Option<(usize, usize)> = None;
-        for shard in 0..lender.shard_count() {
-            if shard == from || !lender.shard_needs_help(shard) {
-                continue;
-            }
-            let backlog = lender.shard_depth(shard) + lender.shard_in_flight(shard);
-            if best.map(|(_, deepest)| backlog > deepest).unwrap_or(true) {
-                best = Some((shard, backlog));
-            }
-        }
-        best.map(|(shard, _)| shard)
+    fn signal_pump(&self) {
+        drop(self.demand.lock());
+        self.demand_cond.notify_one();
     }
 }
 
@@ -518,11 +370,9 @@ fn wake(inner: &Inner, driver: &Arc<Driver>) {
         if driver.sched.compare_exchange(state, target, Ordering::SeqCst, Ordering::SeqCst).is_ok()
         {
             if enqueue {
-                let shard = driver.shard.load(Ordering::Relaxed);
                 let mut ready = inner.ready.lock();
-                ready.queues[shard].push_back(driver.clone());
-                ready.len += 1;
-                let depth = ready.len as u64;
+                ready.push_back(driver.clone());
+                let depth = ready.len() as u64;
                 drop(ready);
                 inner.stats.wakeups.fetch_add(1, Ordering::Relaxed);
                 inner.stats.max_ready_depth.fetch_max(depth, Ordering::Relaxed);
@@ -539,20 +389,15 @@ struct Driver {
     id: u64,
     name: String,
     endpoint: Arc<dyn Transport>,
-    /// Where a shard hop looks its new shard's cell up; every record goes
-    /// through a held handle (`device`, [`DriverIo::shard_meter`]).
-    meter: ThroughputMeter,
     device: DeviceMeter,
-    /// Lender shard this driver currently borrows from. Pinned at
-    /// registration (volunteer id hash → shard, with an override for shards
-    /// left without devices); changes only when the driver hops to a shard
-    /// that still has work after its own drained.
-    shard: AtomicUsize,
     sched: AtomicU8,
-    /// This driver's key in its shard's starved set, 0 while it is not
-    /// parked. Set by the park in [`poll_driver`] and cleared by the kick
-    /// that pops the entry, both under the set's lock.
+    /// This driver's key in the starved set, 0 while it is not parked. Set
+    /// by the park in [`poll_driver`] and cleared by the kick that pops the
+    /// entry, both under the set's lock.
     park_seq: AtomicU64,
+    /// Free window slots at the last poll that starved: what a kick counts
+    /// this driver as able to take.
+    parked_credits: AtomicUsize,
     /// Earliest timer currently scheduled for this driver, to avoid flooding
     /// the heap with duplicates; a heap entry for any other instant is
     /// superseded and fires nothing.
@@ -564,7 +409,7 @@ struct Driver {
 
 struct DriverIo {
     sub: SubStream<Bytes, Bytes>,
-    /// The meter cell of the shard `sub` belongs to.
+    /// The lender's meter cell (borrows and accepted results).
     shard_meter: ShardMeter,
     /// Free in-flight window slots: the paper's `pull-limit` at `batch_size`,
     /// and the only place it is enforced. One is consumed per dispatched
@@ -715,12 +560,12 @@ impl Driver {
                     if io.credits == 0 {
                         break;
                     }
-                    let shard = self.shard.load(Ordering::Relaxed);
-                    let epoch = inner.shards[shard].kick_epoch.load(Ordering::SeqCst);
+                    let epoch = inner.kick_epoch.load(Ordering::SeqCst);
                     match io.sub.poll_task() {
                         None => {
                             starved = true;
                             starve_epoch = epoch;
+                            self.parked_credits.store(io.credits, Ordering::Relaxed);
                             break;
                         }
                         Some(Answer::Value(lend)) => {
@@ -728,27 +573,9 @@ impl Driver {
                             Record::new(lend.seq, lend.value)
                         }
                         Some(Answer::Done) | Some(Answer::Err(_)) => {
-                            // This shard will never lend again. Before
-                            // closing the channel, try to re-lend the driver
-                            // onto a shard that still has work (a crash may
-                            // have orphaned values there, or its devices may
-                            // simply be slower): end-game rebalancing that
-                            // keeps every volunteer busy until the whole
-                            // stream drains.
-                            if let Some(target) = inner.hop_target(shard) {
-                                let lender =
-                                    inner.lender.lock().clone().expect("hop target implies lender");
-                                io.sub.end(SubStreamEnd::Completed);
-                                self.unpark(inner);
-                                io.sub = lender.lend_on(target);
-                                io.shard_meter = self.meter.shard(target);
-                                self.shard.store(target, Ordering::Relaxed);
-                                inner.stats.shard_hops.fetch_add(1, Ordering::Relaxed);
-                                progressed = true;
-                                continue;
-                            }
-                            // The task flow is over; the channel half-closes
-                            // and receive drains the remaining results.
+                            // The lender will never lend again: the task flow
+                            // is over; the channel half-closes and receive
+                            // drains the remaining results.
                             self.endpoint.close();
                             io.dispatch_done = true;
                             progressed = true;
@@ -829,16 +656,12 @@ impl Driver {
         PollOutcome::Terminal
     }
 
-    /// Takes this driver's own entry, if it has one, out of its current
-    /// shard's starved set. Called by the poll that ends the session or, just
-    /// before `shard` changes, hops: a kick of the shard left behind would
-    /// otherwise spend budget on the stale entry while the new shard's kicks
-    /// and pump signal miss the driver.
+    /// Takes this driver's own entry, if it has one, out of the starved set.
+    /// Called by the poll that ends the session.
     fn unpark(&self, inner: &Inner) {
         let seq = self.park_seq.swap(0, Ordering::SeqCst);
         if seq != 0 {
-            let shard = self.shard.load(Ordering::Relaxed);
-            inner.shards[shard].starved.lock().parked.remove(&seq);
+            inner.starved.lock().parked.remove(&seq);
         }
     }
 }
@@ -881,14 +704,13 @@ impl DriverHandle {
 pub struct Reactor {
     inner: Arc<Inner>,
     threads: Mutex<Vec<JoinHandle<()>>>,
-    /// One input pump per lender shard, spawned by
-    /// [`Reactor::attach_lender`].
-    pumps: Mutex<Vec<JoinHandle<()>>>,
+    /// The input pump, spawned by [`Reactor::attach_lender`].
+    pump: Mutex<Option<JoinHandle<()>>>,
     thread_count: usize,
     /// Inline mode: no threads at all. An external single-threaded scheduler
     /// steps the ready queue ([`Reactor::step`]), fires timers by advancing
-    /// the virtual clock, and pumps starved shards synchronously
-    /// ([`Reactor::pump_starved`]). Selected by a virtual
+    /// the virtual clock, and pumps the input for starved drivers
+    /// synchronously ([`Reactor::pump_starved`]). Selected by a virtual
     /// [`PandoConfig::clock`]; the basis of the deterministic fleet
     /// simulator in [`crate::sim`].
     inline: bool,
@@ -904,25 +726,24 @@ impl std::fmt::Debug for Reactor {
 }
 
 impl Reactor {
-    /// Starts a reactor laid out for `config.effective_lender_shards()`
-    /// lender shards: a pool of `config.reactor.threads` OS threads on the
-    /// wall clock, or — when [`RunConfig::clock`](crate::config::RunConfig::clock) is virtual — an *inline*
+    /// Starts a reactor: a pool of `config.reactor.threads` OS threads on
+    /// the wall clock, or — when [`RunConfig::clock`](crate::config::RunConfig::clock) is virtual — an *inline*
     /// reactor with no threads at all, stepped externally through
     /// [`Reactor::step`].
     pub fn new(config: &PandoConfig) -> Self {
-        let shard_count = config.effective_lender_shards();
         let inline = config.run.clock.is_virtual();
         let inner = Arc::new(Inner {
             clock: config.run.clock.clone(),
-            ready: Mutex::new(ReadyState {
-                queues: (0..shard_count).map(|_| VecDeque::new()).collect(),
-                len: 0,
-            }),
+            ready: Mutex::new(VecDeque::new()),
             ready_cond: Condvar::new(),
             timers: Mutex::new(BinaryHeap::new()),
-            backstop_interval: config.transport.channel.heartbeat_interval,
             attached: AtomicBool::new(false),
-            shards: (0..shard_count).map(|_| ShardSlot::new()).collect(),
+            starved: Mutex::new(StarvedSet::default()),
+            kick_epoch: AtomicU64::new(0),
+            pending_kick: AtomicBool::new(false),
+            input_ended: AtomicBool::new(false),
+            demand: Mutex::new(()),
+            demand_cond: Condvar::new(),
             lender: Mutex::new(None),
             registered: Mutex::new(BTreeMap::new()),
             shutdown: AtomicBool::new(false),
@@ -934,7 +755,6 @@ impl Reactor {
                 timer_fires: AtomicU64::new(0),
                 max_ready_depth: AtomicU64::new(0),
                 pump_prefetches: AtomicU64::new(0),
-                shard_hops: AtomicU64::new(0),
                 wasted_polls: AtomicU64::new(0),
                 kicks_sent: AtomicU64::new(0),
                 kicks_suppressed: AtomicU64::new(0),
@@ -947,96 +767,75 @@ impl Reactor {
                 let inner = inner.clone();
                 std::thread::Builder::new()
                     .name(format!("pando-reactor-{i}"))
-                    .spawn(move || reactor_loop(&inner, i))
+                    .spawn(move || reactor_loop(&inner))
                     .expect("spawn reactor thread")
             })
             .collect();
-        Self {
-            inner,
-            threads: Mutex::new(threads),
-            pumps: Mutex::new(Vec::new()),
-            thread_count,
-            inline,
-        }
+        Self { inner, threads: Mutex::new(threads), pump: Mutex::new(None), thread_count, inline }
     }
 
-    /// Connects the reactor to the deployment's sharded lender: registers
-    /// one change waker per shard (kicking only that shard's starved
-    /// drivers) and starts one input-pump thread per shard. Called once when
-    /// the input stream is attached.
+    /// Connects the reactor to the deployment's lender: registers its change
+    /// waker (kicking the starved drivers) and starts the input-pump thread.
+    /// Called once when the input stream is attached.
     ///
     /// # Panics
     ///
-    /// Panics if the lender's shard count differs from the reactor's layout
-    /// (both derive from the same [`PandoConfig`]).
+    /// Panics if the lender has more than one shard.
     pub fn attach_lender(&self, lender: &ShardedLender<Bytes, Bytes>) {
-        assert_eq!(
-            lender.shard_count(),
-            self.inner.shards.len(),
-            "lender shards must match the reactor layout"
-        );
-        let mut pumps = self.pumps.lock();
+        assert_eq!(lender.shard_count(), 1, "the reactor serves one lender shard");
+        let mut pump = self.pump.lock();
         if self.inner.attached.swap(true, Ordering::SeqCst) {
             return;
         }
         *self.inner.lender.lock() = Some(lender.clone());
-        for shard in 0..lender.shard_count() {
-            let waker_inner = Arc::downgrade(&self.inner);
-            lender.add_shard_waker(
-                shard,
-                Arc::new(move || {
-                    if let Some(inner) = waker_inner.upgrade() {
-                        inner.request_kick(shard);
-                    }
-                }),
-            );
-            if self.inline {
-                // Inline mode pumps synchronously: the scheduler calls
-                // [`Reactor::pump_starved`] between steps.
-                continue;
-            }
-            let inner = self.inner.clone();
-            let lender = lender.clone();
-            pumps.push(
-                std::thread::Builder::new()
-                    .name(format!("pando-input-pump-{shard}"))
-                    .spawn(move || pump_loop(&inner, &lender, shard))
-                    .expect("spawn input pump thread"),
-            );
+        let waker_inner = Arc::downgrade(&self.inner);
+        lender.add_shard_waker(
+            0,
+            Arc::new(move || {
+                if let Some(inner) = waker_inner.upgrade() {
+                    inner.request_kick();
+                }
+            }),
+        );
+        if self.inline {
+            // Inline mode pumps synchronously: the scheduler calls
+            // [`Reactor::pump_starved`] between steps.
+            return;
         }
+        let inner = self.inner.clone();
+        let lender = lender.clone();
+        *pump = Some(
+            std::thread::Builder::new()
+                .name("pando-input-pump".into())
+                .spawn(move || pump_loop(&inner, &lender))
+                .expect("spawn input pump thread"),
+        );
     }
 
-    /// Registers one volunteer transport on lender shard `shard`: the
-    /// event-driven replacement of the dispatcher/receiver thread pair.
+    /// Registers one volunteer transport with its sub-stream of the lender:
+    /// the event-driven replacement of the dispatcher/receiver thread pair.
     /// Any [`Transport`] works — a simulated channel endpoint or a live TCP
     /// connection drive the identical state machine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is outside the reactor's shard layout.
     pub fn register(
         &self,
         name: &str,
-        shard: usize,
         endpoint: Arc<dyn Transport>,
         sub: SubStream<Bytes, Bytes>,
         config: &PandoConfig,
         meter: &ThroughputMeter,
     ) -> DriverHandle {
-        assert!(shard < self.inner.shards.len(), "shard {shard} outside the reactor layout");
         let driver = Arc::new(Driver {
             id: self.inner.stats.registered.fetch_add(1, Ordering::Relaxed),
             name: name.to_string(),
             endpoint: endpoint.clone(),
-            meter: meter.clone(),
             device: meter.device(name),
-            shard: AtomicUsize::new(shard),
             sched: AtomicU8::new(IDLE),
             park_seq: AtomicU64::new(0),
+            parked_credits: AtomicUsize::new(0),
             scheduled_at: Mutex::new(None),
             io: Mutex::new(DriverIo {
                 sub,
-                shard_meter: meter.shard(shard),
+                shard_meter: meter.shard(0),
                 credits: config.batch_size,
                 carry: None,
                 pending: None,
@@ -1066,15 +865,15 @@ impl Reactor {
     /// Inline mode only: runs one scheduling step — fires every timer due at
     /// the current (virtual) clock reading, then polls the driver at the
     /// head of the ready queue. Returns `false` when the ready queue was
-    /// empty (the scheduler should then pump starved shards or advance the
-    /// clock to [`Reactor::next_timer_at`]).
+    /// empty (the scheduler should then pump the input or advance the clock
+    /// to [`Reactor::next_timer_at`]).
     ///
     /// Stepping a threaded reactor is harmless but pointless: the pool
     /// threads race the caller for the same queue.
     pub fn step(&self) -> bool {
         self.inner.drain_kicks();
         self.inner.fire_due_timers(self.inner.clock.now());
-        let driver = self.inner.ready.lock().pop_preferring(0);
+        let driver = self.inner.ready.lock().pop_front();
         match driver {
             Some(driver) => {
                 poll_driver(&self.inner, driver);
@@ -1091,42 +890,39 @@ impl Reactor {
         self.inner.next_timer_at()
     }
 
-    /// Inline mode only: one synchronous pass of the per-shard input pumps —
-    /// for every shard with starved drivers and an empty staging pool, reads
-    /// one value ahead on the shard's behalf (the staged value fires the
-    /// shard waker, which re-queues its starved drivers). Returns `true` if
-    /// any shard staged a value, i.e. the scheduler should step again before
-    /// advancing the clock. A shard whose prefetch once answered `false`
-    /// will never receive another value and is latched: no later pass asks
-    /// it again.
+    /// Inline mode only: one synchronous pass of the input pump — with
+    /// starved drivers parked and nothing awaiting re-lend, reads one value
+    /// ahead (the staged value fires the lender's waker, which re-queues
+    /// starved drivers). Returns `true` if it staged a value, i.e. the
+    /// scheduler should step again before advancing the clock. Once a
+    /// prefetch answered `false` the lender will never receive another
+    /// value, and the pump is latched: no later pass asks again.
     ///
     /// The deterministic simulator requires inputs that answer immediately
     /// (in-memory iterators); an input that truly blocks would block the
     /// scheduler itself.
     pub fn pump_starved(&self) -> bool {
+        let inner = &self.inner;
         // Held, not cloned: the scheduler comes through here every turn, and
         // nothing `prefetch_shard` reaches takes this lock (the input is
-        // pulled, the shard wakers only raise kick flags).
-        let lender = self.inner.lender.lock();
+        // pulled, the waker only raises the kick flag).
+        let lender = inner.lender.lock();
         let Some(lender) = lender.as_ref() else {
             return false;
         };
-        let mut staged = false;
-        for (shard, slot) in self.inner.shards.iter().enumerate() {
-            if slot.input_ended.load(Ordering::Relaxed)
-                || slot.starved.lock().parked.is_empty()
-                || lender.shard_failed_pending(shard) > 0
-            {
-                continue;
-            }
-            if lender.prefetch_shard(shard) {
-                self.inner.stats.pump_prefetches.fetch_add(1, Ordering::Relaxed);
-                staged = true;
-            } else {
-                slot.input_ended.store(true, Ordering::Relaxed);
-            }
+        if inner.input_ended.load(Ordering::Relaxed)
+            || inner.starved.lock().parked.is_empty()
+            || lender.shard_failed_pending(0) > 0
+        {
+            return false;
         }
-        staged
+        if lender.prefetch_shard(0) {
+            inner.stats.pump_prefetches.fetch_add(1, Ordering::Relaxed);
+            true
+        } else {
+            inner.input_ended.store(true, Ordering::Relaxed);
+            false
+        }
     }
 
     /// A snapshot of the scheduling counters.
@@ -1141,8 +937,6 @@ impl Reactor {
             timer_fires: stats.timer_fires.load(Ordering::Relaxed),
             max_ready_depth: stats.max_ready_depth.load(Ordering::Relaxed),
             pump_prefetches: stats.pump_prefetches.load(Ordering::Relaxed),
-            shards: self.inner.shards.len(),
-            shard_hops: stats.shard_hops.load(Ordering::Relaxed),
             wasted_polls: stats.wasted_polls.load(Ordering::Relaxed),
             kicks_sent: stats.kicks_sent.load(Ordering::Relaxed),
             kicks_suppressed: stats.kicks_suppressed.load(Ordering::Relaxed),
@@ -1161,14 +955,12 @@ impl Reactor {
         // between its check and its wait when the notification fires.
         drop(self.inner.ready.lock());
         self.inner.ready_cond.notify_all();
-        for slot in &self.inner.shards {
-            drop(slot.demand.lock());
-            slot.demand_cond.notify_all();
-        }
+        drop(self.inner.demand.lock());
+        self.inner.demand_cond.notify_all();
         for handle in self.threads.lock().drain(..) {
             let _ = handle.join();
         }
-        for pump in self.pumps.lock().drain(..) {
+        if let Some(pump) = self.pump.lock().take() {
             let _ = pump.join();
         }
         let leftover = std::mem::take(&mut *self.inner.registered.lock());
@@ -1189,12 +981,8 @@ impl Drop for Reactor {
     }
 }
 
-/// Body of one reactor pool thread. `thread_index` selects the thread's
-/// preferred ready-queue segment (shard `thread_index % shards`): drivers of
-/// that shard are popped first, the other segments are stolen from in
-/// wrap-around order when it is empty.
-fn reactor_loop(inner: &Inner, thread_index: usize) {
-    let prefer = thread_index % inner.shards.len().max(1);
+/// Body of one reactor pool thread.
+fn reactor_loop(inner: &Inner) {
     'schedule: loop {
         // Requested kicks run here, outside the ready lock and outside any
         // lender lock (see [`Inner::request_kick`] for why wakers defer).
@@ -1206,10 +994,10 @@ fn reactor_loop(inner: &Inner, thread_index: usize) {
                 if inner.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                if let Some(driver) = ready.pop_preferring(prefer) {
+                if let Some(driver) = ready.pop_front() {
                     break driver;
                 }
-                if inner.has_pending_kicks() {
+                if inner.pending_kick.load(Ordering::SeqCst) {
                     // A waker fired while we idled: restart the cycle so the
                     // kick executes without the ready lock held.
                     continue 'schedule;
@@ -1233,8 +1021,8 @@ fn reactor_loop(inner: &Inner, thread_index: usize) {
 }
 
 /// Polls one driver popped off the ready queue and books the outcome:
-/// timers are (de-duplicated and) scheduled, starved drivers park in their
-/// shard's starved set, and a wake observed mid-poll re-queues the driver.
+/// timers are (de-duplicated and) scheduled, starved drivers park in the
+/// starved set, and a wake observed mid-poll re-queues the driver.
 /// Shared verbatim between the pool threads and the inline [`Reactor::step`]
 /// path, so the two modes cannot diverge behaviourally.
 fn poll_driver(inner: &Inner, driver: Arc<Driver>) {
@@ -1255,24 +1043,19 @@ fn poll_driver(inner: &Inner, driver: Arc<Driver>) {
                 if stale {
                     *scheduled = Some(at);
                     drop(scheduled);
-                    inner.timers.lock().push(Reverse(Timer {
-                        at,
-                        task: TimerTask::Driver(Arc::downgrade(&driver)),
-                    }));
+                    inner
+                        .timers
+                        .lock()
+                        .push(Reverse(Timer { at, driver: Arc::downgrade(&driver) }));
                     // A sleeping sibling may need to shorten its wait.
                     inner.wake_sleeper();
                 }
             }
-            let shard = driver.shard.load(Ordering::Relaxed);
             if starved && driver.park_seq.load(Ordering::SeqCst) == 0 {
-                let mut set = inner.shards[shard].starved.lock();
+                let mut set = inner.starved.lock();
                 driver.park_seq.store(set.park(Arc::downgrade(&driver)), Ordering::SeqCst);
                 drop(set);
-                inner.signal_pump(shard);
-                // Liveness backstop: bounded kicks may leave this driver
-                // parked, so guarantee a re-kick within one interval while
-                // the shard has lendable work.
-                inner.arm_backstop(shard, inner.clock.now() + inner.backstop_interval);
+                inner.signal_pump();
             }
             // Transition out of RUNNING; a wake observed mid-poll means
             // the poll must re-run.
@@ -1282,14 +1065,9 @@ fn poll_driver(inner: &Inner, driver: Arc<Driver>) {
                 .is_err()
             {
                 driver.sched.store(QUEUED, Ordering::SeqCst);
-                let mut ready = inner.ready.lock();
-                ready.queues[shard].push_back(driver.clone());
-                ready.len += 1;
-                drop(ready);
+                inner.ready.lock().push_back(driver.clone());
                 inner.ready_cond.notify_one();
-            } else if starved
-                && inner.shards[shard].kick_epoch.load(Ordering::SeqCst) != starve_epoch
-            {
+            } else if starved && inner.kick_epoch.load(Ordering::SeqCst) != starve_epoch {
                 // A lender kick raced our starve registration: re-poll.
                 wake(inner, &driver);
             }
@@ -1297,46 +1075,43 @@ fn poll_driver(inner: &Inner, driver: Arc<Driver>) {
     }
 }
 
-/// Body of one per-shard input pump thread.
+/// Body of the input pump thread.
 ///
 /// The pump preserves the lender's *laziness*: it reads ahead only while at
-/// least one of its shard's drivers is parked starved **and** the shard's
-/// staged pool is empty, so the read-ahead never exceeds one value per shard
-/// beyond actual consumption — the per-ask rhythm of the blocking dispatcher
-/// it replaces. (An eager pump would let feedback-loop inputs like the
-/// mining monitor race millions of values ahead of the workers.)
-fn pump_loop(inner: &Inner, lender: &ShardedLender<Bytes, Bytes>, shard: usize) {
-    let slot = &inner.shards[shard];
+/// least one driver is parked starved **and** the staged pool is empty, so
+/// the read-ahead never exceeds one value beyond actual consumption — the
+/// per-ask rhythm of the blocking dispatcher it replaces. (An eager pump
+/// would let feedback-loop inputs like the mining monitor race millions of
+/// values ahead of the workers.)
+fn pump_loop(inner: &Inner, lender: &ShardedLender<Bytes, Bytes>) {
     loop {
         {
-            let mut demand = slot.demand.lock();
+            let mut demand = inner.demand.lock();
             loop {
                 if inner.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                if !slot.starved.lock().parked.is_empty() && lender.shard_failed_pending(shard) == 0
-                {
+                if !inner.starved.lock().parked.is_empty() && lender.shard_failed_pending(0) == 0 {
                     break;
                 }
-                slot.demand_cond.wait(&mut demand);
+                inner.demand_cond.wait(&mut demand);
             }
         }
-        if lender.prefetch_shard(shard) {
+        if lender.prefetch_shard(0) {
             inner.stats.pump_prefetches.fetch_add(1, Ordering::Relaxed);
-            // The staged value triggered the shard's waker, which requests a
-            // kick of its starved drivers (executed by a pool thread); they
+            // The staged value triggered the lender's waker, which requests
+            // a kick of the starved drivers (executed by a pool thread); they
             // will re-signal if they starve again.
         } else {
-            // This shard will never receive another value: the input is
+            // The lender will never receive another value: the input is
             // exhausted (or the output closed). Starved drivers terminate
-            // (or hop) through their own Done observations; park until shut
-            // down.
-            let mut demand = slot.demand.lock();
+            // through their own Done observations; park until shut down.
+            let mut demand = inner.demand.lock();
             loop {
                 if inner.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                slot.demand_cond.wait(&mut demand);
+                inner.demand_cond.wait(&mut demand);
             }
         }
     }
@@ -1351,7 +1126,7 @@ mod tests {
 
     /// An inline reactor over an *interactive* input (every non-blocking ask
     /// answers "would block"): a polled driver always parks, and a value
-    /// reaches a shard only when the test calls `pump_starved`. The virtual
+    /// reaches the lender only when the test calls `pump_starved`. The virtual
     /// clock never moves, so no timer fires unless a test says so.
     struct Rig {
         reactor: Reactor,
@@ -1361,8 +1136,8 @@ mod tests {
     }
 
     impl Rig {
-        fn new(shards: usize, values: u64) -> Self {
-            let config = PandoConfig::deterministic(1).with_lender_shards(shards);
+        fn new(values: u64) -> Self {
+            let config = PandoConfig::deterministic(1);
             let mut next = 0;
             let input = move |request: Request| match request {
                 Request::Ask if next < values => {
@@ -1371,27 +1146,21 @@ mod tests {
                 }
                 _ => Answer::Done,
             };
-            let lender = ShardedLender::new(input, shards, 1);
+            let lender = ShardedLender::new(input, 1, 1);
             let reactor = Reactor::new(&config);
             reactor.attach_lender(&lender);
             Self { reactor, lender, config, meter: ThroughputMeter::new() }
         }
 
-        /// Registers a volunteer with a window of `window` tasks on `shard`
-        /// and returns its handle and the volunteer's end of the channel.
-        fn join(
-            &self,
-            name: &str,
-            shard: usize,
-            window: usize,
-        ) -> (DriverHandle, Endpoint<Message>) {
+        /// Registers a volunteer with a window of `window` tasks and returns
+        /// its handle and the volunteer's end of the channel.
+        fn join(&self, name: &str, window: usize) -> (DriverHandle, Endpoint<Message>) {
             let (master_side, volunteer_side) =
                 pair_with_clock::<Message>(ChannelConfig::instant(), self.config.run.clock.clone());
             let handle = self.reactor.register(
                 name,
-                shard,
                 Arc::new(master_side),
-                self.lender.lend_on(shard),
+                self.lender.lend_on(0),
                 &self.config.clone().with_batch_size(window),
                 &self.meter,
             );
@@ -1403,10 +1172,10 @@ mod tests {
             while self.reactor.step() {}
         }
 
-        /// Names in `shard`'s starved set in kick order, space-separated; a
-        /// dead entry reads as "<dead>".
-        fn parked(&self, shard: usize) -> String {
-            let set = self.reactor.inner.shards[shard].starved.lock();
+        /// Names in the starved set in kick order, space-separated; a dead
+        /// entry reads as "<dead>".
+        fn parked(&self) -> String {
+            let set = self.reactor.inner.starved.lock();
             let names = set.parked.values().map(|weak| match weak.upgrade() {
                 Some(driver) => driver.name.clone(),
                 None => "<dead>".into(),
@@ -1465,12 +1234,12 @@ mod tests {
 
     #[test]
     fn kick_order_is_park_order_across_interleaved_parks_and_exits() {
-        let rig = Rig::new(1, 1);
-        let (_a, a_end) = rig.join("a", 0, 2);
-        let (b, b_end) = rig.join("b", 0, 2);
-        let (_c, _c_end) = rig.join("c", 0, 2);
+        let rig = Rig::new(1);
+        let (_a, a_end) = rig.join("a", 2);
+        let (b, b_end) = rig.join("b", 2);
+        let (_c, _c_end) = rig.join("c", 2);
         rig.drain();
-        assert_eq!(rig.parked(0), "a b c");
+        assert_eq!(rig.parked(), "a b c");
 
         // `b` leaves from the middle. Its sub-stream held nothing, so its
         // end re-lends nothing and kicks nobody: the line closes up. The
@@ -1478,65 +1247,83 @@ mod tests {
         b_end.close();
         rig.drain();
         assert!(b.is_finished());
-        assert_eq!(rig.parked(0), "a c");
-        let (_d, _d_end) = rig.join("d", 0, 2);
+        assert_eq!(rig.parked(), "a c");
+        let (_d, _d_end) = rig.join("d", 2);
         rig.drain();
-        assert_eq!(rig.parked(0), "a c d");
+        assert_eq!(rig.parked(), "a c d");
 
-        // One staged value is a budget of one: it goes to the longest-parked,
+        // One staged value is covered by the longest-parked driver's window:
         // which starves again for its second window slot and parks at the
         // back (lending the value kicks nobody).
         assert!(rig.reactor.pump_starved());
         rig.drain();
         assert_eq!(task_seq(&a_end), 0);
-        assert_eq!(rig.parked(0), "c d a");
+        assert_eq!(rig.parked(), "c d a");
         rig.assert_active_counts_the_registered();
     }
 
     #[test]
     fn a_dead_entry_at_the_front_costs_no_budget_and_is_not_suppressed() {
-        let rig = Rig::new(1, 1);
-        let (ghost, _ghost_end) = rig.join("ghost", 0, 1);
-        let (_b, _b_end) = rig.join("b", 0, 1);
-        let (_c, _c_end) = rig.join("c", 0, 1);
+        let rig = Rig::new(1);
+        let (ghost, _ghost_end) = rig.join("ghost", 1);
+        let (_b, _b_end) = rig.join("b", 1);
+        let (_c, _c_end) = rig.join("c", 1);
         rig.drain();
         // Drop the driver without letting it finish: its entry stays behind.
         rig.reactor.inner.registered.lock().remove(&ghost.driver.id);
         drop(ghost);
-        assert_eq!(rig.parked(0), "<dead> b c");
+        assert_eq!(rig.parked(), "<dead> b c");
 
-        // One staged value: a value kick with a budget of one.
+        // One staged value: a value kick that one free slot covers.
         assert!(rig.lender.prefetch_shard(0));
         let before = rig.reactor.stats();
-        rig.reactor.inner.kick_starved(0);
+        rig.reactor.inner.kick_starved();
         let after = rig.reactor.stats();
-        assert_eq!(after.kicks_sent - before.kicks_sent, 1, "the budget of one went to `b`");
+        assert_eq!(after.kicks_sent - before.kicks_sent, 1, "`b`'s one slot covers the value");
         assert_eq!(after.kicks_suppressed - before.kicks_suppressed, 1, "only `c` stayed parked");
-        assert_eq!(rig.parked(0), "c");
+        assert_eq!(rig.parked(), "c");
+    }
+
+    /// A value kick pops drivers until the free window slots they parked
+    /// with cover the lendable depth: two staged values wake one driver
+    /// with room for both, and two drivers with room for one each.
+    #[test]
+    fn a_value_kick_wakes_drivers_until_their_credits_cover_the_depth() {
+        for (window, woken) in [(2, 1), (1, 2)] {
+            let rig = Rig::new(2);
+            let (_a, _a_end) = rig.join("a", window);
+            let (_b, _b_end) = rig.join("b", window);
+            rig.drain();
+            assert_eq!(rig.parked(), "a b");
+            assert!(rig.lender.prefetch_shard(0) && rig.lender.prefetch_shard(0));
+            let before = rig.reactor.stats();
+            rig.reactor.inner.kick_starved();
+            let after = rig.reactor.stats();
+            assert_eq!(after.kicks_sent - before.kicks_sent, woken, "window {window}");
+            assert_eq!(after.kicks_suppressed - before.kicks_suppressed, 2 - woken);
+        }
     }
 
     #[test]
     fn finish_of_a_parked_driver_removes_only_its_own_entry() {
-        // Park sequence numbers are per shard: `a` and `x` both hold key 1.
-        let rig = Rig::new(2, 0);
-        let (a, a_end) = rig.join("a", 0, 1);
-        let (_b, _b_end) = rig.join("b", 0, 1);
-        let (_x, _x_end) = rig.join("x", 1, 1);
-        let (_y, _y_end) = rig.join("y", 1, 1);
+        let rig = Rig::new(0);
+        let (a, a_end) = rig.join("a", 1);
+        let (_b, _b_end) = rig.join("b", 1);
+        let (_c, _c_end) = rig.join("c", 1);
         rig.drain();
-        assert_eq!([rig.parked(0), rig.parked(1)], ["a b", "x y"]);
+        assert_eq!(rig.parked(), "a b c");
         rig.assert_active_counts_the_registered();
 
         a_end.close();
         assert!(rig.reactor.step(), "`a` is polled and finishes");
         assert!(a.is_finished());
-        assert_eq!([rig.parked(0), rig.parked(1)], ["b", "x y"]);
+        assert_eq!(rig.parked(), "b c");
         rig.assert_active_counts_the_registered();
     }
 
     #[test]
     fn registration_ids_are_unique_under_concurrent_register() {
-        let rig = Rig::new(1, 0);
+        let rig = Rig::new(0);
         let barrier = std::sync::Barrier::new(8);
         let ids: Vec<u64> = std::thread::scope(|scope| {
             let threads: Vec<_> = (0..8)
@@ -1545,7 +1332,7 @@ mod tests {
                     scope.spawn(move || {
                         barrier.wait();
                         (0..50)
-                            .map(|i| rig.join(&format!("v{t}-{i}"), 0, 1).0.driver.id)
+                            .map(|i| rig.join(&format!("v{t}-{i}"), 1).0.driver.id)
                             .collect::<Vec<_>>()
                     })
                 })
@@ -1562,8 +1349,8 @@ mod tests {
     /// lend, and one more per result that comes back.
     #[test]
     fn a_driver_holds_at_most_its_window() {
-        let rig = Rig::new(1, 5);
-        let (_v, v_end) = rig.join("v", 0, 3);
+        let rig = Rig::new(5);
+        let (_v, v_end) = rig.join("v", 3);
         let quiesce = || {
             rig.drain();
             while rig.reactor.pump_starved() {
@@ -1583,13 +1370,13 @@ mod tests {
     /// one timer fire is counted, for the booking that replaced the entry.
     #[test]
     fn a_superseded_timer_entry_never_wakes_its_driver() {
-        let rig = Rig::new(1, 0);
+        let rig = Rig::new(0);
         let clock = rig.config.run.clock.clone();
         let ms = std::time::Duration::from_millis;
         let link = ChannelConfig { latency: ms(2), ..ChannelConfig::instant() };
         let (master_side, v_end) = pair_with_clock::<Message>(link, clock.clone());
         let sub = rig.lender.lend_on(0);
-        let _v = rig.reactor.register("v", 0, Arc::new(master_side), sub, &rig.config, &rig.meter);
+        let _v = rig.reactor.register("v", Arc::new(master_side), sub, &rig.config, &rig.meter);
         rig.drain();
         let heartbeat_due = clock.now() + ms(5);
         assert_eq!(rig.reactor.next_timer_at(), Some(heartbeat_due));
@@ -1612,39 +1399,5 @@ mod tests {
             1,
             "the superseded entry is not counted"
         );
-    }
-
-    /// A driver that hops while it is still listed in its old shard's starved
-    /// set (it was re-polled by its transport waker, not by a kick) must move
-    /// its listing along. Left behind, the entry makes the new shard's kicks
-    /// and pump signal miss the driver.
-    #[test]
-    fn a_hop_moves_the_drivers_starved_listing_to_the_new_shard() {
-        let rig = Rig::new(2, 2);
-        let (_x, x_end) = rig.join("x", 1, 1);
-        let (_d, d_end) = rig.join("d", 0, 2);
-        rig.drain();
-        // One value per shard; `d` has window left and parks again.
-        assert!(rig.reactor.pump_starved());
-        rig.drain();
-        let (d_seq, x_seq) = (task_seq(&d_end), task_seq(&x_end));
-        // The input ends: shard 0 is done once `d` returns its value.
-        assert!(!rig.reactor.pump_starved());
-        rig.drain();
-        assert_eq!([rig.parked(0), rig.parked(1)], ["d", ""]);
-
-        // The result wakes `d` through its transport; in that one poll shard 0
-        // drains, `d` hops to shard 1 (`x` still holds a value) and starves.
-        d_end.send(result(d_seq)).unwrap();
-        assert!(rig.reactor.step());
-        assert_eq!(rig.reactor.stats().shard_hops, 1);
-        assert_eq!([rig.parked(0), rig.parked(1)], ["", "d"]);
-        rig.assert_active_counts_the_registered();
-
-        // `x` fails its task: the value re-lent on shard 1 kicks `d` awake.
-        x_end.send(Message::TaskError { seq: x_seq, message: Bytes::new() }).unwrap();
-        rig.drain();
-        assert_eq!(task_seq(&d_end), x_seq);
-        assert_eq!(rig.reactor.stats().timer_fires, 0);
     }
 }

@@ -6,10 +6,10 @@
 //! [`pando_netsim::channel`] endpoints, each volunteer's
 //! [worker core](crate::worker) — on a virtual
 //! [`Clock`](pando_netsim::sim::Clock), driven by one single-threaded loop:
-//! step the ready queue, pump starved shards, poll volunteers, advance time to
-//! the earliest deadline (delivery, crash suspicion, heartbeat). Every run from
-//! the same seed — crash schedule, shard claims, heartbeat suppressions, output
-//! order — is identical byte for byte, so fault scenarios are replayable
+//! step the ready queue, pump the input for starved drivers, poll volunteers,
+//! advance time to the earliest deadline (delivery, crash suspicion,
+//! heartbeat). Every run from the same seed — crash schedule, heartbeat
+//! suppressions, output order — is identical byte for byte, so fault scenarios are replayable
 //! artefacts. The paper's evaluation runs on it too: `make paper` writes
 //! `docs/REPRODUCTION.md`.
 //!
@@ -180,10 +180,9 @@ pub struct FleetReport {
     /// row read from [`FleetReport::reactor`]: polls, wasted polls, kicks
     /// sent and suppressed.
     pub meter_rows: Vec<String>,
-    /// Canonical per-shard dispatch rows (borrows and accepted results).
+    /// The canonical dispatch row of the lender's one shard (borrows and
+    /// accepted results).
     pub shard_rows: Vec<String>,
-    /// The sharded lender's claim log: chunk index → owning shard.
-    pub claim_log: Vec<usize>,
     /// The reactor's final scheduling counters. Deterministic under the
     /// single-threaded scheduler, so they participate in the canonical
     /// trace: a diverging poll or wake-up count pinpoints scheduler
@@ -203,8 +202,8 @@ pub struct FleetReport {
 
 impl FleetReport {
     /// Renders every deterministic artefact of the run — the event trace,
-    /// the output order and digest, the shard claim log, the meter and
-    /// shard rows — into one string. Two runs with equal [`FleetParams`]
+    /// the output order and digest, the meter and shard rows — into one
+    /// string. Two runs with equal [`FleetParams`]
     /// produce byte-identical canonical traces; a mismatch pinpoints the
     /// first nondeterministic event.
     pub fn canonical_trace(&self) -> String {
@@ -230,8 +229,6 @@ impl FleetReport {
         ));
         let order: Vec<String> = self.output_order.iter().map(u64::to_string).collect();
         out.push_str(&format!("output_order {}\n", order.join(",")));
-        let claims: Vec<String> = self.claim_log.iter().map(usize::to_string).collect();
-        out.push_str(&format!("claim_log {}\n", claims.join(",")));
         for row in &self.meter_rows {
             out.push_str(row);
             out.push('\n');
@@ -243,15 +240,13 @@ impl FleetReport {
         out.push_str(&format!("loss retransmits={}\n", self.retransmits));
         out.push_str(&format!(
             "reactor registered={} polls={} wakeups={} timer_fires={} prefetches={} \
-             shards={} hops={} max_ready_depth={} wasted_polls={} kicks_sent={} \
-             kicks_suppressed={} crash_relends={}\n",
+             max_ready_depth={} wasted_polls={} kicks_sent={} kicks_suppressed={} \
+             crash_relends={}\n",
             self.reactor.registered,
             self.reactor.polls,
             self.reactor.wakeups,
             self.reactor.timer_fires,
             self.reactor.pump_prefetches,
-            self.reactor.shards,
-            self.reactor.shard_hops,
             self.reactor.max_ready_depth,
             self.reactor.wasted_polls,
             self.reactor.kicks_sent,
@@ -428,8 +423,8 @@ impl<T, S: Source<T>> Source<T> for InteractiveSource<S> {
     // block", which is the whole point of the wrapper.
 }
 
-/// Runs one deterministic fleet deployment: the real master — sharded
-/// lender, inline reactor, wire protocol, heartbeat pacing, crash recovery —
+/// Runs one deterministic fleet deployment: the real master — lender,
+/// inline reactor, wire protocol, heartbeat pacing, crash recovery —
 /// over a virtual clock, single-stepped by one scheduler loop. See the
 /// [module documentation](self) for the determinism contract.
 ///
@@ -535,7 +530,7 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
     let mut digest: u64 = 0xcbf2_9ce4_8422_2325; // FNV-1a offset basis
     let mut finished = false;
     let mut crashed_fired = 0u64;
-    // The lender and the starved sets change only inside `Reactor::step` (a
+    // The lender and the starved set change only inside `Reactor::step` (a
     // poll, a kick, a timer) and inside a pump, so the pump and the output
     // drain run again only after one of those: a call skipped in between
     // would have found nothing.
@@ -549,10 +544,10 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
         if progress {
             (pump_due, drain_due) = (true, true);
         }
-        // 2. Pump starved shards synchronously; staged values re-queue
-        //    drivers, so go around for more steps before anything else. A
-        //    pump that ends the input can complete the output: drain after
-        //    every pump call.
+        // 2. Pump the input for starved drivers synchronously; a staged
+        //    value re-queues drivers, so go around for more steps before
+        //    anything else. A pump that ends the input can complete the
+        //    output: drain after every pump call.
         if pump_due {
             (pump_due, drain_due) = (false, true);
             if reactor.pump_starved() {
@@ -725,7 +720,6 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
         .iter()
         .map(|s| format!("shard {} borrows={} results={}", s.shard, s.borrows, s.results))
         .collect();
-    let claim_log = pando.claim_log().unwrap_or_default();
     // Both sides of each pair share the counter, so the volunteer handle
     // sees master-side retransmissions too.
     let retransmits: u64 = volunteers
@@ -740,7 +734,6 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
         output_digest: digest,
         meter_rows,
         shard_rows,
-        claim_log,
         reactor: reactor_stats,
         crashed: crashed_fired,
         retransmits,

@@ -63,8 +63,7 @@
 //!    above stay quiet.
 //!
 //! Crash detection therefore maps onto the same [`FailureDetector`] path as
-//! the simulated channels, and crash re-lend and shard hopping work
-//! unchanged over sockets.
+//! the simulated channels, and crash re-lend works unchanged over sockets.
 
 pub mod acceptor;
 pub mod handshake;

@@ -127,10 +127,8 @@ fn clean_close_during_dispatch_completes_elsewhere() {
     pando.join_volunteers();
     let stats = pando.lender_stats().unwrap();
     assert_eq!(stats.results_emitted, 60);
-    // A clean goodbye ends sub-streams gracefully, never as a crash. The
-    // stayer's driver may legitimately complete more than one sub-stream:
-    // when its own lender shard drains it re-lends itself onto the shard
-    // still holding the leaver's unfinished values (shard hopping).
+    // A clean goodbye ends sub-streams gracefully, never as a crash: the
+    // leaver's and the stayer's both complete.
     assert_eq!(stats.substreams_crashed, 0);
     assert!(
         stats.substreams_completed >= 2,

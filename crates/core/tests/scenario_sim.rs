@@ -156,7 +156,7 @@ fn run_and_check_crashes(scenario: &Scenario) -> FleetReport {
     report
 }
 
-/// Case 810 of 20 000 of the property: `v2` says goodbye at 37 283 us, its
+/// Case 810 of 20 000 of the property: `v2` says goodbye at 36 446 us, its
 /// scripted crash is due at 37 586 us, so the crash does not fire.
 #[test]
 fn a_volunteer_that_left_before_its_crash_is_not_counted_crashed() {
@@ -164,7 +164,7 @@ fn a_volunteer_that_left_before_its_crash_is_not_counted_crashed() {
     assert_eq!(scenario.crashes, [(2, 37_586)]);
     let report = run_and_check_crashes(&scenario);
     assert_eq!(report.crashed, 0);
-    assert!(report.trace.iter().any(|line| line == "[37283] v2 goodbye"));
+    assert!(report.trace.iter().any(|line| line == "[36446] v2 goodbye"));
 }
 
 /// The checked-in scenario files themselves parse, compile, keep the

@@ -16,8 +16,8 @@ proptest! {
     /// emitted exactly once and in global input order (crash recovery
     /// re-lends, the merge stage reorders), across random fleet shapes and
     /// fault pressures. This is also the reactor's wake-discipline liveness
-    /// check: a stranded lendable value (kicked nobody, backstop missed)
-    /// would wedge the sim or drop the value.
+    /// check: a stranded lendable value (kicked nobody, no timer to re-poll
+    /// a parked driver) would wedge the sim or drop the value.
     #[test]
     fn seed_derived_fleets_keep_the_contract(
         seed in 0u64..1_000_000,
@@ -28,7 +28,7 @@ proptest! {
         let params =
             FleetParams::seeded(seed, volunteers, tasks, f64::from(crash_pct) / 100.0);
         let report = oracle::run(&params).unwrap_or_else(|e| panic!("{e}"));
-        // The shards accepted one result per emitted value (late results of
+        // The shard accepted one result per emitted value (late results of
         // crashed volunteers may process a value twice on the device side).
         let accepted: u64 = report
             .shard_rows
@@ -82,6 +82,5 @@ fn pinned_seed_shape_regression() {
     let report = simulate_fleet(&FleetParams::new(7, 8, 64));
     oracle::check(&report).unwrap();
     assert_eq!(report.params.volunteers.len(), 8);
-    assert!(!report.claim_log.is_empty());
     assert_eq!(report.meter_rows.len(), 9, "one meter row per volunteer plus the scheduler row");
 }

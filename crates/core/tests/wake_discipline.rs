@@ -1,11 +1,12 @@
 //! Wake-discipline properties of the work-conserving reactor: bounded
-//! starved-kicks (`min(parked, shard lendable depth)` wakes per lendable
-//! value, every parked driver on termination, heartbeat backstop as the
-//! liveness net) must keep the kick budget live when drivers starve, the
-//! wasted polls of an interactive input and the reactor-poll count of a
-//! large fleet under committed budgets, and end every session as soon as
-//! the stream is over. That no lendable value is ever stranded is the
-//! contract's rule (a), `pando_core::sim::oracle::check`, which
+//! starved-kicks (per value kick, parked drivers until their free window
+//! slots cover the lendable depth; every parked driver on termination; each
+//! driver's own heartbeat timer as the liveness net) must keep the kick
+//! budget live when drivers starve, the wasted polls of an interactive
+//! input and the reactor-poll count of a large fleet under committed
+//! budgets, and end every session as soon as the stream is over. That no
+//! lendable value is ever stranded is the contract's rule (a),
+//! `pando_core::sim::oracle::check`, which
 //! `sim_determinism::seed_derived_fleets_keep_the_contract` applies to
 //! random fault schedules.
 

@@ -8,8 +8,6 @@
 //!
 //! * `SCALE_VOLUNTEERS` — fleet size (default 1000; `make scale` runs 10000)
 //! * `SCALE_TASKS` — number of values to stream (default 5 × volunteers)
-//! * `SCALE_SHARDS` — lender shards (default 1 = the single global lender;
-//!   `make scale-sharded` runs 4, spreading dispatch over four locks)
 //! * `SCALE_BUDGET_SECS` — wall-clock guard; the process exits non-zero if
 //!   the run exceeds it (default 120), which is how CI detects a scheduling
 //!   regression in the reactor.
@@ -40,7 +38,6 @@ fn thread_count() -> Option<usize> {
 fn main() {
     let volunteers = env_usize("SCALE_VOLUNTEERS", 1_000);
     let tasks = env_usize("SCALE_TASKS", volunteers * 5) as u64;
-    let shards = env_usize("SCALE_SHARDS", 1).max(1);
     let budget = Duration::from_secs(env_usize("SCALE_BUDGET_SECS", 120) as u64);
     let reactor_threads = 4;
     let worker_pool_threads = 8;
@@ -56,7 +53,6 @@ fn main() {
     let config = PandoConfig::local_test()
         .with_batch_size(4)
         .with_reactor_threads(reactor_threads)
-        .with_lender_shards(shards)
         .with_channel(channel);
 
     let started = Instant::now();
@@ -81,9 +77,9 @@ fn main() {
     let output = pando.run(count(tasks).map_values(|v| Bytes::from(v.to_string().into_bytes())));
     if let (Some(before), Some(after)) = (baseline_threads, thread_count()) {
         let added = after.saturating_sub(before);
-        // reactor pool + worker pool + one input pump per shard + slack for
-        // the runtime.
-        let budgeted = reactor_threads + worker_pool_threads + shards + 1;
+        // reactor pool + worker pool + the input pump + slack for the
+        // runtime.
+        let budgeted = reactor_threads + worker_pool_threads + 2;
         println!("threads: {before} before, {after} with the fleet running (+{added})");
         assert!(
             added <= budgeted,
@@ -108,28 +104,23 @@ fn main() {
     let stats = pando.reactor_stats().expect("reactor backend");
     let meter = pando.meter().report();
     println!(
-        "{tasks} tasks over {volunteers} volunteers ({shards} lender shards) in {elapsed:?} \
-         ({:.0} tasks/s)",
+        "{tasks} tasks over {volunteers} volunteers in {elapsed:?} ({:.0} tasks/s)",
         tasks as f64 / elapsed.as_secs_f64()
     );
     println!(
         "reactor: {} threads, {} polls, {} wakeups, {} timer fires, max ready depth {}, \
-         {} input prefetches, {} shard hops",
+         {} input prefetches",
         stats.threads,
         stats.polls,
         stats.wakeups,
         stats.timer_fires,
         stats.max_ready_depth,
-        stats.pump_prefetches,
-        stats.shard_hops
+        stats.pump_prefetches
     );
     println!(
         "wake discipline: {} wasted polls, {} kicks sent, {} kicks suppressed",
         stats.wasted_polls, stats.kicks_sent, stats.kicks_suppressed
     );
-    for row in pando.meter().report().shards {
-        println!("shard {}: {} borrows, {} results", row.shard, row.borrows, row.results);
-    }
     println!(
         "heartbeats: {} standalone sent, {} piggybacked/suppressed (master side)",
         meter.total_heartbeats_sent(),
