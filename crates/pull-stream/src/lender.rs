@@ -762,11 +762,6 @@ where
         self.shared.state.lock().stats.clone()
     }
 
-    /// Number of sub-streams currently alive.
-    pub fn active_substreams(&self) -> usize {
-        self.shared.state.lock().borrowed_by.len()
-    }
-
     /// Number of values currently lent out and not yet returned.
     pub fn in_flight(&self) -> usize {
         self.shared.state.lock().in_flight.len()

@@ -545,16 +545,6 @@ where
         self.lenders.iter().map(StreamLender::stats).collect()
     }
 
-    /// Number of sub-streams currently alive on shard `shard`.
-    pub fn shard_active_substreams(&self, shard: usize) -> usize {
-        self.lenders[shard].active_substreams()
-    }
-
-    /// Values currently lent out on shard `shard` and not yet returned.
-    pub fn shard_in_flight(&self, shard: usize) -> usize {
-        self.lenders[shard].in_flight()
-    }
-
     /// Values staged or awaiting re-lend on shard `shard`: its lender's
     /// failed queue plus values parked for it in the splitter.
     pub fn shard_depth(&self, shard: usize) -> usize {

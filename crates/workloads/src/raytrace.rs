@@ -5,6 +5,13 @@
 //! one frame, and the frames are reassembled in order downstream. This module
 //! implements a small recursive ray tracer (spheres, a ground plane, a point
 //! light, hard shadows and specular reflections) entirely from scratch.
+//!
+//! A frame skips every sphere test that a per-frame bound proves is a miss:
+//! a primary ray tests only the spheres near both its image row's and its
+//! image column's plane, a shadow ray only the spheres whose light cone it
+//! lies in, and a pixel that can hit neither a sphere nor the floor is the
+//! background without a ray. Every byte is the one testing every sphere
+//! gives; [`Scene::render`] holds the argument.
 
 /// A three-component vector used for points, directions and colours.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -76,6 +83,14 @@ impl Vec3 {
     /// Reflection of `self` around the normal `n`.
     pub fn reflect(self, n: Vec3) -> Vec3 {
         self - n.scale(2.0 * self.dot(n))
+    }
+
+    fn cross(self, other: Vec3) -> Vec3 {
+        Vec3::new(
+            self.y * other.z - self.z * other.y,
+            self.z * other.x - self.x * other.z,
+            self.x * other.y - self.y * other.x,
+        )
     }
 }
 
@@ -150,6 +165,64 @@ fn quantise(channel: f64) -> u8 {
     truncated + u8::from(scaled - f64::from(truncated) >= 0.5)
 }
 
+/// One sphere's terms for one frame (see [`Scene::render`]). For primary
+/// rays: `oc = camera − C`, `c = oc·oc − r²`, and `bound = |r| + m`, the
+/// distance within which its centre must pass a row's or a column's plane.
+/// For shadow rays: the axis `w = (L − C)/|L − C|` of its light cone and
+/// the cosine bound `k` outside which a shadow ray misses it (`k = 0` never
+/// culls).
+struct SphereTerms {
+    oc: Vec3,
+    c: f64,
+    bound: f64,
+    w: Vec3,
+    k: f64,
+}
+
+/// What a frame computes once: every sphere's terms, and how far from the
+/// light a shadow ray may start and still cull.
+struct Frame {
+    spheres: Vec<SphereTerms>,
+    reach: f64,
+}
+
+impl Frame {
+    fn new(scene: &Scene, camera: Vec3) -> Self {
+        let to_light = |sphere: &Sphere| scene.light - sphere.center;
+        let farthest = scene.spheres.iter().map(|s| to_light(s).length()).fold(0.0, f64::max);
+        let reach = 4.0 * (1.0 + scene.light.length() + farthest);
+        let spheres = scene
+            .spheres
+            .iter()
+            .map(|sphere| {
+                let oc = camera - sphere.center;
+                let (to_light, r) = (to_light(sphere), sphere.radius.abs());
+                let distance = to_light.length();
+                let ratio = (r + 1e-4 + 1e-6 * (1.0 + distance + reach)) / distance;
+                SphereTerms {
+                    oc,
+                    c: oc.dot(oc) - sphere.radius * sphere.radius,
+                    bound: r + 1e-6 * (1.0 + oc.length()),
+                    w: to_light.scale(1.0 / distance),
+                    k: if ratio < 1.0 { (1.0 - ratio * ratio).sqrt() } else { 0.0 },
+                }
+            })
+            .collect();
+        Self { spheres, reach }
+    }
+
+    /// Per sphere, whether its centre passes within `bound` of the plane
+    /// through the camera with `normal`. A zero or NaN normal keeps every
+    /// sphere.
+    fn near_plane(&self, normal: Vec3) -> impl Iterator<Item = bool> + '_ {
+        let length = normal.length();
+        self.spheres.iter().map(move |terms| {
+            let far = terms.oc.dot(normal).abs() > terms.bound * length;
+            !far
+        })
+    }
+}
+
 /// The scene of the paper's usage example: a handful of spheres on a plane,
 /// lit by a single point light, rendered from a camera rotating around it.
 #[derive(Debug, Clone)]
@@ -198,9 +271,9 @@ impl Default for Scene {
 }
 
 impl Scene {
-    fn trace(&self, ray: &Ray, depth: u32) -> Vec3 {
+    fn trace(&self, frame: &Frame, ray: &Ray, depth: u32) -> Vec3 {
         let closest = self.closest(self.spheres.iter().map(|sphere| sphere.intersect(ray)));
-        self.finish(ray, depth, closest)
+        self.finish(frame, ray, depth, closest)
     }
 
     /// The nearest sphere hit, given each sphere's hit distance in order.
@@ -220,7 +293,13 @@ impl Scene {
     /// shading and reflections. Inlined into `render`'s pixel loop, where
     /// the call cost about a seventh of the frame.
     #[inline(always)]
-    fn finish(&self, ray: &Ray, depth: u32, closest: Option<(f64, &Sphere)>) -> Vec3 {
+    fn finish(
+        &self,
+        frame: &Frame,
+        ray: &Ray,
+        depth: u32,
+        closest: Option<(f64, &Sphere)>,
+    ) -> Vec3 {
         // Ground plane intersection.
         let floor_t = if ray.direction.y < -1e-6 {
             Some((self.floor_y - ray.origin.y) / ray.direction.y)
@@ -232,13 +311,13 @@ impl Scene {
             (Some((t, sphere)), floor) if floor.map(|ft| t < ft).unwrap_or(true) => {
                 let hit = ray.origin + ray.direction.scale(t);
                 let normal = (hit - sphere.center).normalized();
-                let mut color = self.shade(hit, normal, sphere.color);
+                let mut color = self.shade(frame, hit, normal, sphere.color);
                 if sphere.reflectivity > 0.0 && depth < self.max_depth {
                     let reflected = Ray {
                         origin: hit + normal.scale(1e-4),
                         direction: ray.direction.reflect(normal).normalized(),
                     };
-                    let bounce = self.trace(&reflected, depth + 1);
+                    let bounce = self.trace(frame, &reflected, depth + 1);
                     color =
                         color.scale(1.0 - sphere.reflectivity) + bounce.scale(sphere.reflectivity);
                 }
@@ -250,21 +329,30 @@ impl Scene {
                 let checker = ((floor(hit.x) + floor(hit.z)) as i64).rem_euclid(2) == 0;
                 let base =
                     if checker { Vec3::new(0.85, 0.85, 0.85) } else { Vec3::new(0.25, 0.25, 0.25) };
-                self.shade(hit, Vec3::new(0.0, 1.0, 0.0), base)
+                self.shade(frame, hit, Vec3::new(0.0, 1.0, 0.0), base)
             }
             _ => self.background,
         }
     }
 
-    fn shade(&self, hit: Vec3, normal: Vec3, base: Vec3) -> Vec3 {
+    /// The colour a hit point with `normal` and colour `base` shows: ambient
+    /// light, plus diffuse light unless a sphere shadows it. With the cone
+    /// test the inliner stopped inlining it into `finish`, which made the
+    /// frame a fifth slower than inlining does.
+    #[inline(always)]
+    fn shade(&self, frame: &Frame, hit: Vec3, normal: Vec3, base: Vec3) -> Vec3 {
         let to_light = self.light - hit;
         // `to_light.normalized()`, sharing its square root with `max_t`.
         let max_t = to_light.length();
         let light_dir = if max_t == 0.0 { to_light } else { to_light.scale(1.0 / max_t) };
-        // Hard shadow: any sphere between the hit point and the light.
+        // Hard shadow: any sphere between the hit point and the light, but
+        // for those whose light cone the ray is outside of.
         let shadow_ray = Ray { origin: hit + normal.scale(1e-4), direction: light_dir };
-        let in_shadow =
-            self.spheres.iter().filter_map(|s| s.intersect(&shadow_ray)).any(|t| t < max_t);
+        let near = max_t <= frame.reach;
+        let in_shadow = self.spheres.iter().zip(&frame.spheres).any(|(sphere, terms)| {
+            let missed = near && light_dir.dot(terms.w).abs() < terms.k;
+            !missed && sphere.intersect(&shadow_ray).is_some_and(|t| t < max_t)
+        });
         let ambient = 0.12;
         let diffuse = if in_shadow { 0.0 } else { normal.dot(light_dir).max(0.0) };
         base.scale(ambient + 0.88 * diffuse)
@@ -281,43 +369,86 @@ impl Scene {
     /// and `up·ndc_y` once per row, by the expressions a per-pixel trace
     /// evaluates; `Vec3` sums associate left and Rust fuses no multiply-add,
     /// so every pixel is bit-identical to tracing it alone.
+    ///
+    /// Three culls skip sphere tests that cannot hit, computed once per
+    /// frame:
+    /// - **Row and column planes.** The primary rays of an image row lie in
+    ///   the plane through the camera with normal `(forward + row) × right`,
+    ///   those of a column in the one with normal `column × up`. A pixel
+    ///   solves only for the spheres whose centre is within `|r| + m` of
+    ///   both its planes. A camera inside a sphere is within `r` of every
+    ///   plane, and a zero normal keeps every sphere.
+    /// - **Light cones.** A shadow ray runs along `light_dir` through a
+    ///   point within `1e-4` (the origin's offset along the normal) of the
+    ///   light `L`, so it misses sphere `C` if `|light_dir · w| < k`, with
+    ///   `w = (L − C)/|L − C|` and `k = √(1 − ((|r| + 1e-4 + m)/|L − C|)²)`.
+    ///   A sphere with `|r| + 1e-4 + m ≥ |L − C|` is always tested, and so
+    ///   is every sphere for a ray starting farther than `reach` from the
+    ///   light.
+    /// - **Sky.** If `v = column + row` has `v.y ≥ 0` (so the normalised
+    ///   direction has `y ≥ 0`, `-0.0` included, and cannot meet the floor)
+    ///   and no sphere is near both planes, the pixel is the background,
+    ///   quantised once per frame.
+    ///
+    /// **Why a skipped test is a miss.** Each cull proves that the sphere's
+    /// centre is at least `r + m` from the ray's line, with
+    /// `m = 1e-6·(1 + A)` and `A` a bound on the `|oc|` of every ray the cull
+    /// skips: `|C − camera|` for primary rays, and `|L − C| + reach` for
+    /// shadow rays, which cull only when they start within
+    /// `max_t + 1e-4 ≤ reach + 1e-4` of the light. The f64 rounding between
+    /// the computed ray and that line (a direction off its plane, a shadow
+    /// origin's world coordinates with `reach ≥ 4·|L|`, the tests' own
+    /// arithmetic) is about `1e-15·(1 + A)`, far inside `m`. For a skipped
+    /// sphere the exact `b² − 4c = 4(r² − dist²)` is then at most
+    /// `−4m² = −4e-12·(1 + A)²`, while the rounding of the computed
+    /// discriminant is about `1e-14·|oc|² ≤ 1e-14·(1 + A)²`; so the computed
+    /// `solve`/`intersect` returns `None` too, and `t < max_t` and
+    /// `t > 1e-6` only remove hits. `reach = 4·(1 + |L| + max |L − C|)`
+    /// keeps `m` a few millionths of the scene's extent.
     pub fn render(&self, angle: f64, width: usize, height: usize) -> Vec<u8> {
         let distance = 6.0;
         let camera = Vec3::new(distance * angle.cos(), 2.2, distance * angle.sin());
         let target = Vec3::new(0.0, 0.8, 0.0);
         let forward = (target - camera).normalized();
         let right = Vec3::new(forward.z, 0.0, -forward.x).normalized();
-        let up = Vec3::new(
-            right.y * forward.z - right.z * forward.y,
-            right.z * forward.x - right.x * forward.z,
-            right.x * forward.y - right.y * forward.x,
-        );
+        let up = right.cross(forward);
         let fov_scale = (55.0f64.to_radians() / 2.0).tan();
         let aspect = width as f64 / height as f64;
 
-        let eye: Vec<(Vec3, f64)> = self
-            .spheres
-            .iter()
-            .map(|sphere| {
-                let oc = camera - sphere.center;
-                (oc, oc.dot(oc) - sphere.radius * sphere.radius)
-            })
-            .collect();
+        let frame = Frame::new(self, camera);
         let columns: Vec<Vec3> = (0..width)
             .map(|x| {
                 let ndc_x = (2.0 * (x as f64 + 0.5) / width as f64 - 1.0) * fov_scale * aspect;
                 forward + right.scale(ndc_x)
             })
             .collect();
+        let n = frame.spheres.len();
+        let mut columns_near = Vec::with_capacity(width * n);
+        for &column in &columns {
+            columns_near.extend(frame.near_plane(column.cross(up)));
+        }
+        let mut row_near = Vec::with_capacity(n);
+        let sky = [self.background.x, self.background.y, self.background.z].map(quantise);
         let mut pixels = Vec::with_capacity(width * height * 3);
         for y in 0..height {
             let ndc_y = (1.0 - 2.0 * (y as f64 + 0.5) / height as f64) * fov_scale;
             let row = up.scale(ndc_y);
-            for &column in &columns {
-                let direction = (column + row).normalized();
-                let closest =
-                    self.closest(eye.iter().map(|&(oc, c)| solve(2.0 * oc.dot(direction), c)));
-                let color = self.finish(&Ray { origin: camera, direction }, 0, closest);
+            row_near.clear();
+            row_near.extend(frame.near_plane((forward + row).cross(right)));
+            for (x, &column) in columns.iter().enumerate() {
+                let tested =
+                    row_near.iter().zip(&columns_near[x * n..][..n]).map(|(&a, &b)| a && b);
+                let v = column + row;
+                if v.y >= 0.0 && !tested.clone().any(|t| t) {
+                    pixels.extend_from_slice(&sky);
+                    continue;
+                }
+                let direction = v.normalized();
+                let hits = frame.spheres.iter().zip(tested);
+                let closest = self.closest(hits.map(|(terms, t)| {
+                    t.then(|| solve(2.0 * terms.oc.dot(direction), terms.c)).flatten()
+                }));
+                let color = self.finish(&frame, &Ray { origin: camera, direction }, 0, closest);
                 for channel in [color.x, color.y, color.z] {
                     pixels.push(quantise(channel));
                 }
@@ -412,9 +543,72 @@ mod tests {
         assert_eq!(digest, 0x2761_346e_b09c_c760, "{digest:#018x}");
     }
 
-    /// `render` as one `trace` per pixel from the camera, with the camera
-    /// arithmetic written out per pixel: the reference the hoisted primary
-    /// rays must match byte for byte.
+    /// `trace`, `finish` and `shade` as they were before the culls: every
+    /// ray tests every sphere. The reference the culled frames must match
+    /// byte for byte.
+    impl Scene {
+        fn trace_every(&self, ray: &Ray, depth: u32) -> Vec3 {
+            let closest = self.closest(self.spheres.iter().map(|sphere| sphere.intersect(ray)));
+            self.finish_every(ray, depth, closest)
+        }
+
+        fn finish_every(&self, ray: &Ray, depth: u32, closest: Option<(f64, &Sphere)>) -> Vec3 {
+            // Ground plane intersection.
+            let floor_t = if ray.direction.y < -1e-6 {
+                Some((self.floor_y - ray.origin.y) / ray.direction.y)
+            } else {
+                None
+            };
+
+            match (closest, floor_t) {
+                (Some((t, sphere)), floor) if floor.map(|ft| t < ft).unwrap_or(true) => {
+                    let hit = ray.origin + ray.direction.scale(t);
+                    let normal = (hit - sphere.center).normalized();
+                    let mut color = self.shade_every(hit, normal, sphere.color);
+                    if sphere.reflectivity > 0.0 && depth < self.max_depth {
+                        let reflected = Ray {
+                            origin: hit + normal.scale(1e-4),
+                            direction: ray.direction.reflect(normal).normalized(),
+                        };
+                        let bounce = self.trace_every(&reflected, depth + 1);
+                        color = color.scale(1.0 - sphere.reflectivity)
+                            + bounce.scale(sphere.reflectivity);
+                    }
+                    color
+                }
+                (_, Some(t)) if t > 1e-6 => {
+                    let hit = ray.origin + ray.direction.scale(t);
+                    // Checkerboard floor.
+                    let checker = ((floor(hit.x) + floor(hit.z)) as i64).rem_euclid(2) == 0;
+                    let base = if checker {
+                        Vec3::new(0.85, 0.85, 0.85)
+                    } else {
+                        Vec3::new(0.25, 0.25, 0.25)
+                    };
+                    self.shade_every(hit, Vec3::new(0.0, 1.0, 0.0), base)
+                }
+                _ => self.background,
+            }
+        }
+
+        fn shade_every(&self, hit: Vec3, normal: Vec3, base: Vec3) -> Vec3 {
+            let to_light = self.light - hit;
+            // `to_light.normalized()`, sharing its square root with `max_t`.
+            let max_t = to_light.length();
+            let light_dir = if max_t == 0.0 { to_light } else { to_light.scale(1.0 / max_t) };
+            // Hard shadow: any sphere between the hit point and the light.
+            let shadow_ray = Ray { origin: hit + normal.scale(1e-4), direction: light_dir };
+            let in_shadow =
+                self.spheres.iter().filter_map(|s| s.intersect(&shadow_ray)).any(|t| t < max_t);
+            let ambient = 0.12;
+            let diffuse = if in_shadow { 0.0 } else { normal.dot(light_dir).max(0.0) };
+            base.scale(ambient + 0.88 * diffuse)
+        }
+    }
+
+    /// `render` as one unculled `trace_every` per pixel from the camera,
+    /// with the camera arithmetic written out per pixel: the reference the
+    /// hoisted and culled primary rays must match byte for byte.
     fn render_per_pixel(scene: &Scene, angle: f64, width: usize, height: usize) -> Vec<u8> {
         let distance = 6.0;
         let camera = Vec3::new(distance * angle.cos(), 2.2, distance * angle.sin());
@@ -435,7 +629,7 @@ mod tests {
                 let ndc_x = (2.0 * (x as f64 + 0.5) / width as f64 - 1.0) * fov_scale * aspect;
                 let ndc_y = (1.0 - 2.0 * (y as f64 + 0.5) / height as f64) * fov_scale;
                 let direction = (forward + right.scale(ndc_x) + up.scale(ndc_y)).normalized();
-                let color = scene.trace(&Ray { origin: camera, direction }, 0);
+                let color = scene.trace_every(&Ray { origin: camera, direction }, 0);
                 pixels.extend([color.x, color.y, color.z].map(quantise));
             }
         }
@@ -443,8 +637,11 @@ mod tests {
     }
 
     /// Scenes the pinned default animation does not cover: a camera inside
-    /// a sphere (primary rays take the far root), matte spheres, no
-    /// reflections at all, and no spheres.
+    /// a sphere (primary rays take the far root, no plane culls), matte
+    /// spheres, no reflections at all, no spheres, a light inside a sphere
+    /// (no light cone), a sphere of radius 1e-3 (the margins dominate), a
+    /// crowd of 70 spheres and a radius-4 sphere; and sizes with no pixel,
+    /// one pixel, and other aspects.
     #[test]
     fn hoisted_primary_rays_match_a_per_pixel_trace() {
         let mut around_the_orbit = Scene::default();
@@ -462,11 +659,51 @@ mod tests {
         }
         let flat = Scene { max_depth: 0, ..Scene::default() };
         let empty = Scene { spheres: Vec::new(), ..Scene::default() };
-        let scenes = [Scene::default(), around_the_orbit, matte, flat, empty];
+        let mut lamp = Scene::default();
+        lamp.spheres.push(Sphere {
+            center: Vec3::new(4.8, 7.9, -3.1),
+            radius: 0.5,
+            color: Vec3::new(1.0, 1.0, 0.8),
+            reflectivity: 0.0,
+        });
+        let mut speck = Scene::default();
+        speck.spheres.push(Sphere {
+            center: Vec3::new(0.7, 1.9, -0.4),
+            radius: 1e-3,
+            color: Vec3::new(0.9, 0.9, 0.9),
+            reflectivity: 0.5,
+        });
+        let crowd = Scene {
+            spheres: (0..70)
+                .map(|i| {
+                    let (column, layer) = (f64::from(i % 10), f64::from(i / 10));
+                    Sphere {
+                        center: Vec3::new(
+                            0.8 * column - 3.6,
+                            0.25 + 0.45 * layer,
+                            0.6 * layer - 1.8,
+                        ),
+                        radius: 0.15 + 0.02 * f64::from(i % 7),
+                        color: Vec3::new(0.1 * column, 0.3, 0.1 * layer),
+                        reflectivity: 0.1 * f64::from(i % 4),
+                    }
+                })
+                .collect(),
+            ..Scene::default()
+        };
+        let mut giant = Scene::default();
+        giant.spheres.push(Sphere {
+            center: Vec3::new(-1.0, 4.0, 2.5),
+            radius: 4.0,
+            color: Vec3::new(0.7, 0.5, 0.9),
+            reflectivity: 0.7,
+        });
+        let scenes =
+            [Scene::default(), around_the_orbit, matte, flat, empty, lamp, speck, crowd, giant];
 
         for (index, scene) in scenes.iter().enumerate() {
             for angle in [0.0, 0.9, 2.5, 4.4] {
-                for (width, height) in [(1, 1), (7, 5), (96, 72)] {
+                for (width, height) in [(0, 3), (3, 0), (1, 1), (7, 5), (96, 72), (160, 90)] {
                     assert_eq!(
                         scene.render(angle, width, height),
                         render_per_pixel(scene, angle, width, height),
@@ -478,6 +715,61 @@ mod tests {
         // The camera-inside scene does exercise the far root: its frame
         // differs from the same scene without the enclosing sphere.
         assert_ne!(scenes[1].render(0.9, 7, 5), scenes[0].render(0.9, 7, 5));
+    }
+
+    /// A shadow ray starts `1e-4` along the normal from its hit point, so
+    /// it can clip a sphere that the line from the hit point to the light
+    /// misses by less than `1e-4`: here by `3e-5`, while the origin's offset
+    /// moves the ray `6e-5` towards the sphere. The light cone must keep
+    /// that sphere.
+    #[test]
+    fn offset_shadow_ray_clips_a_sphere_the_light_line_misses() {
+        let radius = 0.25;
+        let scene = Scene {
+            spheres: vec![Sphere {
+                center: Vec3::new(radius + 3e-5, 1.0, 0.0),
+                radius,
+                color: Vec3::new(1.0, 1.0, 1.0),
+                reflectivity: 0.0,
+            }],
+            light: Vec3::new(0.0, 2.0, 0.0),
+            ..Scene::default()
+        };
+        let (hit, normal, base) =
+            (Vec3::default(), Vec3::new(0.6, 0.8, 0.0), Vec3::new(1.0, 1.0, 1.0));
+        let shaded = scene.shade(&Frame::new(&scene, Vec3::default()), hit, normal, base);
+        assert_eq!(shaded, scene.shade_every(hit, normal, base));
+        // In shadow: ambient light only.
+        assert_eq!(shaded, base.scale(0.12));
+    }
+
+    /// A shadow ray from far away meets the discriminant's rounding: from
+    /// 1.5e6 away, testing every sphere finds a shadow of a sphere whose line
+    /// to the light misses it by 3e-4, more than its light cone's margin.
+    /// Starting beyond `reach`, the ray tests every sphere, as the
+    /// reference does.
+    #[test]
+    fn far_shadow_ray_tests_every_sphere() {
+        let scene = Scene {
+            spheres: vec![Sphere {
+                center: Vec3::new(0.0, 10.0, 0.0),
+                radius: 1.0,
+                color: Vec3::new(1.0, 1.0, 1.0),
+                reflectivity: 0.0,
+            }],
+            light: Vec3::new(0.0, 20.0, 0.0),
+            ..Scene::default()
+        };
+        // From the light, past the sphere at 1 + 3e-4 from its centre.
+        let sin = (1.0 + 3e-4) / 10.0;
+        let away = Vec3::new(sin, -(1.0 - sin * sin).sqrt(), 0.0);
+        let hit = scene.light + away.scale(1.497_270_995_215_445e6);
+        let (normal, base) =
+            (Vec3::new(-away.x, -away.y, 1.0).normalized(), Vec3::new(1.0, 1.0, 1.0));
+        let shaded = scene.shade(&Frame::new(&scene, Vec3::default()), hit, normal, base);
+        assert_eq!(shaded, scene.shade_every(hit, normal, base));
+        // The rounded test finds the shadow that the exact line misses.
+        assert_eq!(shaded, base.scale(0.12));
     }
 
     #[test]
