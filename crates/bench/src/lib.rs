@@ -19,6 +19,7 @@
 
 use pando_core::scenario::Scenario as ScenarioFile;
 use pando_core::sim::{oracle, simulate_fleet, FleetParams, FleetReport, VolunteerSpec};
+use pando_core::trace::Event;
 use pando_devices::profiles::{units_per_task, Scenario, ScenarioSetup};
 use pando_devices::table2::{paper_reference, paper_total, scenario_entries};
 use pando_workloads::AppKind;
@@ -137,13 +138,11 @@ fn checked(params: FleetParams) -> FleetReport {
     report
 }
 
-/// Every reply of a fleet run as `(virtual instant, volunteer, records)`,
-/// read from its `[t] v{v} reply records={n}` trace lines.
+/// Every reply of a fleet run as `(virtual instant, volunteer, records)`.
 fn replies(report: &FleetReport) -> impl Iterator<Item = (Duration, usize, u64)> + '_ {
-    report.trace.iter().filter_map(|line| {
-        let (at, rest) = line.strip_prefix('[')?.split_once("] v")?;
-        let (v, records) = rest.split_once(" reply records=")?;
-        Some((Duration::from_micros(at.parse().ok()?), v.parse().ok()?, records.parse().ok()?))
+    report.trace.iter().filter_map(|(at, event)| match event {
+        Event::Reply { v, records } => Some((Duration::from_micros(*at), *v, *records)),
+        _ => None,
     })
 }
 
@@ -456,29 +455,18 @@ stream over. `tests/experiments.rs` (E4) asserts these events.
 ",
     );
     for (v, label) in labels.iter().enumerate() {
-        if report
-            .trace
-            .iter()
-            .any(|l| l.starts_with(&format!("setup v{v} ")) && l.contains(" joins_at_us=0 "))
-        {
+        if report.params.volunteers[v].joins_at.is_zero() {
             let _ = writeln!(out, "| 0 ms | v{v} {label} joins |");
         }
     }
-    for line in &report.trace {
-        let Some((at, event)) = line.strip_prefix('[').and_then(|l| l.split_once("] ")) else {
-            continue;
-        };
-        let v = event.split(' ').next().and_then(|v| v.strip_prefix('v')?.parse::<usize>().ok());
-        let text = match (v, event) {
-            (Some(v), e) if e.contains(" join group=") => format!("v{v} {} joins", labels[v]),
-            (Some(v), e) if e.ends_with(" crash") => format!("v{v} {} crashes", labels[v]),
-            (None, "output done") => {
-                format!("output complete: {} values", report.output_order.len())
-            }
+    for (at, event) in &report.trace {
+        let text = match event {
+            Event::Join { v, .. } => format!("v{v} {} joins", labels[*v]),
+            Event::Crash { v } => format!("v{v} {} crashes", labels[*v]),
+            Event::OutputDone => format!("output complete: {} values", report.output_order.len()),
             _ => continue,
         };
-        let ms = at.parse::<u64>().unwrap_or(0) / 1_000;
-        let _ = writeln!(out, "| {ms} ms | {text} |");
+        let _ = writeln!(out, "| {} ms | {text} |", at / 1_000);
     }
     let computed: Vec<String> =
         computed.iter().enumerate().map(|(v, n)| format!("v{v} {n}")).collect();

@@ -25,6 +25,9 @@
 //! * [`metrics`] — per-device throughput accounting over a measurement
 //!   window, as used for Table 2: lock-free cells fed through handles the
 //!   drivers hold;
+//! * [`trace`] — the deployment's typed event trace: the master's joins and
+//!   session ends, and the simulator's volunteer events, rendered in one
+//!   place;
 //! * [`sim`] — the virtual-clock *fleet simulator* that single-steps the
 //!   real reactor for tick-for-tick reproducible runs, from the paper's
 //!   LAN / VPN / WAN experiments (`make paper`) to 10k-volunteer fleets;
@@ -89,6 +92,7 @@ pub mod protocol;
 pub mod reactor;
 pub mod scenario;
 pub mod sim;
+pub mod trace;
 pub mod transport;
 pub mod volunteer;
 pub mod worker;

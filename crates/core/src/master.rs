@@ -13,6 +13,7 @@ use crate::config::PandoConfig;
 use crate::metrics::ThroughputMeter;
 use crate::protocol::Message;
 use crate::reactor::{DriverHandle, Reactor, ReactorStats};
+use crate::trace::{Event, Trace};
 use crate::transport::Transport;
 use bytes::Bytes;
 use pando_netsim::channel::{pair_with_clock, ChannelConfig, Endpoint};
@@ -25,9 +26,14 @@ use std::sync::Arc;
 
 /// The Pando master: accepts volunteers and distributes a stream of values to
 /// them. See the [crate documentation](crate) for a complete example.
+///
+/// Cloning a `Pando` yields another handle on the *same* deployment:
+/// volunteers registered through any handle feed the same StreamLender.
+#[derive(Clone)]
 pub struct Pando {
     config: PandoConfig,
     meter: ThroughputMeter,
+    trace: Trace,
     state: Arc<Mutex<MasterState>>,
 }
 
@@ -41,14 +47,6 @@ struct MasterState {
     links: Vec<DriverHandle>,
     /// Volunteers registered so far; also the next join index.
     volunteers_connected: u64,
-}
-
-impl Clone for Pando {
-    /// Cloning a `Pando` yields another handle on the *same* deployment:
-    /// volunteers registered through any handle feed the same StreamLender.
-    fn clone(&self) -> Self {
-        Self { config: self.config.clone(), meter: self.meter.clone(), state: self.state.clone() }
-    }
 }
 
 impl std::fmt::Debug for Pando {
@@ -66,6 +64,7 @@ impl Pando {
     /// Creates a master with the given configuration.
     pub fn new(config: PandoConfig) -> Self {
         Self {
+            trace: Trace::new(&config.run.clock),
             config,
             meter: ThroughputMeter::new(),
             state: Arc::new(Mutex::new(MasterState {
@@ -86,6 +85,13 @@ impl Pando {
     /// The throughput meter fed by this deployment (one row per volunteer).
     pub fn meter(&self) -> &ThroughputMeter {
         &self.meter
+    }
+
+    /// The event trace of this deployment: every volunteer registered and
+    /// every session ended, stamped on the deployment clock (see
+    /// [`crate::trace`]).
+    pub fn trace(&self) -> &Trace {
+        &self.trace
     }
 
     /// Creates a channel pair using the deployment's network profile (and
@@ -133,6 +139,7 @@ impl Pando {
 
     fn register(&self, state: &mut MasterState, name: String, endpoint: Arc<dyn Transport>) {
         state.volunteers_connected += 1;
+        self.trace.record(Event::Joined { name: name.clone() });
         match state.lender.clone() {
             Some(lender) => self.wire_volunteer(state, &lender, &name, endpoint),
             None => state.pending.push((name, endpoint)),
@@ -155,7 +162,8 @@ impl Pando {
             reactor.attach_lender(lender);
             reactor
         });
-        let link = reactor.register(name, endpoint, lender.lend_on(0), &self.config, &self.meter);
+        let sub = lender.lend_on(0);
+        let link = reactor.register(name, endpoint, sub, &self.config, &self.meter, &self.trace);
         state.links.push(link);
     }
 

@@ -81,6 +81,7 @@
 use crate::config::PandoConfig;
 use crate::metrics::{DeviceMeter, ShardMeter, ThroughputMeter};
 use crate::protocol::{HeartbeatAction, HeartbeatPacer, Message};
+use crate::trace::{End, Event, Trace};
 use crate::transport::Transport;
 use bytes::Bytes;
 use pando_netsim::channel::{RecvError, SendError};
@@ -390,6 +391,8 @@ struct Driver {
     name: String,
     endpoint: Arc<dyn Transport>,
     device: DeviceMeter,
+    /// Where [`Driver::finish`] records how the session ended.
+    trace: Trace,
     sched: AtomicU8,
     /// This driver's key in the starved set, 0 while it is not parked. Set
     /// by the park in [`poll_driver`] and cleared by the kick that pops the
@@ -476,17 +479,12 @@ impl Driver {
                 Ok(Message::TaskError { seq, message }) => {
                     // An application error marks the volunteer faulty; its
                     // values are re-lent elsewhere (crash-stop model).
-                    io.sub.end(SubStreamEnd::Crashed);
                     self.endpoint.close();
                     let text = String::from_utf8_lossy(&message).into_owned();
                     let name = &self.name;
-                    return self.finish(
-                        inner,
-                        io,
-                        Err(StreamError::new(format!(
-                            "volunteer {name} failed on value {seq}: {text}"
-                        ))),
-                    );
+                    let err =
+                        StreamError::new(format!("volunteer {name} failed on value {seq}: {text}"));
+                    return self.finish(inner, io, End::Failed, Err(err));
                 }
                 Ok(Message::Heartbeat) | Ok(Message::Ack { .. }) => {
                     // Session-layer acks are normally absorbed inside the
@@ -496,21 +494,18 @@ impl Driver {
                     continue;
                 }
                 Ok(Message::Goodbye) | Ok(Message::TaskBatch(_)) => {
-                    io.sub.end(SubStreamEnd::Completed);
-                    return self.finish(inner, io, Ok(()));
+                    return self.finish(inner, io, End::Goodbye, Ok(()));
                 }
                 Err(RecvError::Closed) => {
-                    io.sub.end(SubStreamEnd::Completed);
-                    return self.finish(inner, io, Ok(()));
+                    return self.finish(inner, io, End::Goodbye, Ok(()));
                 }
                 Err(RecvError::PeerFailed) => {
-                    io.sub.end(SubStreamEnd::Crashed);
                     inner.stats.crash_relends.fetch_add(1, Ordering::Relaxed);
                     let name = &self.name;
                     let err = StreamError::transport(format!(
                         "volunteer {name} disconnected (heartbeat timeout)"
                     ));
-                    return self.finish(inner, io, Err(err));
+                    return self.finish(inner, io, End::Crash, Err(err));
                 }
                 Err(RecvError::Empty) => break,
             }
@@ -631,14 +626,22 @@ impl Driver {
         PollOutcome::Pending { timer, starved, starve_epoch, progressed }
     }
 
-    /// Marks the driver terminal: books the result (dispatch errors win over
-    /// a clean receive end), deregisters it and fires the completion signal.
+    /// Marks the driver terminal: ends its sub-stream (a goodbye completes
+    /// it, a crash or failure re-lends its values), books the result
+    /// (dispatch errors win over a clean receive end), deregisters it,
+    /// records how the session ended and fires the completion signal.
     fn finish(
         self: &Arc<Self>,
         inner: &Inner,
         mut io: parking_lot::MutexGuard<'_, DriverIo>,
+        how: End,
         result: Result<(), StreamError>,
     ) -> PollOutcome {
+        io.sub.end(if how == End::Goodbye {
+            SubStreamEnd::Completed
+        } else {
+            SubStreamEnd::Crashed
+        });
         io.dispatch_done = true;
         let result = match io.dispatch_error.take() {
             Some(err) => Err(err),
@@ -652,6 +655,7 @@ impl Driver {
         // Leave the starved set too: a stale entry would make the input pump
         // read ahead with no real demand, breaking its laziness guarantee.
         self.unpark(inner);
+        self.trace.record(Event::Ended { name: self.name.clone(), how });
         self.finished.fire();
         PollOutcome::Terminal
     }
@@ -823,12 +827,14 @@ impl Reactor {
         sub: SubStream<Bytes, Bytes>,
         config: &PandoConfig,
         meter: &ThroughputMeter,
+        trace: &Trace,
     ) -> DriverHandle {
         let driver = Arc::new(Driver {
             id: self.inner.stats.registered.fetch_add(1, Ordering::Relaxed),
             name: name.to_string(),
             endpoint: endpoint.clone(),
             device: meter.device(name),
+            trace: trace.clone(),
             sched: AtomicU8::new(IDLE),
             park_seq: AtomicU64::new(0),
             parked_credits: AtomicUsize::new(0),
@@ -1133,6 +1139,7 @@ mod tests {
         lender: ShardedLender<Bytes, Bytes>,
         config: PandoConfig,
         meter: ThroughputMeter,
+        trace: Trace,
     }
 
     impl Rig {
@@ -1149,7 +1156,8 @@ mod tests {
             let lender = ShardedLender::new(input, 1, 1);
             let reactor = Reactor::new(&config);
             reactor.attach_lender(&lender);
-            Self { reactor, lender, config, meter: ThroughputMeter::new() }
+            let trace = Trace::new(&config.run.clock);
+            Self { reactor, lender, config, meter: ThroughputMeter::new(), trace }
         }
 
         /// Registers a volunteer with a window of `window` tasks and returns
@@ -1163,6 +1171,7 @@ mod tests {
                 self.lender.lend_on(0),
                 &self.config.clone().with_batch_size(window),
                 &self.meter,
+                &self.trace,
             );
             (handle, volunteer_side)
         }
@@ -1376,7 +1385,8 @@ mod tests {
         let link = ChannelConfig { latency: ms(2), ..ChannelConfig::instant() };
         let (master_side, v_end) = pair_with_clock::<Message>(link, clock.clone());
         let sub = rig.lender.lend_on(0);
-        let _v = rig.reactor.register("v", Arc::new(master_side), sub, &rig.config, &rig.meter);
+        let (config, meter, trace) = (&rig.config, &rig.meter, &rig.trace);
+        let _v = rig.reactor.register("v", Arc::new(master_side), sub, config, meter, trace);
         rig.drain();
         let heartbeat_due = clock.now() + ms(5);
         assert_eq!(rig.reactor.next_timer_at(), Some(heartbeat_due));

@@ -28,6 +28,7 @@
 use crate::config::PandoConfig;
 use crate::master::Pando;
 use crate::protocol::Message;
+use crate::trace::{write_lines, Event, Trace};
 use crate::worker::{Step, WorkerCore};
 use bytes::Bytes;
 use pando_netsim::channel::{ChannelConfig, Endpoint};
@@ -39,6 +40,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::fmt::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -165,20 +167,20 @@ impl FleetParams {
 pub struct FleetReport {
     /// The parameters the run was built from.
     pub params: FleetParams,
-    /// The event trace: volunteer joins, task frames received, replies,
-    /// crashes, goodbyes and the output completion, each stamped with its
-    /// virtual time in microseconds.
-    pub trace: Vec<String>,
+    /// The deployment's [`Trace`]: the master's joins and session ends,
+    /// and the simulator's volunteer joins, task frames received, replies,
+    /// crashes, leaves, goodbyes, partitions and the output completion, each
+    /// stamped with its virtual time in microseconds.
+    pub trace: Vec<(u64, Event)>,
     /// The decoded task index of every output value, in emission order.
     /// Always `0..tasks`: crashes re-lend, the merge stage restores order.
     pub output_order: Vec<u64>,
     /// FNV-1a digest over the raw output payload bytes, in order.
     pub output_digest: u64,
     /// Canonical per-device rows of the
-    /// [`ThroughputMeter`](crate::metrics::ThroughputMeter)
-    /// (tasks, wire bytes, wire frames, heartbeats), then a `meter scheduler`
-    /// row read from [`FleetReport::reactor`]: polls, wasted polls, kicks
-    /// sent and suppressed.
+    /// [`ThroughputMeter`](crate::metrics::ThroughputMeter): tasks, wire
+    /// bytes, wire frames, heartbeats. The scheduler's counters are the
+    /// canonical trace's `reactor` line ([`FleetReport::reactor`]).
     pub meter_rows: Vec<String>,
     /// The canonical dispatch row of the lender's one shard (borrows and
     /// accepted results).
@@ -201,27 +203,41 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    /// Renders every deterministic artefact of the run — the event trace,
-    /// the output order and digest, the meter and shard rows — into one
-    /// string. Two runs with equal [`FleetParams`]
+    /// Renders every deterministic artefact of the run — the parameters,
+    /// the event trace, the output order and digest, the meter and shard
+    /// rows — into one string. Two runs with equal [`FleetParams`]
     /// produce byte-identical canonical traces; a mismatch pinpoints the
     /// first nondeterministic event.
     pub fn canonical_trace(&self) -> String {
         let mut out = String::new();
         let params = &self.params;
-        out.push_str(&format!(
-            "params name={} seed={} volunteers={} tasks={} batch_size={} interactive={}\n",
+        let _ = writeln!(
+            out,
+            "params name={} seed={} volunteers={} tasks={} batch_size={} interactive={}",
             params.name,
             params.seed,
             params.volunteers.len(),
             params.tasks,
             params.batch_size,
             params.interactive_input
-        ));
-        for line in &self.trace {
-            out.push_str(line);
-            out.push('\n');
+        );
+        let opt_us = |at: Option<Duration>| at.map_or("never".into(), |at| micros(at).to_string());
+        for (v, spec) in params.volunteers.iter().enumerate() {
+            let _ = writeln!(
+                out,
+                "setup v{v} group={} service_us={} latency_us={} jitter_us={} loss={} \
+                 joins_at_us={} leaves_at_us={} crash_at_us={}",
+                spec.group,
+                micros(spec.service),
+                micros(spec.channel.latency),
+                micros(spec.channel.jitter),
+                spec.channel.loss,
+                micros(spec.joins_at),
+                opt_us(spec.leaves_at),
+                opt_us(spec.crash_at),
+            );
         }
+        let _ = write_lines(&mut out, &self.trace);
         out.push_str(&format!(
             "output n={} digest={:016x}\n",
             self.output_order.len(),
@@ -347,9 +363,10 @@ impl Ord for Timed {
     }
 }
 
-/// The engine's event heap plus the wake list volunteers' endpoint wakers
-/// feed.
+/// The engine's event heap, the wake list volunteers' endpoint wakers feed,
+/// and the deployment's trace the volunteers' events go to.
 struct Engine {
+    trace: Trace,
     queue: BinaryHeap<Reverse<Timed>>,
     next_seq: u64,
     /// Volunteers whose endpoint waker fired since they were last polled.
@@ -447,13 +464,12 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
     let clock = config.run.clock.clone();
     let origin = clock.now();
     let pando = Pando::new(config);
-    let mut trace: Vec<String> = Vec::new();
-    let elapsed_us = |clock: &pando_netsim::sim::Clock| micros(clock.elapsed());
 
     // --- The fleet: each volunteer's link, churn and crash schedule. -----
     let woken = Arc::new(Mutex::new(VecDeque::new()));
     let queued = Arc::new((0..n).map(|_| AtomicBool::new(false)).collect::<Vec<_>>());
     let mut engine = Engine {
+        trace: pando.trace().clone(),
         queue: BinaryHeap::new(),
         next_seq: 0,
         woken: woken.clone(),
@@ -475,22 +491,7 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
             })
         }
     };
-    let opt_us = |at: Option<Duration>| {
-        at.map(|at| micros(at).to_string()).unwrap_or_else(|| "never".into())
-    };
     for (v, spec) in params.volunteers.iter().enumerate() {
-        trace.push(format!(
-            "setup v{v} group={} service_us={} latency_us={} jitter_us={} loss={} \
-             joins_at_us={} leaves_at_us={} crash_at_us={}",
-            spec.group,
-            micros(spec.service),
-            micros(spec.channel.latency),
-            micros(spec.channel.jitter),
-            spec.channel.loss,
-            micros(spec.joins_at),
-            opt_us(spec.leaves_at),
-            opt_us(spec.crash_at),
-        ));
         let endpoint = if spec.joins_at.is_zero() {
             let endpoint = pando.open_volunteer_channel_with(spec.channel.clone());
             endpoint.set_waker(make_waker(v));
@@ -564,7 +565,7 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
             let vol = &mut volunteers[v];
             match vol.live().and_then(Endpoint::next_ready_at) {
                 Some(at) if at > clock.now() => book_repoll(v, vol, at, &mut engine),
-                _ => poll_volunteer(v, vol, &mut engine, &clock, &mut trace),
+                _ => poll_volunteer(v, vol, &mut engine, &clock),
             }
             progress = true;
         }
@@ -579,7 +580,7 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
                     endpoint.crash();
                     volunteers[v].done = true;
                     crashed_fired += 1;
-                    trace.push(format!("[{}] v{v} crash", elapsed_us(&clock)));
+                    engine.trace.record(Event::Crash { v });
                 }
                 Ev::Reply { v, frames } => {
                     volunteers[v].pending_replies -= 1;
@@ -588,10 +589,7 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
                         let size = frame.wire_size();
                         let count = frame.record_count();
                         if endpoint.send_records_with_size(frame, size, count).is_ok() {
-                            trace.push(format!(
-                                "[{}] v{v} reply records={count}",
-                                elapsed_us(&clock)
-                            ));
+                            engine.trace.record(Event::Reply { v, records: count });
                         }
                     }
                 }
@@ -601,13 +599,13 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
                     if vol.done || vol.endpoint.is_some() {
                         continue;
                     }
+                    engine.trace.record(Event::Join { v, group: spec.group.clone() });
                     // Registering with the master wires a driver at once:
                     // the lender starts dispatching to the newcomer on the
                     // next reactor step (the dynamic-join property).
                     let endpoint = pando.open_volunteer_channel_with(spec.channel.clone());
                     endpoint.set_waker(make_waker(v));
                     vol.endpoint = Some(endpoint);
-                    trace.push(format!("[{}] v{v} join group={}", elapsed_us(&clock), spec.group));
                 }
                 Ev::Leave { v } => {
                     let Some(endpoint) = volunteers[v].live() else { continue };
@@ -619,25 +617,20 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
                     let _ = endpoint.send(Message::Goodbye);
                     endpoint.close();
                     volunteers[v].done = true;
-                    trace.push(format!("[{}] v{v} leave", elapsed_us(&clock)));
+                    engine.trace.record(Event::Leave { v });
                 }
                 Ev::Partition { members, until } => {
-                    let ids: Vec<String> = members.iter().map(usize::to_string).collect();
-                    trace.push(format!(
-                        "[{}] partition members={} heal_us={}",
-                        elapsed_us(&clock),
-                        ids.join(","),
-                        micros(until.saturating_duration_since(origin))
-                    ));
                     // In-flight frames keep their delivery instants, later
                     // ones mature no earlier than the heal instant.
                     for endpoint in members.iter().filter_map(|&v| volunteers[v].live()) {
                         endpoint.pause_link_until(until);
                     }
+                    let heal_us = micros(until.saturating_duration_since(origin));
+                    engine.trace.record(Event::Partition { members, heal_us });
                 }
                 Ev::Repoll { v } => {
                     volunteers[v].repoll_at = None;
-                    poll_volunteer(v, &mut volunteers[v], &mut engine, &clock, &mut trace);
+                    poll_volunteer(v, &mut volunteers[v], &mut engine, &clock);
                 }
             }
         }
@@ -654,7 +647,7 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
                         output_order.push(decode_result(&payload));
                     }
                     Answer::Done => {
-                        trace.push(format!("[{}] output done", elapsed_us(&clock)));
+                        engine.trace.record(Event::OutputDone);
                         finished = true;
                         break;
                     }
@@ -693,7 +686,7 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
     );
     let reactor_stats = reactor.stats();
     let report = pando.meter().report();
-    let mut meter_rows: Vec<String> = report
+    let meter_rows: Vec<String> = report
         .rows
         .iter()
         .map(|row| {
@@ -708,13 +701,6 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
             )
         })
         .collect();
-    meter_rows.push(format!(
-        "meter scheduler polls={} wasted_polls={} kicks_sent={} kicks_suppressed={}",
-        reactor_stats.polls,
-        reactor_stats.wasted_polls,
-        reactor_stats.kicks_sent,
-        reactor_stats.kicks_suppressed
-    ));
     let shard_rows: Vec<String> = report
         .shards
         .iter()
@@ -729,7 +715,7 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
     pando.join_volunteers();
     FleetReport {
         params: params.clone(),
-        trace,
+        trace: engine.trace.take(),
         output_order,
         output_digest: digest,
         meter_rows,
@@ -766,7 +752,6 @@ fn poll_volunteer(
     vol: &mut SimVolunteer,
     engine: &mut Engine,
     clock: &pando_netsim::sim::Clock,
-    trace: &mut Vec<String>,
 ) {
     // `vol.live()` would borrow all of `vol`; the core is borrowed mutably
     // below.
@@ -777,7 +762,7 @@ fn poll_volunteer(
         match vol.core.on_recv(endpoint.try_recv(), &process_payload) {
             Step::Reply { records, replies } => {
                 let now = clock.now();
-                trace.push(format!("[{}] v{v} recv records={records}", micros(clock.elapsed())));
+                engine.trace.record(Event::Recv { v, records: records as u64 });
                 // The device computes for `service × records` of virtual
                 // time, serialised after whatever it was already chewing on.
                 vol.busy_until = vol.busy_until.max(now) + vol.service * records as u32;
@@ -805,7 +790,7 @@ fn poll_volunteer(
                 let _ = endpoint.send(Message::Goodbye);
                 endpoint.close();
                 vol.done = true;
-                trace.push(format!("[{}] v{v} goodbye", micros(clock.elapsed())));
+                engine.trace.record(Event::Goodbye { v });
                 return;
             }
             Step::Leave { close } => {
@@ -877,8 +862,9 @@ mod tests {
         let run = |batch_size| run_script(vec![phone.clone()], batch_size, 24);
         let (one, four) = (run(1), run(4));
         for (report, batch) in [(&one, 1), (&four, 4)] {
-            let records = report.trace.iter().filter_map(|line| {
-                line.split("recv records=").nth(1)?.split(' ').next()?.parse::<usize>().ok()
+            let records = report.trace.iter().filter_map(|(_, event)| match event {
+                Event::Recv { records, .. } => Some(*records),
+                _ => None,
             });
             assert_eq!(records.max(), Some(batch), "frames never exceed the window");
         }
@@ -935,7 +921,7 @@ mod tests {
         assert!(report.crashed >= 1, "the schedule must actually crash volunteers");
         oracle::check(&report).unwrap();
         assert!(
-            report.trace.iter().any(|line| line.ends_with("crash")),
+            report.trace.iter().any(|(_, event)| matches!(event, Event::Crash { .. })),
             "crash events appear in the trace"
         );
         // Crash recovery costs virtual time (the 500 ms failure timeout),
@@ -978,11 +964,11 @@ mod tests {
         assert_eq!(flapped.output_digest, calm.output_digest);
         oracle::check(&flapped).unwrap();
         let pauses = [
-            "[2000] partition members=1 heal_us=10000",
-            "[5000] partition members=3 heal_us=25000",
+            (2_000, Event::Partition { members: vec![1], heal_us: 10_000 }),
+            (5_000, Event::Partition { members: vec![3], heal_us: 25_000 }),
         ];
         for pause in pauses {
-            assert!(flapped.trace.iter().any(|line| line == pause), "{pause} is traced");
+            assert!(flapped.trace.contains(&pause), "{pause:?} is traced");
         }
     }
 
@@ -1059,9 +1045,12 @@ mod tests {
         let header =
             "params name=unit_mixed seed=77 volunteers=5 tasks=96 batch_size=2 interactive=false\n";
         assert!(a.canonical_trace().starts_with(header));
-        assert!(a.trace.iter().any(|l| l.contains("join group=lan")));
-        assert!(a.trace.iter().any(|l| l.contains("leave")));
-        assert!(a.trace.iter().any(|l| l.contains("partition members=0,1")));
+        let traced = |pick: fn(&Event) -> bool| a.trace.iter().any(|(_, event)| pick(event));
+        assert!(traced(|event| matches!(event, Event::Join { group, .. } if group == "lan")));
+        assert!(traced(|event| matches!(event, Event::Leave { .. })));
+        assert!(traced(
+            |event| matches!(event, Event::Partition { members, .. } if members == &[0, 1])
+        ));
         assert!(a.canonical_trace().contains(&format!("loss retransmits={}", a.retransmits)));
     }
 }

@@ -9,6 +9,7 @@
 
 use pando_core::scenario::{GroupSpec, LinkOverrides, PartitionSpec, Scenario};
 use pando_core::sim::{oracle, simulate_fleet, FleetReport};
+use pando_core::trace::{End, Event};
 use proptest::prelude::*;
 
 /// The no, low, medium and high jitter link rows of SNIPPETS.md snippet 2,
@@ -118,41 +119,36 @@ proptest! {
     }
 }
 
-/// The instant a trace line `[us] v{v} {event}` is stamped with, if `line`
-/// is that event of volunteer `v`.
-fn stamp_of(line: &str, v: usize, event: &str) -> Option<u64> {
-    let (stamp, rest) = line.strip_prefix('[')?.split_once("] ")?;
-    if rest != format!("v{v} {event}") {
-        return None;
-    }
-    stamp.parse().ok()
-}
-
 /// Runs `scenario` through [`oracle::run`] and checks its crash accounting
 /// against the trace. A scripted crash `(v, at)` fires exactly when `v` is
-/// still connected at `at`: each one has either a `v{v} crash` line, or a
-/// `v{v} goodbye`/`v{v} leave` line stamped no later than `at` (the
-/// volunteer left first, so there is nothing left to crash) — exactly one
-/// of the two. Flaps and clean leaves never count, and `report.crashed` is
-/// the number of crash lines.
+/// still connected at `at`: each one has either a `Crash` event of `v`, or
+/// a `Goodbye`/`Leave` of `v` stamped no later than `at` (the volunteer
+/// left first, so there is nothing left to crash) — exactly one of the
+/// two. Flaps and clean leaves never count, and `report.crashed` is the
+/// number of crash events. Across the layers, the master's trace ends as
+/// many sessions with a crash as the reactor counted crash re-lends, and
+/// joins as many volunteers as the reactor registered.
 fn run_and_check_crashes(scenario: &Scenario) -> FleetReport {
     let report =
         oracle::run(&scenario.to_fleet_params().unwrap()).unwrap_or_else(|e| panic!("{e}"));
-    let trace = &report.trace;
+    let count = |pick: &dyn Fn(u64, &Event) -> bool| {
+        report.trace.iter().filter(|(at, event)| pick(*at, event)).count() as u64
+    };
     for &(v, at) in &scenario.crashes {
-        let crashed = trace.iter().filter(|line| stamp_of(line, v, "crash").is_some()).count();
-        let left_first = trace.iter().any(|line| {
-            ["goodbye", "leave"]
-                .iter()
-                .any(|event| stamp_of(line, v, event).is_some_and(|stamp| stamp <= at))
-        });
+        let crashed = count(&|_, event| *event == Event::Crash { v });
+        let left_first = count(&|stamp, event| {
+            stamp <= at && (*event == Event::Goodbye { v } || *event == Event::Leave { v })
+        }) > 0;
         assert!(
-            crashed + usize::from(left_first) == 1,
-            "crash of v{v} at {at} us: {crashed} crash line(s), left first: {left_first}"
+            crashed + u64::from(left_first) == 1,
+            "crash of v{v} at {at} us: {crashed} crash event(s), left first: {left_first}"
         );
     }
-    let crash_lines = trace.iter().filter(|line| line.ends_with(" crash")).count();
-    assert_eq!(report.crashed, crash_lines as u64);
+    assert_eq!(report.crashed, count(&|_, event| matches!(event, Event::Crash { .. })));
+    let crash_verdicts = count(&|_, event| matches!(event, Event::Ended { how: End::Crash, .. }));
+    assert_eq!(crash_verdicts, report.reactor.crash_relends);
+    let joined = count(&|_, event| matches!(event, Event::Joined { .. }));
+    assert_eq!(joined, report.reactor.registered);
     report
 }
 
@@ -164,7 +160,7 @@ fn a_volunteer_that_left_before_its_crash_is_not_counted_crashed() {
     assert_eq!(scenario.crashes, [(2, 37_586)]);
     let report = run_and_check_crashes(&scenario);
     assert_eq!(report.crashed, 0);
-    assert!(report.trace.iter().any(|line| line == "[36446] v2 goodbye"));
+    assert!(report.trace.contains(&(36_446, Event::Goodbye { v: 2 })));
 }
 
 /// The checked-in scenario files themselves parse, compile, keep the

@@ -6,6 +6,7 @@
 //! order, no matter how the seed-derived fault schedule crashes the fleet.
 
 use pando_core::sim::{oracle, simulate_fleet, FleetParams};
+use pando_core::trace::{End, Event};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -38,6 +39,16 @@ proptest! {
             })
             .sum();
         prop_assert_eq!(accepted, tasks);
+        // Across the layers: the master's trace ends as many sessions with a
+        // crash as the reactor counted crash re-lends, and joins as many
+        // volunteers as it registered.
+        let count = |pick: fn(&Event) -> bool| {
+            report.trace.iter().filter(|(_, event)| pick(event)).count() as u64
+        };
+        let crash_verdicts = count(|event| matches!(event, Event::Ended { how: End::Crash, .. }));
+        prop_assert_eq!(crash_verdicts, report.reactor.crash_relends);
+        let joined = count(|event| matches!(event, Event::Joined { .. }));
+        prop_assert_eq!(joined, report.reactor.registered);
     }
 
     /// Any random disconnect/reconnect schedule (links pausing and coming
@@ -82,5 +93,5 @@ fn pinned_seed_shape_regression() {
     let report = simulate_fleet(&FleetParams::new(7, 8, 64));
     oracle::check(&report).unwrap();
     assert_eq!(report.params.volunteers.len(), 8);
-    assert_eq!(report.meter_rows.len(), 9, "one meter row per volunteer plus the scheduler row");
+    assert_eq!(report.meter_rows.len(), 8, "one meter row per volunteer");
 }

@@ -11,6 +11,7 @@
 //! random fault schedules.
 
 use pando_core::sim::{oracle, simulate_fleet, FleetParams};
+use pando_core::trace::Event;
 
 /// A starved-heavy fleet (many more volunteers than tasks) must exercise the
 /// kick budget: some wakes sent, some suppressed, and the wasted-poll
@@ -28,12 +29,10 @@ fn kick_budget_counters_are_live_when_drivers_starve() {
         report.reactor.kicks_suppressed
     );
     let trace = report.canonical_trace();
-    assert!(trace.contains("wasted_polls="), "canonical trace carries the new counters");
-    assert!(
-        report.meter_rows.iter().any(|row| row.starts_with("meter scheduler ")),
-        "the meter surfaces scheduler counters: {:?}",
-        report.meter_rows
-    );
+    let reactor = trace.lines().find(|line| line.starts_with("reactor ")).expect("a reactor line");
+    for counter in [" polls=", " wasted_polls=", " kicks_sent=", " kicks_suppressed="] {
+        assert!(reactor.contains(counter), "the reactor line carries{counter}: {reactor}");
+    }
 }
 
 /// Committed poll budget for a large fleet: the pre-bounded reactor spent
@@ -82,29 +81,23 @@ fn termination_reaches_every_parked_driver() {
     let params = FleetParams::seeded(11, 48, 24, 0.0);
     let report = simulate_fleet(&params);
     oracle::check(&report).unwrap();
-    let stamp = |line: &String| -> u64 {
-        line[1..line.find(']').expect("a stamped line")].parse().expect("microseconds")
-    };
-    let done = report.trace.iter().find(|line| line.ends_with("] output done")).map(stamp);
-    let done = done.expect("the output completes");
-    let goodbyes: Vec<(&String, u64)> = report
+    let done = report.trace.iter().find(|(_, event)| *event == Event::OutputDone);
+    let done = done.expect("the output completes").0;
+    let goodbyes: Vec<(usize, u64)> = report
         .trace
         .iter()
-        .filter(|line| line.ends_with(" goodbye"))
-        .map(|line| (line, stamp(line)))
+        .filter_map(|(at, event)| match event {
+            Event::Goodbye { v } => Some((*v, *at)),
+            _ => None,
+        })
         .collect();
     assert_eq!(goodbyes.len(), params.volunteers.len(), "every volunteer says goodbye");
-    for (line, at) in goodbyes {
-        let v: usize = line
-            .split(" v")
-            .nth(1)
-            .and_then(|rest| rest.split(' ').next()?.parse().ok())
-            .expect("a volunteer id");
+    for (v, at) in goodbyes {
         let link = &params.volunteers[v].channel;
         let delay = (link.latency + link.jitter).as_micros() as u64;
         assert!(
             at <= done + delay,
-            "{line}: more than one link delay after the output's end at {done}"
+            "v{v} goodbye at {at}: more than one link delay after the output's end at {done}"
         );
     }
 }

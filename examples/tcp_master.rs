@@ -30,11 +30,19 @@
 //!   proving the scripted link drops actually exercised the resume path
 //!   rather than finishing before the flap landed.
 //!
+//! A failed run leaves a post-mortem: a panic hook prints the master's
+//! trace ([`Pando::trace`]) to stderr after the panic message — every
+//! volunteer registered (`master joined NAME`) and every session ended with
+//! its verdict (`master ended NAME goodbye|crash|failed`), stamped in
+//! microseconds since the master started, the newest
+//! [`RING`](pando_core::trace::RING) events of the run.
+//!
 //! Linux only, like `tcp_volunteer`: the TCP transport sits on epoll.
 
 use bytes::Bytes;
 use pando_core::config::PandoConfig;
 use pando_core::master::Pando;
+use pando_core::trace::{write_lines, RING};
 use pando_core::transport::tcp::{TcpAcceptor, TcpConfig};
 use pando_pull_stream::source::{count, SourceExt};
 use std::time::{Duration, Instant};
@@ -66,6 +74,14 @@ fn main() {
         .with_tcp(demo_tcp_config());
     let tcp = config.transport.tcp.clone();
     let pando = Pando::new(config);
+    let trace = pando.trace().clone();
+    let report_panic = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        report_panic(info);
+        let mut lines = String::new();
+        let _ = write_lines(&mut lines, &trace.take());
+        eprint!("master trace (the newest {RING} events):\n{lines}");
+    }));
 
     let acceptor = TcpAcceptor::bind(&addr, tcp.clone()).expect("bind TCP listener");
     let local = acceptor.local_addr();

@@ -6,6 +6,7 @@
 use pando_bench::{
     batching_sweep, device_vs_server, figure4, regenerate_column, values_relent, FRAME_BOUND,
 };
+use pando_core::trace::Event;
 use pando_devices::profiles::{Scenario, ScenarioSetup};
 use pando_devices::table2::{paper_total, scenario_entries};
 use pando_workloads::AppKind;
@@ -90,17 +91,16 @@ fn cross_scenario_ordering_matches_the_paper() {
 #[test]
 fn figure4_deployment_trace_has_the_expected_shape() {
     let report = figure4();
-    let event = |line: &String| line.split_once("] ").map(|(_, e)| e.to_string());
-    let joins: Vec<String> =
-        report.trace.iter().filter(|l| l.contains(" join group=")).filter_map(event).collect();
-    assert_eq!(joins, ["v1 join group=phones", "v2 join group=phones", "v3 join group=board"]);
-    assert!(report
-        .trace
-        .iter()
-        .any(|l| l.starts_with("setup v0 group=laptop ") && l.contains(" joins_at_us=0 ")));
-    let crashes: Vec<String> =
-        report.trace.iter().filter(|l| l.ends_with(" crash")).filter_map(event).collect();
-    assert_eq!(crashes, ["v0 crash"], "exactly one crash, of the laptop");
+    let events = |pick: fn(&Event) -> bool| -> Vec<Event> {
+        report.trace.iter().map(|(_, event)| event.clone()).filter(pick).collect()
+    };
+    let join = |v, group: &str| Event::Join { v, group: group.into() };
+    let joins = [join(1, "phones"), join(2, "phones"), join(3, "board")];
+    assert_eq!(events(|event| matches!(event, Event::Join { .. })), joins);
+    let laptop = &report.params.volunteers[0];
+    assert!(laptop.group == "laptop" && laptop.joins_at.is_zero());
+    let crashes = events(|event| matches!(event, Event::Crash { .. }));
+    assert_eq!(crashes, [Event::Crash { v: 0 }], "exactly one crash, of the laptop");
     assert_eq!(report.crashed, 1);
     assert_eq!(report.reactor.crash_relends, 1, "one crash verdict re-lends");
     assert_eq!(values_relent(&report), 2, "the laptop's window, lent twice");
