@@ -79,7 +79,7 @@
 //! ```
 
 // `deny` rather than `forbid`: the one sanctioned exception is
-// `transport::sys`, the ~100-line raw epoll/keepalive syscall shim, which
+// `transport::sys`, the raw epoll/keepalive/timer-slack syscall shim, which
 // opts back in locally. Everything else stays safe Rust.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -92,6 +92,7 @@ pub mod protocol;
 pub mod reactor;
 pub mod scenario;
 pub mod sim;
+mod thread;
 pub mod trace;
 pub mod transport;
 pub mod volunteer;

@@ -627,9 +627,10 @@ impl Driver {
     }
 
     /// Marks the driver terminal: ends its sub-stream (a goodbye completes
-    /// it, a crash or failure re-lends its values), books the result
-    /// (dispatch errors win over a clean receive end), deregisters it,
-    /// records how the session ended and fires the completion signal.
+    /// it, any other end crashes it; either way the values it still held
+    /// are re-lent), books the result (dispatch errors win over a clean
+    /// receive end), deregisters it, records how the session ended and what
+    /// it handed back, and fires the completion signal.
     fn finish(
         self: &Arc<Self>,
         inner: &Inner,
@@ -637,7 +638,7 @@ impl Driver {
         how: End,
         result: Result<(), StreamError>,
     ) -> PollOutcome {
-        io.sub.end(if how == End::Goodbye {
+        let relent = io.sub.end(if how == End::Goodbye {
             SubStreamEnd::Completed
         } else {
             SubStreamEnd::Crashed
@@ -656,6 +657,9 @@ impl Driver {
         // read ahead with no real demand, breaking its laziness guarantee.
         self.unpark(inner);
         self.trace.record(Event::Ended { name: self.name.clone(), how });
+        if relent > 0 {
+            self.trace.record(Event::Relent { name: self.name.clone(), values: relent as u64 });
+        }
         self.finished.fire();
         PollOutcome::Terminal
     }
@@ -769,10 +773,7 @@ impl Reactor {
         let threads = (0..thread_count)
             .map(|i| {
                 let inner = inner.clone();
-                std::thread::Builder::new()
-                    .name(format!("pando-reactor-{i}"))
-                    .spawn(move || reactor_loop(&inner))
-                    .expect("spawn reactor thread")
+                crate::thread::spawn(format!("pando-reactor-{i}"), move || reactor_loop(&inner))
             })
             .collect();
         Self { inner, threads: Mutex::new(threads), pump: Mutex::new(None), thread_count, inline }
@@ -808,12 +809,9 @@ impl Reactor {
         }
         let inner = self.inner.clone();
         let lender = lender.clone();
-        *pump = Some(
-            std::thread::Builder::new()
-                .name("pando-input-pump".into())
-                .spawn(move || pump_loop(&inner, &lender))
-                .expect("spawn input pump thread"),
-        );
+        *pump = Some(crate::thread::spawn("pando-input-pump".into(), move || {
+            pump_loop(&inner, &lender)
+        }));
     }
 
     /// Registers one volunteer transport with its sub-stream of the lender:
@@ -950,10 +948,9 @@ impl Reactor {
         }
     }
 
-    /// Stops the pool: wakes every thread, joins them, and force-finishes any
-    /// driver still live (its sub-stream ends with crash semantics so
-    /// borrowed values are re-lent — relevant only when tearing down
-    /// mid-run).
+    /// Stops the pool: wakes every thread, joins them, and closes and ends
+    /// any driver still live as [`End::Shutdown`] (its borrowed values are
+    /// re-lent — relevant only when tearing down mid-run).
     fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
         // Each waiter checks the flag under its mutex and then waits on it;
@@ -969,14 +966,11 @@ impl Reactor {
         if let Some(pump) = self.pump.lock().take() {
             let _ = pump.join();
         }
-        let leftover = std::mem::take(&mut *self.inner.registered.lock());
-        for driver in leftover.into_values() {
-            driver.endpoint.clear_waker();
+        let leftover: Vec<Arc<Driver>> = self.inner.registered.lock().values().cloned().collect();
+        for driver in leftover {
             driver.endpoint.close();
-            driver.io.lock().sub.end(SubStreamEnd::Crashed);
-            *driver.result.lock() = Some(Err(StreamError::transport("reactor shut down")));
-            self.inner.stats.active.fetch_sub(1, Ordering::Relaxed);
-            driver.finished.fire();
+            let result = Err(StreamError::transport("reactor shut down"));
+            driver.finish(&self.inner, driver.io.lock(), End::Shutdown, result);
         }
     }
 }
@@ -1269,6 +1263,31 @@ mod tests {
         assert_eq!(task_seq(&a_end), 0);
         assert_eq!(rig.parked(), "c d a");
         rig.assert_active_counts_the_registered();
+    }
+
+    /// Shutdown ends a live driver the way every other end does: it leaves
+    /// the registered and starved sets, the value it held is re-lent, and
+    /// the trace says how it ended and what it handed back.
+    #[test]
+    fn shutdown_ends_a_live_driver_through_finish() {
+        let rig = Rig::new(2);
+        let (a, a_end) = rig.join("a", 2);
+        rig.drain();
+        assert!(rig.reactor.pump_starved());
+        rig.drain();
+        assert_eq!(task_seq(&a_end), 0);
+        assert_eq!(rig.parked(), "a", "parked again for its second window slot");
+
+        rig.reactor.shutdown();
+        assert_eq!(rig.reactor.stats().active, 0);
+        rig.assert_active_counts_the_registered();
+        assert_eq!(rig.parked(), "");
+        let name = || "a".to_string();
+        let events: Vec<Event> = rig.trace.take().into_iter().map(|(_, event)| event).collect();
+        let ended = Event::Ended { name: name(), how: End::Shutdown };
+        assert_eq!(events, [ended, Event::Relent { name: name(), values: 1 }]);
+        assert_eq!(rig.lender.stats().relends, 1);
+        assert!(a.join().is_err(), "a session cut by shutdown is not a clean end");
     }
 
     #[test]

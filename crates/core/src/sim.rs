@@ -190,6 +190,12 @@ pub struct FleetReport {
     /// trace: a diverging poll or wake-up count pinpoints scheduler
     /// nondeterminism even when the output still matches.
     pub reactor: crate::reactor::ReactorStats,
+    /// Values the lender re-lent ([`LenderStats::relends`]): what ended
+    /// sessions handed back, each lent again. Not part of the canonical
+    /// trace, whose `master relent` lines add up to it.
+    ///
+    /// [`LenderStats::relends`]: pando_pull_stream::lender::LenderStats::relends
+    pub relends: u64,
     /// Number of volunteers that actually crashed during the run (scheduled
     /// crash instants landing after a volunteer finished do not fire).
     pub crashed: u64,
@@ -685,6 +691,7 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
         "every input value must produce exactly one output"
     );
     let reactor_stats = reactor.stats();
+    let relends = pando.lender_stats().expect("the input is attached").relends;
     let report = pando.meter().report();
     let meter_rows: Vec<String> = report
         .rows
@@ -721,6 +728,7 @@ pub fn simulate_fleet(params: &FleetParams) -> FleetReport {
         meter_rows,
         shard_rows,
         reactor: reactor_stats,
+        relends,
         crashed: crashed_fired,
         retransmits,
         virtual_elapsed: clock.elapsed(),

@@ -3,12 +3,13 @@
 //!
 //! [`Pando::trace`](crate::master::Pando::trace) hands out the trace. The
 //! master writes what it decides — a volunteer registered
-//! ([`Event::Joined`]), a session ended and how ([`Event::Ended`]) — and the
-//! [fleet simulator](crate::sim) writes its volunteers' side. Events are
-//! stamped in whole microseconds on the deployment [`Clock`], counted from
-//! the trace's creation. On a virtual clock the trace keeps every event, for
-//! the canonical trace; on the wall clock it keeps the newest [`RING`], a
-//! post-mortem of a real run.
+//! ([`Event::Joined`]), a session ended and how ([`Event::Ended`]), the
+//! values that session held handed back for re-lending ([`Event::Relent`]) —
+//! and the [fleet simulator](crate::sim) writes its volunteers' side. Events
+//! are stamped in whole microseconds on the deployment [`Clock`], counted
+//! from the trace's creation. On a virtual clock the trace keeps every
+//! event, for the canonical trace; on the wall clock it keeps the newest
+//! [`RING`], a post-mortem of a real run.
 
 use pando_netsim::sim::Clock;
 use parking_lot::Mutex;
@@ -44,6 +45,9 @@ pub enum Event {
     Joined { name: String },
     /// The reactor ended volunteer `name`'s session, `how`.
     Ended { name: String, how: End },
+    /// The ended session of volunteer `name` handed `values` borrowed values
+    /// back to the lender, to be lent again (recorded only when `values > 0`).
+    Relent { name: String, values: u64 },
 }
 
 /// How the master ended a volunteer session.
@@ -55,6 +59,8 @@ pub enum End {
     Crash,
     /// The volunteer reported an application error: values re-lent.
     Failed,
+    /// The reactor shut down with the session still live: values re-lent.
+    Shutdown,
 }
 
 impl fmt::Display for Event {
@@ -80,9 +86,11 @@ impl fmt::Display for Event {
                     End::Goodbye => "goodbye",
                     End::Crash => "crash",
                     End::Failed => "failed",
+                    End::Shutdown => "shutdown",
                 };
                 write!(f, "master ended {name} {how}")
             }
+            Event::Relent { name, values } => write!(f, "master relent {name} values={values}"),
         }
     }
 }
@@ -172,6 +180,11 @@ mod tests {
             (Event::Ended { name: name(), how: End::Goodbye }, "master ended volunteer-3 goodbye"),
             (Event::Ended { name: name(), how: End::Crash }, "master ended volunteer-3 crash"),
             (Event::Ended { name: name(), how: End::Failed }, "master ended volunteer-3 failed"),
+            (
+                Event::Ended { name: name(), how: End::Shutdown },
+                "master ended volunteer-3 shutdown",
+            ),
+            (Event::Relent { name: name(), values: 5 }, "master relent volunteer-3 values=5"),
         ];
         for (event, line) in &table {
             assert_eq!(event.to_string(), *line);

@@ -1,5 +1,6 @@
-//! Raw-syscall shim for the Linux readiness facilities the TCP poller and
-//! acceptor need: `epoll` and the TCP keepalive socket options.
+//! Raw-syscall shim for the Linux facilities the library needs: `epoll` and
+//! the TCP keepalive socket options for the TCP poller and acceptor, and the
+//! per-thread timer slack for [`crate::thread::spawn`].
 //!
 //! The build environment has no registry access, so — same pattern as the
 //! `vendor/` stand-ins from PR 1 — this declares the handful of C symbols
@@ -11,6 +12,7 @@
 //! Linux ABI throughout: the one platform gate is in [`transport`](super).
 #![allow(unsafe_code)]
 
+use std::ffi::c_ulong;
 use std::io;
 use std::os::unix::io::RawFd;
 use std::time::Duration;
@@ -35,6 +37,10 @@ const IPPROTO_TCP: i32 = 6;
 const TCP_KEEPIDLE: i32 = 4;
 const TCP_KEEPINTVL: i32 = 5;
 const TCP_KEEPCNT: i32 = 6;
+
+const PR_SET_TIMERSLACK: i32 = 29;
+#[cfg(test)]
+const PR_GET_TIMERSLACK: i32 = 30;
 
 /// Mirror of the kernel's `struct epoll_event`. The kernel declares it
 /// packed on x86-64 (and only there) so the 64-bit `data` field sits at
@@ -62,6 +68,7 @@ extern "C" {
         value: *mut std::ffi::c_void,
         len: *mut u32,
     ) -> i32;
+    fn prctl(option: i32, ...) -> i32;
 }
 
 fn cvt(ret: i32) -> io::Result<i32> {
@@ -162,6 +169,26 @@ pub fn keepalive_enabled(fd: RawFd) -> io::Result<bool> {
         getsockopt(fd, SOL_SOCKET, SO_KEEPALIVE, (&mut value as *mut i32).cast(), &mut len)
     })?;
     Ok(value != 0)
+}
+
+/// Sets the calling thread's timer slack: how far past its deadline the
+/// kernel may end one of the thread's timed sleeps, to batch it with other
+/// wake-ups (50 µs unless a parent thread changed it).
+pub fn set_timer_slack(slack_ns: c_ulong) -> io::Result<()> {
+    let zero: c_ulong = 0;
+    // SAFETY: glibc's `prctl` reads four `unsigned long` arguments after the
+    // option, all passed; this option reads only the first, as a number, and
+    // changes nothing but the calling thread's timer slack.
+    cvt(unsafe { prctl(PR_SET_TIMERSLACK, slack_ns, zero, zero, zero) }).map(|_| ())
+}
+
+/// The calling thread's timer slack, in nanoseconds.
+#[cfg(test)]
+pub fn timer_slack() -> io::Result<c_ulong> {
+    let zero: c_ulong = 0;
+    // SAFETY: as in `set_timer_slack`; this option reads no argument and
+    // returns the slack.
+    cvt(unsafe { prctl(PR_GET_TIMERSLACK, zero, zero, zero, zero) }).map(|ns| ns as c_ulong)
 }
 
 #[cfg(test)]

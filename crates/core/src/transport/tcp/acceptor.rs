@@ -454,28 +454,25 @@ impl TcpAcceptor {
     pub fn serve(self, pando: &Pando) -> TcpServerHandle {
         let shared = self.shared.clone();
         let pando = pando.clone();
-        let handle = thread::Builder::new()
-            .name("tcp-accept".into())
-            .spawn(move || {
-                let shared = &self.shared;
-                while !shared.stop.load(Ordering::SeqCst) {
-                    let (name, transport): (String, Arc<dyn Transport>) = match self.turn(true) {
-                        Some(Ok(SessionEvent::Plain { name, transport })) => {
-                            (name, Arc::new(transport))
-                        }
-                        Some(Ok(SessionEvent::Joined { name, transport })) => (name, transport),
-                        Some(Ok(SessionEvent::Resumed { .. })) => {
-                            shared.tally.lock().resumed += 1;
-                            continue;
-                        }
-                        Some(Err(_)) | None => continue,
-                    };
-                    pando.add_volunteer_transport(name, transport);
-                    shared.tally.lock().accepted += 1;
-                    shared.joined.notify_all();
-                }
-            })
-            .expect("spawn tcp accept thread");
+        let handle = crate::thread::spawn("tcp-accept".into(), move || {
+            let shared = &self.shared;
+            while !shared.stop.load(Ordering::SeqCst) {
+                let (name, transport): (String, Arc<dyn Transport>) = match self.turn(true) {
+                    Some(Ok(SessionEvent::Plain { name, transport })) => {
+                        (name, Arc::new(transport))
+                    }
+                    Some(Ok(SessionEvent::Joined { name, transport })) => (name, transport),
+                    Some(Ok(SessionEvent::Resumed { .. })) => {
+                        shared.tally.lock().resumed += 1;
+                        continue;
+                    }
+                    Some(Err(_)) | None => continue,
+                };
+                pando.add_volunteer_transport(name, transport);
+                shared.tally.lock().accepted += 1;
+                shared.joined.notify_all();
+            }
+        });
         TcpServerHandle { shared, handle }
     }
 }

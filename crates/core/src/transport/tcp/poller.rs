@@ -41,7 +41,6 @@ use std::net::Shutdown;
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread;
 use std::time::{Duration, Instant};
 
 /// Interest kept while the read half is open.
@@ -86,10 +85,7 @@ fn spawn_shards(threads: usize) -> Vec<Arc<Shard>> {
                 conns: Mutex::new(HashMap::new()),
             });
             let runner = shard.clone();
-            thread::Builder::new()
-                .name(format!("tcp-poll-{i}"))
-                .spawn(move || run(runner))
-                .expect("spawn tcp poller thread");
+            crate::thread::spawn(format!("tcp-poll-{i}"), move || run(runner));
             shard
         })
         .collect()

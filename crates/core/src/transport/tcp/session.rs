@@ -702,10 +702,9 @@ impl ReconnectingTcpTransport {
             return;
         }
         let runner = shared.clone();
-        thread::Builder::new()
-            .name(format!("pando-redial-{}", shared.core.name))
-            .spawn(move || run_redial(runner))
-            .expect("spawn session redial thread");
+        crate::thread::spawn(format!("pando-redial-{}", shared.core.name), move || {
+            run_redial(runner)
+        });
     }
 }
 

@@ -35,20 +35,17 @@ pub fn serve(
     let relayed = pando.config().transport.channel.clone();
     let (url, incoming) = server.host(direct, relayed);
     let master = pando.clone();
-    let acceptor = std::thread::Builder::new()
-        .name("pando-acceptor".into())
-        .spawn(move || {
-            let mut joined = 0;
-            for volunteer in incoming.iter() {
-                joined += 1;
-                master.add_volunteer_transport(
-                    format!("volunteer-{}", volunteer.volunteer_id),
-                    Arc::new(volunteer.endpoint),
-                );
-            }
-            joined
-        })
-        .expect("spawn acceptor thread");
+    let acceptor = crate::thread::spawn("pando-acceptor".into(), move || {
+        let mut joined = 0;
+        for volunteer in incoming.iter() {
+            joined += 1;
+            master.add_volunteer_transport(
+                format!("volunteer-{}", volunteer.volunteer_id),
+                Arc::new(volunteer.endpoint),
+            );
+        }
+        joined
+    });
     (url, acceptor)
 }
 

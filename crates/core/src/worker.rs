@@ -141,16 +141,13 @@ impl WorkerBuilder {
         F: Fn(&Payload) -> Result<Bytes, StreamError> + Send + 'static,
     {
         let name = self.options.name.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("pando-worker-{name}"))
-            .spawn(move || {
-                let transports = vec![Arc::new(transport) as Arc<dyn Transport>];
-                let options = &self.options;
-                let mut reports =
-                    run_worker_slice(transports, |_| options.name.clone(), options, &process);
-                reports.pop().expect("one transport, one report")
-            })
-            .expect("spawn worker thread");
+        let handle = crate::thread::spawn(format!("pando-worker-{name}"), move || {
+            let transports = vec![Arc::new(transport) as Arc<dyn Transport>];
+            let options = &self.options;
+            let mut reports =
+                run_worker_slice(transports, |_| options.name.clone(), options, &process);
+            reports.pop().expect("one transport, one report")
+        });
         WorkerHandle { handle, name }
     }
 
@@ -199,18 +196,13 @@ impl WorkerBuilder {
                 break;
             }
             let (process, options) = (process.clone(), self.options.clone());
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("pando-worker-pool-{index}"))
-                    .spawn(move || {
-                        let name = |i| match options.name.as_str() {
-                            "" => format!("pool-{index}-{i}"),
-                            prefix => format!("{prefix}-pool-{index}-{i}"),
-                        };
-                        run_worker_slice(chunk, name, &options, &*process)
-                    })
-                    .expect("spawn worker pool thread"),
-            );
+            handles.push(crate::thread::spawn(format!("pando-worker-pool-{index}"), move || {
+                let name = |i| match options.name.as_str() {
+                    "" => format!("pool-{index}-{i}"),
+                    prefix => format!("{prefix}-pool-{index}-{i}"),
+                };
+                run_worker_slice(chunk, name, &options, &*process)
+            }));
         }
         WorkerPoolHandle { threads: handles }
     }

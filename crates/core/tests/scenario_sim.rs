@@ -126,8 +126,9 @@ proptest! {
 /// left first, so there is nothing left to crash) — exactly one of the
 /// two. Flaps and clean leaves never count, and `report.crashed` is the
 /// number of crash events. Across the layers, the master's trace ends as
-/// many sessions with a crash as the reactor counted crash re-lends, and
-/// joins as many volunteers as the reactor registered.
+/// many sessions with a crash as the reactor counted crash re-lends, joins
+/// as many volunteers as the reactor registered, and re-lends as many
+/// values as the lender did.
 fn run_and_check_crashes(scenario: &Scenario) -> FleetReport {
     let report =
         oracle::run(&scenario.to_fleet_params().unwrap()).unwrap_or_else(|e| panic!("{e}"));
@@ -149,6 +150,15 @@ fn run_and_check_crashes(scenario: &Scenario) -> FleetReport {
     assert_eq!(crash_verdicts, report.reactor.crash_relends);
     let joined = count(&|_, event| matches!(event, Event::Joined { .. }));
     assert_eq!(joined, report.reactor.registered);
+    let relent: u64 = report
+        .trace
+        .iter()
+        .map(|(_, event)| match event {
+            Event::Relent { values, .. } => *values,
+            _ => 0,
+        })
+        .sum();
+    assert_eq!(relent, report.relends);
     report
 }
 

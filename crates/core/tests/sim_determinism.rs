@@ -40,8 +40,9 @@ proptest! {
             .sum();
         prop_assert_eq!(accepted, tasks);
         // Across the layers: the master's trace ends as many sessions with a
-        // crash as the reactor counted crash re-lends, and joins as many
-        // volunteers as it registered.
+        // crash as the reactor counted crash re-lends, joins as many
+        // volunteers as it registered, and re-lends as many values as the
+        // lender did.
         let count = |pick: fn(&Event) -> bool| {
             report.trace.iter().filter(|(_, event)| pick(event)).count() as u64
         };
@@ -49,6 +50,15 @@ proptest! {
         prop_assert_eq!(crash_verdicts, report.reactor.crash_relends);
         let joined = count(|event| matches!(event, Event::Joined { .. }));
         prop_assert_eq!(joined, report.reactor.registered);
+        let relent: u64 = report
+            .trace
+            .iter()
+            .map(|(_, event)| match event {
+                Event::Relent { values, .. } => *values,
+                _ => 0,
+            })
+            .sum();
+        prop_assert_eq!(relent, report.relends);
     }
 
     /// Any random disconnect/reconnect schedule (links pausing and coming

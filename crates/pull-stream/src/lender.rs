@@ -529,31 +529,32 @@ where
         }
     }
 
-    /// Ends a sub-stream; returns `false` if it had already ended.
-    fn end_sub(&self, id: SubStreamId, how: SubStreamEnd) -> bool {
+    /// Ends a sub-stream and returns how many of its borrowed values it
+    /// handed back for re-lending (0 if it had already ended).
+    fn end_sub(&self, id: SubStreamId, how: SubStreamEnd) -> usize {
         let mut state = self.state.lock();
         let Some(borrowed) = state.borrowed_by.remove(&id) else {
-            return false;
+            return 0;
         };
         // Re-lend in input order: a hash set iterates in a per-process
         // random order, which would make two same-seed simulations diverge.
         let mut borrowed: Vec<u64> = borrowed.into_iter().collect();
         borrowed.sort_unstable();
-        let mut relent = false;
+        let mut relent = 0;
         for seq in borrowed {
             if let Some(value) = state.in_flight.remove(&seq) {
                 state.failed.push_back(Lend::new(seq, value));
-                state.stats.relends += 1;
-                relent = true;
+                relent += 1;
             }
         }
+        state.stats.relends += relent as u64;
         match how {
             SubStreamEnd::Completed => state.stats.substreams_completed += 1,
             SubStreamEnd::Crashed => state.stats.substreams_crashed += 1,
         }
         drop(state);
-        self.notify(relent);
-        true
+        self.notify(relent > 0);
+        relent
     }
 
     fn borrowed_count(&self, id: SubStreamId) -> usize {
@@ -943,14 +944,15 @@ where
 
     /// Ends the sub-stream without consuming it, for a dispatcher that keeps
     /// the handle in place: gracefully or as a crash, as `how` says. Either
-    /// way its borrowed values are re-lent. Only the first end counts; the
-    /// sub-stream answers `Done` after it.
-    pub fn end(&mut self, how: SubStreamEnd) {
+    /// way its borrowed values are re-lent; returns how many were. Only the
+    /// first end counts (a later one returns 0); the sub-stream answers
+    /// `Done` after it.
+    pub fn end(&mut self, how: SubStreamEnd) -> usize {
         if self.ended {
-            return;
+            return 0;
         }
         self.ended = true;
-        self.shared.end_sub(self.id, how);
+        self.shared.end_sub(self.id, how)
     }
 
     /// Number of values currently borrowed by this sub-stream.
@@ -1570,11 +1572,12 @@ mod tests {
         let mut sub = lender.lend();
         let first = sub.try_next_task().unwrap();
         assert_eq!(first.seq, 0);
-        sub.end(SubStreamEnd::Crashed);
+        assert_eq!(sub.end(SubStreamEnd::Crashed), 1, "the one borrowed value is handed back");
         assert_eq!(lender.failed_pending(), 1);
         assert_eq!(lender.stats().substreams_crashed, 1);
-        // The crashed sub-stream no longer hands out values, and dropping it
-        // ends nothing twice.
+        // The crashed sub-stream no longer hands out values, and ending or
+        // dropping it again ends nothing twice.
+        assert_eq!(sub.end(SubStreamEnd::Crashed), 0);
         assert!(sub.try_next_task().is_none());
         assert!(matches!(sub.poll_task(), Some(Answer::Done)));
         drop(sub);

@@ -32,8 +32,9 @@
 //!
 //! A failed run leaves a post-mortem: a panic hook prints the master's
 //! trace ([`Pando::trace`]) to stderr after the panic message — every
-//! volunteer registered (`master joined NAME`) and every session ended with
-//! its verdict (`master ended NAME goodbye|crash|failed`), stamped in
+//! volunteer registered (`master joined NAME`), every session ended with
+//! its verdict (`master ended NAME goodbye|crash|failed|shutdown`) and the
+//! values each end handed back (`master relent NAME values=N`), stamped in
 //! microseconds since the master started, the newest
 //! [`RING`](pando_core::trace::RING) events of the run.
 //!
